@@ -25,13 +25,13 @@ from .mapping import (
     InvalidBigraph,
     NotCanonical,
     UntypedControl,
-    check_arity_rule,
+    conformance,
     decode,
     encode,
     extend_for_signature,
 )
 from .report import Finding, ValidationReport
-from .typedgraph import check_multiplicities, check_type_graph, check_typing, check_validity
+from .typedgraph import check_type_graph
 from .variability import (
     InvalidConfig,
     annotate_150,
@@ -112,10 +112,7 @@ def _validate_instance(args: argparse.Namespace, g) -> int:
     else:
         _emit_error("usage", args.file, "validating an instance graph needs --tg or --sig")
         return EXIT_USAGE
-    rep = check_typing(g, tg).merged(check_validity(g, tg), check_multiplicities(g, tg))
-    if sig is not None:
-        rep = rep.merged(check_arity_rule(g, tg, sig))
-    return _finish(rep)
+    return _finish(conformance(g, tg, sig))
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -161,7 +158,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     g = fileio.load_instance_graph(args.instancegraph)
     tg = fileio.load_type_graph(args.tg)
     doc = parse_constraints(_read_text(args.constraints))
-    rep = check_typing(g, tg).merged(check_validity(g, tg), check_multiplicities(g, tg))
+    rep = conformance(g, tg)
     if not rep.ok:
         return _finish(rep)
     result = evaluate(doc, g, tg)

@@ -163,6 +163,14 @@ def check_arity_rule(g: InstanceGraph, tg: TypeGraph, sig: Signature) -> Validat
     return report_from(findings)
 
 
+def conformance(g: InstanceGraph, tg: TypeGraph, sig: Signature | None = None) -> ValidationReport:
+    """Conformance of ``g`` to ``tg``: the typing morphism, validity and
+    multiplicities, then the arity rule when a signature is given, with
+    the findings in that order."""
+    rep = check_typing(g, tg).merged(check_validity(g, tg), check_multiplicities(g, tg))
+    return rep if sig is None else rep.merged(check_arity_rule(g, tg, sig))
+
+
 @dataclass(frozen=True)
 class ElementMap:
     """Bijection between the elements of a bigraph and instance-graph nodes."""
@@ -324,13 +332,7 @@ def decode(g: InstanceGraph, sig: Signature) -> tuple[Bigraph, ElementMap]:
     Anything else raises :class:`NotCanonical` (or
     :class:`UntypedControl` for nodes typed ``BNode`` directly).
     """
-    tg = extend_for_signature(sig)
-    rep = (
-        check_typing(g, tg)
-        .merged(check_validity(g, tg))
-        .merged(check_multiplicities(g, tg))
-        .merged(check_arity_rule(g, tg, sig))
-    )
+    rep = conformance(g, extend_for_signature(sig), sig)
     if not rep.ok:
         raise NotCanonical("instance graph fails canonical checks", rep)
 
@@ -417,19 +419,14 @@ def decode(g: InstanceGraph, sig: Signature) -> tuple[Bigraph, ElementMap]:
         if i not in prnt:
             raise NotCanonical(f"site {i} has no parent")
 
+    point_of_gid = {gid: x for x, gid in inner_names.items()} | port_of_gid
+    target_of_gid = {gid: y for names in (edges, outer_names) for y, gid in names.items()}
     link: dict[object, str] = {}
     for e in sorted(g.graph.edges):
         if g.edge_types[e] != "bLink":
             continue
-        s, t = g.graph.src[e], g.graph.tgt[e]
-        point: object
-        if s in port_of_gid:
-            point = port_of_gid[s]
-        else:
-            point = next((x for x, gid in inner_names.items() if gid == s), None)
-        target = next((y for y, gid in edges.items() if gid == t), None)
-        if target is None:
-            target = next((y for y, gid in outer_names.items() if gid == t), None)
+        point = point_of_gid.get(g.graph.src[e])
+        target = target_of_gid.get(g.graph.tgt[e])
         if point is None or target is None:
             raise NotCanonical(f"link edge {e} connects non-link nodes")
         link[point] = target
@@ -539,20 +536,24 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
     linking = [(point_el(p), target_el(t)) for p, t in sorted(b.link.items(), key=lambda kv: str(kv[0]))]
     check_relation("sound-linking", linking, "bLink", "linking")
 
-    def check_indices(code: str, kind: str, count: int, typed_as: str) -> None:
-        candidates = sorted(n for n in g.graph.nodes if g.node_types.get(n) == typed_as)
-        for i in range(count):
-            gid = mapped((kind, i))
+    def check_indices(code: str, candidates: list[str], slots: list[tuple[str | None, str]]) -> None:
+        """Slot ``i`` holds the node mapped to index ``i`` and its label;
+        exactly that node among the candidates must carry index ``i``."""
+        for i, (gid, label) in enumerate(slots):
             for n in candidates:
-                idx = node_attrs(g, n).get("index")
+                idx = g.attrs.get((n, "index"))
                 if (gid == n) != (idx == i):
                     if gid == n:
-                        flag(code, n, f"{kind} {i} carries index attribute {idx!r}")
+                        flag(code, n, f"{label} carries index attribute {idx!r}")
                     else:
-                        flag(code, n, f"index attribute {idx!r} clashes with {kind} {i} mapped elsewhere")
+                        flag(code, n, f"index attribute {idx!r} clashes with {label} mapped elsewhere")
 
-    check_indices("sound-root-index", K_ROOT, b.outer.width, "BRoot")
-    check_indices("sound-site-index", K_SITE, b.inner.width, "BSite")
+    for code, kind, count, typed_as in (
+        ("sound-root-index", K_ROOT, b.outer.width, "BRoot"),
+        ("sound-site-index", K_SITE, b.inner.width, "BSite"),
+    ):
+        candidates = sorted(n for n in g.graph.nodes if g.node_types.get(n) == typed_as)
+        check_indices(code, candidates, [(mapped((kind, i)), f"{kind} {i}") for i in range(count)])
 
     # Port indices are scoped per owning node: only the ports of the same
     # owner compete for the same index values.
@@ -568,14 +569,8 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
     for v in sorted(b.nodes):
         owner_gid = mapped((K_NODE, v))
         candidates = ports_of_owner.get(owner_gid, []) if owner_gid else []
-        for i in range(b.signature.arity(b.ctrl[v])):
-            gid = mapped((K_PORT, Port(v, i)))
-            for n in candidates:
-                idx = node_attrs(g, n).get("index")
-                if (gid == n) != (idx == i):
-                    if gid == n:
-                        flag("sound-port-index", n, f"port ({v},{i}) carries index attribute {idx!r}")
-                    else:
-                        flag("sound-port-index", n, f"index attribute {idx!r} clashes with port ({v},{i}) mapped elsewhere")
+        arity = b.signature.arity(b.ctrl[v])
+        slots = [(mapped((K_PORT, Port(v, i))), f"port ({v},{i})") for i in range(arity)]
+        check_indices("sound-port-index", candidates, slots)
 
     return report_from(findings)

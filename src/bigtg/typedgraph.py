@@ -11,6 +11,7 @@ the structural rules can fail.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .report import Finding, ValidationReport, report_from
@@ -95,6 +96,23 @@ class TypeGraph:
     def edge_types(self) -> frozenset[str]:
         return self.graph.edges
 
+    @cached_property
+    def _supertypes(self) -> dict[str, frozenset[str]]:
+        """Transitive supertypes of every type with a declared supertype,
+        computed once; a type on an inheritance cycle is among its own."""
+        parents = _parents(self)
+        closure: dict[str, frozenset[str]] = {}
+        for t in parents:
+            out: set[str] = set()
+            frontier = [t]
+            while frontier:
+                for sup in parents.get(frontier.pop(), ()):
+                    if sup not in out:
+                        out.add(sup)
+                        frontier.append(sup)
+            closure[t] = frozenset(out)
+        return closure
+
 
 @dataclass(frozen=True)
 class InstanceGraph:
@@ -134,45 +152,37 @@ def incoming(g: InstanceGraph, n: str, edge_type: str | None = None) -> list[str
     )
 
 
-def all_sub(tg: TypeGraph, t: str) -> set[str]:
-    """All transitive subtypes of ``t`` (excluding ``t`` itself)."""
+def _parents(tg: TypeGraph) -> dict[str, list[str]]:
+    """Direct supertypes of every type that has one, sorted."""
+    parents: dict[str, set[str]] = {}
+    for sub, sup in tg.inherits:
+        parents.setdefault(sub, set()).add(sup)
+    return {t: sorted(sups) for t, sups in parents.items()}
+
+
+def _require(tg: TypeGraph, t: str) -> None:
     if t not in tg.node_types:
         raise UnknownType(f"unknown node type {t!r}")
-    children: dict[str, set[str]] = {}
-    for sub, sup in tg.inherits:
-        children.setdefault(sup, set()).add(sub)
-    out: set[str] = set()
-    frontier = [t]
-    while frontier:
-        cur = frontier.pop()
-        for sub in children.get(cur, ()):
-            if sub not in out:
-                out.add(sub)
-                frontier.append(sub)
-    return out
+
+
+def all_sub(tg: TypeGraph, t: str) -> set[str]:
+    """All transitive subtypes of ``t`` (excluding ``t`` itself)."""
+    _require(tg, t)
+    return {sub for sub, sups in tg._supertypes.items() if t in sups}
 
 
 def all_super(tg: TypeGraph, t: str) -> set[str]:
     """All transitive supertypes of ``t`` (excluding ``t`` itself)."""
-    if t not in tg.node_types:
-        raise UnknownType(f"unknown node type {t!r}")
-    parents: dict[str, set[str]] = {}
-    for sub, sup in tg.inherits:
-        parents.setdefault(sub, set()).add(sup)
-    out: set[str] = set()
-    frontier = [t]
-    while frontier:
-        cur = frontier.pop()
-        for sup in parents.get(cur, ()):
-            if sup not in out:
-                out.add(sup)
-                frontier.append(sup)
-    return out
+    _require(tg, t)
+    return set(tg._supertypes.get(t, ()))
 
 
 def conforms(tg: TypeGraph, t: str, target: str) -> bool:
     """True when ``t`` equals ``target`` or is one of its subtypes."""
-    return t == target or t in all_sub(tg, target)
+    if t == target:
+        return True
+    _require(tg, target)
+    return target in tg._supertypes.get(t, ())
 
 
 def declared_attrs(tg: TypeGraph, t: str) -> dict[str, str]:
@@ -209,23 +219,8 @@ def check_type_graph(tg: TypeGraph) -> ValidationReport:
     for sub, sup in sorted(tg.inherits):
         if sub not in tg.node_types or sup not in tg.node_types:
             flag("tg-inherits-ref", f"({sub},{sup})", "inheritance references unknown node type")
-    # Cycle check over the subtype relation.
-    parents: dict[str, set[str]] = {}
-    for sub, sup in tg.inherits:
-        parents.setdefault(sub, set()).add(sup)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {t: WHITE for t in parents}
-    def visit(t: str, trail: list[str]) -> None:
-        color[t] = GREY
-        for sup in sorted(parents.get(t, ())):
-            if color.get(sup, WHITE) == GREY:
-                flag("tg-inherits-cycle", sup, "inheritance cycle through " + sup)
-            elif color.get(sup, WHITE) == WHITE and sup in parents:
-                visit(sup, trail + [sup])
-        color[t] = BLACK
-    for t in sorted(parents):
-        if color[t] == WHITE:
-            visit(t, [t])
+    for cycle in _cycles(_parents(tg)):
+        flag("tg-inherits-cycle", cycle[0], "inheritance cycle through " + cycle[0])
 
     for t in sorted(tg.abstracts - tg.node_types):
         flag("tg-abstracts", t, "abstract entry is not a node type")
@@ -323,32 +318,45 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     return report_from(findings)
 
 
-def _containment_cycles(g: InstanceGraph, tg: TypeGraph) -> list[list[str]]:
-    succ: dict[str, list[str]] = {}
-    for e in sorted(g.graph.edges):
-        if g.edge_types.get(e) in tg.containments:
-            succ.setdefault(g.graph.src[e], []).append(g.graph.tgt[e])
+def _cycles(succ: Mapping[str, list[str]]) -> list[list[str]]:
+    """Cycles closed by the back edges of a depth-first search over
+    ``succ``, started from each unvisited key in sorted order and taking
+    successors in list order. Each cycle is the search path from the
+    re-entered node to the node whose edge closes it."""
     cycles: list[list[str]] = []
-    WHITE, GREY, BLACK = 0, 1, 2
-    color: dict[str, int] = {}
-    stack: list[str] = []
-
-    def visit(n: str) -> None:
-        color[n] = GREY
-        stack.append(n)
-        for nxt in succ.get(n, ()):
-            c = color.get(nxt, WHITE)
-            if c == GREY:
-                cycles.append(stack[stack.index(nxt) :])
-            elif c == WHITE:
-                visit(nxt)
-        stack.pop()
-        color[n] = BLACK
-
-    for n in sorted(succ):
-        if color.get(n, WHITE) == WHITE:
-            visit(n)
+    done: set[str] = set()
+    for root in sorted(succ):
+        if root in done:
+            continue
+        path = [root]
+        depth = {root: 0}
+        pending = [iter(succ.get(root, ()))]
+        while pending:
+            for nxt in pending[-1]:
+                if nxt in depth:
+                    cycles.append(path[depth[nxt] :])
+                elif nxt not in done:
+                    depth[nxt] = len(path)
+                    path.append(nxt)
+                    pending.append(iter(succ.get(nxt, ())))
+                    break
+            else:
+                pending.pop()
+                done.add(path[-1])
+                del depth[path.pop()]
     return cycles
+
+
+def _opposite_groups(g: InstanceGraph, tg: TypeGraph) -> dict[tuple[str, str, str], list[str]]:
+    """Edges whose type has an opposite, grouped by ``(type, src, tgt)``;
+    each group is sorted."""
+    groups: dict[tuple[str, str, str], list[str]] = {}
+    for e in sorted(g.graph.edges):
+        te, s, t = g.edge_types.get(e), g.graph.src.get(e), g.graph.tgt.get(e)
+        if te is None or s is None or t is None or opposite_of(tg, te) is None:
+            continue
+        groups.setdefault((te, s, t), []).append(e)
+    return groups
 
 
 def check_validity(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
@@ -359,7 +367,11 @@ def check_validity(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     def flag(code: str, location: str, message: str) -> None:
         findings.append(Finding(code, location, message))
 
-    for cycle in _containment_cycles(g, tg):
+    succ: dict[str, list[str]] = {}
+    for e in sorted(g.graph.edges):
+        if g.edge_types.get(e) in tg.containments:
+            succ.setdefault(g.graph.src[e], []).append(g.graph.tgt[e])
+    for cycle in _cycles(succ):
         flag("containment-cycle", cycle[0], "containment cycle through " + ", ".join(sorted(set(cycle))))
 
     for n in sorted(g.graph.nodes):
@@ -373,24 +385,16 @@ def check_validity(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
 
     # Opposite consistency: for both directions of each pair, the number
     # of t1 edges a->b must equal the number of t2 edges b->a.
-    counts: dict[tuple[str, str, str], int] = {}
-    for e in g.graph.edges:
-        te = g.edge_types.get(e)
-        if te is None or opposite_of(tg, te) is None:
-            continue
-        s, t = g.graph.src.get(e), g.graph.tgt.get(e)
-        if s is None or t is None:
-            continue
-        counts[(te, s, t)] = counts.get((te, s, t), 0) + 1
+    groups = _opposite_groups(g, tg)
     seen: set[tuple[str, str, str]] = set()
-    for (te, s, t) in sorted(counts):
+    for (te, s, t), edges in sorted(groups.items()):
         rev = (opposite_of(tg, te), t, s)
         key = min((te, s, t), rev)  # process each unordered pair once
         if key in seen:
             continue
         seen.add(key)
-        fwd_count = counts.get((te, s, t), 0)
-        rev_count = counts.get(rev, 0)
+        fwd_count = len(edges)
+        rev_count = len(groups.get(rev, ()))
         if fwd_count != rev_count:
             flag(
                 "opposite-inconsistent",
@@ -408,12 +412,7 @@ def pair_opposites(g: InstanceGraph, tg: TypeGraph) -> dict[str, str]:
     ``ValueError`` otherwise. The result is an involution without fixed
     points on the participating edges.
     """
-    by_key: dict[tuple[str, str, str], list[str]] = {}
-    for e in sorted(g.graph.edges):
-        te = g.edge_types.get(e)
-        if te is None or opposite_of(tg, te) is None:
-            continue
-        by_key.setdefault((te, g.graph.src[e], g.graph.tgt[e]), []).append(e)
+    by_key = _opposite_groups(g, tg)
     pairing: dict[str, str] = {}
     for (te, s, t), edges in sorted(by_key.items()):
         partners = by_key.get((opposite_of(tg, te), t, s), [])

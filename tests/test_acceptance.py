@@ -19,6 +19,7 @@ from bigtg import (
     check_type_graph,
     check_typing,
     check_validity,
+    conformance,
     decode,
     derive_type_graph,
     encode,
@@ -77,10 +78,7 @@ def test_criterion_2_roundtrip_1000():
         b = random_bigraph(random.Random(seed))
         g, emap = encode(b)
         tg = extend_for_signature(b.signature)
-        assert check_typing(g, tg).ok
-        assert check_validity(g, tg).ok
-        assert check_multiplicities(g, tg).ok
-        assert check_arity_rule(g, tg, b.signature).ok
+        assert conformance(g, tg, b.signature).ok
         assert check_soundness(b, g, emap).ok
         decoded, _ = decode(g, b.signature)
         assert decoded == b
@@ -178,11 +176,7 @@ def test_criterion_4_configuration_space(g1, sig1, tg_sigma1):
         derived = derive_type_graph(atg, config)
         assert check_type_graph(derived).ok
         configured = apply_deltas(g1, config, sig1)
-        rep = (
-            check_typing(configured, derived)
-            .merged(check_validity(configured, derived))
-            .merged(check_multiplicities(configured, derived))
-        )
+        rep = conformance(configured, derived)
         assert rep.ok, (sorted(config.selected), [f.line() for f in rep.findings])
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 10.0

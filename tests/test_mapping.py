@@ -19,6 +19,7 @@ from bigtg import (
     check_type_graph,
     check_typing,
     check_validity,
+    conformance,
     decode,
     encode,
     extend_for_signature,
@@ -212,11 +213,30 @@ def test_element_count_law_random(seed):
 
 
 def _all_checks(b, g, emap, tg, sig):
-    return (
-        check_typing(g, tg)
-        .merged(check_validity(g, tg), check_multiplicities(g, tg))
-        .merged(check_arity_rule(g, tg, sig), check_soundness(b, g, emap))
-    )
+    return conformance(g, tg, sig).merged(check_soundness(b, g, emap))
+
+
+def _mutate(data, g, tg):
+    """One random single-element mutation of ``g``, or None if none applies."""
+    kind = data.draw(st.sampled_from(["drop-node", "drop-edge", "bump-index", "retype"]))
+    if kind == "drop-node":
+        victim = data.draw(st.sampled_from(sorted(g.graph.nodes)))
+        return drop_node(g, victim)
+    if kind == "drop-edge":
+        if not g.graph.edges:
+            return None
+        victim = data.draw(st.sampled_from(sorted(g.graph.edges)))
+        return drop_edge(g, victim)
+    if kind == "bump-index":
+        indexed = sorted(n for (n, a) in g.attrs if a == "index")
+        if not indexed:
+            return None
+        victim = data.draw(st.sampled_from(indexed))
+        return set_attr(g, victim, "index", g.attrs[(victim, "index")] + 1 + data.draw(st.integers(0, 3)))
+    victim = data.draw(st.sampled_from(sorted(g.graph.nodes)))
+    current = g.node_types[victim]
+    new_type = data.draw(st.sampled_from(sorted(tg.graph.nodes - {current})))
+    return retype_node(g, victim, new_type)
 
 
 @given(st.data())
@@ -231,25 +251,25 @@ def test_single_element_mutations_are_caught(data):
     tg = extend_for_signature(b.signature)
     assert _all_checks(b, g, emap, tg, b.signature).ok
 
-    kind = data.draw(st.sampled_from(["drop-node", "drop-edge", "bump-index", "retype"]))
-    if kind == "drop-node":
-        victim = data.draw(st.sampled_from(sorted(g.graph.nodes)))
-        mutated = drop_node(g, victim)
-    elif kind == "drop-edge":
-        if not g.graph.edges:
-            return
-        victim = data.draw(st.sampled_from(sorted(g.graph.edges)))
-        mutated = drop_edge(g, victim)
-    elif kind == "bump-index":
-        indexed = sorted(n for (n, a) in g.attrs if a == "index")
-        if not indexed:
-            return
-        victim = data.draw(st.sampled_from(indexed))
-        mutated = set_attr(g, victim, "index", g.attrs[(victim, "index")] + 1 + data.draw(st.integers(0, 3)))
-    else:
-        victim = data.draw(st.sampled_from(sorted(g.graph.nodes)))
-        current = g.node_types[victim]
-        new_type = data.draw(st.sampled_from(sorted(tg.graph.nodes - {current})))
-        mutated = retype_node(g, victim, new_type)
-
+    mutated = _mutate(data, g, tg)
+    if mutated is None:
+        return
     assert not _all_checks(b, mutated, emap, tg, b.signature).ok
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_conformance_is_the_four_checkers_in_order(data):
+    b = random_bigraph(random.Random(data.draw(st.integers(0, 100_000))))
+    g, _ = encode(b)
+    if not g.graph.nodes:
+        return
+    tg, sig = extend_for_signature(b.signature), b.signature
+    mutated = _mutate(data, g, tg) or g
+    without_sig = (
+        check_typing(mutated, tg).findings
+        + check_validity(mutated, tg).findings
+        + check_multiplicities(mutated, tg).findings
+    )
+    assert conformance(mutated, tg).findings == without_sig
+    assert conformance(mutated, tg, sig).findings == without_sig + check_arity_rule(mutated, tg, sig).findings

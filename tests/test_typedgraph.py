@@ -100,6 +100,35 @@ def test_validity_detects_containment_cycle(tg_sigma1):
     assert "containment-cycle" in check_validity(g, tg_sigma1).codes()
 
 
+def test_validity_cycle_findings_pinned(tg_sigma1):
+    # Cycles a->b->c->a and b->d->e->b share b; c->e crosses between them.
+    # The edge ids put b's step to d before its step to c, so the search
+    # closes the b cycle first.
+    g = _tiny_instance(
+        tg_sigma1,
+        {n: ("Room", {}) for n in "abcde"},
+        {
+            "c3": ("bChld", "a", "b"),
+            "c2": ("bChld", "b", "c"),
+            "c4": ("bChld", "c", "a"),
+            "c1": ("bChld", "b", "d"),
+            "c5": ("bChld", "d", "e"),
+            "c0": ("bChld", "e", "b"),
+            "c6": ("bChld", "c", "e"),
+        },
+    )
+    assert [f.line() for f in check_validity(g, tg_sigma1).findings] == [
+        "error containment-cycle b containment cycle through b, d, e",
+        "error containment-cycle a containment cycle through a, b, c",
+        "error multi-container b node has more than one container: a, e",
+        "error multi-container e node has more than one container: c, d",
+        *(
+            f"error opposite-inconsistent bChld[{s}->{t}] 1 'bChld' edge(s) but 0 opposite 'bPrnt' edge(s)"
+            for s, t in ("ab", "bc", "bd", "ca", "ce", "de", "eb")
+        ),
+    ]
+
+
 def test_validity_detects_missing_opposite(tg_sigma1):
     g = _tiny_instance(
         tg_sigma1,
@@ -211,3 +240,16 @@ def test_check_type_graph_rejects_defects():
     )
     rep = check_type_graph(tg)
     assert {"tg-edge-ends", "tg-inherits-cycle", "tg-abstracts", "tg-opposites", "tg-mult"} <= rep.codes()
+
+
+def test_check_type_graph_cycle_findings_pinned():
+    tg = TypeGraph(
+        graph=Graph(nodes=frozenset("ABCDEF")),
+        inherits=frozenset(
+            {("A", "B"), ("B", "A"), ("B", "C"), ("C", "D"), ("D", "E"), ("E", "C"), ("F", "C")}
+        ),
+    )
+    assert [f.line() for f in check_type_graph(tg).findings] == [
+        "error tg-inherits-cycle A inheritance cycle through A",
+        "error tg-inherits-cycle C inheritance cycle through C",
+    ]

@@ -13,10 +13,8 @@ from bigtg import (
     NotCanonical,
     annotate_150,
     apply_deltas,
-    check_multiplicities,
     check_type_graph,
-    check_typing,
-    check_validity,
+    conformance,
     derive_type_graph,
     encode,
     enumerate_configs,
@@ -164,11 +162,7 @@ def test_all_54_configs_conform(g1, sig1, tg_sigma1):
         derived = derive_type_graph(atg, config)
         assert check_type_graph(derived).ok, config
         configured = apply_deltas(g1, config, sig1)
-        rep = (
-            check_typing(configured, derived)
-            .merged(check_validity(configured, derived))
-            .merged(check_multiplicities(configured, derived))
-        )
+        rep = conformance(configured, derived)
         assert rep.ok, (sorted(config.selected), [f.line() for f in rep.findings])
 
 
@@ -183,9 +177,5 @@ def test_deltas_idempotent_and_conformant_random(seed, config_index):
     once = apply_deltas(g, config, sig)
     assert apply_deltas(once, config, sig) == once
     derived = derive_type_graph(annotate_150(extend_for_signature(sig)), config)
-    rep = (
-        check_typing(once, derived)
-        .merged(check_validity(once, derived))
-        .merged(check_multiplicities(once, derived))
-    )
+    rep = conformance(once, derived)
     assert rep.ok, [f.line() for f in rep.findings]
