@@ -8,7 +8,10 @@ byte for byte. Schema problems carry a JSON-pointer-style path.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
 from .bigraph import (
@@ -370,7 +373,7 @@ def _parse_typegraph(payload: Any, path: str) -> TypeGraph:
 def _instancegraph_payload(g: InstanceGraph) -> dict:
     node_entries = []
     for n in sorted(g.graph.nodes):
-        attrs = {a: v for (node, a), v in sorted(g.attrs.items()) if node == n}
+        attrs = dict(sorted(g.attr_index.get(n, {}).items()))
         node_entries.append({"attrs": attrs, "id": n, "type": g.node_types.get(n)})
     edge_entries = []
     for e in sorted(g.graph.edges):
@@ -467,12 +470,38 @@ _SERIALIZERS: list[tuple[type, str, Callable[[Any], dict]]] = [
 ]
 
 
+def _canonical_json(value: Any, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, built by joining:
+    with ``indent`` set, ``json`` falls back to its pure-Python encoder,
+    which took most of the time of saving a large graph."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        parts = []
+        for k in sorted(value):
+            v = value[k]
+            key = encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))
+            text = encode_basestring_ascii(v) if isinstance(v, str) else _canonical_json(v, inner)
+            parts.append(f"{inner}{key}: {text}")
+        return "{" + ",".join(parts) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = [encode_basestring_ascii(v) if isinstance(v, str) else _canonical_json(v, inner) for v in value]
+        return "[" + ",".join(inner + item for item in items) + pad + "]"
+    return json.dumps(value)
+
+
 def dumps_canonical(value: object) -> str:
     """Canonical envelope text for any supported value."""
     for cls, kind, serialize in _SERIALIZERS:
         if isinstance(value, cls):
             doc = {"formatVersion": FORMAT_VERSION, "kind": kind, "payload": serialize(value)}
-            return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            return _canonical_json(doc) + "\n"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -527,10 +556,19 @@ def load_feature_config(path: str) -> FeatureConfig:
 
 
 def save(value: object, path: str) -> None:
-    """Write ``value`` as a canonical envelope document."""
+    """Write ``value`` as a canonical envelope document.
+
+    The text goes to a new file beside ``path`` that then replaces it, so
+    a save that fails leaves an existing file at ``path`` as it was. A
+    symlink or device at ``path`` is replaced too, not written through.
+    """
     text = dumps_canonical(value)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
         raise IoError(f"cannot write {path}: {exc}") from exc

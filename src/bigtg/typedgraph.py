@@ -113,10 +113,25 @@ class TypeGraph:
             closure[t] = frozenset(out)
         return closure
 
+    @cached_property
+    def _opposite(self) -> dict[str, str]:
+        """The opposite of every edge type that has one; an edge type
+        paired with several takes the smallest partner."""
+        partner: dict[str, str] = {}
+        for a, b in sorted(self.opposites):
+            partner.setdefault(a, b)
+        return partner
+
 
 @dataclass(frozen=True)
 class InstanceGraph:
-    """A graph typed over a type graph, with node attribute values."""
+    """A graph typed over a type graph, with node attribute values.
+
+    The adjacency and attribute indexes are built on first use and kept,
+    so the dicts of ``graph``, ``node_types``, ``edge_types`` and
+    ``attrs`` must not be mutated after the first query; build a new
+    graph (through the constructor or ``dataclasses.replace``) instead.
+    """
 
     graph: Graph
     node_types: Mapping[str, str] = field(default_factory=dict)
@@ -128,28 +143,51 @@ class InstanceGraph:
         object.__setattr__(self, "edge_types", dict(self.edge_types))
         object.__setattr__(self, "attrs", dict(self.attrs))
 
+    @cached_property
+    def out_index(self) -> dict[tuple[str | None, str | None], tuple[str, ...]]:
+        """Edges keyed by ``(src, edge type)``, each group sorted; a missing
+        end or type is keyed as ``None``."""
+        return self._adjacency(self.graph.src)
+
+    @cached_property
+    def in_index(self) -> dict[tuple[str | None, str | None], tuple[str, ...]]:
+        """Edges keyed by ``(tgt, edge type)``, each group sorted; a missing
+        end or type is keyed as ``None``."""
+        return self._adjacency(self.graph.tgt)
+
+    @cached_property
+    def attr_index(self) -> dict[str, dict[str, int | str]]:
+        """Attribute values grouped by node, in the order of ``attrs``."""
+        by_node: dict[str, dict[str, int | str]] = {}
+        for (n, a), v in self.attrs.items():
+            by_node.setdefault(n, {})[a] = v
+        return by_node
+
+    def _adjacency(self, end: Mapping[str, str]) -> dict[tuple[str | None, str | None], tuple[str, ...]]:
+        groups: dict[tuple[str | None, str | None], list[str]] = {}
+        for e in sorted(self.graph.edges):
+            groups.setdefault((end.get(e), self.edge_types.get(e)), []).append(e)
+        return {key: tuple(edges) for key, edges in groups.items()}
+
 
 def node_attrs(g: InstanceGraph, n: str) -> dict[str, int | str]:
-    return {a: v for (node, a), v in g.attrs.items() if node == n}
+    """Attribute values of ``n`` by attribute name, read from the graph's
+    cached index (so ``g`` must not be mutated after the first query)."""
+    return dict(g.attr_index.get(n, {}))
 
 
-def outgoing(g: InstanceGraph, n: str, edge_type: str | None = None) -> list[str]:
-    """Outgoing edges of ``n``, optionally restricted to one edge type, sorted."""
-    return sorted(
-        e
-        for e in g.graph.edges
-        if g.graph.src.get(e) == n
-        and (edge_type is None or g.edge_types.get(e) == edge_type)
-    )
+def outgoing(g: InstanceGraph, n: str, edge_type: str) -> list[str]:
+    """Outgoing edges of ``n`` of one edge type, sorted, read from the
+    graph's cached index (so ``g`` must not be mutated after the first
+    query)."""
+    return list(g.out_index.get((n, edge_type), ()))
 
 
-def incoming(g: InstanceGraph, n: str, edge_type: str | None = None) -> list[str]:
-    return sorted(
-        e
-        for e in g.graph.edges
-        if g.graph.tgt.get(e) == n
-        and (edge_type is None or g.edge_types.get(e) == edge_type)
-    )
+def incoming(g: InstanceGraph, n: str, edge_type: str) -> list[str]:
+    """Incoming edges of ``n`` of one edge type, sorted, read from the
+    graph's cached index (so ``g`` must not be mutated after the first
+    query)."""
+    return list(g.in_index.get((n, edge_type), ()))
 
 
 def _parents(tg: TypeGraph) -> dict[str, list[str]]:
@@ -166,13 +204,15 @@ def _require(tg: TypeGraph, t: str) -> None:
 
 
 def all_sub(tg: TypeGraph, t: str) -> set[str]:
-    """All transitive subtypes of ``t`` (excluding ``t`` itself)."""
+    """All transitive subtypes of ``t``; ``t`` itself is among them only
+    when it lies on an inheritance cycle."""
     _require(tg, t)
     return {sub for sub, sups in tg._supertypes.items() if t in sups}
 
 
 def all_super(tg: TypeGraph, t: str) -> set[str]:
-    """All transitive supertypes of ``t`` (excluding ``t`` itself)."""
+    """All transitive supertypes of ``t``; ``t`` itself is among them only
+    when it lies on an inheritance cycle."""
     _require(tg, t)
     return set(tg._supertypes.get(t, ()))
 
@@ -195,10 +235,9 @@ def declared_attrs(tg: TypeGraph, t: str) -> dict[str, str]:
 
 
 def opposite_of(tg: TypeGraph, edge_type: str) -> str | None:
-    for a, b in tg.opposites:
-        if a == edge_type:
-            return b
-    return None
+    """The opposite edge type of ``edge_type``, if any (the smallest one
+    when the type graph pairs it with several)."""
+    return tg._opposite.get(edge_type)
 
 
 def check_type_graph(tg: TypeGraph) -> ValidationReport:
@@ -280,6 +319,12 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
         flag("typing-domain", n, "typing entry for unknown node")
 
     for e in sorted(g.graph.edges):
+        for role, mapping in (("src", g.graph.src), ("tgt", g.graph.tgt)):
+            end = mapping.get(e)
+            if end is None:
+                flag("typing-edge-ends", f"{role}[{e}]", "edge has no " + role)
+            elif end not in g.graph.nodes:
+                flag("typing-edge-ends", f"{role}[{e}]", f"edge {role} {end!r} is not a node")
         te = g.edge_types.get(e)
         if te is None:
             flag("typing-total", e, "edge has no type")
@@ -361,25 +406,25 @@ def _opposite_groups(g: InstanceGraph, tg: TypeGraph) -> dict[tuple[str, str, st
 
 def check_validity(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     """Containment acyclicity, unique containers, and opposite-edge
-    consistency. Assumes ``check_typing`` already passed."""
+    consistency. Meant for graphs that pass ``check_typing``; edges with a
+    missing end are skipped here (``check_typing`` reports them)."""
     findings: list[Finding] = []
 
     def flag(code: str, location: str, message: str) -> None:
         findings.append(Finding(code, location, message))
 
     succ: dict[str, list[str]] = {}
+    containers_of: dict[str, list[str]] = {}
     for e in sorted(g.graph.edges):
-        if g.edge_types.get(e) in tg.containments:
-            succ.setdefault(g.graph.src[e], []).append(g.graph.tgt[e])
+        s, t = g.graph.src.get(e), g.graph.tgt.get(e)
+        if g.edge_types.get(e) in tg.containments and s is not None and t is not None:
+            succ.setdefault(s, []).append(t)
+            containers_of.setdefault(t, []).append(s)
     for cycle in _cycles(succ):
         flag("containment-cycle", cycle[0], "containment cycle through " + ", ".join(sorted(set(cycle))))
 
     for n in sorted(g.graph.nodes):
-        containers = sorted(
-            g.graph.src[e]
-            for e in g.graph.edges
-            if g.graph.tgt.get(e) == n and g.edge_types.get(e) in tg.containments
-        )
+        containers = sorted(containers_of.get(n, ()))
         if len(containers) > 1:
             flag("multi-container", n, "node has more than one container: " + ", ".join(containers))
 

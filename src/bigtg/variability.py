@@ -274,20 +274,36 @@ def _implicit_ports(g: InstanceGraph, sig: Signature) -> InstanceGraph:
     ports = sorted(n for n in g.graph.nodes if g.node_types.get(n) == "BPort")
     if not ports:
         return g
+    # The delta is defined only on graphs whose edges all have both ends:
+    # a missing source fails before any port is looked at, a missing
+    # target once the first port has been rewired.
+    no_src = [e for e in g.graph.edges if e not in g.graph.src]
+    if no_src:
+        raise KeyError(no_src[0])
+    no_tgt = min((e for e in g.graph.edges if e not in g.graph.tgt), default=None)
     src = dict(g.graph.src)
     tgt = dict(g.graph.tgt)
+    # Rewiring moves edges between nodes, and a later port (owned by an
+    # earlier one, say) must see the edges moved onto it, so the bLink
+    # edges by source and the bPoints edges by target are tracked here.
+    links_of: dict[str, list[str]] = {}
+    points_of: dict[str, list[str]] = {}
     for p in ports:
-        own = sorted(e for e in g.graph.edges if src[e] == p and g.edge_types.get(e) == "bNode")
+        own = g.out_index.get((p, "bNode"), ())
         if len(own) != 1:
             raise NotCanonical(f"port {p} has {len(own)} ownership edges; cannot rewire")
         owner = tgt[own[0]]
-        links = sorted(e for e in g.graph.edges if src[e] == p and g.edge_types.get(e) == "bLink")
+        links = sorted(links_of.pop(p, []) + list(g.out_index.get((p, "bLink"), ())))
         if len(links) != 1:
             raise NotCanonical(f"port {p} has {len(links)} link edges; cannot rewire")
         src[links[0]] = owner
-        for e in sorted(g.graph.edges):
-            if tgt[e] == p and g.edge_types.get(e) == "bPoints":
-                tgt[e] = owner
+        links_of.setdefault(owner, []).append(links[0])
+        if no_tgt is not None:
+            raise KeyError(no_tgt)
+        points = points_of.pop(p, []) + list(g.in_index.get((p, "bPoints"), ()))
+        for e in points:
+            tgt[e] = owner
+        points_of.setdefault(owner, []).extend(points)
     rewired = InstanceGraph(
         graph=Graph(nodes=g.graph.nodes, edges=g.graph.edges, src=src, tgt=tgt),
         node_types=g.node_types,

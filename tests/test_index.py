@@ -1,0 +1,223 @@
+"""The cached instance-graph indexes against brute-force scanning.
+
+Each reference below scans every edge or attribute per query, which is
+what the indexed helpers must reproduce: the same edges in the same
+order, the same attribute dicts, the same reconfigured graphs (or the
+same exception) for all 54 configurations, and the same saved text.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bigtg import (
+    Graph,
+    InstanceGraph,
+    NotCanonical,
+    apply_deltas,
+    encode,
+    enumerate_configs,
+    fileio,
+)
+from bigtg.generators import random_bigraph
+from bigtg.typedgraph import incoming, node_attrs, outgoing
+from bigtg.variability import DELTAS, _delete_nodes, eval_formula
+
+from helpers import add_edge, drop_edge, retarget_edge
+
+EDGE_TYPES = ("bPrnt", "bChld", "bLink", "bPoints", "bPorts", "bNode", "bogus")
+NODE_TYPES = ("BPort", "BNode", "BRoot", "BSite", "Ghost")
+EDITS = (
+    "drop-edge", "retype-edge", "untype-edge", "retarget", "unset-end",
+    "set-attr", "drop-attr", "port-owned-by-port", "retype-node", "untype-node",
+)
+
+
+def ref_outgoing(g: InstanceGraph, n: str, edge_type: str) -> list[str]:
+    return sorted(
+        e for e in g.graph.edges if g.graph.src.get(e) == n and g.edge_types.get(e) == edge_type
+    )
+
+
+def ref_incoming(g: InstanceGraph, n: str, edge_type: str) -> list[str]:
+    return sorted(
+        e for e in g.graph.edges if g.graph.tgt.get(e) == n and g.edge_types.get(e) == edge_type
+    )
+
+
+def ref_node_attrs(g: InstanceGraph, n: str) -> dict:
+    return {a: v for (node, a), v in g.attrs.items() if node == n}
+
+
+def ref_implicit_ports(g: InstanceGraph, sig) -> InstanceGraph:
+    """The implicit-ports delta with three edge scans per port, reading
+    the working ``src``/``tgt`` copies as it rewires them."""
+    ports = sorted(n for n in g.graph.nodes if g.node_types.get(n) == "BPort")
+    if not ports:
+        return g
+    src = dict(g.graph.src)
+    tgt = dict(g.graph.tgt)
+    for p in ports:
+        own = sorted(e for e in g.graph.edges if src[e] == p and g.edge_types.get(e) == "bNode")
+        if len(own) != 1:
+            raise NotCanonical(f"port {p} has {len(own)} ownership edges; cannot rewire")
+        owner = tgt[own[0]]
+        links = sorted(e for e in g.graph.edges if src[e] == p and g.edge_types.get(e) == "bLink")
+        if len(links) != 1:
+            raise NotCanonical(f"port {p} has {len(links)} link edges; cannot rewire")
+        src[links[0]] = owner
+        for e in sorted(g.graph.edges):
+            if tgt[e] == p and g.edge_types.get(e) == "bPoints":
+                tgt[e] = owner
+    rewired = InstanceGraph(
+        graph=Graph(nodes=g.graph.nodes, edges=g.graph.edges, src=src, tgt=tgt),
+        node_types=g.node_types,
+        edge_types=g.edge_types,
+        attrs=g.attrs,
+    )
+    return _delete_nodes(rewired, set(ports))
+
+
+def ref_apply_deltas(g: InstanceGraph, cfg, sig) -> InstanceGraph:
+    for delta in DELTAS:
+        if eval_formula(delta.condition, cfg.selected):
+            patch = ref_implicit_ports if delta.name == "implicit-ports" else delta.patch
+            g = patch(g, sig)
+    return g
+
+
+def ref_dumps(g: InstanceGraph) -> str:
+    nodes = [
+        {
+            "attrs": {a: v for (node, a), v in sorted(g.attrs.items()) if node == n},
+            "id": n,
+            "type": g.node_types.get(n),
+        }
+        for n in sorted(g.graph.nodes)
+    ]
+    edges = [
+        {"id": e, "src": g.graph.src[e], "tgt": g.graph.tgt[e], "type": g.edge_types.get(e)}
+        for e in sorted(g.graph.edges)
+    ]
+    doc = {
+        "formatVersion": fileio.FORMAT_VERSION,
+        "kind": fileio.KIND_INSTANCEGRAPH,
+        "payload": {"edges": edges, "nodes": nodes},
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def outcome(fn, *args):
+    """The result of ``fn(*args)``, or the type and message it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return (type(exc).__name__, str(exc))
+
+
+@st.composite
+def mutated_encodings(draw):
+    """An encoded random bigraph after a few arbitrary edits, with its
+    signature."""
+    b = random_bigraph(random.Random(draw(st.integers(0, 1_000_000))))
+    g, _ = encode(b)
+    nodes, edges = set(g.graph.nodes), set(g.graph.edges)
+    src, tgt = dict(g.graph.src), dict(g.graph.tgt)
+    ntypes, etypes, attrs = dict(g.node_types), dict(g.edge_types), dict(g.attrs)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(EDITS))
+        node_ids = sorted(nodes) + ["ghost"]
+        e = draw(st.sampled_from(sorted(edges))) if edges else None
+        end = draw(st.sampled_from((src, tgt)))
+        if kind == "drop-edge" and e:
+            edges.discard(e)
+            for mapping in (src, tgt, etypes):
+                mapping.pop(e, None)
+        elif kind == "retype-edge" and e:
+            etypes[e] = draw(st.sampled_from(EDGE_TYPES))
+        elif kind == "untype-edge" and e:
+            etypes.pop(e, None)
+        elif kind == "retarget" and e:
+            end[e] = draw(st.sampled_from(node_ids))
+        elif kind == "unset-end" and e:
+            end.pop(e, None)
+        elif kind == "set-attr":
+            key = (draw(st.sampled_from(node_ids)), draw(st.sampled_from(("index", "control", "x"))))
+            attrs[key] = draw(st.one_of(st.integers(-1, 3), st.sampled_from(("a", "Printer"))))
+        elif kind == "drop-attr" and attrs:
+            del attrs[draw(st.sampled_from(sorted(attrs)))]
+        elif kind == "port-owned-by-port":
+            ports = sorted(n for n in nodes if ntypes.get(n) == "BPort")
+            if len(ports) >= 2:
+                p, q = draw(st.permutations(ports))[:2]
+                owned = sorted(x for x in edges if src.get(x) == p and etypes.get(x) == "bNode")
+                for x in owned[:1] or [f"own:{p}:{q}"]:
+                    edges.add(x)
+                    src[x], tgt[x], etypes[x] = p, q, "bNode"
+        elif kind == "retype-node" and nodes:
+            ntypes[draw(st.sampled_from(sorted(nodes)))] = draw(st.sampled_from(NODE_TYPES))
+        elif kind == "untype-node" and ntypes:
+            del ntypes[draw(st.sampled_from(sorted(ntypes)))]
+    mutated = InstanceGraph(
+        graph=Graph(nodes=frozenset(nodes), edges=frozenset(edges), src=src, tgt=tgt),
+        node_types=ntypes,
+        edge_types=etypes,
+        attrs=attrs,
+    )
+    return mutated, b.signature
+
+
+@given(mutated_encodings())
+@settings(max_examples=40, deadline=None)
+def test_indexed_helpers_match_scanning(case):
+    g, sig = case
+    ends = sorted(g.graph.nodes) + ["ghost"]
+    for n in ends:
+        for te in EDGE_TYPES:
+            assert outgoing(g, n, te) == ref_outgoing(g, n, te)
+            assert incoming(g, n, te) == ref_incoming(g, n, te)
+    for n in sorted({n for n, _ in g.attrs} | set(ends)):
+        assert list(node_attrs(g, n).items()) == list(ref_node_attrs(g, n).items())
+    for cfg in enumerate_configs():
+        assert outcome(apply_deltas, g, cfg, sig) == outcome(ref_apply_deltas, g, cfg, sig)
+    assert outcome(fileio.dumps_canonical, g) == outcome(ref_dumps, g)
+
+
+def _without_tgt(g: InstanceGraph, eid: str) -> InstanceGraph:
+    tgt = {e: t for e, t in g.graph.tgt.items() if e != eid}
+    return dataclasses.replace(g, graph=dataclasses.replace(g.graph, tgt=tgt))
+
+
+def _owned_by_later_port(g):
+    return retarget_edge(g, "bNode:p:v0:0:n:v0", tgt="p:v1:0")
+
+
+@pytest.mark.parametrize(
+    "mutate, expected",
+    [
+        # The later port sees the link moved onto it and has two.
+        (_owned_by_later_port, ("NotCanonical", "port p:v1:0 has 2 link edges; cannot rewire")),
+        # With its own link gone, the later port passes the moved link and
+        # the moved bPoints edge on to its owner.
+        (lambda g: drop_edge(_owned_by_later_port(g), "bLink:p:v1:0:e:e1"), None),
+        # An edge without a target fails once the first port is rewired,
+        # even though it would be deleted with the port it leaves.
+        (lambda g: _without_tgt(add_edge(g, "x", "bogus", "p:v3:0", "n:v3"), "x"), ("KeyError", "'x'")),
+    ],
+)
+def test_implicit_ports_sees_edges_moved_by_earlier_ports(g1, sig1, mutate, expected):
+    g = mutate(g1)
+    implicit = [cfg for cfg in enumerate_configs() if "EP" not in cfg.selected]
+    for cfg in implicit:
+        got = outcome(apply_deltas, g, cfg, sig1)
+        assert got == outcome(ref_apply_deltas, g, cfg, sig1)
+        if expected is not None:
+            assert got == expected
+        else:
+            assert isinstance(got, InstanceGraph)

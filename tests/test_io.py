@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import builtins
 import json
+import os
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bigtg import FeatureConfig, fileio
 from bigtg.fileio import SchemaError
@@ -18,6 +22,18 @@ def test_load_save_byte_identity(fixtures_dir, tmp_path, name):
     out = tmp_path / name
     fileio.save(value, str(out))
     assert out.read_bytes() == src.read_bytes()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=30,
+)
+
+
+@given(_JSON_VALUES)
+def test_canonical_text_is_sorted_two_space_json(value):
+    assert fileio._canonical_json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_value_roundtrip(fixtures_dir, tmp_path, b1, sig1, g1, tg_sigma1):
@@ -68,6 +84,41 @@ def test_invalid_json(tmp_path):
     path.write_text("{nope")
     with pytest.raises(SchemaError):
         fileio.load_document(str(path))
+
+
+class _FailingWrite:
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[:10])
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("fail_at", ["write", "replace"])
+def test_failed_save_leaves_target_intact(fixtures_dir, tmp_path, monkeypatch, fail_at):
+    target = tmp_path / "doc.ig.json"
+    target.write_bytes((fixtures_dir / "printer.ig.json").read_bytes())
+    before = target.read_bytes()
+    if fail_at == "write":
+        monkeypatch.setattr(fileio, "open", lambda *a, **k: _FailingWrite(builtins.open(*a, **k)), raising=False)
+    else:
+
+        def refuse(src, dst):
+            raise OSError(13, "Permission denied")
+
+        monkeypatch.setattr(fileio.os, "replace", refuse)
+    with pytest.raises(fileio.IoError) as err:
+        fileio.save(FeatureConfig.canonical(), str(target))
+    assert str(err.value).startswith(f"cannot write {target}: ")
+    assert target.read_bytes() == before
+    assert os.listdir(tmp_path) == [target.name]
 
 
 def test_missing_file_is_io_error(tmp_path):

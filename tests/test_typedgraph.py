@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +16,8 @@ from bigtg import (
     InstanceGraph,
     Multiplicity,
     TypeGraph,
+    Finding,
+    NotCanonical,
     UnknownType,
     all_sub,
     base_type_graph,
@@ -18,10 +25,13 @@ from bigtg import (
     check_type_graph,
     check_typing,
     check_validity,
+    conformance,
+    decode,
     encode,
+    extend_for_signature,
 )
 from bigtg.generators import random_bigraph
-from bigtg.typedgraph import pair_opposites, symmetric_pairs
+from bigtg.typedgraph import all_super, pair_opposites, symmetric_pairs
 
 from helpers import drop_edge, edges_of_type
 
@@ -39,6 +49,10 @@ def test_all_sub_bplace_transitive(tg_sigma1):
 def test_all_sub_unknown_type():
     with pytest.raises(UnknownType):
         all_sub(base_type_graph(), "Job")
+
+
+def test_type_on_inheritance_cycle_is_its_own_supertype():
+    assert all_super(TypeGraph(Graph(frozenset("AB")), inherits={("A", "B"), ("B", "A")}), "A") == {"A", "B"}
 
 
 def test_typing_printer_example(g1, tg_sigma1):
@@ -80,6 +94,52 @@ def test_typing_rejects_bad_attribute_value(tg_sigma1):
     assert "attr-type" in check_typing(g, tg_sigma1).codes()
     g2 = _tiny_instance(tg_sigma1, {"r": ("BRoot", {"color": 1})}, {})
     assert "attr-undeclared" in check_typing(g2, tg_sigma1).codes()
+
+
+def test_typing_flags_dangling_edge_ends_in_edge_order(tg_sigma1):
+    g = InstanceGraph(
+        graph=Graph(
+            nodes=frozenset({"n", "r"}),
+            edges=frozenset({"e1", "e2", "e3"}),
+            src={"e2": "n", "e3": "n"},
+            tgt={"e1": "r", "e2": "ghost", "e3": "r"},
+        ),
+        node_types={"n": "Room", "r": "BRoot"},
+        edge_types={"e1": "bPrnt", "e3": "bPrnt"},
+        attrs={("r", "index"): 0},
+    )
+    assert [f.line() for f in check_typing(g, tg_sigma1).findings] == [
+        "error typing-edge-ends src[e1] edge has no src",
+        "error typing-edge-ends tgt[e2] edge tgt 'ghost' is not a node",
+        "error typing-total e2 edge has no type",
+    ]
+
+
+@pytest.mark.parametrize("probe", ["no src", "unknown src"])
+@given(st.integers(min_value=0, max_value=100_000), st.data())
+@settings(max_examples=30, deadline=None)
+def test_dangling_edge_end_is_a_finding_not_a_key_error(probe, seed, data):
+    b = random_bigraph(random.Random(seed))
+    g, _ = encode(b)
+    if not g.graph.edges:
+        return
+    e = data.draw(st.sampled_from(sorted(g.graph.edges)))
+    src = dict(g.graph.src)
+    if probe == "no src":
+        del src[e]
+        expected = Finding("typing-edge-ends", f"src[{e}]", "edge has no src")
+    else:
+        src[e] = "ghost"
+        expected = Finding("typing-edge-ends", f"src[{e}]", "edge src 'ghost' is not a node")
+    g = dataclasses.replace(g, graph=dataclasses.replace(g.graph, src=src))
+    tg = extend_for_signature(b.signature)
+    assert expected in conformance(g, tg, b.signature).findings
+    with pytest.raises(NotCanonical):
+        decode(g, b.signature)
+    try:
+        pair_opposites(g, tg)
+    except ValueError:
+        pass
 
 
 def test_validity_printer_example(g1, tg_sigma1):
@@ -163,6 +223,43 @@ def test_opposite_pairing_is_involution(g1, tg_sigma1):
     for e, p in pairing.items():
         assert pairing[p] == e
         assert p != e
+
+
+# Edge type "a" is paired with both "b" and "c" (a type graph that
+# check_type_graph rejects); "a" must take the smallest partner, "b", in
+# every process, whatever order the opposites frozenset iterates in.
+_PARTNER_PROBE = """
+from bigtg import Graph, InstanceGraph, Multiplicity, TypeGraph, check_validity
+from bigtg.typedgraph import pair_opposites
+
+ends = dict.fromkeys("abc", "X")
+tg = TypeGraph(
+    graph=Graph(nodes={"X"}, edges=set(ends), src=ends, tgt=ends),
+    opposites={("a", "b"), ("b", "a"), ("a", "c"), ("c", "a")},
+    mult=dict.fromkeys(ends, Multiplicity(0)),
+)
+g = InstanceGraph(
+    graph=Graph(nodes={"x", "y"}, edges={"e1", "e2"}, src={"e1": "x", "e2": "y"}, tgt={"e1": "y", "e2": "x"}),
+    node_types={"x": "X", "y": "X"},
+    edge_types={"e1": "a", "e2": "b"},
+)
+print([f.line() for f in check_validity(g, tg).findings], pair_opposites(g, tg))
+"""
+
+
+def test_opposite_partner_independent_of_hash_seed():
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", _PARTNER_PROBE],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in range(1, 7)
+    }
+    assert outputs == {"[] {'e1': 'e2', 'e2': 'e1'}\n"}
 
 
 def test_opposite_pairing_rejects_desync(g1, tg_sigma1):
