@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
 from .report import Finding, ValidationReport, report_from
+from .typedgraph import _cycles
 
 #: Node-type names of the base metamodel. Control names must not collide
 #: with these: the control-compatible extension unions controls into the
@@ -165,29 +166,6 @@ def _fmt_point(p: Point) -> str:
     return str(p)
 
 
-def _place_cycles(b: Bigraph) -> list[list[str]]:
-    """Cycles of the parent map restricted to node-to-node steps."""
-    cycles: list[list[str]] = []
-    done: set[str] = set()
-    for start in sorted(b.nodes):
-        if start in done:
-            continue
-        path: list[str] = []
-        pos: dict[str, int] = {}
-        cur: object = start
-        while isinstance(cur, str) and cur in b.nodes:
-            if cur in done:
-                break
-            if cur in pos:
-                cycles.append(path[pos[cur] :])
-                break
-            pos[cur] = len(path)
-            path.append(cur)
-            cur = b.prnt.get(cur)
-        done.update(path)
-    return cycles
-
-
 def validate_bigraph(b: Bigraph) -> ValidationReport:
     """Check every structural invariant of a bigraph.
 
@@ -235,7 +213,8 @@ def validate_bigraph(b: Bigraph) -> ValidationReport:
             or (isinstance(parent, str) and parent in b.nodes)
         ):
             flag("prnt-codomain", f"prnt[{p}]", f"parent {parent!r} is neither a node nor a root index")
-    for cycle in _place_cycles(b):
+    node_parent = {v: [p] for v, p in b.prnt.items() if v in b.nodes and isinstance(p, str) and p in b.nodes}
+    for cycle in _cycles(node_parent):
         flag("parent-cycle", f"prnt[{cycle[0]}]", "parent map cycle through " + ", ".join(sorted(cycle)))
 
     # Link map: total on inner names and ports, targets are edges or outer names.

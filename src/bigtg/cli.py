@@ -62,14 +62,6 @@ def _finish(report: ValidationReport) -> int:
     return EXIT_INVALID
 
 
-def _read_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise fileio.IoError(f"cannot read {path}: {exc}") from exc
-
-
 def cmd_metamodel(args: argparse.Namespace) -> int:
     sig = fileio.load_signature(args.signature)
     fileio.save(extend_for_signature(sig), args.output)
@@ -157,7 +149,7 @@ def _derived_tg_path(ig_path: str) -> str:
 def cmd_check(args: argparse.Namespace) -> int:
     g = fileio.load_instance_graph(args.instancegraph)
     tg = fileio.load_type_graph(args.tg)
-    doc = parse_constraints(_read_text(args.constraints))
+    doc = parse_constraints(fileio.read_text(args.constraints))
     rep = conformance(g, tg)
     if not rep.ok:
         return _finish(rep)

@@ -11,19 +11,13 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+from functools import partial
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable
+from operator import itemgetter
+from typing import Any, Callable, Container
 
-from .bigraph import (
-    Bigraph,
-    DuplicateControl,
-    Interface,
-    Port,
-    ReservedControlName,
-    Signature,
-    make_signature,
-)
-from .typedgraph import Graph, InstanceGraph, Multiplicity, TypeGraph, symmetric_pairs
+from .bigraph import Bigraph, Interface, Port, Signature, make_signature
+from .typedgraph import ATTR_TYPES, Graph, InstanceGraph, Multiplicity, TypeGraph, symmetric_pairs
 from .variability import FeatureConfig
 
 FORMAT_VERSION = "1.0"
@@ -49,40 +43,86 @@ class SchemaError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Schema helpers
+# Schema readers: each checks one shape and returns what it read.
 
 
-def _as_object(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaError(path, "expected an object")
+class _Fault(Exception):
+    """A fault at ``path`` below the value being read. Each reader it passes puts its
+    key in front, so a JSON pointer is built only for a rejected document."""
+
+    def __init__(self, message: str, *path: str | int):
+        self.message = message
+        self.path = path
+
+    def under(self, *prefix: str | int) -> "_Fault":
+        self.path = prefix + self.path
+        return self
+
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", int: "an integer", bool: "a boolean"}
+
+
+def _as(json_type: type, value: Any, *at: str | int) -> Any:
+    """``value`` if it is of ``json_type`` (exactly: ``json`` gives no bool as int)."""
+    if type(value) is not json_type:
+        raise _Fault("expected " + _JSON_TYPES[json_type], *at)
     return value
 
 
-def _as_array(value: Any, path: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(path, "expected an array")
+def _record(value: Any, fields: tuple[str, ...]) -> tuple:
+    """The values of ``fields`` in an object with exactly those fields."""
+    obj = _as(dict, value)
+    try:
+        values = itemgetter(*fields)(obj)
+    except KeyError as missing:
+        raise _Fault(f"missing field {missing.args[0]!r}") from None
+    if len(obj) != len(fields):
+        raise _Fault("unknown field", next(key for key in obj if key not in fields))
+    return values if len(fields) > 1 else (values,)
+
+
+def _within(read: Callable[[Any], Any], value: Any, *at: str | int) -> Any:
+    """``read(value)`` for the value found at ``at``."""
+    try:
+        return read(value)
+    except _Fault as fault:
+        raise fault.under(*at)
+
+
+def _each(value: Any, read: Callable[[Any], Any], *at: str | int) -> list:
+    """``read`` of each item of an array."""
+    return [_within(read, item, *at, i) for i, item in enumerate(_as(list, value, *at))]
+
+
+def _pair(value: Any, message: str) -> list:
+    """A two-item array; ``message`` is the fault for any other length."""
+    if len(_as(list, value)) != 2:
+        raise _Fault(message)
     return value
 
 
-def _as_string(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(path, "expected a string")
+def _distinct(value: Any, message: str, *at: str | int) -> frozenset[str]:
+    """An array of distinct strings; ``message`` is the fault for a repeat."""
+    names = _each(value, partial(_as, str), *at)
+    if len(set(names)) != len(names):
+        raise _Fault(message, *at)
+    return frozenset(names)
+
+
+def _fresh(value: Any, seen: Container[str], what: str, *at: str | int) -> str:
+    """A name not yet in ``seen``."""
+    if type(value) is not str or value in seen:
+        _as(str, value, *at)
+        raise _Fault(f"duplicate {what} {value!r}", *at)
     return value
 
 
-def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, "expected an integer")
+def _known(value: Any, known: Container[str], fault: str, *at: str | int) -> str:
+    """A name in ``known``, such as an edge's ``src``; ``fault`` starts the message."""
+    if type(value) is not str or value not in known:
+        _as(str, value, *at)
+        raise _Fault(f"{fault} {value!r}", *at)
     return value
-
-
-def _check_keys(obj: dict, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> None:
-    for key in required:
-        if key not in obj:
-            raise SchemaError(path, f"missing field {key!r}")
-    for key in obj:
-        if key not in required and key not in optional:
-            raise SchemaError(f"{path}/{key}", "unknown field")
 
 
 # ---------------------------------------------------------------------------
@@ -95,19 +135,18 @@ def _signature_payload(sig: Signature) -> dict:
     }
 
 
-def _parse_signature(payload: Any, path: str) -> Signature:
-    obj = _as_object(payload, path)
-    _check_keys(obj, path, ("controls",))
-    pairs: list[tuple[str, int]] = []
-    for i, entry in enumerate(_as_array(obj["controls"], f"{path}/controls")):
-        epath = f"{path}/controls/{i}"
-        e = _as_object(entry, epath)
-        _check_keys(e, epath, ("arity", "name"))
-        pairs.append((_as_string(e["name"], f"{epath}/name"), _as_int(e["arity"], f"{epath}/arity")))
+def _read_signature(payload: Any) -> Signature:
+    (controls,) = _record(payload, ("controls",))
+
+    def read_control(entry: Any) -> tuple[str, int]:
+        arity, name = _record(entry, ("arity", "name"))
+        return _as(str, name, "name"), _as(int, arity, "arity")
+
+    pairs = _each(controls, read_control, "controls")
     try:
         return make_signature(pairs)
-    except (DuplicateControl, ReservedControlName, ValueError) as exc:
-        raise SchemaError(f"{path}/controls", str(exc)) from exc
+    except ValueError as exc:  # DuplicateControl and ReservedControlName too
+        raise _Fault(str(exc), "controls") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +157,10 @@ def _interface_payload(iface: Interface) -> dict:
     return {"names": sorted(iface.names), "width": iface.width}
 
 
-def _place_ref(p: object) -> object:
-    return p  # ints are site/root indices, strings are node ids
-
-
 def _bigraph_payload(b: Bigraph) -> dict:
     prnt_entries = []
     for child in sorted(b.prnt, key=lambda p: (isinstance(p, str), str(p))):
-        prnt_entries.append([_place_ref(child), _place_ref(b.prnt[child])])
+        prnt_entries.append([child, b.prnt[child]])
     link_entries = []
     for point in sorted(b.link, key=lambda p: (isinstance(p, Port), str(p))):
         ref = [point.node, point.index] if isinstance(point, Port) else point
@@ -142,85 +177,62 @@ def _bigraph_payload(b: Bigraph) -> dict:
     }
 
 
-def _parse_interface(value: Any, path: str) -> Interface:
-    obj = _as_object(value, path)
-    _check_keys(obj, path, ("names", "width"))
-    width = _as_int(obj["width"], f"{path}/width")
-    if width < 0:
-        raise SchemaError(f"{path}/width", "width must be non-negative")
-    raw = _as_array(obj["names"], f"{path}/names")
-    names = [_as_string(n, f"{path}/names/{i}") for i, n in enumerate(raw)]
-    if len(set(names)) != len(names):
-        raise SchemaError(f"{path}/names", "interface names must be distinct")
-    return Interface(width, frozenset(names))
+def _read_interface(value: Any) -> Interface:
+    names, width = _record(value, ("names", "width"))
+    if _as(int, width, "width") < 0:
+        raise _Fault("width must be non-negative", "width")
+    return Interface(width, _distinct(names, "interface names must be distinct", "names"))
 
 
-def _parse_place_ref(value: Any, path: str) -> int | str:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise SchemaError(path, "expected a node id (string) or an index (integer)")
+def _place_ref(value: Any, *at: str | int) -> int | str:
+    if type(value) not in (int, str):
+        raise _Fault("expected a node id (string) or an index (integer)", *at)
     return value
 
 
-def _parse_bigraph(payload: Any, path: str) -> Bigraph:
-    obj = _as_object(payload, path)
-    _check_keys(obj, path, ("ctrl", "edges", "inner", "link", "nodes", "outer", "prnt", "signature"))
-    sig = _parse_signature(obj["signature"], f"{path}/signature")
-
-    nodes = [_as_string(n, f"{path}/nodes/{i}") for i, n in enumerate(_as_array(obj["nodes"], f"{path}/nodes"))]
-    if len(set(nodes)) != len(nodes):
-        raise SchemaError(f"{path}/nodes", "duplicate node identifier")
-    edges = [_as_string(e, f"{path}/edges/{i}") for i, e in enumerate(_as_array(obj["edges"], f"{path}/edges"))]
-    if len(set(edges)) != len(edges):
-        raise SchemaError(f"{path}/edges", "duplicate edge identifier")
-
-    ctrl_obj = _as_object(obj["ctrl"], f"{path}/ctrl")
-    ctrl: dict[str, str] = {}
-    for v in ctrl_obj:
-        name = _as_string(ctrl_obj[v], f"{path}/ctrl/{v}")
-        if not sig.has_control(name):
-            raise SchemaError(f"{path}/ctrl/{v}", f"undeclared control {name!r}")
-        ctrl[v] = name
+def _read_bigraph(payload: Any) -> Bigraph:
+    ctrl_obj, edges, inner, link_raw, nodes, outer, prnt_raw, signature = _record(
+        payload, ("ctrl", "edges", "inner", "link", "nodes", "outer", "prnt", "signature")
+    )
+    sig = _within(_read_signature, signature, "signature")
+    nodes = _distinct(nodes, "duplicate node identifier", "nodes")
+    edges = _distinct(edges, "duplicate edge identifier", "edges")
+    ctrl = {
+        v: _known(name, sig.arities, "undeclared control", "ctrl", v)
+        for v, name in _as(dict, ctrl_obj, "ctrl").items()
+    }
 
     prnt: dict[object, object] = {}
-    for i, entry in enumerate(_as_array(obj["prnt"], f"{path}/prnt")):
-        epath = f"{path}/prnt/{i}"
-        pair = _as_array(entry, epath)
-        if len(pair) != 2:
-            raise SchemaError(epath, "expected a [child, parent] pair")
-        child = _parse_place_ref(pair[0], f"{epath}/0")
-        if child in prnt:
-            raise SchemaError(epath, f"duplicate parent entry for {child!r}")
-        prnt[child] = _parse_place_ref(pair[1], f"{epath}/1")
+
+    def read_parent(entry: Any) -> None:
+        child, parent = _pair(entry, "expected a [child, parent] pair")
+        if _place_ref(child, 0) in prnt:
+            raise _Fault(f"duplicate parent entry for {child!r}")
+        prnt[child] = _place_ref(parent, 1)
 
     link: dict[object, str] = {}
-    for i, entry in enumerate(_as_array(obj["link"], f"{path}/link")):
-        epath = f"{path}/link/{i}"
-        pair = _as_array(entry, epath)
-        if len(pair) != 2:
-            raise SchemaError(epath, "expected a [point, target] pair")
-        point_raw = pair[0]
-        point: object
-        if isinstance(point_raw, str):
-            point = point_raw
-        elif isinstance(point_raw, list) and len(point_raw) == 2:
-            point = Port(
-                _as_string(point_raw[0], f"{epath}/0/0"), _as_int(point_raw[1], f"{epath}/0/1")
-            )
-        else:
-            raise SchemaError(f"{epath}/0", "expected an inner name or a [node, index] port")
-        if point in link:
-            raise SchemaError(epath, "duplicate link entry")
-        link[point] = _as_string(pair[1], f"{epath}/1")
 
+    def read_link(entry: Any) -> None:
+        point, target = _pair(entry, "expected a [point, target] pair")
+        if type(point) is list and len(point) == 2:
+            point = Port(_as(str, point[0], 0, 0), _as(int, point[1], 0, 1))
+        elif type(point) is not str:
+            raise _Fault("expected an inner name or a [node, index] port", 0)
+        if point in link:
+            raise _Fault("duplicate link entry")
+        link[point] = _as(str, target, 1)
+
+    _each(prnt_raw, read_parent, "prnt")
+    _each(link_raw, read_link, "link")
     return Bigraph(
         signature=sig,
-        nodes=frozenset(nodes),
-        edges=frozenset(edges),
+        nodes=nodes,
+        edges=edges,
         ctrl=ctrl,
         prnt=prnt,
         link=link,
-        inner=_parse_interface(obj["inner"], f"{path}/inner"),
-        outer=_parse_interface(obj["outer"], f"{path}/outer"),
+        inner=_within(_read_interface, inner, "inner"),
+        outer=_within(_read_interface, outer, "outer"),
     )
 
 
@@ -262,105 +274,75 @@ def _typegraph_payload(tg: TypeGraph) -> dict:
     }
 
 
-def _parse_typegraph(payload: Any, path: str) -> TypeGraph:
-    obj = _as_object(payload, path)
-    _check_keys(obj, path, ("edgeTypes", "inherits", "nodeTypes", "opposites"))
+def _read_mult(value: Any) -> Multiplicity:
+    lower, upper = _record(value, ("lower", "upper"))
+    _as(int, lower, "lower")
+    if upper == "*":
+        upper = None
+    elif type(upper) is not int:
+        raise _Fault('expected an integer or "*"', "upper")
+    try:
+        return Multiplicity(lower, upper)
+    except ValueError as exc:
+        raise _Fault(str(exc)) from exc
+
+
+def _name_pairs(value: Any, message: str, known: Container[str], fault: str, *at: str | int) -> list:
+    """An array of ``[a, b]`` pairs of names in ``known``."""
+
+    def read(entry: Any) -> tuple[str, str]:
+        a, b = _pair(entry, message)
+        _as(str, a, 0), _as(str, b, 1)
+        return _known(a, known, fault), _known(b, known, fault)
+
+    return _each(value, read, *at)
+
+
+def _read_typegraph(payload: Any) -> TypeGraph:
+    edge_types, inherits, node_types, opposites = _record(
+        payload, ("edgeTypes", "inherits", "nodeTypes", "opposites")
+    )
 
     nodes: set[str] = set()
     abstracts: set[str] = set()
     attr_decls: dict[str, dict[str, str]] = {}
-    for i, entry in enumerate(_as_array(obj["nodeTypes"], f"{path}/nodeTypes")):
-        epath = f"{path}/nodeTypes/{i}"
-        e = _as_object(entry, epath)
-        _check_keys(e, epath, ("abstract", "attrs", "name"))
-        name = _as_string(e["name"], f"{epath}/name")
-        if name in nodes:
-            raise SchemaError(f"{epath}/name", f"duplicate node type {name!r}")
-        nodes.add(name)
-        if not isinstance(e["abstract"], bool):
-            raise SchemaError(f"{epath}/abstract", "expected a boolean")
-        if e["abstract"]:
+
+    def read_node_type(entry: Any) -> None:
+        abstract, attrs, name = _record(entry, ("abstract", "attrs", "name"))
+        nodes.add(_fresh(name, nodes, "node type", "name"))
+        if _as(bool, abstract, "abstract"):
             abstracts.add(name)
-        attrs_obj = _as_object(e["attrs"], f"{epath}/attrs")
-        decls: dict[str, str] = {}
-        for a in attrs_obj:
-            dt = _as_string(attrs_obj[a], f"{epath}/attrs/{a}")
-            if dt not in ("int", "string"):
-                raise SchemaError(f"{epath}/attrs/{a}", f"unknown data type {dt!r}")
-            decls[a] = dt
+        decls = {
+            a: _known(dt, ATTR_TYPES, "unknown data type", "attrs", a)
+            for a, dt in _as(dict, attrs, "attrs").items()
+        }
         if decls:
             attr_decls[name] = decls
 
-    edges: set[str] = set()
     src: dict[str, str] = {}
     tgt: dict[str, str] = {}
     containments: set[str] = set()
     mult: dict[str, Multiplicity] = {}
-    for i, entry in enumerate(_as_array(obj["edgeTypes"], f"{path}/edgeTypes")):
-        epath = f"{path}/edgeTypes/{i}"
-        e = _as_object(entry, epath)
-        _check_keys(e, epath, ("containment", "mult", "name", "src", "tgt"))
-        name = _as_string(e["name"], f"{epath}/name")
-        if name in edges:
-            raise SchemaError(f"{epath}/name", f"duplicate edge type {name!r}")
-        edges.add(name)
-        for role in ("src", "tgt"):
-            end = _as_string(e[role], f"{epath}/{role}")
-            if end not in nodes:
-                raise SchemaError(f"{epath}/{role}", f"unknown node type {end!r}")
-            (src if role == "src" else tgt)[name] = end
-        if not isinstance(e["containment"], bool):
-            raise SchemaError(f"{epath}/containment", "expected a boolean")
-        if e["containment"]:
+
+    def read_edge_type(entry: Any) -> None:
+        containment, m, name, s, t = _record(entry, ("containment", "mult", "name", "src", "tgt"))
+        _fresh(name, src, "edge type", "name")
+        src[name] = _known(s, nodes, "unknown node type", "src")
+        tgt[name] = _known(t, nodes, "unknown node type", "tgt")
+        if _as(bool, containment, "containment"):
             containments.add(name)
-        mobj = _as_object(e["mult"], f"{epath}/mult")
-        _check_keys(mobj, f"{epath}/mult", ("lower", "upper"))
-        lower = _as_int(mobj["lower"], f"{epath}/mult/lower")
-        upper_raw = mobj["upper"]
-        upper: int | None
-        if upper_raw == "*":
-            upper = None
-        elif isinstance(upper_raw, int) and not isinstance(upper_raw, bool):
-            upper = upper_raw
-        else:
-            raise SchemaError(f"{epath}/mult/upper", 'expected an integer or "*"')
-        try:
-            mult[name] = Multiplicity(lower, upper)
-        except ValueError as exc:
-            raise SchemaError(f"{epath}/mult", str(exc)) from exc
+        mult[name] = _within(_read_mult, m, "mult")
 
-    inherits: set[tuple[str, str]] = set()
-    for i, entry in enumerate(_as_array(obj["inherits"], f"{path}/inherits")):
-        epath = f"{path}/inherits/{i}"
-        pair = _as_array(entry, epath)
-        if len(pair) != 2:
-            raise SchemaError(epath, "expected a [subtype, supertype] pair")
-        sub = _as_string(pair[0], f"{epath}/0")
-        sup = _as_string(pair[1], f"{epath}/1")
-        for t in (sub, sup):
-            if t not in nodes:
-                raise SchemaError(epath, f"unknown node type {t!r}")
-        inherits.add((sub, sup))
-
-    opposites: set[tuple[str, str]] = set()
-    for i, entry in enumerate(_as_array(obj["opposites"], f"{path}/opposites")):
-        epath = f"{path}/opposites/{i}"
-        pair = _as_array(entry, epath)
-        if len(pair) != 2:
-            raise SchemaError(epath, "expected an [edge, edge] pair")
-        a = _as_string(pair[0], f"{epath}/0")
-        b = _as_string(pair[1], f"{epath}/1")
-        for e in (a, b):
-            if e not in edges:
-                raise SchemaError(epath, f"unknown edge type {e!r}")
-        opposites.add((a, b))
-
+    _each(node_types, read_node_type, "nodeTypes")
+    _each(edge_types, read_edge_type, "edgeTypes")
     return TypeGraph(
-        graph=Graph(nodes=frozenset(nodes), edges=frozenset(edges), src=src, tgt=tgt),
-        inherits=frozenset(inherits),
-        abstracts=frozenset(abstracts),
-        containments=frozenset(containments),
-        opposites=symmetric_pairs(opposites),
+        graph=Graph(nodes=frozenset(nodes), edges=frozenset(src), src=src, tgt=tgt),
+        inherits=_name_pairs(inherits, "expected a [subtype, supertype] pair", nodes, "unknown node type", "inherits"),
+        abstracts=abstracts,
+        containments=containments,
+        opposites=symmetric_pairs(
+            _name_pairs(opposites, "expected an [edge, edge] pair", src, "unknown edge type", "opposites")
+        ),
         mult=mult,
         attr_decls=attr_decls,
     )
@@ -383,49 +365,36 @@ def _instancegraph_payload(g: InstanceGraph) -> dict:
     return {"edges": edge_entries, "nodes": node_entries}
 
 
-def _parse_instancegraph(payload: Any, path: str) -> InstanceGraph:
-    obj = _as_object(payload, path)
-    _check_keys(obj, path, ("edges", "nodes"))
-    nodes: set[str] = set()
+def _read_instancegraph(payload: Any) -> InstanceGraph:
+    edges_raw, nodes_raw = _record(payload, ("edges", "nodes"))
+
     node_types: dict[str, str] = {}
     attrs: dict[tuple[str, str], int | str] = {}
-    for i, entry in enumerate(_as_array(obj["nodes"], f"{path}/nodes")):
-        epath = f"{path}/nodes/{i}"
-        e = _as_object(entry, epath)
-        _check_keys(e, epath, ("attrs", "id", "type"))
-        nid = _as_string(e["id"], f"{epath}/id")
-        if nid in nodes:
-            raise SchemaError(f"{epath}/id", f"duplicate node id {nid!r}")
-        nodes.add(nid)
-        node_types[nid] = _as_string(e["type"], f"{epath}/type")
-        attrs_obj = _as_object(e["attrs"], f"{epath}/attrs")
-        for a in attrs_obj:
-            v = attrs_obj[a]
-            if isinstance(v, bool) or not isinstance(v, (int, str)):
-                raise SchemaError(f"{epath}/attrs/{a}", "expected an integer or string value")
+
+    def read_node(entry: Any) -> None:
+        attrs_obj, nid, t = _record(entry, ("attrs", "id", "type"))
+        _fresh(nid, node_types, "node id", "id")
+        node_types[nid] = _as(str, t, "type")
+        for a, v in _as(dict, attrs_obj, "attrs").items():
+            if type(v) not in (int, str):
+                raise _Fault("expected an integer or string value", "attrs", a)
             attrs[(nid, a)] = v
 
-    edges: set[str] = set()
     src: dict[str, str] = {}
     tgt: dict[str, str] = {}
     edge_types: dict[str, str] = {}
-    for i, entry in enumerate(_as_array(obj["edges"], f"{path}/edges")):
-        epath = f"{path}/edges/{i}"
-        e = _as_object(entry, epath)
-        _check_keys(e, epath, ("id", "src", "tgt", "type"))
-        eid = _as_string(e["id"], f"{epath}/id")
-        if eid in edges:
-            raise SchemaError(f"{epath}/id", f"duplicate edge id {eid!r}")
-        edges.add(eid)
-        for role in ("src", "tgt"):
-            end = _as_string(e[role], f"{epath}/{role}")
-            if end not in nodes:
-                raise SchemaError(f"{epath}/{role}", f"unknown node id {end!r}")
-            (src if role == "src" else tgt)[eid] = end
-        edge_types[eid] = _as_string(e["type"], f"{epath}/type")
 
+    def read_edge(entry: Any) -> None:
+        eid, s, t, te = _record(entry, ("id", "src", "tgt", "type"))
+        _fresh(eid, src, "edge id", "id")
+        src[eid] = _known(s, node_types, "unknown node id", "src")
+        tgt[eid] = _known(t, node_types, "unknown node id", "tgt")
+        edge_types[eid] = _as(str, te, "type")
+
+    _each(nodes_raw, read_node, "nodes")
+    _each(edges_raw, read_edge, "edges")
     return InstanceGraph(
-        graph=Graph(nodes=frozenset(nodes), edges=frozenset(edges), src=src, tgt=tgt),
+        graph=Graph(nodes=frozenset(node_types), edges=frozenset(src), src=src, tgt=tgt),
         node_types=node_types,
         edge_types=edge_types,
         attrs=attrs,
@@ -440,34 +409,22 @@ def _featureconfig_payload(cfg: FeatureConfig) -> dict:
     return {"selected": sorted(cfg.selected)}
 
 
-def _parse_featureconfig(payload: Any, path: str) -> FeatureConfig:
-    obj = _as_object(payload, path)
-    _check_keys(obj, path, ("selected",))
-    raw = _as_array(obj["selected"], f"{path}/selected")
-    selected = [_as_string(f, f"{path}/selected/{i}") for i, f in enumerate(raw)]
-    if len(set(selected)) != len(selected):
-        raise SchemaError(f"{path}/selected", "duplicate feature")
-    return FeatureConfig(frozenset(selected))
+def _read_featureconfig(payload: Any) -> FeatureConfig:
+    (selected,) = _record(payload, ("selected",))
+    return FeatureConfig(_distinct(selected, "duplicate feature", "selected"))
 
 
 # ---------------------------------------------------------------------------
 # Envelopes
 
-_PARSERS: dict[str, Callable[[Any, str], object]] = {
-    KIND_SIGNATURE: _parse_signature,
-    KIND_BIGRAPH: _parse_bigraph,
-    KIND_TYPEGRAPH: _parse_typegraph,
-    KIND_INSTANCEGRAPH: _parse_instancegraph,
-    KIND_FEATURECONFIG: _parse_featureconfig,
+#: Each kind's value class, payload reader and payload writer.
+_KINDS: dict[str, tuple[type, Callable[[Any], object], Callable[[Any], dict]]] = {
+    KIND_SIGNATURE: (Signature, _read_signature, _signature_payload),
+    KIND_BIGRAPH: (Bigraph, _read_bigraph, _bigraph_payload),
+    KIND_TYPEGRAPH: (TypeGraph, _read_typegraph, _typegraph_payload),
+    KIND_INSTANCEGRAPH: (InstanceGraph, _read_instancegraph, _instancegraph_payload),
+    KIND_FEATURECONFIG: (FeatureConfig, _read_featureconfig, _featureconfig_payload),
 }
-
-_SERIALIZERS: list[tuple[type, str, Callable[[Any], dict]]] = [
-    (Signature, KIND_SIGNATURE, _signature_payload),
-    (Bigraph, KIND_BIGRAPH, _bigraph_payload),
-    (TypeGraph, KIND_TYPEGRAPH, _typegraph_payload),
-    (InstanceGraph, KIND_INSTANCEGRAPH, _instancegraph_payload),
-    (FeatureConfig, KIND_FEATURECONFIG, _featureconfig_payload),
-]
 
 
 def _canonical_json(value: Any, pad: str = "\n") -> str:
@@ -498,34 +455,37 @@ def _canonical_json(value: Any, pad: str = "\n") -> str:
 
 def dumps_canonical(value: object) -> str:
     """Canonical envelope text for any supported value."""
-    for cls, kind, serialize in _SERIALIZERS:
+    for kind, (cls, _, serialize) in _KINDS.items():
         if isinstance(value, cls):
             doc = {"formatVersion": FORMAT_VERSION, "kind": kind, "payload": serialize(value)}
             return _canonical_json(doc) + "\n"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def load_document(path: str) -> tuple[str, object]:
-    """Load any envelope; returns ``(kind, value)``."""
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file; ``IoError`` if it cannot be read or decoded."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def load_document(path: str) -> tuple[str, object]:
+    """Load any envelope; returns ``(kind, value)``."""
+    text = read_text(path)
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise SchemaError("/", f"not valid JSON: {exc}") from exc
-    obj = _as_object(data, "/")
-    _check_keys(obj, "/", ("formatVersion", "kind", "payload"))
-    version = _as_string(obj["formatVersion"], "/formatVersion")
-    if version != FORMAT_VERSION:
-        raise SchemaError("/formatVersion", f"unsupported format version {version!r}")
-    kind = _as_string(obj["kind"], "/kind")
-    parser = _PARSERS.get(kind)
-    if parser is None:
-        raise SchemaError("/kind", f"unknown document kind {kind!r}")
-    return kind, parser(obj["payload"], "/payload")
+    try:
+        version, kind, payload = _record(data, ("formatVersion", "kind", "payload"))
+        _known(version, (FORMAT_VERSION,), "unsupported format version", "formatVersion")
+        _known(kind, _KINDS, "unknown document kind", "kind")
+        return kind, _within(_KINDS[kind][1], payload, "payload")
+    except _Fault as fault:
+        pointer = "/" + "/".join(str(key) for key in fault.path)
+        raise SchemaError(pointer, fault.message) from fault.__cause__
 
 
 def _load_kind(path: str, kind: str) -> object:

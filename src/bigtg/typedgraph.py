@@ -301,7 +301,10 @@ def check_type_graph(tg: TypeGraph) -> ValidationReport:
 
 def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     """Check the typing morphism: totality, abstractness, endpoint
-    compatibility under subtyping, and attribute conformance."""
+    compatibility under subtyping, and attribute conformance. An edge
+    whose type lacks a node type as ``src`` or ``tgt`` (which
+    ``check_type_graph`` reports as ``tg-edge-ends``) is reported as
+    ``typing-type-ends``, and that end of the edge is not checked."""
     findings: list[Finding] = []
 
     def flag(code: str, location: str, message: str) -> None:
@@ -318,6 +321,11 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     for n in sorted(set(g.node_types) - set(g.graph.nodes)):
         flag("typing-domain", n, "typing entry for unknown node")
 
+    # The declared src and tgt of each edge type, None where no node type.
+    decls = {
+        te: tuple(t if t in tg.node_types else None for t in (tg.graph.src.get(te), tg.graph.tgt.get(te)))
+        for te in tg.edge_types
+    }
     for e in sorted(g.graph.edges):
         for role, mapping in (("src", g.graph.src), ("tgt", g.graph.tgt)):
             end = mapping.get(e)
@@ -332,13 +340,16 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
         if te not in tg.edge_types:
             flag("typing-unknown-type", e, f"edge typed by unknown type {te!r}")
             continue
+        decl_src, decl_tgt = decls[te]
+        if decl_src is None or decl_tgt is None:
+            flag("typing-type-ends", e, f"edge type {te!r} lacks a node type as src or tgt")
         for role, end, decl in (
-            ("source", g.graph.src.get(e), tg.graph.src[te]),
-            ("target", g.graph.tgt.get(e), tg.graph.tgt[te]),
+            ("source", g.graph.src.get(e), decl_src),
+            ("target", g.graph.tgt.get(e), decl_tgt),
         ):
             t_end = g.node_types.get(end) if end is not None else None
-            if t_end is None or t_end not in tg.node_types:
-                continue  # reported on the node itself
+            if decl is None or t_end is None or t_end not in tg.node_types:
+                continue  # reported on the edge above, or on the node
             if not conforms(tg, t_end, decl):
                 flag(
                     "typing-" + ("source" if role == "source" else "target"),
@@ -469,15 +480,18 @@ def pair_opposites(g: InstanceGraph, tg: TypeGraph) -> dict[str, str]:
 
 
 def check_multiplicities(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
-    """Per-source-node bounds on outgoing edges of each applicable type."""
+    """Per-source-node bounds on outgoing edges of each applicable type.
+    Edge types without a multiplicity, or without a node type as ``src``,
+    are skipped (``check_type_graph`` reports them)."""
     findings: list[Finding] = []
+    bounded = [te for te in sorted(tg.edge_types) if te in tg.mult and tg.graph.src.get(te) in tg.node_types]
     for n in sorted(g.graph.nodes):
         tn = g.node_types.get(n)
         if tn is None or tn not in tg.node_types:
             continue
-        for te in sorted(tg.edge_types):
-            m = tg.mult.get(te)
-            if m is None or not conforms(tg, tn, tg.graph.src[te]):
+        for te in bounded:
+            m = tg.mult[te]
+            if not conforms(tg, tn, tg.graph.src[te]):
                 continue
             count = len(outgoing(g, n, te))
             if count < m.lb:

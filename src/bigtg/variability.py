@@ -274,13 +274,6 @@ def _implicit_ports(g: InstanceGraph, sig: Signature) -> InstanceGraph:
     ports = sorted(n for n in g.graph.nodes if g.node_types.get(n) == "BPort")
     if not ports:
         return g
-    # The delta is defined only on graphs whose edges all have both ends:
-    # a missing source fails before any port is looked at, a missing
-    # target once the first port has been rewired.
-    no_src = [e for e in g.graph.edges if e not in g.graph.src]
-    if no_src:
-        raise KeyError(no_src[0])
-    no_tgt = min((e for e in g.graph.edges if e not in g.graph.tgt), default=None)
     src = dict(g.graph.src)
     tgt = dict(g.graph.tgt)
     # Rewiring moves edges between nodes, and a later port (owned by an
@@ -298,8 +291,6 @@ def _implicit_ports(g: InstanceGraph, sig: Signature) -> InstanceGraph:
             raise NotCanonical(f"port {p} has {len(links)} link edges; cannot rewire")
         src[links[0]] = owner
         links_of.setdefault(owner, []).append(links[0])
-        if no_tgt is not None:
-            raise KeyError(no_tgt)
         points = points_of.pop(p, []) + list(g.in_index.get((p, "bPoints"), ()))
         for e in points:
             tgt[e] = owner
@@ -339,11 +330,17 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
     """Apply every delta whose condition holds, in the fixed order.
 
     Applying the same configuration twice is a no-op the second time, so
-    already-configured graphs pass through unchanged.
+    already-configured graphs pass through unchanged. Raises
+    ``NotCanonical`` on a graph with an edge that lacks a ``src`` or
+    ``tgt``, naming the smallest such edge.
     """
     rep = validate_config(cfg)
     if not rep.ok:
         raise InvalidConfig(rep)
+    lacking = g.graph.edges - (g.graph.src.keys() & g.graph.tgt.keys())
+    if lacking:
+        e = min(lacking)
+        raise NotCanonical(f"edge {e} has no {'tgt' if e in g.graph.src else 'src'}")
     for delta in DELTAS:
         if eval_formula(delta.condition, cfg.selected):
             g = delta.patch(g, sig)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,3 +152,69 @@ def test_parent_chain_reaches_root_within_node_count(seed):
             if isinstance(cur, int):
                 break
         assert isinstance(cur, int) and 0 <= cur < b.outer.width
+
+
+_CYCLE_SIG = make_signature([("K", 0)])
+
+
+def _parent_cycles(prnt: dict) -> list[str]:
+    nodes = {k for k in prnt if isinstance(k, str)}
+    ctrl = {v: "K" for v in nodes}
+    b = Bigraph(_CYCLE_SIG, nodes=nodes, ctrl=ctrl, prnt=prnt, inner=Interface(2), outer=Interface(1))
+    return [f.line() for f in validate_bigraph(b).findings if f.code == "parent-cycle"]
+
+
+@pytest.mark.parametrize(
+    "prnt, expected",
+    [
+        (
+            {"a": "b", "b": "a", "c": "a", "x": "y", "y": "z", "z": "x", "w": 0, 0: "w"},
+            [
+                "error parent-cycle prnt[a] parent map cycle through a, b",
+                "error parent-cycle prnt[x] parent map cycle through x, y, z",
+            ],
+        ),
+        ({"s": "s", "t": "s"}, ["error parent-cycle prnt[s] parent map cycle through s"]),
+        # Reported where the walk from the smallest node enters the cycle.
+        (
+            {"a": "d", "c": "d", "d": "c", "b": "c"},
+            ["error parent-cycle prnt[d] parent map cycle through c, d"],
+        ),
+        (
+            {"a": "y", "y": "z", "z": "y", "b": "c", "c": "b"},
+            [
+                "error parent-cycle prnt[y] parent map cycle through y, z",
+                "error parent-cycle prnt[b] parent map cycle through b, c",
+            ],
+        ),
+        (
+            {0: "m", "m": "n", "n": "m", "k": "ghost", 1: 0, "j": 1},
+            ["error parent-cycle prnt[m] parent map cycle through m, n"],
+        ),
+    ],
+)
+def test_parent_cycle_findings_pinned(prnt, expected):
+    assert _parent_cycles(prnt) == expected
+
+
+_NAMES = ("a", "b", "c", "d", "e", "f", "g")
+_SITES = st.integers(0, 2)
+
+
+@given(st.dictionaries(st.sampled_from(_NAMES) | _SITES, st.sampled_from((*_NAMES, "ghost")) | _SITES))
+@settings(max_examples=300, deadline=None)
+def test_parent_cycles_match_networkx(prnt):
+    """One finding per cycle of node-to-node parent steps, ordered by the
+    smallest node whose chain reaches the cycle and placed where that
+    chain enters it."""
+    nodes = {k for k in prnt if isinstance(k, str)}
+    steps = nx.DiGraph((v, p) for v, p in prnt.items() if v in nodes and p in nodes)
+    expected = []
+    for cycle in nx.simple_cycles(steps):
+        first = min(set(cycle).union(*(nx.ancestors(steps, v) for v in cycle)))
+        entry = first
+        while entry not in cycle:
+            entry = prnt[entry]
+        through = ", ".join(sorted(cycle))
+        expected.append((first, f"error parent-cycle prnt[{entry}] parent map cycle through {through}"))
+    assert _parent_cycles(prnt) == [line for _, line in sorted(expected)]

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import pathlib
 import re
+import subprocess
+import sys
+
+import pytest
 
 from bigtg import FeatureConfig, encode, fileio
 from bigtg.cli import main
@@ -190,3 +196,41 @@ def test_configure_rejects_invalid_config(fixtures_dir, tmp_path, capsys):
     )
     assert code == 1
     assert "cfg-alternative" in err
+
+
+def _bad_bytes(fixtures_dir, tmp_path):
+    bad = tmp_path / "latin1.bgc"
+    bad.write_bytes("context Spool inv caf\xe9: true".encode("latin-1"))
+    argv = ["check", fx(fixtures_dir, "printer.ig.json"), "--tg", fx(fixtures_dir, "printer.tg.json")]
+    return [*argv, "--constraints", str(bad)], "error io - cannot read "
+
+
+def _bad_json_bytes(fixtures_dir, tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"formatVersion": "1.0", "kind": "caf\xe9"}')
+    return ["validate", str(bad)], "error io - cannot read "
+
+
+def _deep_json(fixtures_dir, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    return ["validate", str(deep)], "error schema / not valid JSON: "
+
+
+@pytest.mark.parametrize(
+    "make", [_bad_bytes, _bad_json_bytes, _deep_json], ids=["bgc-not-utf8", "json-not-utf8", "json-too-deep"]
+)
+def test_unreadable_input_is_one_error_line(fixtures_dir, tmp_path, make):
+    argv, prefix = make(fixtures_dir, tmp_path)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "bigtg.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith(prefix)

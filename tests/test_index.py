@@ -85,6 +85,10 @@ def ref_implicit_ports(g: InstanceGraph, sig) -> InstanceGraph:
 
 
 def ref_apply_deltas(g: InstanceGraph, cfg, sig) -> InstanceGraph:
+    lacking = sorted(e for e in g.graph.edges if e not in g.graph.src or e not in g.graph.tgt)
+    if lacking:
+        end = "src" if lacking[0] not in g.graph.src else "tgt"
+        raise NotCanonical(f"edge {lacking[0]} has no {end}")
     for delta in DELTAS:
         if eval_formula(delta.condition, cfg.selected):
             patch = ref_implicit_ports if delta.name == "implicit-ports" else delta.patch
@@ -206,9 +210,12 @@ def _owned_by_later_port(g):
         # With its own link gone, the later port passes the moved link and
         # the moved bPoints edge on to its owner.
         (lambda g: drop_edge(_owned_by_later_port(g), "bLink:p:v1:0:e:e1"), None),
-        # An edge without a target fails once the first port is rewired,
-        # even though it would be deleted with the port it leaves.
-        (lambda g: _without_tgt(add_edge(g, "x", "bogus", "p:v3:0", "n:v3"), "x"), ("KeyError", "'x'")),
+        # An edge without a target is refused before any delta runs, even
+        # though it would be deleted with the port it leaves.
+        (
+            lambda g: _without_tgt(add_edge(g, "x", "bogus", "p:v3:0", "n:v3"), "x"),
+            ("NotCanonical", "edge x has no tgt"),
+        ),
     ],
 )
 def test_implicit_ports_sees_edges_moved_by_earlier_ports(g1, sig1, mutate, expected):

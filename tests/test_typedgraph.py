@@ -350,3 +350,68 @@ def test_check_type_graph_cycle_findings_pinned():
         "error tg-inherits-cycle A inheritance cycle through A",
         "error tg-inherits-cycle C inheritance cycle through C",
     ]
+
+
+@pytest.mark.parametrize("bad_src", [None, "Ghost"])
+def test_edge_type_without_node_type_end_is_a_typing_finding(g1, tg_sigma1, bad_src):
+    src = {te: s for te, s in tg_sigma1.graph.src.items() if te != "bLink"}
+    if bad_src is not None:
+        src["bLink"] = bad_src
+    tg = dataclasses.replace(tg_sigma1, graph=dataclasses.replace(tg_sigma1.graph, src=src))
+    lines = [f.line() for f in check_typing(g1, tg).findings]
+    assert lines == [
+        f"error typing-type-ends {e} edge type 'bLink' lacks a node type as src or tgt"
+        for e in sorted(edges_of_type(g1, "bLink"))
+    ]
+    assert check_multiplicities(g1, tg).ok
+
+
+_TYPES = ("A", "B", "C")
+_ETYPES = ("e", "f", "g")
+
+
+@st.composite
+def type_graphs_with_broken_ends(draw):
+    """A type graph whose edge types may lack an end or name an unknown
+    node type, and an instance graph typed over it."""
+    nodes = draw(st.sets(st.sampled_from(_TYPES), min_size=1))
+    edges = draw(st.sets(st.sampled_from(_ETYPES)))
+    end = st.sampled_from(sorted(nodes) + ["Ghost", None])
+    src, tgt = {}, {}
+    for te in sorted(edges):
+        for ends in (src, tgt):
+            value = draw(end)
+            if value is not None:
+                ends[te] = value
+    tg = TypeGraph(
+        graph=Graph(nodes=nodes, edges=edges, src=src, tgt=tgt),
+        inherits=draw(st.sets(st.tuples(st.sampled_from(sorted(nodes)), st.sampled_from(sorted(nodes))))),
+        mult={te: Multiplicity(draw(st.integers(0, 1)), draw(st.sampled_from((None, 2)))) for te in sorted(edges)},
+    )
+    ids = [f"n{i}" for i in range(draw(st.integers(1, 4)))]
+    kinds = st.sampled_from(_TYPES + ("Ghost",))
+    g_edges = {f"x{i}": (draw(st.sampled_from(ids)), draw(st.sampled_from(ids)), draw(st.sampled_from(_ETYPES)))
+               for i in range(draw(st.integers(0, 6)))}
+    g = InstanceGraph(
+        graph=Graph(
+            nodes=ids,
+            edges=g_edges,
+            src={x: s for x, (s, _, _) in g_edges.items()},
+            tgt={x: t for x, (_, t, _) in g_edges.items()},
+        ),
+        node_types={n: draw(kinds) for n in ids},
+        edge_types={x: te for x, (_, _, te) in g_edges.items()},
+    )
+    return g, tg
+
+
+@given(type_graphs_with_broken_ends())
+@settings(max_examples=200, deadline=None)
+def test_typing_and_multiplicities_total_on_broken_edge_types(case):
+    g, tg = case
+    typing = check_typing(g, tg)
+    check_multiplicities(g, tg)
+    broken = {te for te in tg.edge_types if tg.graph.src.get(te) not in tg.node_types
+              or tg.graph.tgt.get(te) not in tg.node_types}
+    flagged = {f.location for f in typing.findings if f.code == "typing-type-ends"}
+    assert flagged == {x for x, te in g.edge_types.items() if te in broken}

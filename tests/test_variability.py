@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -179,3 +181,14 @@ def test_deltas_idempotent_and_conformant_random(seed, config_index):
     derived = derive_type_graph(annotate_150(extend_for_signature(sig)), config)
     rep = conformance(once, derived)
     assert rep.ok, [f.line() for f in rep.findings]
+
+
+@pytest.mark.parametrize("end", ["src", "tgt"])
+def test_edge_without_an_end_is_not_canonical_in_every_config(g1, sig1, end):
+    first, second = sorted(g1.graph.edges)[3:5]
+    graph = g1.graph
+    ends = {e: v for e, v in getattr(graph, end).items() if e not in (first, second)}
+    g = dataclasses.replace(g1, graph=dataclasses.replace(graph, **{end: ends}))
+    for config in enumerate_configs():
+        with pytest.raises(NotCanonical, match=f"^edge {re.escape(first)} has no {end}$"):
+            apply_deltas(g, config, sig1)
