@@ -4,7 +4,8 @@ validation, reconfiguration, and constraint checking.
 Every subcommand is a thin composition of library operations. Exit codes:
 0 success, 1 validation or constraint failure, 2 usage or schema errors.
 Diagnostics go to standard error, one finding per line as
-``<severity> <code> <location> <message>``.
+``<severity> <code> <location> <message>``. The constraint and
+variability layers are imported only by the subcommands that run them.
 """
 
 from __future__ import annotations
@@ -14,13 +15,6 @@ import sys
 
 from . import fileio
 from .bigraph import validate_bigraph
-from .constraints import (
-    ConstraintSyntaxError,
-    EvaluationError,
-    TypeCheckError,
-    evaluate,
-    parse_constraints,
-)
 from .mapping import (
     InvalidBigraph,
     NotCanonical,
@@ -32,14 +26,6 @@ from .mapping import (
 )
 from .report import Finding, ValidationReport
 from .typedgraph import check_type_graph
-from .variability import (
-    InvalidConfig,
-    annotate_150,
-    apply_deltas,
-    derive_type_graph,
-    enumerate_configs,
-    validate_config,
-)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -116,11 +102,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if kind == fileio.KIND_INSTANCEGRAPH:
         return _validate_instance(args, value)
     if kind == fileio.KIND_FEATURECONFIG:
+        from .variability import validate_config
+
         return _finish(validate_config(value))
     return EXIT_OK  # a signature that loads is valid
 
 
 def cmd_configure(args: argparse.Namespace) -> int:
+    from .variability import annotate_150, apply_deltas, derive_type_graph, validate_config
+
     g = fileio.load_instance_graph(args.instancegraph)
     sig = fileio.load_signature(args.sig)
     cfg = fileio.load_feature_config(args.features)
@@ -147,13 +137,27 @@ def _derived_tg_path(ig_path: str) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .constraints import ConstraintSyntaxError, EvaluationError, TypeCheckError, evaluate, parse_constraints
+
     g = fileio.load_instance_graph(args.instancegraph)
     tg = fileio.load_type_graph(args.tg)
-    doc = parse_constraints(fileio.read_text(args.constraints))
+    text = fileio.read_text(args.constraints)
+    try:
+        doc = parse_constraints(text)
+    except ConstraintSyntaxError as exc:
+        _emit_error("syntax", f"{exc.line}:{exc.col}", str(exc))
+        return EXIT_USAGE
     rep = conformance(g, tg)
     if not rep.ok:
         return _finish(rep)
-    result = evaluate(doc, g, tg)
+    try:
+        result = evaluate(doc, g, tg)
+    except TypeCheckError as exc:
+        _emit_error("typecheck", "-", str(exc))
+        return EXIT_USAGE
+    except EvaluationError as exc:
+        _emit_error("evaluation", "-", str(exc))
+        return EXIT_USAGE
     if result.all_passed:
         return EXIT_OK
     for failure in result.failures():
@@ -163,6 +167,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_configs(args: argparse.Namespace) -> int:
+    from .variability import enumerate_configs
+
     for cfg in enumerate_configs():
         print(",".join(cfg.ordered()))
     return EXIT_OK
@@ -230,19 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     except fileio.IoError as exc:
         _emit_error("io", "-", str(exc))
         return EXIT_USAGE
-    except ConstraintSyntaxError as exc:
-        _emit_error("syntax", f"{exc.line}:{exc.col}", str(exc))
-        return EXIT_USAGE
-    except TypeCheckError as exc:
-        _emit_error("typecheck", "-", str(exc))
-        return EXIT_USAGE
-    except EvaluationError as exc:
-        _emit_error("evaluation", "-", str(exc))
-        return EXIT_USAGE
     except InvalidBigraph as exc:
-        _emit(exc.report.findings)
-        return EXIT_INVALID
-    except InvalidConfig as exc:
         _emit(exc.report.findings)
         return EXIT_INVALID
 

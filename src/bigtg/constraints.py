@@ -39,6 +39,9 @@ KEYWORDS = frozenset(
 
 INTEGER_TYPE = "integer"
 
+#: Deepest syntax tree an invariant may have.
+MAX_DEPTH = 200
+
 
 class ConstraintSyntaxError(Exception):
     """A parse failure, carrying the offending line and column."""
@@ -295,9 +298,15 @@ class _Parser:
             context = self.expect_name("a context type name")
             while self.at_keyword("inv"):
                 self.advance()
+                at = self.peek()
                 name = self.expect_name("an invariant name")
                 self.expect_op(":")
                 body = self.parse_expr()
+                depth = _depth(body)
+                if depth > MAX_DEPTH:
+                    raise ConstraintSyntaxError(
+                        f"invariant {name} is nested {depth} levels deep (at most {MAX_DEPTH})", at.line, at.col
+                    )
                 invariants.append(Invariant(context, name, body))
         return ConstraintDoc(tuple(invariants))
 
@@ -407,9 +416,28 @@ class _Parser:
         raise self.error("expected an expression")
 
 
+def _depth(expr: Expr) -> int:
+    """The number of levels of ``expr``'s syntax tree, counted without
+    recursion."""
+    deepest, stack = 0, [(expr, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in vars(node).values() if isinstance(child, Expr))
+    return deepest
+
+
 def parse_constraints(text: str) -> ConstraintDoc:
-    """Parse a constraint document; errors carry line and column."""
-    return _Parser(_tokenize(text)).parse_doc()
+    """Parse a constraint document; errors carry line and column.
+
+    Nesting that the parser cannot recurse through, and an invariant
+    deeper than ``MAX_DEPTH`` levels, are syntax errors too: type
+    checking, evaluation and printing recurse once per level."""
+    parser = _Parser(_tokenize(text))
+    try:
+        return parser.parse_doc()
+    except RecursionError:
+        raise parser.error("expression nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +641,12 @@ def _eval(expr: Expr, env: dict[str, object], g: InstanceGraph, tg: TypeGraph, t
         source = _eval(expr.obj, env, g, tg, trace)
         if source == _EMPTY:
             return _EMPTY
-        targets = sorted({g.graph.tgt[e] for e in outgoing(g, source, expr.edge)})
+        try:
+            targets = sorted({g.graph.tgt[e] for e in outgoing(g, source, expr.edge)})
+        except KeyError as exc:
+            raise EvaluationError(
+                f"navigation {expr.edge!r} from {source} follows edge {exc.args[0]} without a tgt"
+            ) from None
         upper = tg.mult[expr.edge].ub if expr.edge in tg.mult else None
         trace.append(f"{source}.{expr.edge} = {_render(tuple(targets))}")
         if upper == 1:
@@ -715,7 +748,10 @@ class CheckResult:
 
 def evaluate(doc: ConstraintDoc, g: InstanceGraph, tg: TypeGraph) -> CheckResult:
     """Evaluate every invariant on every instance of its context type
-    (or a subtype). Failed checks keep their navigation trace."""
+    (or a subtype). Failed checks keep their navigation trace. Raises
+    ``TypeCheckError`` if ``doc`` does not fit ``tg``, and
+    ``EvaluationError`` on an undefined case, such as a navigation along
+    an edge without a ``tgt``."""
     typecheck(doc, tg)
     checks: list[InvariantCheck] = []
     for inv in doc.invariants:

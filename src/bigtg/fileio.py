@@ -12,13 +12,16 @@ import contextlib
 import json
 import os
 from functools import partial
+from importlib import import_module
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Any, Callable, Container
+from typing import TYPE_CHECKING, Any, Callable, Container
 
 from .bigraph import Bigraph, Interface, Port, Signature, make_signature
 from .typedgraph import ATTR_TYPES, Graph, InstanceGraph, Multiplicity, TypeGraph, symmetric_pairs
-from .variability import FeatureConfig
+
+if TYPE_CHECKING:
+    from .variability import FeatureConfig
 
 FORMAT_VERSION = "1.0"
 
@@ -410,6 +413,8 @@ def _featureconfig_payload(cfg: FeatureConfig) -> dict:
 
 
 def _read_featureconfig(payload: Any) -> FeatureConfig:
+    from .variability import FeatureConfig
+
     (selected,) = _record(payload, ("selected",))
     return FeatureConfig(_distinct(selected, "duplicate feature", "selected"))
 
@@ -417,13 +422,15 @@ def _read_featureconfig(payload: Any) -> FeatureConfig:
 # ---------------------------------------------------------------------------
 # Envelopes
 
-#: Each kind's value class, payload reader and payload writer.
-_KINDS: dict[str, tuple[type, Callable[[Any], object], Callable[[Any], dict]]] = {
-    KIND_SIGNATURE: (Signature, _read_signature, _signature_payload),
-    KIND_BIGRAPH: (Bigraph, _read_bigraph, _bigraph_payload),
-    KIND_TYPEGRAPH: (TypeGraph, _read_typegraph, _typegraph_payload),
-    KIND_INSTANCEGRAPH: (InstanceGraph, _read_instancegraph, _instancegraph_payload),
-    KIND_FEATURECONFIG: (FeatureConfig, _read_featureconfig, _featureconfig_payload),
+#: Each kind's value class (as module and name, looked up on first use, so
+#: that only feature configurations load ``variability``), payload reader
+#: and payload writer.
+_KINDS: dict[str, tuple[str, str, Callable[[Any], object], Callable[[Any], dict]]] = {
+    KIND_SIGNATURE: ("bigraph", "Signature", _read_signature, _signature_payload),
+    KIND_BIGRAPH: ("bigraph", "Bigraph", _read_bigraph, _bigraph_payload),
+    KIND_TYPEGRAPH: ("typedgraph", "TypeGraph", _read_typegraph, _typegraph_payload),
+    KIND_INSTANCEGRAPH: ("typedgraph", "InstanceGraph", _read_instancegraph, _instancegraph_payload),
+    KIND_FEATURECONFIG: ("variability", "FeatureConfig", _read_featureconfig, _featureconfig_payload),
 }
 
 
@@ -455,8 +462,8 @@ def _canonical_json(value: Any, pad: str = "\n") -> str:
 
 def dumps_canonical(value: object) -> str:
     """Canonical envelope text for any supported value."""
-    for kind, (cls, _, serialize) in _KINDS.items():
-        if isinstance(value, cls):
+    for kind, (module, cls, _, serialize) in _KINDS.items():
+        if isinstance(value, getattr(import_module(f".{module}", __package__), cls)):
             doc = {"formatVersion": FORMAT_VERSION, "kind": kind, "payload": serialize(value)}
             return _canonical_json(doc) + "\n"
     raise TypeError(f"cannot serialize {type(value).__name__}")
@@ -482,7 +489,7 @@ def load_document(path: str) -> tuple[str, object]:
         version, kind, payload = _record(data, ("formatVersion", "kind", "payload"))
         _known(version, (FORMAT_VERSION,), "unsupported format version", "formatVersion")
         _known(kind, _KINDS, "unknown document kind", "kind")
-        return kind, _within(_KINDS[kind][1], payload, "payload")
+        return kind, _within(_KINDS[kind][2], payload, "payload")
     except _Fault as fault:
         pointer = "/" + "/".join(str(key) for key in fault.path)
         raise SchemaError(pointer, fault.message) from fault.__cause__

@@ -451,7 +451,8 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
     of nesting and linking with the paired directed edges, and the
     consistency of root, site and port index attributes. Defects in the
     map itself (non-bijectivity, dangling images) are reported too rather
-    than assumed away.
+    than assumed away. Edges with a missing end are skipped
+    (``check_typing`` reports them).
     """
     findings: list[Finding] = []
 
@@ -517,7 +518,7 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
         graph_pairs = {
             (g.graph.src[e], g.graph.tgt[e])
             for e in g.graph.edges
-            if g.edge_types.get(e) == edge_type
+            if g.edge_types.get(e) == edge_type and e in g.graph.src and e in g.graph.tgt
         }
         want_pairs: set[tuple[str, str]] = set()
         for child_el, parent_el_ in relation:
@@ -565,7 +566,8 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
         if len(own) != 1:
             flag("sound-port-index", n, f"port node has {len(own)} ownership edges")
             continue
-        ports_of_owner.setdefault(g.graph.tgt[own[0]], []).append(n)
+        if own[0] in g.graph.tgt:
+            ports_of_owner.setdefault(g.graph.tgt[own[0]], []).append(n)
     for v in sorted(b.nodes):
         owner_gid = mapped((K_NODE, v))
         candidates = ports_of_owner.get(owner_gid, []) if owner_gid else []

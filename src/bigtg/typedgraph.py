@@ -321,11 +321,13 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     for n in sorted(set(g.node_types) - set(g.graph.nodes)):
         flag("typing-domain", n, "typing entry for unknown node")
 
-    # The declared src and tgt of each edge type, None where no node type.
+    # The declared src and tgt of each edge type, None where no node type;
+    # conformance is decided once per (end type, declared type) pair.
     decls = {
         te: tuple(t if t in tg.node_types else None for t in (tg.graph.src.get(te), tg.graph.tgt.get(te)))
         for te in tg.edge_types
     }
+    conforming: dict[tuple[str, str], bool] = {}
     for e in sorted(g.graph.edges):
         for role, mapping in (("src", g.graph.src), ("tgt", g.graph.tgt)):
             end = mapping.get(e)
@@ -350,7 +352,10 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
             t_end = g.node_types.get(end) if end is not None else None
             if decl is None or t_end is None or t_end not in tg.node_types:
                 continue  # reported on the edge above, or on the node
-            if not conforms(tg, t_end, decl):
+            ok = conforming.get((t_end, decl))
+            if ok is None:
+                ok = conforming[t_end, decl] = conforms(tg, t_end, decl)
+            if not ok:
                 flag(
                     "typing-" + ("source" if role == "source" else "target"),
                     e,
@@ -359,11 +364,14 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     for e in sorted(set(g.edge_types) - set(g.graph.edges)):
         flag("typing-domain", e, "typing entry for unknown edge")
 
+    attr_decls: dict[str, dict[str, str]] = {}
     for (n, a), v in sorted(g.attrs.items()):
         t = g.node_types.get(n)
         if t is None or t not in tg.node_types:
             continue
-        decls = declared_attrs(tg, t)
+        decls = attr_decls.get(t)
+        if decls is None:
+            decls = attr_decls[t] = declared_attrs(tg, t)
         if a not in decls:
             flag("attr-undeclared", f"{n}.{a}", f"attribute {a!r} not declared for type {t!r}")
         elif decls[a] == "int" and (isinstance(v, bool) or not isinstance(v, int)):
@@ -485,15 +493,18 @@ def check_multiplicities(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     are skipped (``check_type_graph`` reports them)."""
     findings: list[Finding] = []
     bounded = [te for te in sorted(tg.edge_types) if te in tg.mult and tg.graph.src.get(te) in tg.node_types]
+    # The bounded edge types that apply to each node type, with their bounds.
+    applicable: dict[str, list[tuple[str, Multiplicity]]] = {}
+    out_index = g.out_index
     for n in sorted(g.graph.nodes):
         tn = g.node_types.get(n)
         if tn is None or tn not in tg.node_types:
             continue
-        for te in bounded:
-            m = tg.mult[te]
-            if not conforms(tg, tn, tg.graph.src[te]):
-                continue
-            count = len(outgoing(g, n, te))
+        bounds = applicable.get(tn)
+        if bounds is None:
+            bounds = applicable[tn] = [(te, tg.mult[te]) for te in bounded if conforms(tg, tn, tg.graph.src[te])]
+        for te, m in bounds:
+            count = len(out_index.get((n, te), ()))
             if count < m.lb:
                 findings.append(
                     Finding(

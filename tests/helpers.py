@@ -1,10 +1,15 @@
-"""Instance-graph surgery used by mutation and property tests."""
+"""Instance-graph surgery used by mutation and property tests, and a
+hypothesis strategy of arbitrarily edited encodings."""
 
 from __future__ import annotations
 
 import dataclasses
+import random
 
-from bigtg import Graph, InstanceGraph
+from hypothesis import strategies as st
+
+from bigtg import Graph, InstanceGraph, encode
+from bigtg.generators import random_bigraph
 
 
 def drop_edge(g: InstanceGraph, eid: str) -> InstanceGraph:
@@ -75,3 +80,63 @@ def retarget_edge(
 
 def edges_of_type(g: InstanceGraph, etype: str) -> list[str]:
     return sorted(e for e in g.graph.edges if g.edge_types.get(e) == etype)
+
+
+EDGE_TYPES = ("bPrnt", "bChld", "bLink", "bPoints", "bPorts", "bNode", "bogus")
+NODE_TYPES = ("BPort", "BNode", "BRoot", "BSite", "Ghost")
+EDITS = (
+    "drop-edge", "retype-edge", "untype-edge", "retarget", "unset-end",
+    "set-attr", "drop-attr", "port-owned-by-port", "retype-node", "untype-node",
+)
+
+
+@st.composite
+def mutated_encodings(draw):
+    """An encoded random bigraph after a few arbitrary edits, with the
+    bigraph."""
+    b = random_bigraph(random.Random(draw(st.integers(0, 1_000_000))))
+    g, _ = encode(b)
+    nodes, edges = set(g.graph.nodes), set(g.graph.edges)
+    src, tgt = dict(g.graph.src), dict(g.graph.tgt)
+    ntypes, etypes, attrs = dict(g.node_types), dict(g.edge_types), dict(g.attrs)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(EDITS))
+        node_ids = sorted(nodes) + ["ghost"]
+        e = draw(st.sampled_from(sorted(edges))) if edges else None
+        end = draw(st.sampled_from((src, tgt)))
+        if kind == "drop-edge" and e:
+            edges.discard(e)
+            for mapping in (src, tgt, etypes):
+                mapping.pop(e, None)
+        elif kind == "retype-edge" and e:
+            etypes[e] = draw(st.sampled_from(EDGE_TYPES))
+        elif kind == "untype-edge" and e:
+            etypes.pop(e, None)
+        elif kind == "retarget" and e:
+            end[e] = draw(st.sampled_from(node_ids))
+        elif kind == "unset-end" and e:
+            end.pop(e, None)
+        elif kind == "set-attr":
+            key = (draw(st.sampled_from(node_ids)), draw(st.sampled_from(("index", "control", "x"))))
+            attrs[key] = draw(st.one_of(st.integers(-1, 3), st.sampled_from(("a", "Printer"))))
+        elif kind == "drop-attr" and attrs:
+            del attrs[draw(st.sampled_from(sorted(attrs)))]
+        elif kind == "port-owned-by-port":
+            ports = sorted(n for n in nodes if ntypes.get(n) == "BPort")
+            if len(ports) >= 2:
+                p, q = draw(st.permutations(ports))[:2]
+                owned = sorted(x for x in edges if src.get(x) == p and etypes.get(x) == "bNode")
+                for x in owned[:1] or [f"own:{p}:{q}"]:
+                    edges.add(x)
+                    src[x], tgt[x], etypes[x] = p, q, "bNode"
+        elif kind == "retype-node" and nodes:
+            ntypes[draw(st.sampled_from(sorted(nodes)))] = draw(st.sampled_from(NODE_TYPES))
+        elif kind == "untype-node" and ntypes:
+            del ntypes[draw(st.sampled_from(sorted(ntypes)))]
+    mutated = InstanceGraph(
+        graph=Graph(nodes=frozenset(nodes), edges=frozenset(edges), src=src, tgt=tgt),
+        node_types=ntypes,
+        edge_types=etypes,
+        attrs=attrs,
+    )
+    return mutated, b

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import os
 import pathlib
 import re
@@ -217,20 +218,99 @@ def _deep_json(fixtures_dir, tmp_path):
     return ["validate", str(deep)], "error schema / not valid JSON: "
 
 
-@pytest.mark.parametrize(
-    "make", [_bad_bytes, _bad_json_bytes, _deep_json], ids=["bgc-not-utf8", "json-not-utf8", "json-too-deep"]
-)
-def test_unreadable_input_is_one_error_line(fixtures_dir, tmp_path, make):
-    argv, prefix = make(fixtures_dir, tmp_path)
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    done = subprocess.run(
-        [sys.executable, "-m", "bigtg.cli", *argv],
-        env={**os.environ, "PYTHONPATH": src},
+def _check_bgc(fixtures_dir, tmp_path, text: str) -> list[str]:
+    bgc = tmp_path / "deep.bgc"
+    bgc.write_text(text)
+    argv = ["check", fx(fixtures_dir, "printer.ig.json"), "--tg", fx(fixtures_dir, "printer.tg.json")]
+    return [*argv, "--constraints", str(bgc)]
+
+
+def _deep_bgc(fixtures_dir, tmp_path):
+    text = "context Spool inv iv1: " + "(" * 100_000 + "true" + ")" * 100_000
+    return _check_bgc(fixtures_dir, tmp_path, text), "error syntax 1:"
+
+
+def _long_bgc(fixtures_dir, tmp_path):
+    text = "context Spool inv iv1: self" + ".bChld->first()" * 5_000 + ".oclIsTypeOf(Job)"
+    return _check_bgc(fixtures_dir, tmp_path, text), "error syntax 1:19 "
+
+
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+
+
+def run_child(*argv: str) -> subprocess.CompletedProcess:
+    """``argv`` in a fresh interpreter that sees this checkout's ``src``."""
+    return subprocess.run(
+        [sys.executable, *argv],
+        env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_bad_bytes, _bad_json_bytes, _deep_json, _deep_bgc, _long_bgc],
+    ids=["bgc-not-utf8", "json-not-utf8", "json-too-deep", "bgc-too-deep", "bgc-chain-too-deep"],
+)
+def test_unreadable_input_is_one_error_line(fixtures_dir, tmp_path, make):
+    argv, prefix = make(fixtures_dir, tmp_path)
+    done = run_child("-m", "bigtg.cli", *argv)
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert len(done.stderr.splitlines()) == 1
     assert done.stderr.startswith(prefix)
+
+
+#: Prints the ``bigtg`` modules loaded by one ``main(argv)`` call.
+LOADED_AFTER_MAIN = (
+    "import sys; from bigtg.cli import main; code = main(sys.argv[1:]); "
+    "print(code, *sorted(m for m in sys.modules if m.startswith('bigtg.')))"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, constraints, variability",
+    [
+        (["metamodel", "printer.sig.json", "-o", "{out}"], False, False),
+        (["encode", "printer.bg.json", "-o", "{out}"], False, False),
+        (["decode", "printer.ig.json", "--sig", "printer.sig.json", "-o", "{out}"], False, False),
+        (["validate", "printer.ig.json", "--sig", "printer.sig.json"], False, False),
+        (["validate", "weak.cfg.json"], False, True),
+        (
+            ["configure", "printer.ig.json", "--sig", "printer.sig.json", "--features", "weak.cfg.json", "-o", "{out}"],
+            False,
+            True,
+        ),
+        (["check", "printer.ig.json", "--tg", "printer.tg.json", "--constraints", "office.bgc"], True, False),
+        (["configs"], False, True),
+    ],
+    ids=["metamodel", "encode", "decode", "validate", "validate-featureconfig", "configure", "check", "configs"],
+)
+def test_subcommand_loads_only_its_layers(fixtures_dir, tmp_path, argv, constraints, variability):
+    out = str(tmp_path / "out.json")
+    argv = [out if a == "{out}" else fx(fixtures_dir, a) if (fixtures_dir / a).is_file() else a for a in argv]
+    done = run_child("-c", LOADED_AFTER_MAIN, *argv)
+    code, *loaded = done.stdout.splitlines()[-1].split()
+    assert code == "0", done.stderr
+    assert ("bigtg.constraints" in loaded) == constraints
+    assert ("bigtg.variability" in loaded) == variability
+
+
+def test_package_surface():
+    import bigtg
+
+    for name in bigtg.__all__:
+        module = importlib.import_module(f"bigtg.{bigtg._EXPORTS[name]}")
+        assert getattr(bigtg, name) is getattr(module, name)
+    assert set(bigtg.__all__) <= set(dir(bigtg))
+    namespace: dict = {}
+    exec("from bigtg import *", namespace)
+    assert set(bigtg.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        bigtg.no_such_name  # noqa: B018
+    # In a fresh interpreter, the package alone loads no layer, and a
+    # module is reachable as an attribute before anything imported it.
+    done = run_child("-c", "import sys, bigtg; print('bigtg.mapping' in sys.modules, bigtg.mapping.encode.__name__)")
+    assert done.stdout.split() == ["False", "encode"], done.stderr

@@ -21,7 +21,7 @@ from bigtg import (
     parse_constraints,
     typecheck,
 )
-from bigtg.constraints import ForAll, IsTypeOf, Let, Nav, OrOp, SelfRef, VarRef
+from bigtg.constraints import MAX_DEPTH, ForAll, IsTypeOf, Let, Nav, OrOp, SelfRef, VarRef
 from bigtg.generators import random_bigraph
 from bigtg.typedgraph import outgoing
 
@@ -204,6 +204,33 @@ def test_navigation_from_empty_optional_yields_empty(tg_sigma1):
     doc = parse_constraints("context BRoot inv none: self.bPrnt.bChld->size() = 0")
     g, _ = encode(_spool_with_jobs(1, with_site=False))
     assert evaluate(doc, g, tg_sigma1).all_passed
+
+
+NESTINGS = {
+    "not": lambda depth: "not " * (depth - 1) + ("false" if depth % 2 == 0 else "true"),
+    "and": lambda depth: " and ".join(["true"] * depth),
+    "let": lambda depth: "let x : integer = 1 " * (depth - 1) + "true",
+}
+
+
+@pytest.mark.parametrize("nesting", sorted(NESTINGS))
+def test_deepest_allowed_invariant_is_checked_printed_and_evaluated(nesting, g1, tg_sigma1):
+    doc = parse_constraints("context Spool inv deep: " + NESTINGS[nesting](MAX_DEPTH))
+    assert evaluate(doc, g1, tg_sigma1).all_passed
+    assert parse_constraints(format_constraints(doc)) == doc
+
+
+@pytest.mark.parametrize("nesting", sorted(NESTINGS))
+def test_deeper_invariant_is_a_syntax_error_at_its_name(nesting):
+    with pytest.raises(ConstraintSyntaxError, match="nested 201 levels deep") as err:
+        parse_constraints("context Spool\n  inv deep: " + NESTINGS[nesting](MAX_DEPTH + 1))
+    assert (err.value.line, err.value.col) == (2, 7)
+
+
+def test_parentheses_beyond_the_parser_are_a_syntax_error():
+    assert parse_constraints("context Spool inv p: " + "(" * 50 + "true" + ")" * 50).invariants
+    with pytest.raises(ConstraintSyntaxError, match="nested too deeply"):
+        parse_constraints("context Spool inv p: " + "(" * 100_000 + "true" + ")" * 100_000)
 
 
 IV1_ORACLE_DOC = "context Spool inv iv1: self.bChld->forAll(c | c.oclIsTypeOf(BSite) or c.oclIsTypeOf(Job))"
