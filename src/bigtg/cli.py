@@ -55,11 +55,7 @@ def cmd_metamodel(args: argparse.Namespace) -> int:
 
 
 def cmd_encode(args: argparse.Namespace) -> int:
-    b = fileio.load_bigraph(args.bigraph)
-    rep = validate_bigraph(b)
-    if not rep.ok:
-        return _finish(rep)
-    g, _ = encode(b)
+    g, _ = encode(fileio.load_bigraph(args.bigraph))  # InvalidBigraph is handled in main
     fileio.save(g, args.output)
     return EXIT_OK
 

@@ -545,9 +545,11 @@ def _check_expr(expr: Expr, env: Mapping[str, tuple], tg: TypeGraph) -> tuple:
             raise TypeCheckError(f"navigation {expr.edge!r} over a non-object")
         if expr.edge not in tg.edge_types:
             raise TypeCheckError(f"unknown edge type {expr.edge!r}")
-        if not conforms(tg, ot[1], tg.graph.src[expr.edge]):
+        source, target = tg.graph.src.get(expr.edge), tg.graph.tgt.get(expr.edge)
+        if source not in tg.node_types or target not in tg.node_types:
+            raise TypeCheckError(f"edge type {expr.edge!r} lacks a node type as src or tgt")
+        if not conforms(tg, ot[1], source):
             raise TypeCheckError(f"edge type {expr.edge!r} not applicable to {ot[1]!r}")
-        target = tg.graph.tgt[expr.edge]
         upper = tg.mult[expr.edge].ub if expr.edge in tg.mult else None
         return ("obj", target) if upper == 1 else ("coll", target)
     if isinstance(expr, (IsTypeOf, AsType)):
@@ -608,7 +610,9 @@ def _check_expr(expr: Expr, env: Mapping[str, tuple], tg: TypeGraph) -> tuple:
 
 
 def typecheck(doc: ConstraintDoc, tg: TypeGraph) -> None:
-    """Raise :class:`TypeCheckError` if the document does not fit ``tg``."""
+    """Raise :class:`TypeCheckError` if the document does not fit ``tg``,
+    including a navigation along an edge type that lacks a node type as
+    ``src`` or ``tgt``."""
     for inv in doc.invariants:
         if inv.context_type not in tg.node_types:
             raise TypeCheckError(f"unknown context type {inv.context_type!r} in {inv.name}")

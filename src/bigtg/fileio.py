@@ -362,9 +362,10 @@ def _instancegraph_payload(g: InstanceGraph) -> dict:
         node_entries.append({"attrs": attrs, "id": n, "type": g.node_types.get(n)})
     edge_entries = []
     for e in sorted(g.graph.edges):
-        edge_entries.append(
-            {"id": e, "src": g.graph.src[e], "tgt": g.graph.tgt[e], "type": g.edge_types.get(e)}
-        )
+        s, t = g.graph.src.get(e), g.graph.tgt.get(e)
+        if s is None or t is None:
+            raise ValueError(f"edge {e} has no {'src' if s is None else 'tgt'}")
+        edge_entries.append({"id": e, "src": s, "tgt": t, "type": g.edge_types.get(e)})
     return {"edges": edge_entries, "nodes": node_entries}
 
 
@@ -461,7 +462,10 @@ def _canonical_json(value: Any, pad: str = "\n") -> str:
 
 
 def dumps_canonical(value: object) -> str:
-    """Canonical envelope text for any supported value."""
+    """Canonical envelope text for any supported value. Raises
+    ``ValueError("edge <e> has no src")`` (or ``tgt``) for an instance
+    graph with an edge that lacks an end, naming the smallest such edge,
+    since the format has no way to write it."""
     for kind, (module, cls, _, serialize) in _KINDS.items():
         if isinstance(value, getattr(import_module(f".{module}", __package__), cls)):
             doc = {"formatVersion": FORMAT_VERSION, "kind": kind, "payload": serialize(value)}
@@ -528,6 +532,8 @@ def save(value: object, path: str) -> None:
     The text goes to a new file beside ``path`` that then replaces it, so
     a save that fails leaves an existing file at ``path`` as it was. A
     symlink or device at ``path`` is replaced too, not written through.
+    A value that :func:`dumps_canonical` refuses raises its ``ValueError``
+    before any file is made.
     """
     text = dumps_canonical(value)
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"

@@ -143,15 +143,19 @@ def extend_for_signature(sig: Signature) -> TypeGraph:
 
 
 def check_arity_rule(g: InstanceGraph, tg: TypeGraph, sig: Signature) -> ValidationReport:
-    """Every node typed by a control must own exactly ``arity`` port edges."""
+    """Every node typed by a control must own exactly ``arity`` port edges.
+
+    Cost: one pass over the nodes in sorted order; each port count is one
+    read of ``g.out_index``."""
     control_types = {c for c in sig.names if c in tg.node_types}
     findings: list[Finding] = []
+    out_index = g.out_index
     for n in sorted(g.graph.nodes):
         t = g.node_types.get(n)
         if t not in control_types:
             continue
         want = sig.arity(t)
-        got = len(outgoing(g, n, "bPorts"))
+        got = len(out_index.get((n, "bPorts"), ()))
         if got != want:
             findings.append(
                 Finding(

@@ -10,9 +10,12 @@ the structural rules can fail.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from itertools import compress, repeat
+from operator import is_not, itemgetter
+from typing import Any, Callable, Collection, Hashable, Iterable, Mapping
 
 from .report import Finding, ValidationReport, report_from
 
@@ -240,6 +243,25 @@ def opposite_of(tg: TypeGraph, edge_type: str) -> str | None:
     return tg._opposite.get(edge_type)
 
 
+def walk_suspects(
+    elements: Collection[Any], keys: Iterable[Hashable], check: Callable[[Any], list[Finding]]
+) -> list[Finding]:
+    """The findings of ``check`` on every element, in sorted element order.
+
+    ``keys`` holds one shape key per element, in the iteration order of
+    ``elements`` (iterated again in that order), and must
+    determine whether ``check`` flags the element.
+    ``check`` runs on one element of each distinct key, and then on every
+    element of the keys it flagged. A clean graph thus costs C-level passes
+    over its elements plus one ``check`` per distinct shape.
+    """
+    keys = list(keys)
+    bad = {key for key, el in dict(zip(keys, elements)).items() if check(el)}
+    if not bad:
+        return []
+    return [f for el in sorted(compress(elements, map(bad.__contains__, keys))) for f in check(el)]
+
+
 def check_type_graph(tg: TypeGraph) -> ValidationReport:
     """Well-formedness of a type graph itself (not of its instances)."""
     findings: list[Finding] = []
@@ -304,22 +326,24 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     compatibility under subtyping, and attribute conformance. An edge
     whose type lacks a node type as ``src`` or ``tgt`` (which
     ``check_type_graph`` reports as ``tg-edge-ends``) is reported as
-    ``typing-type-ends``, and that end of the edge is not checked."""
-    findings: list[Finding] = []
+    ``typing-type-ends``, and that end of the edge is not checked.
 
-    def flag(code: str, location: str, message: str) -> None:
-        findings.append(Finding(code, location, message))
+    Cost: C-level passes compute a shape key per element (a node's type;
+    an edge's type, the types of its ends and whether each end is a node;
+    an attribute's owner type, name and value class), the rules run once
+    per distinct key, and only the elements of a failing key are sorted
+    and walked (see :func:`walk_suspects`)."""
+    nodes, nt = g.graph.nodes, g.node_types
 
-    for n in sorted(g.graph.nodes):
-        t = g.node_types.get(n)
+    def check_node(n: str) -> list[Finding]:
+        t = nt.get(n)
         if t is None:
-            flag("typing-total", n, "node has no type")
-        elif t not in tg.node_types:
-            flag("typing-unknown-type", n, f"node typed by unknown type {t!r}")
-        elif t in tg.abstracts:
-            flag("typing-abstract", n, f"abstract type {t!r} instantiated")
-    for n in sorted(set(g.node_types) - set(g.graph.nodes)):
-        flag("typing-domain", n, "typing entry for unknown node")
+            return [Finding("typing-total", n, "node has no type")]
+        if t not in tg.node_types:
+            return [Finding("typing-unknown-type", n, f"node typed by unknown type {t!r}")]
+        if t in tg.abstracts:
+            return [Finding("typing-abstract", n, f"abstract type {t!r} instantiated")]
+        return []
 
     # The declared src and tgt of each edge type, None where no node type;
     # conformance is decided once per (end type, declared type) pair.
@@ -328,58 +352,76 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
         for te in tg.edge_types
     }
     conforming: dict[tuple[str, str], bool] = {}
-    for e in sorted(g.graph.edges):
+
+    def check_edge(e: str) -> list[Finding]:
+        findings: list[Finding] = []
         for role, mapping in (("src", g.graph.src), ("tgt", g.graph.tgt)):
             end = mapping.get(e)
             if end is None:
-                flag("typing-edge-ends", f"{role}[{e}]", "edge has no " + role)
-            elif end not in g.graph.nodes:
-                flag("typing-edge-ends", f"{role}[{e}]", f"edge {role} {end!r} is not a node")
+                findings.append(Finding("typing-edge-ends", f"{role}[{e}]", "edge has no " + role))
+            elif end not in nodes:
+                findings.append(Finding("typing-edge-ends", f"{role}[{e}]", f"edge {role} {end!r} is not a node"))
         te = g.edge_types.get(e)
         if te is None:
-            flag("typing-total", e, "edge has no type")
-            continue
+            return findings + [Finding("typing-total", e, "edge has no type")]
         if te not in tg.edge_types:
-            flag("typing-unknown-type", e, f"edge typed by unknown type {te!r}")
-            continue
+            return findings + [Finding("typing-unknown-type", e, f"edge typed by unknown type {te!r}")]
         decl_src, decl_tgt = decls[te]
         if decl_src is None or decl_tgt is None:
-            flag("typing-type-ends", e, f"edge type {te!r} lacks a node type as src or tgt")
+            findings.append(Finding("typing-type-ends", e, f"edge type {te!r} lacks a node type as src or tgt"))
         for role, end, decl in (
             ("source", g.graph.src.get(e), decl_src),
             ("target", g.graph.tgt.get(e), decl_tgt),
         ):
-            t_end = g.node_types.get(end) if end is not None else None
+            t_end = nt.get(end) if end is not None else None
             if decl is None or t_end is None or t_end not in tg.node_types:
                 continue  # reported on the edge above, or on the node
             ok = conforming.get((t_end, decl))
             if ok is None:
                 ok = conforming[t_end, decl] = conforms(tg, t_end, decl)
             if not ok:
-                flag(
-                    "typing-" + ("source" if role == "source" else "target"),
-                    e,
-                    f"{role} type {t_end!r} incompatible with {te!r} (expects {decl!r})",
+                findings.append(
+                    Finding(
+                        "typing-" + ("source" if role == "source" else "target"),
+                        e,
+                        f"{role} type {t_end!r} incompatible with {te!r} (expects {decl!r})",
+                    )
                 )
-    for e in sorted(set(g.edge_types) - set(g.graph.edges)):
-        flag("typing-domain", e, "typing entry for unknown edge")
+        return findings
 
     attr_decls: dict[str, dict[str, str]] = {}
-    for (n, a), v in sorted(g.attrs.items()):
-        t = g.node_types.get(n)
+
+    def check_attr(item: tuple[tuple[str, str], int | str]) -> list[Finding]:
+        (n, a), v = item
+        t = nt.get(n)
         if t is None or t not in tg.node_types:
-            continue
+            return []
         decls = attr_decls.get(t)
         if decls is None:
             decls = attr_decls[t] = declared_attrs(tg, t)
         if a not in decls:
-            flag("attr-undeclared", f"{n}.{a}", f"attribute {a!r} not declared for type {t!r}")
-        elif decls[a] == "int" and (isinstance(v, bool) or not isinstance(v, int)):
-            flag("attr-type", f"{n}.{a}", "attribute value is not an int")
-        elif decls[a] == "string" and not isinstance(v, str):
-            flag("attr-type", f"{n}.{a}", "attribute value is not a string")
+            return [Finding("attr-undeclared", f"{n}.{a}", f"attribute {a!r} not declared for type {t!r}")]
+        if decls[a] == "int" and (isinstance(v, bool) or not isinstance(v, int)):
+            return [Finding("attr-type", f"{n}.{a}", "attribute value is not an int")]
+        if decls[a] == "string" and not isinstance(v, str):
+            return [Finding("attr-type", f"{n}.{a}", "attribute value is not a string")]
+        return []
 
-    return report_from(findings)
+    edges, is_node = g.graph.edges, nodes.__contains__
+    srcs, tgts = list(map(g.graph.src.get, edges)), list(map(g.graph.tgt.get, edges))
+    edge_keys = zip(
+        map(g.edge_types.get, edges), map(nt.get, srcs), map(nt.get, tgts), map(is_node, srcs), map(is_node, tgts)
+    )
+    attr_keys = zip(
+        map(nt.get, map(itemgetter(0), g.attrs)), map(itemgetter(1), g.attrs), map(type, g.attrs.values())
+    )
+    return report_from(
+        walk_suspects(nodes, map(nt.get, nodes), check_node)
+        + [Finding("typing-domain", n, "typing entry for unknown node") for n in sorted(nt.keys() - nodes)]
+        + walk_suspects(edges, edge_keys, check_edge)
+        + [Finding("typing-domain", e, "typing entry for unknown edge") for e in sorted(g.edge_types.keys() - edges)]
+        + walk_suspects(g.attrs.items(), attr_keys, check_attr)
+    )
 
 
 def _cycles(succ: Mapping[str, list[str]]) -> list[list[str]]:
@@ -423,42 +465,74 @@ def _opposite_groups(g: InstanceGraph, tg: TypeGraph) -> dict[tuple[str, str, st
     return groups
 
 
+def _reaches_cycle(up: dict[str, str]) -> bool:
+    """Whether following ``up`` (each key to its one successor) from some
+    key never stops. Pointer jumping: each round maps every key to the
+    successor of its successor and drops the keys whose chain has ended,
+    so a forest of depth d empties in about log2(d) C-level rounds, and a
+    round that drops nothing has found a cycle."""
+    while up:
+        far = list(map(up.get, up.values()))
+        kept = list(compress(zip(up, far), map(is_not, far, repeat(None))))
+        if len(kept) == len(up):
+            return True
+        up = dict(kept)
+    return False
+
+
 def check_validity(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     """Containment acyclicity, unique containers, and opposite-edge
     consistency. Meant for graphs that pass ``check_typing``; edges with a
-    missing end are skipped here (``check_typing`` reports them)."""
+    missing end are skipped here (``check_typing`` reports them).
+
+    Cost: C-level passes map each contained node to its container and
+    count the edges of each ``(type, src, tgt)``. When no node has two
+    containers, pointer jumping (:func:`_reaches_cycle`) rules cycles out
+    without a search, and when every count equals that of its mirrored
+    opposite key, no pair is inconsistent. Only otherwise are the
+    containment edges searched, or every key walked, in sorted order."""
     findings: list[Finding] = []
 
     def flag(code: str, location: str, message: str) -> None:
         findings.append(Finding(code, location, message))
 
-    succ: dict[str, list[str]] = {}
-    containers_of: dict[str, list[str]] = {}
-    for e in sorted(g.graph.edges):
-        s, t = g.graph.src.get(e), g.graph.tgt.get(e)
-        if g.edge_types.get(e) in tg.containments and s is not None and t is not None:
-            succ.setdefault(s, []).append(t)
-            containers_of.setdefault(t, []).append(s)
-    for cycle in _cycles(succ):
-        flag("containment-cycle", cycle[0], "containment cycle through " + ", ".join(sorted(set(cycle))))
-
-    for n in sorted(g.graph.nodes):
-        containers = sorted(containers_of.get(n, ()))
-        if len(containers) > 1:
-            flag("multi-container", n, "node has more than one container: " + ", ".join(containers))
+    edges, src, tgt = g.graph.edges, g.graph.src, g.graph.tgt
+    contained = list(compress(edges, map(tg.containments.__contains__, map(g.edge_types.get, edges))))
+    up = dict(zip(map(tgt.get, contained), map(src.get, contained)))
+    if len(up) < len(contained) or _reaches_cycle(up):
+        succ: dict[str, list[str]] = {}
+        containers_of: dict[str, list[str]] = {}
+        for e in sorted(contained):
+            s, t = src.get(e), tgt.get(e)
+            if s is not None and t is not None:
+                succ.setdefault(s, []).append(t)
+                containers_of.setdefault(t, []).append(s)
+        for cycle in _cycles(succ):
+            flag("containment-cycle", cycle[0], "containment cycle through " + ", ".join(sorted(set(cycle))))
+        for n in sorted(n for n, containers in containers_of.items() if len(containers) > 1 and n in g.graph.nodes):
+            flag("multi-container", n, "node has more than one container: " + ", ".join(sorted(containers_of[n])))
 
     # Opposite consistency: for both directions of each pair, the number
-    # of t1 edges a->b must equal the number of t2 edges b->a.
-    groups = _opposite_groups(g, tg)
+    # of t1 edges a->b must equal the number of t2 edges b->a. Keys with a
+    # missing end are counted but never reported.
+    opposite = tg._opposite
+    paired = list(compress(edges, map(opposite.__contains__, map(g.edge_types.get, edges))))
+    types, srcs, tgts = list(map(g.edge_types.get, paired)), list(map(src.get, paired)), list(map(tgt.get, paired))
+    counts = Counter(zip(types, srcs, tgts))
+    mirrored = Counter(zip(map(opposite.get, types), tgts, srcs))
+    # Equal counts leave every pair consistent, whatever the opposites are.
+    # Counter's own == runs in Python; no count is zero, so dict's is exact.
+    if dict.__eq__(counts, mirrored):
+        return report_from(findings)
     seen: set[tuple[str, str, str]] = set()
-    for (te, s, t), edges in sorted(groups.items()):
+    for te, s, t in sorted(key for key in counts if key[1] is not None and key[2] is not None):
         rev = (opposite_of(tg, te), t, s)
         key = min((te, s, t), rev)  # process each unordered pair once
         if key in seen:
             continue
         seen.add(key)
-        fwd_count = len(edges)
-        rev_count = len(groups.get(rev, ()))
+        fwd_count = counts[te, s, t]
+        rev_count = counts.get(rev, 0)
         if fwd_count != rev_count:
             flag(
                 "opposite-inconsistent",
@@ -490,7 +564,11 @@ def pair_opposites(g: InstanceGraph, tg: TypeGraph) -> dict[str, str]:
 def check_multiplicities(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     """Per-source-node bounds on outgoing edges of each applicable type.
     Edge types without a multiplicity, or without a node type as ``src``,
-    are skipped (``check_type_graph`` reports them)."""
+    are skipped (``check_type_graph`` reports them).
+
+    Cost: one pass over the nodes in sorted order; the bounds that apply
+    to a node type are found once per type, and each count is one read
+    of ``g.out_index``."""
     findings: list[Finding] = []
     bounded = [te for te in sorted(tg.edge_types) if te in tg.mult and tg.graph.src.get(te) in tg.node_types]
     # The bounded edge types that apply to each node type, with their bounds.

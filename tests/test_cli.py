@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from bigtg import FeatureConfig, encode, fileio
+from bigtg import FeatureConfig, encode, fileio, validate_bigraph
 from bigtg.cli import main
 
 DIAG_LINE = re.compile(r"^(error|warning) \S+ \S+ .+$")
@@ -67,6 +67,17 @@ def test_validate_bad_bigraph_diagnostics(fixtures_dir, capsys):
     assert lines
     assert all(DIAG_LINE.match(line) for line in lines)
     assert any("parent-cycle" in line for line in lines)
+
+
+def test_encode_invalid_bigraph_reports_its_findings(fixtures_dir, tmp_path, capsys):
+    bad = fx(fixtures_dir, "corpus/bad.bg.json")
+    out = tmp_path / "bad.ig.json"
+    code, _, err = run(capsys, "encode", bad, "-o", str(out))
+    assert code == 1
+    assert not out.exists()
+    assert err == "".join(f.line() + "\n" for f in validate_bigraph(fileio.load_bigraph(bad)).findings)
+    assert err == "error parent-cycle prnt[u] parent map cycle through u\n"
+    assert run(capsys, "validate", bad) == (1, "", err)
 
 
 def test_validate_needs_tg_or_sig_for_instance(fixtures_dir, capsys):

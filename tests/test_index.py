@@ -94,6 +94,10 @@ def ref_dumps(g: InstanceGraph) -> str:
         }
         for n in sorted(g.graph.nodes)
     ]
+    for e in sorted(g.graph.edges):
+        for role, ends in (("src", g.graph.src), ("tgt", g.graph.tgt)):
+            if ends.get(e) is None:
+                raise ValueError(f"edge {e} has no {role}")
     edges = [
         {"id": e, "src": g.graph.src[e], "tgt": g.graph.tgt[e], "type": g.edge_types.get(e)}
         for e in sorted(g.graph.edges)

@@ -1,12 +1,19 @@
-"""``check_soundness`` and ``evaluate`` on encodings whose edges lack an end.
+"""The layers on encodings whose edges lack an end, and on type graphs
+whose edge types lack one.
 
 Such an edge is a typing defect (``check_typing`` reports it as
-``typing-edge-ends``); the other layers must still answer with findings
-or their declared exception, never a ``KeyError``.
+``typing-edge-ends``), and such an edge type a type-graph defect
+(``tg-edge-ends``); the other layers must still answer with findings or
+their declared exception, never a ``KeyError``.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import tempfile
+
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -14,13 +21,16 @@ from bigtg import (
     EvaluationError,
     Graph,
     InstanceGraph,
+    TypeCheckError,
     ValidationReport,
     check_soundness,
     check_typing,
     encode,
     evaluate,
     extend_for_signature,
+    fileio,
     parse_constraints,
+    typecheck,
 )
 
 from helpers import mutated_encodings
@@ -67,3 +77,54 @@ def test_soundness_and_evaluate_are_total_on_missing_ends(case):
         evaluate(BASE_CONSTRAINTS, g, tg)
     except EvaluationError:
         pass
+
+
+@given(encodings_lacking_ends())
+@settings(max_examples=60, deadline=None)
+def test_save_refuses_an_edge_without_an_end(case):
+    g, _ = case
+    lacking = min(e for e in g.graph.edges if g.graph.src.get(e) is None or g.graph.tgt.get(e) is None)
+    message = f"edge {lacking} has no {'src' if g.graph.src.get(lacking) is None else 'tgt'}"
+    with pytest.raises(ValueError) as dumped:
+        fileio.dumps_canonical(g)
+    assert str(dumped.value) == message
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "g.ig.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("kept")
+        with pytest.raises(ValueError) as saved:
+            fileio.save(g, path)
+        assert str(saved.value) == message
+        assert os.listdir(d) == ["g.ig.json"]
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == "kept"
+
+
+@st.composite
+def type_graphs_lacking_ends(draw):
+    """The signature's type graph with 1 to 3 edge-type ends deleted or
+    set to a name that is no node type, with the edge types so broken."""
+    g, b = draw(mutated_encodings())
+    tg = extend_for_signature(b.signature)
+    src, tgt = dict(tg.graph.src), dict(tg.graph.tgt)
+    broken = set()
+    for e in draw(st.lists(st.sampled_from(sorted(tg.edge_types)), min_size=1, max_size=3)):
+        ends = draw(st.sampled_from((src, tgt)))
+        if draw(st.booleans()):
+            ends.pop(e, None)
+        else:
+            ends[e] = "Ghost"
+        broken.add(e)
+    graph = Graph(nodes=tg.graph.nodes, edges=tg.graph.edges, src=src, tgt=tgt)
+    return g, dataclasses.replace(tg, graph=graph), broken
+
+
+@given(type_graphs_lacking_ends())
+@settings(max_examples=100, deadline=None)
+def test_typecheck_names_an_edge_type_without_an_end(case):
+    g, tg, broken = case
+    with pytest.raises(TypeCheckError) as exc:
+        typecheck(BASE_CONSTRAINTS, tg)
+    assert any(f"edge type {e!r} lacks a node type as src or tgt" == str(exc.value) for e in broken)
+    with pytest.raises(TypeCheckError):
+        evaluate(BASE_CONSTRAINTS, g, tg)
