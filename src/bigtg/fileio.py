@@ -13,6 +13,7 @@ import json
 import os
 from functools import partial
 from importlib import import_module
+from itertools import groupby, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Container
@@ -129,13 +130,67 @@ def _known(value: Any, known: Container[str], fault: str, *at: str | int) -> str
 
 
 # ---------------------------------------------------------------------------
+# Canonical text: ``json.dumps(value, indent=2, sort_keys=True)``, built by
+# joining. With ``indent`` set, ``json`` falls back to its pure-Python
+# encoder, which took most of the time of saving a large graph. ``pad`` is
+# a newline and the indentation of the line a value starts on.
+
+_P2, _P4, _P8, _P10 = "\n  ", "\n    ", "\n        ", "\n          "
+
+
+def _join(texts: list[str], pad: str, brackets: str) -> str:
+    """An array or object (by ``brackets``) of items printed already."""
+    if not texts:
+        return brackets
+    inner = pad + "  "
+    return brackets[0] + inner + ("," + inner).join(texts) + pad + brackets[1]
+
+
+def _leaves(values: list, pad: str) -> list[str]:
+    """The text of each value: one C-level pass over a column of strings or
+    of plain integers, ``_canonical_json`` per value otherwise (``bool`` is
+    an ``int`` to ``int.__repr__``, but not to ``json``)."""
+    try:
+        return list(map(encode_basestring_ascii, values))
+    except TypeError:
+        if set(map(type, values)) <= {int}:
+            return list(map(int.__repr__, values))
+    return [_canonical_json(v, pad) for v in values]
+
+
+def _canonical_json(value: Any, pad: str = "\n") -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        parts = []
+        for k in sorted(value):
+            v = value[k]
+            key = encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))
+            text = encode_basestring_ascii(v) if isinstance(v, str) else _canonical_json(v, inner)
+            parts.append(f"{key}: {text}")
+        return _join(parts, pad, "{}")
+    if isinstance(value, (list, tuple)):
+        items = [encode_basestring_ascii(v) if isinstance(v, str) else _canonical_json(v, inner) for v in value]
+        return _join(items, pad, "[]")
+    return json.dumps(value)
+
+
+def _refuse_missing(what: str, ids: list, **columns: list) -> None:
+    """``ValueError`` naming the first of ``ids`` with ``None`` in a column:
+    the format has no way to write it."""
+    if any(None in column for column in columns.values()):
+        name, *values = next(row for row in zip(ids, *columns.values()) if None in row[1:])
+        raise ValueError(f"{what} {name} has no {list(columns)[values.index(None)]}")
+
+
+# ---------------------------------------------------------------------------
 # Signature
 
 
-def _signature_payload(sig: Signature) -> dict:
-    return {
-        "controls": [{"arity": sig.arity(c.name), "name": c.name} for c in sig.controls]
-    }
+def _signature_text(sig: Signature, pad: str = _P2) -> str:
+    controls = [{"arity": sig.arity(c.name), "name": c.name} for c in sig.controls]
+    return _canonical_json({"controls": controls}, pad)
 
 
 def _read_signature(payload: Any) -> Signature:
@@ -160,24 +215,34 @@ def _interface_payload(iface: Interface) -> dict:
     return {"names": sorted(iface.names), "width": iface.width}
 
 
-def _bigraph_payload(b: Bigraph) -> dict:
-    prnt_entries = []
-    for child in sorted(b.prnt, key=lambda p: (isinstance(p, str), str(p))):
-        prnt_entries.append([child, b.prnt[child]])
-    link_entries = []
-    for point in sorted(b.link, key=lambda p: (isinstance(p, Port), str(p))):
-        ref = [point.node, point.index] if isinstance(point, Port) else point
-        link_entries.append([ref, b.link[point]])
-    return {
-        "ctrl": {v: b.ctrl[v] for v in sorted(b.ctrl)},
-        "edges": sorted(b.edges),
-        "inner": _interface_payload(b.inner),
-        "link": link_entries,
-        "nodes": sorted(b.nodes),
-        "outer": _interface_payload(b.outer),
-        "prnt": prnt_entries,
-        "signature": _signature_payload(b.signature),
-    }
+_PAIR = "[\n        %s,\n        %s\n      ]"
+_PORT = "[\n          %s,\n          %s\n        ]"
+_BIGRAPH = (
+    '{\n    "ctrl": %s,\n    "edges": %s,\n    "inner": %s,\n    "link": %s,\n'
+    '    "nodes": %s,\n    "outer": %s,\n    "prnt": %s,\n    "signature": %s\n  }'
+)
+
+
+def _bigraph_text(b: Bigraph) -> str:
+    """Parents in the order of ``(isinstance(child, str), str(child))``;
+    inner names, then ports in the order of ``str(port)``, so that index 10
+    comes before index 2."""
+    children = sorted(b.prnt, key=lambda p: (isinstance(p, str), str(p)))
+    names = sorted((p for p in b.link if not isinstance(p, Port)), key=str)
+    ports = sorted((p for p in b.link if isinstance(p, Port)), key="Port(node=%r, index=%r)".__mod__)
+    refs = map(_PORT.__mod__, zip(*(_leaves(list(map(itemgetter(i), ports)), _P10) for i in (0, 1))))
+    link = zip([*_leaves(names, _P8), *refs], _leaves(list(map(b.link.get, names + ports)), _P8))
+    prnt = zip(_leaves(children, _P8), _leaves(list(map(b.prnt.get, children)), _P8))
+    return _BIGRAPH % (
+        _canonical_json(b.ctrl, _P4),
+        _canonical_json(sorted(b.edges), _P4),
+        _canonical_json(_interface_payload(b.inner), _P4),
+        _join(list(map(_PAIR.__mod__, link)), _P4, "[]"),
+        _canonical_json(sorted(b.nodes), _P4),
+        _canonical_json(_interface_payload(b.outer), _P4),
+        _join(list(map(_PAIR.__mod__, prnt)), _P4, "[]"),
+        _signature_text(b.signature, _P4),
+    )
 
 
 def _read_interface(value: Any) -> Interface:
@@ -247,7 +312,7 @@ def _mult_payload(m: Multiplicity) -> dict:
     return {"lower": m.lb, "upper": "*" if m.ub is None else m.ub}
 
 
-def _typegraph_payload(tg: TypeGraph) -> dict:
+def _typegraph_text(tg: TypeGraph) -> str:
     node_entries = []
     for t in sorted(tg.graph.nodes):
         node_entries.append(
@@ -257,24 +322,21 @@ def _typegraph_payload(tg: TypeGraph) -> dict:
                 "name": t,
             }
         )
-    edge_entries = []
-    for e in sorted(tg.graph.edges):
-        edge_entries.append(
-            {
-                "containment": e in tg.containments,
-                "mult": _mult_payload(tg.mult[e]),
-                "name": e,
-                "src": tg.graph.src[e],
-                "tgt": tg.graph.tgt[e],
-            }
-        )
+    edges = sorted(tg.graph.edges)
+    src, tgt, mult = (list(map(ends.get, edges)) for ends in (tg.graph.src, tg.graph.tgt, tg.mult))
+    _refuse_missing("edge type", edges, src=src, tgt=tgt, mult=mult)
+    edge_entries = [
+        {"containment": e in tg.containments, "mult": _mult_payload(m), "name": e, "src": s, "tgt": t}
+        for e, s, t, m in zip(edges, src, tgt, mult)
+    ]
     opposite_pairs = sorted({tuple(sorted(p)) for p in tg.opposites})
-    return {
+    payload = {
         "edgeTypes": edge_entries,
         "inherits": [list(p) for p in sorted(tg.inherits)],
         "nodeTypes": node_entries,
         "opposites": [list(p) for p in opposite_pairs],
     }
+    return _canonical_json(payload, _P2)
 
 
 def _read_mult(value: Any) -> Multiplicity:
@@ -355,18 +417,34 @@ def _read_typegraph(payload: Any) -> TypeGraph:
 # Instance graph
 
 
-def _instancegraph_payload(g: InstanceGraph) -> dict:
-    node_entries = []
-    for n in sorted(g.graph.nodes):
-        attrs = dict(sorted(g.attr_index.get(n, {}).items()))
-        node_entries.append({"attrs": attrs, "id": n, "type": g.node_types.get(n)})
-    edge_entries = []
-    for e in sorted(g.graph.edges):
-        s, t = g.graph.src.get(e), g.graph.tgt.get(e)
-        if s is None or t is None:
-            raise ValueError(f"edge {e} has no {'src' if s is None else 'tgt'}")
-        edge_entries.append({"id": e, "src": s, "tgt": t, "type": g.edge_types.get(e)})
-    return {"edges": edge_entries, "nodes": node_entries}
+_EDGE = '{\n        "id": %s,\n        "src": %s,\n        "tgt": %s,\n        "type": %s\n      }'
+_NODE = '{\n        "attrs": %s,\n        "id": %s,\n        "type": %s\n      }'
+
+
+def _instancegraph_text(g: InstanceGraph) -> str:
+    """Each column (ids, ends, types, attribute names and values) is printed
+    in one pass, and each entry is its template filled from the columns."""
+    edges = sorted(g.graph.edges)
+    src, tgt = list(map(g.graph.src.get, edges)), list(map(g.graph.tgt.get, edges))
+    _refuse_missing("edge", edges, src=src, tgt=tgt)
+    orphans = set(map(itemgetter(0), g.attrs)) - g.graph.nodes
+    if orphans:
+        n, a = min(key for key in g.attrs if key[0] in orphans)
+        raise ValueError(f"attribute {a} of {n} has no node")
+    keys = sorted(g.attrs)
+    # ``json`` quotes its text of a key that is no string.
+    names = _leaves([a if isinstance(a, str) else json.dumps(a) for _, a in keys], _P10)
+    values = _leaves(list(map(g.attrs.get, keys)), _P10)
+    members = zip(map(itemgetter(0), keys), map("%s: %s".__mod__, zip(names, values)))
+    attrs = {n: _join(list(map(itemgetter(1), group)), _P8, "{}") for n, group in groupby(members, itemgetter(0))}
+    nodes = sorted(g.graph.nodes)
+    node_types, edge_types = list(map(g.node_types.get, nodes)), list(map(g.edge_types.get, edges))
+    node_entries = zip(map(attrs.get, nodes, repeat("{}")), _leaves(nodes, _P8), _leaves(node_types, _P8))
+    edge_entries = zip(_leaves(edges, _P8), _leaves(src, _P8), _leaves(tgt, _P8), _leaves(edge_types, _P8))
+    return '{\n    "edges": %s,\n    "nodes": %s\n  }' % (
+        _join(list(map(_EDGE.__mod__, edge_entries)), _P4, "[]"),
+        _join(list(map(_NODE.__mod__, node_entries)), _P4, "[]"),
+    )
 
 
 def _read_instancegraph(payload: Any) -> InstanceGraph:
@@ -409,8 +487,8 @@ def _read_instancegraph(payload: Any) -> InstanceGraph:
 # Feature configuration
 
 
-def _featureconfig_payload(cfg: FeatureConfig) -> dict:
-    return {"selected": sorted(cfg.selected)}
+def _featureconfig_text(cfg: FeatureConfig) -> str:
+    return _canonical_json({"selected": sorted(cfg.selected)}, _P2)
 
 
 def _read_featureconfig(payload: Any) -> FeatureConfig:
@@ -425,51 +503,29 @@ def _read_featureconfig(payload: Any) -> FeatureConfig:
 
 #: Each kind's value class (as module and name, looked up on first use, so
 #: that only feature configurations load ``variability``), payload reader
-#: and payload writer.
-_KINDS: dict[str, tuple[str, str, Callable[[Any], object], Callable[[Any], dict]]] = {
-    KIND_SIGNATURE: ("bigraph", "Signature", _read_signature, _signature_payload),
-    KIND_BIGRAPH: ("bigraph", "Bigraph", _read_bigraph, _bigraph_payload),
-    KIND_TYPEGRAPH: ("typedgraph", "TypeGraph", _read_typegraph, _typegraph_payload),
-    KIND_INSTANCEGRAPH: ("typedgraph", "InstanceGraph", _read_instancegraph, _instancegraph_payload),
-    KIND_FEATURECONFIG: ("variability", "FeatureConfig", _read_featureconfig, _featureconfig_payload),
+#: and payload writer. A writer returns the payload's canonical text at the
+#: envelope's indentation, not a payload value.
+_KINDS: dict[str, tuple[str, str, Callable[[Any], object], Callable[[Any], str]]] = {
+    KIND_SIGNATURE: ("bigraph", "Signature", _read_signature, _signature_text),
+    KIND_BIGRAPH: ("bigraph", "Bigraph", _read_bigraph, _bigraph_text),
+    KIND_TYPEGRAPH: ("typedgraph", "TypeGraph", _read_typegraph, _typegraph_text),
+    KIND_INSTANCEGRAPH: ("typedgraph", "InstanceGraph", _read_instancegraph, _instancegraph_text),
+    KIND_FEATURECONFIG: ("variability", "FeatureConfig", _read_featureconfig, _featureconfig_text),
 }
 
-
-def _canonical_json(value: Any, pad: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, built by joining:
-    with ``indent`` set, ``json`` falls back to its pure-Python encoder,
-    which took most of the time of saving a large graph."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = pad + "  "
-        parts = []
-        for k in sorted(value):
-            v = value[k]
-            key = encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))
-            text = encode_basestring_ascii(v) if isinstance(v, str) else _canonical_json(v, inner)
-            parts.append(f"{inner}{key}: {text}")
-        return "{" + ",".join(parts) + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = pad + "  "
-        items = [encode_basestring_ascii(v) if isinstance(v, str) else _canonical_json(v, inner) for v in value]
-        return "[" + ",".join(inner + item for item in items) + pad + "]"
-    return json.dumps(value)
+_ENVELOPE = '{\n  "formatVersion": "%s",\n  "kind": "%s",\n  "payload": %s\n}\n'
 
 
 def dumps_canonical(value: object) -> str:
-    """Canonical envelope text for any supported value. Raises
-    ``ValueError("edge <e> has no src")`` (or ``tgt``) for an instance
-    graph with an edge that lacks an end, naming the smallest such edge,
-    since the format has no way to write it."""
-    for kind, (module, cls, _, serialize) in _KINDS.items():
+    """Canonical envelope text for any supported value, printed by the
+    kind's writer straight from the value. Raises ``ValueError`` for what
+    the format cannot write, naming the smallest offender: ``edge <e> has
+    no src`` (or ``tgt``) and ``attribute <a> of <n> has no node`` in an
+    instance graph, ``edge type <e> has no src`` (or ``tgt``, ``mult``) in
+    a type graph."""
+    for kind, (module, cls, _, write) in _KINDS.items():
         if isinstance(value, getattr(import_module(f".{module}", __package__), cls)):
-            doc = {"formatVersion": FORMAT_VERSION, "kind": kind, "payload": serialize(value)}
-            return _canonical_json(doc) + "\n"
+            return _ENVELOPE % (FORMAT_VERSION, kind, write(value))
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

@@ -1,15 +1,44 @@
-"""Instance-graph surgery used by mutation and property tests, and a
-hypothesis strategy of arbitrarily edited encodings."""
+"""Instance-graph surgery used by mutation and property tests, a
+hypothesis strategy of arbitrarily edited encodings, and shared checks."""
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import random
+import tempfile
 
+import pytest
 from hypothesis import strategies as st
 
-from bigtg import Graph, InstanceGraph, encode
+from bigtg import Graph, InstanceGraph, encode, fileio
 from bigtg.generators import random_bigraph
+
+
+def outcome(fn, *args):
+    """The result of ``fn(*args)``, or the type and message it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return (type(exc).__name__, str(exc))
+
+
+def assert_refused(value, message: str) -> None:
+    """``dumps_canonical`` and ``save`` raise ``ValueError(message)``, and
+    ``save`` leaves the file it would replace as it was, with no temp file."""
+    with pytest.raises(ValueError) as dumped:
+        fileio.dumps_canonical(value)
+    assert str(dumped.value) == message
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("kept")
+        with pytest.raises(ValueError) as saved:
+            fileio.save(value, path)
+        assert str(saved.value) == message
+        assert os.listdir(d) == ["doc.json"]
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == "kept"
 
 
 def drop_edge(g: InstanceGraph, eid: str) -> InstanceGraph:

@@ -25,7 +25,7 @@ from bigtg import (
 from bigtg.typedgraph import incoming, node_attrs, outgoing
 from bigtg.variability import DELTAS, _delete_nodes, eval_formula
 
-from helpers import EDGE_TYPES, add_edge, drop_edge, mutated_encodings, retarget_edge
+from helpers import EDGE_TYPES, add_edge, drop_edge, mutated_encodings, outcome, retarget_edge
 
 
 def ref_outgoing(g: InstanceGraph, n: str, edge_type: str) -> list[str]:
@@ -98,6 +98,9 @@ def ref_dumps(g: InstanceGraph) -> str:
         for role, ends in (("src", g.graph.src), ("tgt", g.graph.tgt)):
             if ends.get(e) is None:
                 raise ValueError(f"edge {e} has no {role}")
+    orphans = sorted(key for key in g.attrs if key[0] not in g.graph.nodes)
+    if orphans:
+        raise ValueError("attribute {1} of {0} has no node".format(*orphans[0]))
     edges = [
         {"id": e, "src": g.graph.src[e], "tgt": g.graph.tgt[e], "type": g.edge_types.get(e)}
         for e in sorted(g.graph.edges)
@@ -108,14 +111,6 @@ def ref_dumps(g: InstanceGraph) -> str:
         "payload": {"edges": edges, "nodes": nodes},
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def outcome(fn, *args):
-    """The result of ``fn(*args)``, or the type and message it raised."""
-    try:
-        return fn(*args)
-    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
-        return (type(exc).__name__, str(exc))
 
 
 @given(mutated_encodings())

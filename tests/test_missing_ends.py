@@ -1,5 +1,5 @@
 """The layers on encodings whose edges lack an end, and on type graphs
-whose edge types lack one.
+whose edge types lack one (or, for saving, a multiplicity).
 
 Such an edge is a typing defect (``check_typing`` reports it as
 ``typing-edge-ends``), and such an edge type a type-graph defect
@@ -10,8 +10,6 @@ their declared exception, never a ``KeyError``.
 from __future__ import annotations
 
 import dataclasses
-import os
-import tempfile
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,12 +26,11 @@ from bigtg import (
     encode,
     evaluate,
     extend_for_signature,
-    fileio,
     parse_constraints,
     typecheck,
 )
 
-from helpers import mutated_encodings
+from helpers import assert_refused, mutated_encodings
 
 #: Navigations along every edge type of the base metamodel.
 BASE_CONSTRAINTS = parse_constraints(
@@ -84,20 +81,7 @@ def test_soundness_and_evaluate_are_total_on_missing_ends(case):
 def test_save_refuses_an_edge_without_an_end(case):
     g, _ = case
     lacking = min(e for e in g.graph.edges if g.graph.src.get(e) is None or g.graph.tgt.get(e) is None)
-    message = f"edge {lacking} has no {'src' if g.graph.src.get(lacking) is None else 'tgt'}"
-    with pytest.raises(ValueError) as dumped:
-        fileio.dumps_canonical(g)
-    assert str(dumped.value) == message
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "g.ig.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("kept")
-        with pytest.raises(ValueError) as saved:
-            fileio.save(g, path)
-        assert str(saved.value) == message
-        assert os.listdir(d) == ["g.ig.json"]
-        with open(path, encoding="utf-8") as fh:
-            assert fh.read() == "kept"
+    assert_refused(g, f"edge {lacking} has no {'src' if g.graph.src.get(lacking) is None else 'tgt'}")
 
 
 @st.composite
@@ -128,3 +112,25 @@ def test_typecheck_names_an_edge_type_without_an_end(case):
     assert any(f"edge type {e!r} lacks a node type as src or tgt" == str(exc.value) for e in broken)
     with pytest.raises(TypeCheckError):
         evaluate(BASE_CONSTRAINTS, g, tg)
+
+
+@st.composite
+def type_graphs_lacking_parts(draw):
+    """A signature's type graph with the ``src``, ``tgt`` or multiplicity
+    of 1 to 3 edge types deleted."""
+    _, b = draw(mutated_encodings())
+    tg = extend_for_signature(b.signature)
+    parts = {"src": dict(tg.graph.src), "tgt": dict(tg.graph.tgt), "mult": dict(tg.mult)}
+    for e in draw(st.lists(st.sampled_from(sorted(tg.edge_types)), min_size=1, max_size=3)):
+        parts[draw(st.sampled_from(sorted(parts)))].pop(e, None)
+    graph = Graph(nodes=tg.graph.nodes, edges=tg.graph.edges, src=parts["src"], tgt=parts["tgt"])
+    return dataclasses.replace(tg, graph=graph, mult=parts["mult"]), parts
+
+
+@given(type_graphs_lacking_parts())
+@settings(max_examples=60, deadline=None)
+def test_save_refuses_an_edge_type_without_an_end_or_multiplicity(case):
+    tg, parts = case
+    lacking = min(e for e in tg.edge_types if any(e not in part for part in parts.values()))
+    missing = next(name for name in ("src", "tgt", "mult") if lacking not in parts[name])
+    assert_refused(tg, f"edge type {lacking} has no {missing}")
