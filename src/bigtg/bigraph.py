@@ -147,10 +147,6 @@ class Bigraph:
         object.__setattr__(self, "link", link)
 
 
-def empty_bigraph(signature: Signature | None = None) -> Bigraph:
-    return Bigraph(signature if signature is not None else Signature())
-
-
 def ports_of(b: Bigraph) -> set[Port]:
     """All ports of ``b``: one per node and arity slot of its control."""
     out: set[Port] = set()

@@ -1,16 +1,20 @@
 """The canonical bridge between bigraphs and typed graphs.
 
 Provides the base type graph modeling bigraph anatomy, its
-control-compatible extension for a signature, the encoder that turns a
-bigraph into an instance graph (and the decoder back), the arity
-well-formedness rule, and the soundness checks that align a bigraph with
-its encoding element by element.
+control-compatible extension for a signature, the arity well-formedness
+rule, and the canonical mapping between bigraphs and instance graphs.
+The mapping is written down once, as one table: ``_KINDS`` gives each
+element kind its id prefix and node type, and ``_relations`` lists
+nesting, linking and port ownership with their opposite edge types.
+:func:`encode` writes a bigraph out along the table, :func:`decode` reads
+it back, and :func:`check_soundness` aligns a bigraph with its encoding
+element by element against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .bigraph import (
     BASE_NODE_TYPE_NAMES,
@@ -30,8 +34,6 @@ from .typedgraph import (
     check_multiplicities,
     check_typing,
     check_validity,
-    node_attrs,
-    outgoing,
     symmetric_pairs,
 )
 
@@ -45,14 +47,16 @@ K_ROOT = "root"
 K_INNER = "inner"
 K_OUTER = "outer"
 
-_ID_PREFIX = {
-    K_NODE: "n:",
-    K_EDGE: "e:",
-    K_PORT: "p:",
-    K_SITE: "s:",
-    K_ROOT: "r:",
-    K_INNER: "i:",
-    K_OUTER: "o:",
+#: The id prefix and the node type of each element kind; a node is typed
+#: by its control (``None`` here).
+_KINDS: dict[str, tuple[str, str | None]] = {
+    K_NODE: ("n:", None),
+    K_EDGE: ("e:", "BEdge"),
+    K_PORT: ("p:", "BPort"),
+    K_SITE: ("s:", "BSite"),
+    K_ROOT: ("r:", "BRoot"),
+    K_INNER: ("i:", "BInnerName"),
+    K_OUTER: ("o:", "BOuterName"),
 }
 
 Element = tuple[str, object]
@@ -184,19 +188,14 @@ class ElementMap:
     def __post_init__(self) -> None:
         object.__setattr__(self, "forward", dict(self.forward))
 
-    def image(self, element: Element) -> str | None:
-        return self.forward.get(element)
-
-    def inverse(self) -> dict[str, Element]:
-        return {gid: el for el, gid in self.forward.items()}
-
 
 def element_id(kind: str, key: object) -> str:
     """Deterministic instance-graph node id for a bigraph element."""
+    prefix = _KINDS[kind][0]
     if kind == K_PORT:
         node, index = key  # type: ignore[misc]
-        return f"p:{node}:{index}"
-    return _ID_PREFIX[kind] + str(key)
+        return f"{prefix}{node}:{index}"
+    return prefix + str(key)
 
 
 def elements_of(b: Bigraph) -> set[Element]:
@@ -211,101 +210,73 @@ def elements_of(b: Bigraph) -> set[Element]:
     return out
 
 
-def _paired_edge_ids(edge_type: str, src: str, tgt: str) -> tuple[str, str, str, str]:
-    return (f"{edge_type}:{src}:{tgt}", src, tgt, edge_type)
+def _relations(b: Bigraph) -> tuple[tuple[str, str, Iterator[tuple[object, Element, Element]]], ...]:
+    """Nesting, linking and port ownership, each as its edge type from
+    child to parent, the opposite edge type, and, lazily, its
+    ``(bigraph key, child element, parent element)`` triples.
+
+    Sites and roots are the integer places. Every port of a valid bigraph
+    is linked, so the ports are the link map's ``Port`` keys."""
+    nesting = (
+        (c, (K_SITE, c) if isinstance(c, int) else (K_NODE, c), (K_ROOT, p) if isinstance(p, int) else (K_NODE, p))
+        for c, p in b.prnt.items()
+    )
+    linking = (
+        (x, (K_PORT, x) if isinstance(x, Port) else (K_INNER, x), (K_EDGE, y) if y in b.edges else (K_OUTER, y))
+        for x, y in b.link.items()
+    )
+    ownership = ((x, (K_PORT, x), (K_NODE, x.node)) for x in b.link if isinstance(x, Port))
+    return ("bPrnt", "bChld", nesting), ("bLink", "bPoints", linking), ("bNode", "bPorts", ownership)
 
 
 def encode(b: Bigraph) -> tuple[InstanceGraph, ElementMap]:
     """Encode a valid bigraph as an instance graph over its signature's
     type graph, together with the element bijection.
 
-    Nesting, linking and port ownership each become an opposite pair of
-    directed edges; root, site and port indices become ``index``
-    attributes. Edges or outer names without any point cannot satisfy the
-    one-or-more-points multiplicity of the metamodel and will make the
-    encoding fail :func:`check_multiplicities`.
+    Each element becomes a node of its kind's type; nesting, linking and
+    port ownership each become an opposite pair of directed edges; root,
+    site and port indices become ``index`` attributes. Edges or outer
+    names without any point cannot satisfy the one-or-more-points
+    multiplicity of the metamodel and will make the encoding fail
+    :func:`check_multiplicities`.
     """
     rep = validate_bigraph(b)
     if not rep.ok:
         raise InvalidBigraph(rep)
 
-    fwd: dict[Element, str] = {el: element_id(el[0], el[1]) for el in elements_of(b)}
-
+    fwd: dict[Element, str] = {}
     ntypes: dict[str, str] = {}
     attrs: dict[tuple[str, str], int | str] = {}
-    for el, gid in fwd.items():
+    for el in elements_of(b):
         kind, key = el
-        if kind == K_NODE:
-            ntypes[gid] = b.ctrl[key]  # controls map identically to node types
-        elif kind == K_EDGE:
-            ntypes[gid] = "BEdge"
+        gid = fwd[el] = element_id(kind, key)
+        ntypes[gid] = _KINDS[kind][1] or b.ctrl[key]  # type: ignore[index]
+        if kind in (K_SITE, K_ROOT):
+            attrs[(gid, "index")] = key  # type: ignore[assignment]
         elif kind == K_PORT:
-            ntypes[gid] = "BPort"
-            attrs[(gid, "index")] = key.index  # type: ignore[union-attr]
-        elif kind == K_SITE:
-            ntypes[gid] = "BSite"
-            attrs[(gid, "index")] = key  # type: ignore[assignment]
-        elif kind == K_ROOT:
-            ntypes[gid] = "BRoot"
-            attrs[(gid, "index")] = key  # type: ignore[assignment]
-        elif kind == K_INNER:
-            ntypes[gid] = "BInnerName"
-        else:
-            ntypes[gid] = "BOuterName"
+            attrs[(gid, "index")] = key.index  # type: ignore[attr-defined]
 
-    edge_ids: dict[str, tuple[str, str, str]] = {}  # id -> (src, tgt, type)
-
-    def add_pair(t_fwd: str, t_rev: str, src: str, tgt: str) -> None:
-        eid, s, t, ty = _paired_edge_ids(t_fwd, src, tgt)
-        edge_ids[eid] = (s, t, ty)
-        eid, s, t, ty = _paired_edge_ids(t_rev, tgt, src)
-        edge_ids[eid] = (s, t, ty)
-
-    def place_id(p: object) -> str:
-        if isinstance(p, int):
-            return element_id(K_SITE, p)
-        return element_id(K_NODE, p)
-
-    def parent_id(p: object) -> str:
-        if isinstance(p, int):
-            return element_id(K_ROOT, p)
-        return element_id(K_NODE, p)
-
-    def point_id(p: object) -> str:
-        if isinstance(p, Port):
-            return element_id(K_PORT, p)
-        return element_id(K_INNER, p)
-
-    def target_id(t: str) -> str:
-        if t in b.edges:
-            return element_id(K_EDGE, t)
-        return element_id(K_OUTER, t)
-
-    for child in sorted(b.prnt, key=lambda p: (isinstance(p, str), str(p))):
-        add_pair("bPrnt", "bChld", place_id(child), parent_id(b.prnt[child]))
-    for point in sorted(b.link, key=lambda p: (isinstance(p, Port), str(p))):
-        add_pair("bLink", "bPoints", point_id(point), target_id(b.link[point]))
-    for el in sorted(fwd, key=str):
-        if el[0] == K_PORT:
-            port: Port = el[1]  # type: ignore[assignment]
-            add_pair("bNode", "bPorts", element_id(K_PORT, port), element_id(K_NODE, port.node))
+    src: dict[str, str] = {}
+    tgt: dict[str, str] = {}
+    etypes: dict[str, str] = {}
+    for edge_type, opposite, triples in _relations(b):
+        for _, child, parent in triples:
+            s, t = fwd[child], fwd[parent]
+            for ty, a, z in ((edge_type, s, t), (opposite, t, s)):
+                eid = f"{ty}:{a}:{z}"
+                src[eid], tgt[eid], etypes[eid] = a, z, ty
 
     g = InstanceGraph(
-        graph=Graph(
-            nodes=frozenset(fwd.values()),
-            edges=frozenset(edge_ids),
-            src={e: s for e, (s, _, _) in edge_ids.items()},
-            tgt={e: t for e, (_, t, _) in edge_ids.items()},
-        ),
+        graph=Graph(nodes=frozenset(fwd.values()), edges=frozenset(etypes), src=src, tgt=tgt),
         node_types=ntypes,
-        edge_types={e: ty for e, (_, _, ty) in edge_ids.items()},
+        edge_types=etypes,
         attrs=attrs,
     )
     return g, ElementMap(fwd)
 
 
 def _strip_prefix(kind: str, gid: str) -> str:
-    prefix = _ID_PREFIX[kind]
+    prefix = _KINDS[kind][0]
     return gid[len(prefix) :] if gid.startswith(prefix) else gid
 
 
@@ -333,117 +304,83 @@ def decode(g: InstanceGraph, sig: Signature) -> tuple[Bigraph, ElementMap]:
 
     Only defined for the canonical variant: strongly typed controls,
     explicit roots/sites/ports, and complete gap-free index attributes.
-    Anything else raises :class:`NotCanonical` (or
-    :class:`UntypedControl` for nodes typed ``BNode`` directly).
+    A graph that fails :func:`conformance` raises :class:`NotCanonical`
+    with the findings. The rebuild then raises :class:`UntypedControl`
+    for a node typed ``BNode``, and :class:`NotCanonical` for two ids of
+    one kind that collide once their prefix is stripped, a root, site or
+    port index that is missing, not an integer, duplicated or outside a
+    gap-free range, a root with a parent, a site as a parent, or a node
+    or site without a parent. Conformance implies the rest: each port
+    has one ownership edge (``bNode`` is ``[1,1]``) to a node typed by a
+    control (its target conforms to ``BNode``, and a node typed ``BNode``
+    itself has raised), and each link edge runs from a port or inner name
+    to an edge or outer name.
     """
     rep = conformance(g, extend_for_signature(sig), sig)
     if not rep.ok:
         raise NotCanonical("instance graph fails canonical checks", rep)
 
-    control_types = set(sig.names)
-    by_type: dict[str, list[str]] = {}
+    kind_of_type = dict.fromkeys(sig.names, K_NODE)
+    kind_of_type.update((node_type, kind) for kind, (_, node_type) in _KINDS.items() if node_type)
+    gids: dict[str, list[str]] = {kind: [] for kind in _KINDS}
     for n in sorted(g.graph.nodes):
         t = g.node_types[n]
         if t == "BNode":
             raise UntypedControl(f"node {n} is typed 'BNode' instead of a control type")
-        key = t if t not in control_types else "#control"
-        by_type.setdefault(key, []).append(n)
+        gids[kind_of_type[t]].append(n)
 
-    fwd: dict[Element, str] = {}
-
-    def recover(kind: str, gids: list[str]) -> dict[str, str]:
-        out: dict[str, str] = {}
-        for gid in gids:
-            orig = _strip_prefix(kind, gid)
-            if orig in out:
-                raise NotCanonical(f"{kind} identifiers {out[orig]!r} and {gid!r} collide as {orig!r}")
-            out[orig] = gid
-            fwd[(kind, orig)] = gid
-        return out
-
-    nodes = recover(K_NODE, by_type.get("#control", []))
-    edges = recover(K_EDGE, by_type.get("BEdge", []))
-    inner_names = recover(K_INNER, by_type.get("BInnerName", []))
-    outer_names = recover(K_OUTER, by_type.get("BOuterName", []))
-
-    gid_to_node = {gid: orig for orig, gid in nodes.items()}
-    ctrl = {orig: g.node_types[gid] for orig, gid in nodes.items()}
-
-    roots = _index_range(
-        K_ROOT,
-        [(gid, node_attrs(g, gid).get("index")) for gid in by_type.get("BRoot", [])],
-        "root",
-    )
-    sites = _index_range(
-        K_SITE,
-        [(gid, node_attrs(g, gid).get("index")) for gid in by_type.get("BSite", [])],
-        "site",
-    )
-    for i, gid in roots.items():
-        fwd[(K_ROOT, i)] = gid
-    for i, gid in sites.items():
-        fwd[(K_SITE, i)] = gid
-    root_of_gid = {gid: i for i, gid in roots.items()}
-    site_of_gid = {gid: i for i, gid in sites.items()}
-
-    # Ports: owner via the unique ownership edge, index per owner gap-free.
+    # The bigraph key of each graph node, per kind.
+    keys: dict[str, dict[object, str]] = {}
+    for kind in (K_NODE, K_EDGE, K_INNER, K_OUTER):
+        recovered = keys[kind] = {}
+        for gid in gids[kind]:
+            key = _strip_prefix(kind, gid)
+            if key in recovered:
+                raise NotCanonical(f"{kind} identifiers {recovered[key]!r} and {gid!r} collide as {key!r}")
+            recovered[key] = gid
+    for kind in (K_ROOT, K_SITE):
+        indexed = [(gid, g.attrs.get((gid, "index"))) for gid in gids[kind]]
+        keys[kind] = _index_range(kind, indexed, kind)  # type: ignore[assignment]
+    # Ports: owner via the ownership edge, index per owner gap-free.
     ports_by_owner: dict[str, list[tuple[str, object]]] = {}
-    for gid in by_type.get("BPort", []):
-        own = outgoing(g, gid, "bNode")
-        if len(own) != 1:
-            raise NotCanonical(f"port {gid} has {len(own)} ownership edges")
-        owner_gid = g.graph.tgt[own[0]]
-        if owner_gid not in gid_to_node:
-            raise NotCanonical(f"port {gid} owned by non-control node {owner_gid}")
-        ports_by_owner.setdefault(owner_gid, []).append((gid, node_attrs(g, gid).get("index")))
-    port_of_gid: dict[str, Port] = {}
-    for owner_gid, entries in sorted(ports_by_owner.items()):
-        indexed = _index_range(K_PORT, entries, f"port (node {gid_to_node[owner_gid]})")
-        for i, gid in indexed.items():
-            port = Port(gid_to_node[owner_gid], i)
-            fwd[(K_PORT, port)] = gid
-            port_of_gid[gid] = port
+    for gid in gids[K_PORT]:
+        owner = g.graph.tgt[g.out_index[(gid, "bNode")][0]]
+        ports_by_owner.setdefault(owner, []).append((gid, g.attrs.get((gid, "index"))))
+    ports = keys[K_PORT] = {}
+    for owner, entries in sorted(ports_by_owner.items()):
+        node = _strip_prefix(K_NODE, owner)
+        for i, gid in _index_range(K_PORT, entries, f"port (node {node})").items():
+            ports[Port(node, i)] = gid
+    fwd = {(kind, key): gid for kind, recovered in keys.items() for key, gid in recovered.items()}
+    el_of = {gid: el for el, gid in fwd.items()}
 
     prnt: dict[object, object] = {}
+    link: dict[object, object] = {}
+    rebuilt = {"bPrnt": prnt, "bLink": link}
     for e in sorted(g.graph.edges):
-        if g.edge_types[e] != "bPrnt":
+        into = rebuilt.get(g.edge_types[e])
+        if into is None:
             continue
-        s, t = g.graph.src[e], g.graph.tgt[e]
-        if s in root_of_gid:
-            raise NotCanonical(f"root {s} has a parent")
-        child: object = site_of_gid[s] if s in site_of_gid else gid_to_node.get(s)
-        parent: object = root_of_gid[t] if t in root_of_gid else gid_to_node.get(t)
-        if child is None or parent is None:
+        (child_kind, child), (parent_kind, parent) = el_of[g.graph.src[e]], el_of[g.graph.tgt[e]]
+        if child_kind == K_ROOT:
+            raise NotCanonical(f"root {g.graph.src[e]} has a parent")
+        if parent_kind == K_SITE:
             raise NotCanonical(f"parent edge {e} connects non-place nodes")
-        prnt[child] = parent
-    for v in sorted(gid_to_node.values()):
-        if v not in prnt:
-            raise NotCanonical(f"node {v} has no parent")
-    for i in sites:
-        if i not in prnt:
-            raise NotCanonical(f"site {i} has no parent")
-
-    point_of_gid = {gid: x for x, gid in inner_names.items()} | port_of_gid
-    target_of_gid = {gid: y for names in (edges, outer_names) for y, gid in names.items()}
-    link: dict[object, str] = {}
-    for e in sorted(g.graph.edges):
-        if g.edge_types[e] != "bLink":
-            continue
-        point = point_of_gid.get(g.graph.src[e])
-        target = target_of_gid.get(g.graph.tgt[e])
-        if point is None or target is None:
-            raise NotCanonical(f"link edge {e} connects non-link nodes")
-        link[point] = target
+        into[child] = parent
+    for kind, places in ((K_NODE, sorted(keys[K_NODE])), (K_SITE, keys[K_SITE])):
+        for key in places:
+            if key not in prnt:
+                raise NotCanonical(f"{kind} {key} has no parent")
 
     b = Bigraph(
         signature=sig,
-        nodes=frozenset(nodes),
-        edges=frozenset(edges),
-        ctrl=ctrl,
+        nodes=frozenset(keys[K_NODE]),
+        edges=frozenset(keys[K_EDGE]),
+        ctrl={v: g.node_types[gid] for v, gid in keys[K_NODE].items()},
         prnt=prnt,
         link=link,
-        inner=Interface(len(sites), frozenset(inner_names)),
-        outer=Interface(len(roots), frozenset(outer_names)),
+        inner=Interface(len(keys[K_SITE]), frozenset(keys[K_INNER])),
+        outer=Interface(len(keys[K_ROOT]), frozenset(keys[K_OUTER])),
     )
     return b, ElementMap(fwd)
 
@@ -456,8 +393,13 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
     consistency of root, site and port index attributes. Defects in the
     map itself (non-bijectivity, dangling images) are reported too rather
     than assumed away. Edges with a missing end are skipped
-    (``check_typing`` reports them).
+    (``check_typing`` reports them). A bigraph with a node that has no
+    control, or a control that its signature does not declare, has no
+    elements to align: its :func:`validate_bigraph` findings come back.
     """
+    ctrl = b.ctrl
+    if not b.signature.arities.keys() >= set(map(ctrl.get, b.nodes)):
+        return validate_bigraph(b)
     findings: list[Finding] = []
 
     def flag(code: str, location: str, message: str) -> None:
@@ -465,6 +407,7 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
 
     expected = elements_of(b)
     fwd = dict(emap.forward)
+    nodes = g.graph.nodes
     for el in sorted(expected - set(fwd), key=str):
         flag("map-domain", str(el), "bigraph element is not mapped")
     for el in sorted(set(fwd) - expected, key=str):
@@ -474,72 +417,44 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
         dupes = sorted({gid for gid in images if images.count(gid) > 1})
         for gid in dupes:
             flag("map-injective", gid, "two elements map to the same graph node")
-    for el, gid in sorted(fwd.items(), key=lambda kv: str(kv[0])):
-        if gid not in g.graph.nodes:
+    by_element = sorted(fwd.items(), key=lambda kv: str(kv[0]))
+    for el, gid in by_element:
+        if gid not in nodes:
             flag("map-image", gid, f"image of {el} is not a graph node")
-    for gid in sorted(g.graph.nodes - set(images)):
+    for gid in sorted(nodes - set(images)):
         flag("map-surjective", gid, "graph node is not the image of any element")
 
-    expected_type = {
-        K_EDGE: "BEdge",
-        K_SITE: "BSite",
-        K_ROOT: "BRoot",
-        K_INNER: "BInnerName",
-        K_OUTER: "BOuterName",
-        K_PORT: "BPort",
-    }
-    for el, gid in sorted(fwd.items(), key=lambda kv: str(kv[0])):
-        if gid not in g.graph.nodes or el not in expected:
+    for el, gid in by_element:
+        if gid not in nodes or el not in expected:
             continue
         kind, key = el
-        want = b.ctrl[key] if kind == K_NODE else expected_type[kind]
+        want = _KINDS[kind][1] or ctrl[key]  # type: ignore[index]
         got = g.node_types.get(gid)
         if got != want:
             flag("sound-typing", gid, f"{kind} element typed {got!r}, expected {want!r}")
 
     def mapped(el: Element) -> str | None:
         gid = fwd.get(el)
-        return gid if gid in g.graph.nodes else None
+        return gid if gid in nodes else None
 
-    def place_el(p: object) -> Element:
-        return (K_SITE, p) if isinstance(p, int) else (K_NODE, p)
-
-    def parent_el(p: object) -> Element:
-        return (K_ROOT, p) if isinstance(p, int) else (K_NODE, p)
-
-    def point_el(p: object) -> Element:
-        return (K_PORT, p) if isinstance(p, Port) else (K_INNER, p)
-
-    def target_el(t: str) -> Element:
-        return (K_EDGE, t) if t in b.edges else (K_OUTER, t)
-
-    def check_relation(
-        code: str,
-        relation: list[tuple[Element, Element]],
-        edge_type: str,
-        what: str,
-    ) -> None:
+    for (edge_type, _, triples), what in zip(_relations(b), ("nesting", "linking")):
+        code = f"sound-{what}"
         graph_pairs = {
             (g.graph.src[e], g.graph.tgt[e])
             for e in g.graph.edges
             if g.edge_types.get(e) == edge_type and e in g.graph.src and e in g.graph.tgt
         }
         want_pairs: set[tuple[str, str]] = set()
-        for child_el, parent_el_ in relation:
-            s, t = mapped(child_el), mapped(parent_el_)
+        for _, child, parent in sorted(triples, key=lambda triple: str(triple[0])):
+            s, t = mapped(child), mapped(parent)
             if s is None or t is None:
-                flag(code, str(child_el), f"{what} endpoints are not mapped into the graph")
+                flag(code, str(child), f"{what} endpoints are not mapped into the graph")
                 continue
             want_pairs.add((s, t))
             if (s, t) not in graph_pairs:
-                flag(code, str(child_el), f"no {edge_type!r} edge mirrors the bigraph {what} (bigraph->graph)")
+                flag(code, str(child), f"no {edge_type!r} edge mirrors the bigraph {what} (bigraph->graph)")
         for s, t in sorted(graph_pairs - want_pairs):
             flag(code, f"{edge_type}[{s}->{t}]", f"{edge_type!r} edge has no bigraph {what} (graph->bigraph)")
-
-    nesting = [(place_el(c), parent_el(p)) for c, p in sorted(b.prnt.items(), key=lambda kv: str(kv[0]))]
-    check_relation("sound-nesting", nesting, "bPrnt", "nesting")
-    linking = [(point_el(p), target_el(t)) for p, t in sorted(b.link.items(), key=lambda kv: str(kv[0]))]
-    check_relation("sound-linking", linking, "bLink", "linking")
 
     def check_indices(code: str, candidates: list[str], slots: list[tuple[str | None, str]]) -> None:
         """Slot ``i`` holds the node mapped to index ``i`` and its label;
@@ -553,20 +468,18 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
                     else:
                         flag(code, n, f"index attribute {idx!r} clashes with {label} mapped elsewhere")
 
-    for code, kind, count, typed_as in (
-        ("sound-root-index", K_ROOT, b.outer.width, "BRoot"),
-        ("sound-site-index", K_SITE, b.inner.width, "BSite"),
-    ):
-        candidates = sorted(n for n in g.graph.nodes if g.node_types.get(n) == typed_as)
-        check_indices(code, candidates, [(mapped((kind, i)), f"{kind} {i}") for i in range(count)])
+    for kind, count in ((K_ROOT, b.outer.width), (K_SITE, b.inner.width)):
+        candidates = sorted(n for n in nodes if g.node_types.get(n) == _KINDS[kind][1])
+        slots = [(mapped((kind, i)), f"{kind} {i}") for i in range(count)]
+        check_indices(f"sound-{kind}-index", candidates, slots)
 
     # Port indices are scoped per owning node: only the ports of the same
     # owner compete for the same index values.
     ports_of_owner: dict[str, list[str]] = {}
-    for n in sorted(g.graph.nodes):
+    for n in sorted(nodes):
         if g.node_types.get(n) != "BPort":
             continue
-        own = outgoing(g, n, "bNode")
+        own = g.out_index.get((n, "bNode"), ())
         if len(own) != 1:
             flag("sound-port-index", n, f"port node has {len(own)} ownership edges")
             continue
@@ -575,7 +488,7 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
     for v in sorted(b.nodes):
         owner_gid = mapped((K_NODE, v))
         candidates = ports_of_owner.get(owner_gid, []) if owner_gid else []
-        arity = b.signature.arity(b.ctrl[v])
+        arity = b.signature.arity(ctrl[v])
         slots = [(mapped((K_PORT, Port(v, i))), f"port ({v},{i})") for i in range(arity)]
         check_indices("sound-port-index", candidates, slots)
 

@@ -133,6 +133,18 @@ def test_encode_rejects_invalid_bigraph():
         encode(bad)
 
 
+def test_encode_reads_a_bool_site_key_as_its_index():
+    """``True == 1``, so the validator accepts ``True`` as site 1; its
+    nesting edges must end on the node of site 1."""
+    sig = make_signature([("A", 0)])
+
+    def bigraph(site):
+        prnt = {"v": 0, 0: "v", site: "v"}
+        return Bigraph(sig, nodes={"v"}, ctrl={"v": "A"}, prnt=prnt, inner=Interface(2), outer=Interface(1))
+
+    assert encode(bigraph(True)) == encode(bigraph(1))
+
+
 def test_element_count_law(b1, g1):
     k, m = b1.inner.width, b1.outer.width
     p = len(ports_of(b1))
