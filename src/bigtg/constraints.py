@@ -10,11 +10,12 @@ type or one of its subtypes.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
-from .typedgraph import InstanceGraph, TypeGraph, conforms, outgoing
+from .typedgraph import InstanceGraph, TypeGraph, all_sub, conforms
 
 KEYWORDS = frozenset(
     {
@@ -431,8 +432,8 @@ def parse_constraints(text: str) -> ConstraintDoc:
     """Parse a constraint document; errors carry line and column.
 
     Nesting that the parser cannot recurse through, and an invariant
-    deeper than ``MAX_DEPTH`` levels, are syntax errors too: type
-    checking, evaluation and printing recurse once per level."""
+    deeper than ``MAX_DEPTH`` levels, are syntax errors too: compilation,
+    evaluation and printing recurse at every level."""
     parser = _Parser(_tokenize(text))
     try:
         return parser.parse_doc()
@@ -522,108 +523,15 @@ def format_constraints(doc: ConstraintDoc) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Static type check
+# Compilation and evaluation: each construct is typed and run in one place
 
 _INT = ("int",)
 _BOOL = ("bool",)
-
-
-def _check_expr(expr: Expr, env: Mapping[str, tuple], tg: TypeGraph) -> tuple:
-    if isinstance(expr, SelfRef):
-        return env["self"]
-    if isinstance(expr, VarRef):
-        if expr.name not in env:
-            raise TypeCheckError(f"unknown variable {expr.name!r}")
-        return env[expr.name]
-    if isinstance(expr, IntLit):
-        return _INT
-    if isinstance(expr, BoolLit):
-        return _BOOL
-    if isinstance(expr, Nav):
-        ot = _check_expr(expr.obj, env, tg)
-        if ot[0] != "obj":
-            raise TypeCheckError(f"navigation {expr.edge!r} over a non-object")
-        if expr.edge not in tg.edge_types:
-            raise TypeCheckError(f"unknown edge type {expr.edge!r}")
-        source, target = tg.graph.src.get(expr.edge), tg.graph.tgt.get(expr.edge)
-        if source not in tg.node_types or target not in tg.node_types:
-            raise TypeCheckError(f"edge type {expr.edge!r} lacks a node type as src or tgt")
-        if not conforms(tg, ot[1], source):
-            raise TypeCheckError(f"edge type {expr.edge!r} not applicable to {ot[1]!r}")
-        upper = tg.mult[expr.edge].ub if expr.edge in tg.mult else None
-        return ("obj", target) if upper == 1 else ("coll", target)
-    if isinstance(expr, (IsTypeOf, AsType)):
-        ot = _check_expr(expr.obj, env, tg)
-        if ot[0] != "obj":
-            raise TypeCheckError("type test or cast over a non-object")
-        if expr.type_name not in tg.node_types:
-            raise TypeCheckError(f"unknown type name {expr.type_name!r}")
-        return _BOOL if isinstance(expr, IsTypeOf) else ("obj", expr.type_name)
-    if isinstance(expr, SizeOp):
-        if _check_expr(expr.obj, env, tg)[0] != "coll":
-            raise TypeCheckError("size() over a non-collection")
-        return _INT
-    if isinstance(expr, FirstOp):
-        ot = _check_expr(expr.obj, env, tg)
-        if ot[0] != "coll":
-            raise TypeCheckError("first() over a non-collection")
-        return ("obj", ot[1])
-    if isinstance(expr, (ForAll, Exists)):
-        ot = _check_expr(expr.obj, env, tg)
-        if ot[0] != "coll":
-            raise TypeCheckError("iteration over a non-collection")
-        inner = dict(env)
-        inner[expr.var] = ("obj", ot[1])
-        if _check_expr(expr.body, inner, tg) != _BOOL:
-            raise TypeCheckError("iteration body must be boolean")
-        return _BOOL
-    if isinstance(expr, NotOp):
-        if _check_expr(expr.operand, env, tg) != _BOOL:
-            raise TypeCheckError("'not' needs a boolean operand")
-        return _BOOL
-    if isinstance(expr, (AndOp, OrOp, ImpliesOp)):
-        for side in (expr.left, expr.right):
-            if _check_expr(side, env, tg) != _BOOL:
-                raise TypeCheckError("boolean connective over non-boolean operand")
-        return _BOOL
-    if isinstance(expr, Compare):
-        for side in (expr.left, expr.right):
-            if _check_expr(side, env, tg) != _INT:
-                raise TypeCheckError(f"comparison {expr.op!r} needs integer operands")
-        return _BOOL
-    if isinstance(expr, Let):
-        vt = _check_expr(expr.value, env, tg)
-        if expr.decl_type == INTEGER_TYPE:
-            if vt != _INT:
-                raise TypeCheckError(f"let {expr.name!r} declared integer but bound to non-integer")
-            bound = _INT
-        else:
-            if expr.decl_type not in tg.node_types:
-                raise TypeCheckError(f"unknown type name {expr.decl_type!r}")
-            if vt[0] != "obj" or not conforms(tg, vt[1], expr.decl_type):
-                raise TypeCheckError(f"let {expr.name!r} binding does not conform to {expr.decl_type!r}")
-            bound = ("obj", expr.decl_type)
-        inner = dict(env)
-        inner[expr.name] = bound
-        return _check_expr(expr.body, inner, tg)
-    raise TypeError(f"unknown expression node {expr!r}")
-
-
-def typecheck(doc: ConstraintDoc, tg: TypeGraph) -> None:
-    """Raise :class:`TypeCheckError` if the document does not fit ``tg``,
-    including a navigation along an edge type that lacks a node type as
-    ``src`` or ``tgt``."""
-    for inv in doc.invariants:
-        if inv.context_type not in tg.node_types:
-            raise TypeCheckError(f"unknown context type {inv.context_type!r} in {inv.name}")
-        if _check_expr(inv.body, {"self": ("obj", inv.context_type)}, tg) != _BOOL:
-            raise TypeCheckError(f"invariant {inv.name} is not a boolean expression")
-
-
-# ---------------------------------------------------------------------------
-# Evaluation
-
 _EMPTY: tuple = ()
+_COMPARE = {"=": operator.eq, "<": operator.lt, "<=": operator.le, ">": operator.gt}
+
+#: A compiled expression, evaluated as ``run(env, g, trace)``.
+Run = Callable[[dict, InstanceGraph, list], object]
 
 
 def _render(value: object) -> str:
@@ -632,99 +540,181 @@ def _render(value: object) -> str:
     return str(value)
 
 
-def _eval(expr: Expr, env: dict[str, object], g: InstanceGraph, tg: TypeGraph, trace: list[str]) -> object:
+def _expect(kind: str, message: str, expr: Expr, env_types: Mapping[str, tuple], tg: TypeGraph) -> tuple[tuple, Run]:
+    """Compile ``expr``; raise ``TypeCheckError(message)`` unless its type is of ``kind``."""
+    compiled = _compile(expr, env_types, tg)
+    if compiled[0][0] != kind:
+        raise TypeCheckError(message)
+    return compiled
+
+
+def _compile(expr: Expr, env_types: Mapping[str, tuple], tg: TypeGraph) -> tuple[tuple, Run]:
+    """The static type of ``expr`` under ``env_types`` and its evaluator. Each
+    branch types one construct, resolving once what it reads of ``tg``, then
+    gives its runtime rule; the first ill-typed sub-expression, left to right, raises."""
     if isinstance(expr, SelfRef):
-        return env["self"]
+        return env_types["self"], lambda env, g, trace: env["self"]
     if isinstance(expr, VarRef):
-        return env[expr.name]
-    if isinstance(expr, IntLit):
-        return expr.value
-    if isinstance(expr, BoolLit):
-        return expr.value
+        name = expr.name
+        if name not in env_types:
+            raise TypeCheckError(f"unknown variable {name!r}")
+        return env_types[name], lambda env, g, trace: env[name]
+    if isinstance(expr, (IntLit, BoolLit)):
+        value = expr.value
+        return (_INT if isinstance(expr, IntLit) else _BOOL), lambda env, g, trace: value
     if isinstance(expr, Nav):
-        source = _eval(expr.obj, env, g, tg, trace)
-        if source == _EMPTY:
-            return _EMPTY
-        try:
-            targets = sorted({g.graph.tgt[e] for e in outgoing(g, source, expr.edge)})
-        except KeyError as exc:
-            raise EvaluationError(
-                f"navigation {expr.edge!r} from {source} follows edge {exc.args[0]} without a tgt"
-            ) from None
-        upper = tg.mult[expr.edge].ub if expr.edge in tg.mult else None
-        trace.append(f"{source}.{expr.edge} = {_render(tuple(targets))}")
-        if upper == 1:
+        edge = expr.edge
+        ot, obj = _expect("obj", f"navigation {edge!r} over a non-object", expr.obj, env_types, tg)
+        if edge not in tg.edge_types:
+            raise TypeCheckError(f"unknown edge type {edge!r}")
+        source, target = tg.graph.src.get(edge), tg.graph.tgt.get(edge)
+        if source not in tg.node_types or target not in tg.node_types:
+            raise TypeCheckError(f"edge type {edge!r} lacks a node type as src or tgt")
+        if not conforms(tg, ot[1], source):
+            raise TypeCheckError(f"edge type {edge!r} not applicable to {ot[1]!r}")
+        single = edge in tg.mult and tg.mult[edge].ub == 1
+
+        def navigate(env: dict, g: InstanceGraph, trace: list) -> object:
+            start = obj(env, g, trace)
+            if start == _EMPTY:
+                return _EMPTY
+            try:
+                targets = tuple(sorted({g.graph.tgt[e] for e in g.out_index.get((start, edge), ())}))
+            except KeyError as exc:
+                raise EvaluationError(
+                    f"navigation {edge!r} from {start} follows edge {exc.args[0]} without a tgt"
+                ) from None
+            trace.append(f"{start}.{edge} = {_render(targets)}")
+            if not single:
+                return targets
             if len(targets) > 1:
-                raise EvaluationError(f"navigation {expr.edge!r} from {source} hit {len(targets)} targets")
+                raise EvaluationError(f"navigation {edge!r} from {start} hit {len(targets)} targets")
             return targets[0] if targets else _EMPTY
-        return tuple(targets)
-    if isinstance(expr, IsTypeOf):
-        value = _eval(expr.obj, env, g, tg, trace)
-        if value == _EMPTY:
-            raise EvaluationError("type test on an empty value")
-        return g.node_types.get(value) == expr.type_name
-    if isinstance(expr, AsType):
-        value = _eval(expr.obj, env, g, tg, trace)
-        if value == _EMPTY:
-            raise EvaluationError("cast of an empty value")
-        actual = g.node_types.get(value)
-        if actual != expr.type_name and not conforms(tg, actual, expr.type_name):
-            raise EvaluationError(f"cannot cast {value} ({actual!r}) to {expr.type_name!r}")
-        return value
+
+        return ("obj" if single else "coll", target), navigate
+    if isinstance(expr, (IsTypeOf, AsType)):
+        name = expr.type_name
+        _, obj = _expect("obj", "type test or cast over a non-object", expr.obj, env_types, tg)
+        if name not in tg.node_types:
+            raise TypeCheckError(f"unknown type name {name!r}")
+        if isinstance(expr, IsTypeOf):
+
+            def is_type_of(env: dict, g: InstanceGraph, trace: list) -> object:
+                value = obj(env, g, trace)
+                if value == _EMPTY:
+                    raise EvaluationError("type test on an empty value")
+                return g.node_types.get(value) == name
+
+            return _BOOL, is_type_of
+        accepted = all_sub(tg, name) | {name}
+
+        def as_type(env: dict, g: InstanceGraph, trace: list) -> object:
+            value = obj(env, g, trace)
+            if value == _EMPTY:
+                raise EvaluationError("cast of an empty value")
+            actual = g.node_types.get(value)
+            if actual not in accepted:
+                raise EvaluationError(f"cannot cast {value} ({actual!r}) to {name!r}")
+            return value
+
+        return ("obj", name), as_type
     if isinstance(expr, SizeOp):
-        return len(_eval(expr.obj, env, g, tg, trace))
+        _, obj = _expect("coll", "size() over a non-collection", expr.obj, env_types, tg)
+        return _INT, lambda env, g, trace: len(obj(env, g, trace))
     if isinstance(expr, FirstOp):
-        coll = _eval(expr.obj, env, g, tg, trace)
-        if not coll:
-            raise EvaluationError("first() on an empty collection")
-        return coll[0]
-    if isinstance(expr, ForAll):
-        coll = _eval(expr.obj, env, g, tg, trace)
-        for item in coll:
-            inner = dict(env)
-            inner[expr.var] = item
-            if not _eval(expr.body, inner, g, tg, trace):
-                trace.append(f"forAll({expr.var}) fails at {item}")
-                return False
-        return True
-    if isinstance(expr, Exists):
-        coll = _eval(expr.obj, env, g, tg, trace)
-        for item in coll:
-            inner = dict(env)
-            inner[expr.var] = item
-            if _eval(expr.body, inner, g, tg, trace):
+        ot, obj = _expect("coll", "first() over a non-collection", expr.obj, env_types, tg)
+
+        def first(env: dict, g: InstanceGraph, trace: list) -> object:
+            coll = obj(env, g, trace)
+            if not coll:
+                raise EvaluationError("first() on an empty collection")
+            return coll[0]
+
+        return ("obj", ot[1]), first
+    if isinstance(expr, (ForAll, Exists)):
+        var = expr.var
+        ot, obj = _expect("coll", "iteration over a non-collection", expr.obj, env_types, tg)
+        inner = {**env_types, var: ("obj", ot[1])}
+        _, body = _expect("bool", "iteration body must be boolean", expr.body, inner, tg)
+        if isinstance(expr, ForAll):
+
+            def for_all(env: dict, g: InstanceGraph, trace: list) -> object:
+                for item in obj(env, g, trace):
+                    if not body({**env, var: item}, g, trace):
+                        trace.append(f"forAll({var}) fails at {item}")
+                        return False
                 return True
-        trace.append(f"exists({expr.var}) found no witness in {_render(tuple(coll))}")
-        return False
+
+            return _BOOL, for_all
+
+        def exists(env: dict, g: InstanceGraph, trace: list) -> object:
+            coll = obj(env, g, trace)
+            for item in coll:
+                if body({**env, var: item}, g, trace):
+                    return True
+            trace.append(f"exists({var}) found no witness in {_render(coll)}")
+            return False
+
+        return _BOOL, exists
     if isinstance(expr, NotOp):
-        return not _eval(expr.operand, env, g, tg, trace)
-    if isinstance(expr, AndOp):
-        return bool(_eval(expr.left, env, g, tg, trace)) and bool(_eval(expr.right, env, g, tg, trace))
-    if isinstance(expr, OrOp):
-        return bool(_eval(expr.left, env, g, tg, trace)) or bool(_eval(expr.right, env, g, tg, trace))
-    if isinstance(expr, ImpliesOp):
-        if not _eval(expr.left, env, g, tg, trace):
-            return True
-        return bool(_eval(expr.right, env, g, tg, trace))
+        _, operand = _expect("bool", "'not' needs a boolean operand", expr.operand, env_types, tg)
+        return _BOOL, lambda env, g, trace: not operand(env, g, trace)
+    if isinstance(expr, (AndOp, OrOp, ImpliesOp)):
+        message = "boolean connective over non-boolean operand"
+        _, left = _expect("bool", message, expr.left, env_types, tg)
+        _, right = _expect("bool", message, expr.right, env_types, tg)
+        if isinstance(expr, AndOp):
+            return _BOOL, lambda env, g, trace: bool(left(env, g, trace)) and bool(right(env, g, trace))
+        if isinstance(expr, OrOp):
+            return _BOOL, lambda env, g, trace: bool(left(env, g, trace)) or bool(right(env, g, trace))
+        return _BOOL, lambda env, g, trace: not left(env, g, trace) or bool(right(env, g, trace))
     if isinstance(expr, Compare):
-        left = _eval(expr.left, env, g, tg, trace)
-        right = _eval(expr.right, env, g, tg, trace)
-        if not isinstance(left, int) or not isinstance(right, int):
-            raise EvaluationError(f"comparison {expr.op!r} on non-integers")
-        if expr.op == "=":
-            return left == right
-        if expr.op == "<":
-            return left < right
-        if expr.op == "<=":
-            return left <= right
-        if expr.op == ">":
-            return left > right
-        return left >= right
+        op = expr.op
+        message = f"comparison {op!r} needs integer operands"
+        _, left = _expect("int", message, expr.left, env_types, tg)
+        _, right = _expect("int", message, expr.right, env_types, tg)
+        holds = _COMPARE.get(op, operator.ge)
+
+        def compare(env: dict, g: InstanceGraph, trace: list) -> object:
+            a, b = left(env, g, trace), right(env, g, trace)
+            if not isinstance(a, int) or not isinstance(b, int):
+                raise EvaluationError(f"comparison {op!r} on non-integers")
+            return holds(a, b)
+
+        return _BOOL, compare
     if isinstance(expr, Let):
-        inner = dict(env)
-        inner[expr.name] = _eval(expr.value, env, g, tg, trace)
-        return _eval(expr.body, inner, g, tg, trace)
+        name, decl = expr.name, expr.decl_type
+        vt, value = _compile(expr.value, env_types, tg)
+        if decl == INTEGER_TYPE:
+            if vt != _INT:
+                raise TypeCheckError(f"let {name!r} declared integer but bound to non-integer")
+            bound = _INT
+        else:
+            if decl not in tg.node_types:
+                raise TypeCheckError(f"unknown type name {decl!r}")
+            if vt[0] != "obj" or not conforms(tg, vt[1], decl):
+                raise TypeCheckError(f"let {name!r} binding does not conform to {decl!r}")
+            bound = ("obj", decl)
+        bt, body = _compile(expr.body, {**env_types, name: bound}, tg)
+        return bt, lambda env, g, trace: body({**env, name: value(env, g, trace)}, g, trace)
     raise TypeError(f"unknown expression node {expr!r}")
+
+
+def typecheck(doc: ConstraintDoc, tg: TypeGraph) -> tuple[Run, ...]:
+    """Compile every invariant of ``doc`` against ``tg`` and return one
+    evaluator per invariant, in document order; each is called as
+    ``run({"self": node}, g, trace)``. Raise :class:`TypeCheckError` at
+    the first invariant that does not fit ``tg``, including a navigation
+    along an edge type that lacks a node type as ``src`` or ``tgt``."""
+    runs: list[Run] = []
+    for inv in doc.invariants:
+        if inv.context_type not in tg.node_types:
+            raise TypeCheckError(f"unknown context type {inv.context_type!r} in {inv.name}")
+        body_type, run = _compile(inv.body, {"self": ("obj", inv.context_type)}, tg)
+        if body_type != _BOOL:
+            raise TypeCheckError(f"invariant {inv.name} is not a boolean expression")
+        runs.append(run)
+    return tuple(runs)
 
 
 @dataclass(frozen=True)
@@ -752,23 +742,20 @@ class CheckResult:
 
 def evaluate(doc: ConstraintDoc, g: InstanceGraph, tg: TypeGraph) -> CheckResult:
     """Evaluate every invariant on every instance of its context type
-    (or a subtype). Failed checks keep their navigation trace. Raises
-    ``TypeCheckError`` if ``doc`` does not fit ``tg``, and
-    ``EvaluationError`` on an undefined case, such as a navigation along
-    an edge without a ``tgt``."""
-    typecheck(doc, tg)
+    (or a subtype), in sorted node order. Failed checks keep their
+    navigation trace. Raises ``TypeCheckError`` if ``doc`` does not fit
+    ``tg``, before anything is evaluated, and ``EvaluationError`` on an
+    undefined case, such as a navigation along an edge without a ``tgt``."""
+    runs = typecheck(doc, tg)
+    by_type: dict[str, list[str]] = {}
+    for n in g.graph.nodes:
+        t = g.node_types.get(n)
+        if t in tg.node_types:
+            by_type.setdefault(t, []).append(n)
     checks: list[InvariantCheck] = []
-    for inv in doc.invariants:
-        instances = sorted(
-            n
-            for n in g.graph.nodes
-            if g.node_types.get(n) in tg.node_types
-            and conforms(tg, g.node_types[n], inv.context_type)
-        )
-        for n in instances:
+    for inv, run in zip(doc.invariants, runs):
+        for n in sorted(n for t, nodes in by_type.items() if conforms(tg, t, inv.context_type) for n in nodes):
             trace: list[str] = []
-            passed = bool(_eval(inv.body, {"self": n}, g, tg, trace))
-            checks.append(
-                InvariantCheck(inv.name, inv.context_type, n, passed, () if passed else tuple(trace))
-            )
+            passed = bool(run({"self": n}, g, trace))
+            checks.append(InvariantCheck(inv.name, inv.context_type, n, passed, () if passed else tuple(trace)))
     return CheckResult(tuple(checks))

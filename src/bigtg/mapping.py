@@ -238,7 +238,8 @@ def encode(b: Bigraph) -> tuple[InstanceGraph, ElementMap]:
     site and port indices become ``index`` attributes. Edges or outer
     names without any point cannot satisfy the one-or-more-points
     multiplicity of the metamodel and will make the encoding fail
-    :func:`check_multiplicities`.
+    :func:`check_multiplicities`. Raises :class:`InvalidBigraph` if ``b``
+    is not valid, or if ids that contain ``:`` give two edges one id.
     """
     rep = validate_bigraph(b)
     if not rep.ok:
@@ -256,15 +257,26 @@ def encode(b: Bigraph) -> tuple[InstanceGraph, ElementMap]:
         elif kind == K_PORT:
             attrs[(gid, "index")] = key.index  # type: ignore[attr-defined]
 
+    def edges() -> Iterator[tuple[str, str, str, str]]:
+        for edge_type, opposite, triples in _relations(b):
+            for _, child, parent in triples:
+                s, t = fwd[child], fwd[parent]
+                for ty, a, z in ((edge_type, s, t), (opposite, t, s)):
+                    yield f"{ty}:{a}:{z}", ty, a, z
+
     src: dict[str, str] = {}
     tgt: dict[str, str] = {}
     etypes: dict[str, str] = {}
-    for edge_type, opposite, triples in _relations(b):
-        for _, child, parent in triples:
-            s, t = fwd[child], fwd[parent]
-            for ty, a, z in ((edge_type, s, t), (opposite, t, s)):
-                eid = f"{ty}:{a}:{z}"
-                src[eid], tgt[eid], etypes[eid] = a, z, ty
+    count = 0
+    for count, (eid, ty, a, z) in enumerate(edges(), 1):
+        src[eid], tgt[eid], etypes[eid] = a, z, ty
+    if len(etypes) != count:
+        seen: set[str] = set()
+        for eid, *_ in edges():
+            if eid in seen:
+                finding = Finding("edge-id-collision", eid, f"two relations are both edge {eid}")
+                raise InvalidBigraph(report_from([finding]))
+            seen.add(eid)
 
     g = InstanceGraph(
         graph=Graph(nodes=frozenset(fwd.values()), edges=frozenset(etypes), src=src, tgt=tgt),

@@ -93,6 +93,11 @@ def add_edge(g: InstanceGraph, eid: str, etype: str, src: str, tgt: str) -> Inst
     )
 
 
+def drop_tgt(g: InstanceGraph, eid: str) -> InstanceGraph:
+    tgt = {e: t for e, t in g.graph.tgt.items() if e != eid}
+    return dataclasses.replace(g, graph=Graph(nodes=g.graph.nodes, edges=g.graph.edges, src=g.graph.src, tgt=tgt))
+
+
 def retarget_edge(
     g: InstanceGraph, eid: str, src: str | None = None, tgt: str | None = None
 ) -> InstanceGraph:

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from bigtg import FeatureConfig, encode, fileio, validate_bigraph
+from bigtg import Bigraph, FeatureConfig, Interface, InvalidBigraph, encode, fileio, make_signature, validate_bigraph
 from bigtg.cli import main
 
 DIAG_LINE = re.compile(r"^(error|warning) \S+ \S+ .+$")
@@ -78,6 +78,28 @@ def test_encode_invalid_bigraph_reports_its_findings(fixtures_dir, tmp_path, cap
     assert err == "".join(f.line() + "\n" for f in validate_bigraph(fileio.load_bigraph(bad)).findings)
     assert err == "error parent-cycle prnt[u] parent map cycle through u\n"
     assert run(capsys, "validate", bad) == (1, "", err)
+
+
+def test_encode_refuses_edge_ids_that_collide(tmp_path, capsys):
+    # x's and x:n:y's nesting edges would both be bPrnt:n:x:n:y:n:z, and
+    # the later would replace the earlier.
+    nodes = ("x", "y:n:z", "x:n:y", "z")
+    b = Bigraph(
+        signature=make_signature([("A", 0)]),
+        nodes=frozenset(nodes),
+        ctrl=dict.fromkeys(nodes, "A"),
+        prnt={"y:n:z": 0, "z": 0, "x": "y:n:z", "x:n:y": "z"},
+        outer=Interface(1, frozenset()),
+    )
+    assert validate_bigraph(b).ok
+    line = "error edge-id-collision bPrnt:n:x:n:y:n:z two relations are both edge bPrnt:n:x:n:y:n:z"
+    with pytest.raises(InvalidBigraph) as err:
+        encode(b)
+    assert [f.line() for f in err.value.report.findings] == [line]
+    path, out = tmp_path / "clash.bg.json", tmp_path / "clash.ig.json"
+    fileio.save(b, str(path))
+    assert run(capsys, "encode", str(path), "-o", str(out)) == (1, "", line + "\n")
+    assert not out.exists()
 
 
 def test_validate_needs_tg_or_sig_for_instance(fixtures_dir, capsys):
@@ -149,7 +171,7 @@ def test_check_reports_violated_invariant(fixtures_dir, tmp_path, capsys, b1):
         fx(fixtures_dir, "office.bgc"),
     )
     assert code == 1
-    assert "iv1" in err
+    assert err == "error constraint iv1@n:v3 n:v3.bChld = {n:v5, s:0}; forAll(c) fails at n:v5\n"
 
 
 def test_configs_prints_54_lines(capsys):

@@ -21,9 +21,24 @@ from bigtg import (
     parse_constraints,
     typecheck,
 )
-from bigtg.constraints import MAX_DEPTH, ForAll, IsTypeOf, Let, Nav, OrOp, SelfRef, VarRef
+from bigtg.constraints import (
+    MAX_DEPTH,
+    Compare,
+    ConstraintDoc,
+    ForAll,
+    IntLit,
+    Invariant,
+    IsTypeOf,
+    Let,
+    Nav,
+    OrOp,
+    SelfRef,
+    VarRef,
+)
 from bigtg.generators import random_bigraph
-from bigtg.typedgraph import outgoing
+from bigtg.typedgraph import Graph, outgoing
+
+from helpers import add_edge, drop_tgt
 
 IV1_PAPER_STYLE = (
     "context Spool\n"
@@ -125,7 +140,7 @@ def test_user_in_spool_fails_iv1(office_bgc, b1, tg_sigma1):
     failed = {(c.invariant, c.node) for c in result.failures()}
     assert failed == {("iv1", "n:v3")}
     (failure,) = result.failures()
-    assert failure.trace  # navigation trace recorded
+    assert failure.trace == ("n:v3.bChld = {n:v5, s:0}", "forAll(c) fails at n:v5")
 
 
 def _spool_with_jobs(job_count: int, with_site: bool) -> Bigraph:
@@ -165,8 +180,9 @@ def test_iv3_rewired_room_port_fails(office_bgc, b1, tg_sigma1):
     rewired = dataclasses.replace(b1, link={**b1.link, ("v0", 0): "jeff"})
     g, _ = encode(rewired)
     result = evaluate(parse_constraints(office_bgc), g, tg_sigma1)
-    failed = {(c.invariant, c.node) for c in result.failures()}
-    assert ("iv3", "n:v0") in failed
+    (failure,) = result.failures()
+    assert (failure.invariant, failure.node) == ("iv3", "n:v0")
+    assert failure.trace == ("n:v0.bPorts = {p:v0:0}", "p:v0:0.bLink = {o:jeff}")
 
 
 def test_vacuous_context_passes(tg_sigma1):
@@ -204,6 +220,10 @@ def test_navigation_from_empty_optional_yields_empty(tg_sigma1):
     doc = parse_constraints("context BRoot inv none: self.bPrnt.bChld->size() = 0")
     g, _ = encode(_spool_with_jobs(1, with_site=False))
     assert evaluate(doc, g, tg_sigma1).all_passed
+    # Only the navigation that has a start is traced.
+    doc = parse_constraints("context BRoot inv some: self.bPrnt.bChld->size() > 0")
+    (failure,) = evaluate(doc, g, tg_sigma1).failures()
+    assert failure.trace == ("r:0.bPrnt = {}",)
 
 
 NESTINGS = {
@@ -255,3 +275,122 @@ def test_iv1_agrees_with_direct_check(seed):
         children = [g.graph.tgt[e] for e in outgoing(g, n, "bChld")]
         expected[n] = all(g.node_types[c] in ("BSite", "Job") for c in children)
     assert verdicts == expected
+
+
+# Every TypeCheckError raise site, with the exact message; ``ghost-end``
+# cases run against a type graph with an edge type ``bGhost`` from
+# ``BNode`` to a type that is not a node type.
+TYPE_ERRORS = [
+    ("context Spool inv x: z", False, "unknown variable 'z'"),
+    ("context Spool inv x: 1.bChld->size() = 0", False, "navigation 'bChld' over a non-object"),
+    ("context Spool inv x: self.noSuchEdge->size() = 0", False, "unknown edge type 'noSuchEdge'"),
+    ("context Spool inv x: self.bGhost->size() = 0", True, "edge type 'bGhost' lacks a node type as src or tgt"),
+    ("context Spool inv x: self.bPoints->size() = 0", False, "edge type 'bPoints' not applicable to 'Spool'"),
+    ("context Spool inv x: true.oclIsTypeOf(Job)", False, "type test or cast over a non-object"),
+    ("context Spool inv x: self.oclAsType(Desk).bChld->size() = 0", False, "unknown type name 'Desk'"),
+    ("context Spool inv x: self->size() = 0", False, "size() over a non-collection"),
+    ("context Spool inv x: self->first().oclIsTypeOf(Job)", False, "first() over a non-collection"),
+    ("context Spool inv x: self->forAll(c | true)", False, "iteration over a non-collection"),
+    ("context Spool inv x: self.bChld->exists(c | c.bChld)", False, "iteration body must be boolean"),
+    ("context Spool inv x: not 1", False, "'not' needs a boolean operand"),
+    ("context Spool inv x: true implies self", False, "boolean connective over non-boolean operand"),
+    ("context Spool inv x: true < 1", False, "comparison '<' needs integer operands"),
+    ("context Spool inv x: let n : integer = true n = 1", False, "let 'n' declared integer but bound to non-integer"),
+    ("context Spool inv x: let d : Desk = self true", False, "unknown type name 'Desk'"),
+    ("context Spool inv x: let j : Job = self true", False, "let 'j' binding does not conform to 'Job'"),
+    ("context Spool inv x: true context Desk inv y: true", False, "unknown context type 'Desk' in y"),
+    ("context Spool inv x: self.bChld->size()", False, "invariant x is not a boolean expression"),
+]
+
+
+@pytest.mark.parametrize("text,ghost_end,message", TYPE_ERRORS)
+def test_type_error_messages(text, ghost_end, message, g1, tg_sigma1):
+    tg = tg_sigma1
+    if ghost_end:
+        graph = tg.graph
+        tg = dataclasses.replace(
+            tg,
+            graph=Graph(
+                nodes=graph.nodes,
+                edges=graph.edges | {"bGhost"},
+                src={**graph.src, "bGhost": "BNode"},
+                tgt={**graph.tgt, "bGhost": "Ghost"},
+            ),
+        )
+    doc = parse_constraints(text)
+    with pytest.raises(TypeCheckError) as err:
+        typecheck(doc, tg)
+    assert str(err.value) == message
+    with pytest.raises(TypeCheckError) as err:
+        evaluate(doc, g1, tg)
+    assert str(err.value) == message
+
+
+EVALUATION_ERRORS = {
+    "no-tgt": (
+        "context Spool inv x: self.bChld->size() >= 0",
+        lambda g: drop_tgt(g, "bChld:n:v3:s:0"),
+        "navigation 'bChld' from n:v3 follows edge bChld:n:v3:s:0 without a tgt",
+    ),
+    "two-parents": (
+        "context Job inv x: self.bPrnt.oclIsTypeOf(User)",
+        lambda g: add_edge(g, "bPrnt:n:v6:n:v0", "bPrnt", "n:v6", "n:v0"),
+        "navigation 'bPrnt' from n:v6 hit 2 targets",
+    ),
+    "test-empty": ("context BRoot inv x: self.bPrnt.oclIsTypeOf(Job)", None, "type test on an empty value"),
+    "cast-empty": (
+        "context BRoot inv x: self.bPrnt.oclAsType(BNode).oclIsTypeOf(Job)",
+        None,
+        "cast of an empty value",
+    ),
+    "cast-fails": (
+        "context Spool inv x: self.oclAsType(Job).oclIsTypeOf(Job)",
+        None,
+        "cannot cast n:v3 ('Spool') to 'Job'",
+    ),
+    "first-empty": (
+        "context Job inv x: self.bPorts->first().oclIsTypeOf(BPort)",
+        None,
+        "first() on an empty collection",
+    ),
+    # The parser gives only int literals; a hand-built one reaches the check.
+    "non-integers": (
+        ConstraintDoc((Invariant("Spool", "x", Compare("=", IntLit("1"), IntLit(1))),)),
+        None,
+        "comparison '=' on non-integers",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EVALUATION_ERRORS))
+def test_evaluation_error_messages(case, g1, tg_sigma1):
+    doc, edit, message = EVALUATION_ERRORS[case]
+    if isinstance(doc, str):
+        doc = parse_constraints(doc)
+    with pytest.raises(EvaluationError) as err:
+        evaluate(doc, edit(g1) if edit else g1, tg_sigma1)
+    assert str(err.value) == message
+
+
+def test_every_invariant_is_typed_before_any_is_evaluated(g1, tg_sigma1):
+    # The first invariant fails at runtime on every Job, the second does
+    # not type: the type error wins.
+    doc = parse_constraints(
+        "context Job inv x: self.bPorts->first().oclIsTypeOf(BPort)\ncontext Spool inv y: not 1"
+    )
+    with pytest.raises(TypeCheckError, match="'not' needs a boolean operand"):
+        evaluate(doc, g1, tg_sigma1)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # Each iterator rebinds c to the Spool's site; after it, c is self again.
+        "context Spool inv x: let c : BNode = self (self.bChld->forAll(c | true) and c.oclIsTypeOf(Spool))",
+        "context Spool inv x: let c : BNode = self (self.bChld->exists(c | true) and c.oclIsTypeOf(Spool))",
+        "context Spool inv x: let n : integer = 1 (let n : integer = 2 n = 2) and n = 1",
+    ],
+)
+def test_bindings_do_not_leak_out_of_their_body(text, g1, tg_sigma1):
+    result = evaluate(parse_constraints(text), g1, tg_sigma1)
+    assert [(c.node, c.passed) for c in result.checks] == [("n:v3", True)]
