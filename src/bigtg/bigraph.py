@@ -148,12 +148,10 @@ class Bigraph:
 
 
 def ports_of(b: Bigraph) -> set[Port]:
-    """All ports of ``b``: one per node and arity slot of its control."""
-    out: set[Port] = set()
-    for v in b.nodes:
-        for i in range(b.signature.arity(b.ctrl[v])):
-            out.add(Port(v, i))
-    return out
+    """All ports of ``b``: one per node and arity slot of its control. A
+    node whose control is missing or undeclared has none."""
+    arities = b.signature.arities
+    return {Port(v, i) for v in b.nodes for i in range(arities.get(b.ctrl.get(v), 0))}
 
 
 def _fmt_point(p: Point) -> str:
@@ -214,13 +212,7 @@ def validate_bigraph(b: Bigraph) -> ValidationReport:
         flag("parent-cycle", f"prnt[{cycle[0]}]", "parent map cycle through " + ", ".join(sorted(cycle)))
 
     # Link map: total on inner names and ports, targets are edges or outer names.
-    ports: set[Port] = set()
-    for v in sorted(b.nodes):
-        control = b.ctrl.get(v)
-        if control is not None and b.signature.has_control(control):
-            for i in range(b.signature.arity(control)):
-                ports.add(Port(v, i))
-    link_domain: set[Point] = set(b.inner.names) | ports
+    link_domain: set[Point] = set(b.inner.names) | ports_of(b)
     for p in sorted(link_domain, key=_fmt_point):
         if p not in b.link:
             flag("link-total", f"link[{_fmt_point(p)}]", "inner name or port is not linked")

@@ -295,13 +295,12 @@ def _strip_prefix(kind: str, gid: str) -> str:
 def _index_range(
     kind: str, nodes_with_index: list[tuple[str, object]], count_label: str
 ) -> dict[int, str]:
-    """Map indices 0..n-1 to graph nodes, rejecting gaps and duplicates."""
+    """Map indices 0..n-1 to graph nodes, rejecting gaps and duplicates.
+    Each index is an integer: ``attr-type`` has refused any other value."""
     by_index: dict[int, str] = {}
     for gid, idx in nodes_with_index:
         if idx is None:
             raise NotCanonical(f"{kind} {gid} has no index attribute")
-        if not isinstance(idx, int) or isinstance(idx, bool):
-            raise NotCanonical(f"{kind} {gid} has a non-integer index")
         if idx in by_index:
             raise NotCanonical(f"duplicate {kind} index {idx}")
         by_index[idx] = gid
@@ -320,13 +319,13 @@ def decode(g: InstanceGraph, sig: Signature) -> tuple[Bigraph, ElementMap]:
     with the findings. The rebuild then raises :class:`UntypedControl`
     for a node typed ``BNode``, and :class:`NotCanonical` for two ids of
     one kind that collide once their prefix is stripped, a root, site or
-    port index that is missing, not an integer, duplicated or outside a
-    gap-free range, a root with a parent, a site as a parent, or a node
-    or site without a parent. Conformance implies the rest: each port
-    has one ownership edge (``bNode`` is ``[1,1]``) to a node typed by a
-    control (its target conforms to ``BNode``, and a node typed ``BNode``
-    itself has raised), and each link edge runs from a port or inner name
-    to an edge or outer name.
+    port index that is missing, duplicated or outside a gap-free range, a
+    root with a parent, a site as a parent, or a node or site without a
+    parent. Conformance implies the rest: each index is an integer
+    (``attr-type``), each port has one ownership edge (``bNode`` is
+    ``[1,1]``) to a node typed by a control (its target conforms to
+    ``BNode``, and a node typed ``BNode`` itself has raised), and each link
+    edge runs from a port or inner name to an edge or outer name.
     """
     rep = conformance(g, extend_for_signature(sig), sig)
     if not rep.ok:

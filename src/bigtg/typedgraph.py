@@ -237,12 +237,6 @@ def declared_attrs(tg: TypeGraph, t: str) -> dict[str, str]:
     return merged
 
 
-def opposite_of(tg: TypeGraph, edge_type: str) -> str | None:
-    """The opposite edge type of ``edge_type``, if any (the smallest one
-    when the type graph pairs it with several)."""
-    return tg._opposite.get(edge_type)
-
-
 def walk_suspects(
     elements: Collection[Any], keys: Iterable[Hashable], check: Callable[[Any], list[Finding]]
 ) -> list[Finding]:
@@ -453,18 +447,6 @@ def _cycles(succ: Mapping[str, list[str]]) -> list[list[str]]:
     return cycles
 
 
-def _opposite_groups(g: InstanceGraph, tg: TypeGraph) -> dict[tuple[str, str, str], list[str]]:
-    """Edges whose type has an opposite, grouped by ``(type, src, tgt)``;
-    each group is sorted."""
-    groups: dict[tuple[str, str, str], list[str]] = {}
-    for e in sorted(g.graph.edges):
-        te, s, t = g.edge_types.get(e), g.graph.src.get(e), g.graph.tgt.get(e)
-        if te is None or s is None or t is None or opposite_of(tg, te) is None:
-            continue
-        groups.setdefault((te, s, t), []).append(e)
-    return groups
-
-
 def _reaches_cycle(up: dict[str, str]) -> bool:
     """Whether following ``up`` (each key to its one successor) from some
     key never stops. Pointer jumping: each round maps every key to the
@@ -526,7 +508,7 @@ def check_validity(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
         return report_from(findings)
     seen: set[tuple[str, str, str]] = set()
     for te, s, t in sorted(key for key in counts if key[1] is not None and key[2] is not None):
-        rev = (opposite_of(tg, te), t, s)
+        rev = (opposite.get(te), t, s)
         key = min((te, s, t), rev)  # process each unordered pair once
         if key in seen:
             continue
@@ -541,24 +523,6 @@ def check_validity(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
             )
 
     return report_from(findings)
-
-
-def pair_opposites(g: InstanceGraph, tg: TypeGraph) -> dict[str, str]:
-    """Pair every edge whose type has an opposite with its reverse edge.
-
-    Only defined on graphs where :func:`check_validity` is empty; raises
-    ``ValueError`` otherwise. The result is an involution without fixed
-    points on the participating edges.
-    """
-    by_key = _opposite_groups(g, tg)
-    pairing: dict[str, str] = {}
-    for (te, s, t), edges in sorted(by_key.items()):
-        partners = by_key.get((opposite_of(tg, te), t, s), [])
-        if len(partners) != len(edges):
-            raise ValueError(f"unpairable opposite edges at {te}[{s}->{t}]")
-        for e, p in zip(edges, partners):
-            pairing[e] = p
-    return pairing
 
 
 def check_multiplicities(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:

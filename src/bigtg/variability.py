@@ -1,15 +1,17 @@
 """Product-line variability for the graph-based bigraph representation.
 
 The fixed feature model spans one alternative (strong vs. weak typing)
-and three optional explicit/indexed element groups (roots, sites, ports).
-A 150% type graph superimposes every variant behind presence conditions;
-deriving a configuration keeps the elements whose condition holds.
+and three optional explicit/indexed element groups (roots, sites, ports),
+which the one table ``_GROUPS`` states. A 150% type graph superimposes
+every variant behind presence conditions; deriving a configuration keeps
+the elements whose condition holds and drops whatever then dangles.
 Instance graphs are reconfigured by a fixed sequence of conditional
 deltas applied to the canonical encoding.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
@@ -18,14 +20,19 @@ from .mapping import NotCanonical
 from .report import Finding, ValidationReport, report_from
 from .typedgraph import Graph, InstanceGraph, Multiplicity, TypeGraph
 
-#: Selectable leaf features: the typing alternative and the three
-#: explicit-representation/index option pairs. Structuring features of the
-#: model tree are implied and never part of a configuration.
-FEATURE_LEAVES = ("ST", "WT", "ER", "RI", "ES", "SI", "EP", "PI")
-_REQUIRES = (("RI", "ER"), ("SI", "ES"), ("PI", "EP"))
+#: The option groups in delta order: each group's node type, the feature
+#: that makes its elements explicit, and the feature that indexes them.
+_GROUPS = (("BRoot", "ER", "RI"), ("BSite", "ES", "SI"), ("BPort", "EP", "PI"))
 
-# Presence conditions: a feature name, or ("not"|"and"|"or"|"implies", ...).
-Formula = str | tuple
+#: Selectable leaf features: the typing alternative and each group's
+#: explicit/indexed pair. Structuring features of the model tree are
+#: implied and never part of a configuration.
+FEATURE_LEAVES = ("ST", "WT") + tuple(f for _, explicit, indexed in _GROUPS for f in (explicit, indexed))
+_REQUIRES = tuple((indexed, explicit) for _, explicit, indexed in _GROUPS)
+
+# Presence and delta conditions: a feature name, or ("not", feature). The
+# groups' conditions come from _GROUPS; derivation drops what dangles.
+Formula = str | tuple[str, str]
 
 
 class InvalidConfig(Exception):
@@ -37,16 +44,10 @@ class InvalidConfig(Exception):
 def eval_formula(formula: Formula, selected: frozenset[str] | set[str]) -> bool:
     if isinstance(formula, str):
         return formula in selected
-    op, *args = formula
-    if op == "not":
-        return not eval_formula(args[0], selected)
-    if op == "and":
-        return all(eval_formula(a, selected) for a in args)
-    if op == "or":
-        return any(eval_formula(a, selected) for a in args)
-    if op == "implies":
-        return (not eval_formula(args[0], selected)) or eval_formula(args[1], selected)
-    raise ValueError(f"unknown connective {op!r}")
+    op, feature = formula
+    if op != "not":
+        raise ValueError(f"unknown connective {op!r}")
+    return feature not in selected
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ class FeatureConfig:
 
     @classmethod
     def canonical(cls) -> "FeatureConfig":
-        return cls(frozenset({"ST", "ER", "RI", "ES", "SI", "EP", "PI"}))
+        return cls(frozenset(FEATURE_LEAVES) - {"WT"})
 
     def ordered(self) -> tuple[str, ...]:
         return tuple(f for f in FEATURE_LEAVES if f in self.selected)
@@ -83,37 +84,21 @@ def validate_config(cfg: FeatureConfig) -> ValidationReport:
 
 
 def enumerate_configs() -> list[FeatureConfig]:
-    """All valid configurations in a fixed, deterministic order."""
-    out: list[FeatureConfig] = []
-    for typing in ("ST", "WT"):
-        for roots in ((), ("ER",), ("ER", "RI")):
-            for sites in ((), ("ES",), ("ES", "SI")):
-                for ports in ((), ("EP",), ("EP", "PI")):
-                    out.append(FeatureConfig(frozenset((typing,) + roots + sites + ports)))
-    return out
-
-
-# Keys into the annotation table of a 150% type graph.
-def node_key(t: str) -> tuple:
-    return ("node", t)
-
-
-def edge_key(e: str) -> tuple:
-    return ("edge", e)
-
-
-def inherits_key(sub: str, sup: str) -> tuple:
-    return ("inherits", sub, sup)
-
-
-def attr_key(t: str, a: str) -> tuple:
-    return ("attr", t, a)
+    """All valid configurations: the typing alternative varies slowest,
+    then each group in table order through none, explicit, and both."""
+    options = [((), (explicit,), (explicit, indexed)) for _, explicit, indexed in _GROUPS]
+    return [
+        FeatureConfig(frozenset(itertools.chain((typing,), *picks)))
+        for typing in ("ST", "WT")
+        for picks in itertools.product(*options)
+    ]
 
 
 @dataclass(frozen=True)
 class AnnotatedTypeGraph:
     """A 150% type graph: the superimposition of all variants, with
-    presence conditions on the variable elements."""
+    presence conditions keyed ``("node", t)``, ``("edge", e)``,
+    ``("inherits", sub, sup)`` or ``("attr", t, a)``."""
 
     base: TypeGraph
     annotations: Mapping[tuple, Formula] = field(default_factory=dict)
@@ -128,8 +113,10 @@ def annotate_150(tg_sigma: TypeGraph) -> AnnotatedTypeGraph:
     """Superimpose all representation variants over a signature type graph.
 
     Adds the weakly-typed control attribute and the direct node-to-link
-    subtyping used when ports are implicit, then annotates every variable
-    element with its presence condition.
+    subtyping used when ports are implicit. Presence conditions go only
+    where derivation cannot infer them: on node types, attributes, and the
+    node-as-point subtyping ``(BNode, BPoint)``. Edge types and inheritance
+    pairs follow their node types, as derivation drops what dangles.
     """
     controls = sorted(set(tg_sigma.graph.nodes) - set(BASE_NODE_TYPE_NAMES))
 
@@ -141,22 +128,12 @@ def annotate_150(tg_sigma: TypeGraph) -> AnnotatedTypeGraph:
         attr_decls=attr_decls,
     )
 
-    ann: dict[tuple, Formula] = {attr_key("BNode", "control"): "WT"}
-    for c in controls:
-        ann[node_key(c)] = "ST"
-        ann[inherits_key(c, "BNode")] = "ST"
-    ann[node_key("BRoot")] = "ER"
-    ann[inherits_key("BRoot", "BPlace")] = "ER"
-    ann[attr_key("BRoot", "index")] = "RI"
-    ann[node_key("BSite")] = "ES"
-    ann[inherits_key("BSite", "BPlace")] = "ES"
-    ann[attr_key("BSite", "index")] = "SI"
-    ann[node_key("BPort")] = "EP"
-    ann[inherits_key("BPort", "BPoint")] = "EP"
-    ann[edge_key("bPorts")] = "EP"
-    ann[edge_key("bNode")] = "EP"
-    ann[attr_key("BPort", "index")] = "PI"
-    ann[inherits_key("BNode", "BPoint")] = ("not", "EP")
+    ann: dict[tuple, Formula] = {("node", c): "ST" for c in controls}
+    ann["attr", "BNode", "control"] = "WT"
+    ann["inherits", "BNode", "BPoint"] = ("not", "EP")
+    for node_type, explicit, indexed in _GROUPS:
+        ann["node", node_type] = explicit
+        ann["attr", node_type, "index"] = indexed
 
     # Without explicit ports a node carries as many links as its arity,
     # so the exactly-one bound on outgoing links cannot stay.
@@ -177,16 +154,16 @@ def derive_type_graph(atg: AnnotatedTypeGraph, cfg: FeatureConfig) -> TypeGraph:
         return ann is None or eval_formula(ann, sel)
 
     base = atg.base
-    nodes = {t for t in base.graph.nodes if keep(node_key(t))}
+    nodes = {t for t in base.graph.nodes if keep(("node", t))}
     edges = {
         e
         for e in base.graph.edges
-        if keep(edge_key(e)) and base.graph.src[e] in nodes and base.graph.tgt[e] in nodes
+        if keep(("edge", e)) and base.graph.src[e] in nodes and base.graph.tgt[e] in nodes
     }
     inherits = {
         (sub, sup)
         for sub, sup in base.inherits
-        if keep(inherits_key(sub, sup)) and sub in nodes and sup in nodes
+        if keep(("inherits", sub, sup)) and sub in nodes and sup in nodes
     }
     mult: dict[str, Multiplicity] = {}
     for e in edges:
@@ -198,7 +175,7 @@ def derive_type_graph(atg: AnnotatedTypeGraph, cfg: FeatureConfig) -> TypeGraph:
     attr_decls: dict[str, dict[str, str]] = {}
     for t in nodes:
         kept = {
-            a: dt for a, dt in base.attr_decls.get(t, {}).items() if keep(attr_key(t, a))
+            a: dt for a, dt in base.attr_decls.get(t, {}).items() if keep(("attr", t, a))
         }
         if kept:
             attr_decls[t] = kept

@@ -73,6 +73,42 @@ def test_ports_of_single_printer():
     assert ports_of(b) == {Port("v", 0), Port("v", 1)}
 
 
+def test_ports_of_skips_a_node_without_a_declared_control():
+    # The constructor accepts a node without a control ("w") and one with
+    # a control the signature does not declare ("x"); neither has ports.
+    b = Bigraph(
+        signature=make_signature(SIG1_PAIRS),
+        nodes={"v", "w", "x"},
+        ctrl={"v": "Printer", "x": "Ghost"},
+        prnt={"v": 0, "w": 0, "x": 0},
+        link={("v", 0): "e", ("v", 1): "e", ("x", 0): "e"},
+        edges={"e"},
+        outer=Interface(1),
+    )
+    assert ports_of(b) == {Port("v", 0), Port("v", 1)}
+    assert [f.line() for f in validate_bigraph(b).findings] == [
+        "error ctrl-total ctrl[w] node has no control",
+        "error ctrl-unknown-control ctrl[x] control 'Ghost' is not declared by the signature",
+        "error link-domain link[(x,0)] link assigned to unknown inner name or port",
+    ]
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.data())
+@settings(max_examples=60, deadline=None)
+def test_ports_of_drops_exactly_the_ports_of_edited_controls(seed, data):
+    b = random_bigraph(random.Random(seed))
+    if not b.nodes:
+        return
+    # None removes a node's control; "Ghost" is declared by no signature.
+    edits = data.draw(st.dictionaries(st.sampled_from(sorted(b.nodes)), st.sampled_from([None, "Ghost"]), max_size=3))
+    edited = dataclasses.replace(b, ctrl={v: c for v, c in {**b.ctrl, **edits}.items() if c is not None})
+    lost = {p for p in ports_of(b) if p.node in edits}
+    assert ports_of(edited) == ports_of(b) - lost
+    assert {f.location for f in validate_bigraph(edited).findings if f.code == "link-domain"} == {
+        f"link[({p.node},{p.index})]" for p in lost
+    }
+
+
 def test_validate_printer_example(b1):
     assert validate_bigraph(b1).ok
 

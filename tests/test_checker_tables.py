@@ -7,7 +7,9 @@ type) pair, one ``declared_attrs`` per attribute and one ``outgoing`` per
 count. ``memo_check_typing``, ``ref_check_validity`` and
 ``ref_check_arity_rule`` are verbatim copies of those checkers as they
 were before shape keys and counted opposites, when each walked every
-element in sorted order. The checkers must give the same findings in the
+element in sorted order; ``opposite_of`` and ``_opposite_groups`` are
+copies of the helpers ``ref_check_validity`` called, which the library
+no longer has. The checkers must give the same findings in the
 same order as each reference on edited encodings that also carry typing
 entries and attributes for elements outside the graph and ``bool``
 attribute values, against the signature's type graph, the type graphs of
@@ -33,13 +35,11 @@ from bigtg.typedgraph import (
     Multiplicity,
     TypeGraph,
     _cycles,
-    _opposite_groups,
     check_multiplicities,
     check_typing,
     check_validity,
     conforms,
     declared_attrs,
-    opposite_of,
     outgoing,
 )
 from bigtg.variability import derive_type_graph
@@ -433,6 +433,24 @@ def memo_check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
             flag("attr-type", f"{n}.{a}", "attribute value is not a string")
 
     return report_from(findings)
+
+
+def opposite_of(tg: TypeGraph, edge_type: str) -> str | None:
+    """The opposite edge type of ``edge_type``, if any (the smallest one
+    when the type graph pairs it with several)."""
+    return tg._opposite.get(edge_type)
+
+
+def _opposite_groups(g: InstanceGraph, tg: TypeGraph) -> dict[tuple[str, str, str], list[str]]:
+    """Edges whose type has an opposite, grouped by ``(type, src, tgt)``;
+    each group is sorted."""
+    groups: dict[tuple[str, str, str], list[str]] = {}
+    for e in sorted(g.graph.edges):
+        te, s, t = g.edge_types.get(e), g.graph.src.get(e), g.graph.tgt.get(e)
+        if te is None or s is None or t is None or opposite_of(tg, te) is None:
+            continue
+        groups.setdefault((te, s, t), []).append(e)
+    return groups
 
 
 def ref_check_validity(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:

@@ -31,9 +31,9 @@ from bigtg import (
     extend_for_signature,
 )
 from bigtg.generators import random_bigraph
-from bigtg.typedgraph import all_super, pair_opposites, symmetric_pairs
+from bigtg.typedgraph import all_super, symmetric_pairs
 
-from helpers import drop_edge, edges_of_type
+from helpers import edges_of_type
 
 
 def test_all_sub_controls_under_bnode(tg_sigma1):
@@ -136,10 +136,6 @@ def test_dangling_edge_end_is_a_finding_not_a_key_error(probe, seed, data):
     assert expected in conformance(g, tg, b.signature).findings
     with pytest.raises(NotCanonical):
         decode(g, b.signature)
-    try:
-        pair_opposites(g, tg)
-    except ValueError:
-        pass
 
 
 def test_validity_printer_example(g1, tg_sigma1):
@@ -215,22 +211,11 @@ def test_multiplicities_edge_without_points(tg_sigma1):
     assert any("bPoints" in f.message and "[1,*]" in f.message for f in rep.findings)
 
 
-def test_opposite_pairing_is_involution(g1, tg_sigma1):
-    pairing = pair_opposites(g1, tg_sigma1)
-    paired_types = {"bPrnt", "bChld", "bLink", "bPoints", "bPorts", "bNode"}
-    participating = {e for e in g1.graph.edges if g1.edge_types[e] in paired_types}
-    assert set(pairing) == participating
-    for e, p in pairing.items():
-        assert pairing[p] == e
-        assert p != e
-
-
 # Edge type "a" is paired with both "b" and "c" (a type graph that
 # check_type_graph rejects); "a" must take the smallest partner, "b", in
 # every process, whatever order the opposites frozenset iterates in.
 _PARTNER_PROBE = """
 from bigtg import Graph, InstanceGraph, Multiplicity, TypeGraph, check_validity
-from bigtg.typedgraph import pair_opposites
 
 ends = dict.fromkeys("abc", "X")
 tg = TypeGraph(
@@ -243,7 +228,7 @@ g = InstanceGraph(
     node_types={"x": "X", "y": "X"},
     edge_types={"e1": "a", "e2": "b"},
 )
-print([f.line() for f in check_validity(g, tg).findings], pair_opposites(g, tg))
+print([f.line() for f in check_validity(g, tg).findings])
 """
 
 
@@ -259,13 +244,7 @@ def test_opposite_partner_independent_of_hash_seed():
         ).stdout
         for seed in range(1, 7)
     }
-    assert outputs == {"[] {'e1': 'e2', 'e2': 'e1'}\n"}
-
-
-def test_opposite_pairing_rejects_desync(g1, tg_sigma1):
-    broken = drop_edge(g1, edges_of_type(g1, "bChld")[0])
-    with pytest.raises(ValueError):
-        pair_opposites(broken, tg_sigma1)
+    assert outputs == {"[]\n"}
 
 
 # --- generic hierarchy used for the subtype-monotonicity property ----------
