@@ -15,7 +15,6 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-import dataclasses
 
 from bigtg import (
     Bigraph,
@@ -25,6 +24,7 @@ from bigtg import (
     extend_for_signature,
     fileio,
     make_signature,
+    replace,
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -137,12 +137,12 @@ def main() -> None:
     fileio.save(good_g, str(corpus / "good.ig.json"))
     fileio.save(FeatureConfig.canonical(), str(corpus / "good.cfg.json"))
 
-    bad_b = dataclasses.replace(good_b, prnt={**good_b.prnt, "u": "u"})
+    bad_b = replace(good_b, prnt={**good_b.prnt, "u": "u"})
     fileio.save(bad_b, str(corpus / "bad.bg.json"))
     dropped = sorted(e for e in good_g.graph.edges if good_g.edge_types[e] == "bChld")[0]
-    bad_g = dataclasses.replace(
+    bad_g = replace(
         good_g,
-        graph=dataclasses.replace(
+        graph=replace(
             good_g.graph,
             edges=good_g.graph.edges - {dropped},
             src={e: s for e, s in good_g.graph.src.items() if e != dropped},

@@ -35,6 +35,7 @@ _PUBLIC = {
         "AnnotatedTypeGraph", "Delta", "FeatureConfig", "InvalidConfig", "annotate_150", "apply_deltas",
         "derive_type_graph", "enumerate_configs", "validate_config",
     ),
+    "_value": ("replace",),
 }
 
 #: Each public name and the module that defines it.

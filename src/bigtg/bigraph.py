@@ -10,9 +10,10 @@ outer interface. All values are immutable; structural rules are checked by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 
+from ._value import field, frozen
 from .report import Finding, ValidationReport, report_from
 from .typedgraph import _cycles
 
@@ -42,14 +43,14 @@ class ReservedControlName(ValueError):
     """A control name collides with a base node-type name."""
 
 
-@dataclass(frozen=True)
+@frozen
 class Control:
     """A node type declared by a signature."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@frozen
 class Signature:
     """An ordered set of controls plus an arity (port count) for each."""
 
@@ -60,8 +61,13 @@ class Signature:
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.controls)
 
-    def has_control(self, name: str) -> bool:
-        return name in self.arities
+    def has_control(self, name: object) -> bool:
+        """Whether ``name`` is declared; a value that cannot be hashed,
+        such as a list, names no control."""
+        try:
+            return name in self.arities
+        except TypeError:
+            return False
 
     def arity(self, name: str) -> int:
         return self.arities[name]
@@ -90,7 +96,7 @@ def make_signature(pairs: Iterable[tuple[str, int]]) -> Signature:
     return Signature(tuple(controls), arities)
 
 
-@dataclass(frozen=True)
+@frozen
 class Interface:
     """A place width together with a finite set of link names."""
 
@@ -103,11 +109,8 @@ class Interface:
         object.__setattr__(self, "names", frozenset(self.names))
 
 
-class Port(NamedTuple):
-    """The ``index``-th connection point of ``node``."""
-
-    node: str
-    index: int
+Port = namedtuple("Port", ("node", "index"))
+Port.__doc__ = """The ``index``-th connection point of ``node``."""
 
 
 # prnt maps sites (ints) and nodes (strs) to nodes (strs) or roots (ints);
@@ -117,7 +120,7 @@ PlaceParent = str | int
 Point = str | Port
 
 
-@dataclass(frozen=True)
+@frozen
 class Bigraph:
     """A concrete pure bigraph over a basic signature.
 
@@ -150,8 +153,8 @@ class Bigraph:
 def ports_of(b: Bigraph) -> set[Port]:
     """All ports of ``b``: one per node and arity slot of its control. A
     node whose control is missing or undeclared has none."""
-    arities = b.signature.arities
-    return {Port(v, i) for v in b.nodes for i in range(arities.get(b.ctrl.get(v), 0))}
+    sig = b.signature
+    return {Port(v, i) for v in b.nodes if sig.has_control(c := b.ctrl.get(v)) for i in range(sig.arity(c))}
 
 
 def _fmt_point(p: Point) -> str:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from collections.abc import Callable, Mapping
 
+from ._value import frozen
 from .typedgraph import InstanceGraph, TypeGraph, all_sub, conforms
 
 KEYWORDS = frozenset(
@@ -65,99 +65,99 @@ class EvaluationError(Exception):
 # Abstract syntax
 
 
-@dataclass(frozen=True)
+@frozen
 class SelfRef:
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class VarRef:
     name: str
 
 
-@dataclass(frozen=True)
+@frozen
 class IntLit:
     value: int
 
 
-@dataclass(frozen=True)
+@frozen
 class BoolLit:
     value: bool
 
 
-@dataclass(frozen=True)
+@frozen
 class Nav:
     obj: "Expr"
     edge: str
 
 
-@dataclass(frozen=True)
+@frozen
 class IsTypeOf:
     obj: "Expr"
     type_name: str
 
 
-@dataclass(frozen=True)
+@frozen
 class AsType:
     obj: "Expr"
     type_name: str
 
 
-@dataclass(frozen=True)
+@frozen
 class SizeOp:
     obj: "Expr"
 
 
-@dataclass(frozen=True)
+@frozen
 class FirstOp:
     obj: "Expr"
 
 
-@dataclass(frozen=True)
+@frozen
 class ForAll:
     obj: "Expr"
     var: str
     body: "Expr"
 
 
-@dataclass(frozen=True)
+@frozen
 class Exists:
     obj: "Expr"
     var: str
     body: "Expr"
 
 
-@dataclass(frozen=True)
+@frozen
 class NotOp:
     operand: "Expr"
 
 
-@dataclass(frozen=True)
+@frozen
 class AndOp:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@frozen
 class OrOp:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@frozen
 class ImpliesOp:
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@frozen
 class Compare:
     op: str  # one of = < <= > >=
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@frozen
 class Let:
     name: str
     decl_type: str
@@ -186,14 +186,14 @@ Expr = (
 )
 
 
-@dataclass(frozen=True)
+@frozen
 class Invariant:
     context_type: str
     name: str
     body: Expr
 
 
-@dataclass(frozen=True)
+@frozen
 class ConstraintDoc:
     invariants: tuple[Invariant, ...] = ()
 
@@ -202,7 +202,7 @@ class ConstraintDoc:
 # Lexer / parser
 
 
-@dataclass(frozen=True)
+@frozen
 class _Token:
     kind: str  # name, keyword, int, op, eof
     value: str
@@ -717,7 +717,7 @@ def typecheck(doc: ConstraintDoc, tg: TypeGraph) -> tuple[Run, ...]:
     return tuple(runs)
 
 
-@dataclass(frozen=True)
+@frozen
 class InvariantCheck:
     """Verdict of one invariant on one context instance."""
 
@@ -728,7 +728,7 @@ class InvariantCheck:
     trace: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@frozen
 class CheckResult:
     checks: tuple[InvariantCheck, ...] = ()
 

@@ -11,17 +11,20 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+from collections.abc import Callable, Container
 from functools import partial
 from importlib import import_module
 from itertools import groupby, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Container
 
 from .bigraph import Bigraph, Interface, Port, Signature, make_signature
 from .typedgraph import ATTR_TYPES, Graph, InstanceGraph, Multiplicity, TypeGraph, symmetric_pairs
 
+TYPE_CHECKING = False  # read as true by static type checkers only
 if TYPE_CHECKING:
+    from typing import Any
+
     from .variability import FeatureConfig
 
 FORMAT_VERSION = "1.0"

@@ -13,9 +13,9 @@ element by element against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from collections.abc import Iterator, Mapping
 
+from ._value import field, frozen
 from .bigraph import (
     BASE_NODE_TYPE_NAMES,
     Bigraph,
@@ -179,7 +179,7 @@ def conformance(g: InstanceGraph, tg: TypeGraph, sig: Signature | None = None) -
     return rep if sig is None else rep.merged(check_arity_rule(g, tg, sig))
 
 
-@dataclass(frozen=True)
+@frozen
 class ElementMap:
     """Bijection between the elements of a bigraph and instance-graph nodes."""
 
@@ -409,7 +409,7 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
     elements to align: its :func:`validate_bigraph` findings come back.
     """
     ctrl = b.ctrl
-    if not b.signature.arities.keys() >= set(map(ctrl.get, b.nodes)):
+    if not all(map(b.signature.has_control, map(ctrl.get, b.nodes))):
         return validate_bigraph(b)
     findings: list[Finding] = []
 

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._value import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class Finding:
     """One rule violation, printable as a single diagnostic line."""
 
@@ -18,7 +18,7 @@ class Finding:
         return f"{self.severity} {self.code} {self.location} {self.message}"
 
 
-@dataclass(frozen=True)
+@frozen
 class ValidationReport:
     """An ordered collection of findings; empty means the check passed."""
 

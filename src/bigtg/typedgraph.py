@@ -11,13 +11,17 @@ the structural rules can fail.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Callable, Collection, Hashable, Iterable, Mapping
 from functools import cached_property
 from itertools import compress, repeat
 from operator import is_not, itemgetter
-from typing import Any, Callable, Collection, Hashable, Iterable, Mapping
 
+from ._value import field, frozen
 from .report import Finding, ValidationReport, report_from
+
+TYPE_CHECKING = False  # read as true by static type checkers only
+if TYPE_CHECKING:
+    from typing import Any
 
 ATTR_TYPES = ("int", "string")
 
@@ -26,7 +30,7 @@ class UnknownType(ValueError):
     """A node type name does not occur in the type graph."""
 
 
-@dataclass(frozen=True)
+@frozen
 class Graph:
     """A directed unlabelled graph with opaque node and edge identifiers."""
 
@@ -42,7 +46,7 @@ class Graph:
         object.__setattr__(self, "tgt", dict(self.tgt))
 
 
-@dataclass(frozen=True)
+@frozen
 class Multiplicity:
     """A ``[lb,ub]`` bound on edge counts; ``ub=None`` means unbounded."""
 
@@ -68,7 +72,7 @@ def symmetric_pairs(pairs: Iterable[tuple[str, str]]) -> frozenset[tuple[str, st
     return frozenset(out)
 
 
-@dataclass(frozen=True)
+@frozen
 class TypeGraph:
     """A metamodel: graph of types plus hierarchy, containment, opposites,
     multiplicities and attribute declarations."""
@@ -126,14 +130,14 @@ class TypeGraph:
         return partner
 
 
-@dataclass(frozen=True)
+@frozen
 class InstanceGraph:
     """A graph typed over a type graph, with node attribute values.
 
     The adjacency and attribute indexes are built on first use and kept,
     so the dicts of ``graph``, ``node_types``, ``edge_types`` and
     ``attrs`` must not be mutated after the first query; build a new
-    graph (through the constructor or ``dataclasses.replace``) instead.
+    graph (through the constructor or ``bigtg.replace``) instead.
     """
 
     graph: Graph

@@ -12,9 +12,9 @@ deltas applied to the canonical encoding.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping
+from collections.abc import Callable, Mapping
 
+from ._value import field, frozen, replace
 from .bigraph import BASE_NODE_TYPE_NAMES, Signature
 from .mapping import NotCanonical
 from .report import Finding, ValidationReport, report_from
@@ -50,7 +50,7 @@ def eval_formula(formula: Formula, selected: frozenset[str] | set[str]) -> bool:
     return feature not in selected
 
 
-@dataclass(frozen=True)
+@frozen
 class FeatureConfig:
     """A set of selected leaf features."""
 
@@ -94,7 +94,7 @@ def enumerate_configs() -> list[FeatureConfig]:
     ]
 
 
-@dataclass(frozen=True)
+@frozen
 class AnnotatedTypeGraph:
     """A 150% type graph: the superimposition of all variants, with
     presence conditions keyed ``("node", t)``, ``("edge", e)``,
@@ -281,7 +281,7 @@ def _implicit_ports(g: InstanceGraph, sig: Signature) -> InstanceGraph:
     return _delete_nodes(rewired, set(ports))
 
 
-@dataclass(frozen=True)
+@frozen
 class Delta:
     """A conditional instance-graph patch."""
 

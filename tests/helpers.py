@@ -3,7 +3,6 @@ hypothesis strategy of arbitrarily edited encodings, and shared checks."""
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import random
 import tempfile
@@ -11,7 +10,7 @@ import tempfile
 import pytest
 from hypothesis import strategies as st
 
-from bigtg import Graph, InstanceGraph, encode, fileio
+from bigtg import Graph, InstanceGraph, encode, fileio, replace
 from bigtg.generators import random_bigraph
 
 
@@ -42,7 +41,7 @@ def assert_refused(value, message: str) -> None:
 
 
 def drop_edge(g: InstanceGraph, eid: str) -> InstanceGraph:
-    return dataclasses.replace(
+    return replace(
         g,
         graph=Graph(
             nodes=g.graph.nodes,
@@ -58,7 +57,7 @@ def drop_node(g: InstanceGraph, nid: str) -> InstanceGraph:
     doomed_edges = {
         e for e in g.graph.edges if g.graph.src[e] == nid or g.graph.tgt[e] == nid
     }
-    return dataclasses.replace(
+    return replace(
         g,
         graph=Graph(
             nodes=g.graph.nodes - {nid},
@@ -73,15 +72,15 @@ def drop_node(g: InstanceGraph, nid: str) -> InstanceGraph:
 
 
 def retype_node(g: InstanceGraph, nid: str, new_type: str) -> InstanceGraph:
-    return dataclasses.replace(g, node_types={**g.node_types, nid: new_type})
+    return replace(g, node_types={**g.node_types, nid: new_type})
 
 
 def set_attr(g: InstanceGraph, nid: str, name: str, value) -> InstanceGraph:
-    return dataclasses.replace(g, attrs={**g.attrs, (nid, name): value})
+    return replace(g, attrs={**g.attrs, (nid, name): value})
 
 
 def add_edge(g: InstanceGraph, eid: str, etype: str, src: str, tgt: str) -> InstanceGraph:
-    return dataclasses.replace(
+    return replace(
         g,
         graph=Graph(
             nodes=g.graph.nodes,
@@ -95,7 +94,7 @@ def add_edge(g: InstanceGraph, eid: str, etype: str, src: str, tgt: str) -> Inst
 
 def drop_tgt(g: InstanceGraph, eid: str) -> InstanceGraph:
     tgt = {e: t for e, t in g.graph.tgt.items() if e != eid}
-    return dataclasses.replace(g, graph=Graph(nodes=g.graph.nodes, edges=g.graph.edges, src=g.graph.src, tgt=tgt))
+    return replace(g, graph=Graph(nodes=g.graph.nodes, edges=g.graph.edges, src=g.graph.src, tgt=tgt))
 
 
 def retarget_edge(
@@ -107,7 +106,7 @@ def retarget_edge(
         new_src[eid] = src
     if tgt is not None:
         new_tgt[eid] = tgt
-    return dataclasses.replace(
+    return replace(
         g, graph=Graph(nodes=g.graph.nodes, edges=g.graph.edges, src=new_src, tgt=new_tgt)
     )
 

@@ -5,7 +5,6 @@ per criterion."""
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import time
 
@@ -28,6 +27,7 @@ from bigtg import (
     extend_for_signature,
     fileio,
     parse_constraints,
+    replace,
     validate_config,
 )
 from bigtg.cli import main as cli_main
@@ -213,7 +213,7 @@ def test_criterion_6_constraints(office_bgc, b1, g1, tg_sigma1):
     doc = parse_constraints(office_bgc)
     base = evaluate(doc, g1, tg_sigma1)
 
-    moved = dataclasses.replace(b1, prnt={**b1.prnt, "v5": "v3"})
+    moved = replace(b1, prnt={**b1.prnt, "v5": "v3"})
     g_moved, _ = encode(moved)
     moved_failures = {(c.invariant, c.node) for c in evaluate(doc, g_moved, tg_sigma1).failures()}
 
@@ -222,7 +222,7 @@ def test_criterion_6_constraints(office_bgc, b1, g1, tg_sigma1):
     full, _ = encode(_spool_with_jobs(100, with_site=False))
     full_iv2 = [c for c in evaluate(doc, full, tg_sigma1).checks if c.invariant == "iv2"]
 
-    rewired = dataclasses.replace(b1, link={**b1.link, ("v0", 0): "jeff"})
+    rewired = replace(b1, link={**b1.link, ("v0", 0): "jeff"})
     g_rewired, _ = encode(rewired)
     rewired_failures = {(c.invariant, c.node) for c in evaluate(doc, g_rewired, tg_sigma1).failures()}
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import networkx as nx
@@ -15,8 +14,11 @@ from bigtg import (
     Port,
     ReservedControlName,
     Signature,
+    check_soundness,
+    encode,
     make_signature,
     ports_of,
+    replace,
     validate_bigraph,
 )
 from bigtg.generators import random_bigraph
@@ -101,12 +103,53 @@ def test_ports_of_drops_exactly_the_ports_of_edited_controls(seed, data):
         return
     # None removes a node's control; "Ghost" is declared by no signature.
     edits = data.draw(st.dictionaries(st.sampled_from(sorted(b.nodes)), st.sampled_from([None, "Ghost"]), max_size=3))
-    edited = dataclasses.replace(b, ctrl={v: c for v, c in {**b.ctrl, **edits}.items() if c is not None})
+    edited = replace(b, ctrl={v: c for v, c in {**b.ctrl, **edits}.items() if c is not None})
     lost = {p for p in ports_of(b) if p.node in edits}
     assert ports_of(edited) == ports_of(b) - lost
     assert {f.location for f in validate_bigraph(edited).findings if f.code == "link-domain"} == {
         f"link[({p.node},{p.index})]" for p in lost
     }
+
+
+def test_an_unhashable_control_is_a_finding_not_a_type_error():
+    b = Bigraph(make_signature([("A", 1)]), nodes={"v"}, ctrl={"v": ["A"]}, prnt={"v": 0}, outer=Interface(1))
+    assert ports_of(b) == set()
+    assert [f.line() for f in validate_bigraph(b).findings] == [
+        "error ctrl-unknown-control ctrl[v] control ['A'] is not declared by the signature"
+    ]
+    g, emap = encode(replace(b, ctrl={"v": "A"}, link={("v", 0): "e"}, edges={"e"}))
+    assert check_soundness(b, g, emap) == validate_bigraph(b)
+
+
+#: Control values that no signature of string control names declares,
+#: hashable or not.
+_NON_STRING_CONTROLS = st.recursive(
+    st.none() | st.integers() | st.booleans() | st.text(max_size=3).map(lambda s: [s]),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.tuples(inner)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.data())
+@settings(max_examples=100, deadline=None)
+def test_non_string_controls_are_unknown_controls_without_ports(seed, data):
+    b = random_bigraph(random.Random(seed))
+    if not b.nodes:
+        return
+    edits = data.draw(st.dictionaries(st.sampled_from(sorted(b.nodes)), _NON_STRING_CONTROLS, min_size=1, max_size=3))
+    edited = replace(b, ctrl={**b.ctrl, **edits})
+    assert ports_of(edited) == {p for p in ports_of(b) if p.node not in edits}
+    report = validate_bigraph(edited)
+    assert [f.location for f in report.findings if f.code == "ctrl-unknown-control"] == [
+        f"ctrl[{v}]" for v in sorted(edits)
+    ]
+    assert {f.location for f in report.findings if f.code == "link-domain"} == {
+        f"link[({p.node},{p.index})]" for p in ports_of(b) if p.node in edits
+    }
+    g, emap = encode(b)
+    assert check_soundness(edited, g, emap) == report
 
 
 def test_validate_printer_example(b1):
@@ -149,18 +192,18 @@ def _small_valid() -> Bigraph:
 @pytest.mark.parametrize(
     "mutate, code",
     [
-        (lambda b: dataclasses.replace(b, edges=b.edges | {"a"}), "id-overlap"),
-        (lambda b: dataclasses.replace(b, outer=Interface(1, frozenset({"e"}))), "id-overlap"),
-        (lambda b: dataclasses.replace(b, ctrl={"a": "A"}), "ctrl-total"),
-        (lambda b: dataclasses.replace(b, ctrl={**b.ctrl, "zz": "A"}), "ctrl-domain"),
-        (lambda b: dataclasses.replace(b, ctrl={**b.ctrl, "b": "Nope"}), "ctrl-unknown-control"),
-        (lambda b: dataclasses.replace(b, prnt={"a": 0, 0: "a"}), "prnt-total"),
-        (lambda b: dataclasses.replace(b, prnt={**b.prnt, 7: "a"}), "prnt-domain"),
-        (lambda b: dataclasses.replace(b, prnt={**b.prnt, "b": 5}), "prnt-codomain"),
-        (lambda b: dataclasses.replace(b, prnt={**b.prnt, "a": "b"}), "parent-cycle"),
-        (lambda b: dataclasses.replace(b, link={"x": "e"}), "link-total"),
-        (lambda b: dataclasses.replace(b, link={**b.link, ("a", 9): "e"}), "link-domain"),
-        (lambda b: dataclasses.replace(b, link={**b.link, "x": "gone"}), "link-codomain"),
+        (lambda b: replace(b, edges=b.edges | {"a"}), "id-overlap"),
+        (lambda b: replace(b, outer=Interface(1, frozenset({"e"}))), "id-overlap"),
+        (lambda b: replace(b, ctrl={"a": "A"}), "ctrl-total"),
+        (lambda b: replace(b, ctrl={**b.ctrl, "zz": "A"}), "ctrl-domain"),
+        (lambda b: replace(b, ctrl={**b.ctrl, "b": "Nope"}), "ctrl-unknown-control"),
+        (lambda b: replace(b, prnt={"a": 0, 0: "a"}), "prnt-total"),
+        (lambda b: replace(b, prnt={**b.prnt, 7: "a"}), "prnt-domain"),
+        (lambda b: replace(b, prnt={**b.prnt, "b": 5}), "prnt-codomain"),
+        (lambda b: replace(b, prnt={**b.prnt, "a": "b"}), "parent-cycle"),
+        (lambda b: replace(b, link={"x": "e"}), "link-total"),
+        (lambda b: replace(b, link={**b.link, ("a", 9): "e"}), "link-domain"),
+        (lambda b: replace(b, link={**b.link, "x": "gone"}), "link-codomain"),
     ],
 )
 def test_each_violation_triggers_independently(mutate, code):

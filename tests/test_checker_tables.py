@@ -19,13 +19,12 @@ opposites, containments or multiplicities.
 
 from __future__ import annotations
 
-import dataclasses
 
 import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bigtg import annotate_150, enumerate_configs, extend_for_signature
+from bigtg import annotate_150, enumerate_configs, extend_for_signature, replace
 from bigtg.bigraph import Signature
 from bigtg.mapping import check_arity_rule
 from bigtg.report import Finding, ValidationReport, report_from
@@ -108,7 +107,7 @@ def type_graph_variants(draw, sig: Signature):
         else:
             mult.pop(e, None)
     graph = Graph(nodes=tg.graph.nodes, edges=tg.graph.edges, src=src, tgt=tgt)
-    return dataclasses.replace(tg, graph=graph, opposites=opposites, containments=containments, mult=mult)
+    return replace(tg, graph=graph, opposites=opposites, containments=containments, mult=mult)
 
 
 @given(encodings_with_strays(), st.data())

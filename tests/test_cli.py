@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import importlib
 import os
 import pathlib
@@ -10,7 +9,17 @@ import sys
 
 import pytest
 
-from bigtg import Bigraph, FeatureConfig, Interface, InvalidBigraph, encode, fileio, make_signature, validate_bigraph
+from bigtg import (
+    Bigraph,
+    FeatureConfig,
+    Interface,
+    InvalidBigraph,
+    encode,
+    fileio,
+    make_signature,
+    replace,
+    validate_bigraph,
+)
 from bigtg.cli import main
 
 DIAG_LINE = re.compile(r"^(error|warning) \S+ \S+ .+$")
@@ -157,7 +166,7 @@ def test_check_passes_on_printer(fixtures_dir, capsys):
 
 
 def test_check_reports_violated_invariant(fixtures_dir, tmp_path, capsys, b1):
-    moved = dataclasses.replace(b1, prnt={**b1.prnt, "v5": "v3"})
+    moved = replace(b1, prnt={**b1.prnt, "v5": "v3"})
     g, _ = encode(moved)
     ig = tmp_path / "moved.ig.json"
     fileio.save(g, str(ig))
@@ -306,10 +315,11 @@ def test_unreadable_input_is_one_error_line(fixtures_dir, tmp_path, make):
     assert done.stderr.startswith(prefix)
 
 
-#: Prints the ``bigtg`` modules loaded by one ``main(argv)`` call.
+#: Prints the exit code of one ``main(argv)`` call, then the ``bigtg``
+#: modules, ``dataclasses`` and ``inspect``, each if it is loaded by then.
 LOADED_AFTER_MAIN = (
     "import sys; from bigtg.cli import main; code = main(sys.argv[1:]); "
-    "print(code, *sorted(m for m in sys.modules if m.startswith('bigtg.')))"
+    "print(code, *sorted(m for m in sys.modules if m.startswith('bigtg.') or m in ('dataclasses', 'inspect')))"
 )
 
 
@@ -339,6 +349,9 @@ def test_subcommand_loads_only_its_layers(fixtures_dir, tmp_path, argv, constrai
     assert code == "0", done.stderr
     assert ("bigtg.constraints" in loaded) == constraints
     assert ("bigtg.variability" in loaded) == variability
+    # The value classes are built without code generation, so no child
+    # pays for importing ``dataclasses`` and ``inspect``.
+    assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
 def test_package_surface():

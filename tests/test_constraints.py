@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -19,6 +18,7 @@ from bigtg import (
     format_constraints,
     make_signature,
     parse_constraints,
+    replace,
     typecheck,
 )
 from bigtg.constraints import (
@@ -134,7 +134,7 @@ def test_office_invariants_pass_on_printer(office_bgc, g1, tg_sigma1):
 
 
 def test_user_in_spool_fails_iv1(office_bgc, b1, tg_sigma1):
-    moved = dataclasses.replace(b1, prnt={**b1.prnt, "v5": "v3"})
+    moved = replace(b1, prnt={**b1.prnt, "v5": "v3"})
     g, _ = encode(moved)
     result = evaluate(parse_constraints(office_bgc), g, tg_sigma1)
     failed = {(c.invariant, c.node) for c in result.failures()}
@@ -177,7 +177,7 @@ def test_iv2_capacity(office_bgc, tg_sigma1):
 
 
 def test_iv3_rewired_room_port_fails(office_bgc, b1, tg_sigma1):
-    rewired = dataclasses.replace(b1, link={**b1.link, ("v0", 0): "jeff"})
+    rewired = replace(b1, link={**b1.link, ("v0", 0): "jeff"})
     g, _ = encode(rewired)
     result = evaluate(parse_constraints(office_bgc), g, tg_sigma1)
     (failure,) = result.failures()
@@ -308,7 +308,7 @@ def test_type_error_messages(text, ghost_end, message, g1, tg_sigma1):
     tg = tg_sigma1
     if ghost_end:
         graph = tg.graph
-        tg = dataclasses.replace(
+        tg = replace(
             tg,
             graph=Graph(
                 nodes=graph.nodes,

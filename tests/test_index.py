@@ -8,7 +8,6 @@ same exception) for all 54 configurations, and the same saved text.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -21,6 +20,7 @@ from bigtg import (
     apply_deltas,
     enumerate_configs,
     fileio,
+    replace,
 )
 from bigtg.typedgraph import incoming, node_attrs, outgoing
 from bigtg.variability import DELTAS, _delete_nodes, eval_formula
@@ -132,7 +132,7 @@ def test_indexed_helpers_match_scanning(case):
 
 def _without_tgt(g: InstanceGraph, eid: str) -> InstanceGraph:
     tgt = {e: t for e, t in g.graph.tgt.items() if e != eid}
-    return dataclasses.replace(g, graph=dataclasses.replace(g.graph, tgt=tgt))
+    return replace(g, graph=replace(g.graph, tgt=tgt))
 
 
 def _owned_by_later_port(g):

@@ -15,13 +15,12 @@ site or port index, which the references turned into ids of no node.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bigtg import Bigraph, ElementMap, Graph, InstanceGraph, Interface, Port, Signature, fileio
+from bigtg import Bigraph, ElementMap, Graph, InstanceGraph, Interface, Port, Signature, fileio, replace
 from bigtg.bigraph import validate_bigraph
 from bigtg.generators import random_bigraph, random_signature
 from bigtg.mapping import (
@@ -468,13 +467,13 @@ def bigraphs(draw):
     edit = draw(st.sampled_from(("none", "none", "none", "prnt", "link", "ctrl")))
     if edit == "prnt" and b.prnt:
         victim = draw(st.sampled_from(sorted(b.prnt, key=str)))
-        b = dataclasses.replace(b, prnt={c: p for c, p in b.prnt.items() if c != victim})
+        b = replace(b, prnt={c: p for c, p in b.prnt.items() if c != victim})
     elif edit == "link" and b.link:
         victim = draw(st.sampled_from(sorted(b.link, key=str)))
-        b = dataclasses.replace(b, link={x: y for x, y in b.link.items() if x != victim})
+        b = replace(b, link={x: y for x, y in b.link.items() if x != victim})
     elif edit == "ctrl" and b.nodes:
         victim = draw(st.sampled_from(sorted(b.nodes)))
-        b = dataclasses.replace(b, ctrl={**b.ctrl, victim: draw(st.sampled_from(sig.names))})
+        b = replace(b, ctrl={**b.ctrl, victim: draw(st.sampled_from(sig.names))})
     return b
 
 
@@ -522,7 +521,7 @@ def near_canonical(draw):
                 attrs[(victim, "index")] = draw(st.sampled_from((-1, 0, 1, 2, 3, 10, True, "a")))
             else:
                 del attrs[(victim, "index")]
-            g = dataclasses.replace(g, attrs=attrs)
+            g = replace(g, attrs=attrs)
         elif kind in ("reparent", "relink", "orphan"):
             fwd_type, opp_type = ("bLink", "bPoints") if kind == "relink" else ("bPrnt", "bChld")
             pairs = sorted(
@@ -550,7 +549,7 @@ def near_canonical(draw):
                 parent = draw(st.sampled_from(by_type.get("BEdge", []) + by_type.get("BOuterName", []) or nodes))
             src, tgt = dict(g.graph.src), dict(g.graph.tgt)
             src[e], tgt[e], src[o], tgt[o] = child, parent, parent, child
-            g = dataclasses.replace(g, graph=dataclasses.replace(g.graph, src=src, tgt=tgt))
+            g = replace(g, graph=replace(g.graph, src=src, tgt=tgt))
         elif kind == "collide":
             group = draw(st.sampled_from(sorted(by_type)))
             if len(by_type[group]) < 2:
@@ -564,7 +563,7 @@ def near_canonical(draw):
             if not controls:
                 continue
             victim = draw(st.sampled_from(controls))
-            g = dataclasses.replace(
+            g = replace(
                 g, node_types={**g.node_types, victim: draw(st.sampled_from(("BNode", *b.signature.names)))}
             )
     return g, b

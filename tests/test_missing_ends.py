@@ -9,7 +9,6 @@ their declared exception, never a ``KeyError``.
 
 from __future__ import annotations
 
-import dataclasses
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,6 +26,7 @@ from bigtg import (
     evaluate,
     extend_for_signature,
     parse_constraints,
+    replace,
     typecheck,
 )
 
@@ -100,7 +100,7 @@ def type_graphs_lacking_ends(draw):
             ends[e] = "Ghost"
         broken.add(e)
     graph = Graph(nodes=tg.graph.nodes, edges=tg.graph.edges, src=src, tgt=tgt)
-    return g, dataclasses.replace(tg, graph=graph), broken
+    return g, replace(tg, graph=graph), broken
 
 
 @given(type_graphs_lacking_ends())
@@ -124,7 +124,7 @@ def type_graphs_lacking_parts(draw):
     for e in draw(st.lists(st.sampled_from(sorted(tg.edge_types)), min_size=1, max_size=3)):
         parts[draw(st.sampled_from(sorted(parts)))].pop(e, None)
     graph = Graph(nodes=tg.graph.nodes, edges=tg.graph.edges, src=parts["src"], tgt=parts["tgt"])
-    return dataclasses.replace(tg, graph=graph, mult=parts["mult"]), parts
+    return replace(tg, graph=graph, mult=parts["mult"]), parts
 
 
 @given(type_graphs_lacking_parts())

@@ -3,23 +3,22 @@ example, and its totality on bigraphs whose controls are broken."""
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bigtg import Bigraph, ElementMap, check_soundness, encode, validate_bigraph
+from bigtg import Bigraph, ElementMap, check_soundness, encode, replace, validate_bigraph
 from bigtg.generators import random_bigraph
 
 from helpers import add_edge, drop_edge, retype_node, set_attr
 
 
 def add_node(g, nid: str, node_type: str, index: int | None = None):
-    graph = dataclasses.replace(g.graph, nodes=g.graph.nodes | {nid})
+    graph = replace(g.graph, nodes=g.graph.nodes | {nid})
     attrs = {**g.attrs, (nid, "index"): index} if index is not None else g.attrs
-    return dataclasses.replace(g, graph=graph, node_types={**g.node_types, nid: node_type}, attrs=attrs)
+    return replace(g, graph=graph, node_types={**g.node_types, nid: node_type}, attrs=attrs)
 
 
 def remap(emap: ElementMap, drop=(), **changes) -> ElementMap:
@@ -143,7 +142,7 @@ def broken_controls(draw):
             ctrl.pop(v, None)
         else:
             ctrl[v] = draw(st.sampled_from((*b.signature.names, "Z", "")))
-    return dataclasses.replace(b, ctrl=ctrl), g, emap
+    return replace(b, ctrl=ctrl), g, emap
 
 
 @given(broken_controls())

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import os
 import pathlib
 import random
@@ -29,6 +28,7 @@ from bigtg import (
     decode,
     encode,
     extend_for_signature,
+    replace,
 )
 from bigtg.generators import random_bigraph
 from bigtg.typedgraph import all_super, symmetric_pairs
@@ -131,7 +131,7 @@ def test_dangling_edge_end_is_a_finding_not_a_key_error(probe, seed, data):
     else:
         src[e] = "ghost"
         expected = Finding("typing-edge-ends", f"src[{e}]", "edge src 'ghost' is not a node")
-    g = dataclasses.replace(g, graph=dataclasses.replace(g.graph, src=src))
+    g = replace(g, graph=replace(g.graph, src=src))
     tg = extend_for_signature(b.signature)
     assert expected in conformance(g, tg, b.signature).findings
     with pytest.raises(NotCanonical):
@@ -336,7 +336,7 @@ def test_edge_type_without_node_type_end_is_a_typing_finding(g1, tg_sigma1, bad_
     src = {te: s for te, s in tg_sigma1.graph.src.items() if te != "bLink"}
     if bad_src is not None:
         src["bLink"] = bad_src
-    tg = dataclasses.replace(tg_sigma1, graph=dataclasses.replace(tg_sigma1.graph, src=src))
+    tg = replace(tg_sigma1, graph=replace(tg_sigma1.graph, src=src))
     lines = [f.line() for f in check_typing(g1, tg).findings]
     assert lines == [
         f"error typing-type-ends {e} edge type 'bLink' lacks a node type as src or tgt"

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 import re
@@ -21,6 +20,7 @@ from bigtg import (
     encode,
     enumerate_configs,
     extend_for_signature,
+    replace,
     validate_config,
 )
 from bigtg.generators import random_bigraph
@@ -188,7 +188,7 @@ def test_edge_without_an_end_is_not_canonical_in_every_config(g1, sig1, end):
     first, second = sorted(g1.graph.edges)[3:5]
     graph = g1.graph
     ends = {e: v for e, v in getattr(graph, end).items() if e not in (first, second)}
-    g = dataclasses.replace(g1, graph=dataclasses.replace(graph, **{end: ends}))
+    g = replace(g1, graph=replace(graph, **{end: ends}))
     for config in enumerate_configs():
         with pytest.raises(NotCanonical, match=f"^edge {re.escape(first)} has no {end}$"):
             apply_deltas(g, config, sig1)

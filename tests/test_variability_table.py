@@ -14,12 +14,10 @@ inheritance pairs that dangle once their node type is dropped.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bigtg import extend_for_signature, fileio, make_signature
+from bigtg import extend_for_signature, fileio, make_signature, replace
 from bigtg.bigraph import BASE_NODE_TYPE_NAMES
 from bigtg.typedgraph import Graph, Multiplicity, TypeGraph
 from bigtg.variability import (

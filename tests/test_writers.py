@@ -6,7 +6,6 @@ small cases."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 
@@ -26,6 +25,7 @@ from bigtg import (
     enumerate_configs,
     extend_for_signature,
     fileio,
+    replace,
 )
 from bigtg.generators import random_bigraph, random_signature
 
@@ -123,7 +123,7 @@ def assert_instance_graph_written_as_before(g):
     if len(kept) < len(g.attrs) and isinstance(expected, str):
         n, a = min(g.attrs.keys() - kept.keys())
         assert outcome(fileio.dumps_canonical, g) == ("ValueError", f"attribute {a} of {n} has no node")
-        g = dataclasses.replace(g, attrs=kept)
+        g = replace(g, attrs=kept)
     assert outcome(fileio.dumps_canonical, g) == expected
 
 
