@@ -73,6 +73,11 @@ class Signature:
         return self.arities[name]
 
 
+def is_arity(value: object) -> bool:
+    """Whether ``value`` is a non-negative integer (a ``bool`` is not)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def make_signature(pairs: Iterable[tuple[str, int]]) -> Signature:
     """Build a signature from ``(control name, arity)`` pairs.
 
@@ -89,7 +94,7 @@ def make_signature(pairs: Iterable[tuple[str, int]]) -> Signature:
             raise ReservedControlName(f"control name {name!r} is reserved")
         if name in arities:
             raise DuplicateControl(f"control {name!r} declared twice")
-        if not isinstance(arity, int) or isinstance(arity, bool) or arity < 0:
+        if not is_arity(arity):
             raise ValueError(f"arity of {name!r} must be a non-negative integer")
         controls.append(Control(name))
         arities[name] = arity
@@ -152,9 +157,11 @@ class Bigraph:
 
 def ports_of(b: Bigraph) -> set[Port]:
     """All ports of ``b``: one per node and arity slot of its control. A
-    node whose control is missing or undeclared has none."""
+    node whose control is missing or undeclared, or whose arity is not a
+    non-negative integer, has none."""
     sig = b.signature
-    return {Port(v, i) for v in b.nodes if sig.has_control(c := b.ctrl.get(v)) for i in range(sig.arity(c))}
+    arities = {c: arity for c, arity in sig.arities.items() if is_arity(arity)}
+    return {Port(v, i) for v in b.nodes if sig.has_control(c := b.ctrl.get(v)) for i in range(arities.get(c, 0))}
 
 
 def _fmt_point(p: Point) -> str:
@@ -173,6 +180,10 @@ def validate_bigraph(b: Bigraph) -> ValidationReport:
 
     def flag(code: str, location: str, message: str) -> None:
         findings.append(Finding(code, location, message))
+
+    for name, arity in b.signature.arities.items():
+        if not is_arity(arity):
+            flag("sig-arity", f"arity[{name}]", f"arity {arity!r} of {name!r} is not a non-negative integer")
 
     names = b.inner.names | b.outer.names
     for v in sorted(b.nodes & b.edges):

@@ -13,6 +13,7 @@ element by element against it.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator, Mapping
 
 from ._value import field, frozen
@@ -23,6 +24,7 @@ from .bigraph import (
     Port,
     ReservedControlName,
     Signature,
+    is_arity,
     validate_bigraph,
 )
 from .report import Finding, ValidationReport, report_from
@@ -35,6 +37,7 @@ from .typedgraph import (
     check_typing,
     check_validity,
     symmetric_pairs,
+    typed_edges,
 )
 
 # Element kinds of a bigraph; the tags realize the disjointness that the
@@ -150,16 +153,16 @@ def check_arity_rule(g: InstanceGraph, tg: TypeGraph, sig: Signature) -> Validat
     """Every node typed by a control must own exactly ``arity`` port edges.
 
     Cost: one pass over the nodes in sorted order; each port count is one
-    read of ``g.out_index``."""
+    read of ``g.out_degree``, which counts the edges in one C-level pass."""
     control_types = {c for c in sig.names if c in tg.node_types}
     findings: list[Finding] = []
-    out_index = g.out_index
+    out_degree = g.out_degree
     for n in sorted(g.graph.nodes):
         t = g.node_types.get(n)
         if t not in control_types:
             continue
         want = sig.arity(t)
-        got = len(out_index.get((n, "bPorts"), ()))
+        got = out_degree.get((n, "bPorts"), 0)
         if got != want:
             findings.append(
                 Finding(
@@ -353,10 +356,11 @@ def decode(g: InstanceGraph, sig: Signature) -> tuple[Bigraph, ElementMap]:
         indexed = [(gid, g.attrs.get((gid, "index"))) for gid in gids[kind]]
         keys[kind] = _index_range(kind, indexed, kind)  # type: ignore[assignment]
     # Ports: owner via the ownership edge, index per owner gap-free.
+    owned = typed_edges(g, "bNode")
+    owner_of = dict(zip(map(g.graph.src.get, owned), map(g.graph.tgt.get, owned)))
     ports_by_owner: dict[str, list[tuple[str, object]]] = {}
     for gid in gids[K_PORT]:
-        owner = g.graph.tgt[g.out_index[(gid, "bNode")][0]]
-        ports_by_owner.setdefault(owner, []).append((gid, g.attrs.get((gid, "index"))))
+        ports_by_owner.setdefault(owner_of[gid], []).append((gid, g.attrs.get((gid, "index"))))
     ports = keys[K_PORT] = {}
     for owner, entries in sorted(ports_by_owner.items()):
         node = _strip_prefix(K_NODE, owner)
@@ -406,10 +410,12 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
     than assumed away. Edges with a missing end are skipped
     (``check_typing`` reports them). A bigraph with a node that has no
     control, or a control that its signature does not declare, has no
-    elements to align: its :func:`validate_bigraph` findings come back.
+    elements to align: its :func:`validate_bigraph` findings come back,
+    as they do for a signature with an arity that is not a non-negative
+    integer.
     """
-    ctrl = b.ctrl
-    if not all(map(b.signature.has_control, map(ctrl.get, b.nodes))):
+    ctrl, sig = b.ctrl, b.signature
+    if not (all(map(sig.has_control, map(ctrl.get, b.nodes))) and all(map(is_arity, sig.arities.values()))):
         return validate_bigraph(b)
     findings: list[Finding] = []
 
@@ -448,13 +454,11 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
         gid = fwd.get(el)
         return gid if gid in nodes else None
 
+    src, tgt = g.graph.src, g.graph.tgt
+    with_ends = src.keys() & tgt.keys()
     for (edge_type, _, triples), what in zip(_relations(b), ("nesting", "linking")):
         code = f"sound-{what}"
-        graph_pairs = {
-            (g.graph.src[e], g.graph.tgt[e])
-            for e in g.graph.edges
-            if g.edge_types.get(e) == edge_type and e in g.graph.src and e in g.graph.tgt
-        }
+        graph_pairs = {(src[e], tgt[e]) for e in typed_edges(g, edge_type) if e in with_ends}
         want_pairs: set[tuple[str, str]] = set()
         for _, child, parent in sorted(triples, key=lambda triple: str(triple[0])):
             s, t = mapped(child), mapped(parent)
@@ -486,16 +490,19 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
 
     # Port indices are scoped per owning node: only the ports of the same
     # owner compete for the same index values.
+    owned = typed_edges(g, "bNode")
+    owners = list(map(src.get, owned))
+    ownership, owner_edge = Counter(owners), dict(zip(owners, owned))
     ports_of_owner: dict[str, list[str]] = {}
     for n in sorted(nodes):
         if g.node_types.get(n) != "BPort":
             continue
-        own = g.out_index.get((n, "bNode"), ())
-        if len(own) != 1:
-            flag("sound-port-index", n, f"port node has {len(own)} ownership edges")
+        count = ownership.get(n, 0)
+        if count != 1:
+            flag("sound-port-index", n, f"port node has {count} ownership edges")
             continue
-        if own[0] in g.graph.tgt:
-            ports_of_owner.setdefault(g.graph.tgt[own[0]], []).append(n)
+        if owner_edge[n] in tgt:
+            ports_of_owner.setdefault(tgt[owner_edge[n]], []).append(n)
     for v in sorted(b.nodes):
         owner_gid = mapped((K_NODE, v))
         candidates = ports_of_owner.get(owner_gid, []) if owner_gid else []

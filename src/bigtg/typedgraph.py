@@ -134,10 +134,14 @@ class TypeGraph:
 class InstanceGraph:
     """A graph typed over a type graph, with node attribute values.
 
-    The adjacency and attribute indexes are built on first use and kept,
-    so the dicts of ``graph``, ``node_types``, ``edge_types`` and
-    ``attrs`` must not be mutated after the first query; build a new
-    graph (through the constructor or ``bigtg.replace``) instead.
+    Three views are built on first use and kept: ``out_degree`` (edge
+    counts by source and type, which the multiplicity and arity checkers
+    read), the adjacency indexes ``out_index`` and ``in_index`` (which
+    only constraint navigation and the ``outgoing``/``incoming`` helpers
+    read), and ``attr_index``. So the dicts of ``graph``, ``node_types``,
+    ``edge_types`` and ``attrs`` must not be mutated after the first
+    query; build a new graph (through the constructor or
+    ``bigtg.replace``) instead.
     """
 
     graph: Graph
@@ -149,6 +153,13 @@ class InstanceGraph:
         object.__setattr__(self, "node_types", dict(self.node_types))
         object.__setattr__(self, "edge_types", dict(self.edge_types))
         object.__setattr__(self, "attrs", dict(self.attrs))
+
+    @cached_property
+    def out_degree(self) -> Counter[tuple[str | None, str | None]]:
+        """The number of edges of each ``(src, edge type)``, counted in one
+        C-level pass; a missing end or type is keyed as ``None``."""
+        edges = self.graph.edges
+        return Counter(zip(map(self.graph.src.get, edges), map(self.edge_types.get, edges)))
 
     @cached_property
     def out_index(self) -> dict[tuple[str | None, str | None], tuple[str, ...]]:
@@ -175,6 +186,15 @@ class InstanceGraph:
         for e in sorted(self.graph.edges):
             groups.setdefault((end.get(e), self.edge_types.get(e)), []).append(e)
         return {key: tuple(edges) for key, edges in groups.items()}
+
+
+def typed_edges(g: InstanceGraph, edge_type: str) -> list[str]:
+    """The edges of one edge type, in the iteration order of
+    ``g.graph.edges``. An untyped edge is none of them: ``None ==
+    edge_type`` is false, whereas ``edge_type.__eq__(None)`` answers a
+    truthy ``NotImplemented``, so that method is no filter."""
+    edge_types = g.edge_types
+    return [e for e in g.graph.edges if edge_types.get(e) == edge_type]
 
 
 def node_attrs(g: InstanceGraph, n: str) -> dict[str, int | str]:
@@ -536,12 +556,12 @@ def check_multiplicities(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
 
     Cost: one pass over the nodes in sorted order; the bounds that apply
     to a node type are found once per type, and each count is one read
-    of ``g.out_index``."""
+    of ``g.out_degree``, which counts the edges in one C-level pass."""
     findings: list[Finding] = []
     bounded = [te for te in sorted(tg.edge_types) if te in tg.mult and tg.graph.src.get(te) in tg.node_types]
+    out_degree = g.out_degree
     # The bounded edge types that apply to each node type, with their bounds.
     applicable: dict[str, list[tuple[str, Multiplicity]]] = {}
-    out_index = g.out_index
     for n in sorted(g.graph.nodes):
         tn = g.node_types.get(n)
         if tn is None or tn not in tg.node_types:
@@ -550,7 +570,7 @@ def check_multiplicities(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
         if bounds is None:
             bounds = applicable[tn] = [(te, tg.mult[te]) for te in bounded if conforms(tg, tn, tg.graph.src[te])]
         for te, m in bounds:
-            count = len(out_index.get((n, te), ()))
+            count = out_degree.get((n, te), 0)
             if count < m.lb:
                 findings.append(
                     Finding(

@@ -12,13 +12,14 @@ deltas applied to the canonical encoding.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Callable, Mapping
 
 from ._value import field, frozen, replace
 from .bigraph import BASE_NODE_TYPE_NAMES, Signature
 from .mapping import NotCanonical
 from .report import Finding, ValidationReport, report_from
-from .typedgraph import Graph, InstanceGraph, Multiplicity, TypeGraph
+from .typedgraph import Graph, InstanceGraph, Multiplicity, TypeGraph, typed_edges
 
 #: The option groups in delta order: each group's node type, the feature
 #: that makes its elements explicit, and the feature that indexes them.
@@ -253,25 +254,31 @@ def _implicit_ports(g: InstanceGraph, sig: Signature) -> InstanceGraph:
         return g
     src = dict(g.graph.src)
     tgt = dict(g.graph.tgt)
-    # Rewiring moves edges between nodes, and a later port (owned by an
-    # earlier one, say) must see the edges moved onto it, so the bLink
-    # edges by source and the bPoints edges by target are tracked here.
-    links_of: dict[str, list[str]] = {}
-    points_of: dict[str, list[str]] = {}
+    # Each relation is read from its own edges only. Rewiring moves the
+    # bLink and bPoints edges, never the bNode ones, so ownership is read
+    # once; a bLink edge moved onto a later port counts among its links.
+    owned, linked = typed_edges(g, "bNode"), typed_edges(g, "bLink")
+    ownership, owner_of = Counter(map(src.get, owned)), dict(zip(map(src.get, owned), map(tgt.get, owned)))
+    link_count, link_of = Counter(map(src.get, linked)), dict(zip(map(src.get, linked), linked))
+    moved_links: dict[str, list[str]] = {}
     for p in ports:
-        own = g.out_index.get((p, "bNode"), ())
-        if len(own) != 1:
-            raise NotCanonical(f"port {p} has {len(own)} ownership edges; cannot rewire")
-        owner = tgt[own[0]]
-        links = sorted(links_of.pop(p, []) + list(g.out_index.get((p, "bLink"), ())))
-        if len(links) != 1:
-            raise NotCanonical(f"port {p} has {len(links)} link edges; cannot rewire")
-        src[links[0]] = owner
-        links_of.setdefault(owner, []).append(links[0])
-        points = points_of.pop(p, []) + list(g.in_index.get((p, "bPoints"), ()))
-        for e in points:
-            tgt[e] = owner
-        points_of.setdefault(owner, []).extend(points)
+        count = ownership.get(p, 0)
+        if count != 1:
+            raise NotCanonical(f"port {p} has {count} ownership edges; cannot rewire")
+        moved = moved_links.pop(p, [])
+        count = len(moved) + link_count.get(p, 0)
+        if count != 1:
+            raise NotCanonical(f"port {p} has {count} link edges; cannot rewire")
+        link = moved[0] if moved else link_of[p]
+        src[link] = owner_of[p]
+        moved_links.setdefault(owner_of[p], []).append(link)
+    # A bPoints edge at a port moves to its owner, and on from there when
+    # the owner is a port rewired later, so each port's last stop is found
+    # from the last port back.
+    last_stop: dict[str, str] = {}
+    for p in reversed(ports):
+        last_stop[p] = last_stop.get(owner_of[p], owner_of[p])
+    tgt.update({e: last_stop[tgt[e]] for e in typed_edges(g, "bPoints") if tgt[e] in last_stop})
     rewired = InstanceGraph(
         graph=Graph(nodes=g.graph.nodes, edges=g.graph.edges, src=src, tgt=tgt),
         node_types=g.node_types,

@@ -11,6 +11,7 @@ from bigtg import (
     Bigraph,
     DuplicateControl,
     Interface,
+    InvalidBigraph,
     Port,
     ReservedControlName,
     Signature,
@@ -150,6 +151,45 @@ def test_non_string_controls_are_unknown_controls_without_ports(seed, data):
     }
     g, emap = encode(b)
     assert check_soundness(edited, g, emap) == report
+
+
+#: Arity values a directly built signature may hold: integers on both
+#: sides of zero, and values of other types, some equal to an integer.
+_ARITIES = (
+    st.integers(-3, 4)
+    | st.booleans()
+    | st.floats(-2, 3, allow_nan=False)
+    | st.integers(0, 3).map(str)
+    | st.none()
+    | st.lists(st.integers(0, 2), max_size=2)
+)
+
+
+@given(st.integers(min_value=0, max_value=10_000), st.data())
+@settings(max_examples=150, deadline=None)
+def test_arities_that_are_no_non_negative_integer_are_findings(seed, data):
+    b = random_bigraph(random.Random(seed))
+    sig = b.signature
+    c = data.draw(st.sampled_from(sig.names))
+    arity = data.draw(_ARITIES)
+    edited = replace(b, signature=Signature(sig.controls, {**sig.arities, c: arity}))
+    valid = type(arity) is int and arity >= 0
+    report = validate_bigraph(edited)
+    assert [f.line() for f in report.findings if f.code == "sig-arity"] == (
+        [] if valid else [f"error sig-arity arity[{c}] arity {arity!r} of {c!r} is not a non-negative integer"]
+    )
+    others = {p for p in ports_of(b) if b.ctrl[p.node] != c}
+    mine = {Port(v, i) for v in b.nodes if b.ctrl[v] == c for i in range(arity if valid else 0)}
+    assert ports_of(edited) == others | mine
+    try:
+        encode(edited)
+    except InvalidBigraph as exc:
+        assert exc.report == report and not report.ok
+    else:
+        assert report.ok
+    g, emap = encode(b)
+    if not valid:
+        assert check_soundness(edited, g, emap) == report
 
 
 def test_validate_printer_example(b1):

@@ -22,10 +22,13 @@ from bigtg import (
     fileio,
     replace,
 )
-from bigtg.typedgraph import incoming, node_attrs, outgoing
-from bigtg.variability import DELTAS, _delete_nodes, eval_formula
+from bigtg.mapping import check_arity_rule, check_soundness, conformance, decode, encode, extend_for_signature
+from bigtg.typedgraph import check_multiplicities, incoming, node_attrs, outgoing, typed_edges
+from bigtg.variability import DELTAS, _delete_nodes, _implicit_ports, eval_formula
 
 from helpers import EDGE_TYPES, add_edge, drop_edge, mutated_encodings, outcome, retarget_edge
+from test_checker_tables import ref_check_arity_rule, ref_check_multiplicities
+from test_mapping_table import ref_check_soundness, ref_decode
 
 
 def ref_outgoing(g: InstanceGraph, n: str, edge_type: str) -> list[str]:
@@ -147,6 +150,11 @@ def _owned_by_later_port(g):
         # With its own link gone, the later port passes the moved link and
         # the moved bPoints edge on to its owner.
         (lambda g: drop_edge(_owned_by_later_port(g), "bLink:p:v1:0:e:e1"), None),
+        # A port's link retyped as a bPoints edge is no link of the port.
+        (
+            lambda g: replace(g, edge_types={**g.edge_types, "bLink:p:v0:0:e:e0": "bPoints"}),
+            ("NotCanonical", "port p:v0:0 has 0 link edges; cannot rewire"),
+        ),
         # An edge without a target is refused before any delta runs, even
         # though it would be deleted with the port it leaves.
         (
@@ -165,3 +173,76 @@ def test_implicit_ports_sees_edges_moved_by_earlier_ports(g1, sig1, mutate, expe
             assert got == expected
         else:
             assert isinstance(got, InstanceGraph)
+
+
+@given(mutated_encodings())
+@settings(max_examples=60, deadline=None)
+def test_out_degree_and_typed_edges_match_brute_force(case):
+    """And so do the two checkers that count from ``out_degree``."""
+    g, b = case
+    tg = extend_for_signature(b.signature)
+    assert check_multiplicities(g, tg) == ref_check_multiplicities(g, tg)
+    assert check_arity_rule(g, tg, b.signature) == ref_check_arity_rule(g, tg, b.signature)
+    src, types = g.graph.src, g.edge_types
+    ends = sorted(g.graph.nodes) + ["ghost", None]
+    for n in ends:
+        for te in EDGE_TYPES + (None,):
+            want = sum(1 for e in g.graph.edges if src.get(e) == n and types.get(e) == te)
+            assert g.out_degree[n, te] == want
+    assert sum(g.out_degree.values()) == len(g.graph.edges)
+    for te in EDGE_TYPES:
+        picked = typed_edges(g, te)
+        assert picked == [e for e in g.graph.edges if types.get(e) == te]
+
+
+def _indexed(g: InstanceGraph) -> list[str]:
+    return [name for name in ("out_index", "in_index") if name in vars(g)]
+
+
+@given(mutated_encodings())
+@settings(max_examples=30, deadline=None)
+def test_checkers_decode_and_deltas_build_no_adjacency_index(case):
+    """Counts and single-edge-type passes stand in for the adjacency
+    index everywhere but constraint navigation."""
+    g, b = case
+    sig = b.signature
+    conformance(g, extend_for_signature(sig), sig)
+    outcome(decode, g, sig)
+    check_soundness(b, g, encode(b)[1])
+    results = [outcome(apply_deltas, g, cfg, sig) for cfg in enumerate_configs()]
+    assert _indexed(g) == []
+    assert all(_indexed(r) == [] for r in results if isinstance(r, InstanceGraph))
+
+
+def _untyped_beside_ports(g: InstanceGraph) -> list[InstanceGraph]:
+    """Untyped edges out of a port, with its ownership edge kept, untyped,
+    or dropped."""
+    port = min(n for n in g.graph.nodes if g.node_types[n] == "BPort")
+    (own,) = [e for e in g.graph.edges if g.graph.src[e] == port and g.edge_types[e] == "bNode"]
+    owner = g.graph.tgt[own]
+    stray = add_edge(g, "stray", "bNode", port, owner)
+    stray = replace(stray, edge_types={e: t for e, t in stray.edge_types.items() if e != "stray"})
+    untyped_own = replace(g, edge_types={e: t for e, t in g.edge_types.items() if e != own})
+    return [stray, untyped_own, drop_edge(stray, own)]
+
+
+def test_an_untyped_edge_beside_a_port_is_never_ownership(b1, g1, emap1, sig1):
+    implicit = [cfg for cfg in enumerate_configs() if "EP" not in cfg.selected]
+    owners = []
+    for g in _untyped_beside_ports(g1):
+        assert outcome(decode, g, sig1) == outcome(ref_decode, g, sig1)
+        assert check_soundness(b1, g, emap1) == ref_check_soundness(b1, g, emap1)
+        assert outcome(_implicit_ports, g, sig1) == outcome(ref_implicit_ports, g, sig1)
+        for cfg in implicit:
+            assert outcome(apply_deltas, g, cfg, sig1) == outcome(ref_apply_deltas, g, cfg, sig1)
+        owners.append([f.message for f in check_soundness(b1, g, emap1).findings if f.code == "sound-port-index"])
+    # Beside a typed ownership edge the untyped one changes nothing; alone,
+    # it leaves the port with no ownership edge.
+    assert owners[0] == []
+    assert owners[1] == owners[2] == ["port node has 0 ownership edges"]
+    port = min(n for n in g1.graph.nodes if g1.node_types[n] == "BPort")
+    assert isinstance(_implicit_ports(_untyped_beside_ports(g1)[0], sig1), InstanceGraph)
+    assert outcome(_implicit_ports, _untyped_beside_ports(g1)[2], sig1) == (
+        "NotCanonical",
+        f"port {port} has 0 ownership edges; cannot rewire",
+    )
