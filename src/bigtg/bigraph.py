@@ -78,6 +78,16 @@ def is_arity(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def bad_arities(sig: Signature) -> list[Finding]:
+    """One ``sig-arity`` finding per arity of ``sig`` that is not a
+    non-negative integer, in the order of ``sig.arities``."""
+    return [
+        Finding("sig-arity", f"arity[{name}]", f"arity {arity!r} of {name!r} is not a non-negative integer")
+        for name, arity in sig.arities.items()
+        if not is_arity(arity)
+    ]
+
+
 def make_signature(pairs: Iterable[tuple[str, int]]) -> Signature:
     """Build a signature from ``(control name, arity)`` pairs.
 
@@ -176,14 +186,10 @@ def validate_bigraph(b: Bigraph) -> ValidationReport:
     Violations come back as report entries; an empty report means the
     bigraph is well-formed.
     """
-    findings: list[Finding] = []
+    findings = bad_arities(b.signature)
 
     def flag(code: str, location: str, message: str) -> None:
         findings.append(Finding(code, location, message))
-
-    for name, arity in b.signature.arities.items():
-        if not is_arity(arity):
-            flag("sig-arity", f"arity[{name}]", f"arity {arity!r} of {name!r} is not a non-negative integer")
 
     names = b.inner.names | b.outer.names
     for v in sorted(b.nodes & b.edges):

@@ -24,6 +24,7 @@ from .bigraph import (
     Port,
     ReservedControlName,
     Signature,
+    bad_arities,
     is_arity,
     validate_bigraph,
 )
@@ -36,6 +37,7 @@ from .typedgraph import (
     check_multiplicities,
     check_typing,
     check_validity,
+    keeps_report,
     symmetric_pairs,
     typed_edges,
 )
@@ -149,19 +151,27 @@ def extend_for_signature(sig: Signature) -> TypeGraph:
     )
 
 
+@keeps_report(key=lambda tg, sig: (tg, sig, repr(sig.arities)))
 def check_arity_rule(g: InstanceGraph, tg: TypeGraph, sig: Signature) -> ValidationReport:
     """Every node typed by a control must own exactly ``arity`` port edges.
+    An arity that is not a non-negative integer gives one ``sig-arity``
+    finding, as :func:`validate_bigraph` gives it, and the nodes of that
+    control are not counted; so are the nodes of a control without an
+    arity. The report is kept on ``g`` (:func:`keeps_report`), keyed by
+    the arities as printed too, since ``1 == True`` but only ``1`` is an
+    arity.
 
     Cost: one pass over the nodes in sorted order; each port count is one
     read of ``g.out_degree``, which counts the edges in one C-level pass."""
-    control_types = {c for c in sig.names if c in tg.node_types}
-    findings: list[Finding] = []
+    arities = {c: sig.arities.get(c) for c in sig.names if c in tg.node_types}
+    arities = {c: arity for c, arity in arities.items() if is_arity(arity)}
+    findings = bad_arities(sig)
     out_degree = g.out_degree
     for n in sorted(g.graph.nodes):
         t = g.node_types.get(n)
-        if t not in control_types:
+        if t not in arities:
             continue
-        want = sig.arity(t)
+        want = arities[t]
         got = out_degree.get((n, "bPorts"), 0)
         if got != want:
             findings.append(
@@ -319,7 +329,14 @@ def decode(g: InstanceGraph, sig: Signature) -> tuple[Bigraph, ElementMap]:
     Only defined for the canonical variant: strongly typed controls,
     explicit roots/sites/ports, and complete gap-free index attributes.
     A graph that fails :func:`conformance` raises :class:`NotCanonical`
-    with the findings. The rebuild then raises :class:`UntypedControl`
+    with the findings; among them ``attr-owner`` for an attribute whose
+    owner is not a node, which the rebuild would drop, and ``sig-arity``
+    for an arity of ``sig`` that is not a non-negative integer. The
+    checkers keep their reports on ``g`` (:func:`keeps_report`), so after
+    a caller's own ``conformance(g, extend_for_signature(sig), sig)``,
+    or the four checks it runs, the check here costs four key
+    comparisons, and ``decode`` pays only for the rebuild. The rebuild
+    then raises :class:`UntypedControl`
     for a node typed ``BNode``, and :class:`NotCanonical` for two ids of
     one kind that collide once their prefix is stripped, a root, site or
     port index that is missing, duplicated or outside a gap-free range, a

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Collection, Hashable, Iterable, Mapping
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import compress, repeat
 from operator import is_not, itemgetter
 
@@ -138,10 +138,14 @@ class InstanceGraph:
     counts by source and type, which the multiplicity and arity checkers
     read), the adjacency indexes ``out_index`` and ``in_index`` (which
     only constraint navigation and the ``outgoing``/``incoming`` helpers
-    read), and ``attr_index``. So the dicts of ``graph``, ``node_types``,
-    ``edge_types`` and ``attrs`` must not be mutated after the first
-    query; build a new graph (through the constructor or
-    ``bigtg.replace``) instead.
+    read), and ``attr_index``. The graph also keeps the last report of
+    each checker wrapped by :func:`keeps_report` (``check_typing``,
+    ``check_validity``, ``check_multiplicities`` and the arity rule),
+    with the arguments it was checked against, so a second check against
+    equal arguments (``decode`` after ``conformance``) returns that report.
+    So the dicts of ``graph``, ``node_types``, ``edge_types`` and
+    ``attrs`` must not be mutated after the first query or check; build a
+    new graph (through the constructor or ``bigtg.replace``) instead.
     """
 
     graph: Graph
@@ -160,6 +164,12 @@ class InstanceGraph:
         C-level pass; a missing end or type is keyed as ``None``."""
         edges = self.graph.edges
         return Counter(zip(map(self.graph.src.get, edges), map(self.edge_types.get, edges)))
+
+    @cached_property
+    def _reports(self) -> dict[Callable[..., ValidationReport], tuple[Any, ValidationReport]]:
+        """The kept slot of each checker wrapped by :func:`keeps_report`:
+        the key of the arguments it last ran on, and its report."""
+        return {}
 
     @cached_property
     def out_index(self) -> dict[tuple[str | None, str | None], tuple[str, ...]]:
@@ -261,6 +271,39 @@ def declared_attrs(tg: TypeGraph, t: str) -> dict[str, str]:
     return merged
 
 
+def keeps_report(
+    checker: Callable[..., ValidationReport] | None = None, *, key: Callable[..., Any] | None = None
+) -> Any:
+    """Make a checker of an instance graph keep its report on the graph.
+
+    The wrapped ``checker(g, *args)`` keeps one slot per checker on ``g``:
+    the key of the other arguments and the report. A call whose key equals
+    the kept one by ``==`` returns the kept report without running the
+    checker; any other call runs it and replaces the slot. Graphs and
+    reports are immutable values, so an equal key is the same check: a
+    fresh ``extend_for_signature(sig)`` equals an earlier one. The key is
+    the tuple of the other arguments unless ``key`` computes it from them,
+    for a checker whose report tells apart arguments that ``==`` does not
+    (as ``1 == True``). The wrapper keeps the checker's name, and the
+    checker itself as ``__wrapped__``.
+    """
+    if checker is None:
+        return lambda checker: keeps_report(checker, key=key)
+
+    @wraps(checker)
+    def kept(g: InstanceGraph, *args: Any) -> ValidationReport:
+        reports = g._reports
+        slot = reports.get(checker)
+        this = args if key is None else key(*args)
+        if slot is not None and slot[0] == this:
+            return slot[1]
+        report = checker(g, *args)
+        reports[checker] = (this, report)
+        return report
+
+    return kept
+
+
 def walk_suspects(
     elements: Collection[Any], keys: Iterable[Hashable], check: Callable[[Any], list[Finding]]
 ) -> list[Finding]:
@@ -281,7 +324,14 @@ def walk_suspects(
 
 
 def check_type_graph(tg: TypeGraph) -> ValidationReport:
-    """Well-formedness of a type graph itself (not of its instances)."""
+    """Well-formedness of a type graph itself (not of its instances).
+
+    Besides the references, the hierarchy, the opposite relation and the
+    declarations, each opposite pair of edge types must meet three EMOF
+    rules: its ends mirror each other (``tg-opposite-ends``), at most one
+    of the two is a containment (``tg-opposite-containments``), and the
+    opposite of a containment has an upper bound of at most 1
+    (``tg-container-mult``)."""
     findings: list[Finding] = []
 
     def flag(code: str, location: str, message: str) -> None:
@@ -321,6 +371,29 @@ def check_type_graph(tg: TypeGraph) -> ValidationReport:
             flag("tg-opposites", a, f"edge type paired with both {prev!r} and {b!r}")
         seen_in_pair[a] = b
 
+    # The EMOF rules on each opposite pair of known edge types: a property's
+    # opposite is owned by the property's type, so the ends mirror each
+    # other; at most one end is a composition; and the opposite of a
+    # containment has an upper bound of at most 1 (one container).
+    src, tgt = tg.graph.src.get, tg.graph.tgt.get
+    for a, b in sorted({tuple(sorted(p)) for p in tg.opposites if p[0] != p[1] and set(p) <= tg.edge_types}):
+        if src(a) != tgt(b) or tgt(a) != src(b):
+            flag(
+                "tg-opposite-ends",
+                f"({a},{b})",
+                f"opposite ends do not mirror: {a!r} is {src(a)}->{tgt(a)}, {b!r} is {src(b)}->{tgt(b)}",
+            )
+        if a in tg.containments and b in tg.containments:
+            flag("tg-opposite-containments", f"({a},{b})", "both edge types of an opposite pair are containments")
+        for whole, part in ((a, b), (b, a)):
+            m = tg.mult.get(part)
+            if whole in tg.containments and m is not None and (m.ub is None or m.ub > 1):
+                flag(
+                    "tg-container-mult",
+                    part,
+                    f"opposite of containment {whole!r} has multiplicity {m.render()}, upper bound above 1",
+                )
+
     for e in sorted(tg.edge_types):
         if e not in tg.mult:
             flag("tg-mult", e, "edge type has no multiplicity")
@@ -339,18 +412,23 @@ def check_type_graph(tg: TypeGraph) -> ValidationReport:
     return report_from(findings)
 
 
+@keeps_report
 def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     """Check the typing morphism: totality, abstractness, endpoint
     compatibility under subtyping, and attribute conformance. An edge
     whose type lacks a node type as ``src`` or ``tgt`` (which
     ``check_type_graph`` reports as ``tg-edge-ends``) is reported as
-    ``typing-type-ends``, and that end of the edge is not checked.
+    ``typing-type-ends``, and that end of the edge is not checked. An
+    attribute whose owner is not a node is reported as ``attr-owner``,
+    and its value is not checked.
 
     Cost: C-level passes compute a shape key per element (a node's type;
     an edge's type, the types of its ends and whether each end is a node;
-    an attribute's owner type, name and value class), the rules run once
-    per distinct key, and only the elements of a failing key are sorted
-    and walked (see :func:`walk_suspects`)."""
+    an attribute's owner type, whether the owner is a node, its name and
+    its value class), the rules run once per distinct key, and only the
+    elements of a failing key are sorted and walked (see
+    :func:`walk_suspects`). The report is kept on ``g``
+    (:func:`keeps_report`)."""
     nodes, nt = g.graph.nodes, g.node_types
 
     def check_node(n: str) -> list[Finding]:
@@ -411,6 +489,8 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
 
     def check_attr(item: tuple[tuple[str, str], int | str]) -> list[Finding]:
         (n, a), v = item
+        if n not in nodes:
+            return [Finding("attr-owner", f"{n}.{a}", f"attribute owner {n!r} is not a node")]
         t = nt.get(n)
         if t is None or t not in tg.node_types:
             return []
@@ -430,9 +510,8 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     edge_keys = zip(
         map(g.edge_types.get, edges), map(nt.get, srcs), map(nt.get, tgts), map(is_node, srcs), map(is_node, tgts)
     )
-    attr_keys = zip(
-        map(nt.get, map(itemgetter(0), g.attrs)), map(itemgetter(1), g.attrs), map(type, g.attrs.values())
-    )
+    owners = list(map(itemgetter(0), g.attrs))
+    attr_keys = zip(map(nt.get, owners), map(is_node, owners), map(itemgetter(1), g.attrs), map(type, g.attrs.values()))
     return report_from(
         walk_suspects(nodes, map(nt.get, nodes), check_node)
         + [Finding("typing-domain", n, "typing entry for unknown node") for n in sorted(nt.keys() - nodes)]
@@ -486,6 +565,7 @@ def _reaches_cycle(up: dict[str, str]) -> bool:
     return False
 
 
+@keeps_report
 def check_validity(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     """Containment acyclicity, unique containers, and opposite-edge
     consistency. Meant for graphs that pass ``check_typing``; edges with a
@@ -549,10 +629,19 @@ def check_validity(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     return report_from(findings)
 
 
+def _printed_bounds(tg: TypeGraph) -> tuple[TypeGraph, list[str]]:
+    """The key of ``check_multiplicities``'s kept report: the type graph,
+    and its bounds as the findings print them, since ``Multiplicity(1)``
+    equals ``Multiplicity(True)``."""
+    return tg, [m.render() for m in tg.mult.values() if isinstance(m, Multiplicity)]
+
+
+@keeps_report(key=_printed_bounds)
 def check_multiplicities(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     """Per-source-node bounds on outgoing edges of each applicable type.
     Edge types without a multiplicity, or without a node type as ``src``,
-    are skipped (``check_type_graph`` reports them).
+    are skipped (``check_type_graph`` reports them). The report is kept on
+    ``g`` (:func:`keeps_report`).
 
     Cost: one pass over the nodes in sorted order; the bounds that apply
     to a node type are found once per type, and each count is one read

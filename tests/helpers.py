@@ -1,5 +1,6 @@
-"""Instance-graph surgery used by mutation and property tests, a
-hypothesis strategy of arbitrarily edited encodings, and shared checks."""
+"""Instance-graph surgery used by mutation and property tests, hypothesis
+strategies of arbitrarily edited encodings and type graphs, and shared
+checks."""
 
 from __future__ import annotations
 
@@ -10,7 +11,19 @@ import tempfile
 import pytest
 from hypothesis import strategies as st
 
-from bigtg import Graph, InstanceGraph, encode, fileio, replace
+from bigtg import (
+    Graph,
+    InstanceGraph,
+    Multiplicity,
+    Signature,
+    annotate_150,
+    derive_type_graph,
+    encode,
+    enumerate_configs,
+    extend_for_signature,
+    fileio,
+    replace,
+)
 from bigtg.generators import random_bigraph
 
 
@@ -173,3 +186,40 @@ def mutated_encodings(draw):
         attrs=attrs,
     )
     return mutated, b
+
+
+CONFIGS = enumerate_configs()
+BOUNDS = tuple(Multiplicity(lb, ub) for lb, ub in ((0, None), (0, 0), (0, 1), (1, 1), (1, None), (2, 3)))
+
+
+@st.composite
+def type_graph_variants(draw, sig: Signature):
+    """The signature's type graph, or one of its 54 configurations, with
+    up to three edge types edited: an end dropped or made unknown, an
+    extra (possibly one-sided) opposite, containment toggled, or the
+    multiplicity changed or dropped."""
+    tg = extend_for_signature(sig)
+    cfg = draw(st.sampled_from((None, *CONFIGS)))
+    if cfg is not None:
+        tg = derive_type_graph(annotate_150(tg), cfg)
+    src, tgt = dict(tg.graph.src), dict(tg.graph.tgt)
+    opposites, containments, mult = set(tg.opposites), set(tg.containments), dict(tg.mult)
+    edge_types = sorted(tg.edge_types)
+    for _ in range(draw(st.integers(0, 3))):
+        e = draw(st.sampled_from(edge_types))
+        kind = draw(st.sampled_from(("drop-end", "ghost-end", "opposite", "containment", "mult", "drop-mult")))
+        ends = draw(st.sampled_from((src, tgt)))
+        if kind == "drop-end":
+            ends.pop(e, None)
+        elif kind == "ghost-end":
+            ends[e] = "Ghost"
+        elif kind == "opposite":
+            opposites.add((e, draw(st.sampled_from(edge_types))))
+        elif kind == "containment":
+            containments ^= {e}
+        elif kind == "mult":
+            mult[e] = draw(st.sampled_from(BOUNDS))
+        else:
+            mult.pop(e, None)
+    graph = Graph(nodes=tg.graph.nodes, edges=tg.graph.edges, src=src, tgt=tgt)
+    return replace(tg, graph=graph, opposites=opposites, containments=containments, mult=mult)
