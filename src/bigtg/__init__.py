@@ -22,11 +22,10 @@ _PUBLIC = {
         "CheckResult", "ConstraintDoc", "ConstraintSyntaxError", "EvaluationError", "Invariant",
         "TypeCheckError", "evaluate", "format_constraints", "parse_constraints", "typecheck",
     ),
-    "mapping": (
-        "ElementMap", "InvalidBigraph", "NotCanonical", "UntypedControl", "base_type_graph",
-        "check_arity_rule", "check_soundness", "conformance", "decode", "encode", "extend_for_signature",
-    ),
+    "mapping": ("ElementMap", "InvalidBigraph", "UntypedControl", "decode", "encode"),
+    "metamodel": ("NotCanonical", "base_type_graph", "check_arity_rule", "conformance", "extend_for_signature"),
     "report": ("Finding", "ValidationReport"),
+    "soundness": ("check_soundness",),
     "typedgraph": (
         "Graph", "InstanceGraph", "Multiplicity", "TypeGraph", "UnknownType", "all_sub",
         "check_multiplicities", "check_type_graph", "check_typing", "check_validity", "conforms",
@@ -42,7 +41,7 @@ _PUBLIC = {
 _EXPORTS = {name: module for module, names in _PUBLIC.items() for name in names}
 
 #: The package's modules, also reachable as attributes (``bigtg.mapping``).
-_MODULES = frozenset(_PUBLIC) | {"cli", "fileio", "generators"}
+_MODULES = frozenset(_PUBLIC) | {"cli", "fileio", "generators", "writers"}
 
 __all__ = sorted(_EXPORTS)
 

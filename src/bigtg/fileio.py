@@ -11,12 +11,11 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from collections.abc import Callable, Container
+from collections.abc import Callable, Container, Iterable
 from functools import partial
 from importlib import import_module
-from itertools import groupby, repeat
-from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from itertools import chain, count, repeat
+from operator import is_not, itemgetter, ne, not_
 
 from .bigraph import Bigraph, Interface, Port, Signature, make_signature
 from .typedgraph import ATTR_TYPES, Graph, InstanceGraph, Multiplicity, TypeGraph, symmetric_pairs
@@ -133,67 +132,7 @@ def _known(value: Any, known: Container[str], fault: str, *at: str | int) -> str
 
 
 # ---------------------------------------------------------------------------
-# Canonical text: ``json.dumps(value, indent=2, sort_keys=True)``, built by
-# joining. With ``indent`` set, ``json`` falls back to its pure-Python
-# encoder, which took most of the time of saving a large graph. ``pad`` is
-# a newline and the indentation of the line a value starts on.
-
-_P2, _P4, _P8, _P10 = "\n  ", "\n    ", "\n        ", "\n          "
-
-
-def _join(texts: list[str], pad: str, brackets: str) -> str:
-    """An array or object (by ``brackets``) of items printed already."""
-    if not texts:
-        return brackets
-    inner = pad + "  "
-    return brackets[0] + inner + ("," + inner).join(texts) + pad + brackets[1]
-
-
-def _leaves(values: list, pad: str) -> list[str]:
-    """The text of each value: one C-level pass over a column of strings or
-    of plain integers, ``_canonical_json`` per value otherwise (``bool`` is
-    an ``int`` to ``int.__repr__``, but not to ``json``)."""
-    try:
-        return list(map(encode_basestring_ascii, values))
-    except TypeError:
-        if set(map(type, values)) <= {int}:
-            return list(map(int.__repr__, values))
-    return [_canonical_json(v, pad) for v in values]
-
-
-def _canonical_json(value: Any, pad: str = "\n") -> str:
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    inner = pad + "  "
-    if isinstance(value, dict):
-        parts = []
-        for k in sorted(value):
-            v = value[k]
-            key = encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))
-            text = encode_basestring_ascii(v) if isinstance(v, str) else _canonical_json(v, inner)
-            parts.append(f"{key}: {text}")
-        return _join(parts, pad, "{}")
-    if isinstance(value, (list, tuple)):
-        items = [encode_basestring_ascii(v) if isinstance(v, str) else _canonical_json(v, inner) for v in value]
-        return _join(items, pad, "[]")
-    return json.dumps(value)
-
-
-def _refuse_missing(what: str, ids: list, **columns: list) -> None:
-    """``ValueError`` naming the first of ``ids`` with ``None`` in a column:
-    the format has no way to write it."""
-    if any(None in column for column in columns.values()):
-        name, *values = next(row for row in zip(ids, *columns.values()) if None in row[1:])
-        raise ValueError(f"{what} {name} has no {list(columns)[values.index(None)]}")
-
-
-# ---------------------------------------------------------------------------
 # Signature
-
-
-def _signature_text(sig: Signature, pad: str = _P2) -> str:
-    controls = [{"arity": sig.arity(c.name), "name": c.name} for c in sig.controls]
-    return _canonical_json({"controls": controls}, pad)
 
 
 def _read_signature(payload: Any) -> Signature:
@@ -212,40 +151,6 @@ def _read_signature(payload: Any) -> Signature:
 
 # ---------------------------------------------------------------------------
 # Bigraph
-
-
-def _interface_payload(iface: Interface) -> dict:
-    return {"names": sorted(iface.names), "width": iface.width}
-
-
-_PAIR = "[\n        %s,\n        %s\n      ]"
-_PORT = "[\n          %s,\n          %s\n        ]"
-_BIGRAPH = (
-    '{\n    "ctrl": %s,\n    "edges": %s,\n    "inner": %s,\n    "link": %s,\n'
-    '    "nodes": %s,\n    "outer": %s,\n    "prnt": %s,\n    "signature": %s\n  }'
-)
-
-
-def _bigraph_text(b: Bigraph) -> str:
-    """Parents in the order of ``(isinstance(child, str), str(child))``;
-    inner names, then ports in the order of ``str(port)``, so that index 10
-    comes before index 2."""
-    children = sorted(b.prnt, key=lambda p: (isinstance(p, str), str(p)))
-    names = sorted((p for p in b.link if not isinstance(p, Port)), key=str)
-    ports = sorted((p for p in b.link if isinstance(p, Port)), key="Port(node=%r, index=%r)".__mod__)
-    refs = map(_PORT.__mod__, zip(*(_leaves(list(map(itemgetter(i), ports)), _P10) for i in (0, 1))))
-    link = zip([*_leaves(names, _P8), *refs], _leaves(list(map(b.link.get, names + ports)), _P8))
-    prnt = zip(_leaves(children, _P8), _leaves(list(map(b.prnt.get, children)), _P8))
-    return _BIGRAPH % (
-        _canonical_json(b.ctrl, _P4),
-        _canonical_json(sorted(b.edges), _P4),
-        _canonical_json(_interface_payload(b.inner), _P4),
-        _join(list(map(_PAIR.__mod__, link)), _P4, "[]"),
-        _canonical_json(sorted(b.nodes), _P4),
-        _canonical_json(_interface_payload(b.outer), _P4),
-        _join(list(map(_PAIR.__mod__, prnt)), _P4, "[]"),
-        _signature_text(b.signature, _P4),
-    )
 
 
 def _read_interface(value: Any) -> Interface:
@@ -309,37 +214,6 @@ def _read_bigraph(payload: Any) -> Bigraph:
 
 # ---------------------------------------------------------------------------
 # Type graph
-
-
-def _mult_payload(m: Multiplicity) -> dict:
-    return {"lower": m.lb, "upper": "*" if m.ub is None else m.ub}
-
-
-def _typegraph_text(tg: TypeGraph) -> str:
-    node_entries = []
-    for t in sorted(tg.graph.nodes):
-        node_entries.append(
-            {
-                "abstract": t in tg.abstracts,
-                "attrs": {a: dt for a, dt in sorted(tg.attr_decls.get(t, {}).items())},
-                "name": t,
-            }
-        )
-    edges = sorted(tg.graph.edges)
-    src, tgt, mult = (list(map(ends.get, edges)) for ends in (tg.graph.src, tg.graph.tgt, tg.mult))
-    _refuse_missing("edge type", edges, src=src, tgt=tgt, mult=mult)
-    edge_entries = [
-        {"containment": e in tg.containments, "mult": _mult_payload(m), "name": e, "src": s, "tgt": t}
-        for e, s, t, m in zip(edges, src, tgt, mult)
-    ]
-    opposite_pairs = sorted({tuple(sorted(p)) for p in tg.opposites})
-    payload = {
-        "edgeTypes": edge_entries,
-        "inherits": [list(p) for p in sorted(tg.inherits)],
-        "nodeTypes": node_entries,
-        "opposites": [list(p) for p in opposite_pairs],
-    }
-    return _canonical_json(payload, _P2)
 
 
 def _read_mult(value: Any) -> Multiplicity:
@@ -417,81 +291,117 @@ def _read_typegraph(payload: Any) -> TypeGraph:
 
 
 # ---------------------------------------------------------------------------
-# Instance graph
+# Instance graph: each entry list is read column by column. A rule marks
+# the values of one column that break it, in C-level passes; only a list
+# with a marked value is looked at again, to name its first fault.
+
+#: The JSON types of an attribute value (``bool`` is not ``int`` here).
+_VALUE_TYPES = frozenset({int, str})
+
+if TYPE_CHECKING:
+    Rule = tuple[str | None, Callable[[list], Iterable[bool]], Callable[[Any], object]]
 
 
-_EDGE = '{\n        "id": %s,\n        "src": %s,\n        "tgt": %s,\n        "type": %s\n      }'
-_NODE = '{\n        "attrs": %s,\n        "id": %s,\n        "type": %s\n      }'
+def _read_records(entries: Any, fields: tuple[str, ...], rules: tuple[Rule, ...], *at: str | int) -> list[list]:
+    """The column of each of ``fields`` in ``entries``, an array of objects
+    with exactly those fields, checked by ``rules``.
+
+    A rule is ``(field, marks, fault)``, in the order that an entry is
+    read: ``marks(column)`` is true at each value of the field (of the
+    entry itself for ``None``) that breaks the rule, and ``fault(value)``
+    raises the ``_Fault`` that says how. The first fault in document order
+    is raised: once a rule marks an entry, the later rules look only at
+    the entries before it."""
+    entries = _as(list, entries, *at)
+    count, first = len(entries), None
+    columns: dict[str | None, list] = {None: entries}
+    for field, marks, fault in rules:
+        if field not in columns:
+            columns[field] = list(map(itemgetter(field), entries[:count]))
+        column = columns[field][:count]
+        if any(marks(column)):
+            count = list(marks(column)).index(True)
+            try:
+                fault(column[count])
+            except _Fault as found:
+                first = found.under(*at, count, *(() if field is None else (field,)))
+    if first is not None:
+        raise first
+    return [columns[field] for field in fields]
 
 
-def _instancegraph_text(g: InstanceGraph) -> str:
-    """Each column (ids, ends, types, attribute names and values) is printed
-    in one pass, and each entry is its template filled from the columns."""
-    edges = sorted(g.graph.edges)
-    src, tgt = list(map(g.graph.src.get, edges)), list(map(g.graph.tgt.get, edges))
-    _refuse_missing("edge", edges, src=src, tgt=tgt)
-    orphans = set(map(itemgetter(0), g.attrs)) - g.graph.nodes
-    if orphans:
-        n, a = min(key for key in g.attrs if key[0] in orphans)
-        raise ValueError(f"attribute {a} of {n} has no node")
-    keys = sorted(g.attrs)
-    # ``json`` quotes its text of a key that is no string.
-    names = _leaves([a if isinstance(a, str) else json.dumps(a) for _, a in keys], _P10)
-    values = _leaves(list(map(g.attrs.get, keys)), _P10)
-    members = zip(map(itemgetter(0), keys), map("%s: %s".__mod__, zip(names, values)))
-    attrs = {n: _join(list(map(itemgetter(1), group)), _P8, "{}") for n, group in groupby(members, itemgetter(0))}
-    nodes = sorted(g.graph.nodes)
-    node_types, edge_types = list(map(g.node_types.get, nodes)), list(map(g.edge_types.get, edges))
-    node_entries = zip(map(attrs.get, nodes, repeat("{}")), _leaves(nodes, _P8), _leaves(node_types, _P8))
-    edge_entries = zip(_leaves(edges, _P8), _leaves(src, _P8), _leaves(tgt, _P8), _leaves(edge_types, _P8))
-    return '{\n    "edges": %s,\n    "nodes": %s\n  }' % (
-        _join(list(map(_EDGE.__mod__, edge_entries)), _P4, "[]"),
-        _join(list(map(_NODE.__mod__, node_entries)), _P4, "[]"),
-    )
+def _not_of(json_type: type) -> Callable[[list], Iterable[bool]]:
+    """Marks each value that is not exactly of ``json_type``."""
+    return lambda column: map(is_not, map(type, column), repeat(json_type))
+
+
+def _record_rules(fields: tuple[str, ...]) -> tuple[Rule, Rule]:
+    """An entry is an object, with exactly ``fields``; :func:`_record` names the fault."""
+    keys, fault = frozenset(fields), partial(_record, fields=fields)
+    return (None, _not_of(dict), fault), (None, lambda entries: map(ne, map(dict.keys, entries), repeat(keys)), fault)
+
+
+def _repeats(ids: list) -> Iterable[bool]:
+    """Marks each id that an earlier id equals."""
+    first = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+    return map(ne, map(first.__getitem__, ids), count())
+
+
+def _bad_values(objs: list[dict]) -> Iterable[bool]:
+    """Marks each attribute object with a value that is no integer or string."""
+    return map(not_, map(_VALUE_TYPES.issuperset, map(map, repeat(type), map(dict.values, objs))))
+
+
+def _bad_value(attrs: dict) -> None:
+    """Raises the fault of the first value that is no integer or string."""
+    a = next(a for a, v in attrs.items() if type(v) not in _VALUE_TYPES)
+    raise _Fault("expected an integer or string value", a)
+
+
+_STRING = (_not_of(str), partial(_as, str))
+_NODE_FIELDS = ("attrs", "id", "type")
+_NODE_RULES = (
+    *_record_rules(_NODE_FIELDS),
+    ("id", *_STRING),
+    # ``_fresh`` names a repeat as an id among those seen, here ``(nid,)``.
+    ("id", _repeats, lambda nid: _fresh(nid, (nid,), "node id")),
+    ("type", *_STRING),
+    ("attrs", _not_of(dict), partial(_as, dict)),
+    ("attrs", _bad_values, _bad_value),
+)
+_EDGE_FIELDS = ("id", "src", "tgt", "type")
 
 
 def _read_instancegraph(payload: Any) -> InstanceGraph:
     edges_raw, nodes_raw = _record(payload, ("edges", "nodes"))
-
-    node_types: dict[str, str] = {}
-    attrs: dict[tuple[str, str], int | str] = {}
-
-    def read_node(entry: Any) -> None:
-        attrs_obj, nid, t = _record(entry, ("attrs", "id", "type"))
-        _fresh(nid, node_types, "node id", "id")
-        node_types[nid] = _as(str, t, "type")
-        for a, v in _as(dict, attrs_obj, "attrs").items():
-            if type(v) not in (int, str):
-                raise _Fault("expected an integer or string value", "attrs", a)
-            attrs[(nid, a)] = v
-
-    src: dict[str, str] = {}
-    tgt: dict[str, str] = {}
-    edge_types: dict[str, str] = {}
-
-    def read_edge(entry: Any) -> None:
-        eid, s, t, te = _record(entry, ("id", "src", "tgt", "type"))
-        _fresh(eid, src, "edge id", "id")
-        src[eid] = _known(s, node_types, "unknown node id", "src")
-        tgt[eid] = _known(t, node_types, "unknown node id", "tgt")
-        edge_types[eid] = _as(str, te, "type")
-
-    _each(nodes_raw, read_node, "nodes")
-    _each(edges_raw, read_edge, "edges")
+    attr_objs, ids, types = _read_records(nodes_raw, _NODE_FIELDS, _NODE_RULES, "nodes")
+    node_types = dict(zip(ids, types))
+    unknown = partial(_known, known=node_types, fault="unknown node id")
+    node_id = (lambda ends: map(not_, map(node_types.__contains__, ends)), unknown)
+    edge_rules = (
+        *_record_rules(_EDGE_FIELDS),
+        ("id", *_STRING),
+        ("id", _repeats, lambda eid: _fresh(eid, (eid,), "edge id")),
+        ("src", *_STRING),
+        ("src", *node_id),
+        ("tgt", *_STRING),
+        ("tgt", *node_id),
+        ("type", *_STRING),
+    )
+    eids, srcs, tgts, edge_types = _read_records(edges_raw, _EDGE_FIELDS, edge_rules, "edges")
+    owners = chain.from_iterable(map(repeat, ids, map(len, attr_objs)))
+    values = chain.from_iterable(map(dict.values, attr_objs))
+    src = dict(zip(eids, srcs))
     return InstanceGraph(
-        graph=Graph(nodes=frozenset(node_types), edges=frozenset(src), src=src, tgt=tgt),
+        graph=Graph(nodes=frozenset(node_types), edges=frozenset(src), src=src, tgt=dict(zip(eids, tgts))),
         node_types=node_types,
-        edge_types=edge_types,
-        attrs=attrs,
+        edge_types=dict(zip(eids, edge_types)),
+        attrs=dict(zip(zip(owners, chain.from_iterable(attr_objs)), values)),
     )
 
 
 # ---------------------------------------------------------------------------
 # Feature configuration
-
-
-def _featureconfig_text(cfg: FeatureConfig) -> str:
-    return _canonical_json({"selected": sorted(cfg.selected)}, _P2)
 
 
 def _read_featureconfig(payload: Any) -> FeatureConfig:
@@ -505,15 +415,16 @@ def _read_featureconfig(payload: Any) -> FeatureConfig:
 # Envelopes
 
 #: Each kind's value class (as module and name, looked up on first use, so
-#: that only feature configurations load ``variability``), payload reader
-#: and payload writer. A writer returns the payload's canonical text at the
+#: that only feature configurations load ``variability``), payload reader,
+#: and the name of its payload writer in :mod:`bigtg.writers`, which only a
+#: save loads. A writer returns the payload's canonical text at the
 #: envelope's indentation, not a payload value.
-_KINDS: dict[str, tuple[str, str, Callable[[Any], object], Callable[[Any], str]]] = {
-    KIND_SIGNATURE: ("bigraph", "Signature", _read_signature, _signature_text),
-    KIND_BIGRAPH: ("bigraph", "Bigraph", _read_bigraph, _bigraph_text),
-    KIND_TYPEGRAPH: ("typedgraph", "TypeGraph", _read_typegraph, _typegraph_text),
-    KIND_INSTANCEGRAPH: ("typedgraph", "InstanceGraph", _read_instancegraph, _instancegraph_text),
-    KIND_FEATURECONFIG: ("variability", "FeatureConfig", _read_featureconfig, _featureconfig_text),
+_KINDS: dict[str, tuple[str, str, Callable[[Any], object], str]] = {
+    KIND_SIGNATURE: ("bigraph", "Signature", _read_signature, "signature_text"),
+    KIND_BIGRAPH: ("bigraph", "Bigraph", _read_bigraph, "bigraph_text"),
+    KIND_TYPEGRAPH: ("typedgraph", "TypeGraph", _read_typegraph, "typegraph_text"),
+    KIND_INSTANCEGRAPH: ("typedgraph", "InstanceGraph", _read_instancegraph, "instancegraph_text"),
+    KIND_FEATURECONFIG: ("variability", "FeatureConfig", _read_featureconfig, "featureconfig_text"),
 }
 
 _ENVELOPE = '{\n  "formatVersion": "%s",\n  "kind": "%s",\n  "payload": %s\n}\n'
@@ -526,9 +437,11 @@ def dumps_canonical(value: object) -> str:
     no src`` (or ``tgt``) and ``attribute <a> of <n> has no node`` in an
     instance graph, ``edge type <e> has no src`` (or ``tgt``, ``mult``) in
     a type graph."""
+    from . import writers
+
     for kind, (module, cls, _, write) in _KINDS.items():
         if isinstance(value, getattr(import_module(f".{module}", __package__), cls)):
-            return _ENVELOPE % (FORMAT_VERSION, kind, write(value))
+            return _ENVELOPE % (FORMAT_VERSION, kind, getattr(writers, write)(value))
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

@@ -1,46 +1,31 @@
 """The canonical bridge between bigraphs and typed graphs.
 
-Provides the base type graph modeling bigraph anatomy, its
-control-compatible extension for a signature, the arity well-formedness
-rule, and the canonical mapping between bigraphs and instance graphs.
-The mapping is written down once, as one table: ``_KINDS`` gives each
-element kind its id prefix and node type, and ``_relations`` lists
-nesting, linking and port ownership with their opposite edge types.
-:func:`encode` writes a bigraph out along the table, :func:`decode` reads
-it back, and :func:`check_soundness` aligns a bigraph with its encoding
-element by element against it.
+The mapping between bigraphs and instance graphs over the metamodel of
+:mod:`bigtg.metamodel`, whose names this module re-exports. The mapping
+is written down once, as one table: ``_KINDS`` gives each element kind
+its id prefix and node type, and ``_relations`` lists nesting, linking
+and port ownership with their opposite edge types. :func:`encode` writes
+a bigraph out along the table, :func:`decode` reads it back, and
+``check_soundness`` (in :mod:`bigtg.soundness`, loaded on first access)
+aligns a bigraph with its encoding element by element against it.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterator, Mapping
 
 from ._value import field, frozen
-from .bigraph import (
-    BASE_NODE_TYPE_NAMES,
-    Bigraph,
-    Interface,
-    Port,
-    ReservedControlName,
-    Signature,
-    bad_arities,
-    is_arity,
-    validate_bigraph,
+from .bigraph import Bigraph, Interface, Port, validate_bigraph
+# The metamodel's names stay reachable here, as ``mapping.conformance``.
+from .metamodel import (
+    NotCanonical,
+    base_type_graph,
+    check_arity_rule,
+    conformance,
+    extend_for_signature,
 )
 from .report import Finding, ValidationReport, report_from
-from .typedgraph import (
-    Graph,
-    InstanceGraph,
-    Multiplicity,
-    TypeGraph,
-    check_multiplicities,
-    check_typing,
-    check_validity,
-    keeps_report,
-    symmetric_pairs,
-    typed_edges,
-)
+from .typedgraph import Graph, InstanceGraph, typed_edges
 
 # Element kinds of a bigraph; the tags realize the disjointness that the
 # index/name substitutions provide on paper.
@@ -68,128 +53,16 @@ Element = tuple[str, object]
 
 
 class InvalidBigraph(Exception):
-    """Raised when a bigraph handed to the encoder fails validation."""
+    """Raised when a bigraph handed to the encoder fails validation, or
+    has an idle link, which no conforming encoding has."""
 
     def __init__(self, report: ValidationReport):
-        super().__init__("bigraph is not well-formed: " + "; ".join(f.message for f in report.findings))
+        super().__init__("bigraph cannot be encoded: " + "; ".join(f.message for f in report.findings))
         self.report = report
-
-
-class NotCanonical(Exception):
-    """The instance graph is not a canonical, fully indexed encoding."""
-
-    def __init__(self, message: str, report: ValidationReport | None = None):
-        super().__init__(message)
-        self.report = report if report is not None else ValidationReport()
 
 
 class UntypedControl(Exception):
     """A node is typed by the generic node type instead of a control."""
-
-
-def base_type_graph() -> TypeGraph:
-    """The fixed type graph describing places, links, ports and names."""
-    edges = {
-        # name: (src, tgt, mult)
-        "bPrnt": ("BPlace", "BPlace", Multiplicity(0, 1)),
-        "bChld": ("BPlace", "BPlace", Multiplicity(0, None)),
-        "bLink": ("BPoint", "BLink", Multiplicity(1, 1)),
-        "bPoints": ("BLink", "BPoint", Multiplicity(1, None)),
-        "bPorts": ("BNode", "BPort", Multiplicity(0, None)),
-        "bNode": ("BPort", "BNode", Multiplicity(1, 1)),
-    }
-    return TypeGraph(
-        graph=Graph(
-            nodes=frozenset(BASE_NODE_TYPE_NAMES),
-            edges=frozenset(edges),
-            src={e: s for e, (s, _, _) in edges.items()},
-            tgt={e: t for e, (_, t, _) in edges.items()},
-        ),
-        inherits=frozenset(
-            {
-                ("BRoot", "BPlace"),
-                ("BNode", "BPlace"),
-                ("BSite", "BPlace"),
-                ("BPort", "BPoint"),
-                ("BInnerName", "BPoint"),
-                ("BEdge", "BLink"),
-                ("BOuterName", "BLink"),
-            }
-        ),
-        abstracts=frozenset({"BPlace", "BPoint", "BLink"}),
-        containments=frozenset({"bChld", "bPorts"}),
-        opposites=symmetric_pairs([("bPrnt", "bChld"), ("bLink", "bPoints"), ("bPorts", "bNode")]),
-        mult={e: m for e, (_, _, m) in edges.items()},
-        attr_decls={
-            "BRoot": {"index": "int"},
-            "BSite": {"index": "int"},
-            "BPort": {"index": "int"},
-        },
-    )
-
-
-def extend_for_signature(sig: Signature) -> TypeGraph:
-    """Control-compatible extension: one extra node type per control, each
-    a subtype of the generic node type."""
-    clash = set(sig.names) & set(BASE_NODE_TYPE_NAMES)
-    if clash:
-        raise ReservedControlName(f"controls collide with base node types: {sorted(clash)}")
-    base = base_type_graph()
-    return TypeGraph(
-        graph=Graph(
-            nodes=base.graph.nodes | set(sig.names),
-            edges=base.graph.edges,
-            src=base.graph.src,
-            tgt=base.graph.tgt,
-        ),
-        inherits=base.inherits | {(c, "BNode") for c in sig.names},
-        abstracts=base.abstracts,
-        containments=base.containments,
-        opposites=base.opposites,
-        mult=base.mult,
-        attr_decls=base.attr_decls,
-    )
-
-
-@keeps_report(key=lambda tg, sig: (tg, sig, repr(sig.arities)))
-def check_arity_rule(g: InstanceGraph, tg: TypeGraph, sig: Signature) -> ValidationReport:
-    """Every node typed by a control must own exactly ``arity`` port edges.
-    An arity that is not a non-negative integer gives one ``sig-arity``
-    finding, as :func:`validate_bigraph` gives it, and the nodes of that
-    control are not counted; so are the nodes of a control without an
-    arity. The report is kept on ``g`` (:func:`keeps_report`), keyed by
-    the arities as printed too, since ``1 == True`` but only ``1`` is an
-    arity.
-
-    Cost: one pass over the nodes in sorted order; each port count is one
-    read of ``g.out_degree``, which counts the edges in one C-level pass."""
-    arities = {c: sig.arities.get(c) for c in sig.names if c in tg.node_types}
-    arities = {c: arity for c, arity in arities.items() if is_arity(arity)}
-    findings = bad_arities(sig)
-    out_degree = g.out_degree
-    for n in sorted(g.graph.nodes):
-        t = g.node_types.get(n)
-        if t not in arities:
-            continue
-        want = arities[t]
-        got = out_degree.get((n, "bPorts"), 0)
-        if got != want:
-            findings.append(
-                Finding(
-                    "arity",
-                    n,
-                    f"node of control {t!r} has {got} outgoing 'bPorts' edge(s), arity is {want}",
-                )
-            )
-    return report_from(findings)
-
-
-def conformance(g: InstanceGraph, tg: TypeGraph, sig: Signature | None = None) -> ValidationReport:
-    """Conformance of ``g`` to ``tg``: the typing morphism, validity and
-    multiplicities, then the arity rule when a signature is given, with
-    the findings in that order."""
-    rep = check_typing(g, tg).merged(check_validity(g, tg), check_multiplicities(g, tg))
-    return rep if sig is None else rep.merged(check_arity_rule(g, tg, sig))
 
 
 @frozen
@@ -242,19 +115,36 @@ def _relations(b: Bigraph) -> tuple[tuple[str, str, Iterator[tuple[object, Eleme
     return ("bPrnt", "bChld", nesting), ("bLink", "bPoints", linking), ("bNode", "bPorts", ownership)
 
 
+def _idle_links(b: Bigraph) -> ValidationReport:
+    """One ``idle-link`` finding per edge or outer name of ``b`` that no
+    point is linked to, edges first, each group in sorted order. Such a
+    link is ordinary in a bigraph, but its encoding would break the
+    ``[1,*]`` multiplicity of ``bPoints``."""
+    linked = set(b.link.values())
+    return report_from(
+        [
+            Finding("idle-link", y, f"{what} {y!r} has no point; 'bPoints' needs at least one")
+            for what, names in (("edge", b.edges), ("outer name", b.outer.names))
+            for y in sorted(names - linked)
+        ]
+    )
+
+
 def encode(b: Bigraph) -> tuple[InstanceGraph, ElementMap]:
     """Encode a valid bigraph as an instance graph over its signature's
     type graph, together with the element bijection.
 
     Each element becomes a node of its kind's type; nesting, linking and
     port ownership each become an opposite pair of directed edges; root,
-    site and port indices become ``index`` attributes. Edges or outer
-    names without any point cannot satisfy the one-or-more-points
-    multiplicity of the metamodel and will make the encoding fail
-    :func:`check_multiplicities`. Raises :class:`InvalidBigraph` if ``b``
-    is not valid, or if ids that contain ``:`` give two edges one id.
+    site and port indices become ``index`` attributes. Raises
+    :class:`InvalidBigraph` if ``b`` is not valid, if it has an edge or
+    outer name without any point (``idle-link``), so that every
+    graph returned conforms, or if ids that contain ``:`` give two edges
+    one id.
     """
     rep = validate_bigraph(b)
+    if rep.ok:
+        rep = _idle_links(b)
     if not rep.ok:
         raise InvalidBigraph(rep)
 
@@ -417,114 +307,13 @@ def decode(g: InstanceGraph, sig: Signature) -> tuple[Bigraph, ElementMap]:
     return b, ElementMap(fwd)
 
 
-def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> ValidationReport:
-    """Check that ``g`` represents ``b`` exactly under the element map.
+def __getattr__(name: str) -> object:
+    """``check_soundness``, loaded from :mod:`bigtg.soundness` on first
+    access (PEP 562) and then bound here like any other name, so that a
+    tracer that patches this module's bindings finds it."""
+    if name == "check_soundness":
+        from .soundness import check_soundness
 
-    Reports proper typing of every mapped element, the two-way coincidence
-    of nesting and linking with the paired directed edges, and the
-    consistency of root, site and port index attributes. Defects in the
-    map itself (non-bijectivity, dangling images) are reported too rather
-    than assumed away. Edges with a missing end are skipped
-    (``check_typing`` reports them). A bigraph with a node that has no
-    control, or a control that its signature does not declare, has no
-    elements to align: its :func:`validate_bigraph` findings come back,
-    as they do for a signature with an arity that is not a non-negative
-    integer.
-    """
-    ctrl, sig = b.ctrl, b.signature
-    if not (all(map(sig.has_control, map(ctrl.get, b.nodes))) and all(map(is_arity, sig.arities.values()))):
-        return validate_bigraph(b)
-    findings: list[Finding] = []
-
-    def flag(code: str, location: str, message: str) -> None:
-        findings.append(Finding(code, location, message))
-
-    expected = elements_of(b)
-    fwd = dict(emap.forward)
-    nodes = g.graph.nodes
-    for el in sorted(expected - set(fwd), key=str):
-        flag("map-domain", str(el), "bigraph element is not mapped")
-    for el in sorted(set(fwd) - expected, key=str):
-        flag("map-domain", str(el), "map entry for a non-element")
-    images = list(fwd.values())
-    if len(set(images)) != len(images):
-        dupes = sorted({gid for gid in images if images.count(gid) > 1})
-        for gid in dupes:
-            flag("map-injective", gid, "two elements map to the same graph node")
-    by_element = sorted(fwd.items(), key=lambda kv: str(kv[0]))
-    for el, gid in by_element:
-        if gid not in nodes:
-            flag("map-image", gid, f"image of {el} is not a graph node")
-    for gid in sorted(nodes - set(images)):
-        flag("map-surjective", gid, "graph node is not the image of any element")
-
-    for el, gid in by_element:
-        if gid not in nodes or el not in expected:
-            continue
-        kind, key = el
-        want = _KINDS[kind][1] or ctrl[key]  # type: ignore[index]
-        got = g.node_types.get(gid)
-        if got != want:
-            flag("sound-typing", gid, f"{kind} element typed {got!r}, expected {want!r}")
-
-    def mapped(el: Element) -> str | None:
-        gid = fwd.get(el)
-        return gid if gid in nodes else None
-
-    src, tgt = g.graph.src, g.graph.tgt
-    with_ends = src.keys() & tgt.keys()
-    for (edge_type, _, triples), what in zip(_relations(b), ("nesting", "linking")):
-        code = f"sound-{what}"
-        graph_pairs = {(src[e], tgt[e]) for e in typed_edges(g, edge_type) if e in with_ends}
-        want_pairs: set[tuple[str, str]] = set()
-        for _, child, parent in sorted(triples, key=lambda triple: str(triple[0])):
-            s, t = mapped(child), mapped(parent)
-            if s is None or t is None:
-                flag(code, str(child), f"{what} endpoints are not mapped into the graph")
-                continue
-            want_pairs.add((s, t))
-            if (s, t) not in graph_pairs:
-                flag(code, str(child), f"no {edge_type!r} edge mirrors the bigraph {what} (bigraph->graph)")
-        for s, t in sorted(graph_pairs - want_pairs):
-            flag(code, f"{edge_type}[{s}->{t}]", f"{edge_type!r} edge has no bigraph {what} (graph->bigraph)")
-
-    def check_indices(code: str, candidates: list[str], slots: list[tuple[str | None, str]]) -> None:
-        """Slot ``i`` holds the node mapped to index ``i`` and its label;
-        exactly that node among the candidates must carry index ``i``."""
-        for i, (gid, label) in enumerate(slots):
-            for n in candidates:
-                idx = g.attrs.get((n, "index"))
-                if (gid == n) != (idx == i):
-                    if gid == n:
-                        flag(code, n, f"{label} carries index attribute {idx!r}")
-                    else:
-                        flag(code, n, f"index attribute {idx!r} clashes with {label} mapped elsewhere")
-
-    for kind, count in ((K_ROOT, b.outer.width), (K_SITE, b.inner.width)):
-        candidates = sorted(n for n in nodes if g.node_types.get(n) == _KINDS[kind][1])
-        slots = [(mapped((kind, i)), f"{kind} {i}") for i in range(count)]
-        check_indices(f"sound-{kind}-index", candidates, slots)
-
-    # Port indices are scoped per owning node: only the ports of the same
-    # owner compete for the same index values.
-    owned = typed_edges(g, "bNode")
-    owners = list(map(src.get, owned))
-    ownership, owner_edge = Counter(owners), dict(zip(owners, owned))
-    ports_of_owner: dict[str, list[str]] = {}
-    for n in sorted(nodes):
-        if g.node_types.get(n) != "BPort":
-            continue
-        count = ownership.get(n, 0)
-        if count != 1:
-            flag("sound-port-index", n, f"port node has {count} ownership edges")
-            continue
-        if owner_edge[n] in tgt:
-            ports_of_owner.setdefault(tgt[owner_edge[n]], []).append(n)
-    for v in sorted(b.nodes):
-        owner_gid = mapped((K_NODE, v))
-        candidates = ports_of_owner.get(owner_gid, []) if owner_gid else []
-        arity = b.signature.arity(ctrl[v])
-        slots = [(mapped((K_PORT, Port(v, i))), f"port ({v},{i})") for i in range(arity)]
-        check_indices("sound-port-index", candidates, slots)
-
-    return report_from(findings)
+        globals()[name] = check_soundness
+        return check_soundness
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

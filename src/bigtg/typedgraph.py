@@ -280,8 +280,9 @@ def keeps_report(
     the key of the other arguments and the report. A call whose key equals
     the kept one by ``==`` returns the kept report without running the
     checker; any other call runs it and replaces the slot. Graphs and
-    reports are immutable values, so an equal key is the same check: a
-    fresh ``extend_for_signature(sig)`` equals an earlier one. The key is
+    reports are immutable values, so an equal key is the same check: the
+    type graph of an equal signature equals the kept one (and that of the
+    same signature is the kept one, which ``==`` sees first). The key is
     the tuple of the other arguments unless ``key`` computes it from them,
     for a checker whose report tells apart arguments that ``==`` does not
     (as ``1 == True``). The wrapper keeps the checker's name, and the

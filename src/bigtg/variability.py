@@ -17,7 +17,7 @@ from collections.abc import Callable, Mapping
 
 from ._value import field, frozen, replace
 from .bigraph import BASE_NODE_TYPE_NAMES, Signature
-from .mapping import NotCanonical
+from .metamodel import NotCanonical
 from .report import Finding, ValidationReport, report_from
 from .typedgraph import Graph, InstanceGraph, Multiplicity, TypeGraph, typed_edges
 

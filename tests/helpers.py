@@ -12,9 +12,12 @@ import pytest
 from hypothesis import strategies as st
 
 from bigtg import (
+    Bigraph,
     Graph,
     InstanceGraph,
+    Interface,
     Multiplicity,
+    Port,
     Signature,
     annotate_150,
     derive_type_graph,
@@ -22,6 +25,7 @@ from bigtg import (
     enumerate_configs,
     extend_for_signature,
     fileio,
+    make_signature,
     replace,
 )
 from bigtg.generators import random_bigraph
@@ -223,3 +227,33 @@ def type_graph_variants(draw, sig: Signature):
             mult.pop(e, None)
     graph = Graph(nodes=tg.graph.nodes, edges=tg.graph.edges, src=src, tgt=tgt)
     return replace(tg, graph=graph, opposites=opposites, containments=containments, mult=mult)
+
+
+#: Link names that inner and outer interfaces draw from, so that an inner
+#: and an outer name can share a name.
+LINK_NAMES = ("a", "b", "c")
+
+
+@st.composite
+def arbitrary_bigraphs(draw):
+    """A valid bigraph drawn freely. Unlike ``random_bigraph``, it may have
+    idle edges and outer names (no point linked to them), empty
+    interfaces, no roots at all, sites directly under roots, and an inner
+    and an outer name with the same name."""
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    sig = make_signature([(f"K{i}", arity) for i, arity in enumerate(arities)])
+    m = draw(st.integers(0, 3))
+    nodes = [f"v{i}" for i in range(draw(st.integers(0, 8)) if m else 0)]
+    ctrl = {v: draw(st.sampled_from(sig.names)) for v in nodes}
+    prnt: dict[object, object] = {v: draw(st.sampled_from([*range(m), *nodes[:i]])) for i, v in enumerate(nodes)}
+    k = draw(st.integers(0, 3)) if m else 0
+    prnt.update((s, draw(st.sampled_from([*range(m), *nodes]))) for s in range(k))
+    inner = draw(st.frozensets(st.sampled_from(LINK_NAMES)))
+    outer = draw(st.frozensets(st.sampled_from(LINK_NAMES)))
+    edges = [f"e{i}" for i in range(draw(st.integers(0, 3)))]
+    points = [*sorted(inner), *(Port(v, i) for v in nodes for i in range(sig.arity(ctrl[v])))]
+    if points and not edges and not outer:
+        edges = ["e0"]
+    targets = [*edges, *sorted(outer)]
+    link = {p: draw(st.sampled_from(targets)) for p in points}
+    return Bigraph(sig, frozenset(nodes), frozenset(edges), ctrl, prnt, link, Interface(k, inner), Interface(m, outer))

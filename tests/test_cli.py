@@ -111,6 +111,22 @@ def test_encode_refuses_edge_ids_that_collide(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_encode_refuses_idle_links(b1, tmp_path, capsys):
+    """A valid bigraph with an idle edge and an idle outer name: its
+    encoding would break the [1,*] bound of ``bPoints``, so ``encode``
+    exits 1 with one ``idle-link`` line per idle link and writes nothing."""
+    b = replace(b1, edges=b1.edges | {"e9"}, outer=Interface(b1.outer.width, b1.outer.names | {"idle"}))
+    assert validate_bigraph(b).ok
+    path, out = tmp_path / "idle.bg.json", tmp_path / "idle.ig.json"
+    fileio.save(b, str(path))
+    err = (
+        "error idle-link e9 edge 'e9' has no point; 'bPoints' needs at least one\n"
+        "error idle-link idle outer name 'idle' has no point; 'bPoints' needs at least one\n"
+    )
+    assert run(capsys, "encode", str(path), "-o", str(out)) == (1, "", err)
+    assert not out.exists()
+
+
 def test_validate_needs_tg_or_sig_for_instance(fixtures_dir, capsys):
     code, _, err = run(capsys, "validate", fx(fixtures_dir, "printer.ig.json"))
     assert code == 2
@@ -322,33 +338,36 @@ LOADED_AFTER_MAIN = (
     "print(code, *sorted(m for m in sys.modules if m.startswith('bigtg.') or m in ('dataclasses', 'inspect')))"
 )
 
+#: The layers that a subcommand loads only if it runs them.
+OPTIONAL_LAYERS = ("constraints", "mapping", "variability", "writers")
+
 
 @pytest.mark.parametrize(
-    "argv, constraints, variability",
+    "argv, layers",
     [
-        (["metamodel", "printer.sig.json", "-o", "{out}"], False, False),
-        (["encode", "printer.bg.json", "-o", "{out}"], False, False),
-        (["decode", "printer.ig.json", "--sig", "printer.sig.json", "-o", "{out}"], False, False),
-        (["validate", "printer.ig.json", "--sig", "printer.sig.json"], False, False),
-        (["validate", "weak.cfg.json"], False, True),
+        (["metamodel", "printer.sig.json", "-o", "{out}"], {"writers"}),
+        (["encode", "printer.bg.json", "-o", "{out}"], {"mapping", "writers"}),
+        (["decode", "printer.ig.json", "--sig", "printer.sig.json", "-o", "{out}"], {"mapping", "writers"}),
+        (["validate", "printer.ig.json", "--sig", "printer.sig.json"], set()),
+        (["validate", "weak.cfg.json"], {"variability"}),
         (
             ["configure", "printer.ig.json", "--sig", "printer.sig.json", "--features", "weak.cfg.json", "-o", "{out}"],
-            False,
-            True,
+            {"variability", "writers"},
         ),
-        (["check", "printer.ig.json", "--tg", "printer.tg.json", "--constraints", "office.bgc"], True, False),
-        (["configs"], False, True),
+        (["check", "printer.ig.json", "--tg", "printer.tg.json", "--constraints", "office.bgc"], {"constraints"}),
+        (["configs"], {"variability"}),
     ],
     ids=["metamodel", "encode", "decode", "validate", "validate-featureconfig", "configure", "check", "configs"],
 )
-def test_subcommand_loads_only_its_layers(fixtures_dir, tmp_path, argv, constraints, variability):
+def test_subcommand_loads_only_its_layers(fixtures_dir, tmp_path, argv, layers):
     out = str(tmp_path / "out.json")
     argv = [out if a == "{out}" else fx(fixtures_dir, a) if (fixtures_dir / a).is_file() else a for a in argv]
     done = run_child("-c", LOADED_AFTER_MAIN, *argv)
     code, *loaded = done.stdout.splitlines()[-1].split()
     assert code == "0", done.stderr
-    assert ("bigtg.constraints" in loaded) == constraints
-    assert ("bigtg.variability" in loaded) == variability
+    assert {layer for layer in OPTIONAL_LAYERS if f"bigtg.{layer}" in loaded} == layers
+    # No command-line path runs the soundness check.
+    assert "bigtg.soundness" not in loaded
     # The value classes are built without code generation, so no child
     # pays for importing ``dataclasses`` and ``inspect``.
     assert "dataclasses" not in loaded and "inspect" not in loaded

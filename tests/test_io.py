@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bigtg import FeatureConfig, fileio
+from bigtg import FeatureConfig, fileio, writers
 from bigtg.fileio import SchemaError
 
 
@@ -33,7 +33,7 @@ _JSON_VALUES = st.recursive(
 
 @given(_JSON_VALUES)
 def test_canonical_text_is_sorted_two_space_json(value):
-    assert fileio._canonical_json(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert writers._canonical_json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_value_roundtrip(fixtures_dir, tmp_path, b1, sig1, g1, tg_sigma1):

@@ -4,22 +4,27 @@
 ``check_arity_rule`` each keep one slot on the graph: the arguments of
 the last check and its report. The kept report must be exactly what the
 checker itself (``__wrapped__``) gives, whether the same arguments come
-again, an equal type graph built anew (as ``decode`` builds it), another
+again, an equal type graph built anew for an equal signature, another
 type graph, or another signature. And ``decode`` after those four checks
-must run none of their bodies.
+must run none of their bodies. ``extend_for_signature`` keeps the type
+graph it builds on the signature, and findings against it are those
+against one built anew.
 """
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bigtg.mapping
+import bigtg.metamodel
 import bigtg.typedgraph
 from bigtg import (
+    Control,
     Graph,
     InstanceGraph,
     Multiplicity,
@@ -30,13 +35,14 @@ from bigtg import (
     decode,
     encode,
     extend_for_signature,
+    ReservedControlName,
     replace,
 )
 from bigtg.generators import random_bigraph
 from bigtg.mapping import NotCanonical, check_arity_rule
 from bigtg.typedgraph import check_multiplicities, check_typing, check_validity
 
-from helpers import mutated_encodings, type_graph_variants
+from helpers import mutated_encodings, outcome, type_graph_variants
 
 GRAPH_CHECKERS = (check_typing, check_validity, check_multiplicities)
 #: Arities that are equal to an arity of 1 or 2 by ``==`` but not arities,
@@ -70,10 +76,48 @@ def test_kept_reports_equal_the_checkers(case, data):
         first = checker(g, *args)
         assert first == checker.__wrapped__(g, *args)
         assert checker(g, *args) is first
-        fresh = (extend_for_signature(sig), *args[1:])
+        fresh = (extend_for_signature(replace(sig)), *args[1:])
         assert checker(g, *fresh) is first
         assert checker(g, *other_args) == checker.__wrapped__(g, *other_args)
         assert checker(g, *args) == first
+
+
+def decoded(g, sig):
+    """What ``decode`` returns, or the findings and message it raises."""
+    try:
+        return decode(g, sig)
+    except NotCanonical as exc:
+        return exc.report, str(exc)
+
+
+@given(st.one_of(mutated_encodings(), clean_encodings()))
+@settings(max_examples=150, deadline=None)
+def test_the_kept_type_graph_gives_the_findings_of_a_fresh_one(case):
+    g, b = case
+    sig, twin = b.signature, replace(b.signature)
+    tg, fresh = extend_for_signature(sig), extend_for_signature(twin)
+    assert extend_for_signature(sig) is tg and extend_for_signature(twin) is fresh
+    assert fresh == tg and fresh is not tg
+    assert conformance(g, tg, sig) == conformance(replace(g), fresh, twin)
+    assert outcome(decoded, g, sig) == outcome(decoded, replace(g), twin)
+
+
+def test_the_signature_does_not_keep_a_type_graph_alive(sig1):
+    """A signature keeps its type graph only while something else holds
+    it, so a run over many signatures holds no type graph it no longer uses."""
+    sig = replace(sig1)
+    held = weakref.ref(extend_for_signature(sig))
+    gc.collect()
+    assert held() is None
+    tg = extend_for_signature(sig)
+    assert extend_for_signature(sig) is tg == extend_for_signature(sig1)
+
+
+def test_a_reserved_control_is_refused_on_every_call():
+    sig = Signature((Control("BNode"),), {"BNode": 0})
+    for _ in range(2):
+        with pytest.raises(ReservedControlName):
+            extend_for_signature(sig)
 
 
 def test_an_arity_equal_by_eq_is_still_told_apart(g1, sig1, tg_sigma1):
@@ -129,7 +173,7 @@ def checker_bodies(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(bigtg.typedgraph, "walk_suspects", counted("walk_suspects", bigtg.typedgraph.walk_suspects))
-    for module in (bigtg.typedgraph, bigtg.mapping):
+    for module in (bigtg.typedgraph, bigtg.metamodel):
         monkeypatch.setattr(module, "report_from", counted("report_from", module.report_from))
     return counts
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bigtg import (
     Bigraph,
     Interface,
+    InvalidBigraph,
     NotCanonical,
     Signature,
     UntypedControl,
@@ -25,11 +26,12 @@ from bigtg import (
     extend_for_signature,
     make_signature,
     ports_of,
+    validate_bigraph,
 )
 from bigtg.generators import random_bigraph
 from bigtg.typedgraph import Multiplicity
 
-from helpers import drop_edge, drop_node, edges_of_type, retype_node, set_attr
+from helpers import arbitrary_bigraphs, drop_edge, drop_node, edges_of_type, retype_node, set_attr
 
 
 def test_base_type_graph_shape():
@@ -285,3 +287,20 @@ def test_conformance_is_the_four_checkers_in_order(data):
     )
     assert conformance(mutated, tg).findings == without_sig
     assert conformance(mutated, tg, sig).findings == without_sig + check_arity_rule(mutated, tg, sig).findings
+
+
+@given(arbitrary_bigraphs())
+@settings(max_examples=300, deadline=None)
+def test_encode_refuses_idle_links_and_returns_only_conforming_graphs(b):
+    assert validate_bigraph(b).ok
+    linked = set(b.link.values())
+    idle = sorted(set(b.edges) - linked) + sorted(b.outer.names - linked)
+    try:
+        g, emap = encode(b)
+    except InvalidBigraph as exc:
+        assert [(f.code, f.location) for f in exc.report.findings] == [("idle-link", y) for y in idle]
+        assert idle
+        return
+    assert not idle
+    assert conformance(g, extend_for_signature(b.signature), b.signature).ok
+    assert decode(g, b.signature) == (b, emap)
