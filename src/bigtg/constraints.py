@@ -15,7 +15,7 @@ import re
 from collections.abc import Callable, Mapping
 
 from ._value import frozen
-from .typedgraph import InstanceGraph, TypeGraph, all_sub, conforms
+from .typedgraph import InstanceGraph, TypeGraph, all_sub, conforms, mult_of
 
 KEYWORDS = frozenset(
     {
@@ -453,60 +453,37 @@ _PREC_CMP = 5
 _PREC_POSTFIX = 6
 
 
-def _fmt(expr: Expr, parent: int) -> str:
-    def wrap(text: str, prec: int) -> str:
-        return f"({text})" if prec < parent else text
+#: The syntax of each construct but ``BoolLit`` (a keyword), stated once:
+#: its template over its fields, its precedence, and the least precedence
+#: each sub-expression field takes without parentheses.
+_SYNTAX: dict[type, tuple[str, int, dict[str, int]]] = {
+    SelfRef: ("self", _PREC_POSTFIX, {}),
+    VarRef: ("{name}", _PREC_POSTFIX, {}),
+    IntLit: ("{value}", _PREC_POSTFIX, {}),
+    Nav: ("{obj}.{edge}", _PREC_POSTFIX, {"obj": _PREC_POSTFIX}),
+    IsTypeOf: ("{obj}.oclIsTypeOf({type_name})", _PREC_POSTFIX, {"obj": _PREC_POSTFIX}),
+    AsType: ("{obj}.oclAsType({type_name})", _PREC_POSTFIX, {"obj": _PREC_POSTFIX}),
+    SizeOp: ("{obj}->size()", _PREC_POSTFIX, {"obj": _PREC_POSTFIX}),
+    FirstOp: ("{obj}->first()", _PREC_POSTFIX, {"obj": _PREC_POSTFIX}),
+    ForAll: ("{obj}->forAll({var} | {body})", _PREC_POSTFIX, {"obj": _PREC_POSTFIX, "body": _PREC_LET}),
+    Exists: ("{obj}->exists({var} | {body})", _PREC_POSTFIX, {"obj": _PREC_POSTFIX, "body": _PREC_LET}),
+    NotOp: ("not {operand}", _PREC_NOT, {"operand": _PREC_NOT}),
+    AndOp: ("{left} and {right}", _PREC_AND, {"left": _PREC_AND, "right": _PREC_AND + 1}),
+    OrOp: ("{left} or {right}", _PREC_OR, {"left": _PREC_OR, "right": _PREC_OR + 1}),
+    ImpliesOp: ("{left} implies {right}", _PREC_IMPLIES, {"left": _PREC_IMPLIES + 1, "right": _PREC_IMPLIES}),
+    Compare: ("{left} {op} {right}", _PREC_CMP, {"left": _PREC_POSTFIX, "right": _PREC_POSTFIX}),
+    Let: ("let {name} : {decl_type} = {value} {body}", _PREC_LET, {"value": _PREC_IMPLIES, "body": _PREC_LET}),
+}
 
-    if isinstance(expr, SelfRef):
-        return "self"
-    if isinstance(expr, VarRef):
-        return expr.name
-    if isinstance(expr, IntLit):
-        return str(expr.value)
+
+def _fmt(expr: Expr, parent: int) -> str:
     if isinstance(expr, BoolLit):
         return "true" if expr.value else "false"
-    if isinstance(expr, Nav):
-        return wrap(f"{_fmt(expr.obj, _PREC_POSTFIX)}.{expr.edge}", _PREC_POSTFIX)
-    if isinstance(expr, IsTypeOf):
-        return wrap(f"{_fmt(expr.obj, _PREC_POSTFIX)}.oclIsTypeOf({expr.type_name})", _PREC_POSTFIX)
-    if isinstance(expr, AsType):
-        return wrap(f"{_fmt(expr.obj, _PREC_POSTFIX)}.oclAsType({expr.type_name})", _PREC_POSTFIX)
-    if isinstance(expr, SizeOp):
-        return wrap(f"{_fmt(expr.obj, _PREC_POSTFIX)}->size()", _PREC_POSTFIX)
-    if isinstance(expr, FirstOp):
-        return wrap(f"{_fmt(expr.obj, _PREC_POSTFIX)}->first()", _PREC_POSTFIX)
-    if isinstance(expr, ForAll):
-        return wrap(
-            f"{_fmt(expr.obj, _PREC_POSTFIX)}->forAll({expr.var} | {_fmt(expr.body, _PREC_LET)})",
-            _PREC_POSTFIX,
-        )
-    if isinstance(expr, Exists):
-        return wrap(
-            f"{_fmt(expr.obj, _PREC_POSTFIX)}->exists({expr.var} | {_fmt(expr.body, _PREC_LET)})",
-            _PREC_POSTFIX,
-        )
-    if isinstance(expr, NotOp):
-        return wrap(f"not {_fmt(expr.operand, _PREC_NOT)}", _PREC_NOT)
-    if isinstance(expr, AndOp):
-        return wrap(f"{_fmt(expr.left, _PREC_AND)} and {_fmt(expr.right, _PREC_AND + 1)}", _PREC_AND)
-    if isinstance(expr, OrOp):
-        return wrap(f"{_fmt(expr.left, _PREC_OR)} or {_fmt(expr.right, _PREC_OR + 1)}", _PREC_OR)
-    if isinstance(expr, ImpliesOp):
-        return wrap(
-            f"{_fmt(expr.left, _PREC_IMPLIES + 1)} implies {_fmt(expr.right, _PREC_IMPLIES)}",
-            _PREC_IMPLIES,
-        )
-    if isinstance(expr, Compare):
-        return wrap(
-            f"{_fmt(expr.left, _PREC_POSTFIX)} {expr.op} {_fmt(expr.right, _PREC_POSTFIX)}",
-            _PREC_CMP,
-        )
-    if isinstance(expr, Let):
-        return wrap(
-            f"let {expr.name} : {expr.decl_type} = {_fmt(expr.value, _PREC_IMPLIES)} {_fmt(expr.body, _PREC_LET)}",
-            _PREC_LET,
-        )
-    raise TypeError(f"unknown expression node {expr!r}")
+    if type(expr) not in _SYNTAX:
+        raise TypeError(f"unknown expression node {expr!r}")
+    template, prec, subs = _SYNTAX[type(expr)]
+    text = template.format_map({**vars(expr), **{name: _fmt(getattr(expr, name), p) for name, p in subs.items()}})
+    return f"({text})" if prec < parent else text
 
 
 def format_constraints(doc: ConstraintDoc) -> str:
@@ -572,7 +549,7 @@ def _compile(expr: Expr, env_types: Mapping[str, tuple], tg: TypeGraph) -> tuple
             raise TypeCheckError(f"edge type {edge!r} lacks a node type as src or tgt")
         if not conforms(tg, ot[1], source):
             raise TypeCheckError(f"edge type {edge!r} not applicable to {ot[1]!r}")
-        single = edge in tg.mult and tg.mult[edge].ub == 1
+        single = getattr(mult_of(tg, edge), "ub", None) == 1
 
         def navigate(env: dict, g: InstanceGraph, trace: list) -> object:
             start = obj(env, g, trace)

@@ -224,8 +224,8 @@ def decode(g: InstanceGraph, sig: Signature) -> tuple[Bigraph, ElementMap]:
     for an arity of ``sig`` that is not a non-negative integer. The
     checkers keep their reports on ``g`` (:func:`keeps_report`), so after
     a caller's own ``conformance(g, extend_for_signature(sig), sig)``,
-    or the four checks it runs, the check here costs four key
-    comparisons, and ``decode`` pays only for the rebuild. The rebuild
+    or the four checks it runs, the check here costs four identity
+    checks, and ``decode`` pays only for the rebuild. The rebuild
     then raises :class:`UntypedControl`
     for a node typed ``BNode``, and :class:`NotCanonical` for two ids of
     one kind that collide once their prefix is stripped, a root, site or

@@ -112,15 +112,14 @@ def extend_for_signature(sig: Signature) -> TypeGraph:
     return tg
 
 
-@keeps_report(key=lambda tg, sig: (tg, sig, repr(sig.arities)))
+@keeps_report
 def check_arity_rule(g: InstanceGraph, tg: TypeGraph, sig: Signature) -> ValidationReport:
     """Every node typed by a control must own exactly ``arity`` port edges.
     An arity that is not a non-negative integer gives one ``sig-arity``
     finding, as :func:`validate_bigraph` gives it, and the nodes of that
     control are not counted; so are the nodes of a control without an
-    arity. The report is kept on ``g`` (:func:`keeps_report`), keyed by
-    the arities as printed too, since ``1 == True`` but only ``1`` is an
-    arity.
+    arity. The report is kept on ``g`` (:func:`keeps_report`) for these
+    very ``tg`` and ``sig``, so ``sig.arities`` must not change in place.
 
     Cost: one pass over the nodes in sorted order; each port count is one
     read of ``g.out_degree``, which counts the edges in one C-level pass."""

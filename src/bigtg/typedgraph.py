@@ -14,7 +14,7 @@ from collections import Counter
 from collections.abc import Callable, Collection, Hashable, Iterable, Mapping
 from functools import cached_property, wraps
 from itertools import compress, repeat
-from operator import is_not, itemgetter
+from operator import is_, is_not, itemgetter
 
 from ._value import field, frozen
 from .report import Finding, ValidationReport, report_from
@@ -141,11 +141,10 @@ class InstanceGraph:
     read), and ``attr_index``. The graph also keeps the last report of
     each checker wrapped by :func:`keeps_report` (``check_typing``,
     ``check_validity``, ``check_multiplicities`` and the arity rule),
-    with the arguments it was checked against, so a second check against
-    equal arguments (``decode`` after ``conformance``) returns that report.
-    So the dicts of ``graph``, ``node_types``, ``edge_types`` and
-    ``attrs`` must not be mutated after the first query or check; build a
-    new graph (through the constructor or ``bigtg.replace``) instead.
+    with the very arguments it was checked against (``decode`` after
+    ``conformance``). So neither the dicts of ``g`` nor those arguments
+    may be mutated after the first query or check; build a new value
+    (through the constructor or ``bigtg.replace``) instead.
     """
 
     graph: Graph
@@ -166,9 +165,9 @@ class InstanceGraph:
         return Counter(zip(map(self.graph.src.get, edges), map(self.edge_types.get, edges)))
 
     @cached_property
-    def _reports(self) -> dict[Callable[..., ValidationReport], tuple[Any, ValidationReport]]:
+    def _reports(self) -> dict[Callable[..., ValidationReport], tuple[tuple[Any, ...], ValidationReport]]:
         """The kept slot of each checker wrapped by :func:`keeps_report`:
-        the key of the arguments it last ran on, and its report."""
+        the arguments it last ran on, and its report."""
         return {}
 
     @cached_property
@@ -271,35 +270,34 @@ def declared_attrs(tg: TypeGraph, t: str) -> dict[str, str]:
     return merged
 
 
-def keeps_report(
-    checker: Callable[..., ValidationReport] | None = None, *, key: Callable[..., Any] | None = None
-) -> Any:
+def mult_of(tg: TypeGraph, edge_type: str) -> Multiplicity | None:
+    """The multiplicity of ``edge_type``; ``None`` when it has none, and
+    when its bound is not a :class:`Multiplicity`, which is no bound."""
+    m = tg.mult.get(edge_type)
+    return m if isinstance(m, Multiplicity) else None
+
+
+def keeps_report(checker: Callable[..., ValidationReport]) -> Callable[..., ValidationReport]:
     """Make a checker of an instance graph keep its report on the graph.
 
     The wrapped ``checker(g, *args)`` keeps one slot per checker on ``g``:
-    the key of the other arguments and the report. A call whose key equals
-    the kept one by ``==`` returns the kept report without running the
-    checker; any other call runs it and replaces the slot. Graphs and
-    reports are immutable values, so an equal key is the same check: the
-    type graph of an equal signature equals the kept one (and that of the
-    same signature is the kept one, which ``==`` sees first). The key is
-    the tuple of the other arguments unless ``key`` computes it from them,
-    for a checker whose report tells apart arguments that ``==`` does not
-    (as ``1 == True``). The wrapper keeps the checker's name, and the
-    checker itself as ``__wrapped__``.
+    the other arguments and the report. A call whose every argument ``is``
+    the kept one returns the kept report; any other call runs the checker
+    and replaces the slot. So an equal argument that is another object
+    (``1 == True``, but they print apart) is checked anew. The slot keeps
+    alive the type graph that ``extend_for_signature(sig)`` returns, so
+    ``decode(g, sig)`` after the caller's own checks is a hit. The wrapper
+    keeps the checker's name, and the checker itself as ``__wrapped__``.
     """
-    if checker is None:
-        return lambda checker: keeps_report(checker, key=key)
 
     @wraps(checker)
     def kept(g: InstanceGraph, *args: Any) -> ValidationReport:
         reports = g._reports
         slot = reports.get(checker)
-        this = args if key is None else key(*args)
-        if slot is not None and slot[0] == this:
+        if slot is not None and len(slot[0]) == len(args) and all(map(is_, slot[0], args)):
             return slot[1]
         report = checker(g, *args)
-        reports[checker] = (this, report)
+        reports[checker] = (args, report)
         return report
 
     return kept
@@ -332,7 +330,8 @@ def check_type_graph(tg: TypeGraph) -> ValidationReport:
     rules: its ends mirror each other (``tg-opposite-ends``), at most one
     of the two is a containment (``tg-opposite-containments``), and the
     opposite of a containment has an upper bound of at most 1
-    (``tg-container-mult``)."""
+    (``tg-container-mult``). A bound that is not a :class:`Multiplicity`
+    is no multiplicity (``tg-mult``)."""
     findings: list[Finding] = []
 
     def flag(code: str, location: str, message: str) -> None:
@@ -387,7 +386,7 @@ def check_type_graph(tg: TypeGraph) -> ValidationReport:
         if a in tg.containments and b in tg.containments:
             flag("tg-opposite-containments", f"({a},{b})", "both edge types of an opposite pair are containments")
         for whole, part in ((a, b), (b, a)):
-            m = tg.mult.get(part)
+            m = mult_of(tg, part)
             if whole in tg.containments and m is not None and (m.ub is None or m.ub > 1):
                 flag(
                     "tg-container-mult",
@@ -396,7 +395,7 @@ def check_type_graph(tg: TypeGraph) -> ValidationReport:
                 )
 
     for e in sorted(tg.edge_types):
-        if e not in tg.mult:
+        if mult_of(tg, e) is None:
             flag("tg-mult", e, "edge type has no multiplicity")
     for e in sorted(tg.mult):
         if e not in tg.edge_types:
@@ -630,25 +629,18 @@ def check_validity(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     return report_from(findings)
 
 
-def _printed_bounds(tg: TypeGraph) -> tuple[TypeGraph, list[str]]:
-    """The key of ``check_multiplicities``'s kept report: the type graph,
-    and its bounds as the findings print them, since ``Multiplicity(1)``
-    equals ``Multiplicity(True)``."""
-    return tg, [m.render() for m in tg.mult.values() if isinstance(m, Multiplicity)]
-
-
-@keeps_report(key=_printed_bounds)
+@keeps_report
 def check_multiplicities(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     """Per-source-node bounds on outgoing edges of each applicable type.
-    Edge types without a multiplicity, or without a node type as ``src``,
-    are skipped (``check_type_graph`` reports them). The report is kept on
+    Edge types without a multiplicity (:func:`mult_of`), or without a node
+    type as ``src``, are skipped (``check_type_graph`` reports them). The report is kept on
     ``g`` (:func:`keeps_report`).
 
     Cost: one pass over the nodes in sorted order; the bounds that apply
     to a node type are found once per type, and each count is one read
     of ``g.out_degree``, which counts the edges in one C-level pass."""
     findings: list[Finding] = []
-    bounded = [te for te in sorted(tg.edge_types) if te in tg.mult and tg.graph.src.get(te) in tg.node_types]
+    bounded = [te for te in sorted(tg.edge_types) if mult_of(tg, te) and tg.graph.src.get(te) in tg.node_types]
     out_degree = g.out_degree
     # The bounded edge types that apply to each node type, with their bounds.
     applicable: dict[str, list[tuple[str, Multiplicity]]] = {}
@@ -658,7 +650,7 @@ def check_multiplicities(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
             continue
         bounds = applicable.get(tn)
         if bounds is None:
-            bounds = applicable[tn] = [(te, tg.mult[te]) for te in bounded if conforms(tg, tn, tg.graph.src[te])]
+            bounds = applicable[tn] = [(te, mult_of(tg, te)) for te in bounded if conforms(tg, tn, tg.graph.src[te])]
         for te, m in bounds:
             count = out_degree.get((n, te), 0)
             if count < m.lb:

@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .bigraph import Bigraph, Interface, Port, Signature
-from .typedgraph import InstanceGraph, Multiplicity, TypeGraph
+from .typedgraph import InstanceGraph, Multiplicity, TypeGraph, mult_of
 
 TYPE_CHECKING = False  # read as true by static type checkers only
 if TYPE_CHECKING:
@@ -143,7 +143,8 @@ def typegraph_text(tg: TypeGraph) -> str:
             }
         )
     edges = sorted(tg.graph.edges)
-    src, tgt, mult = (list(map(ends.get, edges)) for ends in (tg.graph.src, tg.graph.tgt, tg.mult))
+    src, tgt = (list(map(ends.get, edges)) for ends in (tg.graph.src, tg.graph.tgt))
+    mult = [mult_of(tg, e) for e in edges]
     _refuse_missing("edge type", edges, src=src, tgt=tgt, mult=mult)
     edge_entries = [
         {"containment": e in tg.containments, "mult": _mult_payload(m), "name": e, "src": s, "tgt": t}

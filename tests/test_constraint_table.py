@@ -3,7 +3,9 @@ an evaluator, against verbatim copies of the two tree walks they replace.
 
 The references below are those copies (``_check_expr``, ``typecheck``,
 ``_render``, ``_eval`` and ``evaluate``), renamed with a ``ref_`` prefix,
-with the constants they read under their own names. On type-directed
+with the constants they read under their own names, and a verbatim copy
+of the printer's branch-per-construct ``_fmt`` as ``ref_fmt``, against
+which the table-driven printer must print the same text. On type-directed
 well-typed documents and on arbitrary, mostly ill-typed ones, evaluated on
 clean random encodings, on encodings with an edge's ``tgt`` dropped or a
 second ``bPrnt`` edge, and on ``mutated_encodings``, the new code must
@@ -17,6 +19,7 @@ from __future__ import annotations
 import random
 from typing import Mapping
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -282,6 +285,71 @@ def ref_evaluate(doc: ConstraintDoc, g: InstanceGraph, tg: TypeGraph) -> CheckRe
     return CheckResult(tuple(checks))
 
 
+_PREC_LET = 0
+_PREC_IMPLIES = 1
+_PREC_OR = 2
+_PREC_AND = 3
+_PREC_NOT = 4
+_PREC_CMP = 5
+_PREC_POSTFIX = 6
+
+
+def ref_fmt(expr: Expr, parent: int) -> str:
+    def wrap(text: str, prec: int) -> str:
+        return f"({text})" if prec < parent else text
+
+    if isinstance(expr, SelfRef):
+        return "self"
+    if isinstance(expr, VarRef):
+        return expr.name
+    if isinstance(expr, IntLit):
+        return str(expr.value)
+    if isinstance(expr, BoolLit):
+        return "true" if expr.value else "false"
+    if isinstance(expr, Nav):
+        return wrap(f"{ref_fmt(expr.obj, _PREC_POSTFIX)}.{expr.edge}", _PREC_POSTFIX)
+    if isinstance(expr, IsTypeOf):
+        return wrap(f"{ref_fmt(expr.obj, _PREC_POSTFIX)}.oclIsTypeOf({expr.type_name})", _PREC_POSTFIX)
+    if isinstance(expr, AsType):
+        return wrap(f"{ref_fmt(expr.obj, _PREC_POSTFIX)}.oclAsType({expr.type_name})", _PREC_POSTFIX)
+    if isinstance(expr, SizeOp):
+        return wrap(f"{ref_fmt(expr.obj, _PREC_POSTFIX)}->size()", _PREC_POSTFIX)
+    if isinstance(expr, FirstOp):
+        return wrap(f"{ref_fmt(expr.obj, _PREC_POSTFIX)}->first()", _PREC_POSTFIX)
+    if isinstance(expr, ForAll):
+        return wrap(
+            f"{ref_fmt(expr.obj, _PREC_POSTFIX)}->forAll({expr.var} | {ref_fmt(expr.body, _PREC_LET)})",
+            _PREC_POSTFIX,
+        )
+    if isinstance(expr, Exists):
+        return wrap(
+            f"{ref_fmt(expr.obj, _PREC_POSTFIX)}->exists({expr.var} | {ref_fmt(expr.body, _PREC_LET)})",
+            _PREC_POSTFIX,
+        )
+    if isinstance(expr, NotOp):
+        return wrap(f"not {ref_fmt(expr.operand, _PREC_NOT)}", _PREC_NOT)
+    if isinstance(expr, AndOp):
+        return wrap(f"{ref_fmt(expr.left, _PREC_AND)} and {ref_fmt(expr.right, _PREC_AND + 1)}", _PREC_AND)
+    if isinstance(expr, OrOp):
+        return wrap(f"{ref_fmt(expr.left, _PREC_OR)} or {ref_fmt(expr.right, _PREC_OR + 1)}", _PREC_OR)
+    if isinstance(expr, ImpliesOp):
+        return wrap(
+            f"{ref_fmt(expr.left, _PREC_IMPLIES + 1)} implies {ref_fmt(expr.right, _PREC_IMPLIES)}",
+            _PREC_IMPLIES,
+        )
+    if isinstance(expr, Compare):
+        return wrap(
+            f"{ref_fmt(expr.left, _PREC_POSTFIX)} {expr.op} {ref_fmt(expr.right, _PREC_POSTFIX)}",
+            _PREC_CMP,
+        )
+    if isinstance(expr, Let):
+        return wrap(
+            f"let {expr.name} : {expr.decl_type} = {ref_fmt(expr.value, _PREC_IMPLIES)} {ref_fmt(expr.body, _PREC_LET)}",
+            _PREC_LET,
+        )
+    raise TypeError(f"unknown expression node {expr!r}")
+
+
 # ---------------------------------------------------------------------------
 # Instance graphs
 
@@ -501,3 +569,15 @@ def test_arbitrary_documents_match_reference(doc, case):
 @settings(max_examples=300, deadline=None)
 def test_printer_round_trips_arbitrary_documents(doc):
     assert parse_constraints(format_constraints(doc)) == doc
+
+
+@given(arbitrary_docs())
+@settings(max_examples=300, deadline=None)
+def test_printer_prints_the_reference_text(doc):
+    want = [f"    {ref_fmt(inv.body, _PREC_LET)}" for inv in doc.invariants]
+    assert [line for line in format_constraints(doc).splitlines() if line.startswith("    ")] == want
+
+
+def test_printer_refuses_an_unknown_node():
+    with pytest.raises(TypeError, match="unknown expression node"):
+        format_constraints(ConstraintDoc((Invariant("N", "i", NotOp(object())),)))

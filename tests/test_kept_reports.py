@@ -2,10 +2,12 @@
 
 ``check_typing``, ``check_validity``, ``check_multiplicities`` and
 ``check_arity_rule`` each keep one slot on the graph: the arguments of
-the last check and its report. The kept report must be exactly what the
-checker itself (``__wrapped__``) gives, whether the same arguments come
-again, an equal type graph built anew for an equal signature, another
-type graph, or another signature. And ``decode`` after those four checks
+the last check and its report, returned only for the same argument
+objects. The report must be exactly what the checker itself
+(``__wrapped__``) gives, whether the same arguments come again, an equal
+type graph built anew for an equal signature, another type graph, another
+signature, or a type graph equal to the kept one by ``==`` that prints
+differently (``1 == True``). And ``decode`` after those four checks
 must run none of their bodies. ``extend_for_signature`` keeps the type
 graph it builds on the signature, and findings against it are those
 against one built anew.
@@ -40,7 +42,7 @@ from bigtg import (
 )
 from bigtg.generators import random_bigraph
 from bigtg.mapping import NotCanonical, check_arity_rule
-from bigtg.typedgraph import check_multiplicities, check_typing, check_validity
+from bigtg.typedgraph import check_multiplicities, check_typing, check_validity, symmetric_pairs
 
 from helpers import mutated_encodings, outcome, type_graph_variants
 
@@ -77,7 +79,7 @@ def test_kept_reports_equal_the_checkers(case, data):
         assert first == checker.__wrapped__(g, *args)
         assert checker(g, *args) is first
         fresh = (extend_for_signature(replace(sig)), *args[1:])
-        assert checker(g, *fresh) is first
+        assert checker(g, *fresh) == first
         assert checker(g, *other_args) == checker.__wrapped__(g, *other_args)
         assert checker(g, *args) == first
 
@@ -143,6 +145,64 @@ def test_a_bound_equal_by_eq_is_still_told_apart():
         assert f"multiplicity [{bound},{bound}]" in check_multiplicities(g, other).findings[0].message
 
 
+def _edge_type_graph(end):
+    """Node types ``end`` and ``N``, and an edge type ``e`` from ``end`` to ``end``."""
+    return TypeGraph(graph=Graph(nodes={end, "N"}, edges={"e"}, src={"e": end}, tgt={"e": end}))
+
+
+def _equal_but_printed_apart(checker, g, tg, twin):
+    """``twin == tg``, yet the findings against each print its own names."""
+    assert twin == tg and twin is not tg
+    first = checker(g, tg)
+    assert not first.ok and first == checker.__wrapped__(g, tg)
+    second = checker(g, twin)
+    assert second == checker.__wrapped__(g, twin) != first
+    return first, second
+
+
+def test_typing_against_an_equal_type_graph_prints_its_own_end():
+    g = InstanceGraph(
+        graph=Graph(nodes={"n"}, edges={"e1"}, src={"e1": "n"}, tgt={"e1": "n"}),
+        node_types={"n": "N"},
+        edge_types={"e1": "e"},
+    )
+    first, second = _equal_but_printed_apart(check_typing, g, _edge_type_graph(1), _edge_type_graph(True))
+    assert "(expects 1)" in first.findings[0].message
+    assert "(expects True)" in second.findings[0].message
+
+
+def test_multiplicities_against_an_equal_type_graph_print_their_own_edge_type():
+    def bounded(name):
+        return TypeGraph(
+            graph=Graph(nodes={"N"}, edges={name}, src={name: "N"}, tgt={name: "N"}), mult={name: Multiplicity(1, 1)}
+        )
+
+    g = InstanceGraph(graph=Graph(nodes={"n"}), node_types={"n": "N"})
+    first, second = _equal_but_printed_apart(check_multiplicities, g, bounded(1), bounded(True))
+    assert [f.location for f in first.findings] == ["n.1"]
+    assert [f.location for f in second.findings] == ["n.True"]
+
+
+def test_validity_against_an_equal_type_graph_prints_its_own_opposite():
+    """Every name of the type graphs is an integer, since ``_opposite``
+    sorts the pairs."""
+
+    def paired(one):
+        return TypeGraph(
+            graph=Graph(nodes={3}, edges={one, 2}, src={one: 3, 2: 3}, tgt={one: 3, 2: 3}),
+            opposites=symmetric_pairs([(one, 2)]),
+        )
+
+    g = InstanceGraph(
+        graph=Graph(nodes={"n", "m"}, edges={"x"}, src={"x": "n"}, tgt={"x": "m"}),
+        node_types={"n": 3, "m": 3},
+        edge_types={"x": 2},
+    )
+    first, second = _equal_but_printed_apart(check_validity, g, paired(1), paired(True))
+    assert first.findings[0].message.endswith("0 opposite 1 edge(s)")
+    assert second.findings[0].message.endswith("0 opposite True edge(s)")
+
+
 def test_the_arity_rule_is_kept_per_type_graph(g1, sig1, tg_sigma1):
     """Each node owns one port too few for ``sig``, which only a type graph
     with the control types flags."""
@@ -151,6 +211,14 @@ def test_the_arity_rule_is_kept_per_type_graph(g1, sig1, tg_sigma1):
     assert not flagged.ok
     assert check_arity_rule(g1, base_type_graph(), sig).ok
     assert check_arity_rule(g1, tg_sigma1, sig) == flagged
+
+
+def test_a_call_with_fewer_arguments_is_no_hit(g1, sig1, tg_sigma1):
+    """Each kept argument is matched, so a call that leaves one out runs
+    the checker, which refuses it."""
+    check_arity_rule(g1, tg_sigma1, sig1)
+    with pytest.raises(TypeError):
+        check_arity_rule(g1, tg_sigma1)
 
 
 def test_checkers_keep_their_names():

@@ -30,6 +30,8 @@ from bigtg import (
     extend_for_signature,
     replace,
 )
+from bigtg import fileio
+from bigtg.constraints import evaluate, parse_constraints, typecheck
 from bigtg.generators import random_bigraph
 from bigtg.typedgraph import all_super, symmetric_pairs
 
@@ -394,3 +396,56 @@ def test_typing_and_multiplicities_total_on_broken_edge_types(case):
               or tg.graph.tgt.get(te) not in tg.node_types}
     flagged = {f.location for f in typing.findings if f.code == "typing-type-ends"}
     assert flagged == {x for x, te in g.edge_types.items() if te in broken}
+
+
+# A bound that is not a Multiplicity is no bound: each entry point that reads
+# the bounds treats it as it treats an edge type without one.
+
+
+def _tuple_bound_type_graph() -> TypeGraph:
+    """``e`` has a tuple as its bound and is the opposite of the
+    containment ``f``, so the EMOF rules read its bound too."""
+    return TypeGraph(
+        graph=Graph(nodes={"N"}, edges={"e", "f"}, src={"e": "N", "f": "N"}, tgt={"e": "N", "f": "N"}),
+        containments={"f"},
+        opposites=symmetric_pairs([("e", "f")]),
+        mult={"e": (0, 1), "f": Multiplicity(0, None)},
+    )
+
+
+def test_a_tuple_bound_is_one_tg_mult_finding():
+    assert check_type_graph(_tuple_bound_type_graph()).findings == (
+        Finding("tg-mult", "e", "edge type has no multiplicity"),
+    )
+
+
+def test_multiplicities_skip_a_tuple_bound():
+    g = InstanceGraph(
+        graph=Graph(nodes={"n"}, edges={"x", "y"}, src={"x": "n", "y": "n"}, tgt={"x": "n", "y": "n"}),
+        node_types={"n": "N"},
+        edge_types={"x": "e", "y": "e"},
+    )
+    assert check_multiplicities(g, _tuple_bound_type_graph()).ok
+
+
+@pytest.mark.parametrize("write", ["dumps_canonical", "save"])
+def test_a_tuple_bound_is_refused_by_the_writer(write, tmp_path):
+    path = tmp_path / "tg.json"
+    with pytest.raises(ValueError, match="^edge type e has no mult$"):
+        if write == "save":
+            fileio.save(_tuple_bound_type_graph(), str(path))
+        else:
+            fileio.dumps_canonical(_tuple_bound_type_graph())
+    assert not path.exists()
+
+
+def test_navigation_over_a_tuple_bound_is_a_collection():
+    tg = _tuple_bound_type_graph()
+    g = InstanceGraph(
+        graph=Graph(nodes={"n", "m"}, edges={"x", "y"}, src={"x": "n", "y": "n"}, tgt={"x": "n", "y": "m"}),
+        node_types={"n": "N", "m": "N"},
+        edge_types={"x": "e", "y": "e"},
+    )
+    doc = parse_constraints("context N\n  inv two:\n    self.e->size() = 2\n")
+    typecheck(doc, tg)
+    assert [c.passed for c in evaluate(doc, g, tg).checks] == [False, True]
