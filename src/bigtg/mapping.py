@@ -13,9 +13,10 @@ aligns a bigraph with its encoding element by element against it.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
+from itertools import repeat
 
 from ._value import field, frozen
-from .bigraph import Bigraph, Interface, Port, validate_bigraph
+from .bigraph import Bigraph, Interface, Port, _ports, validate_bigraph
 # The metamodel's names stay reachable here, as ``mapping.conformance``.
 from .metamodel import (
     NotCanonical,
@@ -85,14 +86,17 @@ def element_id(kind: str, key: object) -> str:
 
 
 def elements_of(b: Bigraph) -> set[Element]:
-    out: set[Element] = set()
-    out.update((K_NODE, v) for v in b.nodes)
-    out.update((K_EDGE, e) for e in b.edges)
-    out.update((K_PORT, Port(v, i)) for v in b.nodes for i in range(b.signature.arity(b.ctrl[v])))
-    out.update((K_SITE, i) for i in range(b.inner.width))
-    out.update((K_ROOT, i) for i in range(b.outer.width))
-    out.update((K_INNER, x) for x in b.inner.names)
-    out.update((K_OUTER, y) for y in b.outer.names)
+    """The elements of a bigraph whose nodes all have declared controls:
+    nodes, edges, ports, sites, roots, inner and outer names, added in
+    that order by C-level passes."""
+    arities = map(b.signature.arities.__getitem__, map(b.ctrl.__getitem__, b.nodes))
+    out: set[Element] = set(zip(repeat(K_NODE), b.nodes))
+    out.update(zip(repeat(K_EDGE), b.edges))
+    out.update(zip(repeat(K_PORT), _ports(b.nodes, arities)))
+    out.update(zip(repeat(K_SITE), range(b.inner.width)))
+    out.update(zip(repeat(K_ROOT), range(b.outer.width)))
+    out.update(zip(repeat(K_INNER), b.inner.names))
+    out.update(zip(repeat(K_OUTER), b.outer.names))
     return out
 
 

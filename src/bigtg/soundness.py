@@ -10,11 +10,17 @@ which :mod:`bigtg.mapping` loads on first access to
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
+from itertools import chain, compress, filterfalse, repeat
+from operator import and_, eq, itemgetter, lt, ne, not_, or_
 
-from .bigraph import Bigraph, Port, is_arity, validate_bigraph
-from .mapping import _KINDS, K_NODE, K_PORT, K_ROOT, K_SITE, Element, ElementMap, _relations, elements_of
+from .bigraph import Bigraph, Port, _is_str, is_arity, validate_bigraph
+from .mapping import _KINDS, K_NODE, K_PORT, K_ROOT, K_SITE, ElementMap, _relations, elements_of
 from .report import Finding, ValidationReport, report_from
 from .typedgraph import InstanceGraph, typed_edges
+
+#: The node type of each element kind; a node's is its control (None here).
+_TYPE_OF_KIND = {kind: node_type for kind, (_, node_type) in _KINDS.items()}
 
 
 def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> ValidationReport:
@@ -25,14 +31,27 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
     consistency of root, site and port index attributes. Defects in the
     map itself (non-bijectivity, dangling images) are reported too rather
     than assumed away. Edges with a missing end are skipped
-    (``check_typing`` reports them). A bigraph with a node that has no
-    control, or a control that its signature does not declare, has no
-    elements to align: its :func:`validate_bigraph` findings come back,
-    as they do for a signature with an arity that is not a non-negative
-    integer.
+    (``check_typing`` reports them). A bigraph with an identifier that is
+    not a string, a node that has no control, or a control that its
+    signature does not declare, has no elements to align: its
+    :func:`validate_bigraph` findings come back, as they do for a
+    signature with an arity that is not a non-negative integer.
+
+    Cost: C-level passes compare whole columns: the map's keys with the
+    bigraph's elements (set differences), its images with the graph's
+    nodes (a ``Counter``), each element's wanted type with its image's
+    type, the wanted nesting and linking pairs with the graph's, and each
+    root, site and port node's ``index`` with its slot. Only the entries
+    that differ are sorted and walked, so an exact encoding costs those
+    passes, :func:`elements_of` and a :func:`typed_edges` scan for each of
+    nesting, linking and port ownership.
     """
     ctrl, sig = b.ctrl, b.signature
-    if not (all(map(sig.has_control, map(ctrl.get, b.nodes))) and all(map(is_arity, sig.arities.values()))):
+    if not (
+        all(map(_is_str, chain(b.nodes, b.edges, b.inner.names, b.outer.names)))
+        and all(map(sig.has_control, map(ctrl.get, b.nodes)))
+        and all(map(is_arity, sig.arities.values()))
+    ):
         return validate_bigraph(b)
     findings: list[Finding] = []
 
@@ -41,90 +60,127 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
 
     expected = elements_of(b)
     fwd = dict(emap.forward)
-    nodes = g.graph.nodes
-    for el in sorted(expected - set(fwd), key=str):
+    nodes, node_types, attrs = g.graph.nodes, g.node_types, g.attrs
+    for el in sorted(expected.difference(fwd), key=str):
         flag("map-domain", str(el), "bigraph element is not mapped")
-    for el in sorted(set(fwd) - expected, key=str):
+    strays = fwd.keys() - expected
+    for el in sorted(strays, key=str):
         flag("map-domain", str(el), "map entry for a non-element")
-    images = list(fwd.values())
-    if len(set(images)) != len(images):
-        dupes = sorted({gid for gid in images if images.count(gid) > 1})
-        for gid in dupes:
-            flag("map-injective", gid, "two elements map to the same graph node")
-    by_element = sorted(fwd.items(), key=lambda kv: str(kv[0]))
-    for el, gid in by_element:
-        if gid not in nodes:
-            flag("map-image", gid, f"image of {el} is not a graph node")
-    for gid in sorted(nodes - set(images)):
+    images = Counter(fwd.values())
+    shared = sorted(compress(images, map(lt, repeat(1), images.values())))
+    for gid in shared:
+        flag("map-injective", gid, "two elements map to the same graph node")
+    on_graph = list(map(nodes.__contains__, fwd.values()))
+    for el, gid in sorted(compress(fwd.items(), map(not_, on_graph)), key=_by_first):
+        flag("map-image", gid, f"image of {el} is not a graph node")
+    for gid in sorted(nodes.difference(images)):
         flag("map-surjective", gid, "graph node is not the image of any element")
 
-    for el, gid in by_element:
-        if gid not in nodes or el not in expected:
-            continue
-        kind, key = el
-        want = _KINDS[kind][1] or ctrl[key]  # type: ignore[index]
-        got = g.node_types.get(gid)
-        if got != want:
-            flag("sound-typing", gid, f"{kind} element typed {got!r}, expected {want!r}")
-
-    def mapped(el: Element) -> str | None:
-        gid = fwd.get(el)
-        return gid if gid in nodes else None
+    # mapped: each element whose image is a graph node; aligned: those of
+    # them that are elements of b.
+    mapped = fwd if all(on_graph) else dict(compress(fwd.items(), on_graph))
+    aligned = dict(compress(mapped.items(), map(expected.__contains__, mapped))) if strays else mapped
+    # A node's wanted type is its control, any other element's its kind's.
+    controls = dict(zip(zip(repeat(K_NODE), ctrl), ctrl.values()))
+    want_types = map(controls.get, aligned, map(_TYPE_OF_KIND.__getitem__, map(itemgetter(0), aligned)))
+    mistyped = compress(aligned.items(), map(ne, map(node_types.get, aligned.values()), want_types))
+    for (kind, key), gid in sorted(mistyped, key=_by_first):
+        want = _TYPE_OF_KIND[kind] or ctrl[key]
+        got = node_types.get(gid)
+        flag("sound-typing", gid, f"{kind} element typed {got!r}, expected {want!r}")
 
     src, tgt = g.graph.src, g.graph.tgt
-    with_ends = src.keys() & tgt.keys()
-    for (edge_type, _, triples), what in zip(_relations(b), ("nesting", "linking")):
+    nesting, linking, ownership = _relations(b)
+    for (edge_type, _, triples), what in ((nesting, "nesting"), (linking, "linking")):
         code = f"sound-{what}"
-        graph_pairs = {(src[e], tgt[e]) for e in typed_edges(g, edge_type) if e in with_ends}
-        want_pairs: set[tuple[str, str]] = set()
-        for _, child, parent in sorted(triples, key=lambda triple: str(triple[0])):
-            s, t = mapped(child), mapped(parent)
+        of_type = typed_edges(g, edge_type)
+        of_type = list(compress(of_type, map(and_, map(src.__contains__, of_type), map(tgt.__contains__, of_type))))
+        graph_pairs = set(zip(map(src.__getitem__, of_type), map(tgt.__getitem__, of_type)))
+        triples = list(triples)
+        children = list(map(itemgetter(1), triples))
+        pairs = list(zip(map(mapped.get, children), map(mapped.get, map(itemgetter(2), triples))))
+        # Graph pairs hold no None, so equal sets leave no end unmapped.
+        want_pairs = set(pairs)
+        if want_pairs == graph_pairs:
+            continue
+        mirrored = map(graph_pairs.__contains__, pairs)
+        unmirrored = compress(zip(map(itemgetter(0), triples), children, pairs), map(not_, mirrored))
+        for _, child, (s, t) in sorted(unmirrored, key=_by_first):
             if s is None or t is None:
                 flag(code, str(child), f"{what} endpoints are not mapped into the graph")
-                continue
-            want_pairs.add((s, t))
-            if (s, t) not in graph_pairs:
+            else:
                 flag(code, str(child), f"no {edge_type!r} edge mirrors the bigraph {what} (bigraph->graph)")
         for s, t in sorted(graph_pairs - want_pairs):
             flag(code, f"{edge_type}[{s}->{t}]", f"{edge_type!r} edge has no bigraph {what} (graph->bigraph)")
 
-    def check_indices(code: str, candidates: list[str], slots: list[tuple[str | None, str]]) -> None:
+    def index_findings(code: str, n: str, slots: list[tuple[str | None, str]], rank: tuple) -> Iterator[tuple]:
         """Slot ``i`` holds the node mapped to index ``i`` and its label;
-        exactly that node among the candidates must carry index ``i``."""
+        the node ``n`` must carry index ``i`` exactly when it is that
+        node. Each finding comes with its place in the report."""
+        idx = attrs.get((n, "index"))
         for i, (gid, label) in enumerate(slots):
-            for n in candidates:
-                idx = g.attrs.get((n, "index"))
-                if (gid == n) != (idx == i):
-                    if gid == n:
-                        flag(code, n, f"{label} carries index attribute {idx!r}")
-                    else:
-                        flag(code, n, f"index attribute {idx!r} clashes with {label} mapped elsewhere")
+            if (gid == n) != (idx == i):
+                if gid == n:
+                    yield (*rank, i, n), Finding(code, n, f"{label} carries index attribute {idx!r}")
+                else:
+                    message = f"index attribute {idx!r} clashes with {label} mapped elsewhere"
+                    yield (*rank, i, n), Finding(code, n, message)
 
+    # A root or site node is clean when its index equals the one slot it
+    # is mapped to, or is None when it is mapped to none; a node mapped
+    # twice is walked.
+    types = list(map(node_types.get, nodes))
+    twice = set(shared)
     for kind, count in ((K_ROOT, b.outer.width), (K_SITE, b.inner.width)):
-        candidates = sorted(n for n in nodes if g.node_types.get(n) == _KINDS[kind][1])
-        slots = [(mapped((kind, i)), f"{kind} {i}") for i in range(count)]
-        check_indices(f"sound-{kind}-index", candidates, slots)
+        candidates = list(compress(nodes, map(eq, types, repeat(_TYPE_OF_KIND[kind]))))
+        gids = list(map(mapped.get, zip(repeat(kind), range(count))))
+        slot_of = dict(zip(gids, range(count)))
+        indices = map(attrs.get, zip(candidates, repeat("index")))
+        off_slot = map(ne, indices, map(slot_of.get, candidates))
+        suspects = list(compress(candidates, map(or_, off_slot, map(twice.__contains__, candidates))))
+        if suspects:
+            slots = [(gid, f"{kind} {i}") for i, gid in enumerate(gids)]
+            flagged = chain.from_iterable(index_findings(f"sound-{kind}-index", n, slots, ()) for n in suspects)
+            findings.extend(map(itemgetter(1), sorted(flagged, key=itemgetter(0))))
 
     # Port indices are scoped per owning node: only the ports of the same
-    # owner compete for the same index values.
+    # owner compete for the same index values. A port node is a candidate
+    # when it has one ownership edge, to its holder.
     owned = typed_edges(g, "bNode")
-    owners = list(map(src.get, owned))
-    ownership, owner_edge = Counter(owners), dict(zip(owners, owned))
-    ports_of_owner: dict[str, list[str]] = {}
-    for n in sorted(nodes):
-        if g.node_types.get(n) != "BPort":
-            continue
-        count = ownership.get(n, 0)
-        if count != 1:
-            flag("sound-port-index", n, f"port node has {count} ownership edges")
-            continue
-        if owner_edge[n] in tgt:
-            ports_of_owner.setdefault(tgt[owner_edge[n]], []).append(n)
-    for v in sorted(b.nodes):
-        owner_gid = mapped((K_NODE, v))
-        candidates = ports_of_owner.get(owner_gid, []) if owner_gid else []
-        arity = b.signature.arity(ctrl[v])
-        slots = [(mapped((K_PORT, Port(v, i))), f"port ({v},{i})") for i in range(arity)]
-        check_indices("sound-port-index", candidates, slots)
+    owned_by = list(map(src.get, owned))
+    counter, holder = Counter(owned_by), dict(zip(owned_by, map(tgt.get, owned)))
+    ports = list(compress(nodes, map(eq, types, repeat("BPort"))))
+    counts = list(map(counter.get, ports, repeat(0)))
+    for n, count in sorted(compress(zip(ports, counts), map(ne, counts, repeat(1)))):
+        flag("sound-port-index", n, f"port node has {count} ownership edges")
+    # A candidate is clean when it is the image of a linked port (v, i)
+    # (the table's ownership relation), its holder is the image of v and
+    # its index is i, and neither it nor that image is the image of two
+    # elements. Any other candidate is walked.
+    owning = list(ownership[2])
+    gids = list(map(mapped.get, map(itemgetter(1), owning)))
+    owners = list(map(mapped.get, map(itemgetter(2), owning)))
+    in_slot = map(
+        and_,
+        map(eq, map(holder.get, gids), owners),
+        map(eq, map(attrs.get, zip(gids, repeat("index"))), map(itemgetter(1), map(itemgetter(0), owning))),
+    )
+    fine = set(compress(gids, in_slot)).difference(twice).difference(compress(gids, map(twice.__contains__, owners)))
+    suspects = list(filterfalse(fine.__contains__, compress(ports, map(eq, counts, repeat(1)))))
+    if suspects:
+        node_gids = list(map(mapped.get, zip(repeat(K_NODE), b.nodes)))
+        flagged = []
+        for n in suspects:
+            h = holder[n]
+            for v in compress(b.nodes, map(eq, node_gids, repeat(h))) if h else ():
+                slots = [(mapped.get((K_PORT, Port(v, i))), f"port ({v},{i})") for i in range(sig.arity(ctrl[v]))]
+                flagged.extend(index_findings("sound-port-index", n, slots, (v,)))
+        findings.extend(map(itemgetter(1), sorted(flagged, key=itemgetter(0))))
 
     return report_from(findings)
+
+
+def _by_first(item: tuple[object, ...]) -> str:
+    """Sort key of a tuple: the text of its first item (an element, or the
+    bigraph key of a relation triple)."""
+    return str(item[0])

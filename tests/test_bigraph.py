@@ -4,7 +4,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bigtg import (
@@ -22,7 +22,12 @@ from bigtg import (
     replace,
     validate_bigraph,
 )
+from bigtg.bigraph import PlaceChild, Point, _fmt_point, bad_arities
 from bigtg.generators import random_bigraph
+from bigtg.report import Finding, ValidationReport, report_from
+from bigtg.typedgraph import _cycles
+
+from helpers import arbitrary_bigraphs
 
 SIG1_PAIRS = [("Job", 0), ("User", 1), ("Room", 1), ("Spool", 1), ("Printer", 2), ("Computer", 1)]
 
@@ -240,9 +245,17 @@ def _small_valid() -> Bigraph:
         (lambda b: replace(b, prnt={"a": 0, 0: "a"}), "prnt-total"),
         (lambda b: replace(b, prnt={**b.prnt, 7: "a"}), "prnt-domain"),
         (lambda b: replace(b, prnt={**b.prnt, "b": 5}), "prnt-codomain"),
+        pytest.param(lambda b: replace(b, prnt={**b.prnt, "b": 1}), "prnt-codomain", id="root-at-width"),
+        pytest.param(
+            lambda b: replace(b, outer=Interface(2), prnt={**b.prnt, "b": True}), "prnt-codomain", id="bool-parent"
+        ),
         (lambda b: replace(b, prnt={**b.prnt, "a": "b"}), "parent-cycle"),
         (lambda b: replace(b, link={"x": "e"}), "link-total"),
         (lambda b: replace(b, link={**b.link, ("a", 9): "e"}), "link-domain"),
+        # As many port keys as ports, but one past its node's arity.
+        pytest.param(
+            lambda b: replace(b, link={"x": "e", ("a", 1): "e"}), "link-domain", id="port-past-arity-same-count"
+        ),
         (lambda b: replace(b, link={**b.link, "x": "gone"}), "link-codomain"),
     ],
 )
@@ -337,3 +350,236 @@ def test_parent_cycles_match_networkx(prnt):
         through = ", ".join(sorted(cycle))
         expected.append((first, f"error parent-cycle prnt[{entry}] parent map cycle through {through}"))
     assert _parent_cycles(prnt) == [line for _, line in sorted(expected)]
+
+
+# --- validate_bigraph against its per-element form ---------------------------
+#
+# ``ref_validate_bigraph`` is ``validate_bigraph`` as it was when it sorted
+# and walked every entry of each map, kept verbatim but renamed. The
+# current one marks the entries that break a rule by whole-map passes and
+# walks only those; on bigraphs with string identifiers both must give the
+# same findings in the same order.
+
+
+def ref_validate_bigraph(b: Bigraph) -> ValidationReport:
+    """Check every structural invariant of a bigraph.
+
+    Violations come back as report entries; an empty report means the
+    bigraph is well-formed.
+    """
+    findings = bad_arities(b.signature)
+
+    def flag(code: str, location: str, message: str) -> None:
+        findings.append(Finding(code, location, message))
+
+    names = b.inner.names | b.outer.names
+    for v in sorted(b.nodes & b.edges):
+        flag("id-overlap", v, "identifier is both a node and an edge")
+    for v in sorted((b.nodes | b.edges) & names):
+        flag("id-overlap", v, "identifier is both a node/edge and a link name")
+
+    # Control map: total on nodes, controls drawn from the signature.
+    for v in sorted(b.nodes):
+        if v not in b.ctrl:
+            flag("ctrl-total", f"ctrl[{v}]", "node has no control")
+    for v in sorted(b.ctrl):
+        if v not in b.nodes:
+            flag("ctrl-domain", f"ctrl[{v}]", "control assigned to unknown node")
+        elif not b.signature.has_control(b.ctrl[v]):
+            flag(
+                "ctrl-unknown-control",
+                f"ctrl[{v}]",
+                f"control {b.ctrl[v]!r} is not declared by the signature",
+            )
+
+    # Parent map: total on sites and nodes, parents are nodes or roots.
+    k, m = b.inner.width, b.outer.width
+    place_domain: set[PlaceChild] = set(range(k)) | set(b.nodes)
+    for p in sorted(place_domain, key=_fmt_point):
+        if p not in b.prnt:
+            flag("prnt-total", f"prnt[{p}]", "site or node has no parent")
+    for p in sorted(b.prnt, key=_fmt_point):
+        if p not in place_domain:
+            flag("prnt-domain", f"prnt[{p}]", "parent assigned to unknown site or node")
+            continue
+        parent = b.prnt[p]
+        if isinstance(parent, bool) or not (
+            (isinstance(parent, int) and 0 <= parent < m)
+            or (isinstance(parent, str) and parent in b.nodes)
+        ):
+            flag("prnt-codomain", f"prnt[{p}]", f"parent {parent!r} is neither a node nor a root index")
+    node_parent = {v: [p] for v, p in b.prnt.items() if v in b.nodes and isinstance(p, str) and p in b.nodes}
+    for cycle in _cycles(node_parent):
+        flag("parent-cycle", f"prnt[{cycle[0]}]", "parent map cycle through " + ", ".join(sorted(cycle)))
+
+    # Link map: total on inner names and ports, targets are edges or outer names.
+    link_domain: set[Point] = set(b.inner.names) | ports_of(b)
+    for p in sorted(link_domain, key=_fmt_point):
+        if p not in b.link:
+            flag("link-total", f"link[{_fmt_point(p)}]", "inner name or port is not linked")
+    for p in sorted(b.link, key=_fmt_point):
+        if p not in link_domain:
+            flag("link-domain", f"link[{_fmt_point(p)}]", "link assigned to unknown inner name or port")
+            continue
+        target = b.link[p]
+        if not (isinstance(target, str) and (target in b.edges or target in b.outer.names)):
+            flag(
+                "link-codomain",
+                f"link[{_fmt_point(p)}]",
+                f"link target {target!r} is neither an edge nor an outer name",
+            )
+
+    return report_from(findings)
+
+
+#: The edits of ``edited_bigraphs``.
+BIGRAPH_EDITS = ("drop-ctrl", "ctrl", "drop-prnt", "prnt", "cycle", "drop-link", "link", "overlap", "arity")
+
+
+@st.composite
+def edited_bigraphs(draw):
+    """A bigraph drawn by ``arbitrary_bigraphs`` after one to five edits,
+    all with string identifiers: control, parent and link entries dropped,
+    set or added for an unknown node, site or point (``ghost``, a site
+    past the width, a port past the arity), values of the wrong kind or
+    type (undeclared or unhashable controls, a ``bool``, a float or a root
+    index at or past the width, a link target that is a node or no name),
+    parent cycles of one to three nodes, an
+    identifier shared between nodes, edges and names, and arities that are
+    no non-negative integer."""
+    b = draw(arbitrary_bigraphs())
+    nodes, edges = set(b.nodes), set(b.edges)
+    inner, outer = set(b.inner.names), set(b.outer.names)
+    ctrl, prnt, link = dict(b.ctrl), dict(b.prnt), dict(b.link)
+    arities = dict(b.signature.arities)
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(BIGRAPH_EDITS))
+        known = sorted(nodes)
+        if kind == "drop-ctrl" and ctrl:
+            del ctrl[draw(st.sampled_from(sorted(ctrl)))]
+        elif kind == "ctrl":
+            node = draw(st.sampled_from([*known, "ghost"]))
+            ctrl[node] = draw(st.sampled_from(b.signature.names) | st.sampled_from(("Ghost", None, ["K0"])))
+        elif kind == "drop-prnt" and prnt:
+            del prnt[draw(st.sampled_from(sorted(prnt, key=str)))]
+        elif kind == "prnt":
+            child = draw(st.sampled_from([*known, "ghost"]) | st.integers(-1, b.inner.width + 1))
+            prnt[child] = draw(
+                st.sampled_from([*known, "ghost"])
+                | st.integers(-1, b.outer.width + 1)
+                | st.sampled_from((True, False, 1.0, None, ["v0"]))
+            )
+        elif kind == "cycle" and known:
+            ring = draw(st.lists(st.sampled_from(known), min_size=1, max_size=3, unique=True))
+            prnt.update(zip(ring, ring[1:] + ring[:1]))
+        elif kind == "drop-link" and link:
+            del link[draw(st.sampled_from(sorted(link, key=_fmt_point)))]
+        elif kind == "link":
+            ports = st.builds(Port, st.sampled_from([*known, "ghost"]), st.integers(-1, 4))
+            point = draw(st.sampled_from([*sorted(inner), "zz"]) | ports)
+            targets = [*sorted(edges), *sorted(outer)] or ["gone"]
+            link[point] = draw(st.sampled_from(targets) | st.sampled_from(("gone", "v0", None, 3, ["e0"])))
+        elif kind == "overlap":
+            into = draw(st.sampled_from((edges, inner, outer)))
+            into.add(draw(st.sampled_from(sorted(nodes | edges) or ["v0"])))
+        elif kind == "arity":
+            arities[draw(st.sampled_from(b.signature.names))] = draw(_ARITIES)
+    return Bigraph(
+        Signature(b.signature.controls, arities),
+        frozenset(nodes),
+        frozenset(edges),
+        ctrl,
+        prnt,
+        link,
+        Interface(b.inner.width, frozenset(inner)),
+        Interface(b.outer.width, frozenset(outer)),
+    )
+
+
+@given(edited_bigraphs())
+@settings(max_examples=300, deadline=None)
+def test_validate_bigraph_matches_reference(b):
+    assert validate_bigraph(b).findings == ref_validate_bigraph(b).findings
+
+
+# --- Identifiers that are not strings ----------------------------------------
+
+
+def test_a_non_string_node_is_a_finding_not_a_site():
+    b = Bigraph(make_signature([("B", 0)]), nodes={3}, ctrl={3: "B"}, prnt={3: 0}, outer=Interface(1))
+    report = validate_bigraph(b)
+    assert [f.line() for f in report.findings] == ["error id-type 3 node 3 is not a string"]
+    with pytest.raises(InvalidBigraph) as caught:
+        encode(b)
+    assert caught.value.report == report
+
+
+def test_identifiers_of_mixed_types_sort_without_a_type_error():
+    b = Bigraph(
+        make_signature([("B", 1)]),
+        nodes={3, "a"},
+        edges={"e", 5},
+        ctrl={3: "B", "a": "B", 4: "B", "z": "B"},
+        prnt={3: 0, "a": 0},
+        link={(3, 0): "e", ("a", 0): 5},
+        inner=Interface(0, frozenset({None})),
+        outer=Interface(1),
+    )
+    assert [f.line() for f in validate_bigraph(b).findings] == [
+        "error id-type 3 node 3 is not a string",
+        "error id-type 5 edge 5 is not a string",
+        "error id-type None inner name None is not a string",
+        "error ctrl-domain ctrl[4] control assigned to unknown node",
+        "error ctrl-domain ctrl[z] control assigned to unknown node",
+        "error link-total link[None] inner name or port is not linked",
+        "error link-codomain link[(a,0)] link target 5 is neither an edge nor an outer name",
+    ]
+
+
+#: Values that replace identifiers in ``retyped_bigraphs``: integers, which
+#: also name sites and roots, and values of other types.
+_OTHER_IDS = st.integers(0, 3) | st.sampled_from((True, 1.5, None, b"v0"))
+
+
+@st.composite
+def retyped_bigraphs(draw):
+    """A bigraph drawn by ``arbitrary_bigraphs``, and a copy in which some
+    of its identifiers are replaced by values that are not strings: always
+    in the sets of nodes, edges and names, and in none, some or all of the
+    control, parent and link maps, so that the types may mix."""
+    b = draw(arbitrary_bigraphs())
+    ids = sorted(b.nodes | b.edges | b.inner.names | b.outer.names)
+    assume(ids)
+    new = {v: draw(_OTHER_IDS) for v in draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))}
+    where = draw(st.sets(st.sampled_from(("ctrl", "prnt", "link"))))
+
+    def r(x):
+        return new.get(x, x) if isinstance(x, str) else x
+
+    def point(p):
+        return Port(r(p.node), p.index) if isinstance(p, Port) else r(p)
+
+    edited = Bigraph(
+        b.signature,
+        frozenset(map(r, b.nodes)),
+        frozenset(map(r, b.edges)),
+        {r(v): c for v, c in b.ctrl.items()} if "ctrl" in where else b.ctrl,
+        {r(c): r(p) for c, p in b.prnt.items()} if "prnt" in where else b.prnt,
+        {point(p): r(y) for p, y in b.link.items()} if "link" in where else b.link,
+        Interface(b.inner.width, frozenset(map(r, b.inner.names))),
+        Interface(b.outer.width, frozenset(map(r, b.outer.names))),
+    )
+    return b, edited
+
+
+@given(retyped_bigraphs())
+@settings(max_examples=200, deadline=None)
+def test_the_bigraph_checks_are_total_on_identifiers_of_other_types(case):
+    b, edited = case
+    report = validate_bigraph(edited)
+    assert "id-type" in report.codes()
+    # Such a bigraph has no elements to align, whatever the graph.
+    assert check_soundness(edited, *encode(Bigraph(b.signature))) == report
+    with pytest.raises(InvalidBigraph) as caught:
+        encode(edited)
+    assert caught.value.report == report

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bigtg import Bigraph, ElementMap, check_soundness, encode, replace, validate_bigraph
+from bigtg import Bigraph, ElementMap, Port, check_soundness, encode, replace, validate_bigraph
 from bigtg.generators import random_bigraph
 
 from helpers import add_edge, drop_edge, retype_node, set_attr
@@ -19,6 +19,10 @@ def add_node(g, nid: str, node_type: str, index: int | None = None):
     graph = replace(g.graph, nodes=g.graph.nodes | {nid})
     attrs = {**g.attrs, (nid, "index"): index} if index is not None else g.attrs
     return replace(g, graph=graph, node_types={**g.node_types, nid: node_type}, attrs=attrs)
+
+
+def drop_src(g, eid: str):
+    return replace(g, graph=replace(g.graph, src={e: s for e, s in g.graph.src.items() if e != eid}))
 
 
 def remap(emap: ElementMap, drop=(), **changes) -> ElementMap:
@@ -42,13 +46,30 @@ CASES = {
         add_edge(drop_edge(g, "bPrnt:n:v1:n:v0"), "bPrnt:n:v6:n:v0", "bPrnt", "n:v6", "n:v0"),
         m,
     ),
+    # Every nesting is mirrored, and one more 'bPrnt' edge is not.
+    "extra-nesting-edge": lambda g, m: (add_edge(g, "bPrnt:n:v6:n:v0", "bPrnt", "n:v6", "n:v0"), m),
     "sound-linking": lambda g, m: (
         add_edge(drop_edge(g, "bLink:p:v0:0:e:e0"), "bLink:p:v3:0:e:e2", "bLink", "p:v3:0", "e:e2"),
         m,
     ),
     "unmapped-endpoints": lambda g, m: (g, remap(m, node__v4="n:gone")),
+    # The graph's one nesting edge without a source ends where the
+    # unmapped child's nesting would: the pairs (None, n:v5) must not match.
+    "unmapped-child-of-a-sourceless-edge": lambda g, m: (
+        drop_src(g, "bPrnt:n:v6:n:v5"),
+        remap(m, drop={("node", "v6")}),
+    ),
     "sound-root-index": lambda g, m: (add_node(set_attr(g, "r:0", "index", 1), "r:extra", "BRoot", 0), m),
     "sound-site-index": lambda g, m: (set_attr(g, "s:0", "index", 1), m),
+    # s:1 is the image of sites 0 and 1 and carries the later index.
+    "twice-mapped-site": lambda g, m: (g, ElementMap({**m.forward, ("site", 0): "s:1"})),
+    # p:v1:0 is the image of ports (v1,0) and (v1,1) and carries index 0.
+    "twice-mapped-port": lambda g, m: (g, ElementMap({**m.forward, ("port", Port("v1", 1)): "p:v1:0"})),
+    # p:v3:0 keeps its index but is owned by v4, whose port 0 is another.
+    "port-owned-elsewhere": lambda g, m: (
+        add_edge(drop_edge(g, "bNode:p:v3:0:n:v3"), "bNode:p:v3:0:n:v4", "bNode", "p:v3:0", "n:v4"),
+        m,
+    ),
     "sound-port-index": lambda g, m: (
         add_edge(
             drop_edge(set_attr(g, "p:v1:0", "index", 1), "bNode:p:v2:0:n:v2"),
@@ -94,6 +115,9 @@ EXPECTED = {
         "error sound-nesting ('node', 'v1') no 'bPrnt' edge mirrors the bigraph nesting (bigraph->graph)",
         "error sound-nesting bPrnt[n:v6->n:v0] 'bPrnt' edge has no bigraph nesting (graph->bigraph)",
     ],
+    "extra-nesting-edge": [
+        "error sound-nesting bPrnt[n:v6->n:v0] 'bPrnt' edge has no bigraph nesting (graph->bigraph)",
+    ],
     "sound-linking": [
         "error sound-linking ('port', Port(node='v0', index=0)) no 'bLink' edge mirrors the bigraph linking (bigraph->graph)",
         "error sound-linking bLink[p:v3:0->e:e2] 'bLink' edge has no bigraph linking (graph->bigraph)",
@@ -106,6 +130,11 @@ EXPECTED = {
         "error sound-nesting bPrnt[n:v4->r:0] 'bPrnt' edge has no bigraph nesting (graph->bigraph)",
         "error sound-nesting bPrnt[n:v5->n:v4] 'bPrnt' edge has no bigraph nesting (graph->bigraph)",
     ],
+    "unmapped-child-of-a-sourceless-edge": [
+        "error map-domain ('node', 'v6') bigraph element is not mapped",
+        "error map-surjective n:v6 graph node is not the image of any element",
+        "error sound-nesting ('node', 'v6') nesting endpoints are not mapped into the graph",
+    ],
     "sound-root-index": [
         "error map-surjective r:extra graph node is not the image of any element",
         "error sound-root-index r:0 root 0 carries index attribute 1",
@@ -114,6 +143,25 @@ EXPECTED = {
     "sound-site-index": [
         "error sound-site-index s:0 site 0 carries index attribute 1",
         "error sound-site-index s:0 index attribute 1 clashes with site 1 mapped elsewhere",
+    ],
+    "twice-mapped-site": [
+        "error map-injective s:1 two elements map to the same graph node",
+        "error map-surjective s:0 graph node is not the image of any element",
+        "error sound-nesting ('site', 0) no 'bPrnt' edge mirrors the bigraph nesting (bigraph->graph)",
+        "error sound-nesting bPrnt[s:0->n:v3] 'bPrnt' edge has no bigraph nesting (graph->bigraph)",
+        "error sound-site-index s:0 index attribute 0 clashes with site 0 mapped elsewhere",
+        "error sound-site-index s:1 site 0 carries index attribute 1",
+    ],
+    "twice-mapped-port": [
+        "error map-injective p:v1:0 two elements map to the same graph node",
+        "error map-surjective p:v1:1 graph node is not the image of any element",
+        "error sound-linking ('port', Port(node='v1', index=1)) no 'bLink' edge mirrors the bigraph linking (bigraph->graph)",
+        "error sound-linking bLink[p:v1:1->e:e2] 'bLink' edge has no bigraph linking (graph->bigraph)",
+        "error sound-port-index p:v1:0 port (v1,1) carries index attribute 0",
+        "error sound-port-index p:v1:1 index attribute 1 clashes with port (v1,1) mapped elsewhere",
+    ],
+    "port-owned-elsewhere": [
+        "error sound-port-index p:v3:0 index attribute 0 clashes with port (v4,0) mapped elsewhere",
     ],
     "sound-port-index": [
         "error sound-port-index p:v2:0 port node has 0 ownership edges",
