@@ -10,6 +10,9 @@ graph. This is all of the bridge that ``bigtg validate``, ``check``,
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import compress, repeat
+from operator import eq
 from weakref import ref
 
 from .bigraph import BASE_NODE_TYPE_NAMES, ReservedControlName, Signature, bad_arities, is_arity
@@ -121,13 +124,22 @@ def check_arity_rule(g: InstanceGraph, tg: TypeGraph, sig: Signature) -> Validat
     arity. The report is kept on ``g`` (:func:`keeps_report`) for these
     very ``tg`` and ``sig``, so ``sig.arities`` must not change in place.
 
-    Cost: one pass over the nodes in sorted order; each port count is one
-    read of ``g.out_degree``, which counts the edges in one C-level pass."""
+    Cost: C-level passes count the sources of the ``bPorts`` edges
+    (``g.edge_view``) and compare each counted node's count with its
+    arity. Only when one differs are the nodes walked in sorted order,
+    each port count one read of ``g.out_degree``."""
     arities = {c: sig.arities.get(c) for c in sig.names if c in tg.node_types}
     arities = {c: arity for c, arity in arities.items() if is_arity(arity)}
     findings = bad_arities(sig)
+    nodes = g.graph.nodes
+    types = list(map(g.node_types.get, nodes))
+    counted = list(map(arities.__contains__, types))
+    ports = Counter(g.edge_view.sources.get("bPorts", ()))
+    port_counts = map(ports.get, compress(nodes, counted), repeat(0))
+    if all(map(eq, port_counts, map(arities.__getitem__, compress(types, counted)))):
+        return report_from(findings)
     out_degree = g.out_degree
-    for n in sorted(g.graph.nodes):
+    for n in sorted(nodes):
         t = g.node_types.get(n)
         if t not in arities:
             continue

@@ -10,7 +10,7 @@ which :mod:`bigtg.mapping` loads on first access to
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from itertools import chain, compress, filterfalse, repeat
 from operator import and_, eq, itemgetter, lt, ne, not_, or_
 
@@ -32,10 +32,11 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
     map itself (non-bijectivity, dangling images) are reported too rather
     than assumed away. Edges with a missing end are skipped
     (``check_typing`` reports them). A bigraph with an identifier that is
-    not a string, a node that has no control, or a control that its
-    signature does not declare, has no elements to align: its
-    :func:`validate_bigraph` findings come back, as they do for a
-    signature with an arity that is not a non-negative integer.
+    not a string, a node that has no control, a control that its
+    signature does not declare, or a parent or link target that cannot be
+    hashed, has no elements to align: its :func:`validate_bigraph`
+    findings come back, as they do for a signature with an arity that is
+    not a non-negative integer.
 
     Cost: C-level passes compare whole columns: the map's keys with the
     bigraph's elements (set differences), its images with the graph's
@@ -51,6 +52,7 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
         all(map(_is_str, chain(b.nodes, b.edges, b.inner.names, b.outer.names)))
         and all(map(sig.has_control, map(ctrl.get, b.nodes)))
         and all(map(is_arity, sig.arities.values()))
+        and _hashable(chain(b.prnt.values(), b.link.values()))
     ):
         return validate_bigraph(b)
     findings: list[Finding] = []
@@ -178,6 +180,15 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
         findings.extend(map(itemgetter(1), sorted(flagged, key=itemgetter(0))))
 
     return report_from(findings)
+
+
+def _hashable(values: Iterable[object]) -> bool:
+    """Whether every value can be hashed: hashing their tuple hashes each."""
+    try:
+        hash(tuple(values))
+    except TypeError:
+        return False
+    return True
 
 
 def _by_first(item: tuple[object, ...]) -> str:

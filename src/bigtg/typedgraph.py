@@ -10,7 +10,7 @@ the structural rules can fail.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Callable, Collection, Hashable, Iterable, Mapping
 from functools import cached_property, wraps
 from itertools import compress, repeat
@@ -130,21 +130,50 @@ class TypeGraph:
         return partner
 
 
+class EdgeView:
+    """The edges of an instance graph in one fixed order (the iteration
+    order of ``g.graph.edges``) with their ``src``, ``tgt`` and type
+    columns, where a missing end or type is ``None``, and the edges and
+    their sources grouped by edge type, each group in that order. Built
+    in C-level passes."""
+
+    __slots__ = ("edges", "src", "tgt", "type", "by_type", "sources")
+
+    def __init__(self, g: InstanceGraph) -> None:
+        self.edges = edges = tuple(g.graph.edges)
+        self.src = list(map(g.graph.src.get, edges))
+        self.tgt = list(map(g.graph.tgt.get, edges))
+        self.type = list(map(g.edge_types.get, edges))
+        self.by_type = _grouped(self.type, edges)
+        self.sources = _grouped(self.type, self.src)
+
+
+def _grouped(keys: list[Hashable], values: Iterable[Any]) -> dict[Hashable, list[Any]]:
+    """``values`` grouped by their keys, each group in order: one
+    C-level pass of appends."""
+    groups: dict[Hashable, list[Any]] = {key: [] for key in set(keys)}
+    deque(map(list.append, map(groups.__getitem__, keys), values), 0)
+    return groups
+
+
 @frozen
 class InstanceGraph:
     """A graph typed over a type graph, with node attribute values.
 
-    Three views are built on first use and kept: ``out_degree`` (edge
-    counts by source and type, which the multiplicity and arity checkers
-    read), the adjacency indexes ``out_index`` and ``in_index`` (which
-    only constraint navigation and the ``outgoing``/``incoming`` helpers
-    read), and ``attr_index``. The graph also keeps the last report of
-    each checker wrapped by :func:`keeps_report` (``check_typing``,
-    ``check_validity``, ``check_multiplicities`` and the arity rule),
-    with the very arguments it was checked against (``decode`` after
-    ``conformance``). So neither the dicts of ``g`` nor those arguments
-    may be mutated after the first query or check; build a new value
-    (through the constructor or ``bigtg.replace``) instead.
+    Four views are built on first use and kept: ``edge_view`` (the edge
+    columns and the edges and sources of each edge type, which the four
+    checkers, :func:`typed_edges` and ``out_degree`` read), ``out_degree``
+    (edge counts by source and type, which the multiplicity and arity
+    checkers read when a bound fails), the adjacency indexes
+    ``out_index`` and ``in_index`` (which only constraint navigation and
+    the ``outgoing``/``incoming`` helpers read), and ``attr_index``. The
+    graph also keeps the last report of each checker wrapped by
+    :func:`keeps_report` (``check_typing``, ``check_validity``,
+    ``check_multiplicities`` and the arity rule), with the very arguments
+    it was checked against (``decode`` after ``conformance``). So neither
+    the dicts of ``g`` nor those arguments may be mutated after the first
+    query or check; build a new value (through the constructor or
+    ``bigtg.replace``) instead.
     """
 
     graph: Graph
@@ -158,11 +187,16 @@ class InstanceGraph:
         object.__setattr__(self, "attrs", dict(self.attrs))
 
     @cached_property
+    def edge_view(self) -> EdgeView:
+        return EdgeView(self)
+
+    @cached_property
     def out_degree(self) -> Counter[tuple[str | None, str | None]]:
-        """The number of edges of each ``(src, edge type)``, counted in one
-        C-level pass; a missing end or type is keyed as ``None``."""
-        edges = self.graph.edges
-        return Counter(zip(map(self.graph.src.get, edges), map(self.edge_types.get, edges)))
+        """The number of edges of each ``(src, edge type)``, counted from
+        ``edge_view`` in one C-level pass; a missing end or type is keyed
+        as ``None``."""
+        view = self.edge_view
+        return Counter(zip(view.src, view.type))
 
     @cached_property
     def _reports(self) -> dict[Callable[..., ValidationReport], tuple[tuple[Any, ...], ValidationReport]]:
@@ -199,11 +233,8 @@ class InstanceGraph:
 
 def typed_edges(g: InstanceGraph, edge_type: str) -> list[str]:
     """The edges of one edge type, in the iteration order of
-    ``g.graph.edges``. An untyped edge is none of them: ``None ==
-    edge_type`` is false, whereas ``edge_type.__eq__(None)`` answers a
-    truthy ``NotImplemented``, so that method is no filter."""
-    edge_types = g.edge_types
-    return [e for e in g.graph.edges if edge_types.get(e) == edge_type]
+    ``g.graph.edges``: a copy of their group in ``g.edge_view``."""
+    return list(g.edge_view.by_type.get(edge_type, ()))
 
 
 def node_attrs(g: InstanceGraph, n: str) -> dict[str, int | str]:
@@ -312,8 +343,8 @@ def walk_suspects(
     ``elements`` (iterated again in that order), and must
     determine whether ``check`` flags the element.
     ``check`` runs on one element of each distinct key, and then on every
-    element of the keys it flagged. A clean graph thus costs C-level passes
-    over its elements plus one ``check`` per distinct shape.
+    element of the keys it flagged. ``check_typing`` walks only the
+    elements whose whole-column test failed.
     """
     keys = list(keys)
     bad = {key for key, el in dict(zip(keys, elements)).items() if check(el)}
@@ -422,11 +453,15 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     attribute whose owner is not a node is reported as ``attr-owner``,
     and its value is not checked.
 
-    Cost: C-level passes compute a shape key per element (a node's type;
-    an edge's type, the types of its ends and whether each end is a node;
-    an attribute's owner type, whether the owner is a node, its name and
-    its value class), the rules run once per distinct key, and only the
-    elements of a failing key are sorted and walked (see
+    Cost: C-level passes gather whole columns into sets: the node types,
+    the edge ends (from ``g.edge_view``), the distinct ``(edge type, end
+    type)`` pairs of each end, and the distinct ``(owner type, attribute,
+    value class)`` triples. A clean graph passes subset tests on those
+    sets, which ask :func:`conforms` once per distinct ``(end type,
+    declared type)`` pair and :func:`declared_attrs` once per owner type.
+    Only the nodes, edges or attributes whose test fails are walked: the
+    rules run once per distinct shape key of an element, and only the
+    elements of a failing key are sorted and checked (see
     :func:`walk_suspects`). The report is kept on ``g``
     (:func:`keeps_report`)."""
     nodes, nt = g.graph.nodes, g.node_types
@@ -448,6 +483,22 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
         for te in tg.edge_types
     }
     conforming: dict[tuple[str, str], bool] = {}
+
+    def conforms_to(t_end: str, decl: str) -> bool:
+        ok = conforming.get((t_end, decl))
+        if ok is None:
+            ok = conforming[t_end, decl] = conforms(tg, t_end, decl)
+        return ok
+
+    # The edge types that check_edge passes: known, with both ends declared.
+    full = {te: ends for te, ends in decls.items() if te is not None and None not in ends}
+
+    def end_fits(te: str | None, t_end: str | None, side: int) -> bool:
+        """Whether ``check_edge`` passes the type and one end of an edge of
+        type ``te`` whose end (src for side 0, tgt for 1) is a node of type
+        ``t_end``."""
+        ends = full.get(te)
+        return ends is not None and (t_end is None or t_end not in tg.node_types or conforms_to(t_end, ends[side]))
 
     def check_edge(e: str) -> list[Finding]:
         findings: list[Finding] = []
@@ -472,10 +523,7 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
             t_end = nt.get(end) if end is not None else None
             if decl is None or t_end is None or t_end not in tg.node_types:
                 continue  # reported on the edge above, or on the node
-            ok = conforming.get((t_end, decl))
-            if ok is None:
-                ok = conforming[t_end, decl] = conforms(tg, t_end, decl)
-            if not ok:
+            if not conforms_to(t_end, decl):
                 findings.append(
                     Finding(
                         "typing-" + ("source" if role == "source" else "target"),
@@ -487,6 +535,20 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
 
     attr_decls: dict[str, dict[str, str]] = {}
 
+    def declared(t: str) -> dict[str, str]:
+        decls = attr_decls.get(t)
+        if decls is None:
+            decls = attr_decls[t] = declared_attrs(tg, t)
+        return decls
+
+    def attr_fits(t: str | None, a: str, cls: type) -> bool:
+        """Whether ``check_attr`` passes an attribute ``a`` of class
+        ``cls`` on a node of type ``t``."""
+        if t is None or t not in tg.node_types:
+            return True
+        decls = declared(t)
+        return a in decls and _misfit(decls[a], cls) is None
+
     def check_attr(item: tuple[tuple[str, str], int | str]) -> list[Finding]:
         (n, a), v = item
         if n not in nodes:
@@ -494,31 +556,59 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
         t = nt.get(n)
         if t is None or t not in tg.node_types:
             return []
-        decls = attr_decls.get(t)
-        if decls is None:
-            decls = attr_decls[t] = declared_attrs(tg, t)
+        decls = declared(t)
         if a not in decls:
             return [Finding("attr-undeclared", f"{n}.{a}", f"attribute {a!r} not declared for type {t!r}")]
-        if decls[a] == "int" and (isinstance(v, bool) or not isinstance(v, int)):
-            return [Finding("attr-type", f"{n}.{a}", "attribute value is not an int")]
-        if decls[a] == "string" and not isinstance(v, str):
-            return [Finding("attr-type", f"{n}.{a}", "attribute value is not a string")]
+        misfit = _misfit(decls[a], type(v))
+        if misfit is not None:
+            return [Finding("attr-type", f"{n}.{a}", "attribute value is not " + misfit)]
         return []
 
-    edges, is_node = g.graph.edges, nodes.__contains__
-    srcs, tgts = list(map(g.graph.src.get, edges)), list(map(g.graph.tgt.get, edges))
-    edge_keys = zip(
-        map(g.edge_types.get, edges), map(nt.get, srcs), map(nt.get, tgts), map(is_node, srcs), map(is_node, tgts)
-    )
-    owners = list(map(itemgetter(0), g.attrs))
-    attr_keys = zip(map(nt.get, owners), map(is_node, owners), map(itemgetter(1), g.attrs), map(type, g.attrs.values()))
-    return report_from(
-        walk_suspects(nodes, map(nt.get, nodes), check_node)
-        + [Finding("typing-domain", n, "typing entry for unknown node") for n in sorted(nt.keys() - nodes)]
-        + walk_suspects(edges, edge_keys, check_edge)
-        + [Finding("typing-domain", e, "typing entry for unknown edge") for e in sorted(g.edge_types.keys() - edges)]
-        + walk_suspects(g.attrs.items(), attr_keys, check_attr)
-    )
+    findings: list[Finding] = []
+    node_types = list(map(nt.get, nodes))
+    kinds = set(node_types)
+    if None in kinds or not kinds <= tg.node_types or not kinds.isdisjoint(tg.abstracts):
+        findings += walk_suspects(nodes, node_types, check_node)
+    # When every node has a type, as many typing entries as nodes leave
+    # none for an unknown node; so for edges below.
+    if None in kinds or len(nt) != len(nodes):
+        findings += [Finding("typing-domain", n, "typing entry for unknown node") for n in sorted(nt.keys() - nodes)]
+
+    # A missing end reads None, which is no node unless a node is named None.
+    view = g.edge_view
+    edges, srcs, tgts, types = view.edges, view.src, view.tgt, view.type
+    src_types, tgt_types = list(map(nt.get, srcs)), list(map(nt.get, tgts))
+    if (
+        not nodes.issuperset(srcs)
+        or not nodes.issuperset(tgts)
+        or None in nodes
+        or not all(end_fits(te, t, 0) for te, t in set(zip(types, src_types)))
+        or not all(end_fits(te, t, 1) for te, t in set(zip(types, tgt_types)))
+    ):
+        is_node = nodes.__contains__
+        edge_keys = zip(types, src_types, tgt_types, map(is_node, srcs), map(is_node, tgts))
+        findings += walk_suspects(edges, edge_keys, check_edge)
+    if None in view.by_type or len(g.edge_types) != len(edges):
+        findings += [
+            Finding("typing-domain", e, "typing entry for unknown edge") for e in sorted(g.edge_types.keys() - edges)
+        ]
+
+    owners, names = list(map(itemgetter(0), g.attrs)), list(map(itemgetter(1), g.attrs))
+    owner_types, classes = list(map(nt.get, owners)), list(map(type, g.attrs.values()))
+    if not nodes.issuperset(owners) or not all(attr_fits(*shape) for shape in set(zip(owner_types, names, classes))):
+        attr_keys = zip(owner_types, map(nodes.__contains__, owners), names, classes)
+        findings += walk_suspects(g.attrs.items(), attr_keys, check_attr)
+    return report_from(findings)
+
+
+def _misfit(data_type: str, cls: type) -> str | None:
+    """What a value of class ``cls`` is not, for an attribute of
+    ``data_type``; ``None`` when it fits. A ``bool`` is no int."""
+    if data_type == "int" and (issubclass(cls, bool) or not issubclass(cls, int)):
+        return "an int"
+    if data_type == "string" and not issubclass(cls, str):
+        return "a string"
+    return None
 
 
 def _cycles(succ: Mapping[str, list[str]]) -> list[list[str]]:
@@ -571,24 +661,28 @@ def check_validity(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     consistency. Meant for graphs that pass ``check_typing``; edges with a
     missing end are skipped here (``check_typing`` reports them).
 
-    Cost: C-level passes map each contained node to its container and
-    count the edges of each ``(type, src, tgt)``. When no node has two
+    Cost: C-level passes over the columns of ``g.edge_view`` map each
+    contained node to its container and gather the ``(type, src, tgt)``
+    triples of the edges whose type has an opposite. When no node has two
     containers, pointer jumping (:func:`_reaches_cycle`) rules cycles out
-    without a search, and when every count equals that of its mirrored
-    opposite key, no pair is inconsistent. Only otherwise are the
-    containment edges searched, or every key walked, in sorted order."""
+    without a search. When no triple repeats and the triples equal their
+    mirrored opposites as sets, no pair is inconsistent; a triple that
+    repeats (parallel edges) compares the counts of both instead. Only
+    otherwise are the containment edges searched, or every triple walked,
+    in sorted order."""
     findings: list[Finding] = []
 
     def flag(code: str, location: str, message: str) -> None:
         findings.append(Finding(code, location, message))
 
-    edges, src, tgt = g.graph.edges, g.graph.src, g.graph.tgt
-    contained = list(compress(edges, map(tg.containments.__contains__, map(g.edge_types.get, edges))))
-    up = dict(zip(map(tgt.get, contained), map(src.get, contained)))
-    if len(up) < len(contained) or _reaches_cycle(up):
+    view = g.edge_view
+    src, tgt = g.graph.src, g.graph.tgt
+    contains = list(map(tg.containments.__contains__, view.type))
+    up = dict(zip(compress(view.tgt, contains), compress(view.src, contains)))
+    if len(up) < contains.count(True) or _reaches_cycle(up):
         succ: dict[str, list[str]] = {}
         containers_of: dict[str, list[str]] = {}
-        for e in sorted(contained):
+        for e in sorted(compress(view.edges, contains)):
             s, t = src.get(e), tgt.get(e)
             if s is not None and t is not None:
                 succ.setdefault(s, []).append(t)
@@ -602,14 +696,24 @@ def check_validity(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     # of t1 edges a->b must equal the number of t2 edges b->a. Keys with a
     # missing end are counted but never reported.
     opposite = tg._opposite
-    paired = list(compress(edges, map(opposite.__contains__, map(g.edge_types.get, edges))))
-    types, srcs, tgts = list(map(g.edge_types.get, paired)), list(map(src.get, paired)), list(map(tgt.get, paired))
-    counts = Counter(zip(types, srcs, tgts))
-    mirrored = Counter(zip(map(opposite.get, types), tgts, srcs))
-    # Equal counts leave every pair consistent, whatever the opposites are.
-    # Counter's own == runs in Python; no count is zero, so dict's is exact.
-    if dict.__eq__(counts, mirrored):
-        return report_from(findings)
+    types, srcs, tgts = view.type, view.src, view.tgt
+    if not opposite.keys() >= view.by_type.keys():
+        paired = list(map(opposite.__contains__, types))
+        types, srcs, tgts = list(compress(types, paired)), list(compress(srcs, paired)), list(compress(tgts, paired))
+    triples = set(zip(types, srcs, tgts))
+    mirrored = zip(map(opposite.get, types), tgts, srcs)
+    # Without repeats, equal sets mean that every triple and its mirror
+    # occur once each, whatever the opposites are. With repeats, the counts
+    # must be equal; Counter's own == runs in Python, and no count is zero,
+    # so dict's is exact.
+    if len(triples) == len(types):
+        if triples == set(mirrored):
+            return report_from(findings)
+        counts: dict[tuple[str, str, str], int] = dict.fromkeys(triples, 1)
+    else:
+        counts = Counter(zip(types, srcs, tgts))
+        if dict.__eq__(counts, Counter(mirrored)):
+            return report_from(findings)
     seen: set[tuple[str, str, str]] = set()
     for te, s, t in sorted(key for key in counts if key[1] is not None and key[2] is not None):
         rev = (opposite.get(te), t, s)
@@ -629,6 +733,20 @@ def check_validity(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     return report_from(findings)
 
 
+def _holds(sources: list[Hashable], targets: Iterable[Hashable], m: Multiplicity) -> bool:
+    """Whether each of ``targets`` is among ``sources`` at least ``m.lb``
+    and at most ``m.ub`` times. An upper bound of 1 holds when no source
+    repeats, and a lower bound of 1 when every target is a source; any
+    other bound, or sources that repeat, are counted."""
+    if m.lb <= 1 and m.ub in (None, 1):
+        distinct = set(sources)
+        if m.ub is None or len(distinct) == len(sources):
+            return m.lb == 0 or distinct.issuperset(targets)
+    counts = Counter(sources)
+    got = list(map(counts.get, targets, repeat(0)))
+    return not got or (m.lb <= min(got) and (m.ub is None or max(got) <= m.ub))
+
+
 @keeps_report
 def check_multiplicities(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     """Per-source-node bounds on outgoing edges of each applicable type.
@@ -636,22 +754,37 @@ def check_multiplicities(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     type as ``src``, are skipped (``check_type_graph`` reports them). The report is kept on
     ``g`` (:func:`keeps_report`).
 
-    Cost: one pass over the nodes in sorted order; the bounds that apply
-    to a node type are found once per type, and each count is one read
-    of ``g.out_degree``, which counts the edges in one C-level pass."""
-    findings: list[Finding] = []
-    bounded = [te for te in sorted(tg.edge_types) if mult_of(tg, te) and tg.graph.src.get(te) in tg.node_types]
-    out_degree = g.out_degree
-    # The bounded edge types that apply to each node type, with their bounds.
-    applicable: dict[str, list[tuple[str, Multiplicity]]] = {}
-    for n in sorted(g.graph.nodes):
-        tn = g.node_types.get(n)
-        if tn is None or tn not in tg.node_types:
+    Cost: for each bounded edge type, the node types that conform to its
+    ``src`` are found once, and C-level passes test the bound on the
+    sources of its edges (``g.edge_view``) against the nodes of those
+    types (:func:`_holds`). Only the edge types that fail are walked: one
+    pass over the nodes in sorted order, each count one read of
+    ``g.out_degree``."""
+    nodes, nt = g.graph.nodes, g.node_types
+    node_types = list(map(nt.get, nodes))
+    kinds = {t for t in set(node_types) if t is not None and t in tg.node_types}
+    sources = g.edge_view.sources
+    applies: dict[str, set[str]] = {}  # the node types that conform to each declared src
+    failing: list[tuple[str, Multiplicity, set[str]]] = []
+    for te in sorted(tg.edge_types):
+        m = mult_of(tg, te)
+        decl = tg.graph.src.get(te)
+        if m is None or decl not in tg.node_types or (m.lb == 0 and m.ub is None):
             continue
-        bounds = applicable.get(tn)
-        if bounds is None:
-            bounds = applicable[tn] = [(te, mult_of(tg, te)) for te in bounded if conforms(tg, tn, tg.graph.src[te])]
-        for te, m in bounds:
+        if decl not in applies:
+            applies[decl] = {t for t in kinds if conforms(tg, t, decl)}
+        fit = applies[decl]
+        if fit and not _holds(sources.get(te, []), compress(nodes, map(fit.__contains__, node_types)), m):
+            failing.append((te, m, fit))
+    findings: list[Finding] = []
+    if not failing:
+        return report_from(findings)
+    out_degree = g.out_degree
+    for n in sorted(nodes):
+        tn = nt.get(n)
+        for te, m, fit in failing:
+            if tn not in fit:
+                continue
             count = out_degree.get((n, te), 0)
             if count < m.lb:
                 findings.append(

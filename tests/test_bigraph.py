@@ -127,6 +127,25 @@ def test_an_unhashable_control_is_a_finding_not_a_type_error():
     assert check_soundness(b, g, emap) == validate_bigraph(b)
 
 
+@pytest.mark.parametrize(
+    "edit, line",
+    [
+        ({"link": {Port("v", 0): ["e"]}}, "error link-codomain link[(v,0)] link target ['e'] is neither an edge nor an outer name"),
+        ({"prnt": {"v": ["w"]}}, "error prnt-codomain prnt[v] parent ['w'] is neither a node nor a root index"),
+    ],
+    ids=["link-target", "parent"],
+)
+def test_an_unhashable_parent_or_link_target_is_a_finding_not_a_type_error(edit, line):
+    sig = make_signature([("A", 1)])
+    valid = Bigraph(sig, nodes={"v"}, edges={"e"}, ctrl={"v": "A"}, prnt={"v": 0}, link={Port("v", 0): "e"}, outer=Interface(1))
+    b = replace(valid, **edit)
+    assert [f.line() for f in validate_bigraph(b).findings] == [line]
+    assert check_soundness(b, *encode(valid)) == validate_bigraph(b)
+    with pytest.raises(InvalidBigraph) as caught:
+        encode(b)
+    assert caught.value.report == validate_bigraph(b)
+
+
 #: Control values that no signature of string control names declares,
 #: hashable or not.
 _NON_STRING_CONTROLS = st.recursive(
@@ -546,15 +565,21 @@ def retyped_bigraphs(draw):
     """A bigraph drawn by ``arbitrary_bigraphs``, and a copy in which some
     of its identifiers are replaced by values that are not strings: always
     in the sets of nodes, edges and names, and in none, some or all of the
-    control, parent and link maps, so that the types may mix."""
+    control, parent and link maps, so that the types may mix. In the
+    parent and link maps, some of those values may be wrapped in a list,
+    which cannot be hashed."""
     b = draw(arbitrary_bigraphs())
     ids = sorted(b.nodes | b.edges | b.inner.names | b.outer.names)
     assume(ids)
     new = {v: draw(_OTHER_IDS) for v in draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))}
+    listed = {v for v in new if draw(st.booleans())}
     where = draw(st.sets(st.sampled_from(("ctrl", "prnt", "link"))))
 
     def r(x):
         return new.get(x, x) if isinstance(x, str) else x
+
+    def target(x):
+        return [r(x)] if x in listed else r(x)
 
     def point(p):
         return Port(r(p.node), p.index) if isinstance(p, Port) else r(p)
@@ -564,8 +589,8 @@ def retyped_bigraphs(draw):
         frozenset(map(r, b.nodes)),
         frozenset(map(r, b.edges)),
         {r(v): c for v, c in b.ctrl.items()} if "ctrl" in where else b.ctrl,
-        {r(c): r(p) for c, p in b.prnt.items()} if "prnt" in where else b.prnt,
-        {point(p): r(y) for p, y in b.link.items()} if "link" in where else b.link,
+        {r(c): target(p) for c, p in b.prnt.items()} if "prnt" in where else b.prnt,
+        {point(p): target(y) for p, y in b.link.items()} if "link" in where else b.link,
         Interface(b.inner.width, frozenset(map(r, b.inner.names))),
         Interface(b.outer.width, frozenset(map(r, b.outer.names))),
     )
