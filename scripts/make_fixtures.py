@@ -5,7 +5,9 @@ Builds the office printing example (two connected rooms, a printer wired
 to a spool and a computer, a user holding a job and identified by an
 outer name), its signature, type graph and canonical encoding, the
 constraint document, feature configurations, and a small good/bad corpus
-for exercising the validate subcommand.
+for exercising the validate and check subcommands. ``corpus/bad.check.err``
+is not written here: it pins what ``bigtg check`` prints for
+``corpus/bad.bgc`` on the printer model.
 """
 
 from __future__ import annotations
@@ -42,6 +44,17 @@ context Room
     let port : BPort = self.bPorts->first()
     port.bLink.oclIsTypeOf(BEdge) and port.bLink.bPoints->forAll(
       p | p.oclIsTypeOf(BPort) and p.oclAsType(BPort).bNode.oclIsTypeOf(Room))
+"""
+
+#: Invariants that the printer model breaks: every room holds a non-job,
+#: and no port's link has a point linked to an outer name.
+BAD_CONSTRAINTS = """\
+context Room
+  inv jobsOnly:
+    self.bChld->forAll(c | c.oclIsTypeOf(Job))
+context BPort
+  inv outer:
+    self.bLink.bPoints->exists(p | p.bLink.oclIsTypeOf(BOuterName))
 """
 
 
@@ -152,6 +165,7 @@ def main() -> None:
     )
     fileio.save(bad_g, str(corpus / "bad.ig.json"))
     fileio.save(FeatureConfig(frozenset({"ST", "WT", "RI"})), str(corpus / "bad.cfg.json"))
+    (corpus / "bad.bgc").write_text(BAD_CONSTRAINTS, encoding="utf-8")
 
     for path in sorted(FIXTURES.rglob("*")):
         if path.is_file():

@@ -555,11 +555,13 @@ def _compile(expr: Expr, env_types: Mapping[str, tuple], tg: TypeGraph) -> tuple
             start = obj(env, g, trace)
             if start == _EMPTY:
                 return _EMPTY
+            edges, tgt = g.edge_view.by_source(edge).get(start, _EMPTY), g.graph.tgt
             try:
-                targets = tuple(sorted({g.graph.tgt[e] for e in g.out_index.get((start, edge), ())}))
-            except KeyError as exc:
+                targets = tuple(sorted({tgt[e] for e in edges}))
+            except KeyError:
+                lacking = min(e for e in edges if e not in tgt)
                 raise EvaluationError(
-                    f"navigation {edge!r} from {start} follows edge {exc.args[0]} without a tgt"
+                    f"navigation {edge!r} from {start} follows edge {lacking} without a tgt"
                 ) from None
             trace.append(f"{start}.{edge} = {_render(targets)}")
             if not single:
@@ -722,7 +724,13 @@ def evaluate(doc: ConstraintDoc, g: InstanceGraph, tg: TypeGraph) -> CheckResult
     (or a subtype), in sorted node order. Failed checks keep their
     navigation trace. Raises ``TypeCheckError`` if ``doc`` does not fit
     ``tg``, before anything is evaluated, and ``EvaluationError`` on an
-    undefined case, such as a navigation along an edge without a ``tgt``."""
+    undefined case, such as a navigation along an edge without a ``tgt``:
+    the first of the start node's edges of that type, in sorted order,
+    that has none. An edge that no navigation reaches raises nothing.
+
+    Cost: one pass over the nodes groups them by type. Each navigated edge
+    type groups its edges by source once (``g.edge_view.by_source``), so a
+    navigation reads one group and sorts its targets."""
     runs = typecheck(doc, tg)
     by_type: dict[str, list[str]] = {}
     for n in g.graph.nodes:

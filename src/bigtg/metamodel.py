@@ -127,7 +127,7 @@ def check_arity_rule(g: InstanceGraph, tg: TypeGraph, sig: Signature) -> Validat
     Cost: C-level passes count the sources of the ``bPorts`` edges
     (``g.edge_view``) and compare each counted node's count with its
     arity. Only when one differs are the nodes walked in sorted order,
-    each port count one read of ``g.out_degree``."""
+    each port count one read of those counts."""
     arities = {c: sig.arities.get(c) for c in sig.names if c in tg.node_types}
     arities = {c: arity for c, arity in arities.items() if is_arity(arity)}
     findings = bad_arities(sig)
@@ -138,13 +138,12 @@ def check_arity_rule(g: InstanceGraph, tg: TypeGraph, sig: Signature) -> Validat
     port_counts = map(ports.get, compress(nodes, counted), repeat(0))
     if all(map(eq, port_counts, map(arities.__getitem__, compress(types, counted)))):
         return report_from(findings)
-    out_degree = g.out_degree
     for n in sorted(nodes):
         t = g.node_types.get(n)
         if t not in arities:
             continue
         want = arities[t]
-        got = out_degree.get((n, "bPorts"), 0)
+        got = ports[n]
         if got != want:
             findings.append(
                 Finding(

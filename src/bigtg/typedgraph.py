@@ -135,9 +135,11 @@ class EdgeView:
     order of ``g.graph.edges``) with their ``src``, ``tgt`` and type
     columns, where a missing end or type is ``None``, and the edges and
     their sources grouped by edge type, each group in that order. Built
-    in C-level passes."""
+    in C-level passes. The edges of one edge type grouped by source,
+    which constraint navigation reads, are built the first time that edge
+    type is asked for (:meth:`by_source`) and kept."""
 
-    __slots__ = ("edges", "src", "tgt", "type", "by_type", "sources")
+    __slots__ = ("edges", "src", "tgt", "type", "by_type", "sources", "_by_source")
 
     def __init__(self, g: InstanceGraph) -> None:
         self.edges = edges = tuple(g.graph.edges)
@@ -146,6 +148,16 @@ class EdgeView:
         self.type = list(map(g.edge_types.get, edges))
         self.by_type = _grouped(self.type, edges)
         self.sources = _grouped(self.type, self.src)
+        self._by_source: dict[Hashable, dict[Hashable, list[str]]] = {}
+
+    def by_source(self, edge_type: Hashable) -> dict[Hashable, list[str]]:
+        """The edges of ``edge_type`` grouped by their source, each group
+        in the view's order; a missing ``src`` is keyed as ``None``."""
+        groups = self._by_source.get(edge_type)
+        if groups is None:
+            sources = self.sources.get(edge_type, [])
+            groups = self._by_source[edge_type] = _grouped(sources, self.by_type.get(edge_type, ()))
+        return groups
 
 
 def _grouped(keys: list[Hashable], values: Iterable[Any]) -> dict[Hashable, list[Any]]:
@@ -160,20 +172,16 @@ def _grouped(keys: list[Hashable], values: Iterable[Any]) -> dict[Hashable, list
 class InstanceGraph:
     """A graph typed over a type graph, with node attribute values.
 
-    Four views are built on first use and kept: ``edge_view`` (the edge
-    columns and the edges and sources of each edge type, which the four
-    checkers, :func:`typed_edges` and ``out_degree`` read), ``out_degree``
-    (edge counts by source and type, which the multiplicity and arity
-    checkers read when a bound fails), the adjacency indexes
-    ``out_index`` and ``in_index`` (which only constraint navigation and
-    the ``outgoing``/``incoming`` helpers read), and ``attr_index``. The
-    graph also keeps the last report of each checker wrapped by
-    :func:`keeps_report` (``check_typing``, ``check_validity``,
-    ``check_multiplicities`` and the arity rule), with the very arguments
-    it was checked against (``decode`` after ``conformance``). So neither
-    the dicts of ``g`` nor those arguments may be mutated after the first
-    query or check; build a new value (through the constructor or
-    ``bigtg.replace``) instead.
+    One view is built on first use and kept: ``edge_view`` (the edge
+    columns, the edges and sources of each edge type, and the edges of
+    each navigated edge type grouped by source), which the four checkers,
+    :func:`typed_edges` and constraint navigation read. The graph also
+    keeps the last report of each checker wrapped by :func:`keeps_report`
+    (``check_typing``, ``check_validity``, ``check_multiplicities`` and
+    the arity rule), with the very arguments it was checked against
+    (``decode`` after ``conformance``). So neither the dicts of ``g`` nor
+    those arguments may be mutated after the first query or check; build
+    a new value (through the constructor or ``bigtg.replace``) instead.
     """
 
     graph: Graph
@@ -191,44 +199,10 @@ class InstanceGraph:
         return EdgeView(self)
 
     @cached_property
-    def out_degree(self) -> Counter[tuple[str | None, str | None]]:
-        """The number of edges of each ``(src, edge type)``, counted from
-        ``edge_view`` in one C-level pass; a missing end or type is keyed
-        as ``None``."""
-        view = self.edge_view
-        return Counter(zip(view.src, view.type))
-
-    @cached_property
     def _reports(self) -> dict[Callable[..., ValidationReport], tuple[tuple[Any, ...], ValidationReport]]:
         """The kept slot of each checker wrapped by :func:`keeps_report`:
         the arguments it last ran on, and its report."""
         return {}
-
-    @cached_property
-    def out_index(self) -> dict[tuple[str | None, str | None], tuple[str, ...]]:
-        """Edges keyed by ``(src, edge type)``, each group sorted; a missing
-        end or type is keyed as ``None``."""
-        return self._adjacency(self.graph.src)
-
-    @cached_property
-    def in_index(self) -> dict[tuple[str | None, str | None], tuple[str, ...]]:
-        """Edges keyed by ``(tgt, edge type)``, each group sorted; a missing
-        end or type is keyed as ``None``."""
-        return self._adjacency(self.graph.tgt)
-
-    @cached_property
-    def attr_index(self) -> dict[str, dict[str, int | str]]:
-        """Attribute values grouped by node, in the order of ``attrs``."""
-        by_node: dict[str, dict[str, int | str]] = {}
-        for (n, a), v in self.attrs.items():
-            by_node.setdefault(n, {})[a] = v
-        return by_node
-
-    def _adjacency(self, end: Mapping[str, str]) -> dict[tuple[str | None, str | None], tuple[str, ...]]:
-        groups: dict[tuple[str | None, str | None], list[str]] = {}
-        for e in sorted(self.graph.edges):
-            groups.setdefault((end.get(e), self.edge_types.get(e)), []).append(e)
-        return {key: tuple(edges) for key, edges in groups.items()}
 
 
 def typed_edges(g: InstanceGraph, edge_type: str) -> list[str]:
@@ -238,23 +212,26 @@ def typed_edges(g: InstanceGraph, edge_type: str) -> list[str]:
 
 
 def node_attrs(g: InstanceGraph, n: str) -> dict[str, int | str]:
-    """Attribute values of ``n`` by attribute name, read from the graph's
-    cached index (so ``g`` must not be mutated after the first query)."""
-    return dict(g.attr_index.get(n, {}))
+    """Attribute values of ``n`` by attribute name, in the order of
+    ``g.attrs``: one scan of it. The library does not call this, nor
+    :func:`outgoing` or :func:`incoming`; they are kept for the tests and
+    for the benchmark tracer, which times them by name."""
+    return {a: v for (m, a), v in g.attrs.items() if m == n}
 
 
 def outgoing(g: InstanceGraph, n: str, edge_type: str) -> list[str]:
-    """Outgoing edges of ``n`` of one edge type, sorted, read from the
-    graph's cached index (so ``g`` must not be mutated after the first
-    query)."""
-    return list(g.out_index.get((n, edge_type), ()))
+    """Outgoing edges of ``n`` of one edge type, sorted: its group in
+    ``g.edge_view.by_source(edge_type)``. Kept for the tests and the
+    tracer (see :func:`node_attrs`)."""
+    return sorted(g.edge_view.by_source(edge_type).get(n, ()))
 
 
 def incoming(g: InstanceGraph, n: str, edge_type: str) -> list[str]:
-    """Incoming edges of ``n`` of one edge type, sorted, read from the
-    graph's cached index (so ``g`` must not be mutated after the first
-    query)."""
-    return list(g.in_index.get((n, edge_type), ()))
+    """Incoming edges of ``n`` of one edge type, sorted, picked from the
+    edges of that type in ``g.edge_view``. Kept for the tests and the
+    tracer (see :func:`node_attrs`)."""
+    tgt = g.graph.tgt
+    return sorted(e for e in g.edge_view.by_type.get(edge_type, ()) if tgt.get(e) == n)
 
 
 def _parents(tg: TypeGraph) -> dict[str, list[str]]:
@@ -757,15 +734,15 @@ def check_multiplicities(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     Cost: for each bounded edge type, the node types that conform to its
     ``src`` are found once, and C-level passes test the bound on the
     sources of its edges (``g.edge_view``) against the nodes of those
-    types (:func:`_holds`). Only the edge types that fail are walked: one
-    pass over the nodes in sorted order, each count one read of
-    ``g.out_degree``."""
+    types (:func:`_holds`). Only the edge types that fail are walked: the
+    sources of each are counted, and one pass over the nodes in sorted
+    order reads each count there."""
     nodes, nt = g.graph.nodes, g.node_types
     node_types = list(map(nt.get, nodes))
     kinds = {t for t in set(node_types) if t is not None and t in tg.node_types}
     sources = g.edge_view.sources
     applies: dict[str, set[str]] = {}  # the node types that conform to each declared src
-    failing: list[tuple[str, Multiplicity, set[str]]] = []
+    failing: list[tuple[str, Multiplicity, set[str], Counter[str | None]]] = []
     for te in sorted(tg.edge_types):
         m = mult_of(tg, te)
         decl = tg.graph.src.get(te)
@@ -775,17 +752,16 @@ def check_multiplicities(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
             applies[decl] = {t for t in kinds if conforms(tg, t, decl)}
         fit = applies[decl]
         if fit and not _holds(sources.get(te, []), compress(nodes, map(fit.__contains__, node_types)), m):
-            failing.append((te, m, fit))
+            failing.append((te, m, fit, Counter(sources.get(te, []))))
     findings: list[Finding] = []
     if not failing:
         return report_from(findings)
-    out_degree = g.out_degree
     for n in sorted(nodes):
         tn = nt.get(n)
-        for te, m, fit in failing:
+        for te, m, fit, counts in failing:
             if tn not in fit:
                 continue
-            count = out_degree.get((n, te), 0)
+            count = counts[n]
             if count < m.lb:
                 findings.append(
                     Finding(

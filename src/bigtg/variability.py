@@ -144,7 +144,10 @@ def annotate_150(tg_sigma: TypeGraph) -> AnnotatedTypeGraph:
 
 def derive_type_graph(atg: AnnotatedTypeGraph, cfg: FeatureConfig) -> TypeGraph:
     """Resolve the variability: keep unannotated elements and those whose
-    presence condition evaluates to true, dropping anything dangling."""
+    presence condition evaluates to true, dropping anything dangling. An
+    edge type is kept when every end it has is a kept node type; a missing
+    end or bound is carried over as missing (``check_type_graph`` reports
+    it), unless a bound override is in force."""
     rep = validate_config(cfg)
     if not rep.ok:
         raise InvalidConfig(rep)
@@ -155,11 +158,12 @@ def derive_type_graph(atg: AnnotatedTypeGraph, cfg: FeatureConfig) -> TypeGraph:
         return ann is None or eval_formula(ann, sel)
 
     base = atg.base
+    src, tgt = base.graph.src, base.graph.tgt
     nodes = {t for t in base.graph.nodes if keep(("node", t))}
     edges = {
         e
         for e in base.graph.edges
-        if keep(("edge", e)) and base.graph.src[e] in nodes and base.graph.tgt[e] in nodes
+        if keep(("edge", e)) and all(ends[e] in nodes for ends in (src, tgt) if e in ends)
     }
     inherits = {
         (sub, sup)
@@ -168,11 +172,11 @@ def derive_type_graph(atg: AnnotatedTypeGraph, cfg: FeatureConfig) -> TypeGraph:
     }
     mult: dict[str, Multiplicity] = {}
     for e in edges:
-        m = base.mult[e]
         override = atg.mult_overrides.get(e)
         if override is not None and eval_formula(override[0], sel):
-            m = override[1]
-        mult[e] = m
+            mult[e] = override[1]
+        elif e in base.mult:
+            mult[e] = base.mult[e]
     attr_decls: dict[str, dict[str, str]] = {}
     for t in nodes:
         kept = {
@@ -184,8 +188,8 @@ def derive_type_graph(atg: AnnotatedTypeGraph, cfg: FeatureConfig) -> TypeGraph:
         graph=Graph(
             nodes=frozenset(nodes),
             edges=frozenset(edges),
-            src={e: base.graph.src[e] for e in edges},
-            tgt={e: base.graph.tgt[e] for e in edges},
+            src={e: src[e] for e in edges if e in src},
+            tgt={e: tgt[e] for e in edges if e in tgt},
         ),
         inherits=frozenset(inherits),
         abstracts=base.abstracts & nodes,

@@ -57,6 +57,32 @@ def assert_refused(value, message: str) -> None:
             assert fh.read() == "kept"
 
 
+# Brute-force references for the queries the library answers from its
+# edge view: each scans every edge or attribute, so a reference never
+# shares a grouping with the code it checks.
+
+
+def ref_outgoing(g: InstanceGraph, n: str, edge_type: str) -> list[str]:
+    """The edges of ``edge_type`` whose ``src`` is ``n``, sorted; a missing
+    end or type reads ``None``."""
+    return sorted(e for e in g.graph.edges if g.graph.src.get(e) == n and g.edge_types.get(e) == edge_type)
+
+
+def ref_incoming(g: InstanceGraph, n: str, edge_type: str) -> list[str]:
+    """The edges of ``edge_type`` whose ``tgt`` is ``n``, sorted."""
+    return sorted(e for e in g.graph.edges if g.graph.tgt.get(e) == n and g.edge_types.get(e) == edge_type)
+
+
+def ref_node_attrs(g: InstanceGraph, n: str) -> dict:
+    """The attribute values of ``n`` by name, in the order of ``g.attrs``."""
+    return {a: v for (node, a), v in g.attrs.items() if node == n}
+
+
+def ref_out_degree(g: InstanceGraph, n: str, edge_type: str) -> int:
+    """The number of edges of ``edge_type`` whose ``src`` is ``n``."""
+    return sum(1 for e in g.graph.edges if g.graph.src.get(e) == n and g.edge_types.get(e) == edge_type)
+
+
 def drop_edge(g: InstanceGraph, eid: str) -> InstanceGraph:
     return replace(
         g,

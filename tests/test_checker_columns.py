@@ -44,7 +44,16 @@ from bigtg.typedgraph import (
     walk_suspects,
 )
 
-from helpers import add_edge, drop_tgt, mutated_encodings, retarget_edge, retype_node, set_attr, type_graph_variants
+from helpers import (
+    add_edge,
+    drop_tgt,
+    mutated_encodings,
+    ref_out_degree,
+    retarget_edge,
+    retype_node,
+    set_attr,
+    type_graph_variants,
+)
 
 
 def reports(g: InstanceGraph, tg: TypeGraph, sig: Signature) -> list[ValidationReport]:
@@ -382,11 +391,10 @@ def ref_check_validity(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
 
 def ref_check_multiplicities(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     """``check_multiplicities`` as it was before the whole-column tests: a
-    pass over every node in sorted order, each count read from
-    ``out_degree``."""
+    pass over every node in sorted order, each count a brute-force scan
+    (``ref_out_degree``)."""
     findings: list[Finding] = []
     bounded = [te for te in sorted(tg.edge_types) if mult_of(tg, te) and tg.graph.src.get(te) in tg.node_types]
-    out_degree = g.out_degree
     # The bounded edge types that apply to each node type, with their bounds.
     applicable: dict[str, list[tuple[str, Multiplicity]]] = {}
     for n in sorted(g.graph.nodes):
@@ -397,7 +405,7 @@ def ref_check_multiplicities(g: InstanceGraph, tg: TypeGraph) -> ValidationRepor
         if bounds is None:
             bounds = applicable[tn] = [(te, mult_of(tg, te)) for te in bounded if conforms(tg, tn, tg.graph.src[te])]
         for te, m in bounds:
-            count = out_degree.get((n, te), 0)
+            count = ref_out_degree(g, n, te)
             if count < m.lb:
                 findings.append(
                     Finding(
@@ -423,13 +431,12 @@ def ref_check_arity_rule(g: InstanceGraph, tg: TypeGraph, sig: Signature) -> Val
     arities = {c: sig.arities.get(c) for c in sig.names if c in tg.node_types}
     arities = {c: arity for c, arity in arities.items() if is_arity(arity)}
     findings = bad_arities(sig)
-    out_degree = g.out_degree
     for n in sorted(g.graph.nodes):
         t = g.node_types.get(n)
         if t not in arities:
             continue
         want = arities[t]
-        got = out_degree.get((n, "bPorts"), 0)
+        got = ref_out_degree(g, n, "bPorts")
         if got != want:
             findings.append(
                 Finding(

@@ -3,8 +3,8 @@
 
 ``ref_check_typing`` and ``ref_check_multiplicities`` state the rules as
 first written: one ``conforms`` per edge end and per (node, bounded edge
-type) pair, one ``declared_attrs`` per attribute and one ``outgoing`` per
-count. ``memo_check_typing``, ``ref_check_validity`` and
+type) pair, one ``declared_attrs`` per attribute and one brute-force
+``ref_outgoing`` scan per count. ``memo_check_typing``, ``ref_check_validity`` and
 ``ref_check_arity_rule`` are verbatim copies of those checkers as they
 were before shape keys and counted opposites, when each walked every
 element in sorted order; ``opposite_of`` and ``_opposite_groups`` are
@@ -41,10 +41,9 @@ from bigtg.typedgraph import (
     check_validity,
     conforms,
     declared_attrs,
-    outgoing,
 )
 
-from helpers import EDGE_TYPES, NODE_TYPES, mutated_encodings, type_graph_variants
+from helpers import EDGE_TYPES, NODE_TYPES, mutated_encodings, ref_outgoing, type_graph_variants
 
 STRAY_IDS = ("ghost", "stray:1", "stray:2")
 
@@ -311,7 +310,7 @@ def ref_check_multiplicities(g: InstanceGraph, tg: TypeGraph) -> ValidationRepor
             m = tg.mult[te]
             if not conforms(tg, tn, tg.graph.src[te]):
                 continue
-            count = len(outgoing(g, n, te))
+            count = len(ref_outgoing(g, n, te))
             if count < m.lb:
                 findings.append(
                     Finding(
@@ -490,7 +489,7 @@ def ref_check_arity_rule(g: InstanceGraph, tg: TypeGraph, sig: Signature) -> Val
         if t not in control_types:
             continue
         want = sig.arity(t)
-        got = len(outgoing(g, n, "bPorts"))
+        got = len(ref_outgoing(g, n, "bPorts"))
         if got != want:
             findings.append(
                 Finding(

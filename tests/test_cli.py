@@ -199,6 +199,23 @@ def test_check_reports_violated_invariant(fixtures_dir, tmp_path, capsys, b1):
     assert err == "error constraint iv1@n:v3 n:v3.bChld = {n:v5, s:0}; forAll(c) fails at n:v5\n"
 
 
+def test_check_prints_the_pinned_findings_of_the_bad_corpus(fixtures_dir, capsys):
+    """Eight failing checks, each with its navigation trace, as CI pins
+    them for the installed console script."""
+    code, out, err = run(
+        capsys,
+        "check",
+        fx(fixtures_dir, "printer.ig.json"),
+        "--tg",
+        fx(fixtures_dir, "printer.tg.json"),
+        "--constraints",
+        fx(fixtures_dir, "corpus/bad.bgc"),
+    )
+    assert (code, out) == (1, "")
+    assert err == (fixtures_dir / "corpus" / "bad.check.err").read_text(encoding="utf-8")
+    assert len(err.splitlines()) == 8
+
+
 # The 54 configurations in print order: typing slowest, then roots,
 # sites and ports, each through none, explicit, and explicit and indexed.
 CONFIG_LINES = """

@@ -57,9 +57,9 @@ from bigtg.constraints import (
     typecheck,
 )
 from bigtg.generators import random_bigraph
-from bigtg.typedgraph import all_super, conforms, outgoing
+from bigtg.typedgraph import all_super, conforms
 
-from helpers import add_edge, drop_tgt, mutated_encodings, outcome
+from helpers import add_edge, drop_tgt, mutated_encodings, outcome, ref_outgoing
 
 _INT = ("int",)
 _BOOL = ("bool",)
@@ -180,7 +180,7 @@ def ref_eval(expr: Expr, env: dict[str, object], g: InstanceGraph, tg: TypeGraph
         if source == _EMPTY:
             return _EMPTY
         try:
-            targets = sorted({g.graph.tgt[e] for e in outgoing(g, source, expr.edge)})
+            targets = sorted({g.graph.tgt[e] for e in ref_outgoing(g, source, expr.edge)})
         except KeyError as exc:
             raise EvaluationError(
                 f"navigation {expr.edge!r} from {source} follows edge {exc.args[0]} without a tgt"
@@ -373,7 +373,7 @@ def instance_graphs(draw):
     edges = sorted(g.graph.edges)
     if kind == "no-tgt" and edges:
         g = drop_tgt(g, draw(st.sampled_from(edges)))
-    children = sorted(n for n in g.graph.nodes if outgoing(g, n, "bPrnt"))
+    children = sorted(n for n in g.graph.nodes if ref_outgoing(g, n, "bPrnt"))
     if kind == "second-parent" and children:
         child, parent = draw(st.sampled_from(children)), draw(st.sampled_from(sorted(g.graph.nodes)))
         g = add_edge(g, f"bPrnt:{child}:{parent}:again", "bPrnt", child, parent)

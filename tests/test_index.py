@@ -1,14 +1,17 @@
-"""The cached instance-graph indexes against brute-force scanning.
+"""The instance-graph edge view and the helpers over it against
+brute-force scanning.
 
-Each reference below scans every edge or attribute per query, which is
-what the indexed helpers must reproduce: the same edges in the same
-order, the same attribute dicts, the same reconfigured graphs (or the
-same exception) for all 54 configurations, and the same saved text.
+Each reference (here and in ``helpers``) scans every edge or attribute
+per query, which is what the view and the helpers must reproduce: the
+same edges in the same order, the same attribute dicts, the same
+reconfigured graphs (or the same exception) for all 54 configurations,
+and the same saved text.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -26,25 +29,20 @@ from bigtg.mapping import check_arity_rule, check_soundness, conformance, decode
 from bigtg.typedgraph import check_multiplicities, incoming, node_attrs, outgoing, typed_edges
 from bigtg.variability import DELTAS, _delete_nodes, _implicit_ports, eval_formula
 
-from helpers import EDGE_TYPES, add_edge, drop_edge, mutated_encodings, outcome, retarget_edge
+from helpers import (
+    EDGE_TYPES,
+    add_edge,
+    drop_edge,
+    mutated_encodings,
+    outcome,
+    ref_incoming,
+    ref_node_attrs,
+    ref_out_degree,
+    ref_outgoing,
+    retarget_edge,
+)
 from test_checker_tables import ref_check_arity_rule, ref_check_multiplicities
 from test_mapping_table import ref_check_soundness, ref_decode
-
-
-def ref_outgoing(g: InstanceGraph, n: str, edge_type: str) -> list[str]:
-    return sorted(
-        e for e in g.graph.edges if g.graph.src.get(e) == n and g.edge_types.get(e) == edge_type
-    )
-
-
-def ref_incoming(g: InstanceGraph, n: str, edge_type: str) -> list[str]:
-    return sorted(
-        e for e in g.graph.edges if g.graph.tgt.get(e) == n and g.edge_types.get(e) == edge_type
-    )
-
-
-def ref_node_attrs(g: InstanceGraph, n: str) -> dict:
-    return {a: v for (node, a), v in g.attrs.items() if node == n}
 
 
 def ref_implicit_ports(g: InstanceGraph, sig) -> InstanceGraph:
@@ -133,6 +131,11 @@ def test_indexed_helpers_match_scanning(case):
     assert outcome(fileio.dumps_canonical, g) == outcome(ref_dumps, g)
 
 
+def test_node_attrs_keep_the_order_of_attrs():
+    g = InstanceGraph(graph=Graph(nodes=frozenset({"n"})), attrs={("n", "z"): 1, ("m", "b"): 2, ("n", "a"): 3})
+    assert list(node_attrs(g, "n").items()) == list(ref_node_attrs(g, "n").items()) == [("z", 1), ("a", 3)]
+
+
 def _without_tgt(g: InstanceGraph, eid: str) -> InstanceGraph:
     tgt = {e: t for e, t in g.graph.tgt.items() if e != eid}
     return replace(g, graph=replace(g.graph, tgt=tgt))
@@ -178,40 +181,43 @@ def test_implicit_ports_sees_edges_moved_by_earlier_ports(g1, sig1, mutate, expe
 @given(mutated_encodings())
 @settings(max_examples=60, deadline=None)
 def test_out_degree_and_typed_edges_match_brute_force(case):
-    """And so do the two checkers that count from ``out_degree``."""
+    """And so do the two checkers that count sources in the edge view."""
     g, b = case
     tg = extend_for_signature(b.signature)
     assert check_multiplicities(g, tg) == ref_check_multiplicities(g, tg)
     assert check_arity_rule(g, tg, b.signature) == ref_check_arity_rule(g, tg, b.signature)
-    src, types = g.graph.src, g.edge_types
+    view, types = g.edge_view, g.edge_types
     ends = sorted(g.graph.nodes) + ["ghost", None]
-    for n in ends:
-        for te in EDGE_TYPES + (None,):
-            want = sum(1 for e in g.graph.edges if src.get(e) == n and types.get(e) == te)
-            assert g.out_degree[n, te] == want
-    assert sum(g.out_degree.values()) == len(g.graph.edges)
+    for te in EDGE_TYPES + (None,):
+        counts = Counter(view.sources.get(te, ()))
+        groups = view.by_source(te)
+        for n in ends:
+            assert counts[n] == ref_out_degree(g, n, te)
+            assert sorted(groups.get(n, ())) == ref_outgoing(g, n, te)
+        assert sum(map(len, groups.values())) == sum(counts.values())
     for te in EDGE_TYPES:
         picked = typed_edges(g, te)
         assert picked == [e for e in g.graph.edges if types.get(e) == te]
 
 
-def _indexed(g: InstanceGraph) -> list[str]:
-    return [name for name in ("out_index", "in_index") if name in vars(g)]
+def _navigated(g: InstanceGraph) -> list:
+    """The edge types grouped by source for navigation, if the view is built."""
+    return list(vars(g)["edge_view"]._by_source) if "edge_view" in vars(g) else []
 
 
 @given(mutated_encodings())
 @settings(max_examples=30, deadline=None)
 def test_checkers_decode_and_deltas_build_no_adjacency_index(case):
-    """Counts and single-edge-type passes stand in for the adjacency
-    index everywhere but constraint navigation."""
+    """Counts and single-edge-type passes stand in for the navigation
+    groups everywhere but constraint navigation."""
     g, b = case
     sig = b.signature
     conformance(g, extend_for_signature(sig), sig)
     outcome(decode, g, sig)
     check_soundness(b, g, encode(b)[1])
     results = [outcome(apply_deltas, g, cfg, sig) for cfg in enumerate_configs()]
-    assert _indexed(g) == []
-    assert all(_indexed(r) == [] for r in results if isinstance(r, InstanceGraph))
+    assert _navigated(g) == []
+    assert all(_navigated(r) == [] for r in results if isinstance(r, InstanceGraph))
 
 
 def _untyped_beside_ports(g: InstanceGraph) -> list[InstanceGraph]:

@@ -34,9 +34,8 @@ from bigtg.mapping import (
     extend_for_signature,
 )
 from bigtg.report import Finding, ValidationReport, report_from
-from bigtg.typedgraph import node_attrs, outgoing
 
-from helpers import drop_edge, mutated_encodings, outcome
+from helpers import drop_edge, mutated_encodings, outcome, ref_node_attrs, ref_outgoing
 
 # Element kinds of a bigraph; the tags realize the disjointness that the
 # index/name substitutions provide on paper.
@@ -241,12 +240,12 @@ def ref_decode(g: InstanceGraph, sig: Signature) -> tuple[Bigraph, ElementMap]:
 
     roots = _index_range(
         K_ROOT,
-        [(gid, node_attrs(g, gid).get("index")) for gid in by_type.get("BRoot", [])],
+        [(gid, ref_node_attrs(g, gid).get("index")) for gid in by_type.get("BRoot", [])],
         "root",
     )
     sites = _index_range(
         K_SITE,
-        [(gid, node_attrs(g, gid).get("index")) for gid in by_type.get("BSite", [])],
+        [(gid, ref_node_attrs(g, gid).get("index")) for gid in by_type.get("BSite", [])],
         "site",
     )
     for i, gid in roots.items():
@@ -259,13 +258,13 @@ def ref_decode(g: InstanceGraph, sig: Signature) -> tuple[Bigraph, ElementMap]:
     # Ports: owner via the unique ownership edge, index per owner gap-free.
     ports_by_owner: dict[str, list[tuple[str, object]]] = {}
     for gid in by_type.get("BPort", []):
-        own = outgoing(g, gid, "bNode")
+        own = ref_outgoing(g, gid, "bNode")
         if len(own) != 1:
             raise NotCanonical(f"port {gid} has {len(own)} ownership edges")
         owner_gid = g.graph.tgt[own[0]]
         if owner_gid not in gid_to_node:
             raise NotCanonical(f"port {gid} owned by non-control node {owner_gid}")
-        ports_by_owner.setdefault(owner_gid, []).append((gid, node_attrs(g, gid).get("index")))
+        ports_by_owner.setdefault(owner_gid, []).append((gid, ref_node_attrs(g, gid).get("index")))
     port_of_gid: dict[str, Port] = {}
     for owner_gid, entries in sorted(ports_by_owner.items()):
         indexed = _index_range(K_PORT, entries, f"port (node {gid_to_node[owner_gid]})")
@@ -437,7 +436,7 @@ def ref_check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Valid
     for n in sorted(g.graph.nodes):
         if g.node_types.get(n) != "BPort":
             continue
-        own = outgoing(g, n, "bNode")
+        own = ref_outgoing(g, n, "bNode")
         if len(own) != 1:
             flag("sound-port-index", n, f"port node has {len(own)} ownership edges")
             continue
@@ -528,7 +527,7 @@ def near_canonical(draw):
                 (e, o)
                 for e in g.graph.edges
                 if g.edge_types.get(e) == fwd_type
-                for o in g.out_index.get((g.graph.tgt.get(e), opp_type), ())
+                for o in ref_outgoing(g, g.graph.tgt.get(e), opp_type)
                 if g.graph.tgt.get(o) == g.graph.src.get(e)
             )
             if not pairs:

@@ -573,8 +573,8 @@ def test_port_agrees_with_its_named_tuple(node, index, node2, index2):
 
 def test_cached_indexes_survive_freezing():
     g = typedgraph.InstanceGraph(typedgraph.Graph({"a", "b"}, {"e"}, {"e": "a"}, {"e": "b"}), edge_types={"e": "t"})
-    assert g.out_index is g.out_index and g.out_index == {("a", "t"): ("e",)}
-    assert g.in_index == {("b", "t"): ("e",)}
+    assert g.edge_view is g.edge_view and g.edge_view.by_type == {"t": ["e"]}
+    assert g.edge_view.by_source("t") is g.edge_view.by_source("t") and g.edge_view.by_source("t") == {"a": ["e"]}
     tg = typedgraph.TypeGraph(typedgraph.Graph({"A", "B"}), inherits={("B", "A")})
     assert tg._supertypes is tg._supertypes and tg._supertypes == {"B": frozenset({"A"})}
     with pytest.raises(_value.FrozenInstanceError):

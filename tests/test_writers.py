@@ -29,7 +29,7 @@ from bigtg import (
 )
 from bigtg.generators import random_bigraph, random_signature
 
-from helpers import assert_refused, mutated_encodings, outcome
+from helpers import assert_refused, mutated_encodings, outcome, ref_node_attrs
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +99,7 @@ def ref_instancegraph_payload(g):
     """The earlier writer, which dropped an attribute of an id that is no node."""
     node_entries = []
     for n in sorted(g.graph.nodes):
-        attrs = dict(sorted(g.attr_index.get(n, {}).items()))
+        attrs = dict(sorted(ref_node_attrs(g, n).items()))
         node_entries.append({"attrs": attrs, "id": n, "type": g.node_types.get(n)})
     edge_entries = []
     for e in sorted(g.graph.edges):
