@@ -5,9 +5,11 @@ Builds the office printing example (two connected rooms, a printer wired
 to a spool and a computer, a user holding a job and identified by an
 outer name), its signature, type graph and canonical encoding, the
 constraint document, feature configurations, and a small good/bad corpus
-for exercising the validate and check subcommands. ``corpus/bad.check.err``
-is not written here: it pins what ``bigtg check`` prints for
-``corpus/bad.bgc`` on the printer model.
+for exercising the validate and check subcommands, and prints the path of
+each file it writes. ``corpus/bad.check.err`` and
+``corpus/bad-syntax.check.err`` are not written here: they pin what
+``bigtg check`` prints for ``corpus/bad.bgc`` and
+``corpus/bad-syntax.bgc`` on the printer model.
 """
 
 from __future__ import annotations
@@ -55,6 +57,14 @@ context Room
 context BPort
   inv outer:
     self.bLink.bPoints->exists(p | p.bLink.oclIsTypeOf(BOuterName))
+"""
+
+#: A dangling ``->`` before a connective, which ``bigtg check`` refuses
+#: with one syntax error.
+BAD_SYNTAX = """\
+context Spool
+  inv holdsJobs:
+    self.bChld->size() >= 1 and self.bChld-> implies true
 """
 
 
@@ -128,30 +138,35 @@ def main() -> None:
     FIXTURES.mkdir(exist_ok=True)
     corpus = FIXTURES / "corpus"
     corpus.mkdir(exist_ok=True)
+    written = []
+
+    def write(value, path: pathlib.Path) -> None:
+        if isinstance(value, str):
+            path.write_text(value, encoding="utf-8")
+        else:
+            fileio.save(value, str(path))
+        written.append(path)
 
     sig = printer_signature()
     b1 = printer_bigraph()
     g1, _ = encode(b1)
 
-    fileio.save(sig, str(FIXTURES / "printer.sig.json"))
-    fileio.save(b1, str(FIXTURES / "printer.bg.json"))
-    fileio.save(extend_for_signature(sig), str(FIXTURES / "printer.tg.json"))
-    fileio.save(g1, str(FIXTURES / "printer.ig.json"))
-    (FIXTURES / "office.bgc").write_text(OFFICE_CONSTRAINTS, encoding="utf-8")
-    fileio.save(FeatureConfig.canonical(), str(FIXTURES / "canonical.cfg.json"))
-    fileio.save(
-        FeatureConfig(frozenset({"WT", "ER", "RI", "ES", "SI", "EP", "PI"})),
-        str(FIXTURES / "weak.cfg.json"),
-    )
+    write(sig, FIXTURES / "printer.sig.json")
+    write(b1, FIXTURES / "printer.bg.json")
+    write(extend_for_signature(sig), FIXTURES / "printer.tg.json")
+    write(g1, FIXTURES / "printer.ig.json")
+    write(OFFICE_CONSTRAINTS, FIXTURES / "office.bgc")
+    write(FeatureConfig.canonical(), FIXTURES / "canonical.cfg.json")
+    write(FeatureConfig(frozenset({"WT", "ER", "RI", "ES", "SI", "EP", "PI"})), FIXTURES / "weak.cfg.json")
 
     good_b = corpus_bigraph()
     good_g, _ = encode(good_b)
-    fileio.save(good_b, str(corpus / "good.bg.json"))
-    fileio.save(good_g, str(corpus / "good.ig.json"))
-    fileio.save(FeatureConfig.canonical(), str(corpus / "good.cfg.json"))
+    write(good_b, corpus / "good.bg.json")
+    write(good_g, corpus / "good.ig.json")
+    write(FeatureConfig.canonical(), corpus / "good.cfg.json")
 
     bad_b = replace(good_b, prnt={**good_b.prnt, "u": "u"})
-    fileio.save(bad_b, str(corpus / "bad.bg.json"))
+    write(bad_b, corpus / "bad.bg.json")
     dropped = sorted(e for e in good_g.graph.edges if good_g.edge_types[e] == "bChld")[0]
     bad_g = replace(
         good_g,
@@ -163,13 +178,13 @@ def main() -> None:
         ),
         edge_types={e: t for e, t in good_g.edge_types.items() if e != dropped},
     )
-    fileio.save(bad_g, str(corpus / "bad.ig.json"))
-    fileio.save(FeatureConfig(frozenset({"ST", "WT", "RI"})), str(corpus / "bad.cfg.json"))
-    (corpus / "bad.bgc").write_text(BAD_CONSTRAINTS, encoding="utf-8")
+    write(bad_g, corpus / "bad.ig.json")
+    write(FeatureConfig(frozenset({"ST", "WT", "RI"})), corpus / "bad.cfg.json")
+    write(BAD_CONSTRAINTS, corpus / "bad.bgc")
+    write(BAD_SYNTAX, corpus / "bad-syntax.bgc")
 
-    for path in sorted(FIXTURES.rglob("*")):
-        if path.is_file():
-            print("wrote", path.relative_to(FIXTURES.parent))
+    for path in sorted(written):
+        print("wrote", path.relative_to(FIXTURES.parent))
 
 
 if __name__ == "__main__":

@@ -199,6 +199,42 @@ class ConstraintDoc:
 
 
 # ---------------------------------------------------------------------------
+# Concrete syntax: one table for the printer and the parser
+
+_PREC_LET = 0
+_PREC_IMPLIES = 1
+_PREC_OR = 2
+_PREC_AND = 3
+_PREC_NOT = 4
+_PREC_CMP = 5
+_PREC_POSTFIX = 6
+
+
+#: The syntax of each construct but ``BoolLit`` (a keyword), stated once:
+#: its template over its fields, its precedence, and the least precedence
+#: each sub-expression field takes without parentheses. The printer
+#: parenthesizes by it, and the parser climbs by it.
+_SYNTAX: dict[type, tuple[str, int, dict[str, int]]] = {
+    SelfRef: ("self", _PREC_POSTFIX, {}),
+    VarRef: ("{name}", _PREC_POSTFIX, {}),
+    IntLit: ("{value}", _PREC_POSTFIX, {}),
+    Nav: ("{obj}.{edge}", _PREC_POSTFIX, {"obj": _PREC_POSTFIX}),
+    IsTypeOf: ("{obj}.oclIsTypeOf({type_name})", _PREC_POSTFIX, {"obj": _PREC_POSTFIX}),
+    AsType: ("{obj}.oclAsType({type_name})", _PREC_POSTFIX, {"obj": _PREC_POSTFIX}),
+    SizeOp: ("{obj}->size()", _PREC_POSTFIX, {"obj": _PREC_POSTFIX}),
+    FirstOp: ("{obj}->first()", _PREC_POSTFIX, {"obj": _PREC_POSTFIX}),
+    ForAll: ("{obj}->forAll({var} | {body})", _PREC_POSTFIX, {"obj": _PREC_POSTFIX, "body": _PREC_LET}),
+    Exists: ("{obj}->exists({var} | {body})", _PREC_POSTFIX, {"obj": _PREC_POSTFIX, "body": _PREC_LET}),
+    NotOp: ("not {operand}", _PREC_NOT, {"operand": _PREC_NOT}),
+    AndOp: ("{left} and {right}", _PREC_AND, {"left": _PREC_AND, "right": _PREC_AND + 1}),
+    OrOp: ("{left} or {right}", _PREC_OR, {"left": _PREC_OR, "right": _PREC_OR + 1}),
+    ImpliesOp: ("{left} implies {right}", _PREC_IMPLIES, {"left": _PREC_IMPLIES + 1, "right": _PREC_IMPLIES}),
+    Compare: ("{left} {op} {right}", _PREC_CMP, {"left": _PREC_POSTFIX, "right": _PREC_POSTFIX}),
+    Let: ("let {name} : {decl_type} = {value} {body}", _PREC_LET, {"value": _PREC_IMPLIES, "body": _PREC_LET}),
+}
+
+
+# ---------------------------------------------------------------------------
 # Lexer / parser
 
 
@@ -247,6 +283,11 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+#: The connectives read before an operand and between two, by token.
+_PREFIX = {"let": Let, "not": NotOp}
+_INFIX = {"implies": ImpliesOp, "or": OrOp, "and": AndOp, **dict.fromkeys(("=", "<", "<=", ">", ">="), Compare)}
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
@@ -265,16 +306,14 @@ class _Parser:
         tok = self.peek()
         return ConstraintSyntaxError(message, tok.line, tok.col)
 
-    def expect_op(self, op: str) -> None:
-        tok = self.peek()
-        if tok.kind != "op" or tok.value != op:
-            raise self.error(f"expected {op!r}")
-        self.advance()
+    def at(self, value: str) -> bool:
+        """Whether the next token is the keyword or operator ``value``; no
+        name or integer spells one."""
+        return self.peek().value == value
 
-    def expect_keyword(self, kw: str) -> None:
-        tok = self.peek()
-        if tok.kind != "keyword" or tok.value != kw:
-            raise self.error(f"expected keyword {kw!r}")
+    def expect(self, value: str) -> None:
+        if not self.at(value):
+            raise self.error(f"expected keyword {value!r}" if value in KEYWORDS else f"expected {value!r}")
         self.advance()
 
     def expect_name(self, what: str) -> str:
@@ -284,24 +323,16 @@ class _Parser:
         self.advance()
         return tok.value
 
-    def at_keyword(self, kw: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "keyword" and tok.value == kw
-
-    def at_op(self, op: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.value == op
-
     def parse_doc(self) -> ConstraintDoc:
         invariants: list[Invariant] = []
         while not self.peek().kind == "eof":
-            self.expect_keyword("context")
+            self.expect("context")
             context = self.expect_name("a context type name")
-            while self.at_keyword("inv"):
+            while self.at("inv"):
                 self.advance()
                 at = self.peek()
                 name = self.expect_name("an invariant name")
-                self.expect_op(":")
+                self.expect(":")
                 body = self.parse_expr()
                 depth = _depth(body)
                 if depth > MAX_DEPTH:
@@ -311,84 +342,67 @@ class _Parser:
                 invariants.append(Invariant(context, name, body))
         return ConstraintDoc(tuple(invariants))
 
-    def parse_expr(self) -> Expr:
-        if self.at_keyword("let"):
+    def parse_expr(self, least: int = _PREC_LET) -> Expr:
+        """An expression that binds at least as tightly as ``least``, by
+        precedence climbing over ``_SYNTAX``: a ``let`` or ``not`` that
+        binds that tightly, or else a postfix chain, then each infix
+        connective that binds that tightly and takes what precedes it as
+        its left operand."""
+        cls = _PREFIX.get(self.peek().value)
+        if cls is not None and _SYNTAX[cls][1] >= least:
             self.advance()
-            name = self.expect_name("a binding name")
-            self.expect_op(":")
-            decl = self.expect_name("a type name")
-            self.expect_op("=")
-            value = self.parse_implies()
-            body = self.parse_expr()
-            return Let(name, decl, value, body)
-        return self.parse_implies()
-
-    def parse_implies(self) -> Expr:
-        left = self.parse_or()
-        if self.at_keyword("implies"):
-            self.advance()
-            return ImpliesOp(left, self.parse_implies())
-        return left
-
-    def parse_or(self) -> Expr:
-        left = self.parse_and()
-        while self.at_keyword("or"):
-            self.advance()
-            left = OrOp(left, self.parse_and())
-        return left
-
-    def parse_and(self) -> Expr:
-        left = self.parse_unary()
-        while self.at_keyword("and"):
-            self.advance()
-            left = AndOp(left, self.parse_unary())
-        return left
-
-    def parse_unary(self) -> Expr:
-        if self.at_keyword("not"):
-            self.advance()
-            return NotOp(self.parse_unary())
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> Expr:
-        left = self.parse_postfix()
-        tok = self.peek()
-        if tok.kind == "op" and tok.value in ("=", "<", "<=", ">", ">="):
-            self.advance()
-            return Compare(tok.value, left, self.parse_postfix())
+            _, prec, subs = _SYNTAX[cls]
+            if cls is NotOp:
+                left = NotOp(self.parse_expr(subs["operand"]))
+            else:
+                name = self.expect_name("a binding name")
+                self.expect(":")
+                decl = self.expect_name("a type name")
+                self.expect("=")
+                value = self.parse_expr(subs["value"])
+                left = Let(name, decl, value, self.parse_expr(subs["body"]))
+        else:
+            left, prec = self.parse_postfix(), _PREC_POSTFIX
+        while (cls := _INFIX.get(self.peek().value)) is not None:
+            _, op_prec, subs = _SYNTAX[cls]
+            if op_prec < least or prec < subs["left"]:
+                return left
+            op = self.advance().value
+            right = self.parse_expr(subs["right"])
+            left, prec = (Compare(op, left, right) if cls is Compare else cls(left, right)), op_prec
         return left
 
     def parse_postfix(self) -> Expr:
         expr = self.parse_primary()
         while True:
-            if self.at_op("."):
+            if self.at("."):
                 self.advance()
                 tok = self.peek()
                 if tok.kind == "keyword" and tok.value in ("oclIsTypeOf", "oclAsType"):
                     self.advance()
-                    self.expect_op("(")
+                    self.expect("(")
                     type_name = self.expect_name("a type name")
-                    self.expect_op(")")
+                    self.expect(")")
                     cls = IsTypeOf if tok.value == "oclIsTypeOf" else AsType
                     expr = cls(expr, type_name)
                 else:
                     expr = Nav(expr, self.expect_name("an edge type name"))
-            elif self.at_op("->"):
+            elif self.at("->"):
                 self.advance()
                 tok = self.peek()
                 if tok.kind == "keyword" and tok.value in ("forAll", "exists"):
                     self.advance()
-                    self.expect_op("(")
+                    self.expect("(")
                     var = self.expect_name("an iterator variable")
-                    self.expect_op("|")
+                    self.expect("|")
                     body = self.parse_expr()
-                    self.expect_op(")")
+                    self.expect(")")
                     cls = ForAll if tok.value == "forAll" else Exists
                     expr = cls(expr, var, body)
                 elif tok.kind == "keyword" and tok.value in ("size", "first"):
                     self.advance()
-                    self.expect_op("(")
-                    self.expect_op(")")
+                    self.expect("(")
+                    self.expect(")")
                     expr = SizeOp(expr) if tok.value == "size" else FirstOp(expr)
                 else:
                     raise self.error("expected a collection operation")
@@ -412,7 +426,7 @@ class _Parser:
         if tok.kind == "op" and tok.value == "(":
             self.advance()
             inner = self.parse_expr()
-            self.expect_op(")")
+            self.expect(")")
             return inner
         raise self.error("expected an expression")
 
@@ -431,9 +445,12 @@ def _depth(expr: Expr) -> int:
 def parse_constraints(text: str) -> ConstraintDoc:
     """Parse a constraint document; errors carry line and column.
 
-    Nesting that the parser cannot recurse through, and an invariant
-    deeper than ``MAX_DEPTH`` levels, are syntax errors too: compilation,
-    evaluation and printing recurse at every level."""
+    An invariant deeper than ``MAX_DEPTH`` levels is a syntax error too,
+    as compilation, evaluation and printing recurse at every level. The
+    parser takes each level of an invariant within ``MAX_DEPTH`` in a few
+    frames, so every document that ``format_constraints`` prints parses
+    back; only redundant parentheses nested several hundred deep exhaust
+    it, and they give ``expression nested too deeply``."""
     parser = _Parser(_tokenize(text))
     try:
         return parser.parse_doc()
@@ -443,37 +460,6 @@ def parse_constraints(text: str) -> ConstraintDoc:
 
 # ---------------------------------------------------------------------------
 # Printer
-
-_PREC_LET = 0
-_PREC_IMPLIES = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_NOT = 4
-_PREC_CMP = 5
-_PREC_POSTFIX = 6
-
-
-#: The syntax of each construct but ``BoolLit`` (a keyword), stated once:
-#: its template over its fields, its precedence, and the least precedence
-#: each sub-expression field takes without parentheses.
-_SYNTAX: dict[type, tuple[str, int, dict[str, int]]] = {
-    SelfRef: ("self", _PREC_POSTFIX, {}),
-    VarRef: ("{name}", _PREC_POSTFIX, {}),
-    IntLit: ("{value}", _PREC_POSTFIX, {}),
-    Nav: ("{obj}.{edge}", _PREC_POSTFIX, {"obj": _PREC_POSTFIX}),
-    IsTypeOf: ("{obj}.oclIsTypeOf({type_name})", _PREC_POSTFIX, {"obj": _PREC_POSTFIX}),
-    AsType: ("{obj}.oclAsType({type_name})", _PREC_POSTFIX, {"obj": _PREC_POSTFIX}),
-    SizeOp: ("{obj}->size()", _PREC_POSTFIX, {"obj": _PREC_POSTFIX}),
-    FirstOp: ("{obj}->first()", _PREC_POSTFIX, {"obj": _PREC_POSTFIX}),
-    ForAll: ("{obj}->forAll({var} | {body})", _PREC_POSTFIX, {"obj": _PREC_POSTFIX, "body": _PREC_LET}),
-    Exists: ("{obj}->exists({var} | {body})", _PREC_POSTFIX, {"obj": _PREC_POSTFIX, "body": _PREC_LET}),
-    NotOp: ("not {operand}", _PREC_NOT, {"operand": _PREC_NOT}),
-    AndOp: ("{left} and {right}", _PREC_AND, {"left": _PREC_AND, "right": _PREC_AND + 1}),
-    OrOp: ("{left} or {right}", _PREC_OR, {"left": _PREC_OR, "right": _PREC_OR + 1}),
-    ImpliesOp: ("{left} implies {right}", _PREC_IMPLIES, {"left": _PREC_IMPLIES + 1, "right": _PREC_IMPLIES}),
-    Compare: ("{left} {op} {right}", _PREC_CMP, {"left": _PREC_POSTFIX, "right": _PREC_POSTFIX}),
-    Let: ("let {name} : {decl_type} = {value} {body}", _PREC_LET, {"value": _PREC_IMPLIES, "body": _PREC_LET}),
-}
 
 
 def _fmt(expr: Expr, parent: int) -> str:
@@ -556,13 +542,11 @@ def _compile(expr: Expr, env_types: Mapping[str, tuple], tg: TypeGraph) -> tuple
             if start == _EMPTY:
                 return _EMPTY
             edges, tgt = g.edge_view.by_source(edge).get(start, _EMPTY), g.graph.tgt
-            try:
-                targets = tuple(sorted({tgt[e] for e in edges}))
-            except KeyError:
-                lacking = min(e for e in edges if e not in tgt)
-                raise EvaluationError(
-                    f"navigation {edge!r} from {start} follows edge {lacking} without a tgt"
-                ) from None
+            ends = {tgt.get(e) for e in edges}
+            if None in ends:
+                lacking = min(e for e in edges if tgt.get(e) is None)
+                raise EvaluationError(f"navigation {edge!r} from {start} follows edge {lacking} without a tgt")
+            targets = tuple(sorted(ends))
             trace.append(f"{start}.{edge} = {_render(targets)}")
             if not single:
                 return targets

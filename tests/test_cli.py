@@ -216,6 +216,22 @@ def test_check_prints_the_pinned_findings_of_the_bad_corpus(fixtures_dir, capsys
     assert len(err.splitlines()) == 8
 
 
+def test_check_prints_the_pinned_syntax_error(fixtures_dir, capsys):
+    """A dangling ``->`` is one syntax error at its line and column, exit 2,
+    as CI pins it for the installed console script."""
+    code, out, err = run(
+        capsys,
+        "check",
+        fx(fixtures_dir, "printer.ig.json"),
+        "--tg",
+        fx(fixtures_dir, "printer.tg.json"),
+        "--constraints",
+        fx(fixtures_dir, "corpus/bad-syntax.bgc"),
+    )
+    assert (code, out) == (2, "")
+    assert err == (fixtures_dir / "corpus" / "bad-syntax.check.err").read_text(encoding="utf-8")
+
+
 # The 54 configurations in print order: typing slowest, then roots,
 # sites and ports, each through none, explicit, and explicit and indexed.
 CONFIG_LINES = """

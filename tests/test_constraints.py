@@ -23,14 +23,20 @@ from bigtg import (
 )
 from bigtg.constraints import (
     MAX_DEPTH,
+    AndOp,
+    BoolLit,
     Compare,
     ConstraintDoc,
+    Exists,
+    Expr,
     ForAll,
+    ImpliesOp,
     IntLit,
     Invariant,
     IsTypeOf,
     Let,
     Nav,
+    NotOp,
     OrOp,
     SelfRef,
     VarRef,
@@ -244,6 +250,62 @@ def test_deepest_allowed_invariant_is_checked_printed_and_evaluated(nesting, g1,
 def test_deeper_invariant_is_a_syntax_error_at_its_name(nesting):
     with pytest.raises(ConstraintSyntaxError, match="nested 201 levels deep") as err:
         parse_constraints("context Spool\n  inv deep: " + NESTINGS[nesting](MAX_DEPTH + 1))
+    assert (err.value.line, err.value.col) == (2, 7)
+
+
+def _levels(expr) -> int:
+    """The depth of ``expr``'s syntax tree, as ``MAX_DEPTH`` bounds it."""
+    return 1 + max((_levels(child) for child in vars(expr).values() if isinstance(child, Expr)), default=0)
+
+
+def _nest(depth: int, leaf, wrap):
+    """``wrap`` applied to ``leaf`` until the tree is ``depth`` levels deep."""
+    expr = leaf
+    while _levels(expr) < depth:
+        expr = wrap(expr)
+    return expr
+
+
+TRUE, FALSE = BoolLit(True), BoolLit(False)
+
+#: One construct nested in one of its fields, built to a given depth, and
+#: whether the chain types as a Spool invariant. All but ``not`` and
+#: ``nav-over-or`` nest where the printer puts parentheses, or in an
+#: iteration body.
+CHAINS = {
+    "not": (lambda d: _nest(d, TRUE if d % 2 else FALSE, NotOp), True),
+    "nav-over-or": (lambda d: _nest(d, OrOp(TRUE, TRUE), lambda e: Nav(e, "bChld")), False),
+    "forAll-body": (lambda d: _nest(d, TRUE, lambda e: ForAll(Nav(SelfRef(), "bChld"), "c", e)), True),
+    "exists-body": (lambda d: _nest(d, TRUE, lambda e: Exists(Nav(SelfRef(), "bChld"), "c", e)), True),
+    "implies-left": (lambda d: _nest(d, TRUE, lambda e: ImpliesOp(e, TRUE)), True),
+    "and-right": (lambda d: _nest(d, TRUE, lambda e: AndOp(TRUE, e)), True),
+    "or-right": (lambda d: _nest(d, TRUE, lambda e: OrOp(FALSE, e)), True),
+    "let-value": (
+        lambda d: Let(
+            "x",
+            "integer",
+            _nest(d - 1, IntLit(1), lambda e: Let("x", "integer", e, VarRef("x"))),
+            Compare("=", VarRef("x"), IntLit(1)),
+        ),
+        True,
+    ),
+    "compare-left": (lambda d: _nest(d, IntLit(1), lambda e: Compare("=", e, IntLit(1))), False),
+}
+
+
+@pytest.mark.parametrize("chain", list(CHAINS))
+def test_deepest_printed_invariant_parses_back(chain, g1, tg_sigma1):
+    """The chain ``MAX_DEPTH`` levels deep parses back equal from its
+    printed text, and one level deeper is refused at the invariant's name."""
+    build, typed = CHAINS[chain]
+    doc = ConstraintDoc((Invariant("Spool", "deep", build(MAX_DEPTH)),))
+    assert _levels(doc.invariants[0].body) == MAX_DEPTH
+    assert parse_constraints(format_constraints(doc)) == doc
+    if typed:
+        assert evaluate(doc, g1, tg_sigma1).all_passed
+    deeper = ConstraintDoc((Invariant("Spool", "deep", build(MAX_DEPTH + 1)),))
+    with pytest.raises(ConstraintSyntaxError, match="nested 201 levels deep") as err:
+        parse_constraints(format_constraints(deeper))
     assert (err.value.line, err.value.col) == (2, 7)
 
 

@@ -5,8 +5,9 @@ Such an edge is a typing defect (``check_typing`` reports it as
 ``typing-edge-ends``), and such an edge type a type-graph defect
 (``tg-edge-ends``); the other layers must still answer with findings or
 their declared exception, never a ``KeyError``. Constraint navigation
-raises ``EvaluationError`` only for an edge without a ``tgt`` that it
-reaches, naming the smallest such edge of the start node, and
+raises ``EvaluationError`` only for an edge without a ``tgt`` (or with
+a ``tgt`` of ``None``) that it reaches, naming the smallest such edge of
+the start node, and
 ``derive_type_graph`` carries a missing end or bound over to the
 variant, where ``check_type_graph`` reports it.
 """
@@ -151,6 +152,25 @@ def test_the_smaller_id_is_named_when_the_graph_holds_the_larger_first(g1, tg_si
     with pytest.raises(EvaluationError) as exc:
         evaluate(ROOM_CHILDREN, g, tg_sigma1)
     assert str(exc.value) == f"navigation 'bChld' from n:v0 follows edge {smaller} without a tgt"
+
+
+@pytest.mark.parametrize(
+    "edge, start",
+    [
+        # The only bChld edge of room n:v4.
+        ("bChld:n:v4:n:v5", "n:v4"),
+        # One of room n:v0's three bChld edges, beside two that reach a node id.
+        ("bChld:n:v0:n:v2", "n:v0"),
+    ],
+)
+def test_a_tgt_of_none_is_a_missing_tgt(g1, tg_sigma1, edge, start):
+    """An edge whose ``tgt`` is present but ``None`` lacks a ``tgt`` to
+    navigation too, as it does to ``check_typing``."""
+    g = replace(g1, graph=replace(g1.graph, tgt={**g1.graph.tgt, edge: None}))
+    assert "typing-edge-ends" in {f.code for f in check_typing(g, tg_sigma1).findings}
+    with pytest.raises(EvaluationError) as exc:
+        evaluate(ROOM_CHILDREN, g, tg_sigma1)
+    assert str(exc.value) == f"navigation 'bChld' from {start} follows edge {edge} without a tgt"
 
 
 @given(encodings_lacking_ends())
