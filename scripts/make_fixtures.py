@@ -6,10 +6,12 @@ to a spool and a computer, a user holding a job and identified by an
 outer name), its signature, type graph and canonical encoding, the
 constraint document, feature configurations, and a small good/bad corpus
 for exercising the validate and check subcommands, and prints the path of
-each file it writes. ``corpus/bad.check.err`` and
-``corpus/bad-syntax.check.err`` are not written here: they pin what
-``bigtg check`` prints for ``corpus/bad.bgc`` and
-``corpus/bad-syntax.bgc`` on the printer model.
+each file it writes. ``corpus/bad.check.err``,
+``corpus/bad-syntax.check.err`` and ``corpus/bad-ports.validate.err`` are
+not written here: the first two pin what ``bigtg check`` prints for
+``corpus/bad.bgc`` and ``corpus/bad-syntax.bgc`` on the printer model, the
+third what ``bigtg validate --sig printer.sig.json`` prints for
+``corpus/bad-ports.ig.json``.
 """
 
 from __future__ import annotations
@@ -134,6 +136,20 @@ def corpus_bigraph() -> Bigraph:
     )
 
 
+def without_edges(g, doomed: set[str]):
+    """``g`` without the edges in ``doomed``."""
+    return replace(
+        g,
+        graph=replace(
+            g.graph,
+            edges=g.graph.edges - doomed,
+            src={e: s for e, s in g.graph.src.items() if e not in doomed},
+            tgt={e: t for e, t in g.graph.tgt.items() if e not in doomed},
+        ),
+        edge_types={e: t for e, t in g.edge_types.items() if e not in doomed},
+    )
+
+
 def main() -> None:
     FIXTURES.mkdir(exist_ok=True)
     corpus = FIXTURES / "corpus"
@@ -168,17 +184,13 @@ def main() -> None:
     bad_b = replace(good_b, prnt={**good_b.prnt, "u": "u"})
     write(bad_b, corpus / "bad.bg.json")
     dropped = sorted(e for e in good_g.graph.edges if good_g.edge_types[e] == "bChld")[0]
-    bad_g = replace(
-        good_g,
-        graph=replace(
-            good_g.graph,
-            edges=good_g.graph.edges - {dropped},
-            src={e: s for e, s in good_g.graph.src.items() if e != dropped},
-            tgt={e: t for e, t in good_g.graph.tgt.items() if e != dropped},
-        ),
-        edge_types={e: t for e, t in good_g.edge_types.items() if e != dropped},
-    )
-    write(bad_g, corpus / "bad.ig.json")
+    write(without_edges(good_g, {dropped}), corpus / "bad.ig.json")
+    # The printer's second port loses its ownership pair (an arity finding,
+    # and its bNode underflows) and the spool's port its link pair (its
+    # bLink underflows).
+    unowned = {"bNode:p:v1:1:n:v1", "bPorts:n:v1:p:v1:1"}
+    unlinked = {"bLink:p:v3:0:e:e1", "bPoints:e:e1:p:v3:0"}
+    write(without_edges(g1, unowned | unlinked), corpus / "bad-ports.ig.json")
     write(FeatureConfig(frozenset({"ST", "WT", "RI"})), corpus / "bad.cfg.json")
     write(BAD_CONSTRAINTS, corpus / "bad.bgc")
     write(BAD_SYNTAX, corpus / "bad-syntax.bgc")

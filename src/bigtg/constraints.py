@@ -491,7 +491,7 @@ def format_constraints(doc: ConstraintDoc) -> str:
 _INT = ("int",)
 _BOOL = ("bool",)
 _EMPTY: tuple = ()
-_COMPARE = {"=": operator.eq, "<": operator.lt, "<=": operator.le, ">": operator.gt}
+_COMPARE = {"=": operator.eq, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 #: A compiled expression, evaluated as ``run(env, g, trace)``.
 Run = Callable[[dict, InstanceGraph, list], object]
@@ -633,10 +633,12 @@ def _compile(expr: Expr, env_types: Mapping[str, tuple], tg: TypeGraph) -> tuple
         return _BOOL, lambda env, g, trace: not left(env, g, trace) or bool(right(env, g, trace))
     if isinstance(expr, Compare):
         op = expr.op
+        holds = _COMPARE.get(op)
+        if holds is None:
+            raise TypeCheckError(f"unknown comparison operator {op!r}")
         message = f"comparison {op!r} needs integer operands"
         _, left = _expect("int", message, expr.left, env_types, tg)
         _, right = _expect("int", message, expr.right, env_types, tg)
-        holds = _COMPARE.get(op, operator.ge)
 
         def compare(env: dict, g: InstanceGraph, trace: list) -> object:
             a, b = left(env, g, trace), right(env, g, trace)
@@ -712,18 +714,16 @@ def evaluate(doc: ConstraintDoc, g: InstanceGraph, tg: TypeGraph) -> CheckResult
     the first of the start node's edges of that type, in sorted order,
     that has none. An edge that no navigation reaches raises nothing.
 
-    Cost: one pass over the nodes groups them by type. Each navigated edge
-    type groups its edges by source once (``g.edge_view.by_source``), so a
-    navigation reads one group and sorts its targets."""
+    Cost: the context instances are read from the nodes of each node type
+    in ``g.edge_view``. Each navigated edge type groups its edges by
+    source once (``g.edge_view.by_source``), so a navigation reads one
+    group and sorts its targets."""
     runs = typecheck(doc, tg)
-    by_type: dict[str, list[str]] = {}
-    for n in g.graph.nodes:
-        t = g.node_types.get(n)
-        if t in tg.node_types:
-            by_type.setdefault(t, []).append(n)
+    by_type = g.edge_view.by_node_type
+    kinds = [t for t in by_type if t in tg.node_types]
     checks: list[InvariantCheck] = []
     for inv, run in zip(doc.invariants, runs):
-        for n in sorted(n for t, nodes in by_type.items() if conforms(tg, t, inv.context_type) for n in nodes):
+        for n in sorted(n for t in kinds if conforms(tg, t, inv.context_type) for n in by_type[t]):
             trace: list[str] = []
             passed = bool(run({"self": n}, g, trace))
             checks.append(InvariantCheck(inv.name, inv.context_type, n, passed, () if passed else tuple(trace)))

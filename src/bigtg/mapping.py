@@ -247,12 +247,14 @@ def decode(g: InstanceGraph, sig: Signature) -> tuple[Bigraph, ElementMap]:
 
     kind_of_type = dict.fromkeys(sig.names, K_NODE)
     kind_of_type.update((node_type, kind) for kind, (_, node_type) in _KINDS.items() if node_type)
+    of_type = g.edge_view.by_node_type
+    if "BNode" in of_type:
+        raise UntypedControl(f"node {min(of_type['BNode'])} is typed 'BNode' instead of a control type")
     gids: dict[str, list[str]] = {kind: [] for kind in _KINDS}
-    for n in sorted(g.graph.nodes):
-        t = g.node_types[n]
-        if t == "BNode":
-            raise UntypedControl(f"node {n} is typed 'BNode' instead of a control type")
-        gids[kind_of_type[t]].append(n)
+    for t, nodes in of_type.items():
+        gids[kind_of_type[t]] += nodes
+    for nodes in gids.values():
+        nodes.sort()
 
     # The bigraph key of each graph node, per kind.
     keys: dict[str, dict[object, str]] = {}

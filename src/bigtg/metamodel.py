@@ -10,9 +10,6 @@ graph. This is all of the bridge that ``bigtg validate``, ``check``,
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import compress, repeat
-from operator import eq
 from weakref import ref
 
 from .bigraph import BASE_NODE_TYPE_NAMES, ReservedControlName, Signature, bad_arities, is_arity
@@ -22,6 +19,7 @@ from .typedgraph import (
     InstanceGraph,
     Multiplicity,
     TypeGraph,
+    _bound_findings,
     check_multiplicities,
     check_typing,
     check_validity,
@@ -124,35 +122,20 @@ def check_arity_rule(g: InstanceGraph, tg: TypeGraph, sig: Signature) -> Validat
     arity. The report is kept on ``g`` (:func:`keeps_report`) for these
     very ``tg`` and ``sig``, so ``sig.arities`` must not change in place.
 
-    Cost: C-level passes count the sources of the ``bPorts`` edges
-    (``g.edge_view``) and compare each counted node's count with its
-    arity. Only when one differs are the nodes walked in sorted order,
-    each port count one read of those counts."""
-    arities = {c: sig.arities.get(c) for c in sig.names if c in tg.node_types}
-    arities = {c: arity for c, arity in arities.items() if is_arity(arity)}
-    findings = bad_arities(sig)
-    nodes = g.graph.nodes
-    types = list(map(g.node_types.get, nodes))
-    counted = list(map(arities.__contains__, types))
-    ports = Counter(g.edge_view.sources.get("bPorts", ()))
-    port_counts = map(ports.get, compress(nodes, counted), repeat(0))
-    if all(map(eq, port_counts, map(arities.__getitem__, compress(types, counted)))):
-        return report_from(findings)
-    for n in sorted(nodes):
-        t = g.node_types.get(n)
-        if t not in arities:
-            continue
-        want = arities[t]
-        got = ports[n]
-        if got != want:
-            findings.append(
-                Finding(
-                    "arity",
-                    n,
-                    f"node of control {t!r} has {got} outgoing 'bPorts' edge(s), arity is {want}",
-                )
-            )
-    return report_from(findings)
+    Cost: the arity is one more multiplicity: the controls that share an
+    arity ``a`` share one ``[a,a]`` bound on ``bPorts``, which
+    :func:`_bound_findings` tests, and walks only when it fails."""
+    controls: dict[int, set[str]] = {}
+    for c in sig.names:
+        arity = sig.arities.get(c)
+        if c in tg.node_types and is_arity(arity):
+            controls.setdefault(arity, set()).add(c)
+    bounds = [("bPorts", of_arity, Multiplicity(a, a)) for a, of_arity in controls.items()]
+    return report_from(bad_arities(sig) + _bound_findings(g, bounds, _arity_finding))
+
+
+def _arity_finding(n: str, t: str, te: str, m: Multiplicity, count: int) -> Finding:
+    return Finding("arity", n, f"node of control {t!r} has {count} outgoing 'bPorts' edge(s), arity is {m.lb}")
 
 
 def conformance(g: InstanceGraph, tg: TypeGraph, sig: Signature | None = None) -> ValidationReport:

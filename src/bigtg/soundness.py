@@ -131,10 +131,10 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
     # A root or site node is clean when its index equals the one slot it
     # is mapped to, or is None when it is mapped to none; a node mapped
     # twice is walked.
-    types = list(map(node_types.get, nodes))
+    of_type = g.edge_view.by_node_type
     twice = set(shared)
     for kind, count in ((K_ROOT, b.outer.width), (K_SITE, b.inner.width)):
-        candidates = list(compress(nodes, map(eq, types, repeat(_TYPE_OF_KIND[kind]))))
+        candidates = of_type.get(_TYPE_OF_KIND[kind], [])
         gids = list(map(mapped.get, zip(repeat(kind), range(count))))
         slot_of = dict(zip(gids, range(count)))
         indices = map(attrs.get, zip(candidates, repeat("index")))
@@ -151,7 +151,7 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
     owned = typed_edges(g, "bNode")
     owned_by = list(map(src.get, owned))
     counter, holder = Counter(owned_by), dict(zip(owned_by, map(tgt.get, owned)))
-    ports = list(compress(nodes, map(eq, types, repeat("BPort"))))
+    ports = of_type.get("BPort", [])
     counts = list(map(counter.get, ports, repeat(0)))
     for n, count in sorted(compress(zip(ports, counts), map(ne, counts, repeat(1)))):
         flag("sound-port-index", n, f"port node has {count} ownership edges")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from collections.abc import Callable, Collection, Hashable, Iterable, Mapping
 from functools import cached_property, wraps
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import is_, is_not, itemgetter
 
 from ._value import field, frozen
@@ -134,12 +134,14 @@ class EdgeView:
     """The edges of an instance graph in one fixed order (the iteration
     order of ``g.graph.edges``) with their ``src``, ``tgt`` and type
     columns, where a missing end or type is ``None``, and the edges and
-    their sources grouped by edge type, each group in that order. Built
-    in C-level passes. The edges of one edge type grouped by source,
-    which constraint navigation reads, are built the first time that edge
-    type is asked for (:meth:`by_source`) and kept."""
+    their sources grouped by edge type, each group in that order; and the
+    nodes grouped by node type (an untyped node under ``None``), each
+    group in the iteration order of ``g.graph.nodes``. Built in C-level
+    passes. The edges of one edge type grouped by source, which
+    constraint navigation reads, are built the first time that edge type
+    is asked for (:meth:`by_source`) and kept."""
 
-    __slots__ = ("edges", "src", "tgt", "type", "by_type", "sources", "_by_source")
+    __slots__ = ("edges", "src", "tgt", "type", "by_type", "sources", "by_node_type", "_by_source")
 
     def __init__(self, g: InstanceGraph) -> None:
         self.edges = edges = tuple(g.graph.edges)
@@ -148,6 +150,7 @@ class EdgeView:
         self.type = list(map(g.edge_types.get, edges))
         self.by_type = _grouped(self.type, edges)
         self.sources = _grouped(self.type, self.src)
+        self.by_node_type = _grouped(list(map(g.node_types.get, g.graph.nodes)), g.graph.nodes)
         self._by_source: dict[Hashable, dict[Hashable, list[str]]] = {}
 
     def by_source(self, edge_type: Hashable) -> dict[Hashable, list[str]]:
@@ -173,9 +176,10 @@ class InstanceGraph:
     """A graph typed over a type graph, with node attribute values.
 
     One view is built on first use and kept: ``edge_view`` (the edge
-    columns, the edges and sources of each edge type, and the edges of
-    each navigated edge type grouped by source), which the four checkers,
-    :func:`typed_edges` and constraint navigation read. The graph also
+    columns, the edges and sources of each edge type, the nodes of each
+    node type, and the edges of each navigated edge type grouped by
+    source), which the four checkers, :func:`typed_edges`, soundness,
+    ``decode`` and ``evaluate`` read. The graph also
     keeps the last report of each checker wrapped by :func:`keeps_report`
     (``check_typing``, ``check_validity``, ``check_multiplicities`` and
     the arity rule), with the very arguments it was checked against
@@ -430,8 +434,8 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     attribute whose owner is not a node is reported as ``attr-owner``,
     and its value is not checked.
 
-    Cost: C-level passes gather whole columns into sets: the node types,
-    the edge ends (from ``g.edge_view``), the distinct ``(edge type, end
+    Cost: C-level passes gather whole columns into sets: the node types
+    and the edge ends (from ``g.edge_view``), the distinct ``(edge type, end
     type)`` pairs of each end, and the distinct ``(owner type, attribute,
     value class)`` triples. A clean graph passes subset tests on those
     sets, which ask :func:`conforms` once per distinct ``(end type,
@@ -542,17 +546,16 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
         return []
 
     findings: list[Finding] = []
-    node_types = list(map(nt.get, nodes))
-    kinds = set(node_types)
+    view = g.edge_view
+    kinds = view.by_node_type.keys()
     if None in kinds or not kinds <= tg.node_types or not kinds.isdisjoint(tg.abstracts):
-        findings += walk_suspects(nodes, node_types, check_node)
+        findings += walk_suspects(nodes, map(nt.get, nodes), check_node)
     # When every node has a type, as many typing entries as nodes leave
     # none for an unknown node; so for edges below.
     if None in kinds or len(nt) != len(nodes):
         findings += [Finding("typing-domain", n, "typing entry for unknown node") for n in sorted(nt.keys() - nodes)]
 
     # A missing end reads None, which is no node unless a node is named None.
-    view = g.edge_view
     edges, srcs, tgts, types = view.edges, view.src, view.tgt, view.type
     src_types, tgt_types = list(map(nt.get, srcs)), list(map(nt.get, tgts))
     if (
@@ -643,10 +646,10 @@ def check_validity(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     triples of the edges whose type has an opposite. When no node has two
     containers, pointer jumping (:func:`_reaches_cycle`) rules cycles out
     without a search. When no triple repeats and the triples equal their
-    mirrored opposites as sets, no pair is inconsistent; a triple that
-    repeats (parallel edges) compares the counts of both instead. Only
-    otherwise are the containment edges searched, or every triple walked,
-    in sorted order."""
+    mirrored opposites as sets, no pair is inconsistent. Only otherwise
+    are the containment edges searched, or the triples counted and walked
+    in sorted order; so a triple that repeats (parallel edges) is always
+    walked."""
     findings: list[Finding] = []
 
     def flag(code: str, location: str, message: str) -> None:
@@ -677,20 +680,12 @@ def check_validity(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     if not opposite.keys() >= view.by_type.keys():
         paired = list(map(opposite.__contains__, types))
         types, srcs, tgts = list(compress(types, paired)), list(compress(srcs, paired)), list(compress(tgts, paired))
-    triples = set(zip(types, srcs, tgts))
-    mirrored = zip(map(opposite.get, types), tgts, srcs)
     # Without repeats, equal sets mean that every triple and its mirror
-    # occur once each, whatever the opposites are. With repeats, the counts
-    # must be equal; Counter's own == runs in Python, and no count is zero,
-    # so dict's is exact.
-    if len(triples) == len(types):
-        if triples == set(mirrored):
-            return report_from(findings)
-        counts: dict[tuple[str, str, str], int] = dict.fromkeys(triples, 1)
-    else:
-        counts = Counter(zip(types, srcs, tgts))
-        if dict.__eq__(counts, Counter(mirrored)):
-            return report_from(findings)
+    # occur once each, whatever the opposites are; repeats are walked.
+    triples = set(zip(types, srcs, tgts))
+    if len(triples) == len(types) and triples == set(zip(map(opposite.get, types), tgts, srcs)):
+        return report_from(findings)
+    counts = Counter(zip(types, srcs, tgts))
     seen: set[tuple[str, str, str]] = set()
     for te, s, t in sorted(key for key in counts if key[1] is not None and key[2] is not None):
         rev = (opposite.get(te), t, s)
@@ -724,6 +719,39 @@ def _holds(sources: list[Hashable], targets: Iterable[Hashable], m: Multiplicity
     return not got or (m.lb <= min(got) and (m.ub is None or max(got) <= m.ub))
 
 
+def _bound_findings(
+    g: InstanceGraph,
+    bounds: Iterable[tuple[str, Collection[Hashable], Multiplicity]],
+    finding: Callable[[str, Any, str, Multiplicity, int], Finding],
+) -> list[Finding]:
+    """The findings of ``(edge type, node types, m)`` bounds on ``g``: each
+    node of one of those types must be the source of as many edges of
+    that edge type as ``m`` admits. A count outside ``m`` gives
+    ``finding(node, its type, edge type, m, count)``, in sorted node
+    order and, for one node, in the order of ``bounds``.
+
+    Cost: C-level passes test each bound on the sources of its edge type
+    (``g.edge_view``) against the nodes of its types (:func:`_holds`).
+    Only the bounds that fail are walked: the sources of each are
+    counted, and one pass over the nodes in sorted order reads each count
+    there."""
+    view = g.edge_view
+    of_type = view.by_node_type
+    failing = [
+        (te, types, m, Counter(view.sources.get(te, ())))
+        for te, types, m in bounds
+        if not _holds(view.sources.get(te, []), chain.from_iterable(map(of_type.get, types, repeat(()))), m)
+    ]
+    findings: list[Finding] = []
+    for n in sorted(g.graph.nodes) if failing else ():
+        t = g.node_types.get(n)
+        for te, types, m, counts in failing:
+            count = counts[n]
+            if t in types and not (m.lb <= count and (m.ub is None or count <= m.ub)):
+                findings.append(finding(n, t, te, m, count))
+    return findings
+
+
 @keeps_report
 def check_multiplicities(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     """Per-source-node bounds on outgoing edges of each applicable type.
@@ -731,51 +759,18 @@ def check_multiplicities(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     type as ``src``, are skipped (``check_type_graph`` reports them). The report is kept on
     ``g`` (:func:`keeps_report`).
 
-    Cost: for each bounded edge type, the node types that conform to its
-    ``src`` are found once, and C-level passes test the bound on the
-    sources of its edges (``g.edge_view``) against the nodes of those
-    types (:func:`_holds`). Only the edge types that fail are walked: the
-    sources of each are counted, and one pass over the nodes in sorted
-    order reads each count there."""
-    nodes, nt = g.graph.nodes, g.node_types
-    node_types = list(map(nt.get, nodes))
-    kinds = {t for t in set(node_types) if t is not None and t in tg.node_types}
-    sources = g.edge_view.sources
-    applies: dict[str, set[str]] = {}  # the node types that conform to each declared src
-    failing: list[tuple[str, Multiplicity, set[str], Counter[str | None]]] = []
+    Cost: each edge type bounded other than ``[0,*]`` applies to the node
+    types of ``g.edge_view`` that conform to its ``src``; the bounds are
+    tested, and only the failing ones walked, by :func:`_bound_findings`."""
+    kinds = {t for t in g.edge_view.by_node_type if t is not None and t in tg.node_types}
+    bounds = []
     for te in sorted(tg.edge_types):
-        m = mult_of(tg, te)
-        decl = tg.graph.src.get(te)
-        if m is None or decl not in tg.node_types or (m.lb == 0 and m.ub is None):
-            continue
-        if decl not in applies:
-            applies[decl] = {t for t in kinds if conforms(tg, t, decl)}
-        fit = applies[decl]
-        if fit and not _holds(sources.get(te, []), compress(nodes, map(fit.__contains__, node_types)), m):
-            failing.append((te, m, fit, Counter(sources.get(te, []))))
-    findings: list[Finding] = []
-    if not failing:
-        return report_from(findings)
-    for n in sorted(nodes):
-        tn = nt.get(n)
-        for te, m, fit, counts in failing:
-            if tn not in fit:
-                continue
-            count = counts[n]
-            if count < m.lb:
-                findings.append(
-                    Finding(
-                        "mult-underflow",
-                        f"{n}.{te}",
-                        f"{count} outgoing {te!r} edge(s), multiplicity {m.render()}",
-                    )
-                )
-            elif m.ub is not None and count > m.ub:
-                findings.append(
-                    Finding(
-                        "mult-overflow",
-                        f"{n}.{te}",
-                        f"{count} outgoing {te!r} edge(s), multiplicity {m.render()}",
-                    )
-                )
-    return report_from(findings)
+        m, decl = mult_of(tg, te), tg.graph.src.get(te)
+        if m is not None and decl in tg.node_types and (m.lb > 0 or m.ub is not None):
+            bounds.append((te, {t for t in kinds if conforms(tg, t, decl)}, m))
+    return report_from(_bound_findings(g, bounds, _mult_finding))
+
+
+def _mult_finding(n: str, t: str, te: str, m: Multiplicity, count: int) -> Finding:
+    code = "mult-underflow" if count < m.lb else "mult-overflow"
+    return Finding(code, f"{n}.{te}", f"{count} outgoing {te!r} edge(s), multiplicity {m.render()}")

@@ -19,7 +19,7 @@ from ._value import field, frozen, replace
 from .bigraph import BASE_NODE_TYPE_NAMES, Signature
 from .metamodel import NotCanonical
 from .report import Finding, ValidationReport, report_from
-from .typedgraph import Graph, InstanceGraph, Multiplicity, TypeGraph, typed_edges
+from .typedgraph import Graph, InstanceGraph, Multiplicity, TypeGraph, _grouped
 
 #: The option groups in delta order: each group's node type, the feature
 #: that makes its elements explicit, and the feature that indexes them.
@@ -258,10 +258,13 @@ def _implicit_ports(g: InstanceGraph, sig: Signature) -> InstanceGraph:
         return g
     src = dict(g.graph.src)
     tgt = dict(g.graph.tgt)
-    # Each relation is read from its own edges only. Rewiring moves the
-    # bLink and bPoints edges, never the bNode ones, so ownership is read
-    # once; a bLink edge moved onto a later port counts among its links.
-    owned, linked = typed_edges(g, "bNode"), typed_edges(g, "bLink")
+    # Each relation is read from its own edges only, grouped once: nothing
+    # checks g, so it needs no edge view. Rewiring moves the bLink and
+    # bPoints edges, never the bNode ones, so ownership is read once; a
+    # bLink edge moved onto a later port counts among its links.
+    edges = tuple(g.graph.edges)
+    of_type = _grouped(list(map(g.edge_types.get, edges)), edges)
+    owned, linked = of_type.get("bNode", []), of_type.get("bLink", [])
     ownership, owner_of = Counter(map(src.get, owned)), dict(zip(map(src.get, owned), map(tgt.get, owned)))
     link_count, link_of = Counter(map(src.get, linked)), dict(zip(map(src.get, linked), linked))
     moved_links: dict[str, list[str]] = {}
@@ -282,7 +285,7 @@ def _implicit_ports(g: InstanceGraph, sig: Signature) -> InstanceGraph:
     last_stop: dict[str, str] = {}
     for p in reversed(ports):
         last_stop[p] = last_stop.get(owner_of[p], owner_of[p])
-    tgt.update({e: last_stop[tgt[e]] for e in typed_edges(g, "bPoints") if tgt[e] in last_stop})
+    tgt.update({e: last_stop[tgt[e]] for e in of_type.get("bPoints", ()) if tgt[e] in last_stop})
     rewired = InstanceGraph(
         graph=Graph(nodes=g.graph.nodes, edges=g.graph.edges, src=src, tgt=tgt),
         node_types=g.node_types,

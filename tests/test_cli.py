@@ -232,6 +232,22 @@ def test_check_prints_the_pinned_syntax_error(fixtures_dir, capsys):
     assert err == (fixtures_dir / "corpus" / "bad-syntax.check.err").read_text(encoding="utf-8")
 
 
+def test_validate_prints_the_pinned_port_findings(fixtures_dir, capsys):
+    """A port without its owner and one without its link: two multiplicity
+    findings and an arity finding, exit 1, as CI pins them for the
+    installed console script."""
+    code, out, err = run(
+        capsys,
+        "validate",
+        fx(fixtures_dir, "corpus/bad-ports.ig.json"),
+        "--sig",
+        fx(fixtures_dir, "printer.sig.json"),
+    )
+    assert (code, out) == (1, "")
+    assert err == (fixtures_dir / "corpus" / "bad-ports.validate.err").read_text(encoding="utf-8")
+    assert [line.split()[1] for line in err.splitlines()] == ["mult-underflow", "mult-underflow", "arity"]
+
+
 # The 54 configurations in print order: typing slowest, then roots,
 # sites and ports, each through none, explicit, and explicit and indexed.
 CONFIG_LINES = """

@@ -44,7 +44,7 @@ from bigtg.constraints import (
 from bigtg.generators import random_bigraph
 from bigtg.typedgraph import Graph
 
-from helpers import add_edge, drop_tgt, ref_outgoing
+from helpers import add_edge, drop_tgt, ref_outgoing, retype_node
 
 IV1_PAPER_STYLE = (
     "context Spool\n"
@@ -386,6 +386,27 @@ def test_type_error_messages(text, ghost_end, message, g1, tg_sigma1):
     with pytest.raises(TypeCheckError) as err:
         evaluate(doc, g1, tg)
     assert str(err.value) == message
+
+
+def test_an_unknown_comparison_operator_is_a_type_error(g1, tg_sigma1):
+    """The one raise site that no parsed text reaches: the parser builds
+    only ``= < <= > >=``, but a ``Compare`` built by hand may hold any
+    operator, which the printer prints and the parser would refuse."""
+    doc = ConstraintDoc((Invariant("Spool", "x", Compare("!=", IntLit(1), IntLit(1))),))
+    with pytest.raises(TypeCheckError) as err:
+        typecheck(doc, tg_sigma1)
+    assert str(err.value) == "unknown comparison operator '!='"
+    with pytest.raises(TypeCheckError):
+        evaluate(doc, g1, tg_sigma1)
+
+
+def test_a_node_of_a_type_outside_the_type_graph_is_no_context_instance(g1, tg_sigma1):
+    """Not even when ``tg.inherits`` names that type as a subtype of the
+    context type (which ``check_type_graph`` reports as ``tg-inherits-ref``)."""
+    tg = replace(tg_sigma1, inherits=tg_sigma1.inherits | {("Ghost", "Spool")})
+    doc = parse_constraints("context Spool inv x: true context BNode inv y: true")
+    nodes = {c.node for c in evaluate(doc, retype_node(g1, "n:v3", "Ghost"), tg).checks}
+    assert "n:v3" not in nodes and "n:v0" in nodes
 
 
 EVALUATION_ERRORS = {

@@ -31,6 +31,7 @@ from bigtg.variability import DELTAS, _delete_nodes, _implicit_ports, eval_formu
 
 from helpers import (
     EDGE_TYPES,
+    NODE_TYPES,
     add_edge,
     drop_edge,
     mutated_encodings,
@@ -198,6 +199,16 @@ def test_out_degree_and_typed_edges_match_brute_force(case):
     for te in EDGE_TYPES:
         picked = typed_edges(g, te)
         assert picked == [e for e in g.graph.edges if types.get(e) == te]
+    # The nodes of each node type, also with the smallest node untyped and
+    # the next one typed None, and for types that no node has.
+    nodes = sorted(g.graph.nodes)
+    retyped = {n: t for n, t in g.node_types.items() if n not in nodes[:1]} | dict.fromkeys(nodes[1:2])
+    for h in (g, replace(g, node_types=retyped)):
+        groups = h.edge_view.by_node_type
+        kinds = {h.node_types.get(n) for n in h.graph.nodes}
+        assert groups.keys() == kinds
+        for t in kinds | set(tg.node_types) | set(NODE_TYPES) | {None, "None"}:
+            assert groups.get(t, []) == [n for n in h.graph.nodes if h.node_types.get(n) == t]
 
 
 def _navigated(g: InstanceGraph) -> list:

@@ -85,6 +85,20 @@ def test_arity_rule_missing_port(g1, tg_sigma1, sig1):
     assert any("'Printer'" in f.message for f in rep.findings)
 
 
+def test_arity_findings_come_in_sorted_node_order(g1, tg_sigma1, sig1):
+    """Rooms (arity 1) and the printer (arity 2) each lose a port on nodes
+    whose ids interleave: the findings follow the nodes, not the arities."""
+    broken = g1
+    for n in ("n:v0", "n:v1", "n:v4"):
+        broken = drop_edge(broken, min(e for e in edges_of_type(g1, "bPorts") if g1.graph.src[e] == n))
+    rep = check_arity_rule(broken, tg_sigma1, sig1)
+    assert [(f.code, f.location, f.message) for f in rep.findings] == [
+        ("arity", "n:v0", "node of control 'Room' has 0 outgoing 'bPorts' edge(s), arity is 1"),
+        ("arity", "n:v1", "node of control 'Printer' has 1 outgoing 'bPorts' edge(s), arity is 2"),
+        ("arity", "n:v4", "node of control 'Room' has 0 outgoing 'bPorts' edge(s), arity is 1"),
+    ]
+
+
 def test_arity_rule_zero_arity_needs_no_ports(g1, tg_sigma1, sig1):
     # The job node has arity 0 and no bPorts edges: no entry.
     assert not any(f.location == "n:v6" for f in check_arity_rule(g1, tg_sigma1, sig1).findings)
