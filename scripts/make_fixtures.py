@@ -4,9 +4,10 @@
 Builds the office printing example (two connected rooms, a printer wired
 to a spool and a computer, a user holding a job and identified by an
 outer name), its signature, type graph and canonical encoding, the
-constraint document, feature configurations, and a small good/bad corpus
-for exercising the validate and check subcommands, and prints the path of
-each file it writes. ``corpus/bad.check.err``,
+constraint document, feature configurations, a small good/bad corpus
+for exercising the validate and check subcommands, and the printer
+model's ``{"WT"}`` variant with its derived type graph, which ``bigtg
+configure`` must reproduce, and prints the path of each file it writes. ``corpus/bad.check.err``,
 ``corpus/bad-syntax.check.err`` and ``corpus/bad-ports.validate.err`` are
 not written here: the first two pin what ``bigtg check`` prints for
 ``corpus/bad.bgc`` and ``corpus/bad-syntax.bgc`` on the printer model, the
@@ -26,6 +27,9 @@ from bigtg import (
     Bigraph,
     FeatureConfig,
     Interface,
+    annotate_150,
+    apply_deltas,
+    derive_type_graph,
     encode,
     extend_for_signature,
     fileio,
@@ -192,6 +196,12 @@ def main() -> None:
     unlinked = {"bLink:p:v3:0:e:e1", "bPoints:e:e1:p:v3:0"}
     write(without_edges(g1, unowned | unlinked), corpus / "bad-ports.ig.json")
     write(FeatureConfig(frozenset({"ST", "WT", "RI"})), corpus / "bad.cfg.json")
+    # Weak typing with every group implicit runs every reconfiguration
+    # step; ``bigtg configure`` must write these two files byte for byte.
+    wt = FeatureConfig(frozenset({"WT"}))
+    write(wt, corpus / "wt.cfg.json")
+    write(apply_deltas(g1, wt, sig), corpus / "wt.ig.json")
+    write(derive_type_graph(annotate_150(extend_for_signature(sig)), wt), corpus / "wt.tg.json")
     write(BAD_CONSTRAINTS, corpus / "bad.bgc")
     write(BAD_SYNTAX, corpus / "bad-syntax.bgc")
 

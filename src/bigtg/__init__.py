@@ -31,7 +31,7 @@ _PUBLIC = {
         "check_multiplicities", "check_type_graph", "check_typing", "check_validity", "conforms",
     ),
     "variability": (
-        "AnnotatedTypeGraph", "Delta", "FeatureConfig", "InvalidConfig", "annotate_150", "apply_deltas",
+        "AnnotatedTypeGraph", "FeatureConfig", "InvalidConfig", "annotate_150", "apply_deltas",
         "derive_type_graph", "enumerate_configs", "validate_config",
     ),
     "_value": ("replace",),

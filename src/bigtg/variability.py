@@ -5,15 +5,15 @@ and three optional explicit/indexed element groups (roots, sites, ports),
 which the one table ``_GROUPS`` states. A 150% type graph superimposes
 every variant behind presence conditions; deriving a configuration keeps
 the elements whose condition holds and drops whatever then dangles.
-Instance graphs are reconfigured by a fixed sequence of conditional
-deltas applied to the canonical encoding.
+Instance graphs are reconfigured in one pass over the canonical
+encoding that reads the same table.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 
 from ._value import field, frozen, replace
 from .bigraph import BASE_NODE_TYPE_NAMES, Signature
@@ -21,8 +21,9 @@ from .metamodel import NotCanonical
 from .report import Finding, ValidationReport, report_from
 from .typedgraph import Graph, InstanceGraph, Multiplicity, TypeGraph, _grouped
 
-#: The option groups in delta order: each group's node type, the feature
-#: that makes its elements explicit, and the feature that indexes them.
+#: The option groups in reconfiguration order: each group's node type, the
+#: feature that makes its elements explicit, and the feature that indexes
+#: them.
 _GROUPS = (("BRoot", "ER", "RI"), ("BSite", "ES", "SI"), ("BPort", "EP", "PI"))
 
 #: Selectable leaf features: the typing alternative and each group's
@@ -31,8 +32,8 @@ _GROUPS = (("BRoot", "ER", "RI"), ("BSite", "ES", "SI"), ("BPort", "EP", "PI"))
 FEATURE_LEAVES = ("ST", "WT") + tuple(f for _, explicit, indexed in _GROUPS for f in (explicit, indexed))
 _REQUIRES = tuple((indexed, explicit) for _, explicit, indexed in _GROUPS)
 
-# Presence and delta conditions: a feature name, or ("not", feature). The
-# groups' conditions come from _GROUPS; derivation drops what dangles.
+# Presence conditions: a feature name, or ("not", feature). The groups'
+# conditions come from _GROUPS; derivation drops what dangles.
 Formula = str | tuple[str, str]
 
 
@@ -200,139 +201,104 @@ def derive_type_graph(atg: AnnotatedTypeGraph, cfg: FeatureConfig) -> TypeGraph:
     )
 
 
-def _delete_nodes(g: InstanceGraph, doomed: set[str]) -> InstanceGraph:
-    """Remove nodes together with their incident edges."""
-    keep_edges = {
-        e
-        for e in g.graph.edges
-        if g.graph.src[e] not in doomed and g.graph.tgt[e] not in doomed
-    }
-    return InstanceGraph(
-        graph=Graph(
-            nodes=g.graph.nodes - doomed,
-            edges=frozenset(keep_edges),
-            src={e: g.graph.src[e] for e in keep_edges},
-            tgt={e: g.graph.tgt[e] for e in keep_edges},
-        ),
-        node_types={n: t for n, t in g.node_types.items() if n not in doomed},
-        edge_types={e: t for e, t in g.edge_types.items() if e in keep_edges},
-        attrs={(n, a): v for (n, a), v in g.attrs.items() if n not in doomed},
-    )
-
-
-def _retype_controls(g: InstanceGraph, sig: Signature) -> InstanceGraph:
-    controls = set(sig.names)
-    ntypes = dict(g.node_types)
-    attrs = dict(g.attrs)
-    for n in sorted(g.graph.nodes):
-        t = ntypes.get(n)
-        if t in controls:
-            ntypes[n] = "BNode"
-            attrs[(n, "control")] = t
-    return replace(g, node_types=ntypes, attrs=attrs)
-
-
-def _unset_index(g: InstanceGraph, type_name: str) -> InstanceGraph:
-    attrs = {
-        (n, a): v
-        for (n, a), v in g.attrs.items()
-        if not (a == "index" and g.node_types.get(n) == type_name)
-    }
-    return replace(g, attrs=attrs)
-
-
-def _delete_of_type(g: InstanceGraph, type_name: str) -> InstanceGraph:
-    doomed = {n for n in g.graph.nodes if g.node_types.get(n) == type_name}
-    return _delete_nodes(g, doomed) if doomed else g
-
-
-def _implicit_ports(g: InstanceGraph, sig: Signature) -> InstanceGraph:
-    """Rewire each port's link (and its opposite) to the owning node, then
-    drop the port nodes with their ownership edges.
-
-    Plain deletion would sever the link structure; rewiring keeps it on
-    the owner, which is what the node-as-point variant represents.
-    """
-    ports = sorted(n for n in g.graph.nodes if g.node_types.get(n) == "BPort")
-    if not ports:
-        return g
-    src = dict(g.graph.src)
-    tgt = dict(g.graph.tgt)
-    # Each relation is read from its own edges only, grouped once: nothing
-    # checks g, so it needs no edge view. Rewiring moves the bLink and
-    # bPoints edges, never the bNode ones, so ownership is read once; a
-    # bLink edge moved onto a later port counts among its links.
-    edges = tuple(g.graph.edges)
-    of_type = _grouped(list(map(g.edge_types.get, edges)), edges)
-    owned, linked = of_type.get("bNode", []), of_type.get("bLink", [])
-    ownership, owner_of = Counter(map(src.get, owned)), dict(zip(map(src.get, owned), map(tgt.get, owned)))
-    link_count, link_of = Counter(map(src.get, linked)), dict(zip(map(src.get, linked), linked))
-    moved_links: dict[str, list[str]] = {}
-    for p in ports:
-        count = ownership.get(p, 0)
-        if count != 1:
-            raise NotCanonical(f"port {p} has {count} ownership edges; cannot rewire")
-        moved = moved_links.pop(p, [])
-        count = len(moved) + link_count.get(p, 0)
-        if count != 1:
-            raise NotCanonical(f"port {p} has {count} link edges; cannot rewire")
-        link = moved[0] if moved else link_of[p]
-        src[link] = owner_of[p]
-        moved_links.setdefault(owner_of[p], []).append(link)
-    # A bPoints edge at a port moves to its owner, and on from there when
-    # the owner is a port rewired later, so each port's last stop is found
-    # from the last port back.
-    last_stop: dict[str, str] = {}
-    for p in reversed(ports):
-        last_stop[p] = last_stop.get(owner_of[p], owner_of[p])
-    tgt.update({e: last_stop[tgt[e]] for e in of_type.get("bPoints", ()) if tgt[e] in last_stop})
-    rewired = InstanceGraph(
-        graph=Graph(nodes=g.graph.nodes, edges=g.graph.edges, src=src, tgt=tgt),
-        node_types=g.node_types,
-        edge_types=g.edge_types,
-        attrs=g.attrs,
-    )
-    return _delete_nodes(rewired, set(ports))
-
-
-@frozen
-class Delta:
-    """A conditional instance-graph patch."""
-
-    name: str
-    condition: Formula
-    patch: Callable[[InstanceGraph, Signature], InstanceGraph]
-
-
-#: Reconfiguration deltas in their fixed application order: retyping
-#: first, then index removal before element removal per option group.
-DELTAS: tuple[Delta, ...] = (
-    Delta("weak-typing", "WT", _retype_controls),
-    Delta("drop-root-indices", ("not", "RI"), lambda g, s: _unset_index(g, "BRoot")),
-    Delta("drop-roots", ("not", "ER"), lambda g, s: _delete_of_type(g, "BRoot")),
-    Delta("drop-site-indices", ("not", "SI"), lambda g, s: _unset_index(g, "BSite")),
-    Delta("drop-sites", ("not", "ES"), lambda g, s: _delete_of_type(g, "BSite")),
-    Delta("drop-port-indices", ("not", "PI"), lambda g, s: _unset_index(g, "BPort")),
-    Delta("implicit-ports", ("not", "EP"), _implicit_ports),
-)
-
-
 def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> InstanceGraph:
-    """Apply every delta whose condition holds, in the fixed order.
+    """Reconfigure a canonical encoding for ``cfg`` in one pass read off
+    ``_GROUPS``. The steps, in order:
 
+    1. Under ``WT``, each node typed by a control is retyped ``BNode`` and
+       given a ``control`` attribute naming the control.
+    2. For each group whose index feature is off, the ``index`` attributes
+       of the group's nodes go, by each node's type after step 1.
+    3. For each group whose explicit feature is off, the group's nodes go
+       with their incident edges. Without ``EP``, each port's ``bLink``
+       edge first moves to the port's owner, and each ``bPoints`` edge at
+       a port moves on to where that owner ends up; this reads only the
+       edges that touch no deleted root or site.
+    4. The nodes, edges, ends, node and edge types and attributes are
+       built once each.
+
+    Under ``ST`` with every explicit and index feature selected, no step
+    applies and ``g`` itself is returned. When nothing is deleted, the
+    edges, their ends and their types are kept as they are.
     Applying the same configuration twice is a no-op the second time, so
     already-configured graphs pass through unchanged. Raises
     ``NotCanonical`` on a graph with an edge that lacks a ``src`` or
-    ``tgt``, naming the smallest such edge.
+    ``tgt``, naming the smallest such edge, and on a port without exactly
+    one ownership edge or one link edge.
     """
     rep = validate_config(cfg)
     if not rep.ok:
         raise InvalidConfig(rep)
-    lacking = g.graph.edges - (g.graph.src.keys() & g.graph.tgt.keys())
+    src, tgt = g.graph.src, g.graph.tgt
+    lacking = g.graph.edges - (src.keys() & tgt.keys())
     if lacking:
         e = min(lacking)
-        raise NotCanonical(f"edge {e} has no {'tgt' if e in g.graph.src else 'src'}")
-    for delta in DELTAS:
-        if eval_formula(delta.condition, cfg.selected):
-            g = delta.patch(g, sig)
-    return g
+        raise NotCanonical(f"edge {e} has no {'tgt' if e in src else 'src'}")
+    sel = cfg.selected
+    types, attrs = g.node_types, g.attrs
+    if "WT" in sel:
+        controls = set(sig.names)
+        retyped = {n: t for n, t in types.items() if n in g.graph.nodes and t in controls}
+        types = {**types, **dict.fromkeys(retyped, "BNode")}
+        attrs = {**attrs, **{(n, "control"): t for n, t in retyped.items()}}
+    # Membership in a tuple compares with ==, so a node type that cannot
+    # be hashed is simply no group's type.
+    unindexed = tuple(node_type for node_type, _, indexed in _GROUPS if indexed not in sel)
+    dropped = tuple(node_type for node_type, explicit, _ in _GROUPS if explicit not in sel)
+    doomed = {n for n in g.graph.nodes if types.get(n) in dropped}
+    ports = sorted(n for n in doomed if types.get(n) == "BPort")
+    if ports:
+        # Rewire each port's link (and its opposite) to the owning node
+        # before the ports go: plain deletion would sever the link
+        # structure, and the node-as-point variant keeps it on the owner.
+        # Only the edges that touch no deleted root or site are read.
+        # Rewiring moves the bLink and bPoints edges, never the bNode ones,
+        # so ownership is read once; a bLink edge moved onto a later port
+        # counts among its links.
+        gone = doomed.difference(ports)
+        live = [e for e in g.graph.edges if src[e] not in gone and tgt[e] not in gone] if gone else list(g.graph.edges)
+        of_type = _grouped(list(map(g.edge_types.get, live)), live)
+        owned, linked = of_type.get("bNode", []), of_type.get("bLink", [])
+        ownership, owner_of = Counter(map(src.get, owned)), dict(zip(map(src.get, owned), map(tgt.get, owned)))
+        link_count, link_of = Counter(map(src.get, linked)), dict(zip(map(src.get, linked), linked))
+        src, tgt = dict(src), dict(tgt)
+        moved_links: dict[str, list[str]] = {}
+        for p in ports:
+            count = ownership.get(p, 0)
+            if count != 1:
+                raise NotCanonical(f"port {p} has {count} ownership edges; cannot rewire")
+            moved = moved_links.pop(p, [])
+            count = len(moved) + link_count.get(p, 0)
+            if count != 1:
+                raise NotCanonical(f"port {p} has {count} link edges; cannot rewire")
+            link = moved[0] if moved else link_of[p]
+            src[link] = owner_of[p]
+            moved_links.setdefault(owner_of[p], []).append(link)
+        # A bPoints edge at a port moves to its owner, and on from there
+        # when the owner is a port rewired later, so each port's last stop
+        # is found from the last port back.
+        last_stop: dict[str, str] = {}
+        for p in reversed(ports):
+            last_stop[p] = last_stop.get(owner_of[p], owner_of[p])
+        tgt.update({e: last_stop[tgt[e]] for e in of_type.get("bPoints", ()) if tgt[e] in last_stop})
+    if unindexed or doomed:
+        attrs = {
+            (n, a): v
+            for (n, a), v in attrs.items()
+            if n not in doomed and (a != "index" or types.get(n) not in unindexed)
+        }
+    if not doomed:
+        return g if types is g.node_types and attrs is g.attrs else replace(g, node_types=types, attrs=attrs)
+    kept = frozenset(e for e in g.graph.edges if src[e] not in doomed and tgt[e] not in doomed)
+    return InstanceGraph(
+        graph=Graph(
+            nodes=g.graph.nodes - doomed,
+            edges=kept,
+            src={e: src[e] for e in kept},
+            tgt={e: tgt[e] for e in kept},
+        ),
+        node_types={n: t for n, t in types.items() if n not in doomed},
+        edge_types={e: t for e, t in g.edge_types.items() if e in kept},
+        attrs=attrs,
+    )
+

@@ -168,6 +168,24 @@ def test_configure_emits_both_artifacts(fixtures_dir, tmp_path, capsys):
     assert code == 0
 
 
+def test_configure_writes_the_pinned_weak_variant(fixtures_dir, tmp_path, capsys):
+    # Weak typing with every group implicit runs every reconfiguration step.
+    code, _, err = run(
+        capsys,
+        "configure",
+        fx(fixtures_dir, "printer.ig.json"),
+        "--sig",
+        fx(fixtures_dir, "printer.sig.json"),
+        "--features",
+        fx(fixtures_dir, "corpus/wt.cfg.json"),
+        "-o",
+        str(tmp_path / "wt.ig.json"),
+    )
+    assert (code, err) == (0, "")
+    for name in ("wt.ig.json", "wt.tg.json"):
+        assert (tmp_path / name).read_bytes() == (fixtures_dir / "corpus" / name).read_bytes()
+
+
 def test_check_passes_on_printer(fixtures_dir, capsys):
     code, _, err = run(
         capsys,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Callable
 
 import pytest
 from hypothesis import given, settings
@@ -20,14 +21,16 @@ from bigtg import (
     Graph,
     InstanceGraph,
     NotCanonical,
+    Signature,
     apply_deltas,
     enumerate_configs,
     fileio,
     replace,
 )
+from bigtg._value import frozen
 from bigtg.mapping import check_arity_rule, check_soundness, conformance, decode, encode, extend_for_signature
-from bigtg.typedgraph import check_multiplicities, incoming, node_attrs, outgoing, typed_edges
-from bigtg.variability import DELTAS, _delete_nodes, _implicit_ports, eval_formula
+from bigtg.typedgraph import _grouped, check_multiplicities, incoming, node_attrs, outgoing, typed_edges
+from bigtg.variability import FeatureConfig, Formula, eval_formula
 
 from helpers import (
     EDGE_TYPES,
@@ -44,6 +47,129 @@ from helpers import (
 )
 from test_checker_tables import ref_check_arity_rule, ref_check_multiplicities
 from test_mapping_table import ref_check_soundness, ref_decode
+
+
+# The reconfiguration deltas as they were before ``apply_deltas`` became
+# one pass, verbatim but for their ``ref_`` names: ``ref_apply_deltas``
+# applies them in their table order, with the scanning implicit-ports
+# reference below in place of the grouped one.
+
+
+def ref_delete_nodes(g: InstanceGraph, doomed: set[str]) -> InstanceGraph:
+    """Remove nodes together with their incident edges."""
+    keep_edges = {
+        e
+        for e in g.graph.edges
+        if g.graph.src[e] not in doomed and g.graph.tgt[e] not in doomed
+    }
+    return InstanceGraph(
+        graph=Graph(
+            nodes=g.graph.nodes - doomed,
+            edges=frozenset(keep_edges),
+            src={e: g.graph.src[e] for e in keep_edges},
+            tgt={e: g.graph.tgt[e] for e in keep_edges},
+        ),
+        node_types={n: t for n, t in g.node_types.items() if n not in doomed},
+        edge_types={e: t for e, t in g.edge_types.items() if e in keep_edges},
+        attrs={(n, a): v for (n, a), v in g.attrs.items() if n not in doomed},
+    )
+
+
+def ref_retype_controls(g: InstanceGraph, sig: Signature) -> InstanceGraph:
+    controls = set(sig.names)
+    ntypes = dict(g.node_types)
+    attrs = dict(g.attrs)
+    for n in sorted(g.graph.nodes):
+        t = ntypes.get(n)
+        if t in controls:
+            ntypes[n] = "BNode"
+            attrs[(n, "control")] = t
+    return replace(g, node_types=ntypes, attrs=attrs)
+
+
+def ref_unset_index(g: InstanceGraph, type_name: str) -> InstanceGraph:
+    attrs = {
+        (n, a): v
+        for (n, a), v in g.attrs.items()
+        if not (a == "index" and g.node_types.get(n) == type_name)
+    }
+    return replace(g, attrs=attrs)
+
+
+def ref_delete_of_type(g: InstanceGraph, type_name: str) -> InstanceGraph:
+    doomed = {n for n in g.graph.nodes if g.node_types.get(n) == type_name}
+    return ref_delete_nodes(g, doomed) if doomed else g
+
+
+def ref_grouped_implicit_ports(g: InstanceGraph, sig: Signature) -> InstanceGraph:
+    """Rewire each port's link (and its opposite) to the owning node, then
+    drop the port nodes with their ownership edges.
+
+    Plain deletion would sever the link structure; rewiring keeps it on
+    the owner, which is what the node-as-point variant represents.
+    """
+    ports = sorted(n for n in g.graph.nodes if g.node_types.get(n) == "BPort")
+    if not ports:
+        return g
+    src = dict(g.graph.src)
+    tgt = dict(g.graph.tgt)
+    # Each relation is read from its own edges only, grouped once: nothing
+    # checks g, so it needs no edge view. Rewiring moves the bLink and
+    # bPoints edges, never the bNode ones, so ownership is read once; a
+    # bLink edge moved onto a later port counts among its links.
+    edges = tuple(g.graph.edges)
+    of_type = _grouped(list(map(g.edge_types.get, edges)), edges)
+    owned, linked = of_type.get("bNode", []), of_type.get("bLink", [])
+    ownership, owner_of = Counter(map(src.get, owned)), dict(zip(map(src.get, owned), map(tgt.get, owned)))
+    link_count, link_of = Counter(map(src.get, linked)), dict(zip(map(src.get, linked), linked))
+    moved_links: dict[str, list[str]] = {}
+    for p in ports:
+        count = ownership.get(p, 0)
+        if count != 1:
+            raise NotCanonical(f"port {p} has {count} ownership edges; cannot rewire")
+        moved = moved_links.pop(p, [])
+        count = len(moved) + link_count.get(p, 0)
+        if count != 1:
+            raise NotCanonical(f"port {p} has {count} link edges; cannot rewire")
+        link = moved[0] if moved else link_of[p]
+        src[link] = owner_of[p]
+        moved_links.setdefault(owner_of[p], []).append(link)
+    # A bPoints edge at a port moves to its owner, and on from there when
+    # the owner is a port rewired later, so each port's last stop is found
+    # from the last port back.
+    last_stop: dict[str, str] = {}
+    for p in reversed(ports):
+        last_stop[p] = last_stop.get(owner_of[p], owner_of[p])
+    tgt.update({e: last_stop[tgt[e]] for e in of_type.get("bPoints", ()) if tgt[e] in last_stop})
+    rewired = InstanceGraph(
+        graph=Graph(nodes=g.graph.nodes, edges=g.graph.edges, src=src, tgt=tgt),
+        node_types=g.node_types,
+        edge_types=g.edge_types,
+        attrs=g.attrs,
+    )
+    return ref_delete_nodes(rewired, set(ports))
+
+
+@frozen
+class ref_Delta:
+    """A conditional instance-graph patch."""
+
+    name: str
+    condition: Formula
+    patch: Callable[[InstanceGraph, Signature], InstanceGraph]
+
+
+#: Reconfiguration deltas in their fixed application order: retyping
+#: first, then index removal before element removal per option group.
+ref_DELTAS: tuple[ref_Delta, ...] = (
+    ref_Delta("weak-typing", "WT", ref_retype_controls),
+    ref_Delta("drop-root-indices", ("not", "RI"), lambda g, s: ref_unset_index(g, "BRoot")),
+    ref_Delta("drop-roots", ("not", "ER"), lambda g, s: ref_delete_of_type(g, "BRoot")),
+    ref_Delta("drop-site-indices", ("not", "SI"), lambda g, s: ref_unset_index(g, "BSite")),
+    ref_Delta("drop-sites", ("not", "ES"), lambda g, s: ref_delete_of_type(g, "BSite")),
+    ref_Delta("drop-port-indices", ("not", "PI"), lambda g, s: ref_unset_index(g, "BPort")),
+    ref_Delta("implicit-ports", ("not", "EP"), ref_grouped_implicit_ports),
+)
 
 
 def ref_implicit_ports(g: InstanceGraph, sig) -> InstanceGraph:
@@ -72,7 +198,7 @@ def ref_implicit_ports(g: InstanceGraph, sig) -> InstanceGraph:
         edge_types=g.edge_types,
         attrs=g.attrs,
     )
-    return _delete_nodes(rewired, set(ports))
+    return ref_delete_nodes(rewired, set(ports))
 
 
 def ref_apply_deltas(g: InstanceGraph, cfg, sig) -> InstanceGraph:
@@ -80,7 +206,7 @@ def ref_apply_deltas(g: InstanceGraph, cfg, sig) -> InstanceGraph:
     if lacking:
         end = "src" if lacking[0] not in g.graph.src else "tgt"
         raise NotCanonical(f"edge {lacking[0]} has no {end}")
-    for delta in DELTAS:
+    for delta in ref_DELTAS:
         if eval_formula(delta.condition, cfg.selected):
             patch = ref_implicit_ports if delta.name == "implicit-ports" else delta.patch
             g = patch(g, sig)
@@ -179,6 +305,20 @@ def test_implicit_ports_sees_edges_moved_by_earlier_ports(g1, sig1, mutate, expe
             assert isinstance(got, InstanceGraph)
 
 
+@pytest.mark.parametrize("owner, explicit", [("r:0", "ER"), ("s:0", "ES")])
+def test_ports_read_no_edge_of_a_deleted_root_or_site(g1, sig1, owner, explicit):
+    # Roots and sites go before ports are rewired, so a port owned by a
+    # deleted one has no ownership edge; one that is kept owns the port.
+    g = retarget_edge(g1, "bNode:p:v0:0:n:v0", tgt=owner)
+    for cfg in [cfg for cfg in enumerate_configs() if "EP" not in cfg.selected]:
+        got = outcome(apply_deltas, g, cfg, sig1)
+        assert got == outcome(ref_apply_deltas, g, cfg, sig1)
+        if explicit in cfg.selected:
+            assert isinstance(got, InstanceGraph)
+        else:
+            assert got == ("NotCanonical", "port p:v0:0 has 0 ownership edges; cannot rewire")
+
+
 @given(mutated_encodings())
 @settings(max_examples=60, deadline=None)
 def test_out_degree_and_typed_edges_match_brute_force(case):
@@ -231,6 +371,10 @@ def test_checkers_decode_and_deltas_build_no_adjacency_index(case):
     assert all(_navigated(r) == [] for r in results if isinstance(r, InstanceGraph))
 
 
+#: The configuration that drops only the port indices and the ports.
+PORTS_ONLY = FeatureConfig(frozenset({"ST", "ER", "RI", "ES", "SI"}))
+
+
 def _untyped_beside_ports(g: InstanceGraph) -> list[InstanceGraph]:
     """Untyped edges out of a port, with its ownership edge kept, untyped,
     or dropped."""
@@ -249,7 +393,7 @@ def test_an_untyped_edge_beside_a_port_is_never_ownership(b1, g1, emap1, sig1):
     for g in _untyped_beside_ports(g1):
         assert outcome(decode, g, sig1) == outcome(ref_decode, g, sig1)
         assert check_soundness(b1, g, emap1) == ref_check_soundness(b1, g, emap1)
-        assert outcome(_implicit_ports, g, sig1) == outcome(ref_implicit_ports, g, sig1)
+        assert outcome(apply_deltas, g, PORTS_ONLY, sig1) == outcome(ref_implicit_ports, ref_unset_index(g, "BPort"), sig1)
         for cfg in implicit:
             assert outcome(apply_deltas, g, cfg, sig1) == outcome(ref_apply_deltas, g, cfg, sig1)
         owners.append([f.message for f in check_soundness(b1, g, emap1).findings if f.code == "sound-port-index"])
@@ -258,8 +402,8 @@ def test_an_untyped_edge_beside_a_port_is_never_ownership(b1, g1, emap1, sig1):
     assert owners[0] == []
     assert owners[1] == owners[2] == ["port node has 0 ownership edges"]
     port = min(n for n in g1.graph.nodes if g1.node_types[n] == "BPort")
-    assert isinstance(_implicit_ports(_untyped_beside_ports(g1)[0], sig1), InstanceGraph)
-    assert outcome(_implicit_ports, _untyped_beside_ports(g1)[2], sig1) == (
+    assert isinstance(apply_deltas(_untyped_beside_ports(g1)[0], PORTS_ONLY, sig1), InstanceGraph)
+    assert outcome(apply_deltas, _untyped_beside_ports(g1)[2], PORTS_ONLY, sig1) == (
         "NotCanonical",
         f"port {port} has 0 ownership edges; cannot rewire",
     )

@@ -238,15 +238,6 @@ class ref_AnnotatedTypeGraph:
         object.__setattr__(self, "mult_overrides", dict(self.mult_overrides))
 
 
-@dataclass(frozen=True)
-class ref_Delta:
-    """A conditional instance-graph patch."""
-
-    name: str
-    condition: Formula
-    patch: Callable[[InstanceGraph, Signature], InstanceGraph]
-
-
 # ---------------------------------------------------------------------------
 # From bigtg.constraints
 

@@ -5,11 +5,12 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from bigtg import (
     FeatureConfig,
+    InvalidBigraph,
     InvalidConfig,
     NotCanonical,
     annotate_150,
@@ -26,6 +27,8 @@ from bigtg import (
 from bigtg.generators import random_bigraph
 from bigtg.typedgraph import Multiplicity, node_attrs
 from bigtg.variability import FEATURE_LEAVES
+
+from helpers import arbitrary_bigraphs
 
 
 def cfg(*features: str) -> FeatureConfig:
@@ -108,7 +111,7 @@ def test_derive_rejects_invalid_config(tg_sigma1):
 
 
 def test_deltas_noop_for_canonical(g1, sig1):
-    assert apply_deltas(g1, FeatureConfig.canonical(), sig1) == g1
+    assert apply_deltas(g1, FeatureConfig.canonical(), sig1) is g1
 
 
 def test_deltas_drop_root(g1, sig1):
@@ -181,6 +184,24 @@ def test_deltas_idempotent_and_conformant_random(seed, config_index):
     derived = derive_type_graph(annotate_150(extend_for_signature(sig)), config)
     rep = conformance(once, derived)
     assert rep.ok, [f.line() for f in rep.findings]
+
+
+@given(arbitrary_bigraphs())
+@settings(max_examples=100, deadline=None)
+def test_deltas_idempotent_and_conformant_on_arbitrary_bigraphs(b):
+    """Every variant of an encodable bigraph conforms to its derived type
+    graph, and configuring it again changes nothing."""
+    try:
+        g, _ = encode(b)
+    except InvalidBigraph:
+        reject()  # an idle link, which encode refuses
+    sig = b.signature
+    atg = annotate_150(extend_for_signature(sig))
+    for config in enumerate_configs():
+        once = apply_deltas(g, config, sig)
+        assert apply_deltas(once, config, sig) == once
+        rep = conformance(once, derive_type_graph(atg, config))
+        assert rep.ok, (sorted(config.selected), [f.line() for f in rep.findings])
 
 
 @pytest.mark.parametrize("end", ["src", "tgt"])

@@ -21,9 +21,7 @@ from bigtg import extend_for_signature, fileio, make_signature, replace
 from bigtg.bigraph import BASE_NODE_TYPE_NAMES
 from bigtg.typedgraph import Graph, Multiplicity, TypeGraph
 from bigtg.variability import (
-    _GROUPS,
     _REQUIRES,
-    DELTAS,
     FEATURE_LEAVES,
     AnnotatedTypeGraph,
     FeatureConfig,
@@ -190,16 +188,6 @@ def test_feature_model_matches_reference():
     assert FeatureConfig.canonical() == ref_canonical()
 
 
-def test_each_group_has_its_two_deltas_in_table_order():
-    # The weak-typing delta comes first; then each group drops its
-    # indices before its elements.
-    assert DELTAS[0].condition == "WT"
-    for i, (_, explicit, indexed) in enumerate(_GROUPS):
-        assert DELTAS[1 + 2 * i].condition == ("not", indexed)
-        assert DELTAS[2 + 2 * i].condition == ("not", explicit)
-    assert len(DELTAS) == 1 + 2 * len(_GROUPS)
-
-
 def dangling(controls: list[str]) -> dict[tuple, object]:
     """The annotations the reference adds on edge types and inheritance
     pairs whose node type derivation already drops."""
@@ -229,7 +217,6 @@ def assert_matches_reference(tg_sigma: TypeGraph) -> None:
         assert dropped[(kind, *key)] in {atg.annotations.get(("node", t)) for t in ends}
 
     conditions = [*atg.annotations.values(), *(f for f, _ in atg.mult_overrides.values())]
-    conditions += [d.condition for d in DELTAS]
     assert all(isinstance(f, str) or (len(f) == 2 and f[0] == "not" and isinstance(f[1], str)) for f in conditions)
     for cfg in CONFIGS:
         assert [eval_formula(f, cfg.selected) for f in conditions] == [
