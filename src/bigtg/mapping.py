@@ -16,7 +16,7 @@ from collections.abc import Iterator, Mapping
 from itertools import repeat
 
 from ._value import field, frozen
-from .bigraph import Bigraph, Interface, Port, _ports, validate_bigraph
+from .bigraph import Bigraph, Interface, Port, _ports
 # The metamodel's names stay reachable here, as ``mapping.conformance``.
 from .metamodel import (
     NotCanonical,
@@ -146,6 +146,8 @@ def encode(b: Bigraph) -> tuple[InstanceGraph, ElementMap]:
     graph returned conforms, or if ids that contain ``:`` give two edges
     one id.
     """
+    from .bigraph import validate_bigraph  # here, so that decode does not compile it
+
     rep = validate_bigraph(b)
     if rep.ok:
         rep = _idle_links(b)

@@ -5,7 +5,10 @@ types and edge types, refined by an inheritance hierarchy with abstract
 types, containment edge types, opposite edge-type pairs, multiplicities
 and attribute declarations. Instance graphs carry a typing morphism into
 a type graph; the ``check_*`` functions report every way the morphism or
-the structural rules can fail.
+the structural rules can fail. ``check_type_graph``, which checks a type
+graph itself, lives in :mod:`bigtg.wellformed` and is imported on first
+access of ``typedgraph.check_type_graph`` (PEP 562), so a caller that
+checks only instance graphs does not compile it.
 """
 
 from __future__ import annotations
@@ -139,9 +142,14 @@ class EdgeView:
     group in the iteration order of ``g.graph.nodes``. Built in C-level
     passes. The edges of one edge type grouped by source, which
     constraint navigation reads, are built the first time that edge type
-    is asked for (:meth:`by_source`) and kept."""
+    is asked for (:meth:`by_source`) and kept.
 
-    __slots__ = ("edges", "src", "tgt", "type", "by_type", "sources", "by_node_type", "_by_source")
+    The checkers read node types from ``node_types``: ``g.node_types``
+    itself, or, when some node type cannot be hashed (a list, say), a copy
+    in which each such type is a stand-in that prints as that type and
+    equals only itself, so it is a type that no type graph has."""
+
+    __slots__ = ("edges", "src", "tgt", "type", "by_type", "sources", "node_types", "by_node_type", "_by_source")
 
     def __init__(self, g: InstanceGraph) -> None:
         self.edges = edges = tuple(g.graph.edges)
@@ -150,7 +158,12 @@ class EdgeView:
         self.type = list(map(g.edge_types.get, edges))
         self.by_type = _grouped(self.type, edges)
         self.sources = _grouped(self.type, self.src)
-        self.by_node_type = _grouped(list(map(g.node_types.get, g.graph.nodes)), g.graph.nodes)
+        self.node_types = g.node_types
+        try:
+            self.by_node_type = _grouped(list(map(g.node_types.get, g.graph.nodes)), g.graph.nodes)
+        except TypeError:  # a node type that cannot be hashed
+            self.node_types = dict(zip(g.node_types, map(_stand_in, g.node_types.values())))
+            self.by_node_type = _grouped(list(map(self.node_types.get, g.graph.nodes)), g.graph.nodes)
         self._by_source: dict[Hashable, dict[Hashable, list[str]]] = {}
 
     def by_source(self, edge_type: Hashable) -> dict[Hashable, list[str]]:
@@ -161,6 +174,29 @@ class EdgeView:
             sources = self.sources.get(edge_type, [])
             groups = self._by_source[edge_type] = _grouped(sources, self.by_type.get(edge_type, ()))
         return groups
+
+
+class _Unhashable:
+    """The stand-in for a node type that cannot be hashed (see
+    :class:`EdgeView`)."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: object) -> None:
+        self.value = value
+
+    def __repr__(self) -> str:
+        return repr(self.value)
+
+
+def _stand_in(value: object) -> object:
+    """``value``, or its :class:`_Unhashable` stand-in when it cannot be
+    hashed."""
+    try:
+        hash(value)
+    except TypeError:
+        return _Unhashable(value)
+    return value
 
 
 def _grouped(keys: list[Hashable], values: Iterable[Any]) -> dict[Hashable, list[Any]]:
@@ -334,96 +370,6 @@ def walk_suspects(
     return [f for el in sorted(compress(elements, map(bad.__contains__, keys))) for f in check(el)]
 
 
-def check_type_graph(tg: TypeGraph) -> ValidationReport:
-    """Well-formedness of a type graph itself (not of its instances).
-
-    Besides the references, the hierarchy, the opposite relation and the
-    declarations, each opposite pair of edge types must meet three EMOF
-    rules: its ends mirror each other (``tg-opposite-ends``), at most one
-    of the two is a containment (``tg-opposite-containments``), and the
-    opposite of a containment has an upper bound of at most 1
-    (``tg-container-mult``). A bound that is not a :class:`Multiplicity`
-    is no multiplicity (``tg-mult``)."""
-    findings: list[Finding] = []
-
-    def flag(code: str, location: str, message: str) -> None:
-        findings.append(Finding(code, location, message))
-
-    for e in sorted(tg.edge_types):
-        for role, mapping in (("src", tg.graph.src), ("tgt", tg.graph.tgt)):
-            end = mapping.get(e)
-            if end is None:
-                flag("tg-edge-ends", f"{role}[{e}]", "edge type has no " + role)
-            elif end not in tg.node_types:
-                flag("tg-edge-ends", f"{role}[{e}]", f"edge type {role} {end!r} is not a node type")
-
-    for sub, sup in sorted(tg.inherits):
-        if sub not in tg.node_types or sup not in tg.node_types:
-            flag("tg-inherits-ref", f"({sub},{sup})", "inheritance references unknown node type")
-    for cycle in _cycles(_parents(tg)):
-        flag("tg-inherits-cycle", cycle[0], "inheritance cycle through " + cycle[0])
-
-    for t in sorted(tg.abstracts - tg.node_types):
-        flag("tg-abstracts", t, "abstract entry is not a node type")
-    for e in sorted(tg.containments - tg.edge_types):
-        flag("tg-containments", e, "containment entry is not an edge type")
-
-    seen_in_pair: dict[str, str] = {}
-    for a, b in sorted(tg.opposites):
-        if a == b:
-            flag("tg-opposites", a, "edge type opposite to itself")
-            continue
-        if a not in tg.edge_types or b not in tg.edge_types:
-            flag("tg-opposites", f"({a},{b})", "opposite pair references unknown edge type")
-            continue
-        if (b, a) not in tg.opposites:
-            flag("tg-opposites", f"({a},{b})", "opposite relation is not symmetric")
-        prev = seen_in_pair.get(a)
-        if prev is not None and prev != b:
-            flag("tg-opposites", a, f"edge type paired with both {prev!r} and {b!r}")
-        seen_in_pair[a] = b
-
-    # The EMOF rules on each opposite pair of known edge types: a property's
-    # opposite is owned by the property's type, so the ends mirror each
-    # other; at most one end is a composition; and the opposite of a
-    # containment has an upper bound of at most 1 (one container).
-    src, tgt = tg.graph.src.get, tg.graph.tgt.get
-    for a, b in sorted({tuple(sorted(p)) for p in tg.opposites if p[0] != p[1] and set(p) <= tg.edge_types}):
-        if src(a) != tgt(b) or tgt(a) != src(b):
-            flag(
-                "tg-opposite-ends",
-                f"({a},{b})",
-                f"opposite ends do not mirror: {a!r} is {src(a)}->{tgt(a)}, {b!r} is {src(b)}->{tgt(b)}",
-            )
-        if a in tg.containments and b in tg.containments:
-            flag("tg-opposite-containments", f"({a},{b})", "both edge types of an opposite pair are containments")
-        for whole, part in ((a, b), (b, a)):
-            m = mult_of(tg, part)
-            if whole in tg.containments and m is not None and (m.ub is None or m.ub > 1):
-                flag(
-                    "tg-container-mult",
-                    part,
-                    f"opposite of containment {whole!r} has multiplicity {m.render()}, upper bound above 1",
-                )
-
-    for e in sorted(tg.edge_types):
-        if mult_of(tg, e) is None:
-            flag("tg-mult", e, "edge type has no multiplicity")
-    for e in sorted(tg.mult):
-        if e not in tg.edge_types:
-            flag("tg-mult", e, "multiplicity attached to unknown edge type")
-
-    for t in sorted(tg.attr_decls):
-        if t not in tg.node_types:
-            flag("tg-attrs", t, "attributes declared on unknown node type")
-            continue
-        for a, dt in sorted(tg.attr_decls[t].items()):
-            if dt not in ATTR_TYPES:
-                flag("tg-attrs", f"{t}.{a}", f"unknown attribute data type {dt!r}")
-
-    return report_from(findings)
-
-
 @keeps_report
 def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     """Check the typing morphism: totality, abstractness, endpoint
@@ -445,7 +391,8 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     elements of a failing key are sorted and checked (see
     :func:`walk_suspects`). The report is kept on ``g``
     (:func:`keeps_report`)."""
-    nodes, nt = g.graph.nodes, g.node_types
+    view = g.edge_view
+    nodes, nt = g.graph.nodes, view.node_types
 
     def check_node(n: str) -> list[Finding]:
         t = nt.get(n)
@@ -546,7 +493,6 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
         return []
 
     findings: list[Finding] = []
-    view = g.edge_view
     kinds = view.by_node_type.keys()
     if None in kinds or not kinds <= tg.node_types or not kinds.isdisjoint(tg.abstracts):
         findings += walk_suspects(nodes, map(nt.get, nodes), check_node)
@@ -744,7 +690,7 @@ def _bound_findings(
     ]
     findings: list[Finding] = []
     for n in sorted(g.graph.nodes) if failing else ():
-        t = g.node_types.get(n)
+        t = view.node_types.get(n)
         for te, types, m, counts in failing:
             count = counts[n]
             if t in types and not (m.lb <= count and (m.ub is None or count <= m.ub)):
@@ -774,3 +720,15 @@ def check_multiplicities(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
 def _mult_finding(n: str, t: str, te: str, m: Multiplicity, count: int) -> Finding:
     code = "mult-underflow" if count < m.lb else "mult-overflow"
     return Finding(code, f"{n}.{te}", f"{count} outgoing {te!r} edge(s), multiplicity {m.render()}")
+
+
+def __getattr__(name: str) -> object:
+    """``check_type_graph``, loaded from :mod:`bigtg.wellformed` on first
+    access (PEP 562) and then bound here like any other name, so that a
+    tracer that patches this module's bindings finds it."""
+    if name == "check_type_graph":
+        from .wellformed import check_type_graph
+
+        globals()[name] = check_type_graph
+        return check_type_graph
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -238,7 +238,10 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
     types, attrs = g.node_types, g.attrs
     if "WT" in sel:
         controls = set(sig.names)
-        retyped = {n: t for n, t in types.items() if n in g.graph.nodes and t in controls}
+        try:
+            retyped = {n: t for n, t in types.items() if n in g.graph.nodes and t in controls}
+        except TypeError:  # a node type that cannot be hashed is no control
+            retyped = {n: t for n, t in types.items() if n in g.graph.nodes and t in sig.names}
         types = {**types, **dict.fromkeys(retyped, "BNode")}
         attrs = {**attrs, **{(n, "control"): t for n, t in retyped.items()}}
     # Membership in a tuple compares with ==, so a node type that cannot

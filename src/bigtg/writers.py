@@ -39,15 +39,27 @@ def _join(texts: list[str], pad: str, brackets: str) -> str:
     return brackets[0] + inner + ("," + inner).join(texts) + pad + brackets[1]
 
 
+#: The text of each value of these exact types, as ``json`` prints it
+#: (``bool`` is an ``int`` to ``int.__repr__``, but not to ``json``).
+_LITERAL = {True: "true", False: "false", None: "null"}.__getitem__
+_SCALAR = {str: encode_basestring_ascii, int: int.__repr__, bool: _LITERAL, type(None): _LITERAL}
+
+
 def _leaves(values: list, pad: str) -> list[str]:
     """The text of each value: one C-level pass over a column of strings or
-    of plain integers, ``_canonical_json`` per value otherwise (``bool`` is
-    an ``int`` to ``int.__repr__``, but not to ``json``)."""
+    of plain integers, one pass that picks the printer of each value's
+    type over a column of such scalars mixed (weakly typed attribute
+    values: ``control`` strings beside ``index`` ints), and
+    ``_canonical_json`` per value otherwise."""
     try:
         return list(map(encode_basestring_ascii, values))
     except TypeError:
-        if set(map(type, values)) <= {int}:
+        kinds = list(map(type, values))
+        distinct = set(kinds)
+        if distinct <= {int}:
             return list(map(int.__repr__, values))
+        if _SCALAR.keys() >= distinct:
+            return [text(v) for text, v in zip(map(_SCALAR.__getitem__, kinds), values)]
     return [_canonical_json(v, pad) for v in values]
 
 
@@ -66,7 +78,8 @@ def _canonical_json(value: Any, pad: str = "\n") -> str:
     if isinstance(value, (list, tuple)):
         items = [encode_basestring_ascii(v) if isinstance(v, str) else _canonical_json(v, inner) for v in value]
         return _join(items, pad, "[]")
-    return json.dumps(value)
+    text = _SCALAR.get(type(value))
+    return json.dumps(value) if text is None else text(value)
 
 
 def _refuse_missing(what: str, ids: list, **columns: list) -> None:

@@ -297,6 +297,59 @@ def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 2
 
 
+def test_an_option_takes_its_value_after_an_equals_sign(fixtures_dir, tmp_path, capsys):
+    sig = fx(fixtures_dir, "printer.sig.json")
+    spaced, joined = tmp_path / "spaced.bg.json", tmp_path / "joined.bg.json"
+    ig = fx(fixtures_dir, "printer.ig.json")
+    assert run(capsys, "decode", ig, "--sig", sig, "-o", str(spaced)) == (0, "", "")
+    assert run(capsys, "decode", ig, f"--sig={sig}", f"--output={joined}") == (0, "", "")
+    assert joined.read_bytes() == spaced.read_bytes() == (fixtures_dir / "printer.bg.json").read_bytes()
+    tg = tmp_path / "printer.tg.json"
+    assert run(capsys, "metamodel", sig, f"-o={tg}") == (0, "", "")
+    assert tg.read_bytes() == (fixtures_dir / "printer.tg.json").read_bytes()
+    bad_ports = fx(fixtures_dir, "corpus/bad-ports.ig.json")
+    assert run(capsys, "validate", bad_ports, f"--sig={sig}") == run(capsys, "validate", bad_ports, "--sig", sig)
+
+
+def test_a_double_dash_ends_the_options(fixtures_dir, capsys):
+    assert run(capsys, "validate", "--", fx(fixtures_dir, "printer.sig.json")) == (0, "", "")
+
+
+def test_help_names_every_command_and_every_option(capsys):
+    code, out, err = run(capsys, "-h")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: bigtg <command>")
+    for command in ("metamodel", "encode", "decode", "validate", "configure", "check", "configs"):
+        assert f"  bigtg {command}" in out
+    code, out, err = run(capsys, "decode", "-h")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "usage: bigtg decode instancegraph --sig SIG -o/--output OUTPUT"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "no command given (bigtg -h lists them)"),
+        (["frobnicate"], "unknown command 'frobnicate' (bigtg -h lists them)"),
+        (["configs", "--feat"], "configs: unknown option --feat"),
+        (["decode", "printer.ig.json", "--sig"], "decode: option --sig needs a value"),
+        (["decode", "printer.ig.json", "--sig", "-o", "out.json"], "decode: option --sig needs a value"),
+        (["validate"], "validate: missing argument file"),
+        (["validate", "printer.sig.json", "printer.bg.json"], "validate: unexpected argument 'printer.bg.json'"),
+        (["decode", "printer.ig.json", "-o", "out.json"], "decode: option --sig is required"),
+        (["metamodel", "printer.sig.json", "-oFILE"], "metamodel: unknown option -oFILE"),
+    ],
+    ids=[
+        "no-command", "unknown-command", "unknown-option", "option-without-value", "option-before-option",
+        "missing-positional",
+        "extra-positional", "missing-required-option", "attached-short-value",
+    ],
+)
+def test_a_malformed_command_line_is_one_usage_line(argv, message):
+    done = run_child("-m", "bigtg.cli", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error usage - {message}\n")
+
+
 def test_decode_non_canonical_exit_code(fixtures_dir, tmp_path, capsys, g1):
     import helpers
 
@@ -398,24 +451,30 @@ def test_unreadable_input_is_one_error_line(fixtures_dir, tmp_path, make):
     assert done.stderr.startswith(prefix)
 
 
+#: Modules that no subcommand needs: code generation for the value classes,
+#: and the standard library's argument parsers with their translations.
+UNNEEDED = ("dataclasses", "inspect", "argparse", "getopt", "optparse", "gettext")
+
 #: Prints the exit code of one ``main(argv)`` call, then the ``bigtg``
-#: modules, ``dataclasses`` and ``inspect``, each if it is loaded by then.
+#: modules and those of ``UNNEEDED``, each if it is loaded by then.
 LOADED_AFTER_MAIN = (
     "import sys; from bigtg.cli import main; code = main(sys.argv[1:]); "
-    "print(code, *sorted(m for m in sys.modules if m.startswith('bigtg.') or m in ('dataclasses', 'inspect')))"
+    f"print(code, *sorted(m for m in sys.modules if m.startswith('bigtg.') or m in {UNNEEDED!r}))"
 )
 
 #: The layers that a subcommand loads only if it runs them.
-OPTIONAL_LAYERS = ("constraints", "mapping", "variability", "writers")
+OPTIONAL_LAYERS = ("constraints", "mapping", "variability", "wellformed", "writers")
 
 
 @pytest.mark.parametrize(
     "argv, layers",
     [
         (["metamodel", "printer.sig.json", "-o", "{out}"], {"writers"}),
-        (["encode", "printer.bg.json", "-o", "{out}"], {"mapping", "writers"}),
+        (["encode", "printer.bg.json", "-o", "{out}"], {"mapping", "wellformed", "writers"}),
         (["decode", "printer.ig.json", "--sig", "printer.sig.json", "-o", "{out}"], {"mapping", "writers"}),
         (["validate", "printer.ig.json", "--sig", "printer.sig.json"], set()),
+        (["validate", "printer.bg.json"], {"wellformed"}),
+        (["validate", "printer.tg.json"], {"wellformed"}),
         (["validate", "weak.cfg.json"], {"variability"}),
         (
             ["configure", "printer.ig.json", "--sig", "printer.sig.json", "--features", "weak.cfg.json", "-o", "{out}"],
@@ -424,7 +483,10 @@ OPTIONAL_LAYERS = ("constraints", "mapping", "variability", "writers")
         (["check", "printer.ig.json", "--tg", "printer.tg.json", "--constraints", "office.bgc"], {"constraints"}),
         (["configs"], {"variability"}),
     ],
-    ids=["metamodel", "encode", "decode", "validate", "validate-featureconfig", "configure", "check", "configs"],
+    ids=[
+        "metamodel", "encode", "decode", "validate", "validate-bigraph", "validate-typegraph",
+        "validate-featureconfig", "configure", "check", "configs",
+    ],
 )
 def test_subcommand_loads_only_its_layers(fixtures_dir, tmp_path, argv, layers):
     out = str(tmp_path / "out.json")
@@ -435,9 +497,10 @@ def test_subcommand_loads_only_its_layers(fixtures_dir, tmp_path, argv, layers):
     assert {layer for layer in OPTIONAL_LAYERS if f"bigtg.{layer}" in loaded} == layers
     # No command-line path runs the soundness check.
     assert "bigtg.soundness" not in loaded
-    # The value classes are built without code generation, so no child
-    # pays for importing ``dataclasses`` and ``inspect``.
-    assert "dataclasses" not in loaded and "inspect" not in loaded
+    # The value classes are built without code generation, and the command
+    # line is read against the command table, so no child pays for
+    # importing ``dataclasses``, ``inspect``, or an argument parser.
+    assert not set(UNNEEDED) & set(loaded)
 
 
 def test_package_surface():

@@ -19,7 +19,9 @@ from bigtg import (
     NotCanonical,
     UnknownType,
     all_sub,
+    apply_deltas,
     base_type_graph,
+    check_arity_rule,
     check_multiplicities,
     check_type_graph,
     check_typing,
@@ -27,6 +29,7 @@ from bigtg import (
     conformance,
     decode,
     encode,
+    enumerate_configs,
     extend_for_signature,
     replace,
 )
@@ -35,7 +38,7 @@ from bigtg.constraints import evaluate, parse_constraints, typecheck
 from bigtg.generators import random_bigraph
 from bigtg.typedgraph import all_super, symmetric_pairs
 
-from helpers import edges_of_type
+from helpers import edges_of_type, outcome
 
 
 def test_all_sub_controls_under_bnode(tg_sigma1):
@@ -449,3 +452,37 @@ def test_navigation_over_a_tuple_bound_is_a_collection():
     doc = parse_constraints("context N\n  inv two:\n    self.e->size() = 2\n")
     typecheck(doc, tg)
     assert [c.passed for c in evaluate(doc, g, tg).checks] == [False, True]
+
+
+@pytest.mark.parametrize("base", ["printer.ig.json", "corpus/bad-ports.ig.json"])
+@pytest.mark.parametrize("node", ["e:e0", "n:v0", "p:v1:0", "r:0"])
+def test_a_node_typed_by_a_list_is_a_type_the_type_graph_lacks(fixtures_dir, sig1, tg_sigma1, base, node):
+    """A node type that cannot be hashed gives each checker the findings
+    that a type the type graph lacks gives, printed with the list, and
+    ``apply_deltas`` reads it as no control in every configuration. The
+    bad-ports graph breaks bounds, so the bound walks read every node's
+    type."""
+    g0 = fileio.load_instance_graph(str(fixtures_dir / base))
+    listed = [g0.node_types[node]]
+    g = replace(g0, node_types={**g0.node_types, node: listed})
+    named = replace(g0, node_types={**g0.node_types, node: "Unknown"})
+
+    def lines(report):
+        return [f.line() for f in report.findings]
+
+    unknown = f"error typing-unknown-type {node} node typed by unknown type {listed!r}"
+    assert lines(check_typing(g, tg_sigma1)) == [unknown]
+    for check, args in (
+        (check_typing, (tg_sigma1,)),
+        (check_validity, (tg_sigma1,)),
+        (check_multiplicities, (tg_sigma1,)),
+        (check_arity_rule, (tg_sigma1, sig1)),
+        (conformance, (tg_sigma1, sig1)),
+    ):
+        want = [line.replace("'Unknown'", repr(listed)) for line in lines(check(named, *args))]
+        assert lines(check(g, *args)) == want, check.__name__
+    for cfg in enumerate_configs():
+        want = outcome(apply_deltas, named, cfg, sig1)
+        if isinstance(want, InstanceGraph):
+            want = replace(want, node_types={**want.node_types, node: listed})
+        assert outcome(apply_deltas, g, cfg, sig1) == want, cfg

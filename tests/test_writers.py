@@ -201,6 +201,28 @@ def test_every_variant_and_its_type_graph_are_written_as_before(g1, sig1):
         assert fileio.dumps_canonical(tg) == ref_dumps(fileio.KIND_TYPEGRAPH, ref_typegraph_payload, tg)
 
 
+#: The scalars that ``json`` prints by a rule of its own type.
+SCALARS = st.one_of(st.integers(-(2**70), 2**70), st.booleans(), st.none(), IDS)
+
+
+@st.composite
+def scalar_attributes(draw):
+    """A graph of a few nodes whose attribute values are drawn from ``SCALARS``."""
+    nodes = draw(st.lists(IDS, min_size=1, max_size=6, unique=True))
+    attrs = draw(st.dictionaries(st.tuples(st.sampled_from(nodes), IDS), SCALARS, max_size=12))
+    return InstanceGraph(graph=Graph(nodes=frozenset(nodes)), node_types=dict.fromkeys(nodes, "BNode"), attrs=attrs)
+
+
+@given(scalar_attributes())
+@settings(max_examples=200, deadline=None)
+def test_mixed_scalar_attribute_values_are_written_as_json_writes_them(g):
+    """Attribute values that mix ``int``, ``str``, ``bool`` and ``None`` in
+    one column, as a weakly typed variant's ``control`` strings beside its
+    ``index`` ints do, print as ``json.dumps(envelope, indent=2,
+    sort_keys=True)`` prints them."""
+    assert fileio.dumps_canonical(g) == ref_dumps(fileio.KIND_INSTANCEGRAPH, ref_instancegraph_payload, g)
+
+
 @pytest.mark.parametrize(
     "g",
     [
