@@ -11,7 +11,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from collections.abc import Callable, Container, Iterable
+from collections.abc import Callable, Container, Iterable, Iterator
 from functools import partial
 from importlib import import_module
 from itertools import chain, count, repeat
@@ -417,32 +417,44 @@ def _read_featureconfig(payload: Any) -> FeatureConfig:
 #: Each kind's value class (as module and name, looked up on first use, so
 #: that only feature configurations load ``variability``), payload reader,
 #: and the name of its payload writer in :mod:`bigtg.writers`, which only a
-#: save loads. A writer returns the payload's canonical text at the
-#: envelope's indentation, not a payload value.
+#: save loads. A writer yields the chunks of the payload's canonical text
+#: at the envelope's indentation, not a payload value.
 _KINDS: dict[str, tuple[str, str, Callable[[Any], object], str]] = {
-    KIND_SIGNATURE: ("bigraph", "Signature", _read_signature, "signature_text"),
-    KIND_BIGRAPH: ("bigraph", "Bigraph", _read_bigraph, "bigraph_text"),
-    KIND_TYPEGRAPH: ("typedgraph", "TypeGraph", _read_typegraph, "typegraph_text"),
-    KIND_INSTANCEGRAPH: ("typedgraph", "InstanceGraph", _read_instancegraph, "instancegraph_text"),
-    KIND_FEATURECONFIG: ("variability", "FeatureConfig", _read_featureconfig, "featureconfig_text"),
+    KIND_SIGNATURE: ("bigraph", "Signature", _read_signature, "signature_chunks"),
+    KIND_BIGRAPH: ("bigraph", "Bigraph", _read_bigraph, "bigraph_chunks"),
+    KIND_TYPEGRAPH: ("typedgraph", "TypeGraph", _read_typegraph, "typegraph_chunks"),
+    KIND_INSTANCEGRAPH: ("typedgraph", "InstanceGraph", _read_instancegraph, "instancegraph_chunks"),
+    KIND_FEATURECONFIG: ("variability", "FeatureConfig", _read_featureconfig, "featureconfig_chunks"),
 }
 
-_ENVELOPE = '{\n  "formatVersion": "%s",\n  "kind": "%s",\n  "payload": %s\n}\n'
+_HEAD = '{\n  "formatVersion": "%s",\n  "kind": "%s",\n  "payload": '
 
 
-def dumps_canonical(value: object) -> str:
-    """Canonical envelope text for any supported value, printed by the
-    kind's writer straight from the value. Raises ``ValueError`` for what
-    the format cannot write, naming the smallest offender: ``edge <e> has
-    no src`` (or ``tgt``) and ``attribute <a> of <n> has no node`` in an
-    instance graph, ``edge type <e> has no src`` (or ``tgt``, ``mult``) in
-    a type graph."""
+def _chunks(value: object) -> Iterator[str]:
+    """The chunks of ``value``'s canonical envelope text. The first chunk
+    (the envelope's head and the writer's first chunk) comes after every
+    refusal of the writer; each later one holds at most one batch of
+    entries (see :mod:`bigtg.writers`)."""
     from . import writers
 
     for kind, (module, cls, _, write) in _KINDS.items():
         if isinstance(value, getattr(import_module(f".{module}", __package__), cls)):
-            return _ENVELOPE % (FORMAT_VERSION, kind, getattr(writers, write)(value))
+            payload = getattr(writers, write)(value)
+            yield _HEAD % (FORMAT_VERSION, kind) + next(payload)
+            yield from payload
+            yield "\n}\n"
+            return
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def dumps_canonical(value: object) -> str:
+    """Canonical envelope text for any supported value: the join of the
+    chunks that :func:`save` writes, printed by the kind's writer straight
+    from the value. Raises ``ValueError`` for what the format cannot
+    write, naming the smallest offender: ``edge <e> has no src`` (or
+    ``tgt``) and ``attribute <a> of <n> has no node`` in an instance graph,
+    ``edge type <e> has no src`` (or ``tgt``, ``mult``) in a type graph."""
+    return "".join(_chunks(value))
 
 
 def read_text(path: str) -> str:
@@ -455,10 +467,11 @@ def read_text(path: str) -> str:
 
 
 def load_document(path: str) -> tuple[str, object]:
-    """Load any envelope; returns ``(kind, value)``."""
-    text = read_text(path)
+    """Load any envelope; returns ``(kind, value)``. The file's text is
+    dropped as soon as ``json.loads`` returns, so the schema readers run
+    beside the parsed tree only."""
     try:
-        data = json.loads(text)
+        data = json.loads(read_text(path))
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise SchemaError("/", f"not valid JSON: {exc}") from exc
     try:
@@ -499,21 +512,28 @@ def load_feature_config(path: str) -> FeatureConfig:
 
 
 def save(value: object, path: str) -> None:
-    """Write ``value`` as a canonical envelope document.
+    """Write ``value`` as a canonical envelope document: the bytes of
+    :func:`dumps_canonical`, written a chunk at a time, so a save holds the
+    value, its sorted ids and one batch of text, never the whole text.
 
-    The text goes to a new file beside ``path`` that then replaces it, so
-    a save that fails leaves an existing file at ``path`` as it was. A
+    The chunks go to a new file beside ``path`` that then replaces it. A
+    value that :func:`dumps_canonical` refuses raises its ``ValueError``
+    before that file is made; any later exception (an ``OSError``, raised
+    as ``IoError``, or a value ``json`` cannot print halfway through)
+    removes it, so an existing file at ``path`` is left as it was. A
     symlink or device at ``path`` is replaced too, not written through.
-    A value that :func:`dumps_canonical` refuses raises its ``ValueError``
-    before any file is made.
     """
-    text = dumps_canonical(value)
+    chunks = _chunks(value)
+    first = next(chunks)
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
         with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for chunk in chain((first,), chunks):
+                fh.write(chunk)
         os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(tmp)
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        if isinstance(exc, OSError):
+            raise IoError(f"cannot write {path}: {exc}") from exc
+        raise

@@ -144,25 +144,34 @@ class EdgeView:
     constraint navigation reads, are built the first time that edge type
     is asked for (:meth:`by_source`) and kept.
 
-    The checkers read node types from ``node_types``: ``g.node_types``
-    itself, or, when some node type cannot be hashed (a list, say), a copy
-    in which each such type is a stand-in that prints as that type and
-    equals only itself, so it is a type that no type graph has."""
+    The checkers read node and edge types from ``node_types`` and
+    ``edge_types`` (and the ``type`` column): ``g.node_types`` and
+    ``g.edge_types`` themselves, or, when some type cannot be hashed (a
+    list, say), a copy in which each such type is a stand-in that prints
+    as that type and equals only itself, so it is a type that no type
+    graph has."""
 
-    __slots__ = ("edges", "src", "tgt", "type", "by_type", "sources", "node_types", "by_node_type", "_by_source")
+    __slots__ = (
+        "edges", "src", "tgt", "edge_types", "type", "by_type", "sources", "node_types", "by_node_type", "_by_source"
+    )
 
     def __init__(self, g: InstanceGraph) -> None:
         self.edges = edges = tuple(g.graph.edges)
         self.src = list(map(g.graph.src.get, edges))
         self.tgt = list(map(g.graph.tgt.get, edges))
-        self.type = list(map(g.edge_types.get, edges))
-        self.by_type = _grouped(self.type, edges)
+        self.edge_types, self.type = g.edge_types, list(map(g.edge_types.get, edges))
+        try:
+            self.by_type = _grouped(self.type, edges)
+        except TypeError:  # an edge type that cannot be hashed
+            self.edge_types = _stand_ins(g.edge_types)
+            self.type = list(map(self.edge_types.get, edges))
+            self.by_type = _grouped(self.type, edges)
         self.sources = _grouped(self.type, self.src)
         self.node_types = g.node_types
         try:
             self.by_node_type = _grouped(list(map(g.node_types.get, g.graph.nodes)), g.graph.nodes)
         except TypeError:  # a node type that cannot be hashed
-            self.node_types = dict(zip(g.node_types, map(_stand_in, g.node_types.values())))
+            self.node_types = _stand_ins(g.node_types)
             self.by_node_type = _grouped(list(map(self.node_types.get, g.graph.nodes)), g.graph.nodes)
         self._by_source: dict[Hashable, dict[Hashable, list[str]]] = {}
 
@@ -177,7 +186,7 @@ class EdgeView:
 
 
 class _Unhashable:
-    """The stand-in for a node type that cannot be hashed (see
+    """The stand-in for a node or edge type that cannot be hashed (see
     :class:`EdgeView`)."""
 
     __slots__ = ("value",)
@@ -197,6 +206,12 @@ def _stand_in(value: object) -> object:
     except TypeError:
         return _Unhashable(value)
     return value
+
+
+def _stand_ins(types: Mapping[str, object]) -> dict[str, object]:
+    """A copy of ``types`` with each type that cannot be hashed replaced
+    by its stand-in."""
+    return dict(zip(types, map(_stand_in, types.values())))
 
 
 def _grouped(keys: list[Hashable], values: Iterable[Any]) -> dict[Hashable, list[Any]]:
@@ -436,7 +451,7 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
                 findings.append(Finding("typing-edge-ends", f"{role}[{e}]", "edge has no " + role))
             elif end not in nodes:
                 findings.append(Finding("typing-edge-ends", f"{role}[{e}]", f"edge {role} {end!r} is not a node"))
-        te = g.edge_types.get(e)
+        te = view.edge_types.get(e)
         if te is None:
             return findings + [Finding("typing-total", e, "edge has no type")]
         if te not in tg.edge_types:

@@ -19,7 +19,7 @@ from ._value import field, frozen, replace
 from .bigraph import BASE_NODE_TYPE_NAMES, Signature
 from .metamodel import NotCanonical
 from .report import Finding, ValidationReport, report_from
-from .typedgraph import Graph, InstanceGraph, Multiplicity, TypeGraph, _grouped
+from .typedgraph import Graph, InstanceGraph, Multiplicity, TypeGraph, _grouped, _stand_in
 
 #: The option groups in reconfiguration order: each group's node type, the
 #: feature that makes its elements explicit, and the feature that indexes
@@ -260,7 +260,11 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
         # counts among its links.
         gone = doomed.difference(ports)
         live = [e for e in g.graph.edges if src[e] not in gone and tgt[e] not in gone] if gone else list(g.graph.edges)
-        of_type = _grouped(list(map(g.edge_types.get, live)), live)
+        types_of = list(map(g.edge_types.get, live))
+        try:
+            of_type = _grouped(types_of, live)
+        except TypeError:  # an edge type that cannot be hashed is none of the three read here
+            of_type = _grouped(list(map(_stand_in, types_of)), live)
         owned, linked = of_type.get("bNode", []), of_type.get("bLink", [])
         ownership, owner_of = Counter(map(src.get, owned)), dict(zip(map(src.get, owned), map(tgt.get, owned)))
         link_count, link_of = Counter(map(src.get, linked)), dict(zip(map(src.get, linked), linked))

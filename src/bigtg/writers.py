@@ -1,15 +1,23 @@
 """Canonical text of every artifact kind.
 
-Each ``<kind>_text`` writer prints a payload straight from the value, as
+Each ``<kind>_chunks`` writer is a generator of text chunks whose join is
+the payload printed straight from the value, byte for byte as
 ``json.dumps(payload, indent=2, sort_keys=True)`` would print it at the
-indentation of an envelope's payload. Only :func:`bigtg.fileio.save` and
-:func:`bigtg.fileio.dumps_canonical` load this module, so a command that
-writes no file does not compile it.
+indentation of an envelope's payload. The entries of the large arrays (an
+instance graph's ``edges`` and ``nodes``, a bigraph's ``ctrl``, ``edges``,
+``link``, ``nodes`` and ``prnt``) are printed ``_BATCH`` at a time, so a
+writer holds the value, its sorted ids and one batch of text; a signature,
+type graph or feature configuration is one chunk. A writer raises each of
+its refusals before it yields its first chunk.
+
+Only :func:`bigtg.fileio.save` and :func:`bigtg.fileio.dumps_canonical`
+load this module, so a command that writes no file does not compile it.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from itertools import groupby, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -19,6 +27,7 @@ from .typedgraph import InstanceGraph, Multiplicity, TypeGraph, mult_of
 
 TYPE_CHECKING = False  # read as true by static type checkers only
 if TYPE_CHECKING:
+    from collections.abc import Callable, Iterable, Iterator
     from typing import Any
 
     from .variability import FeatureConfig
@@ -28,7 +37,10 @@ if TYPE_CHECKING:
 # encoder, which took most of the time of saving a large graph. ``pad`` is
 # a newline and the indentation of the line a value starts on.
 
-_P2, _P4, _P8, _P10 = "\n  ", "\n    ", "\n        ", "\n          "
+_P2, _P4, _P6, _P8, _P10 = "\n  ", "\n    ", "\n      ", "\n        ", "\n          "
+
+#: Entries of a large array printed, and held as text, at a time.
+_BATCH = 512
 
 
 def _join(texts: list[str], pad: str, brackets: str) -> str:
@@ -37,6 +49,20 @@ def _join(texts: list[str], pad: str, brackets: str) -> str:
         return brackets
     inner = pad + "  "
     return brackets[0] + inner + ("," + inner).join(texts) + pad + brackets[1]
+
+
+def _batched(count: int, entries: Callable[[slice], Iterable[str]], pad: str, brackets: str = "[]") -> Iterator[str]:
+    """The text that ``_join`` gives for ``count`` entries, a chunk per
+    ``_BATCH`` of them: ``entries(part)`` prints the entries in the slice
+    ``part`` of the writer's sorted columns."""
+    if not count:
+        yield brackets
+        return
+    inner = pad + "  "
+    comma = "," + inner
+    for start in range(0, count, _BATCH):
+        yield (comma if start else brackets[0] + inner) + comma.join(entries(slice(start, start + _BATCH)))
+    yield pad + brackets[1]
 
 
 #: The text of each value of these exact types, as ``json`` prints it
@@ -94,9 +120,13 @@ def _refuse_missing(what: str, ids: list, **columns: list) -> None:
 # Signature
 
 
-def signature_text(sig: Signature, pad: str = _P2) -> str:
+def _signature(sig: Signature, pad: str) -> str:
     controls = [{"arity": sig.arity(c.name), "name": c.name} for c in sig.controls]
     return _canonical_json({"controls": controls}, pad)
+
+
+def signature_chunks(sig: Signature) -> Iterator[str]:
+    yield _signature(sig, _P2)
 
 
 # ---------------------------------------------------------------------------
@@ -109,32 +139,46 @@ def _interface_payload(iface: Interface) -> dict:
 
 _PAIR = "[\n        %s,\n        %s\n      ]"
 _PORT = "[\n          %s,\n          %s\n        ]"
-_BIGRAPH = (
-    '{\n    "ctrl": %s,\n    "edges": %s,\n    "inner": %s,\n    "link": %s,\n'
-    '    "nodes": %s,\n    "outer": %s,\n    "prnt": %s,\n    "signature": %s\n  }'
-)
 
 
-def bigraph_text(b: Bigraph) -> str:
+def bigraph_chunks(b: Bigraph) -> Iterator[str]:
     """Parents in the order of ``(isinstance(child, str), str(child))``;
     inner names, then ports in the order of ``str(port)``, so that index 10
     comes before index 2."""
+    owners, edges, nodes = sorted(b.ctrl), sorted(b.edges), sorted(b.nodes)
     children = sorted(b.prnt, key=lambda p: (isinstance(p, str), str(p)))
     names = sorted((p for p in b.link if not isinstance(p, Port)), key=str)
-    ports = sorted((p for p in b.link if isinstance(p, Port)), key="Port(node=%r, index=%r)".__mod__)
-    refs = map(_PORT.__mod__, zip(*(_leaves(list(map(itemgetter(i), ports)), _P10) for i in (0, 1))))
-    link = zip([*_leaves(names, _P8), *refs], _leaves(list(map(b.link.get, names + ports)), _P8))
-    prnt = zip(_leaves(children, _P8), _leaves(list(map(b.prnt.get, children)), _P8))
-    return _BIGRAPH % (
-        _canonical_json(b.ctrl, _P4),
-        _canonical_json(sorted(b.edges), _P4),
-        _canonical_json(_interface_payload(b.inner), _P4),
-        _join(list(map(_PAIR.__mod__, link)), _P4, "[]"),
-        _canonical_json(sorted(b.nodes), _P4),
-        _canonical_json(_interface_payload(b.outer), _P4),
-        _join(list(map(_PAIR.__mod__, prnt)), _P4, "[]"),
-        signature_text(b.signature, _P4),
-    )
+    points = names + sorted((p for p in b.link if isinstance(p, Port)), key="Port(node=%r, index=%r)".__mod__)
+
+    def ids(column: list) -> Callable[[slice], list[str]]:
+        return lambda part: _leaves(column[part], _P6)
+
+    def ctrl_entries(part: slice) -> Iterable[str]:
+        # ``json`` quotes its text of a key that is no string.
+        keys = [v if isinstance(v, str) else json.dumps(v) for v in owners[part]]
+        return map("%s: %s".__mod__, zip(_leaves(keys, _P6), _leaves(list(map(b.ctrl.get, owners[part])), _P6)))
+
+    def link_entries(part: slice) -> Iterable[str]:
+        inner = names[part]  # ``points`` starts with ``names``, so these lead ``points[part]``
+        ports = points[part][len(inner) :]
+        refs = map(_PORT.__mod__, zip(*(_leaves(list(map(itemgetter(i), ports)), _P10) for i in (0, 1))))
+        return map(_PAIR.__mod__, zip([*_leaves(inner, _P8), *refs], _leaves(list(map(b.link.get, points[part])), _P8)))
+
+    def prnt_entries(part: slice) -> Iterable[str]:
+        batch = children[part]
+        return map(_PAIR.__mod__, zip(_leaves(batch, _P8), _leaves(list(map(b.prnt.get, batch)), _P8)))
+
+    yield '{\n    "ctrl": '
+    yield from _batched(len(owners), ctrl_entries, _P4, "{}")
+    yield ',\n    "edges": '
+    yield from _batched(len(edges), ids(edges), _P4)
+    yield ',\n    "inner": %s,\n    "link": ' % _canonical_json(_interface_payload(b.inner), _P4)
+    yield from _batched(len(points), link_entries, _P4)
+    yield ',\n    "nodes": '
+    yield from _batched(len(nodes), ids(nodes), _P4)
+    yield ',\n    "outer": %s,\n    "prnt": ' % _canonical_json(_interface_payload(b.outer), _P4)
+    yield from _batched(len(children), prnt_entries, _P4)
+    yield ',\n    "signature": %s\n  }' % _signature(b.signature, _P4)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +189,7 @@ def _mult_payload(m: Multiplicity) -> dict:
     return {"lower": m.lb, "upper": "*" if m.ub is None else m.ub}
 
 
-def typegraph_text(tg: TypeGraph) -> str:
+def typegraph_chunks(tg: TypeGraph) -> Iterator[str]:
     node_entries = []
     for t in sorted(tg.graph.nodes):
         node_entries.append(
@@ -170,7 +214,7 @@ def typegraph_text(tg: TypeGraph) -> str:
         "nodeTypes": node_entries,
         "opposites": [list(p) for p in opposite_pairs],
     }
-    return _canonical_json(payload, _P2)
+    yield _canonical_json(payload, _P2)
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +225,10 @@ _EDGE = '{\n        "id": %s,\n        "src": %s,\n        "tgt": %s,\n        "
 _NODE = '{\n        "attrs": %s,\n        "id": %s,\n        "type": %s\n      }'
 
 
-def instancegraph_text(g: InstanceGraph) -> str:
-    """Each column (ids, ends, types, attribute names and values) is printed
-    in one pass, and each entry is its template filled from the columns."""
+def instancegraph_chunks(g: InstanceGraph) -> Iterator[str]:
+    """Each column of a batch (ids, ends, types, attribute names and
+    values) is printed in one pass, and each entry is its template filled
+    from the columns."""
     edges = sorted(g.graph.edges)
     src, tgt = list(map(g.graph.src.get, edges)), list(map(g.graph.tgt.get, edges))
     _refuse_missing("edge", edges, src=src, tgt=tgt)
@@ -191,25 +236,35 @@ def instancegraph_text(g: InstanceGraph) -> str:
     if orphans:
         n, a = min(key for key in g.attrs if key[0] in orphans)
         raise ValueError(f"attribute {a} of {n} has no node")
-    keys = sorted(g.attrs)
-    # ``json`` quotes its text of a key that is no string.
-    names = _leaves([a if isinstance(a, str) else json.dumps(a) for _, a in keys], _P10)
-    values = _leaves(list(map(g.attrs.get, keys)), _P10)
-    members = zip(map(itemgetter(0), keys), map("%s: %s".__mod__, zip(names, values)))
-    attrs = {n: _join(list(map(itemgetter(1), group)), _P8, "{}") for n, group in groupby(members, itemgetter(0))}
-    nodes = sorted(g.graph.nodes)
-    node_types, edge_types = list(map(g.node_types.get, nodes)), list(map(g.edge_types.get, edges))
-    node_entries = zip(map(attrs.get, nodes, repeat("{}")), _leaves(nodes, _P8), _leaves(node_types, _P8))
-    edge_entries = zip(_leaves(edges, _P8), _leaves(src, _P8), _leaves(tgt, _P8), _leaves(edge_types, _P8))
-    return '{\n    "edges": %s,\n    "nodes": %s\n  }' % (
-        _join(list(map(_EDGE.__mod__, edge_entries)), _P4, "[]"),
-        _join(list(map(_NODE.__mod__, node_entries)), _P4, "[]"),
-    )
+    nodes, keys = sorted(g.graph.nodes), sorted(g.attrs)
+    owners = list(map(itemgetter(0), keys))
+
+    def edge_entries(part: slice) -> Iterable[str]:
+        columns = (edges[part], src[part], tgt[part], list(map(g.edge_types.get, edges[part])))
+        return map(_EDGE.__mod__, zip(*(_leaves(column, _P8) for column in columns)))
+
+    def node_entries(part: slice) -> Iterable[str]:
+        batch = nodes[part]
+        # The attributes of the batch's nodes, which lead ``keys`` as the nodes lead ``nodes``.
+        held = keys[bisect_left(owners, batch[0]) : bisect_right(owners, batch[-1])]
+        # ``json`` quotes its text of a key that is no string.
+        names = _leaves([a if isinstance(a, str) else json.dumps(a) for _, a in held], _P10)
+        values = _leaves(list(map(g.attrs.get, held)), _P10)
+        members = zip(map(itemgetter(0), held), map("%s: %s".__mod__, zip(names, values)))
+        attrs = {n: _join(list(map(itemgetter(1), group)), _P8, "{}") for n, group in groupby(members, itemgetter(0))}
+        types = list(map(g.node_types.get, batch))
+        return map(_NODE.__mod__, zip(map(attrs.get, batch, repeat("{}")), _leaves(batch, _P8), _leaves(types, _P8)))
+
+    yield '{\n    "edges": '
+    yield from _batched(len(edges), edge_entries, _P4)
+    yield ',\n    "nodes": '
+    yield from _batched(len(nodes), node_entries, _P4)
+    yield "\n  }"
 
 
 # ---------------------------------------------------------------------------
 # Feature configuration
 
 
-def featureconfig_text(cfg: FeatureConfig) -> str:
-    return _canonical_json({"selected": sorted(cfg.selected)}, _P2)
+def featureconfig_chunks(cfg: FeatureConfig) -> Iterator[str]:
+    yield _canonical_json({"selected": sorted(cfg.selected)}, _P2)

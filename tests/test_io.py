@@ -3,13 +3,32 @@ from __future__ import annotations
 import builtins
 import json
 import os
+import random
+import tempfile
+import tracemalloc
+import weakref
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bigtg import FeatureConfig, fileio, writers
+from bigtg import (
+    Bigraph,
+    FeatureConfig,
+    Graph,
+    InstanceGraph,
+    encode,
+    enumerate_configs,
+    extend_for_signature,
+    fileio,
+    replace,
+    writers,
+)
 from bigtg.fileio import SchemaError
+from bigtg.generators import random_bigraph
+
+from helpers import arbitrary_bigraphs, assert_refused, mutated_encodings, outcome
 
 
 @pytest.mark.parametrize(
@@ -119,6 +138,165 @@ def test_failed_save_leaves_target_intact(fixtures_dir, tmp_path, monkeypatch, f
     assert str(err.value).startswith(f"cannot write {target}: ")
     assert target.read_bytes() == before
     assert os.listdir(tmp_path) == [target.name]
+
+
+class _Recording:
+    """A file whose writes are logged."""
+
+    def __init__(self, fh, log):
+        self.fh, self.log = fh, log
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.log.append(text)
+        return self.fh.write(text)
+
+
+def _opened(monkeypatch) -> list:
+    """The arguments of each file that ``fileio`` opens from now on."""
+    opened: list = []
+    monkeypatch.setattr(fileio, "open", lambda *a, **k: opened.append(a) or builtins.open(*a, **k), raising=False)
+    return opened
+
+
+def _chain(length: int) -> InstanceGraph:
+    """Nodes ``n0000`` to ``n<length>``, each the ``bChld`` target of the one before."""
+    nodes = [f"n{i:04}" for i in range(length + 1)]
+    edges = [f"e{i:04}" for i in range(length)]
+    return InstanceGraph(
+        graph=Graph(
+            nodes=frozenset(nodes), edges=frozenset(edges), src=dict(zip(edges, nodes)), tgt=dict(zip(edges, nodes[1:]))
+        ),
+        node_types=dict.fromkeys(nodes, "BNode"),
+        edge_types=dict.fromkeys(edges, "bChld"),
+        attrs={(n, "index"): i for i, n in enumerate(nodes)},
+    )
+
+
+def test_a_save_that_fails_partway_leaves_nothing_behind(fixtures_dir, tmp_path, monkeypatch):
+    """A node type that ``json`` cannot print, after more than a batch of
+    edges went to the new file: ``save`` raises what ``dumps_canonical``
+    raises, removes that file and leaves the one at ``path`` as it was."""
+    g = _chain(writers._BATCH + 1)
+    last = max(g.graph.nodes)
+    bad = replace(g, node_types={**g.node_types, last: frozenset({"BNode"})})
+    target = tmp_path / "doc.ig.json"
+    target.write_bytes((fixtures_dir / "printer.ig.json").read_bytes())
+    before = target.read_bytes()
+    log: list[str] = []
+    monkeypatch.setattr(fileio, "open", lambda *a, **k: _Recording(builtins.open(*a, **k), log), raising=False)
+    refused = outcome(fileio.dumps_canonical, bad)
+    assert refused == ("TypeError", "Object of type frozenset is not JSON serializable")
+    assert outcome(fileio.save, bad, str(target)) == refused
+    assert target.read_bytes() == before
+    assert os.listdir(tmp_path) == [target.name]
+    # What went to the file before the fault: every edge, as the clean graph prints them.
+    text, written = fileio.dumps_canonical(g), "".join(log)
+    assert text.startswith(written) and len(written) > text.index('"nodes"')
+
+
+@pytest.mark.parametrize("fault", ["no src", "no tgt", "no node"])
+def test_a_refusal_past_the_first_batch_makes_no_file(fault, monkeypatch):
+    """The writer refuses before ``save`` opens any file."""
+    opened = _opened(monkeypatch)
+    g = _chain(2 * writers._BATCH)
+    last = max(g.graph.edges)
+    if fault == "no node":
+        g = replace(g, attrs={**g.attrs, ("zz", "index"): 0})
+        message = "attribute index of zz has no node"
+    else:
+        end = fault.split()[1]
+        ends = {"src": dict(g.graph.src), "tgt": dict(g.graph.tgt)}
+        del ends[end][last]
+        g = replace(g, graph=replace(g.graph, **ends))
+        message = f"edge {last} has {fault}"
+    assert_refused(g, message)
+    assert opened == []
+
+
+def test_an_edge_type_without_a_bound_makes_no_file(sig1, monkeypatch):
+    opened = _opened(monkeypatch)
+    tg = extend_for_signature(sig1)
+    assert_refused(replace(tg, mult={e: m for e, m in tg.mult.items() if e != "bPrnt"}), "edge type bPrnt has no mult")
+    assert opened == []
+
+
+def test_a_save_holds_less_than_the_text_it_writes(tmp_path):
+    """The traced peak of a save stays below the size of the file it
+    writes: it holds the value's sorted ids and one batch of text."""
+    g, _ = encode(random_bigraph(random.Random(0), max_nodes=800, max_edges=200))
+    assert len(g.graph.nodes) > 3 * writers._BATCH and len(g.graph.edges) > 3 * writers._BATCH
+    path = tmp_path / "big.ig.json"
+    fileio.save(g, str(path))  # loads the writers before the trace
+    tracemalloc.start()
+    try:
+        fileio.save(g, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
+
+
+def test_load_drops_the_text_before_reading(fixtures_dir, monkeypatch):
+    """The readers run after the file's text is gone."""
+
+    class Text(str):
+        """A text that can be referred to weakly."""
+
+    texts: list = []
+
+    def read_text(path):
+        text = Text(builtins.open(path, encoding="utf-8").read())
+        texts.append(weakref.ref(text))
+        return text
+
+    module, cls, read, write = fileio._KINDS[fileio.KIND_INSTANCEGRAPH]
+
+    def reader(payload):
+        assert texts and texts[0]() is None
+        return read(payload)
+
+    monkeypatch.setattr(fileio, "read_text", read_text)
+    monkeypatch.setitem(fileio._KINDS, fileio.KIND_INSTANCEGRAPH, (module, cls, reader, write))
+    assert fileio.load_instance_graph(str(fixtures_dir / "printer.ig.json")) == fileio.load_document(
+        str(fixtures_dir / "printer.ig.json")
+    )[1]
+
+
+_SAVED = st.one_of(
+    arbitrary_bigraphs(),
+    arbitrary_bigraphs().map(lambda b: b.signature),
+    mutated_encodings().map(lambda pair: pair[0]),
+    mutated_encodings().map(lambda pair: extend_for_signature(pair[1].signature)),
+    st.sampled_from(enumerate_configs()),
+    st.just(InstanceGraph(graph=Graph())),
+    arbitrary_bigraphs().map(lambda b: Bigraph(b.signature)),
+)
+
+
+@given(_SAVED, st.sampled_from((1, 2, 5, writers._BATCH)))
+@settings(max_examples=300, deadline=None)
+def test_save_writes_exactly_the_canonical_text(value, batch):
+    """For every kind, at any batch size (the small ones split these values
+    into many batches), ``save`` writes ``dumps_canonical(value)`` byte for
+    byte, or raises what it raises and makes no file."""
+    want = outcome(fileio.dumps_canonical, value)
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(writers, "_BATCH", batch):
+        path = os.path.join(d, "doc.json")
+        assert outcome(fileio.dumps_canonical, value) == want
+        saved = outcome(fileio.save, value, path)
+        if isinstance(want, str):
+            assert saved is None
+            with open(path, "rb") as fh:
+                assert fh.read() == want.encode("utf-8")
+        else:
+            assert saved == want
+            assert os.listdir(d) == []
 
 
 def test_missing_file_is_io_error(tmp_path):

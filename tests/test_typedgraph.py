@@ -486,3 +486,43 @@ def test_a_node_typed_by_a_list_is_a_type_the_type_graph_lacks(fixtures_dir, sig
         if isinstance(want, InstanceGraph):
             want = replace(want, node_types={**want.node_types, node: listed})
         assert outcome(apply_deltas, g, cfg, sig1) == want, cfg
+
+
+@pytest.mark.parametrize("base", ["printer.ig.json", "corpus/bad-ports.ig.json"])
+@pytest.mark.parametrize("edge", ["bChld:n:v0:n:v1", "bLink:p:v1:0:e:e1", "bNode:p:v2:0:n:v2", "bPoints:e:e0:p:v0:0"])
+def test_an_edge_typed_by_a_list_is_a_type_the_type_graph_lacks(fixtures_dir, sig1, tg_sigma1, base, edge):
+    """An edge type that cannot be hashed gives each checker and ``decode``
+    the findings that a type the type graph lacks gives, printed with the
+    list, and the port rewiring of ``apply_deltas`` reads it as none of the
+    edge types it moves, in every configuration. The ``bLink``, ``bNode``
+    and ``bPoints`` edges are the three that rewiring reads."""
+    g0 = fileio.load_instance_graph(str(fixtures_dir / base))
+    listed = [g0.edge_types[edge]]
+    g = replace(g0, edge_types={**g0.edge_types, edge: listed})
+    named = replace(g0, edge_types={**g0.edge_types, edge: "Unknown"})
+
+    def lines(report):
+        return [f.line() for f in report.findings]
+
+    def decoded(graph):
+        with pytest.raises(NotCanonical) as refused:
+            decode(graph, sig1)
+        return lines(refused.value.report)
+
+    unknown = f"error typing-unknown-type {edge} edge typed by unknown type {listed!r}"
+    assert lines(check_typing(g, tg_sigma1)) == [unknown]
+    for check, args in (
+        (check_typing, (tg_sigma1,)),
+        (check_validity, (tg_sigma1,)),
+        (check_multiplicities, (tg_sigma1,)),
+        (check_arity_rule, (tg_sigma1, sig1)),
+        (conformance, (tg_sigma1, sig1)),
+    ):
+        want = [line.replace("'Unknown'", repr(listed)) for line in lines(check(named, *args))]
+        assert lines(check(g, *args)) == want, check.__name__
+    assert decoded(g) == [line.replace("'Unknown'", repr(listed)) for line in decoded(named)]
+    for cfg in enumerate_configs():
+        want = outcome(apply_deltas, named, cfg, sig1)
+        if isinstance(want, InstanceGraph):
+            want = replace(want, edge_types={e: listed if e == edge else t for e, t in want.edge_types.items()})
+        assert outcome(apply_deltas, g, cfg, sig1) == want, cfg

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +23,12 @@ from bigtg import (
     annotate_150,
     apply_deltas,
     derive_type_graph,
+    encode,
     enumerate_configs,
     extend_for_signature,
     fileio,
     replace,
+    writers,
 )
 from bigtg.generators import random_bigraph, random_signature
 
@@ -300,3 +303,28 @@ def test_pinned_bigraphs(b1, sig1):
             outer=Interface(2, frozenset({"y"})),
         )
     )
+
+
+# ---------------------------------------------------------------------------
+# Batches
+
+
+@given(awkward_encodings(), st.integers(0, 10**6), st.sampled_from((1, 2, 3, 7)))
+@settings(max_examples=200, deadline=None)
+def test_a_batch_of_any_size_prints_the_same_text(g, seed, batch):
+    """Arrays split into batches of a few entries, with each entry's
+    attributes (an instance graph's) or ports (a bigraph's link) falling
+    on either side of a batch's edge, print as the references do."""
+    rng = random.Random(seed)
+    b = random_bigraph(rng, sig=random_signature(rng, max_arity=13), max_sites=12)
+    with mock.patch.object(writers, "_BATCH", batch):
+        assert_instance_graph_written_as_before(g)
+        assert_bigraph_written_as_before(b)
+
+
+def test_values_of_many_batches_are_written_as_before():
+    b = random_bigraph(random.Random(0), max_nodes=2000, max_edges=500)
+    g, _ = encode(b)
+    assert min(len(b.nodes), len(b.link), len(g.graph.nodes)) > 2 * writers._BATCH
+    assert_bigraph_written_as_before(b)
+    assert_instance_graph_written_as_before(g)
