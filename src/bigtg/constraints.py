@@ -333,13 +333,11 @@ class _Parser:
                 at = self.peek()
                 name = self.expect_name("an invariant name")
                 self.expect(":")
-                body = self.parse_expr()
-                depth = _depth(body)
-                if depth > MAX_DEPTH:
-                    raise ConstraintSyntaxError(
-                        f"invariant {name} is nested {depth} levels deep (at most {MAX_DEPTH})", at.line, at.col
-                    )
-                invariants.append(Invariant(context, name, body))
+                inv = Invariant(context, name, self.parse_expr())
+                reason = _too_deep(inv)
+                if reason:
+                    raise ConstraintSyntaxError(reason, at.line, at.col)
+                invariants.append(inv)
         return ConstraintDoc(tuple(invariants))
 
     def parse_expr(self, least: int = _PREC_LET) -> Expr:
@@ -472,11 +470,22 @@ def _fmt(expr: Expr, parent: int) -> str:
     return f"({text})" if prec < parent else text
 
 
+def _too_deep(inv: Invariant) -> str | None:
+    """Why ``inv`` is deeper than ``MAX_DEPTH`` levels, if it is."""
+    depth = _depth(inv.body)
+    return f"invariant {inv.name} is nested {depth} levels deep (at most {MAX_DEPTH})" if depth > MAX_DEPTH else None
+
+
 def format_constraints(doc: ConstraintDoc) -> str:
-    """Render a document so that reparsing yields an equal AST."""
+    """Render a document so that reparsing yields an equal AST. Raises
+    ``ValueError`` on an invariant deeper than ``MAX_DEPTH`` levels, whose
+    text the parser would refuse."""
     lines: list[str] = []
     current_context: str | None = None
     for inv in doc.invariants:
+        reason = _too_deep(inv)
+        if reason:
+            raise ValueError(reason)
         if inv.context_type != current_context:
             lines.append(f"context {inv.context_type}")
             current_context = inv.context_type
@@ -670,9 +679,13 @@ def typecheck(doc: ConstraintDoc, tg: TypeGraph) -> tuple[Run, ...]:
     evaluator per invariant, in document order; each is called as
     ``run({"self": node}, g, trace)``. Raise :class:`TypeCheckError` at
     the first invariant that does not fit ``tg``, including a navigation
-    along an edge type that lacks a node type as ``src`` or ``tgt``."""
+    along an edge type that lacks a node type as ``src`` or ``tgt``, or
+    one deeper than ``MAX_DEPTH`` levels (a document built in code)."""
     runs: list[Run] = []
     for inv in doc.invariants:
+        reason = _too_deep(inv)
+        if reason:
+            raise TypeCheckError(reason)
         if inv.context_type not in tg.node_types:
             raise TypeCheckError(f"unknown context type {inv.context_type!r} in {inv.name}")
         body_type, run = _compile(inv.body, {"self": ("obj", inv.context_type)}, tg)

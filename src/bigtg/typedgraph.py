@@ -234,9 +234,11 @@ class InstanceGraph:
     keeps the last report of each checker wrapped by :func:`keeps_report`
     (``check_typing``, ``check_validity``, ``check_multiplicities`` and
     the arity rule), with the very arguments it was checked against
-    (``decode`` after ``conformance``). So neither the dicts of ``g`` nor
-    those arguments may be mutated after the first query or check; build
-    a new value (through the constructor or ``bigtg.replace``) instead.
+    (``decode`` after ``conformance``), and the parts that
+    :func:`bigtg.variability.apply_deltas` reads (``_parts``). So neither
+    the dicts of ``g`` nor those arguments may be mutated after the first
+    query, check or reconfiguration; build a new value (through the
+    constructor or ``bigtg.replace``) instead.
     """
 
     graph: Graph
@@ -252,6 +254,11 @@ class InstanceGraph:
     @cached_property
     def edge_view(self) -> EdgeView:
         return EdgeView(self)
+
+    @cached_property
+    def _parts(self) -> dict[tuple[Callable[..., Any], tuple[Hashable, ...]], Any]:
+        """Each part that reconfiguration reads, by its builder and key."""
+        return {}
 
     @cached_property
     def _reports(self) -> dict[Callable[..., ValidationReport], tuple[tuple[Any, ...], ValidationReport]]:

@@ -5,21 +5,28 @@ and three optional explicit/indexed element groups (roots, sites, ports),
 which the one table ``_GROUPS`` states. A 150% type graph superimposes
 every variant behind presence conditions; deriving a configuration keeps
 the elements whose condition holds and drops whatever then dangles.
-Instance graphs are reconfigured in one pass over the canonical
-encoding that reads the same table.
+Instance graphs are reconfigured from parts of the canonical encoding,
+read off the same table and kept on it, which every configuration of
+that encoding shares.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from collections.abc import Mapping
+from collections import Counter, deque
+from collections.abc import Callable, Hashable, Iterable, Mapping
+from itertools import compress, repeat
+from operator import eq, itemgetter
 
 from ._value import field, frozen, replace
 from .bigraph import BASE_NODE_TYPE_NAMES, Signature
 from .metamodel import NotCanonical
 from .report import Finding, ValidationReport, report_from
 from .typedgraph import Graph, InstanceGraph, Multiplicity, TypeGraph, _grouped, _stand_in
+
+TYPE_CHECKING = False  # read as true by static type checkers only
+if TYPE_CHECKING:
+    from typing import Any
 
 #: The option groups in reconfiguration order: each group's node type, the
 #: feature that makes its elements explicit, and the feature that indexes
@@ -31,6 +38,9 @@ _GROUPS = (("BRoot", "ER", "RI"), ("BSite", "ES", "SI"), ("BPort", "EP", "PI"))
 #: implied and never part of a configuration.
 FEATURE_LEAVES = ("ST", "WT") + tuple(f for _, explicit, indexed in _GROUPS for f in (explicit, indexed))
 _REQUIRES = tuple((indexed, explicit) for _, explicit, indexed in _GROUPS)
+
+#: Each group's bit in the masks that name a set of groups.
+_BIT = {node_type: 1 << i for i, (node_type, _, _) in enumerate(_GROUPS)}
 
 # Presence conditions: a feature name, or ("not", feature). The groups'
 # conditions come from _GROUPS; derivation drops what dangles.
@@ -202,8 +212,8 @@ def derive_type_graph(atg: AnnotatedTypeGraph, cfg: FeatureConfig) -> TypeGraph:
 
 
 def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> InstanceGraph:
-    """Reconfigure a canonical encoding for ``cfg`` in one pass read off
-    ``_GROUPS``. The steps, in order:
+    """Reconfigure a canonical encoding for ``cfg`` from parts of ``g``
+    read off ``_GROUPS``. The steps, in order:
 
     1. Under ``WT``, each node typed by a control is retyped ``BNode`` and
        given a ``control`` attribute naming the control.
@@ -214,14 +224,24 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
        edge first moves to the port's owner, and each ``bPoints`` edge at
        a port moves on to where that owner ends up; this reads only the
        edges that touch no deleted root or site.
-    4. The nodes, edges, ends, node and edge types and attributes are
-       built once each.
 
-    Under ``ST`` with every explicit and index feature selected, no step
-    applies and ``g`` itself is returned. When nothing is deleted, the
-    edges, their ends and their types are kept as they are.
-    Applying the same configuration twice is a no-op the second time, so
-    already-configured graphs pass through unchanged. Raises
+    Cost: the parts that the steps read are built the first time a
+    configuration needs them and kept on ``g`` (``g._parts``), so
+    reconfiguring one graph many ways builds each once: the nodes of each
+    group and their attribute keys, the ``index`` keys of each group's
+    type, the edges by the groups they touch with their ends and types,
+    the retyping for each set of controls, and the port rewiring, with
+    its ``NotCanonical`` reason, for each set of deleted roots and sites.
+    Each configuration then takes C-level set unions and dict merges of
+    the parts it keeps, and dict copies with the dropped keys deleted:
+    no Python-level pass over the nodes, edges or attributes. No edge
+    view of ``g`` is built. The new graph's edge set and edge dicts hold
+    the same entries as before, in another iteration order.
+
+    When no step changes anything, ``g`` itself is returned; when nothing
+    is deleted, the edges, their ends and their types are kept as they
+    are. Applying the same configuration twice is a no-op the second
+    time, so already-configured graphs pass through unchanged. Raises
     ``NotCanonical`` on a graph with an edge that lacks a ``src`` or
     ``tgt``, naming the smallest such edge, and on a port without exactly
     one ownership edge or one link edge.
@@ -229,83 +249,186 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
     rep = validate_config(cfg)
     if not rep.ok:
         raise InvalidConfig(rep)
-    src, tgt = g.graph.src, g.graph.tgt
-    lacking = g.graph.edges - (src.keys() & tgt.keys())
+    lacking = _kept(g, _lacking)
     if lacking:
-        e = min(lacking)
-        raise NotCanonical(f"edge {e} has no {'tgt' if e in src else 'src'}")
+        raise NotCanonical(lacking)
     sel = cfg.selected
-    types, attrs = g.node_types, g.attrs
+    types, attrs, controls = g.node_types, g.attrs, frozenset()
     if "WT" in sel:
-        controls = set(sig.names)
-        try:
-            retyped = {n: t for n, t in types.items() if n in g.graph.nodes and t in controls}
-        except TypeError:  # a node type that cannot be hashed is no control
-            retyped = {n: t for n, t in types.items() if n in g.graph.nodes and t in sig.names}
-        types = {**types, **dict.fromkeys(retyped, "BNode")}
-        attrs = {**attrs, **{(n, "control"): t for n, t in retyped.items()}}
-    # Membership in a tuple compares with ==, so a node type that cannot
-    # be hashed is simply no group's type.
-    unindexed = tuple(node_type for node_type, _, indexed in _GROUPS if indexed not in sel)
-    dropped = tuple(node_type for node_type, explicit, _ in _GROUPS if explicit not in sel)
-    doomed = {n for n in g.graph.nodes if types.get(n) in dropped}
-    ports = sorted(n for n in doomed if types.get(n) == "BPort")
-    if ports:
-        # Rewire each port's link (and its opposite) to the owning node
-        # before the ports go: plain deletion would sever the link
-        # structure, and the node-as-point variant keeps it on the owner.
-        # Only the edges that touch no deleted root or site are read.
-        # Rewiring moves the bLink and bPoints edges, never the bNode ones,
-        # so ownership is read once; a bLink edge moved onto a later port
-        # counts among its links.
-        gone = doomed.difference(ports)
-        live = [e for e in g.graph.edges if src[e] not in gone and tgt[e] not in gone] if gone else list(g.graph.edges)
-        types_of = list(map(g.edge_types.get, live))
-        try:
-            of_type = _grouped(types_of, live)
-        except TypeError:  # an edge type that cannot be hashed is none of the three read here
-            of_type = _grouped(list(map(_stand_in, types_of)), live)
-        owned, linked = of_type.get("bNode", []), of_type.get("bLink", [])
-        ownership, owner_of = Counter(map(src.get, owned)), dict(zip(map(src.get, owned), map(tgt.get, owned)))
-        link_count, link_of = Counter(map(src.get, linked)), dict(zip(map(src.get, linked), linked))
-        src, tgt = dict(src), dict(tgt)
-        moved_links: dict[str, list[str]] = {}
-        for p in ports:
-            count = ownership.get(p, 0)
-            if count != 1:
-                raise NotCanonical(f"port {p} has {count} ownership edges; cannot rewire")
-            moved = moved_links.pop(p, [])
-            count = len(moved) + link_count.get(p, 0)
-            if count != 1:
-                raise NotCanonical(f"port {p} has {count} link edges; cannot rewire")
-            link = moved[0] if moved else link_of[p]
-            src[link] = owner_of[p]
-            moved_links.setdefault(owner_of[p], []).append(link)
-        # A bPoints edge at a port moves to its owner, and on from there
-        # when the owner is a port rewired later, so each port's last stop
-        # is found from the last port back.
-        last_stop: dict[str, str] = {}
-        for p in reversed(ports):
-            last_stop[p] = last_stop.get(owner_of[p], owner_of[p])
-        tgt.update({e: last_stop[tgt[e]] for e in of_type.get("bPoints", ()) if tgt[e] in last_stop})
-    if unindexed or doomed:
-        attrs = {
-            (n, a): v
-            for (n, a), v in attrs.items()
-            if n not in doomed and (a != "index" or types.get(n) not in unindexed)
-        }
+        controls = frozenset(sig.names)
+        retyped, control_attrs = _kept(g, _retyped, controls)
+        if retyped:
+            types, attrs = {**types, **retyped}, {**attrs, **control_attrs}
+    gone_keys: set[tuple[str, str]] = set()
+    dropped: dict[str, frozenset[str]] = {}
+    for node_type, explicit, indexed in _GROUPS:
+        if indexed in sel:
+            continue
+        nodes, keys, index = _kept(g, _group, node_type)
+        if node_type in controls:  # every node of the type was retyped BNode in step 1
+            gone_keys.update(index.difference(keys))
+            continue
+        gone_keys.update(index)
+        if explicit not in sel:
+            gone_keys.update(keys)
+            dropped[node_type] = nodes
+    if gone_keys:
+        attrs = _without(attrs, gone_keys)
+    doomed = frozenset().union(*dropped.values())
     if not doomed:
         return g if types is g.node_types and attrs is g.attrs else replace(g, node_types=types, attrs=attrs)
-    kept = frozenset(e for e in g.graph.edges if src[e] not in doomed and tgt[e] not in doomed)
-    return InstanceGraph(
-        graph=Graph(
-            nodes=g.graph.nodes - doomed,
-            edges=kept,
-            src={e: src[e] for e in kept},
-            tgt={e: tgt[e] for e in kept},
-        ),
-        node_types={n: t for n, t in types.items() if n not in doomed},
-        edge_types={e: t for e, t in g.edge_types.items() if e in kept},
-        attrs=attrs,
+    cut = sum(map(_BIT.__getitem__, dropped))
+    kept = [_kept(g, _ends, touched) for touched in _kept(g, _touching) if not touched & cut]
+    src, tgt, edge_types = (_merged(map(itemgetter(i), kept)) for i in range(3))
+    if dropped.get("BPort"):
+        reason, rewired = _kept(g, _rewired, cut & ~_BIT["BPort"])
+        if reason:
+            raise NotCanonical(reason)
+        moved, *columns = rewired
+        for ends, column in zip((src, tgt, edge_types), columns):
+            ends.update(zip(moved, column))
+    # Positional fields: a call with keywords binds them in a Python loop.
+    graph = Graph(g.graph.nodes - doomed, frozenset(src), src, tgt)
+    return InstanceGraph(graph, _without(types, doomed), edge_types, attrs)
+
+
+# The parts of an instance graph that ``apply_deltas`` reads. Each is
+# built from ``g`` and the key after it, once, and kept on ``g``.
+
+
+def _kept(g: InstanceGraph, make: Callable[..., Any], *key: Hashable) -> Any:
+    """``make(g, *key)``, built on first use and kept on ``g``."""
+    parts = g._parts
+    try:
+        return parts[make, key]
+    except KeyError:
+        part = parts[make, key] = make(g, *key)
+        return part
+
+
+def _merged(dicts: Iterable[dict[str, str]]) -> dict[str, str]:
+    """One dict of the entries of ``dicts``, whose keys are disjoint."""
+    merged: dict[str, str] = {}
+    deque(map(merged.update, dicts), 0)
+    return merged
+
+
+def _without(d: Mapping[Any, Any], keys: Iterable[Any]) -> dict[Any, Any]:
+    """A copy of ``d`` in its order, without ``keys``."""
+    d = dict(d)
+    deque(map(d.pop, keys, repeat(None)), 0)
+    return d
+
+
+def _lacking(g: InstanceGraph) -> str | None:
+    """Why ``g`` is not canonical when the smallest edge that lacks a
+    ``src`` or ``tgt`` exists."""
+    edges, src, tgt = g.graph.edges, g.graph.src, g.graph.tgt
+    if src.keys() >= edges and tgt.keys() >= edges:
+        return None
+    e = min(edges - (src.keys() & tgt.keys()))
+    return f"edge {e} has no {'tgt' if e in src else 'src'}"
+
+
+def _retyped(g: InstanceGraph, controls: frozenset[str]) -> tuple[dict[str, str], dict[tuple[str, str], str]]:
+    """Each node typed by one of ``controls`` mapped to ``BNode``, and its
+    ``control`` attribute, in the order of ``g.node_types``."""
+    nodes = g.graph.nodes
+    try:
+        retyped = {n: t for n, t in g.node_types.items() if n in nodes and t in controls}
+    except TypeError:  # a node type that cannot be hashed is no control
+        retyped = {n: t for n, t in g.node_types.items() if n in nodes and _stand_in(t) in controls}
+    return dict.fromkeys(retyped, "BNode"), dict(zip(zip(retyped, repeat("control")), retyped.values()))
+
+
+def _group(g: InstanceGraph, node_type: str) -> tuple[frozenset[str], frozenset[tuple[str, str]], set[tuple[str, str]]]:
+    """The nodes of ``node_type``, the keys of ``g.attrs`` they own, and
+    the ``index`` keys of ``g.attrs`` whose owner ``g.node_types`` types
+    so, whether a node or not."""
+    types, attrs = g.node_types, g.attrs
+    typed = frozenset(compress(types, map(eq, types.values(), repeat(node_type))))
+    nodes = typed & g.graph.nodes
+    keys = frozenset(compress(attrs, map(nodes.__contains__, map(itemgetter(0), attrs))))
+    return nodes, keys, attrs.keys() & set(zip(typed, repeat("index")))
+
+
+def _touching(g: InstanceGraph) -> dict[int, list[str]]:
+    """The edges by the groups they have an end among: a mask with the
+    ``_BIT`` of each such group."""
+    bits: dict[str, int] = {}
+    for node_type, mask in _BIT.items():
+        bits.update(dict.fromkeys(_kept(g, _group, node_type)[0], mask))
+    src, tgt, bit = g.graph.src, g.graph.tgt, bits.get
+    # src's order (the file's) reads the dicts in turn, and the kept dicts
+    # and the variants built from them inherit it; the hash order of the
+    # edge set scatters every later read. Every edge has a src (_lacking).
+    edges = list(filter(g.graph.edges.__contains__, src))
+    return _grouped([bit(src[e], 0) | bit(tgt[e], 0) for e in edges], edges)
+
+
+def _ends(g: InstanceGraph, touched: int) -> tuple[dict[str, str], dict[str, str], dict[str, str]]:
+    """The ``src``, ``tgt`` and type of each edge that touches the groups
+    in the mask ``touched`` (:func:`_touching`); an edge without a type
+    has none here."""
+    edges, types = _kept(g, _touching)[touched], g.edge_types
+    return (
+        dict(zip(edges, map(g.graph.src.__getitem__, edges))),
+        dict(zip(edges, map(g.graph.tgt.__getitem__, edges))),
+        dict(compress(zip(edges, map(types.get, edges)), map(types.__contains__, edges))),
     )
 
+
+def _rewired(g: InstanceGraph, gone: int) -> tuple[str | None, tuple[list[str], ...]]:
+    """The port rewiring when the groups in the mask ``gone`` go with the
+    ports: why a port cannot be rewired, or else the moved edges that keep
+    both ends, with their new ``src``, ``tgt`` and their types.
+
+    Each port's link (and its opposite) moves to the owning node before
+    the ports go: plain deletion would sever the link structure, and the
+    node-as-point variant keeps it on the owner. Only the edges that touch
+    no node of ``gone`` are read. Rewiring moves the bLink and bPoints
+    edges, never the bNode ones, so ownership is read once; a bLink edge
+    moved onto a later port counts among its links. A port's own edges
+    touch it, so only the edges that touch a port are grouped by type."""
+    ports = sorted(_kept(g, _group, "BPort")[0])
+    port = _BIT["BPort"]
+    live = [e for touched, edges in _kept(g, _touching).items() if touched & port and not touched & gone for e in edges]
+    types = list(map(g.edge_types.get, live))
+    try:
+        of_type = _grouped(types, live)
+    except TypeError:  # an edge type that cannot be hashed is none of the three read here
+        of_type = _grouped(list(map(_stand_in, types)), live)
+    owned, linked, pointing = (of_type.get(t, []) for t in ("bNode", "bLink", "bPoints"))
+    src, tgt = g.graph.src, g.graph.tgt
+    ownership, owner_of = Counter(map(src.get, owned)), dict(zip(map(src.get, owned), map(tgt.get, owned)))
+    link_count, link_of = Counter(map(src.get, linked)), dict(zip(map(src.get, linked), linked))
+    moved_src: dict[str, str] = {}
+    moved_links: dict[str, list[str]] = {}
+    for p in ports:
+        count = ownership.get(p, 0)
+        if count != 1:
+            return f"port {p} has {count} ownership edges; cannot rewire", ()
+        links = moved_links.pop(p, ())
+        count = len(links) + link_count.get(p, 0)
+        if count != 1:
+            return f"port {p} has {count} link edges; cannot rewire", ()
+        link = links[0] if links else link_of[p]
+        moved_src[link] = owner_of[p]
+        moved_links.setdefault(owner_of[p], []).append(link)
+    # A bPoints edge at a port moves to its owner, and on from there when
+    # the owner is a port rewired later, so each port's last stop is found
+    # from the last port back.
+    last_stop: dict[str, str] = {}
+    for p in reversed(ports):
+        last_stop[p] = last_stop.get(owner_of[p], owner_of[p])
+    moved_tgt = {e: last_stop[tgt[e]] for e in pointing if tgt[e] in last_stop}
+    # The moved edges that keep both ends.
+    doomed = set(ports).union(*(_kept(g, _group, t)[0] for t, bit in _BIT.items() if bit & gone))
+    kept = [e for e, s in moved_src.items() if s not in doomed and tgt[e] not in doomed]
+    kept += [e for e, t in moved_tgt.items() if t not in doomed and src[e] not in doomed]
+    return None, (
+        kept,
+        list(map(moved_src.get, kept, map(src.__getitem__, kept))),
+        list(map(moved_tgt.get, kept, map(tgt.__getitem__, kept))),
+        list(map(g.edge_types.__getitem__, kept)),
+    )

@@ -22,6 +22,7 @@ from bigtg import (
     typecheck,
 )
 from bigtg.constraints import (
+    _PREC_LET,
     MAX_DEPTH,
     AndOp,
     BoolLit,
@@ -40,6 +41,7 @@ from bigtg.constraints import (
     OrOp,
     SelfRef,
     VarRef,
+    _fmt,
 )
 from bigtg.generators import random_bigraph
 from bigtg.typedgraph import Graph
@@ -303,10 +305,31 @@ def test_deepest_printed_invariant_parses_back(chain, g1, tg_sigma1):
     assert parse_constraints(format_constraints(doc)) == doc
     if typed:
         assert evaluate(doc, g1, tg_sigma1).all_passed
-    deeper = ConstraintDoc((Invariant("Spool", "deep", build(MAX_DEPTH + 1)),))
+    deeper = build(MAX_DEPTH + 1)
     with pytest.raises(ConstraintSyntaxError, match="nested 201 levels deep") as err:
-        parse_constraints(format_constraints(deeper))
+        parse_constraints(f"context Spool\n  inv deep:\n    {_fmt(deeper, _PREC_LET)}\n")
     assert (err.value.line, err.value.col) == (2, 7)
+    with pytest.raises(ValueError, match="^invariant deep is nested 201 levels deep"):
+        format_constraints(ConstraintDoc((Invariant("Spool", "deep", deeper),)))
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 2, 10_000])
+def test_an_invariant_built_deeper_than_the_parser_takes_is_refused(depth, g1, tg_sigma1):
+    """A document built in code is not bound by ``MAX_DEPTH``: checking,
+    evaluating or printing one deeper than that refuses it by name and
+    depth, before anything recurses."""
+    body = TRUE
+    for _ in range(depth - 1):
+        body = AndOp(TRUE, body)
+    doc = ConstraintDoc((Invariant("Spool", "ok", TRUE), Invariant("Spool", "deep", body)))
+    reason = f"invariant deep is nested {depth} levels deep (at most {MAX_DEPTH})"
+    for check in (lambda: typecheck(doc, tg_sigma1), lambda: evaluate(doc, g1, tg_sigma1)):
+        with pytest.raises(TypeCheckError) as err:
+            check()
+        assert str(err.value) == reason
+    with pytest.raises(ValueError) as err:
+        format_constraints(doc)
+    assert str(err.value) == reason
 
 
 def test_parentheses_beyond_the_parser_are_a_syntax_error():

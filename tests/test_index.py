@@ -10,16 +10,21 @@ and the same saved text.
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 from collections import Counter
 from collections.abc import Callable
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bigtg import (
+    Control,
     Graph,
     InstanceGraph,
+    InvalidBigraph,
     NotCanonical,
     Signature,
     apply_deltas,
@@ -36,6 +41,7 @@ from helpers import (
     EDGE_TYPES,
     NODE_TYPES,
     add_edge,
+    arbitrary_bigraphs,
     drop_edge,
     mutated_encodings,
     outcome,
@@ -258,6 +264,67 @@ def test_indexed_helpers_match_scanning(case):
     assert outcome(fileio.dumps_canonical, g) == outcome(ref_dumps, g)
 
 
+@st.composite
+def encodings(draw) -> tuple[InstanceGraph, Signature]:
+    """An edited encoding or an encoding of an arbitrary bigraph, with its
+    signature."""
+    if draw(st.booleans()):
+        g, b = draw(mutated_encodings())
+        return g, b.signature
+    b = draw(arbitrary_bigraphs())
+    try:
+        g, _ = encode(b)
+    except InvalidBigraph:
+        assume(False)  # an idle link, which encode refuses
+    return g, b.signature
+
+
+def _other_signature(sig: Signature, group: str) -> Signature:
+    """A signature that keeps every other control of ``sig`` and adds one
+    it lacks and one named after a group's node type, which signatures
+    read from files refuse."""
+    names = (*sig.names[::2], "Other", group)
+    return Signature(tuple(map(Control, names)), dict.fromkeys(names, 1))
+
+
+@given(encodings(), encodings(), st.sampled_from(("BRoot", "BSite", "BPort")), st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None)
+def test_kept_parts_give_every_configuration_its_reference_outcome(first, second, group, rnd):
+    """All 54 configurations of two graphs under two signatures, twice, in
+    a shuffled order: the parts each graph keeps give the outcome of the
+    scanning reference every time, value or ``NotCanonical`` reason."""
+    runs = [
+        (g, cfg, s)
+        for g, sig in (first, second)
+        for s in (sig, _other_signature(sig, group))
+        for cfg in enumerate_configs()
+    ] * 2
+    rnd.shuffle(runs)
+    for g, cfg, sig in runs:
+        assert outcome(apply_deltas, g, cfg, sig) == outcome(ref_apply_deltas, g, cfg, sig), sorted(cfg.selected)
+
+
+def test_kept_parts_do_not_keep_their_graph_alive(g1, sig1):
+    """The parts hold no reference to their graph, so it goes with its last
+    reference and takes them along; and reconfiguring builds no edge view,
+    nor any edge part for a configuration that deletes nothing."""
+    g = replace(g1)
+    apply_deltas(g, FeatureConfig(frozenset({"WT", "ER", "RI", "ES", "SI", "EP", "PI"})), sig1)
+    assert not any(make.__name__ in ("_touching", "_ends", "_rewired") for make, _ in vars(g)["_parts"])
+    for cfg in enumerate_configs():
+        apply_deltas(g, cfg, sig1)
+    assert "edge_view" not in vars(g) and vars(g)["_parts"]
+    kept = weakref.ref(g)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del g
+        assert kept() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_node_attrs_keep_the_order_of_attrs():
     g = InstanceGraph(graph=Graph(nodes=frozenset({"n"})), attrs={("n", "z"): 1, ("m", "b"): 2, ("n", "a"): 3})
     assert list(node_attrs(g, "n").items()) == list(ref_node_attrs(g, "n").items()) == [("z", 1), ("a", 3)]
@@ -303,6 +370,30 @@ def test_implicit_ports_sees_edges_moved_by_earlier_ports(g1, sig1, mutate, expe
             assert got == expected
         else:
             assert isinstance(got, InstanceGraph)
+
+
+@pytest.mark.parametrize(
+    "edge, ends", [("bLink:p:v0:0:e:e0", {"tgt": "p:v1:0"}), ("bPoints:e:e0:p:v0:0", {"src": "p:v1:0"})]
+)
+def test_a_moved_edge_goes_when_its_other_end_goes(g1, sig1, edge, ends):
+    # The link moves to its port's owner and the bPoints edge to the port
+    # it points at's owner, but the other end is a port that goes too.
+    g = retarget_edge(g1, edge, **ends)
+    for cfg in [cfg for cfg in enumerate_configs() if "EP" not in cfg.selected]:
+        got = outcome(apply_deltas, g, cfg, sig1)
+        assert got == outcome(ref_apply_deltas, g, cfg, sig1)
+        assert edge not in got.graph.edges
+
+
+def test_ends_and_types_of_no_edge_go_with_a_deletion(g1, sig1):
+    # Keys of src, tgt and edge_types that are no edge, here at a port.
+    stray = {"src": "n:v0", "tgt": "p:v0:0"}
+    graph = replace(g1.graph, **{end: {**getattr(g1.graph, end), "stray": v} for end, v in stray.items()})
+    g = replace(g1, graph=graph, edge_types={**g1.edge_types, "stray": "bLink"})
+    for cfg in enumerate_configs():
+        got = outcome(apply_deltas, g, cfg, sig1)
+        assert got == outcome(ref_apply_deltas, g, cfg, sig1)
+        assert "stray" not in got.graph.edges
 
 
 @pytest.mark.parametrize("owner, explicit", [("r:0", "ER"), ("s:0", "ES")])
