@@ -8,8 +8,9 @@ instance), then calls ``__post_init__`` if the class defines one.
 ``__eq__`` and ``__hash__`` compare the tuple of field values between
 instances of the same class, ``__repr__`` names every field, and
 assigning or deleting an attribute raises :class:`FrozenInstanceError`.
-``replace`` copies a value with some fields changed, and ``cls._fields``
-names the fields.
+``replace`` copies a value with some fields changed, ``cls._fields``
+names the fields, and ``cls._adopt`` builds a value from fresh field
+values without copying them.
 
 The methods are closures over the field names: no source text is
 generated and compiled per class, and nothing here imports ``inspect``,
@@ -118,9 +119,20 @@ def frozen(cls):
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    def _adopt(cls, *args):
+        """A value whose fields are ``args``, in declaration order, taken as
+        they are: ``__post_init__`` does not run. For a builder in this
+        package that has just made each value fresh, of the type that
+        ``__post_init__`` would make, so no field is copied twice."""
+        self = object.__new__(cls)
+        for name, value in zip(names, args, strict=True):
+            setter(self, name, value)
+        return self
+
     for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
+    cls._adopt = classmethod(_adopt)
     cls._fields = names
     return cls
 

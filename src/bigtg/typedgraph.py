@@ -235,10 +235,13 @@ class InstanceGraph:
     (``check_typing``, ``check_validity``, ``check_multiplicities`` and
     the arity rule), with the very arguments it was checked against
     (``decode`` after ``conformance``), and the parts that
-    :func:`bigtg.variability.apply_deltas` reads (``_parts``). So neither
-    the dicts of ``g`` nor those arguments may be mutated after the first
-    query, check or reconfiguration; build a new value (through the
-    constructor or ``bigtg.replace``) instead.
+    :func:`bigtg.variability.apply_deltas` reads (``_parts``). From its
+    second reconfiguration on, a graph and the variants it gives share a
+    family memo (``_family``, a :class:`bigtg.writers.Family`) of what
+    their saves print. So neither the dicts of ``g`` nor those arguments
+    may be mutated after the first query, check or reconfiguration; build
+    a new value (through the constructor or ``bigtg.replace``) instead.
+    A variant shares the dicts it did not change with its input.
     """
 
     graph: Graph
@@ -257,7 +260,8 @@ class InstanceGraph:
 
     @cached_property
     def _parts(self) -> dict[tuple[Callable[..., Any], tuple[Hashable, ...]], Any]:
-        """Each part that reconfiguration reads, by its builder and key."""
+        """Each part that reconfiguration reads, by its builder and key.
+        Beside it, from the second reconfiguration on, ``_family``."""
         return {}
 
     @cached_property

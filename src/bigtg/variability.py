@@ -28,6 +28,8 @@ TYPE_CHECKING = False  # read as true by static type checkers only
 if TYPE_CHECKING:
     from typing import Any
 
+    from .writers import Family
+
 #: The option groups in reconfiguration order: each group's node type, the
 #: feature that makes its elements explicit, and the feature that indexes
 #: them.
@@ -236,7 +238,12 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
     the parts it keeps, and dict copies with the dropped keys deleted:
     no Python-level pass over the nodes, edges or attributes. No edge
     view of ``g`` is built. The new graph's edge set and edge dicts hold
-    the same entries as before, in another iteration order.
+    the same entries as before, in another iteration order; it takes
+    those dicts without a copy, and shares with ``g`` the ones that no
+    step changes. From the second reconfiguration of ``g`` on, ``g`` and
+    each graph returned share one :class:`bigtg.writers.Family` memo
+    (``_family``), so saving many variants prints each entry they share
+    once; a graph reconfigured once keeps no printed text.
 
     When no step changes anything, ``g`` itself is returned; when nothing
     is deleted, the edges, their ends and their types are kept as they
@@ -249,6 +256,12 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
     rep = validate_config(cfg)
     if not rep.ok:
         raise InvalidConfig(rep)
+    family = getattr(g, "_family", None)
+    if family is None and g._parts:  # reconfigured before: its variants are a family
+        from .writers import Family
+
+        family = Family(g)
+        object.__setattr__(g, "_family", family)
     lacking = _kept(g, _lacking)
     if lacking:
         raise NotCanonical(lacking)
@@ -276,7 +289,9 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
         attrs = _without(attrs, gone_keys)
     doomed = frozenset().union(*dropped.values())
     if not doomed:
-        return g if types is g.node_types and attrs is g.attrs else replace(g, node_types=types, attrs=attrs)
+        if types is g.node_types and attrs is g.attrs:
+            return g
+        return _variant(family, g.graph, types, g.edge_types, attrs)
     cut = sum(map(_BIT.__getitem__, dropped))
     kept = [_kept(g, _ends, touched) for touched in _kept(g, _touching) if not touched & cut]
     src, tgt, edge_types = (_merged(map(itemgetter(i), kept)) for i in range(3))
@@ -287,9 +302,18 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
         moved, *columns = rewired
         for ends, column in zip((src, tgt, edge_types), columns):
             ends.update(zip(moved, column))
-    # Positional fields: a call with keywords binds them in a Python loop.
-    graph = Graph(g.graph.nodes - doomed, frozenset(src), src, tgt)
-    return InstanceGraph(graph, _without(types, doomed), edge_types, attrs)
+    graph = Graph._adopt(g.graph.nodes - doomed, frozenset(src), src, tgt)
+    return _variant(family, graph, _without(types, doomed), edge_types, attrs)
+
+
+def _variant(family: Family | None, *fields: Any) -> InstanceGraph:
+    """The instance graph of ``fields``, which it takes without a copy: each
+    is fresh or a value of the input that no one mutates. It joins
+    ``family`` when there is one."""
+    variant = InstanceGraph._adopt(*fields)
+    if family is not None:
+        object.__setattr__(variant, "_family", family)
+    return variant
 
 
 # The parts of an instance graph that ``apply_deltas`` reads. Each is

@@ -10,6 +10,12 @@ writer holds the value, its sorted ids and one batch of text; a signature,
 type graph or feature configuration is one chunk. A writer raises each of
 its refusals before it yields its first chunk.
 
+The variants of one graph share a :class:`Family` memo, which
+:func:`bigtg.variability.apply_deltas` hands out from a graph's second
+reconfiguration on: the text of each instance-graph entry printed, by its
+content, and the graph's sorted ids, which the writer filters to a
+variant's. A graph without a family is printed entry by entry as above.
+
 Only :func:`bigtg.fileio.save` and :func:`bigtg.fileio.dumps_canonical`
 load this module, so a command that writes no file does not compile it.
 """
@@ -23,11 +29,11 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from .bigraph import Bigraph, Interface, Port, Signature
-from .typedgraph import InstanceGraph, Multiplicity, TypeGraph, mult_of
+from .typedgraph import InstanceGraph, Multiplicity, TypeGraph, _grouped, mult_of
 
 TYPE_CHECKING = False  # read as true by static type checkers only
 if TYPE_CHECKING:
-    from collections.abc import Callable, Iterable, Iterator
+    from collections.abc import Callable, Hashable, Iterable, Iterator
     from typing import Any
 
     from .variability import FeatureConfig
@@ -225,35 +231,119 @@ _EDGE = '{\n        "id": %s,\n        "src": %s,\n        "tgt": %s,\n        "
 _NODE = '{\n        "attrs": %s,\n        "id": %s,\n        "type": %s\n      }'
 
 
+class Family:
+    """What the saves of one graph's variants share: the graph's node and
+    edge ids, which hold each variant's, sorted once; and the text of each
+    edge and node entry printed, by its key (:func:`_keys`). It refers to
+    no graph, so a graph and its variants go with their last reference."""
+
+    __slots__ = ("_ids", "edges", "nodes")
+
+    def __init__(self, g: InstanceGraph) -> None:
+        #: Each set of ids, replaced by its sorted list on first use, or by
+        #: ``None`` when some id is no ``str``.
+        self._ids: dict[str, frozenset[str] | list[str] | None] = {"nodes": g.graph.nodes, "edges": g.graph.edges}
+        self.edges: dict[tuple, str] = {}
+        self.nodes: dict[tuple, str] = {}
+
+    def ordered(self, kind: str, ids: frozenset[str]) -> list[str]:
+        """``ids``, a variant's ``kind`` (``"nodes"`` or ``"edges"``),
+        sorted: the family's sorted ids filtered to ``ids`` when that keeps
+        every one of them, else sorted anew."""
+        whole = self._ids[kind]
+        if isinstance(whole, frozenset):
+            whole = self._ids[kind] = sorted(whole) if set(map(type, whole)) <= {str} else None
+        if whole is not None:
+            kept = list(filter(ids.__contains__, whole))
+            if len(kept) == len(ids):
+                return kept
+        return sorted(ids)
+
+
+#: The classes whose equal values of one class print alike. Equal values of
+#: two classes may not (``1 == True == 1.0``), nor may equal floats
+#: (``0.0 == -0.0``) or equal containers (``(1,) == (True,)``).
+_KEYED = frozenset({str, int, bool, type(None)})
+
+
+def _key_column(column: list) -> list | None:
+    """A field of each entry as a part of its key: the values themselves
+    when each is a ``str``, each value with its class when each class is
+    in ``_KEYED``, and ``None`` (no key) otherwise."""
+    kinds = set(map(type, column))
+    if kinds <= {str}:
+        return column
+    return list(zip(column, map(type, column))) if kinds <= _KEYED else None
+
+
+def _keys(*columns: list) -> list[tuple] | None:
+    """The key of each entry whose fields are ``columns``, or ``None``."""
+    parts = list(map(_key_column, columns))
+    return None if None in parts else list(zip(*parts))
+
+
+def _remembered(memo: dict[Hashable, str], keys: list[Hashable] | None, printed: Callable[[], Iterable[str]]) -> Iterable[str]:
+    """The text of a batch of entries: each entry's from ``memo`` by its
+    key when every one is there; otherwise the batch as ``printed()``
+    prints it, remembered by key unless ``keys`` is ``None``."""
+    if keys is None:
+        return printed()
+    texts = list(map(memo.get, keys))
+    if None in texts:
+        texts = list(printed())
+        memo.update(zip(keys, texts))
+    return texts
+
+
 def instancegraph_chunks(g: InstanceGraph) -> Iterator[str]:
     """Each column of a batch (ids, ends, types, attribute names and
     values) is printed in one pass, and each entry is its template filled
-    from the columns."""
-    edges = sorted(g.graph.edges)
+    from the columns. A graph with a :class:`Family` (``g._family``) takes
+    its sorted ids and the text of the entries printed before from it."""
+    family: Family | None = getattr(g, "_family", None)
+    edges = sorted(g.graph.edges) if family is None else family.ordered("edges", g.graph.edges)
     src, tgt = list(map(g.graph.src.get, edges)), list(map(g.graph.tgt.get, edges))
     _refuse_missing("edge", edges, src=src, tgt=tgt)
     orphans = set(map(itemgetter(0), g.attrs)) - g.graph.nodes
     if orphans:
         n, a = min(key for key in g.attrs if key[0] in orphans)
         raise ValueError(f"attribute {a} of {n} has no node")
-    nodes, keys = sorted(g.graph.nodes), sorted(g.attrs)
+    nodes = sorted(g.graph.nodes) if family is None else family.ordered("nodes", g.graph.nodes)
+    keys = sorted(g.attrs)
     owners = list(map(itemgetter(0), keys))
 
     def edge_entries(part: slice) -> Iterable[str]:
         columns = (edges[part], src[part], tgt[part], list(map(g.edge_types.get, edges[part])))
-        return map(_EDGE.__mod__, zip(*(_leaves(column, _P8) for column in columns)))
+
+        def printed() -> Iterable[str]:
+            return map(_EDGE.__mod__, zip(*(_leaves(column, _P8) for column in columns)))
+
+        return printed() if family is None else _remembered(family.edges, _keys(*columns), printed)
 
     def node_entries(part: slice) -> Iterable[str]:
         batch = nodes[part]
         # The attributes of the batch's nodes, which lead ``keys`` as the nodes lead ``nodes``.
         held = keys[bisect_left(owners, batch[0]) : bisect_right(owners, batch[-1])]
-        # ``json`` quotes its text of a key that is no string.
-        names = _leaves([a if isinstance(a, str) else json.dumps(a) for _, a in held], _P10)
-        values = _leaves(list(map(g.attrs.get, held)), _P10)
-        members = zip(map(itemgetter(0), held), map("%s: %s".__mod__, zip(names, values)))
-        attrs = {n: _join(list(map(itemgetter(1), group)), _P8, "{}") for n, group in groupby(members, itemgetter(0))}
+        values = list(map(g.attrs.get, held))
         types = list(map(g.node_types.get, batch))
-        return map(_NODE.__mod__, zip(map(attrs.get, batch, repeat("{}")), _leaves(batch, _P8), _leaves(types, _P8)))
+
+        def printed() -> Iterable[str]:
+            # ``json`` quotes its text of a key that is no string.
+            names = _leaves([a if isinstance(a, str) else json.dumps(a) for _, a in held], _P10)
+            members = zip(map(itemgetter(0), held), map("%s: %s".__mod__, zip(names, _leaves(values, _P10))))
+            attrs = {n: _join(list(map(itemgetter(1), group)), _P8, "{}") for n, group in groupby(members, itemgetter(0))}
+            return map(_NODE.__mod__, zip(map(attrs.get, batch, repeat("{}")), _leaves(batch, _P8), _leaves(types, _P8)))
+
+        if family is None:
+            return printed()
+        # A node's key: the key of its id and type, and that of each of its
+        # attributes' name and value.
+        heads, members = _keys(batch, types), _keys(list(map(itemgetter(1), held)), values)
+        if heads is None or members is None:
+            return printed()
+        owned = _grouped(list(map(itemgetter(0), held)), members)
+        owned = dict(zip(owned, map(tuple, owned.values())))
+        return _remembered(family.nodes, list(zip(heads, map(owned.get, batch, repeat(())))), printed)
 
     yield '{\n    "edges": '
     yield from _batched(len(edges), edge_entries, _P4)

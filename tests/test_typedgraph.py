@@ -41,6 +41,19 @@ from bigtg.typedgraph import all_super, symmetric_pairs
 from helpers import edges_of_type, outcome
 
 
+def test_the_constructors_copy_what_they_are_given():
+    """Mutating a dict or set after passing it to a constructor leaves the
+    value as it was built; only ``apply_deltas`` hands over fresh dicts."""
+    nodes, src, tgt = {"n"}, {"e": "n"}, {"e": "n"}
+    node_types, edge_types, attrs = {"n": "BNode"}, {"e": "bLink"}, {("n", "index"): 0}
+    g = InstanceGraph(Graph(nodes, {"e"}, src, tgt), node_types, edge_types, attrs)
+    nodes.add("m")
+    for d in (src, tgt, node_types, edge_types, attrs):
+        d.clear()
+    graph = Graph({"n"}, {"e"}, {"e": "n"}, {"e": "n"})
+    assert g == InstanceGraph(graph, {"n": "BNode"}, {"e": "bLink"}, {("n", "index"): 0})
+
+
 def test_all_sub_controls_under_bnode(tg_sigma1):
     assert all_sub(tg_sigma1, "BNode") == {"Job", "User", "Room", "Spool", "Printer", "Computer"}
 

@@ -31,8 +31,10 @@ from bigtg import (
     writers,
 )
 from bigtg.generators import random_bigraph, random_signature
+from bigtg.variability import FeatureConfig
 
 from helpers import assert_refused, mutated_encodings, outcome, ref_node_attrs
+from test_index import encodings
 
 
 # ---------------------------------------------------------------------------
@@ -328,3 +330,76 @@ def test_values_of_many_batches_are_written_as_before():
     assert min(len(b.nodes), len(b.link), len(g.graph.nodes)) > 2 * writers._BATCH
     assert_bigraph_written_as_before(b)
     assert_instance_graph_written_as_before(g)
+
+
+# ---------------------------------------------------------------------------
+# Families: the variants of one graph share the text of their entries
+
+
+@given(encodings(), st.randoms(use_true_random=False), st.sampled_from((1, 3, 512)))
+@settings(max_examples=25, deadline=None)
+def test_a_family_prints_each_variant_as_a_fresh_copy_of_it(case, rnd, batch):
+    """All 54 configurations of one graph, twice, in a shuffled order: each
+    variant prints as ``replace(variant)``, which has no family, and each
+    configuration gives the outcome it gives a fresh copy of the graph,
+    value or ``NotCanonical`` reason."""
+    g, sig = case
+    runs = enumerate_configs() * 2
+    rnd.shuffle(runs)
+    with mock.patch.object(writers, "_BATCH", batch):
+        for cfg in runs:
+            variant = outcome(apply_deltas, g, cfg, sig)
+            assert variant == outcome(apply_deltas, replace(g), cfg, sig), sorted(cfg.selected)
+            if isinstance(variant, InstanceGraph):
+                assert fileio.dumps_canonical(variant) == fileio.dumps_canonical(replace(variant))
+
+
+def _kin(nodes: dict, edges: dict, attrs: dict) -> InstanceGraph:
+    """A graph of nodes ``n`` and ``m`` and edge ``e``: ``nodes`` gives the
+    node types, ``edges`` the edge's ``src``, ``tgt`` and type."""
+    graph = Graph(frozenset({"n", "m"}), frozenset({"e"}), {"e": edges["src"]}, {"e": edges["tgt"]})
+    return InstanceGraph(graph, nodes, {"e": edges["type"]}, attrs)
+
+
+def test_graphs_of_one_family_with_equal_ids_print_their_own_entries():
+    """Graphs that share a family and their ids, but not their ends, types,
+    or attribute names and values (equal values of other classes among
+    them), each print their own text: an entry's key holds every field,
+    with its class. A graph with ids that the family lacks sorts its own."""
+    ends, types = {"src": "n", "tgt": "m", "type": "bLink"}, {"n": "BNode", "m": "BPort"}
+    kin = [_kin(types, ends, {}), _kin(types, {**ends, "src": "m"}, {}), _kin(types, {**ends, "tgt": "n"}, {})]
+    kin += [_kin(types, {**ends, "type": t}, {}) for t in ("bPoints", None, ["bLink"])]
+    kin += [_kin({**types, "n": t}, ends, {}) for t in ("BRoot", None, ["BNode"])]
+    values = (1, True, 1.0, "1", 0, False, 0.0, -0.0, None, (1,), (True,))
+    kin += [_kin(types, ends, {("n", "index"): v}) for v in values]
+    kin += [_kin(types, ends, {("n", name): 1}) for name in (1, True, None)]
+    kin += [_kin(types, ends, {("m", "index"): 1}), _kin(types, ends, {("n", "index"): 1, ("n", "control"): "Job"})]
+    wider = Graph(frozenset({"n", "m", "o"}), frozenset({"e", "d"}), {"e": "n", "d": "o"}, {"e": "m", "d": "m"})
+    kin.append(InstanceGraph(wider, types, {"e": "bLink", "d": "bLink"}))
+    family = writers.Family(kin[0])
+    for g in kin:
+        object.__setattr__(g, "_family", family)
+    texts = [fileio.dumps_canonical(replace(g)) for g in kin]
+    assert len(set(texts)) == len(kin)
+    for _ in range(2):
+        assert [fileio.dumps_canonical(g) for g in kin] == texts
+    assert family.edges and family.nodes
+
+
+def test_a_family_forms_at_the_second_reconfiguration(g1, sig1, tmp_path):
+    """A graph configured once, and its variant, keep no printed text after
+    a save; from the second configuration on, the graph and its later
+    variants, and theirs, share one family, which holds what their saves
+    print."""
+    g = replace(g1)
+    first, second, weak = enumerate_configs()[0], enumerate_configs()[-1], FeatureConfig(frozenset({"WT"}))
+    variant = apply_deltas(g, first, sig1)
+    fileio.save(variant, str(tmp_path / "first.ig.json"))
+    assert not hasattr(g, "_family") and not hasattr(variant, "_family")
+    again = apply_deltas(g, second, sig1)
+    family = again._family
+    assert g._family is family and not family.edges and not family.nodes
+    assert apply_deltas(again, weak, sig1)._family is family
+    assert not hasattr(apply_deltas(variant, weak, sig1), "_family")
+    fileio.save(again, str(tmp_path / "second.ig.json"))
+    assert len(family.edges) == len(again.graph.edges) and len(family.nodes) == len(again.graph.nodes)
