@@ -236,9 +236,9 @@ class InstanceGraph:
     the arity rule), with the very arguments it was checked against
     (``decode`` after ``conformance``), and the parts that
     :func:`bigtg.variability.apply_deltas` reads (``_parts``). From its
-    second reconfiguration on, a graph and the variants it gives share a
-    family memo (``_family``, a :class:`bigtg.writers.Family`) of what
-    their saves print. So neither the dicts of ``g`` nor those arguments
+    second reconfiguration on, a graph holds a family memo (``_memo``, a
+    :class:`bigtg.writers.Family`) of what its and its variants' saves
+    print, which they reach by a weak reference (``_family``). So neither the dicts of ``g`` nor those arguments
     may be mutated after the first query, check or reconfiguration; build
     a new value (through the constructor or ``bigtg.replace``) instead.
     A variant shares the dicts it did not change with its input.
@@ -261,7 +261,7 @@ class InstanceGraph:
     @cached_property
     def _parts(self) -> dict[tuple[Callable[..., Any], tuple[Hashable, ...]], Any]:
         """Each part that reconfiguration reads, by its builder and key.
-        Beside it, from the second reconfiguration on, ``_family``."""
+        Beside it, from the second reconfiguration on, ``_memo``."""
         return {}
 
     @cached_property

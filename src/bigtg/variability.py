@@ -17,6 +17,7 @@ from collections import Counter, deque
 from collections.abc import Callable, Hashable, Iterable, Mapping
 from itertools import compress, repeat
 from operator import eq, itemgetter
+from weakref import ref
 
 from ._value import field, frozen, replace
 from .bigraph import BASE_NODE_TYPE_NAMES, Signature
@@ -240,10 +241,12 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
     view of ``g`` is built. The new graph's edge set and edge dicts hold
     the same entries as before, in another iteration order; it takes
     those dicts without a copy, and shares with ``g`` the ones that no
-    step changes. From the second reconfiguration of ``g`` on, ``g`` and
-    each graph returned share one :class:`bigtg.writers.Family` memo
-    (``_family``), so saving many variants prints each entry they share
-    once; a graph reconfigured once keeps no printed text.
+    step changes. From the second reconfiguration of ``g`` on, ``g``
+    holds a :class:`bigtg.writers.Family` memo (``_memo``), and ``g`` and
+    each graph returned reach it through one weak reference (``_family``),
+    so saving many variants prints each entry they share once while ``g``
+    lives. A graph reconfigured once, and a variant kept without ``g``,
+    keep no printed text.
 
     When no step changes anything, ``g`` itself is returned; when nothing
     is deleted, the edges, their ends and their types are kept as they
@@ -257,10 +260,12 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
     if not rep.ok:
         raise InvalidConfig(rep)
     family = getattr(g, "_family", None)
-    if family is None and g._parts:  # reconfigured before: its variants are a family
+    if g._parts and (family is None or family() is None):  # reconfigured before: its variants are a family
         from .writers import Family
 
-        family = Family(g)
+        memo = Family()
+        family = ref(memo)
+        object.__setattr__(g, "_memo", memo)
         object.__setattr__(g, "_family", family)
     lacking = _kept(g, _lacking)
     if lacking:
@@ -306,10 +311,10 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
     return _variant(family, graph, _without(types, doomed), edge_types, attrs)
 
 
-def _variant(family: Family | None, *fields: Any) -> InstanceGraph:
+def _variant(family: ref[Family] | None, *fields: Any) -> InstanceGraph:
     """The instance graph of ``fields``, which it takes without a copy: each
     is fresh or a value of the input that no one mutates. It joins
-    ``family`` when there is one."""
+    ``family``, a weak reference to a memo, when there is one."""
     variant = InstanceGraph._adopt(*fields)
     if family is not None:
         object.__setattr__(variant, "_family", family)

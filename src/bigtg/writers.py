@@ -10,11 +10,12 @@ writer holds the value, its sorted ids and one batch of text; a signature,
 type graph or feature configuration is one chunk. A writer raises each of
 its refusals before it yields its first chunk.
 
-The variants of one graph share a :class:`Family` memo, which
-:func:`bigtg.variability.apply_deltas` hands out from a graph's second
-reconfiguration on: the text of each instance-graph entry printed, by its
-content, and the graph's sorted ids, which the writer filters to a
-variant's. A graph without a family is printed entry by entry as above.
+The variants of one graph share a :class:`Family` memo: the text of each
+instance-graph entry printed, by its content. From a graph's second
+reconfiguration on, :func:`bigtg.variability.apply_deltas` makes one and
+keeps it on that graph; the graph and its variants reach it through a weak
+reference, so a variant kept without that graph holds no printed text. A
+graph without a live family is printed batch by batch as above.
 
 Only :func:`bigtg.fileio.save` and :func:`bigtg.fileio.dumps_canonical`
 load this module, so a command that writes no file does not compile it.
@@ -232,32 +233,16 @@ _NODE = '{\n        "attrs": %s,\n        "id": %s,\n        "type": %s\n      }
 
 
 class Family:
-    """What the saves of one graph's variants share: the graph's node and
-    edge ids, which hold each variant's, sorted once; and the text of each
-    edge and node entry printed, by its key (:func:`_keys`). It refers to
-    no graph, so a graph and its variants go with their last reference."""
+    """The text of each edge and node entry that a save of one graph's
+    variants printed, by its key (:func:`_keys`). It refers to no graph,
+    and only the graph that made it holds it (``_memo``): the others reach
+    it through a weak reference (``_family``)."""
 
-    __slots__ = ("_ids", "edges", "nodes")
+    __slots__ = ("__weakref__", "edges", "nodes")
 
-    def __init__(self, g: InstanceGraph) -> None:
-        #: Each set of ids, replaced by its sorted list on first use, or by
-        #: ``None`` when some id is no ``str``.
-        self._ids: dict[str, frozenset[str] | list[str] | None] = {"nodes": g.graph.nodes, "edges": g.graph.edges}
+    def __init__(self) -> None:
         self.edges: dict[tuple, str] = {}
         self.nodes: dict[tuple, str] = {}
-
-    def ordered(self, kind: str, ids: frozenset[str]) -> list[str]:
-        """``ids``, a variant's ``kind`` (``"nodes"`` or ``"edges"``),
-        sorted: the family's sorted ids filtered to ``ids`` when that keeps
-        every one of them, else sorted anew."""
-        whole = self._ids[kind]
-        if isinstance(whole, frozenset):
-            whole = self._ids[kind] = sorted(whole) if set(map(type, whole)) <= {str} else None
-        if whole is not None:
-            kept = list(filter(ids.__contains__, whole))
-            if len(kept) == len(ids):
-                return kept
-        return sorted(ids)
 
 
 #: The classes whose equal values of one class print alike. Equal values of
@@ -269,7 +254,8 @@ _KEYED = frozenset({str, int, bool, type(None)})
 def _key_column(column: list) -> list | None:
     """A field of each entry as a part of its key: the values themselves
     when each is a ``str``, each value with its class when each class is
-    in ``_KEYED``, and ``None`` (no key) otherwise."""
+    in ``_KEYED``, and ``None`` (no key) otherwise. A ``str`` equals no
+    pair, so the two forms never meet."""
     kinds = set(map(type, column))
     if kinds <= {str}:
         return column
@@ -298,18 +284,18 @@ def _remembered(memo: dict[Hashable, str], keys: list[Hashable] | None, printed:
 def instancegraph_chunks(g: InstanceGraph) -> Iterator[str]:
     """Each column of a batch (ids, ends, types, attribute names and
     values) is printed in one pass, and each entry is its template filled
-    from the columns. A graph with a :class:`Family` (``g._family``) takes
-    its sorted ids and the text of the entries printed before from it."""
-    family: Family | None = getattr(g, "_family", None)
-    edges = sorted(g.graph.edges) if family is None else family.ordered("edges", g.graph.edges)
+    from the columns. A graph in a live :class:`Family` (``g._family``)
+    takes from it the text of the entries printed before."""
+    ref = getattr(g, "_family", None)
+    family: Family | None = None if ref is None else ref()
+    edges = sorted(g.graph.edges)
     src, tgt = list(map(g.graph.src.get, edges)), list(map(g.graph.tgt.get, edges))
     _refuse_missing("edge", edges, src=src, tgt=tgt)
     orphans = set(map(itemgetter(0), g.attrs)) - g.graph.nodes
     if orphans:
         n, a = min(key for key in g.attrs if key[0] in orphans)
         raise ValueError(f"attribute {a} of {n} has no node")
-    nodes = sorted(g.graph.nodes) if family is None else family.ordered("nodes", g.graph.nodes)
-    keys = sorted(g.attrs)
+    nodes, keys = sorted(g.graph.nodes), sorted(g.attrs)
     owners = list(map(itemgetter(0), keys))
 
     def edge_entries(part: slice) -> Iterable[str]:

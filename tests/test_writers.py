@@ -6,8 +6,10 @@ small cases."""
 
 from __future__ import annotations
 
+import gc
 import json
 import random
+import weakref
 from unittest import mock
 
 import pytest
@@ -365,7 +367,7 @@ def test_graphs_of_one_family_with_equal_ids_print_their_own_entries():
     """Graphs that share a family and their ids, but not their ends, types,
     or attribute names and values (equal values of other classes among
     them), each print their own text: an entry's key holds every field,
-    with its class. A graph with ids that the family lacks sorts its own."""
+    with its class. So does a graph with ids that the others lack."""
     ends, types = {"src": "n", "tgt": "m", "type": "bLink"}, {"n": "BNode", "m": "BPort"}
     kin = [_kin(types, ends, {}), _kin(types, {**ends, "src": "m"}, {}), _kin(types, {**ends, "tgt": "n"}, {})]
     kin += [_kin(types, {**ends, "type": t}, {}) for t in ("bPoints", None, ["bLink"])]
@@ -376,9 +378,9 @@ def test_graphs_of_one_family_with_equal_ids_print_their_own_entries():
     kin += [_kin(types, ends, {("m", "index"): 1}), _kin(types, ends, {("n", "index"): 1, ("n", "control"): "Job"})]
     wider = Graph(frozenset({"n", "m", "o"}), frozenset({"e", "d"}), {"e": "n", "d": "o"}, {"e": "m", "d": "m"})
     kin.append(InstanceGraph(wider, types, {"e": "bLink", "d": "bLink"}))
-    family = writers.Family(kin[0])
+    family = writers.Family()
     for g in kin:
-        object.__setattr__(g, "_family", family)
+        object.__setattr__(g, "_family", weakref.ref(family))
     texts = [fileio.dumps_canonical(replace(g)) for g in kin]
     assert len(set(texts)) == len(kin)
     for _ in range(2):
@@ -390,16 +392,21 @@ def test_a_family_forms_at_the_second_reconfiguration(g1, sig1, tmp_path):
     """A graph configured once, and its variant, keep no printed text after
     a save; from the second configuration on, the graph and its later
     variants, and theirs, share one family, which holds what their saves
-    print."""
+    print. Only that graph holds the family: a variant kept without it
+    keeps no printed text, and prints as before."""
     g = replace(g1)
     first, second, weak = enumerate_configs()[0], enumerate_configs()[-1], FeatureConfig(frozenset({"WT"}))
     variant = apply_deltas(g, first, sig1)
     fileio.save(variant, str(tmp_path / "first.ig.json"))
     assert not hasattr(g, "_family") and not hasattr(variant, "_family")
     again = apply_deltas(g, second, sig1)
-    family = again._family
-    assert g._family is family and not family.edges and not family.nodes
-    assert apply_deltas(again, weak, sig1)._family is family
+    family = again._family()
+    assert g._memo is family and g._family is again._family and not family.edges and not family.nodes
+    assert apply_deltas(again, weak, sig1)._family is again._family
     assert not hasattr(apply_deltas(variant, weak, sig1), "_family")
     fileio.save(again, str(tmp_path / "second.ig.json"))
     assert len(family.edges) == len(again.graph.edges) and len(family.nodes) == len(again.graph.nodes)
+    del g, family
+    gc.collect()
+    assert again._family() is None
+    assert fileio.dumps_canonical(again) == (tmp_path / "second.ig.json").read_text(encoding="utf-8")
