@@ -263,7 +263,7 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
     if g._parts and (family is None or family() is None):  # reconfigured before: its variants are a family
         from .writers import Family
 
-        memo = Family()
+        memo = Family(g)
         family = ref(memo)
         object.__setattr__(g, "_memo", memo)
         object.__setattr__(g, "_family", family)

@@ -11,7 +11,8 @@ type graph or feature configuration is one chunk. A writer raises each of
 its refusals before it yields its first chunk.
 
 The variants of one graph share a :class:`Family` memo: the text of each
-instance-graph entry printed, by its content. From a graph's second
+instance-graph entry printed, by its content, and the graph's sorted ids,
+which the writer filters to a variant's. From a graph's second
 reconfiguration on, :func:`bigtg.variability.apply_deltas` makes one and
 keeps it on that graph; the graph and its variants reach it through a weak
 reference, so a variant kept without that graph holds no printed text. A
@@ -233,16 +234,33 @@ _NODE = '{\n        "attrs": %s,\n        "id": %s,\n        "type": %s\n      }
 
 
 class Family:
-    """The text of each edge and node entry that a save of one graph's
-    variants printed, by its key (:func:`_keys`). It refers to no graph,
-    and only the graph that made it holds it (``_memo``): the others reach
-    it through a weak reference (``_family``)."""
+    """What the saves of one graph's variants share: the graph's node and
+    edge ids, which hold each variant's, sorted once; and the text of each
+    edge and node entry printed, by its key (:func:`_keys`). It refers to
+    no graph, and only the graph that made it holds it (``_memo``): the
+    others reach it through a weak reference (``_family``)."""
 
-    __slots__ = ("__weakref__", "edges", "nodes")
+    __slots__ = ("__weakref__", "_ids", "edges", "nodes")
 
-    def __init__(self) -> None:
+    def __init__(self, g: InstanceGraph) -> None:
+        #: Each set of ids, replaced by its sorted list on first use, or by
+        #: ``None`` when some id is no ``str``.
+        self._ids: dict[str, frozenset[str] | list[str] | None] = {"nodes": g.graph.nodes, "edges": g.graph.edges}
         self.edges: dict[tuple, str] = {}
         self.nodes: dict[tuple, str] = {}
+
+    def ordered(self, kind: str, ids: frozenset[str]) -> list[str]:
+        """``ids``, a variant's ``kind`` (``"nodes"`` or ``"edges"``),
+        sorted: the family's sorted ids filtered to ``ids`` when that keeps
+        every one of them, else sorted anew."""
+        whole = self._ids[kind]
+        if isinstance(whole, frozenset):
+            whole = self._ids[kind] = sorted(whole) if set(map(type, whole)) <= {str} else None
+        if whole is not None:
+            kept = list(filter(ids.__contains__, whole))
+            if len(kept) == len(ids):
+                return kept
+        return sorted(ids)
 
 
 #: The classes whose equal values of one class print alike. Equal values of
@@ -285,17 +303,19 @@ def instancegraph_chunks(g: InstanceGraph) -> Iterator[str]:
     """Each column of a batch (ids, ends, types, attribute names and
     values) is printed in one pass, and each entry is its template filled
     from the columns. A graph in a live :class:`Family` (``g._family``)
-    takes from it the text of the entries printed before."""
+    takes from it its sorted ids and the text of the entries printed
+    before."""
     ref = getattr(g, "_family", None)
     family: Family | None = None if ref is None else ref()
-    edges = sorted(g.graph.edges)
+    edges = sorted(g.graph.edges) if family is None else family.ordered("edges", g.graph.edges)
     src, tgt = list(map(g.graph.src.get, edges)), list(map(g.graph.tgt.get, edges))
     _refuse_missing("edge", edges, src=src, tgt=tgt)
     orphans = set(map(itemgetter(0), g.attrs)) - g.graph.nodes
     if orphans:
         n, a = min(key for key in g.attrs if key[0] in orphans)
         raise ValueError(f"attribute {a} of {n} has no node")
-    nodes, keys = sorted(g.graph.nodes), sorted(g.attrs)
+    nodes = sorted(g.graph.nodes) if family is None else family.ordered("nodes", g.graph.nodes)
+    keys = sorted(g.attrs)
     owners = list(map(itemgetter(0), keys))
 
     def edge_entries(part: slice) -> Iterable[str]:

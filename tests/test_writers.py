@@ -367,7 +367,7 @@ def test_graphs_of_one_family_with_equal_ids_print_their_own_entries():
     """Graphs that share a family and their ids, but not their ends, types,
     or attribute names and values (equal values of other classes among
     them), each print their own text: an entry's key holds every field,
-    with its class. So does a graph with ids that the others lack."""
+    with its class. A graph with ids that the family lacks sorts its own."""
     ends, types = {"src": "n", "tgt": "m", "type": "bLink"}, {"n": "BNode", "m": "BPort"}
     kin = [_kin(types, ends, {}), _kin(types, {**ends, "src": "m"}, {}), _kin(types, {**ends, "tgt": "n"}, {})]
     kin += [_kin(types, {**ends, "type": t}, {}) for t in ("bPoints", None, ["bLink"])]
@@ -378,7 +378,7 @@ def test_graphs_of_one_family_with_equal_ids_print_their_own_entries():
     kin += [_kin(types, ends, {("m", "index"): 1}), _kin(types, ends, {("n", "index"): 1, ("n", "control"): "Job"})]
     wider = Graph(frozenset({"n", "m", "o"}), frozenset({"e", "d"}), {"e": "n", "d": "o"}, {"e": "m", "d": "m"})
     kin.append(InstanceGraph(wider, types, {"e": "bLink", "d": "bLink"}))
-    family = writers.Family()
+    family = writers.Family(kin[0])
     for g in kin:
         object.__setattr__(g, "_family", weakref.ref(family))
     texts = [fileio.dumps_canonical(replace(g)) for g in kin]
