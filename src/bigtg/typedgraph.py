@@ -238,9 +238,10 @@ class InstanceGraph:
     :func:`bigtg.variability.apply_deltas` reads (``_parts``). From its
     second reconfiguration on, a graph holds a family memo (``_memo``, a
     :class:`bigtg.writers.Family`) of what its and its variants' saves
-    print, which they reach by a weak reference (``_family``). So neither the dicts of ``g`` nor those arguments
-    may be mutated after the first query, check or reconfiguration; build
-    a new value (through the constructor or ``bigtg.replace``) instead.
+    print, which they reach by a weak reference (``_family``). So neither
+    the dicts of ``g`` nor those arguments may be mutated after the first
+    query, check or reconfiguration; build a new value (through the
+    constructor or ``bigtg.replace``) instead.
     A variant shares the dicts it did not change with its input.
     """
 
