@@ -238,7 +238,10 @@ class InstanceGraph:
     :func:`bigtg.variability.apply_deltas` reads (``_parts``). From its
     second reconfiguration on, a graph holds a family memo (``_memo``, a
     :class:`bigtg.writers.Family`) of what its and its variants' saves
-    print, which they reach by a weak reference (``_family``). So neither
+    print, which they reach by a weak reference (``_family``). A variant
+    also records where it came from (``_origin``): its input, by weak
+    reference, the configuration and the signature, whose verdict the
+    input keeps in ``_parts`` (:func:`keeps_report`). So neither
     the dicts of ``g`` nor those arguments may be mutated after the first
     query, check or reconfiguration; build a new value (through the
     constructor or ``bigtg.replace``) instead.
@@ -363,6 +366,16 @@ def keeps_report(checker: Callable[..., ValidationReport]) -> Callable[..., Vali
     alive the type graph that ``extend_for_signature(sig)`` returns, so
     ``decode(g, sig)`` after the caller's own checks is a hit. The wrapper
     keeps the checker's name, and the checker itself as ``__wrapped__``.
+
+    A miss on a variant that :func:`bigtg.variability.apply_deltas` built
+    may take its family's verdict: an empty report, without running the
+    checker, when the checker is ``check_typing``, ``check_validity`` or
+    ``check_multiplicities``, its type graph ``==`` the one that
+    ``derive_type_graph(annotate_150(extend_for_signature(sig)), cfg)``
+    gives, every control of ``sig`` is named by a ``str`` and
+    ``extend_for_signature`` accepts ``sig``, and the variant's input is
+    alive and conforms to ``extend_for_signature(sig)`` with ``sig``. The
+    input is checked once per signature, at the first such miss.
     """
 
     @wraps(checker)
@@ -371,7 +384,10 @@ def keeps_report(checker: Callable[..., ValidationReport]) -> Callable[..., Vali
         slot = reports.get(checker)
         if slot is not None and len(slot[0]) == len(args) and all(map(is_, slot[0], args)):
             return slot[1]
-        report = checker(g, *args)
+        origin = vars(g).get("_origin")
+        report = None if origin is None else origin(checker, args)
+        if report is None:
+            report = checker(g, *args)
         reports[checker] = (args, report)
         return report
 

@@ -7,7 +7,8 @@ every variant behind presence conditions; deriving a configuration keeps
 the elements whose condition holds and drops whatever then dangles.
 Instance graphs are reconfigured from parts of the canonical encoding,
 read off the same table and kept on it, which every configuration of
-that encoding shares.
+that encoding shares; so is the encoding's own conformance, which decides
+the checks of each variant against its derived type graph.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from operator import eq, itemgetter
 from weakref import ref
 
 from ._value import field, frozen, replace
-from .bigraph import BASE_NODE_TYPE_NAMES, Signature
-from .metamodel import NotCanonical
+from .bigraph import BASE_NODE_TYPE_NAMES, Control, ReservedControlName, Signature
+from .metamodel import NotCanonical, conformance, extend_for_signature
 from .report import Finding, ValidationReport, report_from
 from .typedgraph import Graph, InstanceGraph, Multiplicity, TypeGraph, _grouped, _stand_in
 
@@ -246,7 +247,13 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
     each graph returned reach it through one weak reference (``_family``),
     so saving many variants prints each entry they share once while ``g``
     lives. A graph reconfigured once, and a variant kept without ``g``,
-    keep no printed text.
+    keep no printed text. Each graph built records where it came from
+    (``_origin``, an :class:`_Origin`): ``g`` by weak reference, ``cfg``
+    and ``sig``. So, once ``g`` conforms to ``extend_for_signature(sig)``
+    with ``sig``, which is checked once per signature and kept in
+    ``g._parts``, the three checks of each variant against its derived
+    type graph, which is kept there too, take that verdict
+    (:func:`bigtg.typedgraph.keeps_report`).
 
     When no step changes anything, ``g`` itself is returned; when nothing
     is deleted, the edges, their ends and their types are kept as they
@@ -296,7 +303,7 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
     if not doomed:
         if types is g.node_types and attrs is g.attrs:
             return g
-        return _variant(family, g.graph, types, g.edge_types, attrs)
+        return _variant(family, _Origin(g, cfg, sig), g.graph, types, g.edge_types, attrs)
     cut = sum(map(_BIT.__getitem__, dropped))
     kept = [_kept(g, _ends, touched) for touched in _kept(g, _touching) if not touched & cut]
     src, tgt, edge_types = (_merged(map(itemgetter(i), kept)) for i in range(3))
@@ -308,17 +315,97 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
         for ends, column in zip((src, tgt, edge_types), columns):
             ends.update(zip(moved, column))
     graph = Graph._adopt(g.graph.nodes - doomed, frozenset(src), src, tgt)
-    return _variant(family, graph, _without(types, doomed), edge_types, attrs)
+    return _variant(family, _Origin(g, cfg, sig), graph, _without(types, doomed), edge_types, attrs)
 
 
-def _variant(family: ref[Family] | None, *fields: Any) -> InstanceGraph:
+def _variant(family: ref[Family] | None, origin: _Origin, *fields: Any) -> InstanceGraph:
     """The instance graph of ``fields``, which it takes without a copy: each
-    is fresh or a value of the input that no one mutates. It joins
-    ``family``, a weak reference to a memo, when there is one."""
+    is fresh or a value of the input that no one mutates. It records
+    ``origin``, and joins ``family``, a weak reference to a memo, when
+    there is one."""
     variant = InstanceGraph._adopt(*fields)
+    object.__setattr__(variant, "_origin", origin)
     if family is not None:
         object.__setattr__(variant, "_family", family)
     return variant
+
+
+#: The checkers that a family's verdict answers: the three that
+#: ``conformance`` runs without a signature. The arity rule is not among
+#: them, since dropping ports breaks arities on purpose. They are named by
+#: module and name, which a tracer that rebinds the module's names keeps.
+_ANSWERED = frozenset((Graph.__module__, name) for name in ("check_typing", "check_validity", "check_multiplicities"))
+
+
+class _Origin:
+    """Where a variant came from: its input ``g`` (by weak reference), the
+    configuration and the signature that :func:`apply_deltas` got.
+
+    A check of the variant that misses its kept slot asks this record
+    first (:func:`bigtg.typedgraph.keeps_report`). The record answers
+    with an empty report only when the checker is one of ``_ANSWERED``,
+    its one argument ``==`` the type graph that
+    ``derive_type_graph(annotate_150(extend_for_signature(sig)), cfg)``
+    gives, and ``g`` is alive and conforms to the signature's type graph
+    with ``sig`` (:func:`_family_type_graph`). Reconfiguring a conforming
+    graph gives a graph that conforms to its derived type graph, so that
+    one check of ``g`` decides each of the three checks of every variant.
+    Otherwise it answers None and the checker runs."""
+
+    __slots__ = ("input", "cfg", "sig")
+
+    def __init__(self, g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> None:
+        self.input, self.cfg, self.sig = ref(g), cfg, sig
+
+    def __call__(self, checker: Callable[..., ValidationReport], args: tuple[Any, ...]) -> ValidationReport | None:
+        if (checker.__module__, checker.__name__) not in _ANSWERED or len(args) != 1:
+            return None
+        g = self.input()
+        derived = None if g is None else _family_type_graph(g, self.sig, self.cfg)
+        return ValidationReport() if derived is not None and args[0] == derived else None
+
+
+def _family_type_graph(g: InstanceGraph, sig: Signature, cfg: FeatureConfig) -> TypeGraph | None:
+    """The derived type graph of ``cfg`` for ``sig`` when ``g`` conforms
+    to ``extend_for_signature(sig)`` with ``sig`` (:func:`_conforming`),
+    or None. The verdict is reached at the first call for ``g`` and
+    ``sig``, and each derived type graph at the first call for its
+    configuration; both are kept in ``g._parts``, keyed by ``id(sig)``
+    beside ``sig`` itself, which keeps that id its own."""
+    parts, key = g._parts, (_family_type_graph, (id(sig),))
+    family = parts.get(key)
+    if family is None:
+        family = parts[key] = (sig, _conforming(g, sig), {})
+    _, atg, derived = family
+    if atg is None:
+        return None
+    tg = derived.get(cfg)
+    if tg is None:
+        tg = derived[cfg] = derive_type_graph(atg, cfg)
+    return tg
+
+
+def _conforming(g: InstanceGraph, sig: Signature) -> AnnotatedTypeGraph | None:
+    """``annotate_150(extend_for_signature(sig))`` when ``g`` conforms to
+    ``extend_for_signature(sig)`` with ``sig``, or None. A signature is
+    trusted only when it is a :class:`Signature` of :class:`Control`
+    values named by a ``str``, with a mapping of arities, and
+    ``extend_for_signature`` accepts it: under weak typing a control
+    named ``5`` becomes a ``control`` attribute that is no string, and a
+    malformed signature that no step of :func:`apply_deltas` read must
+    not make a check raise."""
+    if not (
+        isinstance(sig, Signature)
+        and isinstance(sig.controls, tuple)
+        and isinstance(sig.arities, Mapping)
+        and all(type(c) is Control and type(c.name) is str for c in sig.controls)
+    ):
+        return None
+    try:
+        tg = extend_for_signature(sig)
+    except ReservedControlName:
+        return None
+    return annotate_150(tg) if conformance(g, tg, sig).ok else None
 
 
 # The parts of an instance graph that ``apply_deltas`` reads. Each is

@@ -19,6 +19,7 @@ from bigtg import (
     Multiplicity,
     Port,
     Signature,
+    TypeGraph,
     annotate_150,
     derive_type_graph,
     encode,
@@ -223,15 +224,16 @@ BOUNDS = tuple(Multiplicity(lb, ub) for lb, ub in ((0, None), (0, 0), (0, 1), (1
 
 
 @st.composite
-def type_graph_variants(draw, sig: Signature):
-    """The signature's type graph, or one of its 54 configurations, with
-    up to three edge types edited: an end dropped or made unknown, an
-    extra (possibly one-sided) opposite, containment toggled, or the
-    multiplicity changed or dropped."""
-    tg = extend_for_signature(sig)
-    cfg = draw(st.sampled_from((None, *CONFIGS)))
-    if cfg is not None:
-        tg = derive_type_graph(annotate_150(tg), cfg)
+def type_graph_variants(draw, sig: Signature | None = None, tg: TypeGraph | None = None):
+    """The signature's type graph, or one of its 54 configurations, or
+    else ``tg``, with up to three edge types edited: an end dropped or
+    made unknown, an extra (possibly one-sided) opposite, containment
+    toggled, or the multiplicity changed or dropped."""
+    if tg is None:
+        tg = extend_for_signature(sig)
+        cfg = draw(st.sampled_from((None, *CONFIGS)))
+        if cfg is not None:
+            tg = derive_type_graph(annotate_150(tg), cfg)
     src, tgt = dict(tg.graph.src), dict(tg.graph.tgt)
     opposites, containments, mult = set(tg.opposites), set(tg.containments), dict(tg.mult)
     edge_types = sorted(tg.edge_types)

@@ -451,6 +451,50 @@ def test_unreadable_input_is_one_error_line(fixtures_dir, tmp_path, make):
     assert done.stderr.startswith(prefix)
 
 
+def _and_chain(depth: int) -> str:
+    """Invariant ``i``: the printed right-nested ``and`` chain ``depth``
+    levels deep, on line 3."""
+    from bigtg.constraints import _PREC_LET, AndOp, BoolLit, _fmt
+
+    body = BoolLit(True)
+    for _ in range(depth - 1):
+        body = AndOp(BoolLit(True), body)
+    return f"context Spool\n  inv i:\n    {_fmt(body, _PREC_LET)}\n"
+
+
+#: Parses the file named by its argument at module level, the shallowest
+#: stack, and prints the syntax error.
+PARSE_AT_TOP = (
+    "import sys\nfrom bigtg import ConstraintSyntaxError, parse_constraints\n"
+    "try:\n    parse_constraints(open(sys.argv[1], encoding='utf-8').read())\n"
+    "except ConstraintSyntaxError as err:\n    print(err)\n"
+)
+
+
+@pytest.mark.parametrize("depth, named_at_top, named_in_check", [(248, True, True), (249, True, False), (250, False, False)])
+def test_an_invariant_a_little_deeper_than_the_bound_may_be_refused_at_a_token(
+    fixtures_dir, tmp_path, depth, named_at_top, named_in_check
+):
+    """Today's behaviour, which a parser that measures every invariant
+    before its stack runs out would change: a chain that the printer
+    parenthesizes exhausts the parser's stack a few dozen levels past
+    ``MAX_DEPTH``, so it is refused at a token as ``nested too deeply``,
+    not at the invariant's name with its depth. Where that happens
+    depends on the stack the parser starts from: past 249 levels from
+    module level, past 248 in a ``bigtg check`` child. Either way it is
+    a syntax error with exit 2."""
+    named = f"2:7: invariant i is nested {depth} levels deep (at most 200)"
+    too_deep = re.compile(r"^3:\d+: expression nested too deeply$")
+    argv = _check_bgc(fixtures_dir, tmp_path, _and_chain(depth))
+    at_top = run_child("-c", PARSE_AT_TOP, argv[-1]).stdout.strip()
+    assert at_top == named if named_at_top else too_deep.match(at_top)
+    done = run_child("-m", "bigtg.cli", *argv)
+    assert done.returncode == 2
+    code, position, message = done.stderr.rstrip("\n").split(" ", 3)[1:]
+    assert code == "syntax" and message.startswith(position + ": ")
+    assert message == named if named_in_check else too_deep.match(message)
+
+
 #: Modules that no subcommand needs: code generation for the value classes,
 #: and the standard library's argument parsers with their translations.
 UNNEEDED = ("dataclasses", "inspect", "argparse", "getopt", "optparse", "gettext")

@@ -139,7 +139,8 @@ def edited_payloads(draw):
                 entry = copy.deepcopy(entry)
                 entries.insert(draw(st.integers(i + 1, len(entries))), entry)
             if edit in ("twin", "garble"):
-                for field in draw(st.lists(st.sampled_from(sorted(entry)), min_size=min(2, len(entry)), unique=True)):
+                fields = sorted(entry)  # none when an earlier edit emptied the entry
+                for field in draw(st.lists(st.sampled_from(fields), min_size=min(2, len(fields)), unique=True)) if fields else ():
                     entry[field] = draw(odd_values | st.sampled_from(ids))
             elif edit == "rename":  # as many fields, but not the same ones
                 value = entry.pop(draw(st.sampled_from(sorted(entry)))) if entry else None

@@ -1,21 +1,30 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 import re
+import weakref
 
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from bigtg import (
+    Control,
     FeatureConfig,
+    Graph,
+    InstanceGraph,
     InvalidBigraph,
     InvalidConfig,
     NotCanonical,
+    ReservedControlName,
+    Signature,
     annotate_150,
     apply_deltas,
+    check_arity_rule,
     check_type_graph,
+    check_typing,
     conformance,
     derive_type_graph,
     encode,
@@ -26,9 +35,11 @@ from bigtg import (
 )
 from bigtg.generators import random_bigraph
 from bigtg.typedgraph import Multiplicity, node_attrs
-from bigtg.variability import FEATURE_LEAVES
+from bigtg.variability import _GROUPS, FEATURE_LEAVES
 
-from helpers import arbitrary_bigraphs
+from helpers import arbitrary_bigraphs, type_graph_variants
+from test_index import _other_signature, encodings
+from test_kept_reports import GRAPH_CHECKERS
 
 
 def cfg(*features: str) -> FeatureConfig:
@@ -213,3 +224,160 @@ def test_edge_without_an_end_is_not_canonical_in_every_config(g1, sig1, end):
     for config in enumerate_configs():
         with pytest.raises(NotCanonical, match=f"^edge {re.escape(first)} has no {end}$"):
             apply_deltas(g, config, sig1)
+
+
+# A variant of a conforming graph takes its family's verdict: the three
+# checks that ``conformance`` runs without a signature give an empty report
+# against the variant's derived type graph, once the input has been checked
+# (``variability._Origin``). Every report must still be the checker's own.
+
+
+def _renamed(g, sig, as_tuple):
+    """``g`` and ``sig`` with each control renamed to an ``int`` or a
+    ``tuple``, as a signature built in code may name them."""
+    new = {name: (name,) if as_tuple else i for i, name in enumerate(sig.names)}
+    renamed = Signature(tuple(Control(new[name]) for name in sig.names), {new[c]: a for c, a in sig.arities.items()})
+    return replace(g, node_types={n: new.get(t, t) for n, t in g.node_types.items()}), renamed
+
+
+#: A copy of the drawn graph, with each kind of signature: its own, one
+#: with a reserved name that ``extend_for_signature`` refuses, and names
+#: that are no ``str``.
+SIGNATURES = {
+    "own": lambda g, sig, group: (replace(g), sig),
+    "other": lambda g, sig, group: (replace(g), _other_signature(sig, group)),
+    "int": lambda g, sig, group: _renamed(g, sig, False),
+    "tuple": lambda g, sig, group: _renamed(g, sig, True),
+}
+
+
+def _one_as_true(tg):
+    """``tg`` with every node type and bound that is the ``int`` 1 made
+    ``True``: a twin equal to it by ``==`` whose findings print apart."""
+
+    def t(x):
+        return True if type(x) is int and x == 1 else x
+
+    ends = [{e: t(end) for e, end in ends.items()} for ends in (tg.graph.src, tg.graph.tgt)]
+    return replace(
+        tg,
+        graph=Graph(frozenset(map(t, tg.graph.nodes)), tg.graph.edges, *ends),
+        inherits=frozenset((t(sub), t(sup)) for sub, sup in tg.inherits),
+        abstracts=frozenset(map(t, tg.abstracts)),
+        mult={e: Multiplicity(t(m.lb), t(m.ub)) for e, m in tg.mult.items()},
+        attr_decls={t(owner): decls for owner, decls in tg.attr_decls.items()},
+    )
+
+
+def _checked_family(g, sig, atg, configs, data):
+    """Check every variant of ``g`` for ``configs`` against its derived
+    type graph, an edit of it and an ``==`` twin of it, with the three
+    checkers and the arity rule; each report must be the checker's own.
+    Returns the variants other than ``g`` with their type graphs."""
+    checked = []
+    for cfg in configs:
+        try:
+            variant = apply_deltas(g, cfg, sig)
+        except NotCanonical:
+            continue
+        derived = derive_type_graph(atg, cfg)
+        tgs = (derived, data.draw(type_graph_variants(tg=derived)), _one_as_true(derived))
+        for tg in tgs:
+            for checker in GRAPH_CHECKERS:
+                assert checker(variant, tg) == checker.__wrapped__(variant, tg), (checker.__name__, sorted(cfg.selected))
+            assert check_arity_rule(variant, tg, sig) == check_arity_rule.__wrapped__(variant, tg, sig)
+        if variant is not g:
+            checked.append((variant, tgs))
+    return checked
+
+
+@given(encodings(), st.sampled_from(sorted(SIGNATURES)), st.sampled_from(("BRoot", "BSite", "BPort")), st.randoms(use_true_random=False), st.data())
+@settings(max_examples=40, deadline=None)
+def test_a_variant_gets_its_family_verdict_only_where_its_own_check_agrees(case, kind, group, rnd, data):
+    """All 54 configurations in a shuffled order, conforming input or not:
+    each report on a variant, answered by its family or not, equals the
+    checker's own, also once the input is gone."""
+    drawn, own = case
+    g, sig = SIGNATURES[kind](drawn, own, group)
+    try:
+        atg = annotate_150(extend_for_signature(sig))
+    except ReservedControlName:  # the other signature: check against the graph's own type graphs
+        atg = annotate_150(extend_for_signature(own))
+    configs = enumerate_configs()
+    rnd.shuffle(configs)
+    checked = _checked_family(g, sig, atg, configs, data)
+    held = weakref.ref(g)
+    del g
+    gc.collect()
+    assert held() is None
+    for variant, tgs in checked:
+        for tg in map(replace, tgs):  # equal type graphs that no slot holds
+            for checker in GRAPH_CHECKERS:
+                assert checker(variant, tg) == checker.__wrapped__(variant, tg)
+
+
+def test_a_control_named_by_no_str_gets_no_family_verdict():
+    """Under weak typing a node of control ``5`` gets ``control = 5``, which
+    is no string, although its input conforms."""
+    sig = Signature((Control(5),), {5: 0})
+    g = InstanceGraph(graph=Graph(nodes={"n:v"}), node_types={"n:v": 5})
+    assert conformance(g, extend_for_signature(sig), sig).ok
+    weak = cfg("WT", "ER", "RI", "ES", "SI", "EP", "PI")
+    report = check_typing(apply_deltas(g, weak, sig), derive_type_graph(annotate_150(extend_for_signature(sig)), weak))
+    assert [f.line() for f in report.findings] == ["error attr-type n:v.control attribute value is not a string"]
+
+
+@pytest.mark.parametrize(
+    "sig",
+    [None, Signature(5, {}), Signature((1,), {}), Signature((Control("A"),), None), Signature((Control("BRoot"),), {"BRoot": 0})],
+    ids=["none", "no-controls", "no-control", "no-arities", "reserved"],
+)
+def test_a_variant_under_a_malformed_signature_is_checked_as_before(g1, tg_sigma1, sig):
+    """Strong typing reads no signature, so ``apply_deltas`` takes any; a
+    check of the variant then runs the checker and raises nothing."""
+    strong = cfg("ST", "ES", "SI", "EP", "PI")
+    variant = apply_deltas(replace(g1), strong, sig)
+    tg = derive_type_graph(annotate_150(tg_sigma1), strong)
+    for checker in GRAPH_CHECKERS:
+        assert checker(variant, tg) == checker.__wrapped__(variant, tg)
+
+
+#: The seven reconfiguration steps, each as the feature it turns off and
+#: the one it turns on: weak typing, and dropping the index or the
+#: explicit feature of each row of ``_GROUPS``.
+STEPS = {"WT": ("ST", "WT")}
+STEPS.update((f"no-{indexed}", (indexed, None)) for _, _, indexed in _GROUPS)
+STEPS.update((f"no-{explicit}", (explicit, None)) for _, explicit, _ in _GROUPS)
+
+
+def _stepped(config, step):
+    """``config`` with ``step`` applied, or None when the step does not
+    apply to it or gives no valid configuration."""
+    off, on = step
+    after = FeatureConfig(config.selected - {off} | ({on} if on else set()))
+    return after if off in config.selected and validate_config(after).ok else None
+
+
+@pytest.mark.parametrize("step", sorted(STEPS))
+@given(encodings())
+@settings(max_examples=25, deadline=None)
+def test_each_reconfiguration_step_preserves_conformance(step, case):
+    """A graph that conforms to the derived type graph of a configuration
+    gives, reconfigured by one more step, a graph that conforms to the
+    derived type graph of the configuration with that step applied. Each
+    graph is checked as a copy (``replace``), which has no family."""
+    g, sig = case
+    atg = annotate_150(extend_for_signature(sig))
+    for config in enumerate_configs():
+        after = _stepped(config, STEPS[step])
+        if after is None:
+            continue
+        try:
+            before = replace(apply_deltas(g, config, sig))
+        except NotCanonical:
+            continue
+        if not conformance(before, derive_type_graph(atg, config)).ok:
+            continue
+        stepped = replace(apply_deltas(before, after, sig))
+        report = conformance(stepped, derive_type_graph(atg, after))
+        assert report.ok, (sorted(config.selected), [f.line() for f in report.findings])
