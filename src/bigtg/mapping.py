@@ -26,7 +26,7 @@ from .metamodel import (
     extend_for_signature,
 )
 from .report import Finding, ValidationReport, report_from
-from .typedgraph import Graph, InstanceGraph, typed_edges
+from .typedgraph import Graph, InstanceGraph
 
 # Element kinds of a bigraph; the tags realize the disjointness that the
 # index/name substitutions provide on paper.
@@ -271,7 +271,7 @@ def decode(g: InstanceGraph, sig: Signature) -> tuple[Bigraph, ElementMap]:
         indexed = [(gid, g.attrs.get((gid, "index"))) for gid in gids[kind]]
         keys[kind] = _index_range(kind, indexed, kind)  # type: ignore[assignment]
     # Ports: owner via the ownership edge, index per owner gap-free.
-    owned = typed_edges(g, "bNode")
+    owned = g.edge_view.by_type.get("bNode", ())
     owner_of = dict(zip(map(g.graph.src.get, owned), map(g.graph.tgt.get, owned)))
     ports_by_owner: dict[str, list[tuple[str, object]]] = {}
     for gid in gids[K_PORT]:

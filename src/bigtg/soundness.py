@@ -17,7 +17,7 @@ from operator import and_, eq, itemgetter, lt, ne, not_, or_
 from .bigraph import Bigraph, Port, _is_str, is_arity, validate_bigraph
 from .mapping import _KINDS, K_NODE, K_PORT, K_ROOT, K_SITE, ElementMap, _relations, elements_of
 from .report import Finding, ValidationReport, report_from
-from .typedgraph import InstanceGraph, typed_edges
+from .typedgraph import InstanceGraph
 
 #: The node type of each element kind; a node's is its control (None here).
 _TYPE_OF_KIND = {kind: node_type for kind, (_, node_type) in _KINDS.items()}
@@ -44,8 +44,8 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
     type, the wanted nesting and linking pairs with the graph's, and each
     root, site and port node's ``index`` with its slot. Only the entries
     that differ are sorted and walked, so an exact encoding costs those
-    passes, :func:`elements_of` and a :func:`typed_edges` scan for each of
-    nesting, linking and port ownership.
+    passes, :func:`elements_of` and a pass over the edges of each of
+    nesting, linking and port ownership (their groups in ``g.edge_view``).
     """
     ctrl, sig = b.ctrl, b.signature
     if not (
@@ -95,7 +95,7 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
     nesting, linking, ownership = _relations(b)
     for (edge_type, _, triples), what in ((nesting, "nesting"), (linking, "linking")):
         code = f"sound-{what}"
-        of_type = typed_edges(g, edge_type)
+        of_type = g.edge_view.by_type.get(edge_type, ())
         of_type = list(compress(of_type, map(and_, map(src.__contains__, of_type), map(tgt.__contains__, of_type))))
         graph_pairs = set(zip(map(src.__getitem__, of_type), map(tgt.__getitem__, of_type)))
         triples = list(triples)
@@ -148,7 +148,7 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
     # Port indices are scoped per owning node: only the ports of the same
     # owner compete for the same index values. A port node is a candidate
     # when it has one ownership edge, to its holder.
-    owned = typed_edges(g, "bNode")
+    owned = g.edge_view.by_type.get("bNode", ())
     owned_by = list(map(src.get, owned))
     counter, holder = Counter(owned_by), dict(zip(owned_by, map(tgt.get, owned)))
     ports = of_type.get("BPort", [])

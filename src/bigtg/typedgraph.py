@@ -226,22 +226,17 @@ def _grouped(keys: list[Hashable], values: Iterable[Any]) -> dict[Hashable, list
 class InstanceGraph:
     """A graph typed over a type graph, with node attribute values.
 
-    One view is built on first use and kept: ``edge_view`` (the edge
-    columns, the edges and sources of each edge type, the nodes of each
-    node type, and the edges of each navigated edge type grouped by
-    source), which the four checkers, :func:`typed_edges`, soundness,
-    ``decode`` and ``evaluate`` read. The graph also
-    keeps the last report of each checker wrapped by :func:`keeps_report`
-    (``check_typing``, ``check_validity``, ``check_multiplicities`` and
-    the arity rule), with the very arguments it was checked against
-    (``decode`` after ``conformance``), and the parts that
-    :func:`bigtg.variability.apply_deltas` reads (``_parts``). From its
-    second reconfiguration on, a graph holds a family memo (``_memo``, a
-    :class:`bigtg.writers.Family`) of what its and its variants' saves
-    print, which they reach by a weak reference (``_family``). A variant
-    also records where it came from (``_origin``): its input, by weak
-    reference, the configuration and the signature, whose verdict the
-    input keeps in ``_parts`` (:func:`keeps_report`). So neither
+    It keeps four things beside its fields: ``edge_view``, built on first
+    use (the edge columns, the edges and sources of each edge type, the
+    nodes of each node type, and the edges of each navigated edge type
+    grouped by source), which the four checkers, soundness, ``decode``
+    and ``evaluate`` read; ``_reports``, the last report of each checker
+    wrapped by :func:`keeps_report` (``check_typing``, ``check_validity``,
+    ``check_multiplicities`` and the arity rule), with the very arguments
+    it was checked against (``decode`` after ``conformance``); ``_parts``,
+    what :func:`bigtg.variability.apply_deltas` reads and the graphs it
+    returns share; and, on each of those graphs, ``_origin``: its input
+    by weak reference, the configuration and the signature. So neither
     the dicts of ``g`` nor those arguments may be mutated after the first
     query, check or reconfiguration; build a new value (through the
     constructor or ``bigtg.replace``) instead.
@@ -264,8 +259,9 @@ class InstanceGraph:
 
     @cached_property
     def _parts(self) -> dict[tuple[Callable[..., Any], tuple[Hashable, ...]], Any]:
-        """Each part that reconfiguration reads, by its builder and key.
-        Beside it, from the second reconfiguration on, ``_memo``."""
+        """Each part that reconfiguration reads, by its builder and key,
+        and what the graphs it returns share: the family's verdict and,
+        from the second reconfiguration on, its print memo."""
         return {}
 
     @cached_property
@@ -273,12 +269,6 @@ class InstanceGraph:
         """The kept slot of each checker wrapped by :func:`keeps_report`:
         the arguments it last ran on, and its report."""
         return {}
-
-
-def typed_edges(g: InstanceGraph, edge_type: str) -> list[str]:
-    """The edges of one edge type, in the iteration order of
-    ``g.graph.edges``: a copy of their group in ``g.edge_view``."""
-    return list(g.edge_view.by_type.get(edge_type, ()))
 
 
 def node_attrs(g: InstanceGraph, n: str) -> dict[str, int | str]:
@@ -367,13 +357,14 @@ def keeps_report(checker: Callable[..., ValidationReport]) -> Callable[..., Vali
     ``decode(g, sig)`` after the caller's own checks is a hit. The wrapper
     keeps the checker's name, and the checker itself as ``__wrapped__``.
 
-    A miss on a variant that :func:`bigtg.variability.apply_deltas` built
-    may take its family's verdict: an empty report, without running the
+    A miss on a graph that :func:`bigtg.variability.apply_deltas`
+    returned, its input itself included, may take its family's verdict
+    from the graph's ``_origin``: an empty report, without running the
     checker, when the checker is ``check_typing``, ``check_validity`` or
     ``check_multiplicities``, its type graph ``==`` the one that
     ``derive_type_graph(annotate_150(extend_for_signature(sig)), cfg)``
     gives, every control of ``sig`` is named by a ``str`` and
-    ``extend_for_signature`` accepts ``sig``, and the variant's input is
+    ``extend_for_signature`` accepts ``sig``, and the graph's input is
     alive and conforms to ``extend_for_signature(sig)`` with ``sig``. The
     input is checked once per signature, at the first such miss.
     """

@@ -30,8 +30,6 @@ TYPE_CHECKING = False  # read as true by static type checkers only
 if TYPE_CHECKING:
     from typing import Any
 
-    from .writers import Family
-
 #: The option groups in reconfiguration order: each group's node type, the
 #: feature that makes its elements explicit, and the feature that indexes
 #: them.
@@ -242,17 +240,18 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
     view of ``g`` is built. The new graph's edge set and edge dicts hold
     the same entries as before, in another iteration order; it takes
     those dicts without a copy, and shares with ``g`` the ones that no
-    step changes. From the second reconfiguration of ``g`` on, ``g``
-    holds a :class:`bigtg.writers.Family` memo (``_memo``), and ``g`` and
-    each graph returned reach it through one weak reference (``_family``),
-    so saving many variants prints each entry they share once while ``g``
-    lives. A graph reconfigured once, and a variant kept without ``g``,
-    keep no printed text. Each graph built records where it came from
-    (``_origin``, an :class:`_Origin`): ``g`` by weak reference, ``cfg``
-    and ``sig``. So, once ``g`` conforms to ``extend_for_signature(sig)``
-    with ``sig``, which is checked once per signature and kept in
-    ``g._parts``, the three checks of each variant against its derived
-    type graph, which is kept there too, take that verdict
+    step changes. Each graph returned, ``g`` itself included, records
+    where it came from unless it has a record (``_origin``, an
+    :class:`_Origin`): ``g`` by weak reference, ``cfg`` and ``sig``, by
+    which it reaches what the family shares in ``g._parts``. From the
+    second reconfiguration of ``g`` on, that holds a
+    :class:`bigtg.writers.Family` memo, so saving many variants prints
+    each entry they share once while ``g`` lives; a graph reconfigured
+    once, and a variant kept without ``g``, keep no printed text. Once
+    ``g`` conforms to ``extend_for_signature(sig)`` with ``sig``, checked
+    once per signature and kept in ``g._parts``, the three checks of each
+    graph returned against its derived type graph, kept there too, take
+    that verdict
     (:func:`bigtg.typedgraph.keeps_report`).
 
     When no step changes anything, ``g`` itself is returned; when nothing
@@ -266,14 +265,10 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
     rep = validate_config(cfg)
     if not rep.ok:
         raise InvalidConfig(rep)
-    family = getattr(g, "_family", None)
-    if g._parts and (family is None or family() is None):  # reconfigured before: its variants are a family
+    if g._parts:  # reconfigured before: its variants are a family
         from .writers import Family
 
-        memo = Family(g)
-        family = ref(memo)
-        object.__setattr__(g, "_memo", memo)
-        object.__setattr__(g, "_family", family)
+        _kept(g, Family)
     lacking = _kept(g, _lacking)
     if lacking:
         raise NotCanonical(lacking)
@@ -302,8 +297,8 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
     doomed = frozenset().union(*dropped.values())
     if not doomed:
         if types is g.node_types and attrs is g.attrs:
-            return g
-        return _variant(family, _Origin(g, cfg, sig), g.graph, types, g.edge_types, attrs)
+            return _recorded(g, g, cfg, sig)
+        return _recorded(InstanceGraph._adopt(g.graph, types, g.edge_types, attrs), g, cfg, sig)
     cut = sum(map(_BIT.__getitem__, dropped))
     kept = [_kept(g, _ends, touched) for touched in _kept(g, _touching) if not touched & cut]
     src, tgt, edge_types = (_merged(map(itemgetter(i), kept)) for i in range(3))
@@ -315,19 +310,13 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
         for ends, column in zip((src, tgt, edge_types), columns):
             ends.update(zip(moved, column))
     graph = Graph._adopt(g.graph.nodes - doomed, frozenset(src), src, tgt)
-    return _variant(family, _Origin(g, cfg, sig), graph, _without(types, doomed), edge_types, attrs)
+    return _recorded(InstanceGraph._adopt(graph, _without(types, doomed), edge_types, attrs), g, cfg, sig)
 
 
-def _variant(family: ref[Family] | None, origin: _Origin, *fields: Any) -> InstanceGraph:
-    """The instance graph of ``fields``, which it takes without a copy: each
-    is fresh or a value of the input that no one mutates. It records
-    ``origin``, and joins ``family``, a weak reference to a memo, when
-    there is one."""
-    variant = InstanceGraph._adopt(*fields)
-    object.__setattr__(variant, "_origin", origin)
-    if family is not None:
-        object.__setattr__(variant, "_family", family)
-    return variant
+def _recorded(h: InstanceGraph, g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> InstanceGraph:
+    """``h``, which records ``_Origin(g, cfg, sig)`` unless it has a record."""
+    vars(h).setdefault("_origin", _Origin(g, cfg, sig))
+    return h
 
 
 #: The checkers that a family's verdict answers: the three that
@@ -338,10 +327,12 @@ _ANSWERED = frozenset((Graph.__module__, name) for name in ("check_typing", "che
 
 
 class _Origin:
-    """Where a variant came from: its input ``g`` (by weak reference), the
-    configuration and the signature that :func:`apply_deltas` got.
+    """Where a graph that :func:`apply_deltas` returned came from: its
+    input ``g`` (by weak reference, and ``g`` itself when no step changed
+    it), the configuration and the signature. It is the graph's one link
+    to its family, whose shared state lives in ``g._parts``.
 
-    A check of the variant that misses its kept slot asks this record
+    A check of the graph that misses its kept slot asks this record
     first (:func:`bigtg.typedgraph.keeps_report`). The record answers
     with an empty report only when the checker is one of ``_ANSWERED``,
     its one argument ``==`` the type graph that
@@ -375,6 +366,7 @@ def _family_type_graph(g: InstanceGraph, sig: Signature, cfg: FeatureConfig) -> 
     parts, key = g._parts, (_family_type_graph, (id(sig),))
     family = parts.get(key)
     if family is None:
+        parts[key] = (sig, None, {})  # no verdict yet for the checks of ``g`` that ``_conforming`` runs
         family = parts[key] = (sig, _conforming(g, sig), {})
     _, atg, derived = family
     if atg is None:

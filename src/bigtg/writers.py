@@ -14,9 +14,10 @@ The variants of one graph share a :class:`Family` memo: the text of each
 instance-graph entry printed, by its content, and the graph's sorted ids,
 which the writer filters to a variant's. From a graph's second
 reconfiguration on, :func:`bigtg.variability.apply_deltas` makes one and
-keeps it on that graph; the graph and its variants reach it through a weak
-reference, so a variant kept without that graph holds no printed text. A
-graph without a live family is printed batch by batch as above.
+keeps it among that graph's parts (``_parts``). A variant reaches it
+through its record of its input (``_origin``), which refers to the input
+by weak reference, so a variant kept without its input holds no printed
+text. A graph without a memo is printed batch by batch as above.
 
 Only :func:`bigtg.fileio.save` and :func:`bigtg.fileio.dumps_canonical`
 load this module, so a command that writes no file does not compile it.
@@ -237,10 +238,9 @@ class Family:
     """What the saves of one graph's variants share: the graph's node and
     edge ids, which hold each variant's, sorted once; and the text of each
     edge and node entry printed, by its key (:func:`_keys`). It refers to
-    no graph, and only the graph that made it holds it (``_memo``): the
-    others reach it through a weak reference (``_family``)."""
+    no graph, and only the graph that made it holds it, in ``_parts``."""
 
-    __slots__ = ("__weakref__", "_ids", "edges", "nodes")
+    __slots__ = ("_ids", "edges", "nodes")
 
     def __init__(self, g: InstanceGraph) -> None:
         #: Each set of ids, replaced by its sorted list on first use, or by
@@ -302,11 +302,13 @@ def _remembered(memo: dict[Hashable, str], keys: list[Hashable] | None, printed:
 def instancegraph_chunks(g: InstanceGraph) -> Iterator[str]:
     """Each column of a batch (ids, ends, types, attribute names and
     values) is printed in one pass, and each entry is its template filled
-    from the columns. A graph in a live :class:`Family` (``g._family``)
-    takes from it its sorted ids and the text of the entries printed
-    before."""
-    ref = getattr(g, "_family", None)
-    family: Family | None = None if ref is None else ref()
+    from the columns. The sorted ids, and the text of the entries printed
+    before, come from the :class:`Family` of the graph's input
+    (``g._origin``), or of the graph itself when it has no origin, when
+    that graph is alive and holds one."""
+    origin = getattr(g, "_origin", None)
+    owner = g if origin is None else origin.input()
+    family: Family | None = None if owner is None else owner._parts.get((Family, ()))
     edges = sorted(g.graph.edges) if family is None else family.ordered("edges", g.graph.edges)
     src, tgt = list(map(g.graph.src.get, edges)), list(map(g.graph.tgt.get, edges))
     _refuse_missing("edge", edges, src=src, tgt=tgt)

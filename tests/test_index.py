@@ -34,7 +34,7 @@ from bigtg import (
 )
 from bigtg._value import frozen
 from bigtg.mapping import check_arity_rule, check_soundness, conformance, decode, encode, extend_for_signature
-from bigtg.typedgraph import _grouped, check_multiplicities, incoming, node_attrs, outgoing, typed_edges
+from bigtg.typedgraph import _grouped, check_multiplicities, incoming, node_attrs, outgoing
 from bigtg.variability import FeatureConfig, Formula, eval_formula
 
 from helpers import (
@@ -428,7 +428,7 @@ def test_out_degree_and_typed_edges_match_brute_force(case):
             assert sorted(groups.get(n, ())) == ref_outgoing(g, n, te)
         assert sum(map(len, groups.values())) == sum(counts.values())
     for te in EDGE_TYPES:
-        picked = typed_edges(g, te)
+        picked = view.by_type.get(te, [])
         assert picked == [e for e in g.graph.edges if types.get(e) == te]
     # The nodes of each node type, also with the smallest node untyped and
     # the next one typed None, and for types that no node has.

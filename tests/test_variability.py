@@ -4,6 +4,7 @@ import gc
 import itertools
 import random
 import re
+import sys
 import weakref
 
 import pytest
@@ -325,6 +326,44 @@ def test_a_control_named_by_no_str_gets_no_family_verdict():
     weak = cfg("WT", "ER", "RI", "ES", "SI", "EP", "PI")
     report = check_typing(apply_deltas(g, weak, sig), derive_type_graph(annotate_150(extend_for_signature(sig)), weak))
     assert [f.line() for f in report.findings] == ["error attr-type n:v.control attribute value is not a string"]
+
+
+def _body_calls(run):
+    """``run()``, and the calls of the three checkers' own bodies that it
+    made, by name."""
+    codes = {checker.__wrapped__.__code__ for checker in GRAPH_CHECKERS}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_the_canonical_configuration_takes_its_family_verdict(g1, sig1):
+    """The canonical configuration returns the input itself, which then
+    records its own origin: once a variant's check has reached the family
+    verdict, the three checks of the input against its derived type graph
+    run no checker body. A copy of the input, which has no origin, runs
+    each of them."""
+    g = replace(g1)
+    atg = annotate_150(extend_for_signature(sig1))
+    weak = cfg("WT")
+    assert check_typing(apply_deltas(g, weak, sig1), derive_type_graph(atg, weak)).ok
+    canonical = FeatureConfig.canonical()
+    assert apply_deltas(g, canonical, sig1) is g
+    tg = derive_type_graph(atg, canonical)
+    reports, calls = _body_calls(lambda: [checker(g, tg) for checker in GRAPH_CHECKERS])
+    assert calls == [] and all(report.ok for report in reports)
+    copy = replace(g)
+    reports, calls = _body_calls(lambda: [checker(copy, tg) for checker in GRAPH_CHECKERS])
+    assert calls == [checker.__name__ for checker in GRAPH_CHECKERS] and all(report.ok for report in reports)
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from __future__ import annotations
 import gc
 import json
 import random
-import weakref
 from unittest import mock
 
 import pytest
@@ -33,7 +32,7 @@ from bigtg import (
     writers,
 )
 from bigtg.generators import random_bigraph, random_signature
-from bigtg.variability import FeatureConfig
+from bigtg.variability import FeatureConfig, _Origin
 
 from helpers import assert_refused, mutated_encodings, outcome, ref_node_attrs
 from test_index import encodings
@@ -379,9 +378,10 @@ def test_graphs_of_one_family_with_equal_ids_print_their_own_entries():
     kin += [_kin(types, ends, {("m", "index"): 1}), _kin(types, ends, {("n", "index"): 1, ("n", "control"): "Job"})]
     wider = Graph(frozenset({"n", "m", "o"}), frozenset({"e", "d"}), {"e": "n", "d": "o"}, {"e": "m", "d": "m"})
     kin.append(InstanceGraph(wider, types, {"e": "bLink", "d": "bLink"}))
-    family = writers.Family(kin[0])
-    for g in kin:
-        object.__setattr__(g, "_family", weakref.ref(family))
+    owner = kin[0]
+    family = owner._parts[writers.Family, ()] = writers.Family(owner)
+    for g in kin[1:]:
+        object.__setattr__(g, "_origin", _Origin(owner, FeatureConfig(), None))
     texts = [fileio.dumps_canonical(replace(g)) for g in kin]
     assert len(set(texts)) == len(kin)
     for _ in range(2):
@@ -391,23 +391,23 @@ def test_graphs_of_one_family_with_equal_ids_print_their_own_entries():
 
 def test_a_family_forms_at_the_second_reconfiguration(g1, sig1, tmp_path):
     """A graph configured once, and its variant, keep no printed text after
-    a save; from the second configuration on, the graph and its later
-    variants, and theirs, share one family, which holds what their saves
-    print. Only that graph holds the family: a variant kept without it
-    keeps no printed text, and prints as before."""
+    a save; from the second configuration on, the graph holds one family
+    among its parts, which its variants reach through their origin and
+    which holds what their saves print. Only that graph holds the family:
+    a variant kept without it keeps no printed text, and prints as
+    before."""
     g = replace(g1)
     first, second, weak = enumerate_configs()[0], enumerate_configs()[-1], FeatureConfig(frozenset({"WT"}))
     variant = apply_deltas(g, first, sig1)
     fileio.save(variant, str(tmp_path / "first.ig.json"))
-    assert not hasattr(g, "_family") and not hasattr(variant, "_family")
+    assert variant._origin.input() is g and (writers.Family, ()) not in g._parts
     again = apply_deltas(g, second, sig1)
-    family = again._family()
-    assert g._memo is family and g._family is again._family and not family.edges and not family.nodes
-    assert apply_deltas(again, weak, sig1)._family is again._family
-    assert not hasattr(apply_deltas(variant, weak, sig1), "_family")
+    family = g._parts[writers.Family, ()]
+    assert again._origin.input() is g and not family.edges and not family.nodes
+    assert apply_deltas(variant, weak, sig1)._origin.input() is variant and (writers.Family, ()) not in variant._parts
     fileio.save(again, str(tmp_path / "second.ig.json"))
     assert len(family.edges) == len(again.graph.edges) and len(family.nodes) == len(again.graph.nodes)
     del g, family
     gc.collect()
-    assert again._family() is None
+    assert again._origin.input() is None
     assert fileio.dumps_canonical(again) == (tmp_path / "second.ig.json").read_text(encoding="utf-8")
