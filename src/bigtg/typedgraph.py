@@ -226,15 +226,15 @@ def _grouped(keys: list[Hashable], values: Iterable[Any]) -> dict[Hashable, list
 class InstanceGraph:
     """A graph typed over a type graph, with node attribute values.
 
-    It keeps four things beside its fields: ``edge_view``, built on first
+    It keeps three things beside its fields: ``edge_view``, built on first
     use (the edge columns, the edges and sources of each edge type, the
     nodes of each node type, and the edges of each navigated edge type
     grouped by source), which the four checkers, soundness, ``decode``
-    and ``evaluate`` read; ``_reports``, the last report of each checker
+    and ``evaluate`` read; ``_parts``, the last report of each checker
     wrapped by :func:`keeps_report` (``check_typing``, ``check_validity``,
-    ``check_multiplicities`` and the arity rule), with the very arguments
-    it was checked against (``decode`` after ``conformance``); ``_parts``,
-    what :func:`bigtg.variability.apply_deltas` reads and the graphs it
+    ``check_multiplicities`` and the arity rule) with the very arguments
+    it was checked against (``decode`` after ``conformance``), what
+    :func:`bigtg.variability.apply_deltas` reads, and what the graphs it
     returns share; and, on each of those graphs, ``_origin``: its input
     by weak reference, the configuration and the signature. So neither
     the dicts of ``g`` nor those arguments may be mutated after the first
@@ -258,16 +258,12 @@ class InstanceGraph:
         return EdgeView(self)
 
     @cached_property
-    def _parts(self) -> dict[tuple[Callable[..., Any], tuple[Hashable, ...]], Any]:
-        """Each part that reconfiguration reads, by its builder and key,
-        and what the graphs it returns share: the family's verdict and,
-        from the second reconfiguration on, its print memo."""
-        return {}
-
-    @cached_property
-    def _reports(self) -> dict[Callable[..., ValidationReport], tuple[tuple[Any, ...], ValidationReport]]:
-        """The kept slot of each checker wrapped by :func:`keeps_report`:
-        the arguments it last ran on, and its report."""
+    def _parts(self) -> dict[Hashable, Any]:
+        """The slot of each checker wrapped by :func:`keeps_report`, under
+        the checker; and, by builder and key, each part that
+        reconfiguration reads and what the graphs it returns share: the
+        family's verdict per set of control names and, from the second
+        reconfiguration on, its print memo."""
         return {}
 
 
@@ -348,14 +344,15 @@ def mult_of(tg: TypeGraph, edge_type: str) -> Multiplicity | None:
 def keeps_report(checker: Callable[..., ValidationReport]) -> Callable[..., ValidationReport]:
     """Make a checker of an instance graph keep its report on the graph.
 
-    The wrapped ``checker(g, *args)`` keeps one slot per checker on ``g``:
-    the other arguments and the report. A call whose every argument ``is``
-    the kept one returns the kept report; any other call runs the checker
-    and replaces the slot. So an equal argument that is another object
-    (``1 == True``, but they print apart) is checked anew. The slot keeps
-    alive the type graph that ``extend_for_signature(sig)`` returns, so
-    ``decode(g, sig)`` after the caller's own checks is a hit. The wrapper
-    keeps the checker's name, and the checker itself as ``__wrapped__``.
+    The wrapped ``checker(g, *args)`` keeps one slot on ``g``, under the
+    checker in ``g._parts``: the other arguments and the report. A call
+    whose every argument ``is`` the kept one returns the kept report; any
+    other call runs the checker and replaces the slot. So an equal
+    argument that is another object (``1 == True``, but they print apart)
+    is checked anew. The slot keeps alive the type graph that
+    ``extend_for_signature(sig)`` returns, so ``decode(g, sig)`` after the
+    caller's own checks is a hit. The wrapper keeps the checker's name,
+    and the checker itself as ``__wrapped__``.
 
     A miss on a graph that :func:`bigtg.variability.apply_deltas`
     returned, its input itself included, may take its family's verdict
@@ -365,24 +362,32 @@ def keeps_report(checker: Callable[..., ValidationReport]) -> Callable[..., Vali
     ``derive_type_graph(annotate_150(extend_for_signature(sig)), cfg)``
     gives, every control of ``sig`` is named by a ``str`` and
     ``extend_for_signature`` accepts ``sig``, and the graph's input is
-    alive and conforms to ``extend_for_signature(sig)`` with ``sig``. The
-    input is checked once per signature, at the first such miss.
+    alive and passes those three checks against
+    ``extend_for_signature(sig)``: one check per set of control names, at
+    the first such miss, which may fill this very slot (the graph may be
+    the input), so the slot is read again before the checker runs.
     """
 
     @wraps(checker)
     def kept(g: InstanceGraph, *args: Any) -> ValidationReport:
-        reports = g._reports
-        slot = reports.get(checker)
-        if slot is not None and len(slot[0]) == len(args) and all(map(is_, slot[0], args)):
+        parts = g._parts
+        slot = parts.get(checker)
+        if _kept_for(slot, args):
             return slot[1]
         origin = vars(g).get("_origin")
         report = None if origin is None else origin(checker, args)
         if report is None:
-            report = checker(g, *args)
-        reports[checker] = (args, report)
+            slot = parts.get(checker)
+            report = slot[1] if _kept_for(slot, args) else checker(g, *args)
+        parts[checker] = (args, report)
         return report
 
     return kept
+
+
+def _kept_for(slot: tuple[tuple[Any, ...], ValidationReport] | None, args: tuple[Any, ...]) -> bool:
+    """Whether a kept slot holds these very arguments."""
+    return slot is not None and len(slot[0]) == len(args) and all(map(is_, slot[0], args))
 
 
 def walk_suspects(

@@ -7,8 +7,8 @@ every variant behind presence conditions; deriving a configuration keeps
 the elements whose condition holds and drops whatever then dangles.
 Instance graphs are reconfigured from parts of the canonical encoding,
 read off the same table and kept on it, which every configuration of
-that encoding shares; so is the encoding's own conformance, which decides
-the checks of each variant against its derived type graph.
+that encoding shares; so is the verdict of the encoding's own checks,
+which decides the checks of each variant against its derived type graph.
 """
 
 from __future__ import annotations
@@ -248,10 +248,10 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
     :class:`bigtg.writers.Family` memo, so saving many variants prints
     each entry they share once while ``g`` lives; a graph reconfigured
     once, and a variant kept without ``g``, keep no printed text. Once
-    ``g`` conforms to ``extend_for_signature(sig)`` with ``sig``, checked
-    once per signature and kept in ``g._parts``, the three checks of each
-    graph returned against its derived type graph, kept there too, take
-    that verdict
+    ``g`` passes the three checks against ``extend_for_signature(sig)``,
+    checked once per set of control names, without the arity rule, and
+    kept in ``g._parts``, the three checks of each graph returned against
+    its derived type graph, kept there too, take that verdict
     (:func:`bigtg.typedgraph.keeps_report`).
 
     When no step changes anything, ``g`` itself is returned; when nothing
@@ -265,7 +265,7 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
     rep = validate_config(cfg)
     if not rep.ok:
         raise InvalidConfig(rep)
-    if g._parts:  # reconfigured before: its variants are a family
+    if (_lacking, ()) in g._parts:  # reconfigured before: its variants are a family
         from .writers import Family
 
         _kept(g, Family)
@@ -337,11 +337,11 @@ class _Origin:
     with an empty report only when the checker is one of ``_ANSWERED``,
     its one argument ``==`` the type graph that
     ``derive_type_graph(annotate_150(extend_for_signature(sig)), cfg)``
-    gives, and ``g`` is alive and conforms to the signature's type graph
-    with ``sig`` (:func:`_family_type_graph`). Reconfiguring a conforming
-    graph gives a graph that conforms to its derived type graph, so that
-    one check of ``g`` decides each of the three checks of every variant.
-    Otherwise it answers None and the checker runs."""
+    gives, and ``g`` is alive and passes the same three checks against
+    ``extend_for_signature(sig)`` (:func:`_family_type_graph`). A graph
+    that passes them gives variants that pass them against their derived
+    type graphs, so one check of ``g`` per set of control names decides
+    the three checks of every variant. Otherwise the checker runs."""
 
     __slots__ = ("input", "cfg", "sig")
 
@@ -357,47 +357,37 @@ class _Origin:
 
 
 def _family_type_graph(g: InstanceGraph, sig: Signature, cfg: FeatureConfig) -> TypeGraph | None:
-    """The derived type graph of ``cfg`` for ``sig`` when ``g`` conforms
-    to ``extend_for_signature(sig)`` with ``sig`` (:func:`_conforming`),
-    or None. The verdict is reached at the first call for ``g`` and
-    ``sig``, and each derived type graph at the first call for its
-    configuration; both are kept in ``g._parts``, keyed by ``id(sig)``
-    beside ``sig`` itself, which keeps that id its own."""
-    parts, key = g._parts, (_family_type_graph, (id(sig),))
+    """The derived type graph of ``cfg`` for ``sig`` when ``g`` passes
+    ``conformance(g, extend_for_signature(sig))``, or None. No step reads
+    more of ``sig`` than its control names, so the verdict is kept in
+    ``g._parts`` per set of them, without the arity rule, beside each
+    derived type graph, and each is reached at the first call that needs
+    it. Only a :class:`Signature` of :class:`Control` values named by a
+    ``str``, which ``extend_for_signature`` accepts, is trusted: under
+    weak typing a control named ``5`` becomes a ``control`` attribute that
+    is no string, and a malformed signature must not make a check raise."""
+    if not (
+        isinstance(sig, Signature)
+        and isinstance(sig.controls, tuple)
+        and all(type(c) is Control and type(c.name) is str for c in sig.controls)
+    ):
+        return None
+    parts, key = g._parts, (_family_type_graph, sig.names)
     family = parts.get(key)
     if family is None:
-        parts[key] = (sig, None, {})  # no verdict yet for the checks of ``g`` that ``_conforming`` runs
-        family = parts[key] = (sig, _conforming(g, sig), {})
-    _, atg, derived = family
+        parts[key] = (None, {})  # no verdict yet for the checks of ``g`` that reach it
+        try:
+            tg = extend_for_signature(sig)
+        except ReservedControlName:
+            return None
+        family = parts[key] = (annotate_150(tg) if conformance(g, tg).ok else None, {})
+    atg, derived = family
     if atg is None:
         return None
     tg = derived.get(cfg)
     if tg is None:
         tg = derived[cfg] = derive_type_graph(atg, cfg)
     return tg
-
-
-def _conforming(g: InstanceGraph, sig: Signature) -> AnnotatedTypeGraph | None:
-    """``annotate_150(extend_for_signature(sig))`` when ``g`` conforms to
-    ``extend_for_signature(sig)`` with ``sig``, or None. A signature is
-    trusted only when it is a :class:`Signature` of :class:`Control`
-    values named by a ``str``, with a mapping of arities, and
-    ``extend_for_signature`` accepts it: under weak typing a control
-    named ``5`` becomes a ``control`` attribute that is no string, and a
-    malformed signature that no step of :func:`apply_deltas` read must
-    not make a check raise."""
-    if not (
-        isinstance(sig, Signature)
-        and isinstance(sig.controls, tuple)
-        and isinstance(sig.arities, Mapping)
-        and all(type(c) is Control and type(c.name) is str for c in sig.controls)
-    ):
-        return None
-    try:
-        tg = extend_for_signature(sig)
-    except ReservedControlName:
-        return None
-    return annotate_150(tg) if conformance(g, tg, sig).ok else None
 
 
 # The parts of an instance graph that ``apply_deltas`` reads. Each is

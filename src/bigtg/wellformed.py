@@ -66,10 +66,9 @@ def validate_bigraph(b: Bigraph) -> ValidationReport:
 
     nodes, ctrl, prnt, link = b.nodes, b.ctrl, b.prnt, b.link
     ids = (nodes, b.edges, b.inner.names, b.outer.names)
-    if not all(map(_is_str, chain.from_iterable(ids))):
-        for what, group in zip(("node", "edge", "inner name", "outer name"), ids):
-            for v in sorted(filterfalse(_is_str, group), key=_id_order):
-                flag("id-type", str(v), f"{what} {v!r} is not a string")
+    for what, group in zip(("node", "edge", "inner name", "outer name"), ids):
+        for v in sorted(filterfalse(_is_str, group), key=_id_order):
+            flag("id-type", str(v), f"{what} {v!r} is not a string")
 
     names = b.inner.names | b.outer.names
     for v in sorted(nodes & b.edges, key=_id_order):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import bigtg.variability
 from bigtg import (
     Control,
     FeatureConfig,
@@ -31,6 +32,7 @@ from bigtg import (
     encode,
     enumerate_configs,
     extend_for_signature,
+    fileio,
     replace,
     validate_config,
 )
@@ -40,7 +42,7 @@ from bigtg.variability import _GROUPS, FEATURE_LEAVES
 
 from helpers import arbitrary_bigraphs, type_graph_variants
 from test_index import _other_signature, encodings
-from test_kept_reports import GRAPH_CHECKERS
+from test_kept_reports import GRAPH_CHECKERS, signature_variants
 
 
 def cfg(*features: str) -> FeatureConfig:
@@ -242,14 +244,64 @@ def _renamed(g, sig, as_tuple):
 
 
 #: A copy of the drawn graph, with each kind of signature: its own, one
-#: with a reserved name that ``extend_for_signature`` refuses, and names
-#: that are no ``str``.
+#: with a reserved name that ``extend_for_signature`` refuses, names that
+#: are no ``str``, and its own names with other arities.
 SIGNATURES = {
-    "own": lambda g, sig, group: (replace(g), sig),
-    "other": lambda g, sig, group: (replace(g), _other_signature(sig, group)),
-    "int": lambda g, sig, group: _renamed(g, sig, False),
-    "tuple": lambda g, sig, group: _renamed(g, sig, True),
+    "own": lambda g, sig, group, data: (replace(g), sig),
+    "other": lambda g, sig, group, data: (replace(g), _other_signature(sig, group)),
+    "int": lambda g, sig, group, data: _renamed(g, sig, False),
+    "tuple": lambda g, sig, group, data: _renamed(g, sig, True),
+    "arities": lambda g, sig, group, data: (replace(g), data.draw(signature_variants(sig))),
 }
+
+
+def _with_port(g, owner, link):
+    """``g`` with one more port of ``owner``, linked to ``link`` (a new
+    ``BEdge`` when ``g`` has no such node): a graph that conforms then
+    breaks only the arity rule."""
+    port = "p:extra"
+    src, tgt, edge_types = dict(g.graph.src), dict(g.graph.tgt), dict(g.edge_types)
+    for edge_type, a, z in (("bPorts", owner, port), ("bNode", port, owner), ("bLink", port, link), ("bPoints", link, port)):
+        edge = f"{edge_type}:{a}:{z}"
+        src[edge], tgt[edge], edge_types[edge] = a, z, edge_type
+    index = sum(edge_types.get(e) == "bPorts" and src.get(e) == owner for e in g.graph.edges)
+    return InstanceGraph(
+        graph=Graph(g.graph.nodes | {port, link}, frozenset(src), src, tgt),
+        node_types={link: "BEdge", **g.node_types, port: "BPort"},
+        edge_types=edge_types,
+        attrs={**g.attrs, (port, "index"): index},
+    )
+
+
+def _without_port(g, port):
+    """``g`` without ``port``, its attributes and the edges at it."""
+    src, tgt = g.graph.src, g.graph.tgt
+    edges = frozenset(e for e in g.graph.edges if port not in (src.get(e), tgt.get(e)))
+    return InstanceGraph(
+        graph=Graph(g.graph.nodes - {port}, edges, {e: src[e] for e in edges if e in src}, {e: tgt[e] for e in edges if e in tgt}),
+        node_types={n: t for n, t in g.node_types.items() if n != port},
+        edge_types={e: t for e, t in g.edge_types.items() if e in edges},
+        attrs={key: v for key, v in g.attrs.items() if key[0] != port},
+    )
+
+
+def _ports_edited(g, sig, edit, data):
+    """``g`` with a port added to (``more``) or taken from (``fewer``) a
+    drawn node of a control of ``sig``, or ``g`` itself. A port is taken
+    from those whose link keeps another point, where there are any, so a
+    graph that conforms then breaks only the arity rule."""
+    names, src, tgt, types = list(sig.names), g.graph.src, g.graph.tgt, g.edge_types
+    owners = sorted(n for n, t in g.node_types.items() if n in g.graph.nodes and t in names)
+    if edit == "more" and owners:
+        links = sorted(n for n, t in g.node_types.items() if n in g.graph.nodes and t in ("BEdge", "BOuterName"))
+        return _with_port(g, data.draw(st.sampled_from(owners)), data.draw(st.sampled_from(links or ["e:extra"])))
+    ports = sorted(tgt[e] for e in g.graph.edges if types.get(e) == "bPorts" and src.get(e) in owners and e in tgt)
+    if edit != "fewer" or not ports:
+        return g
+    points = [src.get(e) for e in g.graph.edges if types.get(e) == "bPoints"]
+    link_of = {src.get(e): tgt.get(e) for e in g.graph.edges if types.get(e) == "bLink"}
+    shared = [p for p in ports if points.count(link_of.get(p)) > 1]
+    return _without_port(g, data.draw(st.sampled_from(shared or ports)))
 
 
 def _one_as_true(tg):
@@ -292,14 +344,23 @@ def _checked_family(g, sig, atg, configs, data):
     return checked
 
 
-@given(encodings(), st.sampled_from(sorted(SIGNATURES)), st.sampled_from(("BRoot", "BSite", "BPort")), st.randoms(use_true_random=False), st.data())
+@given(
+    encodings(),
+    st.sampled_from(sorted(SIGNATURES)),
+    st.sampled_from(("none", "more", "fewer")),
+    st.sampled_from(("BRoot", "BSite", "BPort")),
+    st.randoms(use_true_random=False),
+    st.data(),
+)
 @settings(max_examples=40, deadline=None)
-def test_a_variant_gets_its_family_verdict_only_where_its_own_check_agrees(case, kind, group, rnd, data):
-    """All 54 configurations in a shuffled order, conforming input or not:
-    each report on a variant, answered by its family or not, equals the
-    checker's own, also once the input is gone."""
+def test_a_variant_gets_its_family_verdict_only_where_its_own_check_agrees(case, kind, edit, group, rnd, data):
+    """All 54 configurations in a shuffled order, conforming input or not,
+    with a port more or fewer than its arity or not: each report on a
+    variant, answered by its family or not, equals the checker's own,
+    also once the input is gone."""
     drawn, own = case
-    g, sig = SIGNATURES[kind](drawn, own, group)
+    g, sig = SIGNATURES[kind](drawn, own, group, data)
+    g = _ports_edited(g, sig, edit, data)
     try:
         atg = annotate_150(extend_for_signature(sig))
     except ReservedControlName:  # the other signature: check against the graph's own type graphs
@@ -364,6 +425,65 @@ def test_the_canonical_configuration_takes_its_family_verdict(g1, sig1):
     copy = replace(g)
     reports, calls = _body_calls(lambda: [checker(copy, tg) for checker in GRAPH_CHECKERS])
     assert calls == [checker.__name__ for checker in GRAPH_CHECKERS] and all(report.ok for report in reports)
+
+
+def test_a_signature_loaded_afresh_for_each_configuration_shares_one_verdict(fixtures_dir, monkeypatch):
+    """The verdict is kept per set of control names, not per signature
+    object: the 54 variants of one graph, each made and checked under a
+    signature loaded anew, cost one ``conformance`` of the input, which
+    keeps one verdict."""
+    g = fileio.load_instance_graph(str(fixtures_dir / "printer.ig.json"))
+    inputs = []
+
+    def counted(h, *args):
+        inputs.append(h)
+        return conformance(h, *args)
+
+    monkeypatch.setattr(bigtg.variability, "conformance", counted)
+    for config in enumerate_configs():
+        sig = fileio.load_signature(str(fixtures_dir / "printer.sig.json"))
+        variant = apply_deltas(g, config, sig)
+        tg = derive_type_graph(annotate_150(extend_for_signature(sig)), config)
+        for checker in GRAPH_CHECKERS:
+            report = checker(variant, tg)
+            assert report.ok and report == checker.__wrapped__(variant, tg), (checker.__name__, config.ordered())
+    assert len(inputs) == 1 and inputs[0] is g
+    verdicts = [key for key in g._parts if type(key) is tuple and key[0] is bigtg.variability._family_type_graph]
+    assert len(verdicts) == 1
+
+
+def test_an_input_that_breaks_only_the_arity_rule_decides_its_variants(g1, sig1):
+    """Reconfiguration reads no arity, so the family verdict leaves the
+    arity rule out: a port more than its control's arity still lets every
+    variant take the verdict, running no checker body, and each report is
+    the checker's own."""
+    owner = next(n for n in sorted(g1.node_types) if g1.node_types[n] in sig1.names)
+    link = next(n for n in sorted(g1.node_types) if g1.node_types[n] == "BEdge")
+    g = _with_port(g1, owner, link)
+    tg = extend_for_signature(sig1)
+    assert conformance(g, tg).ok and check_arity_rule(g, tg, sig1).codes() == {"arity"}
+    atg = annotate_150(tg)
+    weak = cfg("WT")
+    assert check_typing(apply_deltas(g, weak, sig1), derive_type_graph(atg, weak)).ok
+    for config in enumerate_configs():
+        variant, derived = apply_deltas(g, config, sig1), derive_type_graph(atg, config)
+        reports, calls = _body_calls(lambda: [checker(variant, derived) for checker in GRAPH_CHECKERS])
+        assert calls == [], config.ordered()
+        assert reports == [checker.__wrapped__(variant, derived) for checker in GRAPH_CHECKERS]
+
+
+def test_an_unchanged_input_that_does_not_conform_is_checked_once(fixtures_dir):
+    """The canonical configuration returns its input, which records its
+    own origin. Its first check asks the family, whose check of the input
+    fills that very slot; the checker then does not run again."""
+    g = fileio.load_instance_graph(str(fixtures_dir / "printer.ig.json"))
+    sig = fileio.load_signature(str(fixtures_dir / "printer.sig.json"))
+    g = replace(g, node_types={**g.node_types, "r:0": "BPlace"})
+    assert apply_deltas(g, FeatureConfig.canonical(), sig) is g
+    tg = extend_for_signature(sig)
+    report, calls = _body_calls(lambda: check_typing(g, tg))
+    assert calls.count("check_typing") == 1
+    assert not report.ok and report == check_typing.__wrapped__(g, tg)
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from bigtg import (
     Port,
     annotate_150,
     apply_deltas,
+    conformance,
     derive_type_graph,
     encode,
     enumerate_configs,
@@ -387,6 +388,18 @@ def test_graphs_of_one_family_with_equal_ids_print_their_own_entries():
     for _ in range(2):
         assert [fileio.dumps_canonical(g) for g in kin] == texts
     assert family.edges and family.nodes
+
+
+def test_a_checked_graph_forms_its_family_at_the_second_reconfiguration(g1, sig1, tg_sigma1):
+    """The checkers keep their reports among the graph's parts, which do
+    not count as a reconfiguration: a graph checked first still keeps no
+    family memo after its first reconfiguration, only after its second."""
+    g = replace(g1)
+    assert conformance(g, tg_sigma1, sig1).ok
+    apply_deltas(g, enumerate_configs()[0], sig1)
+    assert (writers.Family, ()) not in g._parts
+    apply_deltas(g, enumerate_configs()[-1], sig1)
+    assert (writers.Family, ()) in g._parts
 
 
 def test_a_family_forms_at_the_second_reconfiguration(g1, sig1, tmp_path):
