@@ -263,7 +263,7 @@ class InstanceGraph:
         the checker; and, by builder and key, each part that
         reconfiguration reads and what the graphs it returns share: the
         family's verdict per set of control names and, from the second
-        reconfiguration on, its print memo."""
+        reconfiguration on, the texts its saves select from."""
         return {}
 
 
@@ -690,16 +690,22 @@ def check_validity(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     return report_from(findings)
 
 
-def _holds(sources: list[Hashable], targets: Iterable[Hashable], m: Multiplicity) -> bool:
-    """Whether each of ``targets`` is among ``sources`` at least ``m.lb``
-    and at most ``m.ub`` times. An upper bound of 1 holds when no source
-    repeats, and a lower bound of 1 when every target is a source; any
-    other bound, or sources that repeat, are counted."""
-    if m.lb <= 1 and m.ub in (None, 1):
+def _holds(
+    te: str, sources: list[Hashable], targets: Iterable[Hashable], m: Multiplicity, counted: dict[str, Counter]
+) -> bool:
+    """Whether each of ``targets`` is among ``sources``, the sources of
+    edge type ``te``, at least ``m.lb`` and at most ``m.ub`` times. Until
+    ``counted`` holds their count, an upper bound of 1 holds when no
+    source repeats, and a lower bound of 1 when every target is a source;
+    any other bound, or sources that repeat, are counted, and the count is
+    kept in ``counted``."""
+    counts = counted.get(te)
+    if counts is None and m.lb <= 1 and m.ub in (None, 1):
         distinct = set(sources)
         if m.ub is None or len(distinct) == len(sources):
             return m.lb == 0 or distinct.issuperset(targets)
-    counts = Counter(sources)
+    if counts is None:
+        counts = counted[te] = Counter(sources)
     got = list(map(counts.get, targets, repeat(0)))
     return not got or (m.lb <= min(got) and (m.ub is None or max(got) <= m.ub))
 
@@ -717,21 +723,26 @@ def _bound_findings(
 
     Cost: C-level passes test each bound on the sources of its edge type
     (``g.edge_view``) against the nodes of its types (:func:`_holds`).
-    Only the bounds that fail are walked: the sources of each are
-    counted, and one pass over the nodes in sorted order reads each count
-    there."""
+    The sources of an edge type are counted at most once per call, so
+    bounds on one edge type (the arities on ``bPorts``) share the count.
+    Only the bounds that fail are walked: one pass over the nodes in
+    sorted order reads each one's count there."""
     view = g.edge_view
     of_type = view.by_node_type
+    counted: dict[str, Counter] = {}
     failing = [
-        (te, types, m, Counter(view.sources.get(te, ())))
+        (te, types, m)
         for te, types, m in bounds
-        if not _holds(view.sources.get(te, []), chain.from_iterable(map(of_type.get, types, repeat(()))), m)
+        if not _holds(te, view.sources.get(te, []), chain.from_iterable(map(of_type.get, types, repeat(()))), m, counted)
     ]
+    for te, _, _ in failing:
+        if te not in counted:
+            counted[te] = Counter(view.sources.get(te, ()))
     findings: list[Finding] = []
     for n in sorted(g.graph.nodes) if failing else ():
         t = view.node_types.get(n)
-        for te, types, m, counts in failing:
-            count = counts[n]
+        for te, types, m in failing:
+            count = counted[te][n]
             if t in types and not (m.lb <= count and (m.ub is None or count <= m.ub)):
                 findings.append(finding(n, t, te, m, count))
     return findings

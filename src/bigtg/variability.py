@@ -243,10 +243,13 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
     step changes. Each graph returned, ``g`` itself included, records
     where it came from unless it has a record (``_origin``, an
     :class:`_Origin`): ``g`` by weak reference, ``cfg`` and ``sig``, by
-    which it reaches what the family shares in ``g._parts``. From the
-    second reconfiguration of ``g`` on, that holds a
-    :class:`bigtg.writers.Family` memo, so saving many variants prints
-    each entry they share once while ``g`` lives; a graph reconfigured
+    which it reaches what the family shares in ``g._parts``, and what the
+    steps changed: the pieces (the retyping for a set of controls, a
+    group's lost ``index``, a port rewiring) and the dropped groups. From
+    the second reconfiguration of ``g`` on, ``g._parts`` holds a
+    :class:`bigtg.writers.Family`, which prints each entry of ``g`` and
+    each entry that a piece changes once while ``g`` lives, so a
+    variant's save selects its text from these; a graph reconfigured
     once, and a variant kept without ``g``, keep no printed text. Once
     ``g`` passes the three checks against ``extend_for_signature(sig)``,
     checked once per set of control names, without the arity rule, and
@@ -274,11 +277,13 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
         raise NotCanonical(lacking)
     sel = cfg.selected
     types, attrs, controls = g.node_types, g.attrs, frozenset()
+    changes: list[tuple[Callable[..., InstanceGraph], Hashable]] = []
     if "WT" in sel:
         controls = frozenset(sig.names)
         retyped, control_attrs = _kept(g, _retyped, controls)
         if retyped:
             types, attrs = {**types, **retyped}, {**attrs, **control_attrs}
+            changes.append((_retyped_entries, controls))
     gone_keys: set[tuple[str, str]] = set()
     dropped: dict[str, frozenset[str]] = {}
     for node_type, explicit, indexed in _GROUPS:
@@ -292,13 +297,14 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
         if explicit not in sel:
             gone_keys.update(keys)
             dropped[node_type] = nodes
+        elif index:
+            changes.append((_indexless_entries, node_type))
     if gone_keys:
         attrs = _without(attrs, gone_keys)
     doomed = frozenset().union(*dropped.values())
     if not doomed:
-        if types is g.node_types and attrs is g.attrs:
-            return _recorded(g, g, cfg, sig)
-        return _recorded(InstanceGraph._adopt(g.graph, types, g.edge_types, attrs), g, cfg, sig)
+        h = g if types is g.node_types and attrs is g.attrs else InstanceGraph._adopt(g.graph, types, g.edge_types, attrs)
+        return _recorded(h, g, cfg, sig, None, changes)
     cut = sum(map(_BIT.__getitem__, dropped))
     kept = [_kept(g, _ends, touched) for touched in _kept(g, _touching) if not touched & cut]
     src, tgt, edge_types = (_merged(map(itemgetter(i), kept)) for i in range(3))
@@ -309,13 +315,18 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
         moved, *columns = rewired
         for ends, column in zip((src, tgt, edge_types), columns):
             ends.update(zip(moved, column))
+        changes.append((_moved_entries, cut & ~_BIT["BPort"]))
     graph = Graph._adopt(g.graph.nodes - doomed, frozenset(src), src, tgt)
-    return _recorded(InstanceGraph._adopt(graph, _without(types, doomed), edge_types, attrs), g, cfg, sig)
+    h = InstanceGraph._adopt(graph, _without(types, doomed), edge_types, attrs)
+    return _recorded(h, g, cfg, sig, (_dropped, cut), changes)
 
 
-def _recorded(h: InstanceGraph, g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> InstanceGraph:
-    """``h``, which records ``_Origin(g, cfg, sig)`` unless it has a record."""
-    vars(h).setdefault("_origin", _Origin(g, cfg, sig))
+def _recorded(
+    h: InstanceGraph, g: InstanceGraph, cfg: FeatureConfig, sig: Signature, dropped: tuple | None, changes: list
+) -> InstanceGraph:
+    """``h``, which records ``_Origin(g, cfg, sig)`` unless it has a
+    record, with what the steps did: ``dropped`` and ``changes``."""
+    vars(h).setdefault("_origin", _Origin(g, cfg, sig, (ref(h), dropped, tuple(changes))))
     return h
 
 
@@ -341,12 +352,20 @@ class _Origin:
     ``extend_for_signature(sig)`` (:func:`_family_type_graph`). A graph
     that passes them gives variants that pass them against their derived
     type graphs, so one check of ``g`` per set of control names decides
-    the three checks of every variant. Otherwise the checker runs."""
+    the three checks of every variant. Otherwise the checker runs.
 
-    __slots__ = ("input", "cfg", "sig")
+    ``delta`` says what the steps did, for the writer
+    (:class:`bigtg.writers.Family`): the graph it was made for, by weak
+    reference; what it drops, a builder and the mask of dropped groups, or
+    None; and its changes, each a builder and its key, which give the
+    entries a piece of the steps changes as they are after it. Only
+    :func:`apply_deltas` fills it in, so a record made any other way, or
+    held by another graph, has none to offer."""
 
-    def __init__(self, g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> None:
-        self.input, self.cfg, self.sig = ref(g), cfg, sig
+    __slots__ = ("input", "cfg", "sig", "delta")
+
+    def __init__(self, g: InstanceGraph, cfg: FeatureConfig, sig: Signature, delta: tuple | None = None) -> None:
+        self.input, self.cfg, self.sig, self.delta = ref(g), cfg, sig, delta
 
     def __call__(self, checker: Callable[..., ValidationReport], args: tuple[Any, ...]) -> ValidationReport | None:
         if (checker.__module__, checker.__name__) not in _ANSWERED or len(args) != 1:
@@ -530,3 +549,43 @@ def _rewired(g: InstanceGraph, gone: int) -> tuple[str | None, tuple[list[str], 
         list(map(moved_tgt.get, kept, map(tgt.__getitem__, kept))),
         list(map(g.edge_types.__getitem__, kept)),
     )
+
+
+# What a piece of the steps changes or drops, as the writer prints it
+# (:class:`bigtg.writers.Family`): built from the kept parts of ``g``.
+
+
+def _retyped_entries(g: InstanceGraph, controls: frozenset[str]) -> InstanceGraph:
+    """The nodes that weak typing under ``controls`` retypes, as step 1
+    leaves them."""
+    retyped, control_attrs = _kept(g, _retyped, controls)
+    owned = compress(g.attrs.items(), map(retyped.__contains__, map(itemgetter(0), g.attrs)))
+    return InstanceGraph(Graph(frozenset(retyped)), retyped, attrs={**dict(owned), **control_attrs})
+
+
+def _indexless_entries(g: InstanceGraph, node_type: str) -> InstanceGraph:
+    """The nodes of ``node_type`` that own an ``index`` attribute, as step
+    2 leaves them when the group stays without its index feature."""
+    nodes, keys, index = _kept(g, _group, node_type)
+    owners = frozenset(map(itemgetter(0), index)) & nodes
+    attrs = {key: g.attrs[key] for key in keys - index if key[0] in owners}
+    return InstanceGraph(Graph(owners), dict.fromkeys(owners, node_type), attrs=attrs)
+
+
+def _moved_entries(g: InstanceGraph, gone: int) -> InstanceGraph:
+    """The edges that the port rewiring moves and keeps when the groups in
+    the mask ``gone`` go with the ports, with their new ends."""
+    moved, src, tgt, types = _kept(g, _rewired, gone)[1]
+    graph = Graph(edges=frozenset(moved), src=dict(zip(moved, src)), tgt=dict(zip(moved, tgt)))
+    return InstanceGraph(graph, edge_types=dict(zip(moved, types)))
+
+
+def _dropped(g: InstanceGraph, cut: int) -> tuple[set[str], frozenset[str]]:
+    """The edges and the nodes of ``g`` that step 3 drops when the groups
+    in the mask ``cut`` go: those groups' nodes, and the edges that touch
+    them, but for the moved edges that the port rewiring keeps."""
+    nodes = frozenset().union(*(_kept(g, _group, t)[0] for t, bit in _BIT.items() if bit & cut))
+    edges = set().union(*(edges for touched, edges in _kept(g, _touching).items() if touched & cut))
+    if cut & _BIT["BPort"]:
+        edges.difference_update(_kept(g, _rewired, cut & ~_BIT["BPort"])[1][0])
+    return edges, nodes

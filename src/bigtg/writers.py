@@ -10,14 +10,12 @@ writer holds the value, its sorted ids and one batch of text; a signature,
 type graph or feature configuration is one chunk. A writer raises each of
 its refusals before it yields its first chunk.
 
-The variants of one graph share a :class:`Family` memo: the text of each
-instance-graph entry printed, by its content, and the graph's sorted ids,
-which the writer filters to a variant's. From a graph's second
-reconfiguration on, :func:`bigtg.variability.apply_deltas` makes one and
-keeps it among that graph's parts (``_parts``). A variant reaches it
-through its record of its input (``_origin``), which refers to the input
-by weak reference, so a variant kept without its input holds no printed
-text. A graph without a memo is printed batch by batch as above.
+From a graph's second reconfiguration on, its variants share a
+:class:`Family`, kept among the graph's parts (``_parts``) and reached
+through the record that :func:`bigtg.variability.apply_deltas` made for a
+variant (``_origin``), whose save selects its text from the family's. The
+record holds the graph by weak reference, so a variant kept alone holds
+no printed text and, like a graph without a family, prints as above.
 
 Only :func:`bigtg.fileio.save` and :func:`bigtg.fileio.dumps_canonical`
 load this module, so a command that writes no file does not compile it.
@@ -27,16 +25,17 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from itertools import groupby, repeat
+from collections import deque
+from itertools import chain, compress, groupby, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import itemgetter, not_
 
 from .bigraph import Bigraph, Interface, Port, Signature
-from .typedgraph import InstanceGraph, Multiplicity, TypeGraph, _grouped, mult_of
+from .typedgraph import InstanceGraph, Multiplicity, TypeGraph, mult_of
 
 TYPE_CHECKING = False  # read as true by static type checkers only
 if TYPE_CHECKING:
-    from collections.abc import Callable, Hashable, Iterable, Iterator
+    from collections.abc import Callable, Iterable, Iterator
     from typing import Any
 
     from .variability import FeatureConfig
@@ -199,15 +198,9 @@ def _mult_payload(m: Multiplicity) -> dict:
 
 
 def typegraph_chunks(tg: TypeGraph) -> Iterator[str]:
-    node_entries = []
-    for t in sorted(tg.graph.nodes):
-        node_entries.append(
-            {
-                "abstract": t in tg.abstracts,
-                "attrs": {a: dt for a, dt in sorted(tg.attr_decls.get(t, {}).items())},
-                "name": t,
-            }
-        )
+    node_entries = [
+        {"abstract": t in tg.abstracts, "attrs": dict(tg.attr_decls.get(t, {})), "name": t} for t in sorted(tg.graph.nodes)
+    ]
     edges = sorted(tg.graph.edges)
     src, tgt = (list(map(ends.get, edges)) for ends in (tg.graph.src, tg.graph.tgt))
     mult = [mult_of(tg, e) for e in edges]
@@ -234,124 +227,131 @@ _EDGE = '{\n        "id": %s,\n        "src": %s,\n        "tgt": %s,\n        "
 _NODE = '{\n        "attrs": %s,\n        "id": %s,\n        "type": %s\n      }'
 
 
-class Family:
-    """What the saves of one graph's variants share: the graph's node and
-    edge ids, which hold each variant's, sorted once; and the text of each
-    edge and node entry printed, by its key (:func:`_keys`). It refers to
-    no graph, and only the graph that made it holds it, in ``_parts``."""
+def _edge_texts(ids: list, src: list, tgt: list, types: list) -> Iterable[str]:
+    """The entry of each edge, from its columns: each is printed in one pass."""
+    return map(_EDGE.__mod__, zip(*(_leaves(column, _P8) for column in (ids, src, tgt, types))))
 
-    __slots__ = ("_ids", "edges", "nodes")
+
+def _node_texts(ids: list, types: list, held: list, values: list) -> Iterable[str]:
+    """The entry of each node of ``ids``, typed ``types``, whose attributes
+    are ``held``, the sorted keys that ``ids`` own, with their ``values``."""
+    # ``json`` quotes its text of a key that is no string.
+    names = _leaves([a if isinstance(a, str) else json.dumps(a) for _, a in held], _P10)
+    members = zip(map(itemgetter(0), held), map("%s: %s".__mod__, zip(names, _leaves(values, _P10))))
+    attrs = {n: _join(list(map(itemgetter(1), group)), _P8, "{}") for n, group in groupby(members, itemgetter(0))}
+    return map(_NODE.__mod__, zip(map(attrs.get, ids, repeat("{}")), _leaves(ids, _P8), _leaves(types, _P8)))
+
+
+def _plain(g: InstanceGraph) -> bool:
+    """Whether ``g`` holds only what the readers give, so that each entry
+    prints alike whatever it is printed beside: ``str`` ids, ends, types
+    and attribute names, ``str`` or ``int`` values, and no orphan."""
+    keys, graph = g.attrs.keys(), g.graph
+    if not set(map(type, keys)) <= {tuple} or not set(map(len, keys)) <= {2}:
+        return False
+    names = chain(graph.nodes, graph.edges, *(d.values() for d in (graph.src, graph.tgt, g.node_types, g.edge_types)))
+    return (
+        set(map(type, chain(names, map(itemgetter(1), keys)))) <= {str}
+        and set(map(type, g.attrs.values())) <= {str, int}
+        and set(map(itemgetter(0), keys)) <= graph.nodes
+    )
+
+
+class Family:
+    """What the saves of one graph's variants share, each printed once:
+    the graph's sorted edge and node ids and each entry's text by its
+    place there (``ids`` and ``texts``, ``(edges, nodes)`` pairs, set at
+    the first save, or empty when the graph is not :func:`_plain`); the
+    places and texts of the entries that each piece of a configuration
+    changes; and, per set of dropped groups, a mask of the entries that
+    stay. Only the graph that made it holds it, in ``_parts``."""
+
+    __slots__ = ("ids", "texts", "_changed", "_stays")
 
     def __init__(self, g: InstanceGraph) -> None:
-        #: Each set of ids, replaced by its sorted list on first use, or by
-        #: ``None`` when some id is no ``str``.
-        self._ids: dict[str, frozenset[str] | list[str] | None] = {"nodes": g.graph.nodes, "edges": g.graph.edges}
-        self.edges: dict[tuple, str] = {}
-        self.nodes: dict[tuple, str] = {}
+        self.ids = self.texts = None  # ``(edges, nodes)`` pairs of lists
+        self._changed: dict[tuple, tuple[list, ...]] = {}  # places and texts of edges, then of nodes
+        self._stays: dict[tuple, tuple[bytes, bytes]] = {}
 
-    def ordered(self, kind: str, ids: frozenset[str]) -> list[str]:
-        """``ids``, a variant's ``kind`` (``"nodes"`` or ``"edges"``),
-        sorted: the family's sorted ids filtered to ``ids`` when that keeps
-        every one of them, else sorted anew."""
-        whole = self._ids[kind]
-        if isinstance(whole, frozenset):
-            whole = self._ids[kind] = sorted(whole) if set(map(type, whole)) <= {str} else None
-        if whole is not None:
-            kept = list(filter(ids.__contains__, whole))
-            if len(kept) == len(ids):
-                return kept
-        return sorted(ids)
+    def selected(self, g: InstanceGraph, dropped: tuple | None, changes: tuple[tuple, ...]) -> tuple[list[str], ...] | None:
+        """The edge and node texts of the variant of ``g`` that the record
+        describes (:class:`bigtg.variability._Origin`), or None when ``g``
+        is not plain: the texts of ``g`` with each changed entry's laid
+        over them, compressed to the entries that stay."""
+        if self.texts is None:
+            self.ids = (sorted(g.graph.edges), sorted(g.graph.nodes)) if _plain(g) else ()
+            self.texts = tuple(map(list, _entries(g, *self.ids))) if self.ids else ()
+        if not self.texts:
+            return None
+        edges, nodes = self.texts
+        if changes:
+            edges, nodes = edges.copy(), nodes.copy()
+            for edge_places, edge_texts, node_places, node_texts in map(self._piece, repeat(g), changes):
+                deque(map(edges.__setitem__, edge_places, edge_texts), 0)
+                deque(map(nodes.__setitem__, node_places, node_texts), 0)
+        if dropped is None:
+            return edges, nodes
+        stays = self._stays.get(dropped)
+        if stays is None:
+            gone = dropped[0](g, *dropped[1:])
+            stays = self._stays[dropped] = tuple(bytes(map(not_, map(d.__contains__, i))) for d, i in zip(gone, self.ids))
+        return list(compress(edges, stays[0])), list(compress(nodes, stays[1]))
 
-
-#: The classes whose equal values of one class print alike. Equal values of
-#: two classes may not (``1 == True == 1.0``), nor may equal floats
-#: (``0.0 == -0.0``) or equal containers (``(1,) == (True,)``).
-_KEYED = frozenset({str, int, bool, type(None)})
-
-
-def _key_column(column: list) -> list | None:
-    """A field of each entry as a part of its key: the values themselves
-    when each is a ``str``, each value with its class when each class is
-    in ``_KEYED``, and ``None`` (no key) otherwise. A ``str`` equals no
-    pair, so the two forms never meet."""
-    kinds = set(map(type, column))
-    if kinds <= {str}:
-        return column
-    return list(zip(column, map(type, column))) if kinds <= _KEYED else None
-
-
-def _keys(*columns: list) -> list[tuple] | None:
-    """The key of each entry whose fields are ``columns``, or ``None``."""
-    parts = list(map(_key_column, columns))
-    return None if None in parts else list(zip(*parts))
+    def _piece(self, g: InstanceGraph, change: tuple) -> tuple[list, ...]:
+        """The places and texts of what ``change`` changes, printed once; one
+        equal to a piece before (edges moved alike under another cut) shares it."""
+        piece = self._changed.get(change)
+        if piece is None:
+            h = change[0](g, *change[1:])
+            ids = (sorted(h.graph.edges), sorted(h.graph.nodes))
+            places = (list(map(bisect_left, repeat(whole), part)) for whole, part in zip(self.ids, ids))
+            piece = tuple(chain(*zip(places, map(list, _entries(h, *ids)))))
+            piece = self._changed[change] = next((p for p in self._changed.values() if p == piece), piece)
+        return piece
 
 
-def _remembered(memo: dict[Hashable, str], keys: list[Hashable] | None, printed: Callable[[], Iterable[str]]) -> Iterable[str]:
-    """The text of a batch of entries: each entry's from ``memo`` by its
-    key when every one is there; otherwise the batch as ``printed()``
-    prints it, remembered by key unless ``keys`` is ``None``."""
-    if keys is None:
-        return printed()
-    texts = list(map(memo.get, keys))
-    if None in texts:
-        texts = list(printed())
-        memo.update(zip(keys, texts))
-    return texts
+def _entries(g: InstanceGraph, edges: list[str], nodes: list[str]) -> tuple[Iterable[str], Iterable[str]]:
+    """The texts of the entries of ``edges`` and ``nodes`` (sorted) of a
+    graph whose edges all have ends, printed in one pass per column."""
+    keys = sorted(g.attrs)
+    src, tgt, types = (list(map(column.get, edges)) for column in (g.graph.src, g.graph.tgt, g.edge_types))
+    node_types, values = list(map(g.node_types.get, nodes)), list(map(g.attrs.get, keys))
+    return _edge_texts(edges, src, tgt, types), _node_texts(nodes, node_types, keys, values)
 
 
 def instancegraph_chunks(g: InstanceGraph) -> Iterator[str]:
     """Each column of a batch (ids, ends, types, attribute names and
     values) is printed in one pass, and each entry is its template filled
-    from the columns. The sorted ids, and the text of the entries printed
-    before, come from the :class:`Family` of the graph's input
-    (``g._origin``), or of the graph itself when it has no origin, when
-    that graph is alive and holds one."""
+    from the columns. A variant whose record ``apply_deltas`` made for it
+    takes the texts that its input's living :class:`Family` selects."""
     origin = getattr(g, "_origin", None)
-    owner = g if origin is None else origin.input()
-    family: Family | None = None if owner is None else owner._parts.get((Family, ()))
-    edges = sorted(g.graph.edges) if family is None else family.ordered("edges", g.graph.edges)
-    src, tgt = list(map(g.graph.src.get, edges)), list(map(g.graph.tgt.get, edges))
-    _refuse_missing("edge", edges, src=src, tgt=tgt)
-    orphans = set(map(itemgetter(0), g.attrs)) - g.graph.nodes
-    if orphans:
-        n, a = min(key for key in g.attrs if key[0] in orphans)
-        raise ValueError(f"attribute {a} of {n} has no node")
-    nodes = sorted(g.graph.nodes) if family is None else family.ordered("nodes", g.graph.nodes)
-    keys = sorted(g.attrs)
-    owners = list(map(itemgetter(0), keys))
+    delta = getattr(origin, "delta", None)
+    owner = origin.input() if delta is not None and delta[0]() is g else None
+    family = None if owner is None else owner._parts.get((Family, ()))
+    selected = None if family is None else family.selected(owner, *delta[1:])
+    if selected is not None:
+        edges, nodes = selected
+        edge_entries, node_entries = edges.__getitem__, nodes.__getitem__
+    else:
+        edges = sorted(g.graph.edges)
+        src, tgt = list(map(g.graph.src.get, edges)), list(map(g.graph.tgt.get, edges))
+        _refuse_missing("edge", edges, src=src, tgt=tgt)
+        orphans = set(map(itemgetter(0), g.attrs)) - g.graph.nodes
+        if orphans:
+            n, a = min(key for key in g.attrs if key[0] in orphans)
+            raise ValueError(f"attribute {a} of {n} has no node")
+        nodes = sorted(g.graph.nodes)
+        keys = sorted(g.attrs)
+        owners = list(map(itemgetter(0), keys))
 
-    def edge_entries(part: slice) -> Iterable[str]:
-        columns = (edges[part], src[part], tgt[part], list(map(g.edge_types.get, edges[part])))
+        def edge_entries(part: slice) -> Iterable[str]:
+            return _edge_texts(edges[part], src[part], tgt[part], list(map(g.edge_types.get, edges[part])))
 
-        def printed() -> Iterable[str]:
-            return map(_EDGE.__mod__, zip(*(_leaves(column, _P8) for column in columns)))
-
-        return printed() if family is None else _remembered(family.edges, _keys(*columns), printed)
-
-    def node_entries(part: slice) -> Iterable[str]:
-        batch = nodes[part]
-        # The attributes of the batch's nodes, which lead ``keys`` as the nodes lead ``nodes``.
-        held = keys[bisect_left(owners, batch[0]) : bisect_right(owners, batch[-1])]
-        values = list(map(g.attrs.get, held))
-        types = list(map(g.node_types.get, batch))
-
-        def printed() -> Iterable[str]:
-            # ``json`` quotes its text of a key that is no string.
-            names = _leaves([a if isinstance(a, str) else json.dumps(a) for _, a in held], _P10)
-            members = zip(map(itemgetter(0), held), map("%s: %s".__mod__, zip(names, _leaves(values, _P10))))
-            attrs = {n: _join(list(map(itemgetter(1), group)), _P8, "{}") for n, group in groupby(members, itemgetter(0))}
-            return map(_NODE.__mod__, zip(map(attrs.get, batch, repeat("{}")), _leaves(batch, _P8), _leaves(types, _P8)))
-
-        if family is None:
-            return printed()
-        # A node's key: the key of its id and type, and that of each of its
-        # attributes' name and value.
-        heads, members = _keys(batch, types), _keys(list(map(itemgetter(1), held)), values)
-        if heads is None or members is None:
-            return printed()
-        owned = _grouped(list(map(itemgetter(0), held)), members)
-        owned = dict(zip(owned, map(tuple, owned.values())))
-        return _remembered(family.nodes, list(zip(heads, map(owned.get, batch, repeat(())))), printed)
+        def node_entries(part: slice) -> Iterable[str]:
+            batch = nodes[part]
+            # The attributes of the batch's nodes, which lead ``keys`` as the nodes lead ``nodes``.
+            held = keys[bisect_left(owners, batch[0]) : bisect_right(owners, batch[-1])]
+            return _node_texts(batch, list(map(g.node_types.get, batch)), held, list(map(g.attrs.get, held)))
 
     yield '{\n    "edges": '
     yield from _batched(len(edges), edge_entries, _P4)

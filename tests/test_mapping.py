@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from bigtg import (
     validate_bigraph,
 )
 from bigtg.generators import random_bigraph
+from bigtg import typedgraph
 from bigtg.typedgraph import Multiplicity
 
 from helpers import arbitrary_bigraphs, drop_edge, drop_node, edges_of_type, retype_node, set_attr
@@ -97,6 +99,23 @@ def test_arity_findings_come_in_sorted_node_order(g1, tg_sigma1, sig1):
         ("arity", "n:v1", "node of control 'Printer' has 1 outgoing 'bPorts' edge(s), arity is 2"),
         ("arity", "n:v4", "node of control 'Room' has 0 outgoing 'bPorts' edge(s), arity is 1"),
     ]
+
+
+def test_the_arities_share_one_count_of_the_port_edges(g1, tg_sigma1, sig1, monkeypatch):
+    """The printer signature's arities 0, 1 and 2 are three bounds on
+    ``bPorts``, whose sources repeat: one call counts them once, and a
+    broken graph's walk reads that count."""
+    made = []
+
+    class Counting(Counter):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(typedgraph, "Counter", Counting)
+    assert check_arity_rule.__wrapped__(g1, tg_sigma1, sig1).ok and len(made) == 1
+    broken = drop_edge(g1, min(e for e in edges_of_type(g1, "bPorts") if g1.graph.src[e] == "n:v1"))
+    assert check_arity_rule.__wrapped__(broken, tg_sigma1, sig1).codes() == {"arity"} and len(made) == 2
 
 
 def test_arity_rule_zero_arity_needs_no_ports(g1, tg_sigma1, sig1):

@@ -444,6 +444,19 @@ def test_multiplicities_skip_a_tuple_bound():
     assert check_multiplicities(g, _tuple_bound_type_graph()).ok
 
 
+def test_each_bound_reads_the_count_of_its_own_edge_type():
+    """Both nodes have the two ``a`` edges that ``[2,2]`` asks for and none
+    of the two ``b`` edges: the count made for ``a`` never answers ``b``."""
+    ends = dict.fromkeys("ab", "N")
+    tg = TypeGraph(Graph(nodes={"N"}, edges=set(ends), src=ends, tgt=ends), mult=dict.fromkeys(ends, Multiplicity(2, 2)))
+    src = {"x": "m", "y": "m", "z": "n", "w": "n"}
+    graph = Graph(nodes={"m", "n"}, edges=set(src), src=src, tgt=src)
+    g = InstanceGraph(graph, node_types=dict.fromkeys("mn", "N"), edge_types=dict.fromkeys(src, "a"))
+    assert [(f.code, f.location, f.message) for f in check_multiplicities(g, tg).findings] == [
+        ("mult-underflow", f"{n}.b", "0 outgoing 'b' edge(s), multiplicity [2,2]") for n in "mn"
+    ]
+
+
 @pytest.mark.parametrize("write", ["dumps_canonical", "save"])
 def test_a_tuple_bound_is_refused_by_the_writer(write, tmp_path):
     path = tmp_path / "tg.json"

@@ -8,7 +8,11 @@ from __future__ import annotations
 
 import gc
 import json
+import pathlib
 import random
+import sys
+import tracemalloc
+import types
 from unittest import mock
 
 import pytest
@@ -17,10 +21,12 @@ from hypothesis import strategies as st
 
 from bigtg import (
     Bigraph,
+    Control,
     Graph,
     InstanceGraph,
     Interface,
     Port,
+    Signature,
     annotate_150,
     apply_deltas,
     conformance,
@@ -37,6 +43,9 @@ from bigtg.variability import FeatureConfig, _Origin
 
 from helpers import assert_refused, mutated_encodings, outcome, ref_node_attrs
 from test_index import encodings
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES, OFFICE = ROOT / "fixtures", ROOT / "perfbench" / "office.py"
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +366,76 @@ def test_a_family_prints_each_variant_as_a_fresh_copy_of_it(case, rnd, batch):
                 assert outcome(fileio.dumps_canonical, variant) == outcome(fileio.dumps_canonical, replace(variant))
 
 
+@st.composite
+def broken_encodings(draw):
+    """An edited encoding (``mutated_encodings``) with, each drawn or not,
+    an attribute of no node (typed by a group or not), an ``index`` on a
+    node of a control, an untyped node and a retyped node."""
+    g, b = draw(mutated_encodings())
+    nodes, names = sorted(g.graph.nodes), b.signature.names
+    types, attrs = dict(g.node_types), dict(g.attrs)
+    if draw(st.booleans()):
+        attrs["ghost", draw(st.sampled_from(("index", "x")))] = 1
+        if draw(st.booleans()):
+            types["ghost"] = draw(st.sampled_from(("BRoot", "BPort")))
+    controlled = [n for n in nodes if types.get(n) in names]
+    if controlled and draw(st.booleans()):
+        attrs[draw(st.sampled_from(controlled)), "index"] = draw(st.integers(0, 3))
+    if nodes and draw(st.booleans()):
+        types.pop(draw(st.sampled_from(nodes)), None)
+    if nodes and draw(st.booleans()):
+        types[draw(st.sampled_from(nodes))] = draw(st.sampled_from((*names, "BRoot", "BSite", "BPort", "BNode")))
+    return replace(g, node_types=types, attrs=attrs), b.signature
+
+
+@given(broken_encodings(), st.randoms(use_true_random=False), st.sampled_from((1, 3, 512)))
+@settings(max_examples=40, deadline=None)
+def test_a_family_selects_what_a_fresh_copy_prints_from_broken_encodings(case, rnd, batch):
+    """All 54 configurations of a broken encoding, twice, in a shuffled
+    order, in batches of 1, 3 and 512 entries: each variant prints as
+    ``replace(variant)``, which has no family, or both are refused with
+    the same ``ValueError``. Where the input's entries are not plain, its
+    variants print as a fresh copy does."""
+    g, sig = case
+    runs = enumerate_configs() * 2
+    rnd.shuffle(runs)
+    with mock.patch.object(writers, "_BATCH", batch):
+        for cfg in runs:
+            variant = outcome(apply_deltas, g, cfg, sig)
+            if isinstance(variant, InstanceGraph):
+                fresh = outcome(fileio.dumps_canonical, replace(variant))
+                assert outcome(fileio.dumps_canonical, variant) == fresh, sorted(cfg.selected)
+
+
+def test_a_family_holds_less_than_the_content_memo_did(tmp_path, monkeypatch):
+    """After the 54 saves of the ``variants`` benchmark's 446-node office
+    model (seed 3), the family that the graph holds is traced at no more
+    than the 0.72 MiB that the memo of each entry's text by its content
+    held."""
+    office = types.ModuleType("perfbench_office")
+    monkeypatch.setitem(sys.modules, office.__name__, office)  # which ``dataclass`` reads
+    # Executed from its source text, so nothing is written under perfbench/.
+    exec(compile(OFFICE.read_text(encoding="utf-8"), str(OFFICE), "exec"), office.__dict__)
+    sig_path = FIXTURES / "printer.sig.json"
+    model = office.office_model(3, 27, 115, 9, json.loads(sig_path.read_text(encoding="utf-8")))
+    path = tmp_path / "model.ig.json"
+    path.write_text(json.dumps(office.envelope("instancegraph", model.encoding)), encoding="utf-8")
+    g, sig = fileio.load_instance_graph(str(path)), fileio.load_signature(str(sig_path))
+    assert len(g.graph.nodes) == 446
+    tracemalloc.start()
+    try:
+        for cfg in enumerate_configs():
+            fileio.save(apply_deltas(g, cfg, sig), str(tmp_path / "variant.ig.json"))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del g._parts[writers.Family, ()]
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < held <= 0.72 * 2**20
+
+
 def _kin(nodes: dict, edges: dict, attrs: dict) -> InstanceGraph:
     """A graph of nodes ``n`` and ``m`` and edge ``e``: ``nodes`` gives the
     node types, ``edges`` the edge's ``src``, ``tgt`` and type."""
@@ -364,11 +443,14 @@ def _kin(nodes: dict, edges: dict, attrs: dict) -> InstanceGraph:
     return InstanceGraph(graph, nodes, {"e": edges["type"]}, attrs)
 
 
-def test_graphs_of_one_family_with_equal_ids_print_their_own_entries():
-    """Graphs that share a family and their ids, but not their ends, types,
-    or attribute names and values (equal values of other classes among
-    them), each print their own text: an entry's key holds every field,
-    with its class. A graph with ids that the family lacks sorts its own."""
+def test_a_graph_whose_record_apply_deltas_did_not_make_prints_its_own_entries():
+    """Graphs that share their ids with a graph that holds a family, but
+    not their ends, types, or attribute names and values (equal values of
+    other classes among them), each print their own text when their record
+    of that graph is made by hand, or is the record ``apply_deltas`` made
+    for that graph itself: only the graph that ``apply_deltas`` made a
+    record for prints from its input's family. A graph with ids that the
+    family lacks sorts its own."""
     ends, types = {"src": "n", "tgt": "m", "type": "bLink"}, {"n": "BNode", "m": "BPort"}
     kin = [_kin(types, ends, {}), _kin(types, {**ends, "src": "m"}, {}), _kin(types, {**ends, "tgt": "n"}, {})]
     kin += [_kin(types, {**ends, "type": t}, {}) for t in ("bPoints", None, ["bLink"])]
@@ -379,15 +461,18 @@ def test_graphs_of_one_family_with_equal_ids_print_their_own_entries():
     kin += [_kin(types, ends, {("m", "index"): 1}), _kin(types, ends, {("n", "index"): 1, ("n", "control"): "Job"})]
     wider = Graph(frozenset({"n", "m", "o"}), frozenset({"e", "d"}), {"e": "n", "d": "o"}, {"e": "m", "d": "m"})
     kin.append(InstanceGraph(wider, types, {"e": "bLink", "d": "bLink"}))
-    owner = kin[0]
-    family = owner._parts[writers.Family, ()] = writers.Family(owner)
-    for g in kin[1:]:
-        object.__setattr__(g, "_origin", _Origin(owner, FeatureConfig(), None))
+    owner, sig = kin[0], Signature((Control("Job"),), {"Job": 0})
+    for features in ({"ST", "EP", "PI"}, {"ST", "EP"}):  # each returns the owner itself, recorded
+        assert apply_deltas(owner, FeatureConfig(frozenset(features)), sig) is owner
+    family = owner._parts[writers.Family, ()]
+    made = owner._origin
+    for i, g in enumerate(kin[1:]):
+        object.__setattr__(g, "_origin", made if i % 2 else _Origin(owner, FeatureConfig(), None))
     texts = [fileio.dumps_canonical(replace(g)) for g in kin]
     assert len(set(texts)) == len(kin)
     for _ in range(2):
         assert [fileio.dumps_canonical(g) for g in kin] == texts
-    assert family.edges and family.nodes
+    assert family.ids == (["e"], ["m", "n"]) and family.texts == tuple(map(list, writers._entries(owner, *family.ids)))
 
 
 def test_a_checked_graph_forms_its_family_at_the_second_reconfiguration(g1, sig1, tg_sigma1):
@@ -416,10 +501,11 @@ def test_a_family_forms_at_the_second_reconfiguration(g1, sig1, tmp_path):
     assert variant._origin.input() is g and (writers.Family, ()) not in g._parts
     again = apply_deltas(g, second, sig1)
     family = g._parts[writers.Family, ()]
-    assert again._origin.input() is g and not family.edges and not family.nodes
+    assert again._origin.input() is g and family.ids is None and family.texts is None
     assert apply_deltas(variant, weak, sig1)._origin.input() is variant and (writers.Family, ()) not in variant._parts
     fileio.save(again, str(tmp_path / "second.ig.json"))
-    assert len(family.edges) == len(again.graph.edges) and len(family.nodes) == len(again.graph.nodes)
+    assert family.ids == (sorted(g.graph.edges), sorted(g.graph.nodes))
+    assert list(map(len, family.texts)) == [len(again.graph.edges), len(again.graph.nodes)]
     del g, family
     gc.collect()
     assert again._origin.input() is None
