@@ -10,7 +10,8 @@ instances of the same class, ``__repr__`` names every field, and
 assigning or deleting an attribute raises :class:`FrozenInstanceError`.
 ``replace`` copies a value with some fields changed, ``cls._fields``
 names the fields, and ``cls._adopt`` builds a value from fresh field
-values without copying them.
+values without copying or checking them. ``check_each`` and the ``is_*``
+predicates are the one type check that each ``__post_init__`` runs.
 
 The methods are closures over the field names: no source text is
 generated and compiled per class, and nothing here imports ``inspect``,
@@ -19,6 +20,7 @@ so a command-line child starts without either cost.
 
 from __future__ import annotations
 
+from itertools import filterfalse
 from operator import attrgetter
 from reprlib import recursive_repr
 
@@ -135,6 +137,44 @@ def frozen(cls):
     cls._adopt = classmethod(_adopt)
     cls._fields = names
     return cls
+
+
+def check_each(owner: object, field: str, fits, what: str, *columns) -> None:
+    """Raise ``TypeError`` when ``fits`` refuses a value of one of
+    ``columns`` (collections, each read again to name its offender): the
+    message names the class of ``owner``, the ``field`` and the first
+    refusing column's smallest refused value by ``repr``, so it does not
+    depend on the order of a set or dict."""
+    for values in columns:
+        if not all(map(fits, values)):
+            bad = min(filterfalse(fits, values), key=repr)
+            raise TypeError(f"{type(owner).__qualname__}.{field} holds {bad!r}, which is not {what}")
+
+
+def as_dict(value) -> dict:
+    """``dict(value)``, a copy of a mapping or the dict of a sequence of
+    pairs, that raises ``TypeError`` for any other value: also for a
+    sequence whose items are no pairs, where ``dict`` raises ``ValueError``."""
+    try:
+        return dict(value)
+    except ValueError as exc:
+        raise TypeError(str(exc)) from None
+
+
+#: ``isinstance(v, str)`` as a one-argument function that ``map`` calls
+#: without a Python frame.
+is_str = str.__instancecheck__
+
+
+def is_int(value: object) -> bool:
+    """Whether ``value`` is exactly an ``int`` (a ``bool`` is not)."""
+    return type(value) is int
+
+
+def is_scalar(value: object) -> bool:
+    """Whether ``value`` is exactly an ``int`` or a ``str``: an attribute
+    value, or a place."""
+    return type(value) is int or type(value) is str
 
 
 def replace(obj, /, **changes):

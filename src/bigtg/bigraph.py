@@ -17,8 +17,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 from itertools import chain, compress, repeat
 
-from ._value import field, frozen
-from .report import Finding
+from ._value import as_dict, check_each, field, frozen, is_int, is_scalar, is_str
 
 #: Node-type names of the base metamodel. Control names must not collide
 #: with these: the control-compatible extension unions controls into the
@@ -52,25 +51,38 @@ class Control:
 
     name: str
 
+    def __post_init__(self) -> None:
+        check_each(self, "name", is_str, "a str", (self.name,))
+
 
 @frozen
 class Signature:
-    """An ordered set of controls plus an arity (port count) for each."""
+    """An ordered set of controls plus an arity (port count) for each.
+
+    Construction copies ``controls`` to a tuple and ``arities`` to a dict,
+    and raises ``TypeError`` unless each control is a :class:`Control`,
+    each arity is keyed by a ``str`` and each arity is a non-negative
+    ``int`` (a ``bool`` is not); duplicate and reserved names are
+    :func:`make_signature`'s to refuse."""
 
     controls: tuple[Control, ...] = ()
     arities: Mapping[str, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        controls, arities = tuple(self.controls), as_dict(self.arities)
+        check_each(self, "controls", Control.__instancecheck__, "a Control", controls)
+        check_each(self, "arities", is_str, "a str", arities)
+        check_each(self, "arities", is_arity, "a non-negative int", arities.values())
+        object.__setattr__(self, "controls", controls)
+        object.__setattr__(self, "arities", arities)
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.controls)
 
-    def has_control(self, name: object) -> bool:
-        """Whether ``name`` is declared; a value that cannot be hashed,
-        such as a list, names no control."""
-        try:
-            return name in self.arities
-        except TypeError:
-            return False
+    def has_control(self, name: str | None) -> bool:
+        """Whether ``name`` is declared."""
+        return name in self.arities
 
     def arity(self, name: str) -> int:
         return self.arities[name]
@@ -78,17 +90,7 @@ class Signature:
 
 def is_arity(value: object) -> bool:
     """Whether ``value`` is a non-negative integer (a ``bool`` is not)."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def bad_arities(sig: Signature) -> list[Finding]:
-    """One ``sig-arity`` finding per arity of ``sig`` that is not a
-    non-negative integer, in the order of ``sig.arities``."""
-    return [
-        Finding("sig-arity", f"arity[{name}]", f"arity {arity!r} of {name!r} is not a non-negative integer")
-        for name, arity in sig.arities.items()
-        if not is_arity(arity)
-    ]
+    return type(value) is int and value >= 0
 
 
 def make_signature(pairs: Iterable[tuple[str, int]]) -> Signature:
@@ -122,9 +124,12 @@ class Interface:
     names: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
+        check_each(self, "width", is_int, "an int", (self.width,))
         if self.width < 0:
             raise ValueError("interface width must be non-negative")
-        object.__setattr__(self, "names", frozenset(self.names))
+        names = frozenset(self.names)
+        check_each(self, "names", is_str, "a str", names)
+        object.__setattr__(self, "names", names)
 
 
 Port = namedtuple("Port", ("node", "index"))
@@ -138,6 +143,12 @@ PlaceParent = str | int
 Point = str | Port
 
 
+def _is_point(key: object) -> bool:
+    """Whether ``key`` is a link key: a ``str``, or a :class:`Port` of a
+    ``str`` and an ``int``."""
+    return is_str(key) or (type(key) is Port and is_str(key[0]) and is_int(key[1]))
+
+
 @frozen
 class Bigraph:
     """A concrete pure bigraph over a basic signature.
@@ -146,6 +157,16 @@ class Bigraph:
     the interface above (roots and outer names). Values are treated as
     immutable after construction; derive modified copies instead of
     mutating in place.
+
+    Construction copies each set and map, makes each plain tuple that
+    keys ``link`` a :class:`Port`, and raises ``TypeError`` unless the
+    signature is a :class:`Signature`, the interfaces are
+    :class:`Interface` values, ids and controls are ``str``, each place
+    (a key or value of ``prnt``) is an ``int`` or a ``str`` but no
+    ``bool``, and each link key is a ``str`` or a ``Port`` of a ``str``
+    and an ``int``. A node without a control, a control the signature
+    does not declare, and every other broken rule are findings of
+    :func:`validate_bigraph`.
     """
 
     signature: Signature
@@ -158,14 +179,22 @@ class Bigraph:
     outer: Interface = Interface()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        object.__setattr__(self, "ctrl", dict(self.ctrl))
-        object.__setattr__(self, "prnt", dict(self.prnt))
-        link = {
-            (Port(*k) if isinstance(k, tuple) else k): v for k, v in self.link.items()
-        }
-        object.__setattr__(self, "link", link)
+        nodes, edges, ctrl, prnt, link = (
+            frozenset(self.nodes), frozenset(self.edges), as_dict(self.ctrl), as_dict(self.prnt), as_dict(self.link)
+        )
+        if not all(map(_is_point, link)):
+            link = {(Port(*k) if type(k) is tuple else k): v for k, v in link.items()}
+        check_each(self, "signature", Signature.__instancecheck__, "a Signature", (self.signature,))
+        check_each(self, "nodes", is_str, "a str", nodes)
+        check_each(self, "edges", is_str, "a str", edges)
+        check_each(self, "ctrl", is_str, "a str", ctrl, ctrl.values())
+        check_each(self, "prnt", is_scalar, "an int or a str", prnt, prnt.values())
+        check_each(self, "link", _is_point, "a str or a Port of a str and an int", link)
+        check_each(self, "link", is_str, "a str", link.values())
+        check_each(self, "inner", Interface.__instancecheck__, "an Interface", (self.inner,))
+        check_each(self, "outer", Interface.__instancecheck__, "an Interface", (self.outer,))
+        for name, value in zip(("nodes", "edges", "ctrl", "prnt", "link"), (nodes, edges, ctrl, prnt, link)):
+            object.__setattr__(self, name, value)
 
 
 def _ports(nodes: Iterable[object], arities: Iterable[int]) -> Iterator[Port]:
@@ -175,20 +204,18 @@ def _ports(nodes: Iterable[object], arities: Iterable[int]) -> Iterator[Port]:
     return map(tuple.__new__, repeat(Port), chain.from_iterable(map(zip, map(repeat, nodes), map(range, arities))))
 
 
-def _port_counts(b: Bigraph) -> dict[object, int]:
+def _port_counts(b: Bigraph) -> dict[str, int]:
     """The number of ports of each node whose control is declared: the
-    control's arity, or 0 when that is not a non-negative integer."""
+    control's arity."""
     sig = b.signature
-    arities = {c: arity for c, arity in sig.arities.items() if is_arity(arity)}
     controls = list(map(b.ctrl.get, b.nodes))
     declared = list(map(sig.has_control, controls))
-    return dict(zip(compress(b.nodes, declared), map(arities.get, compress(controls, declared), repeat(0))))
+    return dict(zip(compress(b.nodes, declared), map(sig.arities.__getitem__, compress(controls, declared))))
 
 
 def ports_of(b: Bigraph) -> set[Port]:
     """All ports of ``b``: one per node and arity slot of its control. A
-    node whose control is missing or undeclared, or whose arity is not a
-    non-negative integer, has none."""
+    node whose control is missing or undeclared has none."""
     counts = _port_counts(b)
     return set(_ports(counts, counts.values()))
 
@@ -199,9 +226,8 @@ def _fmt_point(p: Point) -> str:
     return str(p)
 
 
-#: ``isinstance(v, str)`` and ``isinstance(v, Port)`` as one-argument
-#: functions that ``map`` and ``filter`` call without a Python frame.
-_is_str = str.__instancecheck__
+#: ``isinstance(v, Port)`` as a one-argument function that ``map`` and
+#: ``filter`` call without a Python frame.
 _is_port = Port.__instancecheck__
 
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from collections.abc import Callable, Mapping
 
 from ._value import frozen
-from .typedgraph import InstanceGraph, TypeGraph, all_sub, conforms, mult_of
+from .typedgraph import InstanceGraph, TypeGraph, all_sub, conforms
 
 KEYWORDS = frozenset(
     {
@@ -42,6 +43,17 @@ INTEGER_TYPE = "integer"
 
 #: Deepest syntax tree an invariant may have.
 MAX_DEPTH = 200
+
+#: Expressions the parser opens inside one another (each operand, body and
+#: parenthesized expression opens one) before it refuses a document as
+#: nested too deeply: a printed invariant takes at most two per level, so
+#: one up to twice ``MAX_DEPTH`` levels deep is measured and named.
+_MAX_OPEN = 4 * MAX_DEPTH
+
+#: Frames the parser may take beyond its caller's: at most three per open
+#: expression (``parse_expr``, ``parse_postfix``, ``parse_primary``), and
+#: a few at the innermost.
+_PARSER_FRAMES = 3 * _MAX_OPEN + 50
 
 
 class ConstraintSyntaxError(Exception):
@@ -292,6 +304,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.open = 0  # expressions being parsed, one inside another
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -346,6 +359,9 @@ class _Parser:
         binds that tightly, or else a postfix chain, then each infix
         connective that binds that tightly and takes what precedes it as
         its left operand."""
+        self.open += 1
+        if self.open > _MAX_OPEN:
+            raise self.error("expression nested too deeply")
         cls = _PREFIX.get(self.peek().value)
         if cls is not None and _SYNTAX[cls][1] >= least:
             self.advance()
@@ -364,10 +380,11 @@ class _Parser:
         while (cls := _INFIX.get(self.peek().value)) is not None:
             _, op_prec, subs = _SYNTAX[cls]
             if op_prec < least or prec < subs["left"]:
-                return left
+                break
             op = self.advance().value
             right = self.parse_expr(subs["right"])
             left, prec = (Compare(op, left, right) if cls is Compare else cls(left, right)), op_prec
+        self.open -= 1
         return left
 
     def parse_postfix(self) -> Expr:
@@ -444,16 +461,22 @@ def parse_constraints(text: str) -> ConstraintDoc:
     """Parse a constraint document; errors carry line and column.
 
     An invariant deeper than ``MAX_DEPTH`` levels is a syntax error too,
-    as compilation, evaluation and printing recurse at every level. The
-    parser takes each level of an invariant within ``MAX_DEPTH`` in a few
-    frames, so every document that ``format_constraints`` prints parses
-    back; only redundant parentheses nested several hundred deep exhaust
-    it, and they give ``expression nested too deeply``."""
+    named with its depth, as compilation, evaluation and printing recurse
+    at every level. The parser opens at most ``_MAX_OPEN`` expressions one
+    inside another, and refuses more at the token where it would open the
+    next as ``expression nested too deeply``: only redundant parentheses,
+    or an invariant several hundred levels deeper than ``MAX_DEPTH``,
+    reach that. Its stack is bounded by that count, not by where the
+    caller's stack starts: the recursion limit is raised by what the
+    parser may take while it runs, so every document parses alike from
+    any caller."""
     parser = _Parser(_tokenize(text))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + _PARSER_FRAMES)
     try:
         return parser.parse_doc()
-    except RecursionError:
-        raise parser.error("expression nested too deeply") from None
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +567,7 @@ def _compile(expr: Expr, env_types: Mapping[str, tuple], tg: TypeGraph) -> tuple
             raise TypeCheckError(f"edge type {edge!r} lacks a node type as src or tgt")
         if not conforms(tg, ot[1], source):
             raise TypeCheckError(f"edge type {edge!r} not applicable to {ot[1]!r}")
-        single = getattr(mult_of(tg, edge), "ub", None) == 1
+        single = getattr(tg.mult.get(edge), "ub", None) == 1
 
         def navigate(env: dict, g: InstanceGraph, trace: list) -> object:
             start = obj(env, g, trace)

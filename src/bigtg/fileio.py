@@ -157,7 +157,7 @@ def _read_interface(value: Any) -> Interface:
     names, width = _record(value, ("names", "width"))
     if _as(int, width, "width") < 0:
         raise _Fault("width must be non-negative", "width")
-    return Interface(width, _distinct(names, "interface names must be distinct", "names"))
+    return Interface._adopt(width, _distinct(names, "interface names must be distinct", "names"))
 
 
 def _place_ref(value: Any, *at: str | int) -> int | str:
@@ -200,16 +200,8 @@ def _read_bigraph(payload: Any) -> Bigraph:
 
     _each(prnt_raw, read_parent, "prnt")
     _each(link_raw, read_link, "link")
-    return Bigraph(
-        signature=sig,
-        nodes=nodes,
-        edges=edges,
-        ctrl=ctrl,
-        prnt=prnt,
-        link=link,
-        inner=_within(_read_interface, inner, "inner"),
-        outer=_within(_read_interface, outer, "outer"),
-    )
+    inner, outer = _within(_read_interface, inner, "inner"), _within(_read_interface, outer, "outer")
+    return Bigraph._adopt(sig, nodes, edges, ctrl, prnt, link, inner, outer)
 
 
 # ---------------------------------------------------------------------------
@@ -277,16 +269,16 @@ def _read_typegraph(payload: Any) -> TypeGraph:
 
     _each(node_types, read_node_type, "nodeTypes")
     _each(edge_types, read_edge_type, "edgeTypes")
-    return TypeGraph(
-        graph=Graph(nodes=frozenset(nodes), edges=frozenset(src), src=src, tgt=tgt),
-        inherits=_name_pairs(inherits, "expected a [subtype, supertype] pair", nodes, "unknown node type", "inherits"),
-        abstracts=abstracts,
-        containments=containments,
-        opposites=symmetric_pairs(
-            _name_pairs(opposites, "expected an [edge, edge] pair", src, "unknown edge type", "opposites")
-        ),
-        mult=mult,
-        attr_decls=attr_decls,
+    inherits = _name_pairs(inherits, "expected a [subtype, supertype] pair", nodes, "unknown node type", "inherits")
+    opposites = _name_pairs(opposites, "expected an [edge, edge] pair", src, "unknown edge type", "opposites")
+    return TypeGraph._adopt(
+        Graph._adopt(frozenset(nodes), frozenset(src), src, tgt),
+        frozenset(inherits),
+        frozenset(abstracts),
+        frozenset(containments),
+        symmetric_pairs(opposites),
+        mult,
+        attr_decls,
     )
 
 
@@ -392,11 +384,11 @@ def _read_instancegraph(payload: Any) -> InstanceGraph:
     owners = chain.from_iterable(map(repeat, ids, map(len, attr_objs)))
     values = chain.from_iterable(map(dict.values, attr_objs))
     src = dict(zip(eids, srcs))
-    return InstanceGraph(
-        graph=Graph(nodes=frozenset(node_types), edges=frozenset(src), src=src, tgt=dict(zip(eids, tgts))),
-        node_types=node_types,
-        edge_types=dict(zip(eids, edge_types)),
-        attrs=dict(zip(zip(owners, chain.from_iterable(attr_objs)), values)),
+    return InstanceGraph._adopt(
+        Graph._adopt(frozenset(node_types), frozenset(src), src, dict(zip(eids, tgts))),
+        node_types,
+        dict(zip(eids, edge_types)),
+        dict(zip(zip(owners, chain.from_iterable(attr_objs)), values)),
     )
 
 
@@ -453,7 +445,8 @@ def dumps_canonical(value: object) -> str:
     from the value. Raises ``ValueError`` for what the format cannot
     write, naming the smallest offender: ``edge <e> has no src`` (or
     ``tgt``) and ``attribute <a> of <n> has no node`` in an instance graph,
-    ``edge type <e> has no src`` (or ``tgt``, ``mult``) in a type graph."""
+    ``edge type <e> has no src`` (or ``tgt``, ``mult``) in a type graph,
+    and ``control <c> has no arity`` in a signature, a bigraph's too."""
     return "".join(_chunks(value))
 
 

@@ -187,13 +187,8 @@ def encode(b: Bigraph) -> tuple[InstanceGraph, ElementMap]:
                 raise InvalidBigraph(report_from([finding]))
             seen.add(eid)
 
-    g = InstanceGraph(
-        graph=Graph(nodes=frozenset(fwd.values()), edges=frozenset(etypes), src=src, tgt=tgt),
-        node_types=ntypes,
-        edge_types=etypes,
-        attrs=attrs,
-    )
-    return g, ElementMap(fwd)
+    g = InstanceGraph._adopt(Graph._adopt(frozenset(fwd.values()), frozenset(etypes), src, tgt), ntypes, etypes, attrs)
+    return g, ElementMap._adopt(fwd)
 
 
 def _strip_prefix(kind: str, gid: str) -> str:
@@ -226,8 +221,8 @@ def decode(g: InstanceGraph, sig: Signature) -> tuple[Bigraph, ElementMap]:
     explicit roots/sites/ports, and complete gap-free index attributes.
     A graph that fails :func:`conformance` raises :class:`NotCanonical`
     with the findings; among them ``attr-owner`` for an attribute whose
-    owner is not a node, which the rebuild would drop, and ``sig-arity``
-    for an arity of ``sig`` that is not a non-negative integer. The
+    owner is not a node, which the rebuild would drop, and ``arity`` for
+    a node that does not own as many ports as its control's arity. The
     checkers keep their reports on ``g`` (:func:`keeps_report`), so after
     a caller's own ``conformance(g, extend_for_signature(sig), sig)``,
     or the four checks it runs, the check here costs four identity
@@ -302,17 +297,17 @@ def decode(g: InstanceGraph, sig: Signature) -> tuple[Bigraph, ElementMap]:
             if key not in prnt:
                 raise NotCanonical(f"{kind} {key} has no parent")
 
-    b = Bigraph(
-        signature=sig,
-        nodes=frozenset(keys[K_NODE]),
-        edges=frozenset(keys[K_EDGE]),
-        ctrl={v: g.node_types[gid] for v, gid in keys[K_NODE].items()},
-        prnt=prnt,
-        link=link,
-        inner=Interface(len(keys[K_SITE]), frozenset(keys[K_INNER])),
-        outer=Interface(len(keys[K_ROOT]), frozenset(keys[K_OUTER])),
+    b = Bigraph._adopt(
+        sig,
+        frozenset(keys[K_NODE]),
+        frozenset(keys[K_EDGE]),
+        {v: g.node_types[gid] for v, gid in keys[K_NODE].items()},
+        prnt,
+        link,
+        Interface._adopt(len(keys[K_SITE]), frozenset(keys[K_INNER])),
+        Interface._adopt(len(keys[K_ROOT]), frozenset(keys[K_OUTER])),
     )
-    return b, ElementMap(fwd)
+    return b, ElementMap._adopt(fwd)
 
 
 def __getattr__(name: str) -> object:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from weakref import ref
 
-from .bigraph import BASE_NODE_TYPE_NAMES, ReservedControlName, Signature, bad_arities, is_arity
+from .bigraph import BASE_NODE_TYPE_NAMES, ReservedControlName, Signature
 from .report import Finding, ValidationReport, report_from
 from .typedgraph import (
     Graph,
@@ -115,23 +115,20 @@ def extend_for_signature(sig: Signature) -> TypeGraph:
 
 @keeps_report
 def check_arity_rule(g: InstanceGraph, tg: TypeGraph, sig: Signature) -> ValidationReport:
-    """Every node typed by a control must own exactly ``arity`` port edges.
-    An arity that is not a non-negative integer gives one ``sig-arity``
-    finding, as :func:`validate_bigraph` gives it, and the nodes of that
-    control are not counted; so are the nodes of a control without an
-    arity. The report is kept on ``g`` (:func:`keeps_report`) for these
-    very ``tg`` and ``sig``, so ``sig.arities`` must not change in place.
+    """Every node typed by a control must own exactly ``arity`` port edges:
+    one ``arity`` finding per node that does not. The nodes of a control
+    without an arity are not counted. The report is kept on ``g``
+    (:func:`keeps_report`) for these very ``tg`` and ``sig``.
 
     Cost: the arity is one more multiplicity: the controls that share an
     arity ``a`` share one ``[a,a]`` bound on ``bPorts``, which
     :func:`_bound_findings` tests, and walks only when it fails."""
     controls: dict[int, set[str]] = {}
     for c in sig.names:
-        arity = sig.arities.get(c)
-        if c in tg.node_types and is_arity(arity):
-            controls.setdefault(arity, set()).add(c)
+        if c in tg.node_types and c in sig.arities:
+            controls.setdefault(sig.arities[c], set()).add(c)
     bounds = [("bPorts", of_arity, Multiplicity(a, a)) for a, of_arity in controls.items()]
-    return report_from(bad_arities(sig) + _bound_findings(g, bounds, _arity_finding))
+    return report_from(_bound_findings(g, bounds, _arity_finding))
 
 
 def _arity_finding(n: str, t: str, te: str, m: Multiplicity, count: int) -> Finding:

@@ -10,11 +10,11 @@ which :mod:`bigtg.mapping` loads on first access to
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from itertools import chain, compress, filterfalse, repeat
 from operator import and_, eq, itemgetter, lt, ne, not_, or_
 
-from .bigraph import Bigraph, Port, _is_str, is_arity, validate_bigraph
+from .bigraph import Bigraph, Port, validate_bigraph
 from .mapping import _KINDS, K_NODE, K_PORT, K_ROOT, K_SITE, ElementMap, _relations, elements_of
 from .report import Finding, ValidationReport, report_from
 from .typedgraph import InstanceGraph
@@ -31,12 +31,9 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
     consistency of root, site and port index attributes. Defects in the
     map itself (non-bijectivity, dangling images) are reported too rather
     than assumed away. Edges with a missing end are skipped
-    (``check_typing`` reports them). A bigraph with an identifier that is
-    not a string, a node that has no control, a control that its
-    signature does not declare, or a parent or link target that cannot be
-    hashed, has no elements to align: its :func:`validate_bigraph`
-    findings come back, as they do for a signature with an arity that is
-    not a non-negative integer.
+    (``check_typing`` reports them). A bigraph with a node that has no
+    control, or a control that its signature does not declare, has no
+    elements to align: its :func:`validate_bigraph` findings come back.
 
     Cost: C-level passes compare whole columns: the map's keys with the
     bigraph's elements (set differences), its images with the graph's
@@ -48,12 +45,7 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
     nesting, linking and port ownership (their groups in ``g.edge_view``).
     """
     ctrl, sig = b.ctrl, b.signature
-    if not (
-        all(map(_is_str, chain(b.nodes, b.edges, b.inner.names, b.outer.names)))
-        and all(map(sig.has_control, map(ctrl.get, b.nodes)))
-        and all(map(is_arity, sig.arities.values()))
-        and _hashable(chain(b.prnt.values(), b.link.values()))
-    ):
+    if not all(map(sig.has_control, map(ctrl.get, b.nodes))):
         return validate_bigraph(b)
     findings: list[Finding] = []
 
@@ -180,15 +172,6 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
         findings.extend(map(itemgetter(1), sorted(flagged, key=itemgetter(0))))
 
     return report_from(findings)
-
-
-def _hashable(values: Iterable[object]) -> bool:
-    """Whether every value can be hashed: hashing their tuple hashes each."""
-    try:
-        hash(tuple(values))
-    except TypeError:
-        return False
-    return True
 
 
 def _by_first(item: tuple[object, ...]) -> str:

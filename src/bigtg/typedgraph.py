@@ -19,7 +19,7 @@ from functools import cached_property, wraps
 from itertools import chain, compress, repeat
 from operator import is_, is_not, itemgetter
 
-from ._value import field, frozen
+from ._value import as_dict, check_each, field, frozen, is_int, is_scalar, is_str
 from .report import Finding, ValidationReport, report_from
 
 TYPE_CHECKING = False  # read as true by static type checkers only
@@ -43,10 +43,13 @@ class Graph:
     tgt: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        object.__setattr__(self, "src", dict(self.src))
-        object.__setattr__(self, "tgt", dict(self.tgt))
+        nodes, edges, src, tgt = frozenset(self.nodes), frozenset(self.edges), as_dict(self.src), as_dict(self.tgt)
+        check_each(self, "nodes", is_str, "a str", nodes)
+        check_each(self, "edges", is_str, "a str", edges)
+        check_each(self, "src", is_str, "a str", src, src.values())
+        check_each(self, "tgt", is_str, "a str", tgt, tgt.values())
+        for name, value in zip(("nodes", "edges", "src", "tgt"), (nodes, edges, src, tgt)):
+            object.__setattr__(self, name, value)
 
 
 @frozen
@@ -57,6 +60,8 @@ class Multiplicity:
     ub: int | None = None
 
     def __post_init__(self) -> None:
+        check_each(self, "lb", is_int, "an int", (self.lb,))
+        check_each(self, "ub", is_int, "an int or None", () if self.ub is None else (self.ub,))
         if self.lb < 0:
             raise ValueError("multiplicity lower bound must be non-negative")
         if self.ub is not None and self.ub < self.lb:
@@ -64,6 +69,11 @@ class Multiplicity:
 
     def render(self) -> str:
         return f"[{self.lb},{'*' if self.ub is None else self.ub}]"
+
+
+def _is_pair(value: object) -> bool:
+    """Whether ``value`` is a tuple of two ``str``."""
+    return type(value) is tuple and len(value) == 2 and is_str(value[0]) and is_str(value[1])
 
 
 def symmetric_pairs(pairs: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
@@ -89,14 +99,21 @@ class TypeGraph:
     attr_decls: Mapping[str, Mapping[str, str]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "inherits", frozenset(self.inherits))
-        object.__setattr__(self, "abstracts", frozenset(self.abstracts))
-        object.__setattr__(self, "containments", frozenset(self.containments))
-        object.__setattr__(self, "opposites", frozenset(self.opposites))
-        object.__setattr__(self, "mult", dict(self.mult))
-        object.__setattr__(
-            self, "attr_decls", {t: dict(a) for t, a in self.attr_decls.items()}
+        inherits, abstracts, containments, opposites = map(
+            frozenset, (self.inherits, self.abstracts, self.containments, self.opposites)
         )
+        mult, attr_decls = as_dict(self.mult), {t: as_dict(a) for t, a in as_dict(self.attr_decls).items()}
+        check_each(self, "graph", Graph.__instancecheck__, "a Graph", (self.graph,))
+        check_each(self, "inherits", _is_pair, "a pair of str", inherits)
+        check_each(self, "abstracts", is_str, "a str", abstracts)
+        check_each(self, "containments", is_str, "a str", containments)
+        check_each(self, "opposites", _is_pair, "a pair of str", opposites)
+        check_each(self, "mult", is_str, "a str", mult)
+        check_each(self, "mult", Multiplicity.__instancecheck__, "a Multiplicity", mult.values())
+        check_each(self, "attr_decls", is_str, "a str", attr_decls, *attr_decls.values(), *map(dict.values, attr_decls.values()))
+        names = ("inherits", "abstracts", "containments", "opposites", "mult", "attr_decls")
+        for name, value in zip(names, (inherits, abstracts, containments, opposites, mult, attr_decls)):
+            object.__setattr__(self, name, value)
 
     @property
     def node_types(self) -> frozenset[str]:
@@ -142,37 +159,18 @@ class EdgeView:
     group in the iteration order of ``g.graph.nodes``. Built in C-level
     passes. The edges of one edge type grouped by source, which
     constraint navigation reads, are built the first time that edge type
-    is asked for (:meth:`by_source`) and kept.
+    is asked for (:meth:`by_source`) and kept."""
 
-    The checkers read node and edge types from ``node_types`` and
-    ``edge_types`` (and the ``type`` column): ``g.node_types`` and
-    ``g.edge_types`` themselves, or, when some type cannot be hashed (a
-    list, say), a copy in which each such type is a stand-in that prints
-    as that type and equals only itself, so it is a type that no type
-    graph has."""
-
-    __slots__ = (
-        "edges", "src", "tgt", "edge_types", "type", "by_type", "sources", "node_types", "by_node_type", "_by_source"
-    )
+    __slots__ = ("edges", "src", "tgt", "type", "by_type", "sources", "by_node_type", "_by_source")
 
     def __init__(self, g: InstanceGraph) -> None:
         self.edges = edges = tuple(g.graph.edges)
         self.src = list(map(g.graph.src.get, edges))
         self.tgt = list(map(g.graph.tgt.get, edges))
-        self.edge_types, self.type = g.edge_types, list(map(g.edge_types.get, edges))
-        try:
-            self.by_type = _grouped(self.type, edges)
-        except TypeError:  # an edge type that cannot be hashed
-            self.edge_types = _stand_ins(g.edge_types)
-            self.type = list(map(self.edge_types.get, edges))
-            self.by_type = _grouped(self.type, edges)
+        self.type = list(map(g.edge_types.get, edges))
+        self.by_type = _grouped(self.type, edges)
         self.sources = _grouped(self.type, self.src)
-        self.node_types = g.node_types
-        try:
-            self.by_node_type = _grouped(list(map(g.node_types.get, g.graph.nodes)), g.graph.nodes)
-        except TypeError:  # a node type that cannot be hashed
-            self.node_types = _stand_ins(g.node_types)
-            self.by_node_type = _grouped(list(map(self.node_types.get, g.graph.nodes)), g.graph.nodes)
+        self.by_node_type = _grouped(list(map(g.node_types.get, g.graph.nodes)), g.graph.nodes)
         self._by_source: dict[Hashable, dict[Hashable, list[str]]] = {}
 
     def by_source(self, edge_type: Hashable) -> dict[Hashable, list[str]]:
@@ -183,35 +181,6 @@ class EdgeView:
             sources = self.sources.get(edge_type, [])
             groups = self._by_source[edge_type] = _grouped(sources, self.by_type.get(edge_type, ()))
         return groups
-
-
-class _Unhashable:
-    """The stand-in for a node or edge type that cannot be hashed (see
-    :class:`EdgeView`)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: object) -> None:
-        self.value = value
-
-    def __repr__(self) -> str:
-        return repr(self.value)
-
-
-def _stand_in(value: object) -> object:
-    """``value``, or its :class:`_Unhashable` stand-in when it cannot be
-    hashed."""
-    try:
-        hash(value)
-    except TypeError:
-        return _Unhashable(value)
-    return value
-
-
-def _stand_ins(types: Mapping[str, object]) -> dict[str, object]:
-    """A copy of ``types`` with each type that cannot be hashed replaced
-    by its stand-in."""
-    return dict(zip(types, map(_stand_in, types.values())))
 
 
 def _grouped(keys: list[Hashable], values: Iterable[Any]) -> dict[Hashable, list[Any]]:
@@ -241,6 +210,13 @@ class InstanceGraph:
     query, check or reconfiguration; build a new value (through the
     constructor or ``bigtg.replace``) instead.
     A variant shares the dicts it did not change with its input.
+
+    Construction copies each dict and raises ``TypeError`` unless
+    ``graph`` is a :class:`Graph`, ids and types are ``str``, each
+    attribute is keyed by a tuple of two ``str`` (its owner and its name)
+    and each attribute value is exactly an ``int`` or a ``str``, as the
+    readers give them. A missing type or end, an owner that is not a
+    node, and an id the graph lacks are findings of the checkers.
     """
 
     graph: Graph
@@ -249,9 +225,15 @@ class InstanceGraph:
     attrs: Mapping[tuple[str, str], int | str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "node_types", dict(self.node_types))
-        object.__setattr__(self, "edge_types", dict(self.edge_types))
-        object.__setattr__(self, "attrs", dict(self.attrs))
+        node_types, edge_types, attrs = as_dict(self.node_types), as_dict(self.edge_types), as_dict(self.attrs)
+        check_each(self, "graph", Graph.__instancecheck__, "a Graph", (self.graph,))
+        check_each(self, "node_types", is_str, "a str", node_types, node_types.values())
+        check_each(self, "edge_types", is_str, "a str", edge_types, edge_types.values())
+        check_each(self, "attrs", _is_pair, "a pair of str", attrs)
+        check_each(self, "attrs", is_scalar, "an int or a str", attrs.values())
+        object.__setattr__(self, "node_types", node_types)
+        object.__setattr__(self, "edge_types", edge_types)
+        object.__setattr__(self, "attrs", attrs)
 
     @cached_property
     def edge_view(self) -> EdgeView:
@@ -334,13 +316,6 @@ def declared_attrs(tg: TypeGraph, t: str) -> dict[str, str]:
     return merged
 
 
-def mult_of(tg: TypeGraph, edge_type: str) -> Multiplicity | None:
-    """The multiplicity of ``edge_type``; ``None`` when it has none, and
-    when its bound is not a :class:`Multiplicity`, which is no bound."""
-    m = tg.mult.get(edge_type)
-    return m if isinstance(m, Multiplicity) else None
-
-
 def keeps_report(checker: Callable[..., ValidationReport]) -> Callable[..., ValidationReport]:
     """Make a checker of an instance graph keep its report on the graph.
 
@@ -360,8 +335,7 @@ def keeps_report(checker: Callable[..., ValidationReport]) -> Callable[..., Vali
     checker, when the checker is ``check_typing``, ``check_validity`` or
     ``check_multiplicities``, its type graph ``==`` the one that
     ``derive_type_graph(annotate_150(extend_for_signature(sig)), cfg)``
-    gives, every control of ``sig`` is named by a ``str`` and
-    ``extend_for_signature`` accepts ``sig``, and the graph's input is
+    gives, ``extend_for_signature`` accepts ``sig``, and the graph's input is
     alive and passes those three checks against
     ``extend_for_signature(sig)``: one check per set of control names, at
     the first such miss, which may fill this very slot (the graph may be
@@ -431,7 +405,7 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     :func:`walk_suspects`). The report is kept on ``g``
     (:func:`keeps_report`)."""
     view = g.edge_view
-    nodes, nt = g.graph.nodes, view.node_types
+    nodes, nt = g.graph.nodes, g.node_types
 
     def check_node(n: str) -> list[Finding]:
         t = nt.get(n)
@@ -475,7 +449,7 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
                 findings.append(Finding("typing-edge-ends", f"{role}[{e}]", "edge has no " + role))
             elif end not in nodes:
                 findings.append(Finding("typing-edge-ends", f"{role}[{e}]", f"edge {role} {end!r} is not a node"))
-        te = view.edge_types.get(e)
+        te = g.edge_types.get(e)
         if te is None:
             return findings + [Finding("typing-total", e, "edge has no type")]
         if te not in tg.edge_types:
@@ -540,13 +514,12 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     if None in kinds or len(nt) != len(nodes):
         findings += [Finding("typing-domain", n, "typing entry for unknown node") for n in sorted(nt.keys() - nodes)]
 
-    # A missing end reads None, which is no node unless a node is named None.
+    # A missing end reads None, which is no node.
     edges, srcs, tgts, types = view.edges, view.src, view.tgt, view.type
     src_types, tgt_types = list(map(nt.get, srcs)), list(map(nt.get, tgts))
     if (
         not nodes.issuperset(srcs)
         or not nodes.issuperset(tgts)
-        or None in nodes
         or not all(end_fits(te, t, 0) for te, t in set(zip(types, src_types)))
         or not all(end_fits(te, t, 1) for te, t in set(zip(types, tgt_types)))
     ):
@@ -740,7 +713,7 @@ def _bound_findings(
             counted[te] = Counter(view.sources.get(te, ()))
     findings: list[Finding] = []
     for n in sorted(g.graph.nodes) if failing else ():
-        t = view.node_types.get(n)
+        t = g.node_types.get(n)
         for te, types, m in failing:
             count = counted[te][n]
             if t in types and not (m.lb <= count and (m.ub is None or count <= m.ub)):
@@ -751,7 +724,7 @@ def _bound_findings(
 @keeps_report
 def check_multiplicities(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     """Per-source-node bounds on outgoing edges of each applicable type.
-    Edge types without a multiplicity (:func:`mult_of`), or without a node
+    Edge types without a multiplicity, or without a node
     type as ``src``, are skipped (``check_type_graph`` reports them). The report is kept on
     ``g`` (:func:`keeps_report`).
 
@@ -761,7 +734,7 @@ def check_multiplicities(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     kinds = {t for t in g.edge_view.by_node_type if t is not None and t in tg.node_types}
     bounds = []
     for te in sorted(tg.edge_types):
-        m, decl = mult_of(tg, te), tg.graph.src.get(te)
+        m, decl = tg.mult.get(te), tg.graph.src.get(te)
         if m is not None and decl in tg.node_types and (m.lb > 0 or m.ub is not None):
             bounds.append((te, {t for t in kinds if conforms(tg, t, decl)}, m))
     return report_from(_bound_findings(g, bounds, _mult_finding))

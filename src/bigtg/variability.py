@@ -21,10 +21,10 @@ from operator import eq, itemgetter
 from weakref import ref
 
 from ._value import field, frozen, replace
-from .bigraph import BASE_NODE_TYPE_NAMES, Control, ReservedControlName, Signature
+from .bigraph import BASE_NODE_TYPE_NAMES, ReservedControlName, Signature
 from .metamodel import NotCanonical, conformance, extend_for_signature
 from .report import Finding, ValidationReport, report_from
-from .typedgraph import Graph, InstanceGraph, Multiplicity, TypeGraph, _grouped, _stand_in
+from .typedgraph import Graph, InstanceGraph, Multiplicity, TypeGraph, _grouped
 
 TYPE_CHECKING = False  # read as true by static type checkers only
 if TYPE_CHECKING:
@@ -381,15 +381,9 @@ def _family_type_graph(g: InstanceGraph, sig: Signature, cfg: FeatureConfig) -> 
     more of ``sig`` than its control names, so the verdict is kept in
     ``g._parts`` per set of them, without the arity rule, beside each
     derived type graph, and each is reached at the first call that needs
-    it. Only a :class:`Signature` of :class:`Control` values named by a
-    ``str``, which ``extend_for_signature`` accepts, is trusted: under
-    weak typing a control named ``5`` becomes a ``control`` attribute that
-    is no string, and a malformed signature must not make a check raise."""
-    if not (
-        isinstance(sig, Signature)
-        and isinstance(sig.controls, tuple)
-        and all(type(c) is Control and type(c.name) is str for c in sig.controls)
-    ):
+    it. An argument that is no :class:`Signature`, and a signature that
+    ``extend_for_signature`` refuses, have none."""
+    if not isinstance(sig, Signature):
         return None
     parts, key = g._parts, (_family_type_graph, sig.names)
     family = parts.get(key)
@@ -451,10 +445,7 @@ def _retyped(g: InstanceGraph, controls: frozenset[str]) -> tuple[dict[str, str]
     """Each node typed by one of ``controls`` mapped to ``BNode``, and its
     ``control`` attribute, in the order of ``g.node_types``."""
     nodes = g.graph.nodes
-    try:
-        retyped = {n: t for n, t in g.node_types.items() if n in nodes and t in controls}
-    except TypeError:  # a node type that cannot be hashed is no control
-        retyped = {n: t for n, t in g.node_types.items() if n in nodes and _stand_in(t) in controls}
+    retyped = {n: t for n, t in g.node_types.items() if n in nodes and t in controls}
     return dict.fromkeys(retyped, "BNode"), dict(zip(zip(retyped, repeat("control")), retyped.values()))
 
 
@@ -510,11 +501,7 @@ def _rewired(g: InstanceGraph, gone: int) -> tuple[str | None, tuple[list[str], 
     ports = sorted(_kept(g, _group, "BPort")[0])
     port = _BIT["BPort"]
     live = [e for touched, edges in _kept(g, _touching).items() if touched & port and not touched & gone for e in edges]
-    types = list(map(g.edge_types.get, live))
-    try:
-        of_type = _grouped(types, live)
-    except TypeError:  # an edge type that cannot be hashed is none of the three read here
-        of_type = _grouped(list(map(_stand_in, types)), live)
+    of_type = _grouped(list(map(g.edge_types.get, live)), live)
     owned, linked, pointing = (of_type.get(t, []) for t in ("bNode", "bLink", "bPoints"))
     src, tgt = g.graph.src, g.graph.tgt
     ownership, owner_of = Counter(map(src.get, owned)), dict(zip(map(src.get, owned), map(tgt.get, owned)))

@@ -14,40 +14,32 @@ from collections.abc import Container, Mapping
 from itertools import chain, compress, filterfalse, repeat
 from operator import and_, is_, itemgetter, not_
 
-from .bigraph import Bigraph, PlaceChild, Point, _fmt_point, _is_port, _is_str, _port_counts, _ports, bad_arities
+from ._value import is_str
+from .bigraph import Bigraph, PlaceChild, Point, _fmt_point, _is_port, _port_counts, _ports
 from .report import Finding, ValidationReport, report_from
-from .typedgraph import ATTR_TYPES, TypeGraph, _cycles, _parents, _reaches_cycle, mult_of
+from .typedgraph import ATTR_TYPES, TypeGraph, _cycles, _parents, _reaches_cycle
 
 TYPE_CHECKING = False  # read as true by static type checkers only
 if TYPE_CHECKING:
     from typing import Any
 
 
-def _id_order(v: object) -> tuple[str, str]:
-    """Sort key of an identifier: its text, then its type's name. Strings
-    sort as they do on their own, and a mix of strings and other values
-    sorts without a ``TypeError``."""
-    return str(v), type(v).__name__
-
-
 def _named(m: Mapping[Any, object], names: Container[str]) -> dict[Any, str]:
-    """The entries of ``m`` whose value is a string in ``names``, in the
-    order of ``m``, picked by C-level passes. A value that is no string is
-    never hashed, so an unhashable one is left out, not raised on."""
-    strs = dict(compress(m.items(), map(_is_str, m.values())))
-    return dict(compress(strs.items(), map(names.__contains__, strs.values())))
+    """The entries of ``m`` whose value is in ``names``, in the order of
+    ``m``, picked by a C-level pass."""
+    return dict(compress(m.items(), map(names.__contains__, m.values())))
 
 
 def validate_bigraph(b: Bigraph) -> ValidationReport:
     """Check every structural invariant of a bigraph.
 
     Violations come back as report entries; an empty report means the
-    bigraph is well-formed. The codes: ``sig-arity``; ``id-type``, one per
-    node, edge, inner name or outer name that is not a string;
-    ``id-overlap``; ``ctrl-total``, ``ctrl-domain`` and
-    ``ctrl-unknown-control``; ``prnt-total``, ``prnt-domain``,
-    ``prnt-codomain`` and ``parent-cycle``; ``link-total``,
-    ``link-domain`` and ``link-codomain``.
+    bigraph is well-formed. The codes: ``id-overlap``; ``ctrl-total``,
+    ``ctrl-domain`` and ``ctrl-unknown-control``; ``prnt-total``,
+    ``prnt-domain``, ``prnt-codomain`` and ``parent-cycle``;
+    ``link-total``, ``link-domain`` and ``link-codomain``. The types of
+    ids, controls, places and arities are not among them: the
+    constructors of :class:`Bigraph` and :class:`Signature` refuse them.
 
     Cost: each map is first compared whole, by C-level passes (key sets,
     counts, and type and membership passes over the values); only when
@@ -59,30 +51,25 @@ def validate_bigraph(b: Bigraph) -> ValidationReport:
     only when that check fails. A well-formed bigraph thus costs those
     passes alone.
     """
-    findings = bad_arities(b.signature)
+    findings: list[Finding] = []
 
     def flag(code: str, location: str, message: str) -> None:
         findings.append(Finding(code, location, message))
 
     nodes, ctrl, prnt, link = b.nodes, b.ctrl, b.prnt, b.link
-    ids = (nodes, b.edges, b.inner.names, b.outer.names)
-    for what, group in zip(("node", "edge", "inner name", "outer name"), ids):
-        for v in sorted(filterfalse(_is_str, group), key=_id_order):
-            flag("id-type", str(v), f"{what} {v!r} is not a string")
-
     names = b.inner.names | b.outer.names
-    for v in sorted(nodes & b.edges, key=_id_order):
-        flag("id-overlap", str(v), "identifier is both a node and an edge")
-    for v in sorted((nodes | b.edges) & names, key=_id_order):
-        flag("id-overlap", str(v), "identifier is both a node/edge and a link name")
+    for v in sorted(nodes & b.edges):
+        flag("id-overlap", v, "identifier is both a node and an edge")
+    for v in sorted((nodes | b.edges) & names):
+        flag("id-overlap", v, "identifier is both a node/edge and a link name")
 
     # Control map: total on nodes, controls drawn from the signature.
     has_control = b.signature.has_control
     if not (ctrl.keys() == nodes and all(map(has_control, ctrl.values()))):
-        for v in sorted(nodes.difference(ctrl), key=_id_order):
+        for v in sorted(nodes.difference(ctrl)):
             flag("ctrl-total", f"ctrl[{v}]", "node has no control")
         fine = map(and_, map(nodes.__contains__, ctrl), map(has_control, ctrl.values()))
-        for v in sorted(compress(ctrl, map(not_, fine)), key=_id_order):
+        for v in sorted(compress(ctrl, map(not_, fine))):
             if v not in nodes:
                 flag("ctrl-domain", f"ctrl[{v}]", "control assigned to unknown node")
             else:
@@ -94,8 +81,7 @@ def validate_bigraph(b: Bigraph) -> ValidationReport:
 
     # Parent map: total on sites and nodes, parents are nodes or roots. The
     # entries are fine when the keys are the sites and nodes, and each
-    # parent is a node (up) or an int below m; a bool or another int type
-    # is walked.
+    # parent is a node (up) or an int below m.
     k, m = b.inner.width, b.outer.width
     place_domain: set[PlaceChild] = set(range(k)).union(nodes)
     up = _named(prnt, nodes)
@@ -111,15 +97,12 @@ def validate_bigraph(b: Bigraph) -> ValidationReport:
                 flag("prnt-domain", f"prnt[{p}]", "parent assigned to unknown site or node")
                 continue
             parent = prnt[p]
-            if isinstance(parent, bool) or not (
-                (isinstance(parent, int) and 0 <= parent < m)
-                or (isinstance(parent, str) and parent in nodes)
-            ):
+            if not (parent in nodes if is_str(parent) else 0 <= parent < m):
                 flag("prnt-codomain", f"prnt[{p}]", f"parent {parent!r} is neither a node nor a root index")
     # Every step of a cycle in up ends at a node, so up has a cycle exactly
     # when the node-to-node parent steps have one.
     if _reaches_cycle(up):
-        node_parent = {v: [p] for v, p in up.items() if v in nodes and _is_str(v)}
+        node_parent = {v: [p] for v, p in up.items() if v in nodes}
         for cycle in _cycles(node_parent):
             flag("parent-cycle", f"prnt[{cycle[0]}]", "parent map cycle through " + ", ".join(sorted(cycle)))
 
@@ -127,7 +110,7 @@ def validate_bigraph(b: Bigraph) -> ValidationReport:
     # names. The keys are the inner names and the ports when there are as
     # many of each, and each port key names a port; only otherwise is the
     # domain built and compared with the keys. The targets are fine when
-    # they are all strings among the edges and outer names.
+    # they are all among the edges and outer names.
     counts = _port_counts(b)
     port_keys = list(filter(_is_port, link))
     slots = map(range, map(counts.get, map(itemgetter(0), port_keys), repeat(0)))
@@ -137,7 +120,6 @@ def validate_bigraph(b: Bigraph) -> ValidationReport:
         and len(link) - len(port_keys) == len(b.inner.names)
         and b.inner.names.issuperset(filterfalse(_is_port, link))
         and all(map(range.__contains__, slots, map(itemgetter(1), port_keys)))
-        and all(map(_is_str, values))
         and targets.issuperset(values)
     ):
         link_domain: set[Point] = set(b.inner.names).union(_ports(counts, counts.values()))
@@ -149,7 +131,7 @@ def validate_bigraph(b: Bigraph) -> ValidationReport:
                 flag("link-domain", f"link[{_fmt_point(p)}]", "link assigned to unknown inner name or port")
                 continue
             target = link[p]
-            if not (isinstance(target, str) and (target in b.edges or target in b.outer.names)):
+            if target not in targets:
                 flag(
                     "link-codomain",
                     f"link[{_fmt_point(p)}]",
@@ -167,8 +149,7 @@ def check_type_graph(tg: TypeGraph) -> ValidationReport:
     rules: its ends mirror each other (``tg-opposite-ends``), at most one
     of the two is a containment (``tg-opposite-containments``), and the
     opposite of a containment has an upper bound of at most 1
-    (``tg-container-mult``). A bound that is not a :class:`Multiplicity`
-    is no multiplicity (``tg-mult``)."""
+    (``tg-container-mult``)."""
     findings: list[Finding] = []
 
     def flag(code: str, location: str, message: str) -> None:
@@ -223,7 +204,7 @@ def check_type_graph(tg: TypeGraph) -> ValidationReport:
         if a in tg.containments and b in tg.containments:
             flag("tg-opposite-containments", f"({a},{b})", "both edge types of an opposite pair are containments")
         for whole, part in ((a, b), (b, a)):
-            m = mult_of(tg, part)
+            m = tg.mult.get(part)
             if whole in tg.containments and m is not None and (m.ub is None or m.ub > 1):
                 flag(
                     "tg-container-mult",
@@ -232,7 +213,7 @@ def check_type_graph(tg: TypeGraph) -> ValidationReport:
                 )
 
     for e in sorted(tg.edge_types):
-        if mult_of(tg, e) is None:
+        if e not in tg.mult:
             flag("tg-mult", e, "edge type has no multiplicity")
     for e in sorted(tg.mult):
         if e not in tg.edge_types:

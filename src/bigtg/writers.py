@@ -31,7 +31,7 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter, not_
 
 from .bigraph import Bigraph, Interface, Port, Signature
-from .typedgraph import InstanceGraph, Multiplicity, TypeGraph, mult_of
+from .typedgraph import InstanceGraph, Multiplicity, TypeGraph
 
 TYPE_CHECKING = False  # read as true by static type checkers only
 if TYPE_CHECKING:
@@ -105,7 +105,7 @@ def _canonical_json(value: Any, pad: str = "\n") -> str:
         parts = []
         for k in sorted(value):
             v = value[k]
-            key = encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))
+            key = encode_basestring_ascii(k)
             text = encode_basestring_ascii(v) if isinstance(v, str) else _canonical_json(v, inner)
             parts.append(f"{key}: {text}")
         return _join(parts, pad, "{}")
@@ -129,8 +129,10 @@ def _refuse_missing(what: str, ids: list, **columns: list) -> None:
 
 
 def _signature(sig: Signature, pad: str) -> str:
-    controls = [{"arity": sig.arity(c.name), "name": c.name} for c in sig.controls]
-    return _canonical_json({"controls": controls}, pad)
+    names = list(sig.names)
+    arities = list(map(sig.arities.get, names))
+    _refuse_missing("control", names, arity=arities)
+    return _canonical_json({"controls": [{"arity": a, "name": c} for a, c in zip(arities, names)]}, pad)
 
 
 def signature_chunks(sig: Signature) -> Iterator[str]:
@@ -153,6 +155,7 @@ def bigraph_chunks(b: Bigraph) -> Iterator[str]:
     """Parents in the order of ``(isinstance(child, str), str(child))``;
     inner names, then ports in the order of ``str(port)``, so that index 10
     comes before index 2."""
+    signature = _signature(b.signature, _P4)
     owners, edges, nodes = sorted(b.ctrl), sorted(b.edges), sorted(b.nodes)
     children = sorted(b.prnt, key=lambda p: (isinstance(p, str), str(p)))
     names = sorted((p for p in b.link if not isinstance(p, Port)), key=str)
@@ -162,9 +165,8 @@ def bigraph_chunks(b: Bigraph) -> Iterator[str]:
         return lambda part: _leaves(column[part], _P6)
 
     def ctrl_entries(part: slice) -> Iterable[str]:
-        # ``json`` quotes its text of a key that is no string.
-        keys = [v if isinstance(v, str) else json.dumps(v) for v in owners[part]]
-        return map("%s: %s".__mod__, zip(_leaves(keys, _P6), _leaves(list(map(b.ctrl.get, owners[part])), _P6)))
+        keys = owners[part]
+        return map("%s: %s".__mod__, zip(_leaves(keys, _P6), _leaves(list(map(b.ctrl.get, keys)), _P6)))
 
     def link_entries(part: slice) -> Iterable[str]:
         inner = names[part]  # ``points`` starts with ``names``, so these lead ``points[part]``
@@ -186,7 +188,7 @@ def bigraph_chunks(b: Bigraph) -> Iterator[str]:
     yield from _batched(len(nodes), ids(nodes), _P4)
     yield ',\n    "outer": %s,\n    "prnt": ' % _canonical_json(_interface_payload(b.outer), _P4)
     yield from _batched(len(children), prnt_entries, _P4)
-    yield ',\n    "signature": %s\n  }' % _signature(b.signature, _P4)
+    yield ',\n    "signature": %s\n  }' % signature
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +205,7 @@ def typegraph_chunks(tg: TypeGraph) -> Iterator[str]:
     ]
     edges = sorted(tg.graph.edges)
     src, tgt = (list(map(ends.get, edges)) for ends in (tg.graph.src, tg.graph.tgt))
-    mult = [mult_of(tg, e) for e in edges]
+    mult = list(map(tg.mult.get, edges))
     _refuse_missing("edge type", edges, src=src, tgt=tgt, mult=mult)
     edge_entries = [
         {"containment": e in tg.containments, "mult": _mult_payload(m), "name": e, "src": s, "tgt": t}
@@ -235,26 +237,17 @@ def _edge_texts(ids: list, src: list, tgt: list, types: list) -> Iterable[str]:
 def _node_texts(ids: list, types: list, held: list, values: list) -> Iterable[str]:
     """The entry of each node of ``ids``, typed ``types``, whose attributes
     are ``held``, the sorted keys that ``ids`` own, with their ``values``."""
-    # ``json`` quotes its text of a key that is no string.
-    names = _leaves([a if isinstance(a, str) else json.dumps(a) for _, a in held], _P10)
+    names = _leaves(list(map(itemgetter(1), held)), _P10)
     members = zip(map(itemgetter(0), held), map("%s: %s".__mod__, zip(names, _leaves(values, _P10))))
     attrs = {n: _join(list(map(itemgetter(1), group)), _P8, "{}") for n, group in groupby(members, itemgetter(0))}
     return map(_NODE.__mod__, zip(map(attrs.get, ids, repeat("{}")), _leaves(ids, _P8), _leaves(types, _P8)))
 
 
 def _plain(g: InstanceGraph) -> bool:
-    """Whether ``g`` holds only what the readers give, so that each entry
-    prints alike whatever it is printed beside: ``str`` ids, ends, types
-    and attribute names, ``str`` or ``int`` values, and no orphan."""
-    keys, graph = g.attrs.keys(), g.graph
-    if not set(map(type, keys)) <= {tuple} or not set(map(len, keys)) <= {2}:
-        return False
-    names = chain(graph.nodes, graph.edges, *(d.values() for d in (graph.src, graph.tgt, g.node_types, g.edge_types)))
-    return (
-        set(map(type, chain(names, map(itemgetter(1), keys)))) <= {str}
-        and set(map(type, g.attrs.values())) <= {str, int}
-        and set(map(itemgetter(0), keys)) <= graph.nodes
-    )
+    """Whether every attribute of ``g`` is owned by a node, as in what the
+    readers give, so that each entry prints alike whatever it is printed
+    beside."""
+    return set(map(itemgetter(0), g.attrs)) <= g.graph.nodes
 
 
 class Family:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -52,8 +53,8 @@ STRAY_IDS = ("ghost", "stray:1", "stray:2")
 def encodings_with_strays(draw):
     """An edited encoding, with the bigraph, after a few more edits:
     typing entries for nodes and edges that are not in the graph, edge
-    ends on such nodes, and attributes (some ``bool``, some of no declared
-    type) on nodes that may not be in it."""
+    ends on such nodes, and attributes (some of the wrong value type, some
+    of no declared type) on nodes that may not be in it."""
     g, b = draw(mutated_encodings())
     src, tgt = dict(g.graph.src), dict(g.graph.tgt)
     node_types, edge_types, attrs = dict(g.node_types), dict(g.edge_types), dict(g.attrs)
@@ -70,7 +71,7 @@ def encodings_with_strays(draw):
             edge_types[draw(st.sampled_from(STRAY_IDS))] = draw(st.sampled_from(EDGE_TYPES))
         else:
             key = (draw(st.sampled_from(owners)), draw(st.sampled_from(("index", "control", "x"))))
-            attrs[key] = draw(st.one_of(st.booleans(), st.integers(-1, 2), st.sampled_from(("a", 1.5))))
+            attrs[key] = draw(st.one_of(st.integers(-1, 2), st.sampled_from(("a", "1"))))
     graph = Graph(nodes=g.graph.nodes, edges=g.graph.edges, src=src, tgt=tgt)
     return InstanceGraph(graph=graph, node_types=node_types, edge_types=edge_types, attrs=attrs), b
 
@@ -116,20 +117,13 @@ def test_ends_on_typed_strays_are_flagged_beside_clean_edges():
     assert [f.location for f in findings] == ["ghost", *(f"src[own:{i}:0]" for i in range(10))]
 
 
-def test_bool_values_of_int_attributes_are_flagged():
+def test_bool_values_of_int_attributes_are_refused_at_construction():
     """``True == 1``, so only the value class tells a ``bool`` apart from
-    the ``int`` values of its attribute. Each bool comes before the int
-    values of its node type and name, whichever one a shape stands for."""
-    tg = TypeGraph(graph=Graph(nodes={"N", "M"}), attr_decls={"N": {"index": "int"}, "M": {"index": "int"}})
+    the ``int`` values of its attribute: the constructor refuses it, as
+    the readers do, so ``check_typing`` only ever sees ``int`` and ``str``."""
     attrs = {("m0", "index"): False, ("n0", "index"): True, ("n1", "index"): 1, ("m1", "index"): 0}
-    g = InstanceGraph(
-        graph=Graph(nodes={"n0", "n1", "m0", "m1"}),
-        node_types={"n0": "N", "n1": "N", "m0": "M", "m1": "M"},
-        attrs=attrs,
-    )
-    findings = check_typing(g, tg).findings
-    assert findings == ref_check_typing(g, tg).findings
-    assert [f.location for f in findings] == ["m0.index", "n0.index"]
+    with pytest.raises(TypeError, match="^InstanceGraph.attrs holds False, which is not an int or a str$"):
+        InstanceGraph(graph=Graph(nodes={"n0", "n1", "m0", "m1"}), attrs=attrs)
 
 
 def test_one_sided_opposites_walk_every_pair():

@@ -1,7 +1,8 @@
-"""Two findings that make ``conformance`` refuse what ``decode`` cannot
-rebuild faithfully: ``sig-arity`` from the arity rule, for a signature
-arity that is not a non-negative integer, and ``attr-owner`` from
-``check_typing``, for an attribute whose owner is not a node."""
+"""What ``decode`` could not rebuild faithfully: a signature arity that
+is not a non-negative integer, which the signature refuses at
+construction, and an attribute whose owner is not a node, which
+``check_typing`` reports as ``attr-owner`` so that ``conformance``
+refuses it."""
 
 from __future__ import annotations
 
@@ -23,12 +24,8 @@ from bigtg import (
     extend_for_signature,
     make_signature,
     replace,
-    validate_bigraph,
 )
 from bigtg.mapping import NotCanonical
-
-SIG_ARITY_LINE = "error sig-arity arity[A] arity '2' of 'A' is not a non-negative integer"
-
 
 @pytest.fixture(scope="module")
 def two_ports():
@@ -45,22 +42,18 @@ def two_ports():
     return encode(b)[0]
 
 
-def test_a_bad_arity_is_a_signature_finding_not_a_port_count(two_ports):
-    bad = Signature((Control("A"),), {"A": "2"})
-    lines = [f.line() for f in conformance(two_ports, extend_for_signature(bad), bad).findings]
-    assert lines == [SIG_ARITY_LINE]
-    with pytest.raises(NotCanonical) as raised:
-        decode(two_ports, bad)
-    assert [f.line() for f in raised.value.report.findings] == [SIG_ARITY_LINE]
-
-
 @pytest.mark.parametrize("arity", ["2", -1, True, 2.0, None])
-def test_the_arity_rule_states_validate_bigraphs_finding(two_ports, arity):
-    bad = Signature((Control("A"),), {"A": arity, "B": 1})
-    b = Bigraph(bad, nodes={"v"}, ctrl={"v": "A"}, prnt={"v": 0}, outer=Interface(1))
-    sig_findings = tuple(f for f in validate_bigraph(b).findings if f.code == "sig-arity")
-    assert len(sig_findings) == 1
-    assert check_arity_rule(two_ports, extend_for_signature(bad), bad).findings == sig_findings
+def test_a_bad_arity_is_refused_by_the_signature(two_ports, arity):
+    """The arity rule, ``decode`` and ``validate_bigraph`` only ever read
+    non-negative ``int`` arities."""
+    with pytest.raises(TypeError) as refused:
+        Signature((Control("A"),), {"A": arity, "B": 1})
+    assert str(refused.value) == f"Signature.arities holds {arity!r}, which is not a non-negative int"
+    good = Signature((Control("A"),), {"A": 2, "B": 1})
+    assert conformance(two_ports, extend_for_signature(good), good).ok
+    assert decode(two_ports, good)[0] == Bigraph(
+        good, nodes={"v"}, ctrl={"v": "A"}, prnt={"v": 0}, link={("v", 0): "y", ("v", 1): "y"}, outer=Interface(1, {"y"})
+    )
 
 
 def test_a_control_without_an_arity_is_not_counted(two_ports):

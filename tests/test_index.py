@@ -430,10 +430,10 @@ def test_out_degree_and_typed_edges_match_brute_force(case):
     for te in EDGE_TYPES:
         picked = view.by_type.get(te, [])
         assert picked == [e for e in g.graph.edges if types.get(e) == te]
-    # The nodes of each node type, also with the smallest node untyped and
-    # the next one typed None, and for types that no node has.
+    # The nodes of each node type, also with the two smallest nodes
+    # untyped, and for types that no node has.
     nodes = sorted(g.graph.nodes)
-    retyped = {n: t for n, t in g.node_types.items() if n not in nodes[:1]} | dict.fromkeys(nodes[1:2])
+    retyped = {n: t for n, t in g.node_types.items() if n not in nodes[:2]}
     for h in (g, replace(g, node_types=retyped)):
         groups = h.edge_view.by_node_type
         kinds = {h.node_types.get(n) for n in h.graph.nodes}

@@ -179,25 +179,29 @@ def _chain(length: int) -> InstanceGraph:
 
 
 def test_a_save_that_fails_partway_leaves_nothing_behind(fixtures_dir, tmp_path, monkeypatch):
-    """A node type that ``json`` cannot print, after more than a batch of
-    edges went to the new file: ``save`` raises what ``dumps_canonical``
-    raises, removes that file and leaves the one at ``path`` as it was."""
+    """A write that fails after more than a batch of edges went to the new
+    file: ``save`` raises it as ``IoError``, removes that file and leaves
+    the one at ``path`` as it was."""
     g = _chain(writers._BATCH + 1)
-    last = max(g.graph.nodes)
-    bad = replace(g, node_types={**g.node_types, last: frozenset({"BNode"})})
     target = tmp_path / "doc.ig.json"
     target.write_bytes((fixtures_dir / "printer.ig.json").read_bytes())
     before = target.read_bytes()
-    log: list[str] = []
-    monkeypatch.setattr(fileio, "open", lambda *a, **k: _Recording(builtins.open(*a, **k), log), raising=False)
-    refused = outcome(fileio.dumps_canonical, bad)
-    assert refused == ("TypeError", "Object of type frozenset is not JSON serializable")
-    assert outcome(fileio.save, bad, str(target)) == refused
+    text, log = fileio.dumps_canonical(g), []
+
+    class Failing(_Recording):
+        def write(self, chunk):
+            if '"nodes"' in "".join(self.log) + chunk:
+                raise OSError(28, "No space left on device")
+            return super().write(chunk)
+
+    monkeypatch.setattr(fileio, "open", lambda *a, **k: Failing(builtins.open(*a, **k), log), raising=False)
+    kind, message = outcome(fileio.save, g, str(target))
+    assert kind == "IoError" and message.startswith(f"cannot write {target}: ")
     assert target.read_bytes() == before
     assert os.listdir(tmp_path) == [target.name]
-    # What went to the file before the fault: every edge, as the clean graph prints them.
-    text, written = fileio.dumps_canonical(g), "".join(log)
-    assert text.startswith(written) and len(written) > text.index('"nodes"')
+    # What went to the file before the fault: more than a batch of edges, as the graph prints them.
+    written = "".join(log)
+    assert text.startswith(written) and written.count('"id"') > writers._BATCH
 
 
 @pytest.mark.parametrize("fault", ["no src", "no tgt", "no node"])

@@ -168,16 +168,13 @@ def test_encode_rejects_invalid_bigraph():
         encode(bad)
 
 
-def test_encode_reads_a_bool_site_key_as_its_index():
-    """``True == 1``, so the validator accepts ``True`` as site 1; its
-    nesting edges must end on the node of site 1."""
+def test_a_bool_site_key_is_refused_at_construction():
+    """``True == 1``, but a ``bool`` is no place: ``encode`` only ever reads
+    ``int`` sites."""
     sig = make_signature([("A", 0)])
-
-    def bigraph(site):
-        prnt = {"v": 0, 0: "v", site: "v"}
-        return Bigraph(sig, nodes={"v"}, ctrl={"v": "A"}, prnt=prnt, inner=Interface(2), outer=Interface(1))
-
-    assert encode(bigraph(True)) == encode(bigraph(1))
+    prnt = {"v": 0, 0: "v", True: "v"}
+    with pytest.raises(TypeError, match="^Bigraph.prnt holds True, which is not an int or a str$"):
+        Bigraph(sig, nodes={"v"}, ctrl={"v": "A"}, prnt=prnt, inner=Interface(2), outer=Interface(1))
 
 
 def test_element_count_law(b1, g1):

@@ -163,14 +163,11 @@ def test_the_smaller_id_is_named_when_the_graph_holds_the_larger_first(g1, tg_si
         ("bChld:n:v0:n:v2", "n:v0"),
     ],
 )
-def test_a_tgt_of_none_is_a_missing_tgt(g1, tg_sigma1, edge, start):
-    """An edge whose ``tgt`` is present but ``None`` lacks a ``tgt`` to
-    navigation too, as it does to ``check_typing``."""
-    g = replace(g1, graph=replace(g1.graph, tgt={**g1.graph.tgt, edge: None}))
-    assert "typing-edge-ends" in {f.code for f in check_typing(g, tg_sigma1).findings}
-    with pytest.raises(EvaluationError) as exc:
-        evaluate(ROOM_CHILDREN, g, tg_sigma1)
-    assert str(exc.value) == f"navigation 'bChld' from {start} follows edge {edge} without a tgt"
+def test_a_tgt_of_none_is_refused_at_construction(g1, edge, start):
+    """An edge lacks a ``tgt`` only by having no entry: a ``tgt`` of ``None``
+    is refused where it is built."""
+    with pytest.raises(TypeError, match="^Graph.tgt holds None, which is not a str$"):
+        replace(g1.graph, tgt={**g1.graph.tgt, edge: None})
 
 
 @given(encodings_lacking_ends())

@@ -19,9 +19,7 @@ from bigtg import (
     NotCanonical,
     UnknownType,
     all_sub,
-    apply_deltas,
     base_type_graph,
-    check_arity_rule,
     check_multiplicities,
     check_type_graph,
     check_typing,
@@ -29,7 +27,6 @@ from bigtg import (
     conformance,
     decode,
     encode,
-    enumerate_configs,
     extend_for_signature,
     replace,
 )
@@ -38,7 +35,7 @@ from bigtg.constraints import evaluate, parse_constraints, typecheck
 from bigtg.generators import random_bigraph
 from bigtg.typedgraph import all_super, symmetric_pairs
 
-from helpers import edges_of_type, outcome
+from helpers import edges_of_type
 
 
 def test_the_constructors_copy_what_they_are_given():
@@ -414,34 +411,51 @@ def test_typing_and_multiplicities_total_on_broken_edge_types(case):
     assert flagged == {x for x, te in g.edge_types.items() if te in broken}
 
 
-# A bound that is not a Multiplicity is no bound: each entry point that reads
-# the bounds treats it as it treats an edge type without one.
+# An edge type without a bound: each entry point that reads the bounds
+# passes over it. A bound that is not a Multiplicity is refused at
+# construction.
 
 
-def _tuple_bound_type_graph() -> TypeGraph:
-    """``e`` has a tuple as its bound and is the opposite of the
-    containment ``f``, so the EMOF rules read its bound too."""
+def _unbounded_type_graph() -> TypeGraph:
+    """``e`` has no bound and is the opposite of the containment ``f``, so
+    the EMOF rules read its bound too."""
     return TypeGraph(
         graph=Graph(nodes={"N"}, edges={"e", "f"}, src={"e": "N", "f": "N"}, tgt={"e": "N", "f": "N"}),
         containments={"f"},
         opposites=symmetric_pairs([("e", "f")]),
-        mult={"e": (0, 1), "f": Multiplicity(0, None)},
+        mult={"f": Multiplicity(0, None)},
     )
 
 
-def test_a_tuple_bound_is_one_tg_mult_finding():
-    assert check_type_graph(_tuple_bound_type_graph()).findings == (
+@pytest.mark.parametrize(
+    "mult, message",
+    [
+        (lambda: {"e": (0, 1)}, "TypeGraph.mult holds (0, 1), which is not a Multiplicity"),
+        (lambda: {("e",): Multiplicity(0)}, "TypeGraph.mult holds ('e',), which is not a str"),
+        (lambda: {"e": Multiplicity(True)}, "Multiplicity.lb holds True, which is not an int"),
+        (lambda: {"e": Multiplicity(0, 1.5)}, "Multiplicity.ub holds 1.5, which is not an int or None"),
+    ],
+    ids=["tuple", "key", "bool-lower", "float-upper"],
+)
+def test_a_bound_of_another_type_is_refused_at_construction(mult, message):
+    with pytest.raises(TypeError) as refused:
+        replace(_unbounded_type_graph(), mult=mult())
+    assert str(refused.value) == message
+
+
+def test_a_missing_bound_is_one_tg_mult_finding():
+    assert check_type_graph(_unbounded_type_graph()).findings == (
         Finding("tg-mult", "e", "edge type has no multiplicity"),
     )
 
 
-def test_multiplicities_skip_a_tuple_bound():
+def test_multiplicities_skip_a_missing_bound():
     g = InstanceGraph(
         graph=Graph(nodes={"n"}, edges={"x", "y"}, src={"x": "n", "y": "n"}, tgt={"x": "n", "y": "n"}),
         node_types={"n": "N"},
         edge_types={"x": "e", "y": "e"},
     )
-    assert check_multiplicities(g, _tuple_bound_type_graph()).ok
+    assert check_multiplicities(g, _unbounded_type_graph()).ok
 
 
 def test_each_bound_reads_the_count_of_its_own_edge_type():
@@ -458,18 +472,18 @@ def test_each_bound_reads_the_count_of_its_own_edge_type():
 
 
 @pytest.mark.parametrize("write", ["dumps_canonical", "save"])
-def test_a_tuple_bound_is_refused_by_the_writer(write, tmp_path):
+def test_a_missing_bound_is_refused_by_the_writer(write, tmp_path):
     path = tmp_path / "tg.json"
     with pytest.raises(ValueError, match="^edge type e has no mult$"):
         if write == "save":
-            fileio.save(_tuple_bound_type_graph(), str(path))
+            fileio.save(_unbounded_type_graph(), str(path))
         else:
-            fileio.dumps_canonical(_tuple_bound_type_graph())
+            fileio.dumps_canonical(_unbounded_type_graph())
     assert not path.exists()
 
 
-def test_navigation_over_a_tuple_bound_is_a_collection():
-    tg = _tuple_bound_type_graph()
+def test_navigation_over_a_missing_bound_is_a_collection():
+    tg = _unbounded_type_graph()
     g = InstanceGraph(
         graph=Graph(nodes={"n", "m"}, edges={"x", "y"}, src={"x": "n", "y": "n"}, tgt={"x": "n", "y": "m"}),
         node_types={"n": "N", "m": "N"},
@@ -480,75 +494,19 @@ def test_navigation_over_a_tuple_bound_is_a_collection():
     assert [c.passed for c in evaluate(doc, g, tg).checks] == [False, True]
 
 
-@pytest.mark.parametrize("base", ["printer.ig.json", "corpus/bad-ports.ig.json"])
-@pytest.mark.parametrize("node", ["e:e0", "n:v0", "p:v1:0", "r:0"])
-def test_a_node_typed_by_a_list_is_a_type_the_type_graph_lacks(fixtures_dir, sig1, tg_sigma1, base, node):
-    """A node type that cannot be hashed gives each checker the findings
-    that a type the type graph lacks gives, printed with the list, and
-    ``apply_deltas`` reads it as no control in every configuration. The
-    bad-ports graph breaks bounds, so the bound walks read every node's
-    type."""
-    g0 = fileio.load_instance_graph(str(fixtures_dir / base))
-    listed = [g0.node_types[node]]
-    g = replace(g0, node_types={**g0.node_types, node: listed})
-    named = replace(g0, node_types={**g0.node_types, node: "Unknown"})
-
-    def lines(report):
-        return [f.line() for f in report.findings]
-
-    unknown = f"error typing-unknown-type {node} node typed by unknown type {listed!r}"
-    assert lines(check_typing(g, tg_sigma1)) == [unknown]
-    for check, args in (
-        (check_typing, (tg_sigma1,)),
-        (check_validity, (tg_sigma1,)),
-        (check_multiplicities, (tg_sigma1,)),
-        (check_arity_rule, (tg_sigma1, sig1)),
-        (conformance, (tg_sigma1, sig1)),
-    ):
-        want = [line.replace("'Unknown'", repr(listed)) for line in lines(check(named, *args))]
-        assert lines(check(g, *args)) == want, check.__name__
-    for cfg in enumerate_configs():
-        want = outcome(apply_deltas, named, cfg, sig1)
-        if isinstance(want, InstanceGraph):
-            want = replace(want, node_types={**want.node_types, node: listed})
-        assert outcome(apply_deltas, g, cfg, sig1) == want, cfg
-
-
-@pytest.mark.parametrize("base", ["printer.ig.json", "corpus/bad-ports.ig.json"])
-@pytest.mark.parametrize("edge", ["bChld:n:v0:n:v1", "bLink:p:v1:0:e:e1", "bNode:p:v2:0:n:v2", "bPoints:e:e0:p:v0:0"])
-def test_an_edge_typed_by_a_list_is_a_type_the_type_graph_lacks(fixtures_dir, sig1, tg_sigma1, base, edge):
-    """An edge type that cannot be hashed gives each checker and ``decode``
-    the findings that a type the type graph lacks gives, printed with the
-    list, and the port rewiring of ``apply_deltas`` reads it as none of the
-    edge types it moves, in every configuration. The ``bLink``, ``bNode``
-    and ``bPoints`` edges are the three that rewiring reads."""
-    g0 = fileio.load_instance_graph(str(fixtures_dir / base))
-    listed = [g0.edge_types[edge]]
-    g = replace(g0, edge_types={**g0.edge_types, edge: listed})
-    named = replace(g0, edge_types={**g0.edge_types, edge: "Unknown"})
-
-    def lines(report):
-        return [f.line() for f in report.findings]
-
-    def decoded(graph):
-        with pytest.raises(NotCanonical) as refused:
-            decode(graph, sig1)
-        return lines(refused.value.report)
-
-    unknown = f"error typing-unknown-type {edge} edge typed by unknown type {listed!r}"
-    assert lines(check_typing(g, tg_sigma1)) == [unknown]
-    for check, args in (
-        (check_typing, (tg_sigma1,)),
-        (check_validity, (tg_sigma1,)),
-        (check_multiplicities, (tg_sigma1,)),
-        (check_arity_rule, (tg_sigma1, sig1)),
-        (conformance, (tg_sigma1, sig1)),
-    ):
-        want = [line.replace("'Unknown'", repr(listed)) for line in lines(check(named, *args))]
-        assert lines(check(g, *args)) == want, check.__name__
-    assert decoded(g) == [line.replace("'Unknown'", repr(listed)) for line in decoded(named)]
-    for cfg in enumerate_configs():
-        want = outcome(apply_deltas, named, cfg, sig1)
-        if isinstance(want, InstanceGraph):
-            want = replace(want, edge_types={e: listed if e == edge else t for e, t in want.edge_types.items()})
-        assert outcome(apply_deltas, g, cfg, sig1) == want, cfg
+@pytest.mark.parametrize(
+    "field, key, message",
+    [
+        ("node_types", "n:v0", "InstanceGraph.node_types holds ['Room'], which is not a str"),
+        ("edge_types", "bLink:p:v1:0:e:e1", "InstanceGraph.edge_types holds ['bLink'], which is not a str"),
+    ],
+    ids=["node", "edge"],
+)
+def test_a_node_or_edge_typed_by_a_list_is_refused_at_construction(fixtures_dir, field, key, message):
+    """A type that cannot be hashed, which no document holds, is refused
+    where it is built, so no checker, ``decode`` or ``apply_deltas`` reads it."""
+    g0 = fileio.load_instance_graph(str(fixtures_dir / "printer.ig.json"))
+    types = getattr(g0, field)
+    with pytest.raises(TypeError) as refused:
+        replace(g0, **{field: {**types, key: [types[key]]}})
+    assert str(refused.value) == message

@@ -3,7 +3,9 @@ verbatim copies of the ``@dataclass(frozen=True)`` definitions they
 replace.
 
 The references below are those copies, renamed with a ``ref_`` prefix:
-each keeps its decorator, docstring, fields and ``__post_init__``. Their
+each keeps its decorator, docstring and fields, and takes the
+``__post_init__`` of the class it is compared with, verbatim, so that the
+two differ by the decorator alone. Their
 other methods and properties are left out, because the decorator neither
 reads nor writes them. ``Port``, now a ``collections.namedtuple``, is
 checked against its ``typing.NamedTuple`` definition.
@@ -30,7 +32,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bigtg import _value, bigraph, constraints, mapping, replace, report, typedgraph, variability
-from bigtg.bigraph import Interface, Port
+from bigtg._value import as_dict, check_each, is_int, is_scalar, is_str
+from bigtg.bigraph import Control, Interface, Port, Signature, _is_point, is_arity
+from bigtg.typedgraph import Graph, Multiplicity, _is_pair
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +68,9 @@ class ref_Control:
 
     name: str
 
+    def __post_init__(self) -> None:
+        check_each(self, "name", is_str, "a str", (self.name,))
+
 
 @dataclass(frozen=True)
 class ref_Signature:
@@ -71,6 +78,14 @@ class ref_Signature:
 
     controls: tuple[Control, ...] = ()
     arities: Mapping[str, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        controls, arities = tuple(self.controls), as_dict(self.arities)
+        check_each(self, "controls", Control.__instancecheck__, "a Control", controls)
+        check_each(self, "arities", is_str, "a str", arities)
+        check_each(self, "arities", is_arity, "a non-negative int", arities.values())
+        object.__setattr__(self, "controls", controls)
+        object.__setattr__(self, "arities", arities)
 
 
 @dataclass(frozen=True)
@@ -81,9 +96,12 @@ class ref_Interface:
     names: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
+        check_each(self, "width", is_int, "an int", (self.width,))
         if self.width < 0:
             raise ValueError("interface width must be non-negative")
-        object.__setattr__(self, "names", frozenset(self.names))
+        names = frozenset(self.names)
+        check_each(self, "names", is_str, "a str", names)
+        object.__setattr__(self, "names", names)
 
 
 @dataclass(frozen=True)
@@ -106,14 +124,22 @@ class ref_Bigraph:
     outer: Interface = Interface()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        object.__setattr__(self, "ctrl", dict(self.ctrl))
-        object.__setattr__(self, "prnt", dict(self.prnt))
-        link = {
-            (Port(*k) if isinstance(k, tuple) else k): v for k, v in self.link.items()
-        }
-        object.__setattr__(self, "link", link)
+        nodes, edges, ctrl, prnt, link = (
+            frozenset(self.nodes), frozenset(self.edges), as_dict(self.ctrl), as_dict(self.prnt), as_dict(self.link)
+        )
+        if not all(map(_is_point, link)):
+            link = {(Port(*k) if type(k) is tuple else k): v for k, v in link.items()}
+        check_each(self, "signature", Signature.__instancecheck__, "a Signature", (self.signature,))
+        check_each(self, "nodes", is_str, "a str", nodes)
+        check_each(self, "edges", is_str, "a str", edges)
+        check_each(self, "ctrl", is_str, "a str", ctrl, ctrl.values())
+        check_each(self, "prnt", is_scalar, "an int or a str", prnt, prnt.values())
+        check_each(self, "link", _is_point, "a str or a Port of a str and an int", link)
+        check_each(self, "link", is_str, "a str", link.values())
+        check_each(self, "inner", Interface.__instancecheck__, "an Interface", (self.inner,))
+        check_each(self, "outer", Interface.__instancecheck__, "an Interface", (self.outer,))
+        for name, value in zip(("nodes", "edges", "ctrl", "prnt", "link"), (nodes, edges, ctrl, prnt, link)):
+            object.__setattr__(self, name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +156,13 @@ class ref_Graph:
     tgt: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        object.__setattr__(self, "src", dict(self.src))
-        object.__setattr__(self, "tgt", dict(self.tgt))
+        nodes, edges, src, tgt = frozenset(self.nodes), frozenset(self.edges), as_dict(self.src), as_dict(self.tgt)
+        check_each(self, "nodes", is_str, "a str", nodes)
+        check_each(self, "edges", is_str, "a str", edges)
+        check_each(self, "src", is_str, "a str", src, src.values())
+        check_each(self, "tgt", is_str, "a str", tgt, tgt.values())
+        for name, value in zip(("nodes", "edges", "src", "tgt"), (nodes, edges, src, tgt)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -144,6 +173,8 @@ class ref_Multiplicity:
     ub: int | None = None
 
     def __post_init__(self) -> None:
+        check_each(self, "lb", is_int, "an int", (self.lb,))
+        check_each(self, "ub", is_int, "an int or None", () if self.ub is None else (self.ub,))
         if self.lb < 0:
             raise ValueError("multiplicity lower bound must be non-negative")
         if self.ub is not None and self.ub < self.lb:
@@ -164,14 +195,21 @@ class ref_TypeGraph:
     attr_decls: Mapping[str, Mapping[str, str]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "inherits", frozenset(self.inherits))
-        object.__setattr__(self, "abstracts", frozenset(self.abstracts))
-        object.__setattr__(self, "containments", frozenset(self.containments))
-        object.__setattr__(self, "opposites", frozenset(self.opposites))
-        object.__setattr__(self, "mult", dict(self.mult))
-        object.__setattr__(
-            self, "attr_decls", {t: dict(a) for t, a in self.attr_decls.items()}
+        inherits, abstracts, containments, opposites = map(
+            frozenset, (self.inherits, self.abstracts, self.containments, self.opposites)
         )
+        mult, attr_decls = as_dict(self.mult), {t: as_dict(a) for t, a in as_dict(self.attr_decls).items()}
+        check_each(self, "graph", Graph.__instancecheck__, "a Graph", (self.graph,))
+        check_each(self, "inherits", _is_pair, "a pair of str", inherits)
+        check_each(self, "abstracts", is_str, "a str", abstracts)
+        check_each(self, "containments", is_str, "a str", containments)
+        check_each(self, "opposites", _is_pair, "a pair of str", opposites)
+        check_each(self, "mult", is_str, "a str", mult)
+        check_each(self, "mult", Multiplicity.__instancecheck__, "a Multiplicity", mult.values())
+        check_each(self, "attr_decls", is_str, "a str", attr_decls, *attr_decls.values(), *map(dict.values, attr_decls.values()))
+        names = ("inherits", "abstracts", "containments", "opposites", "mult", "attr_decls")
+        for name, value in zip(names, (inherits, abstracts, containments, opposites, mult, attr_decls)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -190,9 +228,15 @@ class ref_InstanceGraph:
     attrs: Mapping[tuple[str, str], int | str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "node_types", dict(self.node_types))
-        object.__setattr__(self, "edge_types", dict(self.edge_types))
-        object.__setattr__(self, "attrs", dict(self.attrs))
+        node_types, edge_types, attrs = as_dict(self.node_types), as_dict(self.edge_types), as_dict(self.attrs)
+        check_each(self, "graph", Graph.__instancecheck__, "a Graph", (self.graph,))
+        check_each(self, "node_types", is_str, "a str", node_types, node_types.values())
+        check_each(self, "edge_types", is_str, "a str", edge_types, edge_types.values())
+        check_each(self, "attrs", _is_pair, "a pair of str", attrs)
+        check_each(self, "attrs", is_scalar, "an int or a str", attrs.values())
+        object.__setattr__(self, "node_types", node_types)
+        object.__setattr__(self, "edge_types", edge_types)
+        object.__setattr__(self, "attrs", attrs)
 
 
 # ---------------------------------------------------------------------------

@@ -235,22 +235,12 @@ def test_edge_without_an_end_is_not_canonical_in_every_config(g1, sig1, end):
 # (``variability._Origin``). Every report must still be the checker's own.
 
 
-def _renamed(g, sig, as_tuple):
-    """``g`` and ``sig`` with each control renamed to an ``int`` or a
-    ``tuple``, as a signature built in code may name them."""
-    new = {name: (name,) if as_tuple else i for i, name in enumerate(sig.names)}
-    renamed = Signature(tuple(Control(new[name]) for name in sig.names), {new[c]: a for c, a in sig.arities.items()})
-    return replace(g, node_types={n: new.get(t, t) for n, t in g.node_types.items()}), renamed
-
-
 #: A copy of the drawn graph, with each kind of signature: its own, one
-#: with a reserved name that ``extend_for_signature`` refuses, names that
-#: are no ``str``, and its own names with other arities.
+#: with a reserved name that ``extend_for_signature`` refuses, and its own
+#: names with other arities.
 SIGNATURES = {
     "own": lambda g, sig, group, data: (replace(g), sig),
     "other": lambda g, sig, group, data: (replace(g), _other_signature(sig, group)),
-    "int": lambda g, sig, group, data: _renamed(g, sig, False),
-    "tuple": lambda g, sig, group, data: _renamed(g, sig, True),
     "arities": lambda g, sig, group, data: (replace(g), data.draw(signature_variants(sig))),
 }
 
@@ -304,24 +294,6 @@ def _ports_edited(g, sig, edit, data):
     return _without_port(g, data.draw(st.sampled_from(shared or ports)))
 
 
-def _one_as_true(tg):
-    """``tg`` with every node type and bound that is the ``int`` 1 made
-    ``True``: a twin equal to it by ``==`` whose findings print apart."""
-
-    def t(x):
-        return True if type(x) is int and x == 1 else x
-
-    ends = [{e: t(end) for e, end in ends.items()} for ends in (tg.graph.src, tg.graph.tgt)]
-    return replace(
-        tg,
-        graph=Graph(frozenset(map(t, tg.graph.nodes)), tg.graph.edges, *ends),
-        inherits=frozenset((t(sub), t(sup)) for sub, sup in tg.inherits),
-        abstracts=frozenset(map(t, tg.abstracts)),
-        mult={e: Multiplicity(t(m.lb), t(m.ub)) for e, m in tg.mult.items()},
-        attr_decls={t(owner): decls for owner, decls in tg.attr_decls.items()},
-    )
-
-
 def _checked_family(g, sig, atg, configs, data):
     """Check every variant of ``g`` for ``configs`` against its derived
     type graph, an edit of it and an ``==`` twin of it, with the three
@@ -334,7 +306,7 @@ def _checked_family(g, sig, atg, configs, data):
         except NotCanonical:
             continue
         derived = derive_type_graph(atg, cfg)
-        tgs = (derived, data.draw(type_graph_variants(tg=derived)), _one_as_true(derived))
+        tgs = (derived, data.draw(type_graph_variants(tg=derived)), replace(derived))
         for tg in tgs:
             for checker in GRAPH_CHECKERS:
                 assert checker(variant, tg) == checker.__wrapped__(variant, tg), (checker.__name__, sorted(cfg.selected))
@@ -378,15 +350,25 @@ def test_a_variant_gets_its_family_verdict_only_where_its_own_check_agrees(case,
                 assert checker(variant, tg) == checker.__wrapped__(variant, tg)
 
 
-def test_a_control_named_by_no_str_gets_no_family_verdict():
-    """Under weak typing a node of control ``5`` gets ``control = 5``, which
-    is no string, although its input conforms."""
-    sig = Signature((Control(5),), {5: 0})
-    g = InstanceGraph(graph=Graph(nodes={"n:v"}), node_types={"n:v": 5})
-    assert conformance(g, extend_for_signature(sig), sig).ok
-    weak = cfg("WT", "ER", "RI", "ES", "SI", "EP", "PI")
-    report = check_typing(apply_deltas(g, weak, sig), derive_type_graph(annotate_150(extend_for_signature(sig)), weak))
-    assert [f.line() for f in report.findings] == ["error attr-type n:v.control attribute value is not a string"]
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Control(5), "Control.name holds 5, which is not a str"),
+        (lambda: Signature((Control("A"),), {5: 0}), "Signature.arities holds 5, which is not a str"),
+        (lambda: Signature(5, {}), None),
+        (lambda: Signature((1,), {}), "Signature.controls holds 1, which is not a Control"),
+        (lambda: Signature((Control("A"),), None), None),
+        (lambda: InstanceGraph(graph=Graph(nodes={"n:v"}), node_types={"n:v": 5}), "InstanceGraph.node_types holds 5, which is not a str"),
+    ],
+    ids=["control", "arity-key", "no-controls", "no-control", "no-arities", "node-type"],
+)
+def test_a_control_named_by_no_str_is_refused_at_construction(build, message):
+    """Under weak typing a node of control ``5`` would get ``control = 5``,
+    which is no string; neither such a signature nor a node typed ``5`` can
+    be built, so every family verdict is about ``str`` controls."""
+    with pytest.raises(TypeError) as refused:
+        build()
+    assert message is None or str(refused.value) == message
 
 
 def _body_calls(run):
@@ -487,9 +469,7 @@ def test_an_unchanged_input_that_does_not_conform_is_checked_once(fixtures_dir):
 
 
 @pytest.mark.parametrize(
-    "sig",
-    [None, Signature(5, {}), Signature((1,), {}), Signature((Control("A"),), None), Signature((Control("BRoot"),), {"BRoot": 0})],
-    ids=["none", "no-controls", "no-control", "no-arities", "reserved"],
+    "sig", [None, Signature((Control("BRoot"),), {"BRoot": 0})], ids=["none", "reserved"]
 )
 def test_a_variant_under_a_malformed_signature_is_checked_as_before(g1, tg_sigma1, sig):
     """Strong typing reads no signature, so ``apply_deltas`` takes any; a
