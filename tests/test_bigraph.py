@@ -503,10 +503,16 @@ def test_validate_bigraph_matches_reference(b):
 def test_a_non_string_node_is_refused_at_construction():
     with pytest.raises(TypeError, match="^Bigraph.nodes holds 3, which is not a str$"):
         Bigraph(make_signature([("B", 0)]), nodes={3}, ctrl={3: "B"}, prnt={3: 0}, outer=Interface(1))
-    # The first offender of a field is its smallest by repr, and the fields
-    # are checked in their order.
+
+
+def test_identifiers_of_mixed_types_are_refused_at_their_smallest_by_repr():
+    """The first offender of a field is its smallest by repr, so the message
+    does not depend on hash order, and the fields are checked in their
+    order."""
     with pytest.raises(TypeError, match="^Bigraph.nodes holds 3, which is not a str$"):
         Bigraph(make_signature([("B", 1)]), nodes={"a", 5, 3, None}, edges={"e", 4}, ctrl={3: "B"})
+    with pytest.raises(TypeError, match="^Bigraph.edges holds 5, which is not a str$"):
+        Bigraph(make_signature([("B", 1)]), nodes={"a"}, edges={"e", 5}, ctrl={"a": "B", 4: "B"}, prnt={"a": 0})
     with pytest.raises(TypeError, match="^Interface.names holds None, which is not a str$"):
         Interface(0, frozenset({None, "x"}))
 

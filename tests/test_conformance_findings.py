@@ -43,12 +43,19 @@ def two_ports():
 
 
 @pytest.mark.parametrize("arity", ["2", -1, True, 2.0, None])
-def test_a_bad_arity_is_refused_by_the_signature(two_ports, arity):
+def test_a_bad_arity_is_refused_by_the_signature(arity):
     """The arity rule, ``decode`` and ``validate_bigraph`` only ever read
     non-negative ``int`` arities."""
     with pytest.raises(TypeError) as refused:
         Signature((Control("A"),), {"A": arity, "B": 1})
     assert str(refused.value) == f"Signature.arities holds {arity!r}, which is not a non-negative int"
+
+
+def test_a_string_arity_is_refused_before_a_port_count(two_ports):
+    """An arity of ``'2'`` never reaches ``conformance`` or ``decode``; the
+    signature that holds the ``int`` reads the same encoding as canonical."""
+    with pytest.raises(TypeError, match="^Signature.arities holds '2', which is not a non-negative int$"):
+        Signature((Control("A"),), {"A": "2"})
     good = Signature((Control("A"),), {"A": 2, "B": 1})
     assert conformance(two_ports, extend_for_signature(good), good).ok
     assert decode(two_ports, good)[0] == Bigraph(

@@ -494,19 +494,33 @@ def test_navigation_over_a_missing_bound_is_a_collection():
     assert [c.passed for c in evaluate(doc, g, tg).checks] == [False, True]
 
 
-@pytest.mark.parametrize(
-    "field, key, message",
-    [
-        ("node_types", "n:v0", "InstanceGraph.node_types holds ['Room'], which is not a str"),
-        ("edge_types", "bLink:p:v1:0:e:e1", "InstanceGraph.edge_types holds ['bLink'], which is not a str"),
-    ],
-    ids=["node", "edge"],
-)
-def test_a_node_or_edge_typed_by_a_list_is_refused_at_construction(fixtures_dir, field, key, message):
-    """A type that cannot be hashed, which no document holds, is refused
-    where it is built, so no checker, ``decode`` or ``apply_deltas`` reads it."""
-    g0 = fileio.load_instance_graph(str(fixtures_dir / "printer.ig.json"))
+_BASES = pytest.mark.parametrize("base", ["printer.ig.json", "corpus/bad-ports.ig.json"], ids=["printer", "bad-ports"])
+
+
+def _refused_list_type(path, field, key):
+    """``InstanceGraph`` refuses the graph at ``path`` once the type of
+    ``key`` in ``field`` is wrapped in a list, and names the field and the
+    list."""
+    g0 = fileio.load_instance_graph(str(path))
     types = getattr(g0, field)
     with pytest.raises(TypeError) as refused:
         replace(g0, **{field: {**types, key: [types[key]]}})
-    assert str(refused.value) == message
+    assert str(refused.value) == f"InstanceGraph.{field} holds {[types[key]]!r}, which is not a str"
+
+
+@_BASES
+@pytest.mark.parametrize("node", ["e:e0", "n:v0", "p:v1:0", "r:0"])
+def test_a_node_typed_by_a_list_is_refused(fixtures_dir, base, node):
+    """A node type that cannot be hashed, which no document holds, is
+    refused where it is built, so no checker, ``decode`` or
+    ``apply_deltas`` reads it."""
+    _refused_list_type(fixtures_dir / base, "node_types", node)
+
+
+@_BASES
+@pytest.mark.parametrize("edge", ["bChld:n:v0:n:v1", "bLink:p:v1:0:e:e1", "bNode:p:v2:0:n:v2", "bPoints:e:e0:p:v0:0"])
+def test_an_edge_typed_by_a_list_is_refused(fixtures_dir, base, edge):
+    """An edge type that cannot be hashed is refused where it is built; the
+    ``bLink``, ``bNode`` and ``bPoints`` edges are the three that the port
+    rewiring of ``apply_deltas`` would read."""
+    _refused_list_type(fixtures_dir / base, "edge_types", edge)
