@@ -8,6 +8,9 @@ instance), then calls ``__post_init__`` if the class defines one.
 ``__eq__`` and ``__hash__`` compare the tuple of field values between
 instances of the same class, ``__repr__`` names every field, and
 assigning or deleting an attribute raises :class:`FrozenInstanceError`.
+``copy``, ``deepcopy`` and ``pickle`` rebuild a value from its fields
+through the class (``__reduce__``), so what a value keeps beside its
+fields (an index, a kept report) never travels with it.
 ``replace`` copies a value with some fields changed, ``cls._fields``
 names the fields, and ``cls._adopt`` builds a value from fresh field
 values without copying or checking them. ``check_each`` and the ``is_*``
@@ -121,6 +124,9 @@ def frozen(cls):
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):
+        return self.__class__, tuple([getattr(self, name) for name in names])
+
     def _adopt(cls, *args):
         """A value whose fields are ``args``, in declaration order, taken as
         they are: ``__post_init__`` does not run. For a builder in this
@@ -131,7 +137,7 @@ def frozen(cls):
             setter(self, name, value)
         return self
 
-    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__, __reduce__):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
     cls._adopt = classmethod(_adopt)

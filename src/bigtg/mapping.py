@@ -225,10 +225,10 @@ def decode(g: InstanceGraph, sig: Signature) -> tuple[Bigraph, ElementMap]:
     a node that does not own as many ports as its control's arity. The
     checkers keep their reports on ``g`` (:func:`keeps_report`), so after
     a caller's own ``conformance(g, extend_for_signature(sig), sig)``,
-    or the four checks it runs, the check here costs four identity
-    checks, and ``decode`` pays only for the rebuild. The rebuild
-    then raises :class:`UntypedControl`
-    for a node typed ``BNode``, and :class:`NotCanonical` for two ids of
+    or the four checks it runs, for this ``sig`` or an equal one, the
+    check here returns the four kept reports, and ``decode`` pays only
+    for the rebuild. The rebuild then raises :class:`UntypedControl` for
+    a node typed ``BNode``, and :class:`NotCanonical` for two ids of
     one kind that collide once their prefix is stripped, a root, site or
     port index that is missing, duplicated or outside a gap-free range, a
     root with a parent, a site as a parent, or a node or site without a

@@ -84,9 +84,10 @@ def extend_for_signature(sig: Signature) -> TypeGraph:
     It depends only on the controls of ``sig``, which are immutable, so it
     is kept on ``sig`` by weak reference: while anything else holds it (a
     caller, or a report kept on a graph checked against it), each call
-    returns that type graph, which the kept checker reports then match by
-    identity (:func:`keeps_report`). A signature whose type graph nobody
-    holds keeps no memory for it."""
+    returns that type graph, which a kept checker report then matches by
+    identity, without comparing type graphs (:func:`keeps_report`). A
+    signature whose type graph nobody holds, or a copy of a signature,
+    keeps no memory for it."""
     kept = vars(sig).get("_type_graph")
     tg = kept() if kept is not None else None
     if tg is not None:
@@ -118,7 +119,7 @@ def check_arity_rule(g: InstanceGraph, tg: TypeGraph, sig: Signature) -> Validat
     """Every node typed by a control must own exactly ``arity`` port edges:
     one ``arity`` finding per node that does not. The nodes of a control
     without an arity are not counted. The report is kept on ``g``
-    (:func:`keeps_report`) for these very ``tg`` and ``sig``.
+    (:func:`keeps_report`) for ``tg`` and ``sig`` and any equal to them.
 
     Cost: the arity is one more multiplicity: the controls that share an
     arity ``a`` share one ``[a,a]`` bound on ``bPorts``, which

@@ -17,7 +17,7 @@ from collections import Counter, deque
 from collections.abc import Callable, Collection, Hashable, Iterable, Mapping
 from functools import cached_property, wraps
 from itertools import chain, compress, repeat
-from operator import is_, is_not, itemgetter
+from operator import is_not, itemgetter
 
 from ._value import as_dict, check_each, field, frozen, is_int, is_scalar, is_str
 from .report import Finding, ValidationReport, report_from
@@ -195,20 +195,20 @@ def _grouped(keys: list[Hashable], values: Iterable[Any]) -> dict[Hashable, list
 class InstanceGraph:
     """A graph typed over a type graph, with node attribute values.
 
-    It keeps three things beside its fields: ``edge_view``, built on first
+    It keeps two things beside its fields: ``edge_view``, built on first
     use (the edge columns, the edges and sources of each edge type, the
     nodes of each node type, and the edges of each navigated edge type
     grouped by source), which the four checkers, soundness, ``decode``
-    and ``evaluate`` read; ``_parts``, the last report of each checker
+    and ``evaluate`` read; and ``_parts``, the last report of each checker
     wrapped by :func:`keeps_report` (``check_typing``, ``check_validity``,
-    ``check_multiplicities`` and the arity rule) with the very arguments
-    it was checked against (``decode`` after ``conformance``), what
+    ``check_multiplicities`` and the arity rule) with the arguments it
+    was checked against (``decode`` after ``conformance``), what
     :func:`bigtg.variability.apply_deltas` reads, and what the graphs it
-    returns share; and, on each of those graphs, ``_origin``: its input
-    by weak reference, the configuration and the signature. So neither
-    the dicts of ``g`` nor those arguments may be mutated after the first
-    query, check or reconfiguration; build a new value (through the
-    constructor or ``bigtg.replace``) instead.
+    returns share. So neither the dicts of ``g`` nor those arguments may
+    be mutated after the first query, check or reconfiguration; build a
+    new value (through the constructor or ``bigtg.replace``) instead.
+    Neither travels with a copy or a pickle, which rebuilds the value
+    from its fields.
     A variant shares the dicts it did not change with its input.
 
     Construction copies each dict and raises ``TypeError`` unless
@@ -242,10 +242,10 @@ class InstanceGraph:
     @cached_property
     def _parts(self) -> dict[Hashable, Any]:
         """The slot of each checker wrapped by :func:`keeps_report`, under
-        the checker; and, by builder and key, each part that
-        reconfiguration reads and what the graphs it returns share: the
-        family's verdict per set of control names and, from the second
-        reconfiguration on, the texts its saves select from."""
+        the checker itself; and, by builder and key, each part that
+        reconfiguration reads and what the graphs it returns share: from
+        the second reconfiguration on, the family's verdict per set of
+        control names and the texts its saves select from."""
         return {}
 
 
@@ -320,48 +320,29 @@ def keeps_report(checker: Callable[..., ValidationReport]) -> Callable[..., Vali
     """Make a checker of an instance graph keep its report on the graph.
 
     The wrapped ``checker(g, *args)`` keeps one slot on ``g``, under the
-    checker in ``g._parts``: the other arguments and the report. A call
-    whose every argument ``is`` the kept one returns the kept report; any
-    other call runs the checker and replaces the slot. So an equal
-    argument that is another object (``1 == True``, but they print apart)
-    is checked anew. The slot keeps alive the type graph that
+    checker itself in ``g._parts``: the other arguments and the report. A
+    call whose arguments ``==`` the kept ones returns the kept report; any
+    other call runs the checker and replaces the slot. The constructors
+    refuse values that are equal but print apart (``1 == True``), so equal
+    arguments are checked alike. The slot keeps alive the type graph that
     ``extend_for_signature(sig)`` returns, so ``decode(g, sig)`` after the
-    caller's own checks is a hit. The wrapper keeps the checker's name,
-    and the checker itself as ``__wrapped__``.
-
-    A miss on a graph that :func:`bigtg.variability.apply_deltas`
-    returned, its input itself included, may take its family's verdict
-    from the graph's ``_origin``: an empty report, without running the
-    checker, when the checker is ``check_typing``, ``check_validity`` or
-    ``check_multiplicities``, its type graph ``==`` the one that
-    ``derive_type_graph(annotate_150(extend_for_signature(sig)), cfg)``
-    gives, ``extend_for_signature`` accepts ``sig``, and the graph's input is
-    alive and passes those three checks against
-    ``extend_for_signature(sig)``: one check per set of control names, at
-    the first such miss, which may fill this very slot (the graph may be
-    the input), so the slot is read again before the checker runs.
+    caller's own checks is a hit, found by identity. Reconfiguration
+    fills the slots of the graphs it returns with their family's verdict
+    (:func:`bigtg.variability.apply_deltas`). The wrapper keeps the
+    checker's name, and the checker itself as ``__wrapped__``.
     """
 
     @wraps(checker)
     def kept(g: InstanceGraph, *args: Any) -> ValidationReport:
         parts = g._parts
         slot = parts.get(checker)
-        if _kept_for(slot, args):
+        if slot is not None and slot[0] == args:
             return slot[1]
-        origin = vars(g).get("_origin")
-        report = None if origin is None else origin(checker, args)
-        if report is None:
-            slot = parts.get(checker)
-            report = slot[1] if _kept_for(slot, args) else checker(g, *args)
+        report = checker(g, *args)
         parts[checker] = (args, report)
         return report
 
     return kept
-
-
-def _kept_for(slot: tuple[tuple[Any, ...], ValidationReport] | None, args: tuple[Any, ...]) -> bool:
-    """Whether a kept slot holds these very arguments."""
-    return slot is not None and len(slot[0]) == len(args) and all(map(is_, slot[0], args))
 
 
 def walk_suspects(
@@ -743,6 +724,12 @@ def check_multiplicities(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
 def _mult_finding(n: str, t: str, te: str, m: Multiplicity, count: int) -> Finding:
     code = "mult-underflow" if count < m.lb else "mult-overflow"
     return Finding(code, f"{n}.{te}", f"{count} outgoing {te!r} edge(s), multiplicity {m.render()}")
+
+
+#: The bodies of the three checkers that ``conformance`` runs without a
+#: signature, which key their slots in ``_parts``: named once here, since
+#: a tracer may rebind the module's names to wrappers of the kept ones.
+_FAMILY_CHECKERS = tuple(kept.__wrapped__ for kept in (check_typing, check_validity, check_multiplicities))
 
 
 def __getattr__(name: str) -> object:

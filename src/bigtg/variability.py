@@ -8,7 +8,8 @@ the elements whose condition holds and drops whatever then dangles.
 Instance graphs are reconfigured from parts of the canonical encoding,
 read off the same table and kept on it, which every configuration of
 that encoding shares; so is the verdict of the encoding's own checks,
-which decides the checks of each variant against its derived type graph.
+which each variant made from the second reconfiguration on is born with:
+the kept reports of its checks against its derived type graph.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from ._value import field, frozen, replace
 from .bigraph import BASE_NODE_TYPE_NAMES, ReservedControlName, Signature
 from .metamodel import NotCanonical, conformance, extend_for_signature
 from .report import Finding, ValidationReport, report_from
-from .typedgraph import Graph, InstanceGraph, Multiplicity, TypeGraph, _grouped
+from .typedgraph import _FAMILY_CHECKERS, Graph, InstanceGraph, Multiplicity, TypeGraph, _grouped
 
 TYPE_CHECKING = False  # read as true by static type checkers only
 if TYPE_CHECKING:
@@ -236,26 +237,30 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
     its ``NotCanonical`` reason, for each set of deleted roots and sites.
     Each configuration then takes C-level set unions and dict merges of
     the parts it keeps, and dict copies with the dropped keys deleted:
-    no Python-level pass over the nodes, edges or attributes. No edge
-    view of ``g`` is built. The new graph's edge set and edge dicts hold
-    the same entries as before, in another iteration order; it takes
-    those dicts without a copy, and shares with ``g`` the ones that no
-    step changes. Each graph returned, ``g`` itself included, records
-    where it came from unless it has a record (``_origin``, an
-    :class:`_Origin`): ``g`` by weak reference, ``cfg`` and ``sig``, by
-    which it reaches what the family shares in ``g._parts``, and what the
-    steps changed: the pieces (the retyping for a set of controls, a
-    group's lost ``index``, a port rewiring) and the dropped groups. From
-    the second reconfiguration of ``g`` on, ``g._parts`` holds a
-    :class:`bigtg.writers.Family`, which prints each entry of ``g`` and
-    each entry that a piece changes once while ``g`` lives, so a
-    variant's save selects its text from these; a graph reconfigured
-    once, and a variant kept without ``g``, keep no printed text. Once
-    ``g`` passes the three checks against ``extend_for_signature(sig)``,
-    checked once per set of control names, without the arity rule, and
-    kept in ``g._parts``, the three checks of each graph returned against
-    its derived type graph, kept there too, take that verdict
-    (:func:`bigtg.typedgraph.keeps_report`).
+    no Python-level pass over the nodes, edges or attributes. The steps
+    build no edge view of ``g`` (its check below does). The new graph's
+    edge set and edge dicts hold the same entries as before, in another
+    iteration order; it takes those dicts without a copy, and shares with
+    ``g`` the ones that no step changes. Each graph returned, ``g`` itself included, records
+    what the steps did unless it has a record (``_origin``, an
+    :class:`_Origin`): ``g``, by weak reference, and the pieces the steps
+    changed (the retyping for a set of controls, a group's lost
+    ``index``, a port rewiring) and the groups they dropped.
+
+    From the second reconfiguration of ``g`` on, the graphs returned are
+    a family. ``g._parts`` then holds a :class:`bigtg.writers.Family`,
+    which prints each entry of ``g`` and each entry that a piece changes
+    once while ``g`` lives, so a variant's save selects its text from
+    these; a graph reconfigured once, and a variant kept without ``g``,
+    keep no printed text. And ``g`` is checked, once per set of control
+    names, by ``conformance(g, extend_for_signature(sig))``, kept in
+    ``g._parts``: without the arity rule, which dropping ports breaks on
+    purpose. When it passes, each graph returned is born with that
+    verdict: the kept reports of ``check_typing``, ``check_validity`` and
+    ``check_multiplicities`` against its derived type graph are empty
+    (:func:`bigtg.typedgraph.keeps_report`), which the type safety of
+    delta-oriented product lines warrants (Bettini, Damiani & Schaefer
+    2013). The first reconfiguration runs no check.
 
     When no step changes anything, ``g`` itself is returned; when nothing
     is deleted, the edges, their ends and their types are kept as they
@@ -268,13 +273,15 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
     rep = validate_config(cfg)
     if not rep.ok:
         raise InvalidConfig(rep)
-    if (_lacking, ()) in g._parts:  # reconfigured before: its variants are a family
+    family = (_lacking, ()) in g._parts  # reconfigured before: its variants are a family
+    if family:
         from .writers import Family
 
         _kept(g, Family)
     lacking = _kept(g, _lacking)
     if lacking:
         raise NotCanonical(lacking)
+    verdict = _verdict(g, sig) if family and isinstance(sig, Signature) else None
     sel = cfg.selected
     types, attrs, controls = g.node_types, g.attrs, frozenset()
     changes: list[tuple[Callable[..., InstanceGraph], Hashable]] = []
@@ -304,7 +311,7 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
     doomed = frozenset().union(*dropped.values())
     if not doomed:
         h = g if types is g.node_types and attrs is g.attrs else InstanceGraph._adopt(g.graph, types, g.edge_types, attrs)
-        return _recorded(h, g, cfg, sig, None, changes)
+        return _recorded(h, g, cfg, verdict, None, changes)
     cut = sum(map(_BIT.__getitem__, dropped))
     kept = [_kept(g, _ends, touched) for touched in _kept(g, _touching) if not touched & cut]
     src, tgt, edge_types = (_merged(map(itemgetter(i), kept)) for i in range(3))
@@ -318,89 +325,57 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
         changes.append((_moved_entries, cut & ~_BIT["BPort"]))
     graph = Graph._adopt(g.graph.nodes - doomed, frozenset(src), src, tgt)
     h = InstanceGraph._adopt(graph, _without(types, doomed), edge_types, attrs)
-    return _recorded(h, g, cfg, sig, (_dropped, cut), changes)
+    return _recorded(h, g, cfg, verdict, (_dropped, cut), changes)
 
 
 def _recorded(
-    h: InstanceGraph, g: InstanceGraph, cfg: FeatureConfig, sig: Signature, dropped: tuple | None, changes: list
+    h: InstanceGraph,
+    g: InstanceGraph,
+    cfg: FeatureConfig,
+    verdict: AnnotatedTypeGraph | None,
+    dropped: tuple | None,
+    changes: list,
 ) -> InstanceGraph:
-    """``h``, which records ``_Origin(g, cfg, sig)`` unless it has a
-    record, with what the steps did: ``dropped`` and ``changes``."""
-    vars(h).setdefault("_origin", _Origin(g, cfg, sig, (ref(h), dropped, tuple(changes))))
+    """``h``, which records ``_Origin(g, (dropped, changes))`` unless it has
+    a record; given the family's ``verdict``, the slots of the three
+    checkers on ``h`` hold an empty report for its derived type graph."""
+    vars(h).setdefault("_origin", _Origin(g, (dropped, tuple(changes))))
+    if verdict is not None:
+        passed = ((derive_type_graph(verdict, cfg),), ValidationReport())
+        h._parts.update(zip(_FAMILY_CHECKERS, repeat(passed)))
     return h
 
 
-#: The checkers that a family's verdict answers: the three that
-#: ``conformance`` runs without a signature. The arity rule is not among
-#: them, since dropping ports breaks arities on purpose. They are named by
-#: module and name, which a tracer that rebinds the module's names keeps.
-_ANSWERED = frozenset((Graph.__module__, name) for name in ("check_typing", "check_validity", "check_multiplicities"))
-
-
 class _Origin:
-    """Where a graph that :func:`apply_deltas` returned came from: its
-    input ``g`` (by weak reference, and ``g`` itself when no step changed
-    it), the configuration and the signature. It is the graph's one link
-    to its family, whose shared state lives in ``g._parts``.
+    """What the steps of :func:`apply_deltas` did to make a graph, for the
+    writer (:class:`bigtg.writers.Family`): its input ``g``, by weak
+    reference (``g`` itself when no step changed it), whose parts hold
+    what the family shares; and ``delta``: what it drops, a builder and
+    the mask of dropped groups, or None, and its changes, each a builder
+    and its key, which give the entries that a piece of the steps changes
+    as they are after it. Only :func:`apply_deltas` makes one, and a copy
+    of a graph does not carry it."""
 
-    A check of the graph that misses its kept slot asks this record
-    first (:func:`bigtg.typedgraph.keeps_report`). The record answers
-    with an empty report only when the checker is one of ``_ANSWERED``,
-    its one argument ``==`` the type graph that
-    ``derive_type_graph(annotate_150(extend_for_signature(sig)), cfg)``
-    gives, and ``g`` is alive and passes the same three checks against
-    ``extend_for_signature(sig)`` (:func:`_family_type_graph`). A graph
-    that passes them gives variants that pass them against their derived
-    type graphs, so one check of ``g`` per set of control names decides
-    the three checks of every variant. Otherwise the checker runs.
+    __slots__ = ("input", "delta")
 
-    ``delta`` says what the steps did, for the writer
-    (:class:`bigtg.writers.Family`): the graph it was made for, by weak
-    reference; what it drops, a builder and the mask of dropped groups, or
-    None; and its changes, each a builder and its key, which give the
-    entries a piece of the steps changes as they are after it. Only
-    :func:`apply_deltas` fills it in, so a record made any other way, or
-    held by another graph, has none to offer."""
-
-    __slots__ = ("input", "cfg", "sig", "delta")
-
-    def __init__(self, g: InstanceGraph, cfg: FeatureConfig, sig: Signature, delta: tuple | None = None) -> None:
-        self.input, self.cfg, self.sig, self.delta = ref(g), cfg, sig, delta
-
-    def __call__(self, checker: Callable[..., ValidationReport], args: tuple[Any, ...]) -> ValidationReport | None:
-        if (checker.__module__, checker.__name__) not in _ANSWERED or len(args) != 1:
-            return None
-        g = self.input()
-        derived = None if g is None else _family_type_graph(g, self.sig, self.cfg)
-        return ValidationReport() if derived is not None and args[0] == derived else None
+    def __init__(self, g: InstanceGraph, delta: tuple) -> None:
+        self.input, self.delta = ref(g), delta
 
 
-def _family_type_graph(g: InstanceGraph, sig: Signature, cfg: FeatureConfig) -> TypeGraph | None:
-    """The derived type graph of ``cfg`` for ``sig`` when ``g`` passes
-    ``conformance(g, extend_for_signature(sig))``, or None. No step reads
-    more of ``sig`` than its control names, so the verdict is kept in
-    ``g._parts`` per set of them, without the arity rule, beside each
-    derived type graph, and each is reached at the first call that needs
-    it. An argument that is no :class:`Signature`, and a signature that
-    ``extend_for_signature`` refuses, have none."""
-    if not isinstance(sig, Signature):
-        return None
-    parts, key = g._parts, (_family_type_graph, sig.names)
-    family = parts.get(key)
-    if family is None:
-        parts[key] = (None, {})  # no verdict yet for the checks of ``g`` that reach it
+def _verdict(g: InstanceGraph, sig: Signature) -> AnnotatedTypeGraph | None:
+    """The 150% type graph over ``extend_for_signature(sig)`` when ``g``
+    passes ``conformance`` to it, or None, also when
+    ``extend_for_signature`` refuses ``sig``. No step reads more of
+    ``sig`` than its control names, so ``g`` is checked once per set of
+    them, and the verdict kept in ``g._parts``."""
+    parts, key = g._parts, (_verdict, sig.names)
+    if key not in parts:
         try:
             tg = extend_for_signature(sig)
         except ReservedControlName:
-            return None
-        family = parts[key] = (annotate_150(tg) if conformance(g, tg).ok else None, {})
-    atg, derived = family
-    if atg is None:
-        return None
-    tg = derived.get(cfg)
-    if tg is None:
-        tg = derived[cfg] = derive_type_graph(atg, cfg)
-    return tg
+            tg = None
+        parts[key] = annotate_150(tg) if tg is not None and conformance(g, tg).ok else None
+    return parts[key]
 
 
 # The parts of an instance graph that ``apply_deltas`` reads. Each is

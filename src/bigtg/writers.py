@@ -14,8 +14,9 @@ From a graph's second reconfiguration on, its variants share a
 :class:`Family`, kept among the graph's parts (``_parts``) and reached
 through the record that :func:`bigtg.variability.apply_deltas` made for a
 variant (``_origin``), whose save selects its text from the family's. The
-record holds the graph by weak reference, so a variant kept alone holds
-no printed text and, like a graph without a family, prints as above.
+record holds the graph by weak reference, and a copy of a variant holds
+no record, so a variant kept alone or copied holds no printed text and,
+like a graph without a family, prints as above.
 
 Only :func:`bigtg.fileio.save` and :func:`bigtg.fileio.dumps_canonical`
 load this module, so a command that writes no file does not compile it.
@@ -45,7 +46,7 @@ if TYPE_CHECKING:
 # encoder, which took most of the time of saving a large graph. ``pad`` is
 # a newline and the indentation of the line a value starts on.
 
-_P2, _P4, _P6, _P8, _P10 = "\n  ", "\n    ", "\n      ", "\n        ", "\n          "
+_P2, _P4, _P8 = "\n  ", "\n    ", "\n        "
 
 #: Entries of a large array printed, and held as text, at a time.
 _BATCH = 512
@@ -79,22 +80,20 @@ _LITERAL = {True: "true", False: "false", None: "null"}.__getitem__
 _SCALAR = {str: encode_basestring_ascii, int: int.__repr__, bool: _LITERAL, type(None): _LITERAL}
 
 
-def _leaves(values: list, pad: str) -> list[str]:
-    """The text of each value: one C-level pass over a column of strings or
-    of plain integers, one pass that picks the printer of each value's
-    type over a column of such scalars mixed (weakly typed attribute
-    values: ``control`` strings beside ``index`` ints), and
-    ``_canonical_json`` per value otherwise."""
+def _leaves(values: list) -> list[str]:
+    """The text of each value of a column, which the constructors let hold
+    strings, plain integers and ``None`` (a missing type): one C-level pass
+    over a column of strings or of integers, and one pass that picks the
+    printer of each value's type over a column of them mixed (weakly typed
+    attribute values: ``control`` strings beside ``index`` ints)."""
     try:
         return list(map(encode_basestring_ascii, values))
     except TypeError:
-        kinds = list(map(type, values))
-        distinct = set(kinds)
-        if distinct <= {int}:
-            return list(map(int.__repr__, values))
-        if _SCALAR.keys() >= distinct:
-            return [text(v) for text, v in zip(map(_SCALAR.__getitem__, kinds), values)]
-    return [_canonical_json(v, pad) for v in values]
+        pass
+    try:
+        return list(map(int.__repr__, values))
+    except TypeError:
+        return [_SCALAR.get(type(v), encode_basestring_ascii)(v) for v in values]
 
 
 def _canonical_json(value: Any, pad: str = "\n") -> str:
@@ -162,21 +161,21 @@ def bigraph_chunks(b: Bigraph) -> Iterator[str]:
     points = names + sorted((p for p in b.link if isinstance(p, Port)), key="Port(node=%r, index=%r)".__mod__)
 
     def ids(column: list) -> Callable[[slice], list[str]]:
-        return lambda part: _leaves(column[part], _P6)
+        return lambda part: _leaves(column[part])
 
     def ctrl_entries(part: slice) -> Iterable[str]:
         keys = owners[part]
-        return map("%s: %s".__mod__, zip(_leaves(keys, _P6), _leaves(list(map(b.ctrl.get, keys)), _P6)))
+        return map("%s: %s".__mod__, zip(_leaves(keys), _leaves(list(map(b.ctrl.get, keys)))))
 
     def link_entries(part: slice) -> Iterable[str]:
         inner = names[part]  # ``points`` starts with ``names``, so these lead ``points[part]``
         ports = points[part][len(inner) :]
-        refs = map(_PORT.__mod__, zip(*(_leaves(list(map(itemgetter(i), ports)), _P10) for i in (0, 1))))
-        return map(_PAIR.__mod__, zip([*_leaves(inner, _P8), *refs], _leaves(list(map(b.link.get, points[part])), _P8)))
+        refs = map(_PORT.__mod__, zip(*(_leaves(list(map(itemgetter(i), ports))) for i in (0, 1))))
+        return map(_PAIR.__mod__, zip([*_leaves(inner), *refs], _leaves(list(map(b.link.get, points[part])))))
 
     def prnt_entries(part: slice) -> Iterable[str]:
         batch = children[part]
-        return map(_PAIR.__mod__, zip(_leaves(batch, _P8), _leaves(list(map(b.prnt.get, batch)), _P8)))
+        return map(_PAIR.__mod__, zip(_leaves(batch), _leaves(list(map(b.prnt.get, batch)))))
 
     yield '{\n    "ctrl": '
     yield from _batched(len(owners), ctrl_entries, _P4, "{}")
@@ -231,16 +230,16 @@ _NODE = '{\n        "attrs": %s,\n        "id": %s,\n        "type": %s\n      }
 
 def _edge_texts(ids: list, src: list, tgt: list, types: list) -> Iterable[str]:
     """The entry of each edge, from its columns: each is printed in one pass."""
-    return map(_EDGE.__mod__, zip(*(_leaves(column, _P8) for column in (ids, src, tgt, types))))
+    return map(_EDGE.__mod__, zip(*(_leaves(column) for column in (ids, src, tgt, types))))
 
 
 def _node_texts(ids: list, types: list, held: list, values: list) -> Iterable[str]:
     """The entry of each node of ``ids``, typed ``types``, whose attributes
     are ``held``, the sorted keys that ``ids`` own, with their ``values``."""
-    names = _leaves(list(map(itemgetter(1), held)), _P10)
-    members = zip(map(itemgetter(0), held), map("%s: %s".__mod__, zip(names, _leaves(values, _P10))))
+    names = _leaves(list(map(itemgetter(1), held)))
+    members = zip(map(itemgetter(0), held), map("%s: %s".__mod__, zip(names, _leaves(values))))
     attrs = {n: _join(list(map(itemgetter(1), group)), _P8, "{}") for n, group in groupby(members, itemgetter(0))}
-    return map(_NODE.__mod__, zip(map(attrs.get, ids, repeat("{}")), _leaves(ids, _P8), _leaves(types, _P8)))
+    return map(_NODE.__mod__, zip(map(attrs.get, ids, repeat("{}")), _leaves(ids), _leaves(types)))
 
 
 def _plain(g: InstanceGraph) -> bool:
@@ -317,11 +316,10 @@ def instancegraph_chunks(g: InstanceGraph) -> Iterator[str]:
     values) is printed in one pass, and each entry is its template filled
     from the columns. A variant whose record ``apply_deltas`` made for it
     takes the texts that its input's living :class:`Family` selects."""
-    origin = getattr(g, "_origin", None)
-    delta = getattr(origin, "delta", None)
-    owner = origin.input() if delta is not None and delta[0]() is g else None
+    origin = vars(g).get("_origin")
+    owner = None if origin is None else origin.input()
     family = None if owner is None else owner._parts.get((Family, ()))
-    selected = None if family is None else family.selected(owner, *delta[1:])
+    selected = None if family is None else family.selected(owner, *origin.delta)
     if selected is not None:
         edges, nodes = selected
         edge_entries, node_entries = edges.__getitem__, nodes.__getitem__

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import builtins
+import copy
 import json
 import os
+import pickle
 import random
 import tempfile
 import tracemalloc
@@ -18,6 +20,8 @@ from bigtg import (
     FeatureConfig,
     Graph,
     InstanceGraph,
+    apply_deltas,
+    conformance,
     encode,
     enumerate_configs,
     extend_for_signature,
@@ -29,6 +33,29 @@ from bigtg.fileio import SchemaError
 from bigtg.generators import random_bigraph
 
 from helpers import arbitrary_bigraphs, assert_refused, mutated_encodings, outcome
+
+
+def test_a_copy_or_a_pickle_is_rebuilt_from_the_fields(fixtures_dir):
+    """A checked graph, a variant born with its family's verdict, a bigraph
+    and a signature whose type graph is kept each survive ``copy``,
+    ``deepcopy`` and ``pickle`` as an equal value with the same canonical
+    text; what each kept beside its fields (its view, parts, record or
+    type graph) does not travel."""
+    g = fileio.load_instance_graph(str(fixtures_dir / "printer.ig.json"))
+    sig = fileio.load_signature(str(fixtures_dir / "printer.sig.json"))
+    b = fileio.load_bigraph(str(fixtures_dir / "printer.bg.json"))
+    tg = extend_for_signature(sig)
+    assert conformance(g, tg, sig).ok
+    configs = enumerate_configs()
+    apply_deltas(g, configs[0], sig)
+    variant = apply_deltas(g, configs[-1], sig)
+    assert {"_origin", "_parts"} <= vars(variant).keys() and "_type_graph" in vars(sig)
+    for value in (g, variant, b, sig):
+        text = fileio.dumps_canonical(value)
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value and twin is not value
+            assert vars(twin).keys() == set(type(value)._fields)
+            assert fileio.dumps_canonical(twin) == text
 
 
 @pytest.mark.parametrize(

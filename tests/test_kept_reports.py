@@ -2,15 +2,15 @@
 
 ``check_typing``, ``check_validity``, ``check_multiplicities`` and
 ``check_arity_rule`` each keep one slot on the graph: the arguments of
-the last check and its report, returned only for the same argument
-objects. The report must be exactly what the checker itself
-(``__wrapped__``) gives, whether the same arguments come again, an equal
-type graph built anew for an equal signature, another type graph, another
-signature, or a type graph equal to the kept one by ``==`` that prints
-differently (``1 == True``). And ``decode`` after those four checks
-must run none of their bodies. ``extend_for_signature`` keeps the type
-graph it builds on the signature, and findings against it are those
-against one built anew.
+the last check and its report, returned for arguments equal to those.
+The report must be exactly what the checker itself (``__wrapped__``)
+gives, whether the same arguments come again, equal ones that are other
+objects (a type graph built anew, loaded from a file or copied, a
+signature loaded anew), another type graph or another signature; values
+that are equal by ``==`` but print apart (``1 == True``) are refused at
+construction. And ``decode`` after those four checks must run none of
+their bodies. ``extend_for_signature`` keeps the type graph it builds on
+the signature, and findings against it are those against one built anew.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import bigtg.metamodel
 import bigtg.typedgraph
 from bigtg import (
     Control,
+    fileio,
     Graph,
     InstanceGraph,
     Multiplicity,
@@ -81,6 +82,42 @@ def test_kept_reports_equal_the_checkers(case, data):
         assert checker(g, *fresh) == first
         assert checker(g, *other_args) == checker.__wrapped__(g, *other_args)
         assert checker(g, *args) == first
+
+
+@pytest.fixture(scope="module")
+def reloaded(tmp_path_factory):
+    """``reloaded(sig)``: ``sig`` saved and loaded anew, another object."""
+    path = str(tmp_path_factory.mktemp("signatures") / "anew.sig.json")
+
+    def reload(sig):
+        fileio.save(sig, path)
+        return fileio.load_signature(path)
+
+    return reload
+
+
+@given(mutated_encodings())
+@settings(max_examples=150, deadline=None)
+def test_a_kept_slot_answers_equal_arguments_that_are_other_objects(reloaded, fixtures_dir, case):
+    """The four checks against ``extend_for_signature(sig)``, then against
+    the printer's type graph loaded from its file: each report is the
+    checker's own, and a check against a copy of the type graph, or that
+    type graph loaded again, with a signature loaded anew, returns the
+    kept report without running the checker, and it is the checker's own
+    for those arguments too."""
+    g, b = case
+    sig, printer = b.signature, str(fixtures_dir / "printer.tg.json")
+    tg, loaded = extend_for_signature(sig), fileio.load_type_graph(printer)
+    for kept, twin in ((tg, replace(tg)), (loaded, fileio.load_type_graph(printer))):
+        sig_anew = reloaded(sig)
+        assert twin == kept and twin is not kept and sig_anew == sig and sig_anew is not sig
+        calls = [(checker, (kept,), (twin,)) for checker in GRAPH_CHECKERS]
+        calls.append((check_arity_rule, (kept, sig), (twin, sig_anew)))
+        for checker, args, equal in calls:
+            first = checker(g, *args)
+            assert first == checker.__wrapped__(g, *args)
+            again = checker(g, *equal)
+            assert again is first and again == checker.__wrapped__(g, *equal)
 
 
 def decoded(g, sig):

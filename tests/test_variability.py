@@ -229,10 +229,12 @@ def test_edge_without_an_end_is_not_canonical_in_every_config(g1, sig1, end):
             apply_deltas(g, config, sig1)
 
 
-# A variant of a conforming graph takes its family's verdict: the three
-# checks that ``conformance`` runs without a signature give an empty report
-# against the variant's derived type graph, once the input has been checked
-# (``variability._Origin``). Every report must still be the checker's own.
+# A variant of a conforming graph takes its family's verdict: from the
+# second reconfiguration on, ``apply_deltas`` checks the input once per set
+# of control names and, where it passes, fills the kept reports of the three
+# checks that ``conformance`` runs without a signature, against the
+# variant's derived type graph, with an empty one. Every report must still
+# be the checker's own.
 
 
 #: A copy of the drawn graph, with each kind of signature: its own, one
@@ -430,7 +432,7 @@ def test_a_signature_loaded_afresh_for_each_configuration_shares_one_verdict(fix
             report = checker(variant, tg)
             assert report.ok and report == checker.__wrapped__(variant, tg), (checker.__name__, config.ordered())
     assert len(inputs) == 1 and inputs[0] is g
-    verdicts = [key for key in g._parts if type(key) is tuple and key[0] is bigtg.variability._family_type_graph]
+    verdicts = [key for key in g._parts if type(key) is tuple and key[0] is bigtg.variability._verdict]
     assert len(verdicts) == 1
 
 
@@ -466,6 +468,65 @@ def test_an_unchanged_input_that_does_not_conform_is_checked_once(fixtures_dir):
     report, calls = _body_calls(lambda: check_typing(g, tg))
     assert calls.count("check_typing") == 1
     assert not report.ok and report == check_typing.__wrapped__(g, tg)
+
+
+def test_a_variant_is_born_with_its_family_verdict(fixtures_dir, monkeypatch):
+    """The first reconfiguration of a graph runs no checker body and builds
+    no edge view. The second checks the input, by one ``conformance`` per
+    set of control names. From then on each graph returned holds the
+    verdict in its own kept reports, so its three checks against its
+    derived type graph run no checker body, also once the input is gone;
+    the first variant, made before the family, runs each of them."""
+    g = fileio.load_instance_graph(str(fixtures_dir / "printer.ig.json"))
+    sig = fileio.load_signature(str(fixtures_dir / "printer.sig.json"))
+    inputs = []
+
+    def counted(h, *args):
+        inputs.append(h)
+        return conformance(h, *args)
+
+    monkeypatch.setattr(bigtg.variability, "conformance", counted)
+    first, *rest = enumerate_configs()
+    variant, calls = _body_calls(lambda: apply_deltas(g, first, sig))
+    assert calls == [] and inputs == [] and "edge_view" not in vars(g)
+    born = [(variant, first)]
+    for config in rest:
+        anew = fileio.load_signature(str(fixtures_dir / "printer.sig.json"))
+        variant, calls = _body_calls(lambda: apply_deltas(g, config, anew))
+        assert calls == ([checker.__name__ for checker in GRAPH_CHECKERS] if config is rest[0] else []), config.ordered()
+        if variant is not g:
+            born.append((variant, config))
+    assert inputs == [g]
+    fewer = Signature(sig.controls[1:], {c.name: sig.arities[c.name] for c in sig.controls[1:]})
+    apply_deltas(g, first, fewer)
+    apply_deltas(g, first, replace(fewer))
+    assert inputs == [g, g]
+    held = weakref.ref(g)
+    del g, variant, inputs[:]
+    gc.collect()
+    assert held() is None
+    atg = annotate_150(extend_for_signature(sig))
+    for i, (variant, config) in enumerate(born):
+        derived = derive_type_graph(atg, config)
+        reports, calls = _body_calls(lambda: [checker(variant, derived) for checker in GRAPH_CHECKERS])
+        assert calls == ([checker.__name__ for checker in GRAPH_CHECKERS] if i == 0 else []), config.ordered()
+        assert reports == [checker.__wrapped__(variant, derived) for checker in GRAPH_CHECKERS]
+        assert all(report.ok for report in reports)
+
+
+def test_an_input_that_does_not_conform_gives_its_variants_no_verdict(fixtures_dir):
+    """A root typed by the abstract ``BPlace`` fails ``check_typing`` in
+    the input and in every variant: no variant is born with a verdict,
+    and each report is the checker's own."""
+    g = fileio.load_instance_graph(str(fixtures_dir / "printer.ig.json"))
+    sig = fileio.load_signature(str(fixtures_dir / "printer.sig.json"))
+    g = replace(g, node_types={**g.node_types, "r:0": "BPlace"})
+    atg = annotate_150(extend_for_signature(sig))
+    for config in enumerate_configs():
+        variant, derived = apply_deltas(g, config, sig), derive_type_graph(atg, config)
+        reports = [checker(variant, derived) for checker in GRAPH_CHECKERS]
+        assert reports == [checker.__wrapped__(variant, derived) for checker in GRAPH_CHECKERS]
+        assert "typing-abstract" in reports[0].codes(), config.ordered()
 
 
 @pytest.mark.parametrize(

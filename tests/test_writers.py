@@ -6,9 +6,11 @@ small cases."""
 
 from __future__ import annotations
 
+import copy
 import gc
 import json
 import pathlib
+import pickle
 import random
 import sys
 import tracemalloc
@@ -39,7 +41,7 @@ from bigtg import (
     writers,
 )
 from bigtg.generators import random_bigraph, random_signature
-from bigtg.variability import FeatureConfig, _Origin
+from bigtg.variability import FeatureConfig
 
 from helpers import assert_refused, mutated_encodings, outcome, ref_node_attrs
 from test_index import encodings
@@ -455,11 +457,11 @@ def _kin(nodes: dict, edges: dict, attrs: dict) -> InstanceGraph:
 def test_a_graph_whose_record_apply_deltas_did_not_make_prints_its_own_entries():
     """Graphs that share their ids with a graph that holds a family, but
     not their ends, types, or attribute names and values (an ``int`` and
-    the ``str`` that prints it among them), each print their own text when their record
-    of that graph is made by hand, or is the record ``apply_deltas`` made
-    for that graph itself: only the graph that ``apply_deltas`` made a
-    record for prints from its input's family. A graph with ids that the
-    family lacks sorts its own."""
+    the ``str`` that prints it among them), each print their own text, and
+    so does a graph with ids that the family lacks. Only a graph that
+    ``apply_deltas`` returned holds a record of its input: a copy, a deep
+    copy or a pickle of one is rebuilt from its fields, holds none, and
+    prints the same text from its own entries."""
     ends, types = {"src": "n", "tgt": "m", "type": "bLink"}, {"n": "BNode", "m": "BPort"}
     kin = [_kin(types, ends, {}), _kin(types, {**ends, "src": "m"}, {}), _kin(types, {**ends, "tgt": "n"}, {})]
     kin += [_kin(types, {**ends, "type": t}, {}) for t in ("bPoints", "bLink ")]
@@ -473,13 +475,13 @@ def test_a_graph_whose_record_apply_deltas_did_not_make_prints_its_own_entries()
     for features in ({"ST", "EP", "PI"}, {"ST", "EP"}):  # each returns the owner itself, recorded
         assert apply_deltas(owner, FeatureConfig(frozenset(features)), sig) is owner
     family = owner._parts[writers.Family, ()]
-    made = owner._origin
-    for i, g in enumerate(kin[1:]):
-        object.__setattr__(g, "_origin", made if i % 2 else _Origin(owner, FeatureConfig(), None))
+    copies = [copy.copy(owner), copy.deepcopy(owner), pickle.loads(pickle.dumps(owner))]
+    assert "_origin" in vars(owner) and not any("_origin" in vars(c) or "_parts" in vars(c) for c in copies)
     texts = [fileio.dumps_canonical(replace(g)) for g in kin]
     assert len(set(texts)) == len(kin)
     for _ in range(2):
         assert [fileio.dumps_canonical(g) for g in kin] == texts
+        assert [fileio.dumps_canonical(c) for c in copies] == texts[:1] * len(copies)
     assert family.ids == (["e"], ["m", "n"]) and family.texts == tuple(map(list, writers._entries(owner, *family.ids)))
 
 
