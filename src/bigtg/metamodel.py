@@ -10,7 +10,7 @@ graph. This is all of the bridge that ``bigtg validate``, ``check``,
 
 from __future__ import annotations
 
-from weakref import ref
+from functools import lru_cache
 
 from .bigraph import BASE_NODE_TYPE_NAMES, ReservedControlName, Signature
 from .report import Finding, ValidationReport, report_from
@@ -77,41 +77,54 @@ def base_type_graph() -> TypeGraph:
     )
 
 
+#: The most sets of control names whose type graphs are kept at once (see
+#: :func:`extend_for_signature`).
+_KEPT_NAME_SETS = 8
+
+
 def extend_for_signature(sig: Signature) -> TypeGraph:
     """Control-compatible extension: one extra node type per control, each
-    a subtype of the generic node type.
+    a subtype of the generic node type. Raises ``ReservedControlName`` on
+    every call whose controls name a base node type.
 
-    It depends only on the controls of ``sig``, which are immutable, so it
-    is kept on ``sig`` by weak reference: while anything else holds it (a
-    caller, or a report kept on a graph checked against it), each call
-    returns that type graph, which a kept checker report then matches by
-    identity, without comparing type graphs (:func:`keeps_report`). A
-    signature whose type graph nobody holds, or a copy of a signature,
-    keeps no memory for it."""
-    kept = vars(sig).get("_type_graph")
-    tg = kept() if kept is not None else None
-    if tg is not None:
-        return tg
-    clash = set(sig.names) & set(BASE_NODE_TYPE_NAMES)
+    It depends only on the set of control names of ``sig``, so one type
+    graph per set is kept in a table of the ``_KEPT_NAME_SETS`` sets used
+    last: signatures loaded anew, copied or with their controls in
+    another order get the same object while its set stays in the table,
+    and what is kept on it comes along (the 150% type graph of
+    :func:`bigtg.variability.annotate_150`, its derived type graphs, each
+    one's canonical text). A kept checker report then matches it by
+    identity, without comparing type graphs (:func:`keeps_report`). A set
+    pushed out of the table keeps its type graph only while something
+    else holds it. The printer signature's set, with its 54 derived type
+    graphs printed, holds about 460 KiB (600 KiB once a check has built
+    each one's subtype closure), so the table holds a few MiB at most."""
+    names = frozenset(sig.names)
+    clash = names.intersection(BASE_NODE_TYPE_NAMES)
     if clash:
         raise ReservedControlName(f"controls collide with base node types: {sorted(clash)}")
+    return _extension(names)
+
+
+@lru_cache(maxsize=_KEPT_NAME_SETS)
+def _extension(names: frozenset[str]) -> TypeGraph:
+    """The extension for the control ``names``, built anew by
+    ``_extension.__wrapped__``."""
     base = base_type_graph()
-    tg = TypeGraph(
+    return TypeGraph(
         graph=Graph(
-            nodes=base.graph.nodes | set(sig.names),
+            nodes=base.graph.nodes | names,
             edges=base.graph.edges,
             src=base.graph.src,
             tgt=base.graph.tgt,
         ),
-        inherits=base.inherits | {(c, "BNode") for c in sig.names},
+        inherits=base.inherits | {(c, "BNode") for c in names},
         abstracts=base.abstracts,
         containments=base.containments,
         opposites=base.opposites,
         mult=base.mult,
         attr_decls=base.attr_decls,
     )
-    vars(sig)["_type_graph"] = ref(tg)
-    return tg
 
 
 @keeps_report

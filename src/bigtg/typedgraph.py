@@ -88,7 +88,14 @@ def symmetric_pairs(pairs: Iterable[tuple[str, str]]) -> frozenset[tuple[str, st
 @frozen
 class TypeGraph:
     """A metamodel: graph of types plus hierarchy, containment, opposites,
-    multiplicities and attribute declarations."""
+    multiplicities and attribute declarations.
+
+    Equal arguments share one type graph: ``extend_for_signature`` keeps
+    one per set of control names, and ``annotate_150``,
+    ``derive_type_graph`` and the writer keep what they build or print on
+    it. So its dicts may not be mutated; build a new value (through the
+    constructor or ``bigtg.replace``) instead. A copy or a pickle is
+    rebuilt from the fields and keeps none of this."""
 
     graph: Graph
     inherits: frozenset[tuple[str, str]] = frozenset()
@@ -324,9 +331,10 @@ def keeps_report(checker: Callable[..., ValidationReport]) -> Callable[..., Vali
     call whose arguments ``==`` the kept ones returns the kept report; any
     other call runs the checker and replaces the slot. The constructors
     refuse values that are equal but print apart (``1 == True``), so equal
-    arguments are checked alike. The slot keeps alive the type graph that
-    ``extend_for_signature(sig)`` returns, so ``decode(g, sig)`` after the
-    caller's own checks is a hit, found by identity. Reconfiguration
+    arguments are checked alike. ``extend_for_signature(sig)`` returns one
+    type graph per set of control names, which the slot keeps alive, so
+    ``decode(g, sig)`` after the caller's own checks is a hit, found by
+    identity. Reconfiguration
     fills the slots of the graphs it returns with their family's verdict
     (:func:`bigtg.variability.apply_deltas`). The wrapper keeps the
     checker's name, and the checker itself as ``__wrapped__``.

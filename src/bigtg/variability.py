@@ -132,7 +132,15 @@ def annotate_150(tg_sigma: TypeGraph) -> AnnotatedTypeGraph:
     where derivation cannot infer them: on node types, attributes, and the
     node-as-point subtyping ``(BNode, BPoint)``. Edge types and inheritance
     pairs follow their node types, as derivation drops what dangles.
+
+    Built once per ``tg_sigma`` object and kept on it, so the type graph
+    that :func:`bigtg.metamodel.extend_for_signature` keeps per set of
+    control names carries one 150% type graph, whose dicts must not be
+    mutated. A copy of ``tg_sigma`` keeps none.
     """
+    kept = vars(tg_sigma).get("_150")
+    if kept is not None:
+        return kept
     controls = sorted(set(tg_sigma.graph.nodes) - set(BASE_NODE_TYPE_NAMES))
 
     attr_decls = {t: dict(a) for t, a in tg_sigma.attr_decls.items()}
@@ -153,7 +161,8 @@ def annotate_150(tg_sigma: TypeGraph) -> AnnotatedTypeGraph:
     # Without explicit ports a node carries as many links as its arity,
     # so the exactly-one bound on outgoing links cannot stay.
     overrides = {"bLink": (("not", "EP"), Multiplicity(0, None))}
-    return AnnotatedTypeGraph(base, ann, overrides)
+    kept = vars(tg_sigma)["_150"] = AnnotatedTypeGraph(base, ann, overrides)
+    return kept
 
 
 def derive_type_graph(atg: AnnotatedTypeGraph, cfg: FeatureConfig) -> TypeGraph:
@@ -161,11 +170,21 @@ def derive_type_graph(atg: AnnotatedTypeGraph, cfg: FeatureConfig) -> TypeGraph:
     presence condition evaluates to true, dropping anything dangling. An
     edge type is kept when every end it has is a kept node type; a missing
     end or bound is carried over as missing (``check_type_graph`` reports
-    it), unless a bound override is in force."""
+    it), unless a bound override is in force.
+
+    Each derived type graph is kept on ``atg``, one per ``cfg.selected``,
+    so every call for equal selections returns one object, whose dicts
+    must not be mutated; a copy of ``atg`` keeps none. Only valid
+    configurations are kept, so ``InvalidConfig`` is raised on every call
+    for an invalid one."""
+    derived = vars(atg).setdefault("_derived", {})
+    sel = cfg.selected
+    tg = derived.get(sel)
+    if tg is not None:
+        return tg
     rep = validate_config(cfg)
     if not rep.ok:
         raise InvalidConfig(rep)
-    sel = cfg.selected
 
     def keep(key: tuple) -> bool:
         ann = atg.annotations.get(key)
@@ -198,7 +217,7 @@ def derive_type_graph(atg: AnnotatedTypeGraph, cfg: FeatureConfig) -> TypeGraph:
         }
         if kept:
             attr_decls[t] = kept
-    return TypeGraph(
+    tg = derived[sel] = TypeGraph(
         graph=Graph(
             nodes=frozenset(nodes),
             edges=frozenset(edges),
@@ -212,6 +231,7 @@ def derive_type_graph(atg: AnnotatedTypeGraph, cfg: FeatureConfig) -> TypeGraph:
         mult=mult,
         attr_decls=attr_decls,
     )
+    return tg
 
 
 def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> InstanceGraph:
@@ -368,7 +388,7 @@ def _verdict(g: InstanceGraph, sig: Signature) -> AnnotatedTypeGraph | None:
     ``extend_for_signature`` refuses ``sig``. No step reads more of
     ``sig`` than its control names, so ``g`` is checked once per set of
     them, and the verdict kept in ``g._parts``."""
-    parts, key = g._parts, (_verdict, sig.names)
+    parts, key = g._parts, (_verdict, frozenset(sig.names))
     if key not in parts:
         try:
             tg = extend_for_signature(sig)

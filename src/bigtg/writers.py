@@ -199,6 +199,18 @@ def _mult_payload(m: Multiplicity) -> dict:
 
 
 def typegraph_chunks(tg: TypeGraph) -> Iterator[str]:
+    """One chunk, printed once per ``tg`` object and kept on it (a type
+    graph is saved beside each of its variants, and the ones that
+    :mod:`bigtg.variability` derives are kept per set of control names);
+    a copy prints anew. A type graph the format cannot write keeps no
+    text, so its refusal is raised on every call."""
+    text = vars(tg).get("_text")
+    if text is None:
+        text = vars(tg)["_text"] = _typegraph(tg)
+    yield text
+
+
+def _typegraph(tg: TypeGraph) -> str:
     node_entries = [
         {"abstract": t in tg.abstracts, "attrs": dict(tg.attr_decls.get(t, {})), "name": t} for t in sorted(tg.graph.nodes)
     ]
@@ -217,7 +229,7 @@ def typegraph_chunks(tg: TypeGraph) -> Iterator[str]:
         "nodeTypes": node_entries,
         "opposites": [list(p) for p in opposite_pairs],
     }
-    yield _canonical_json(payload, _P2)
+    return _canonical_json(payload, _P2)
 
 
 # ---------------------------------------------------------------------------

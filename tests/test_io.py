@@ -20,8 +20,10 @@ from bigtg import (
     FeatureConfig,
     Graph,
     InstanceGraph,
+    annotate_150,
     apply_deltas,
     conformance,
+    derive_type_graph,
     encode,
     enumerate_configs,
     extend_for_signature,
@@ -36,11 +38,12 @@ from helpers import arbitrary_bigraphs, assert_refused, mutated_encodings, outco
 
 
 def test_a_copy_or_a_pickle_is_rebuilt_from_the_fields(fixtures_dir):
-    """A checked graph, a variant born with its family's verdict, a bigraph
-    and a signature whose type graph is kept each survive ``copy``,
+    """A checked graph, a variant born with its family's verdict, a
+    bigraph, a signature, its type graph with its 150% type graph kept and
+    a derived type graph with its text kept each survive ``copy``,
     ``deepcopy`` and ``pickle`` as an equal value with the same canonical
-    text; what each kept beside its fields (its view, parts, record or
-    type graph) does not travel."""
+    text; what each kept beside its fields (its view, parts, record,
+    derivations or text) does not travel."""
     g = fileio.load_instance_graph(str(fixtures_dir / "printer.ig.json"))
     sig = fileio.load_signature(str(fixtures_dir / "printer.sig.json"))
     b = fileio.load_bigraph(str(fixtures_dir / "printer.bg.json"))
@@ -49,8 +52,10 @@ def test_a_copy_or_a_pickle_is_rebuilt_from_the_fields(fixtures_dir):
     configs = enumerate_configs()
     apply_deltas(g, configs[0], sig)
     variant = apply_deltas(g, configs[-1], sig)
-    assert {"_origin", "_parts"} <= vars(variant).keys() and "_type_graph" in vars(sig)
-    for value in (g, variant, b, sig):
+    derived = derive_type_graph(annotate_150(tg), configs[-1])
+    fileio.dumps_canonical(derived)
+    assert {"_origin", "_parts"} <= vars(variant).keys() and "_150" in vars(tg) and "_text" in vars(derived)
+    for value in (g, variant, b, sig, tg, derived):
         text = fileio.dumps_canonical(value)
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(twin) is type(value) and twin == value and twin is not value

@@ -9,8 +9,12 @@ objects (a type graph built anew, loaded from a file or copied, a
 signature loaded anew), another type graph or another signature; values
 that are equal by ``==`` but print apart (``1 == True``) are refused at
 construction. And ``decode`` after those four checks must run none of
-their bodies. ``extend_for_signature`` keeps the type graph it builds on
-the signature, and findings against it are those against one built anew.
+their bodies. ``extend_for_signature`` keeps one type graph per set of
+control names in a bounded table, ``annotate_150`` and
+``derive_type_graph`` keep what they build on their argument, and the
+writer keeps a type graph's text on it: each kept value equals, and
+prints as, one built anew, and findings against it are those against one
+built anew.
 """
 
 from __future__ import annotations
@@ -27,7 +31,13 @@ import bigtg.metamodel
 import bigtg.typedgraph
 from bigtg import (
     Control,
+    FeatureConfig,
+    InvalidConfig,
+    annotate_150,
+    derive_type_graph,
+    enumerate_configs,
     fileio,
+    validate_config,
     Graph,
     InstanceGraph,
     Multiplicity,
@@ -40,6 +50,7 @@ from bigtg import (
     ReservedControlName,
     replace,
 )
+from bigtg.bigraph import BASE_NODE_TYPE_NAMES
 from bigtg.generators import random_bigraph
 from bigtg.mapping import NotCanonical, check_arity_rule
 from bigtg.typedgraph import check_multiplicities, check_typing, check_validity
@@ -133,22 +144,88 @@ def decoded(g, sig):
 def test_the_kept_type_graph_gives_the_findings_of_a_fresh_one(case):
     g, b = case
     sig, twin = b.signature, replace(b.signature)
-    tg, fresh = extend_for_signature(sig), extend_for_signature(twin)
-    assert extend_for_signature(sig) is tg and extend_for_signature(twin) is fresh
+    tg, fresh = extend_for_signature(sig), unkept_extension(twin)
+    assert extend_for_signature(sig) is tg and extend_for_signature(twin) is tg
     assert fresh == tg and fresh is not tg
     assert conformance(g, tg, sig) == conformance(replace(g), fresh, twin)
     assert outcome(decoded, g, sig) == outcome(decoded, replace(g), twin)
 
 
-def test_the_signature_does_not_keep_a_type_graph_alive(sig1):
-    """A signature keeps its type graph only while something else holds
-    it, so a run over many signatures holds no type graph it no longer uses."""
-    sig = replace(sig1)
-    held = weakref.ref(extend_for_signature(sig))
+def unkept_extension(sig):
+    """``extend_for_signature(sig)`` built anew, without the table."""
+    return bigtg.metamodel._extension.__wrapped__(frozenset(sig.names))
+
+
+def _signature(*names):
+    return Signature(tuple(map(Control, names)), dict.fromkeys(names, 0))
+
+
+def test_the_signature_does_not_keep_a_type_graph_alive():
+    """The table keeps the type graphs of the last ``_KEPT_NAME_SETS``
+    sets of control names, whatever signature objects name them: a set
+    pushed out by as many others keeps its type graph only while
+    something else holds it, so a run over many sets of control names
+    holds a bounded number of type graphs."""
+    tg = extend_for_signature(_signature("Bound:a", "Bound:b"))
+    assert extend_for_signature(_signature("Bound:b", "Bound:a")) is tg
+    held = weakref.ref(tg)
+    del tg
+    others = [_signature(f"Bound:{i}") for i in range(bigtg.metamodel._KEPT_NAME_SETS)]
+    for sig in others[:-1]:
+        extend_for_signature(sig)
+    gc.collect()
+    assert held() is not None
+    extend_for_signature(others[-1])
     gc.collect()
     assert held() is None
-    tg = extend_for_signature(sig)
-    assert extend_for_signature(sig) is tg == extend_for_signature(sig1)
+
+
+#: Control names to draw from, two of them reserved.
+DRAWN_NAMES = ("Printer", "Room", "Job", "Spool", "BNode", "BPort")
+#: Configurations that the feature model refuses.
+INVALID_CONFIGS = tuple(map(FeatureConfig, ({"ST", "WT"}, {"ST", "RI"}, {"ST", "XX"}, set())))
+
+
+@given(
+    st.lists(st.sampled_from(DRAWN_NAMES), unique=True, max_size=4),
+    st.lists(st.sampled_from(ODD_ARITIES), min_size=4, max_size=4),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=30, deadline=None)
+def test_a_kept_derivation_equals_and_prints_as_a_fresh_one(names, arities, rnd):
+    """A signature, its twin with other arities and one with its controls
+    in a drawn order, twice each, every valid configuration and some
+    invalid ones in a shuffled order: the extension, its 150% type graph
+    and each derived type graph equal the ones built anew, without the
+    table, and each prints as a copy of it, also once its text is kept.
+    A reserved name and an invalid configuration are refused on every
+    call."""
+    sigs = [
+        Signature(tuple(map(Control, names)), dict(zip(names, arities))),
+        Signature(tuple(map(Control, names)), dict.fromkeys(names, 1)),
+        _signature(*rnd.sample(names, len(names))),
+    ]
+    configs = enumerate_configs() + list(INVALID_CONFIGS)
+    rnd.shuffle(configs)
+    reserved = not set(names).isdisjoint(BASE_NODE_TYPE_NAMES)
+    for sig in sigs * 2:
+        if reserved:
+            with pytest.raises(ReservedControlName):
+                extend_for_signature(sig)
+            continue
+        tg, fresh = extend_for_signature(sig), unkept_extension(sig)
+        assert tg == fresh and fileio.dumps_canonical(tg) == fileio.dumps_canonical(replace(tg))
+        atg = annotate_150(tg)
+        assert annotate_150(tg) is atg and atg == annotate_150(fresh)
+        for config in configs:
+            if not validate_config(config).ok:
+                with pytest.raises(InvalidConfig):
+                    derive_type_graph(atg, config)
+                continue
+            derived = derive_type_graph(atg, config)
+            assert derived is derive_type_graph(atg, FeatureConfig(config.selected))
+            assert derived == derive_type_graph(annotate_150(fresh), config)
+            assert fileio.dumps_canonical(derived) == fileio.dumps_canonical(replace(derived))
 
 
 def test_a_reserved_control_is_refused_on_every_call():

@@ -41,7 +41,7 @@ from bigtg.typedgraph import Multiplicity, node_attrs
 from bigtg.variability import _GROUPS, FEATURE_LEAVES
 
 from helpers import arbitrary_bigraphs, type_graph_variants
-from test_index import _other_signature, encodings
+from test_index import encodings
 from test_kept_reports import GRAPH_CHECKERS, signature_variants
 
 
@@ -237,12 +237,23 @@ def test_edge_without_an_end_is_not_canonical_in_every_config(g1, sig1, end):
 # be the checker's own.
 
 
-#: A copy of the drawn graph, with each kind of signature: its own, one
-#: with a reserved name that ``extend_for_signature`` refuses, and its own
-#: names with other arities.
+def _other_signature(sig, group, data):
+    """Every other control of ``sig`` and one it lacks, in a drawn order;
+    in about one draw of four also a control named after a group's node
+    type, which ``extend_for_signature`` refuses. So most draws check the
+    input against another set of control names."""
+    names = data.draw(st.permutations((*sig.names[::2], "Other")))
+    if data.draw(st.integers(0, 3)) == 0:
+        names.append(group)
+    return Signature(tuple(map(Control, names)), dict.fromkeys(names, 1))
+
+
+#: A copy of the drawn graph, with each kind of signature: its own,
+#: another (:func:`_other_signature`), and its own names with other
+#: arities.
 SIGNATURES = {
     "own": lambda g, sig, group, data: (replace(g), sig),
-    "other": lambda g, sig, group, data: (replace(g), _other_signature(sig, group)),
+    "other": lambda g, sig, group, data: (replace(g), _other_signature(sig, group, data)),
     "arities": lambda g, sig, group, data: (replace(g), data.draw(signature_variants(sig))),
 }
 
@@ -373,10 +384,10 @@ def test_a_control_named_by_no_str_is_refused_at_construction(build, message):
     assert message is None or str(refused.value) == message
 
 
-def _body_calls(run):
-    """``run()``, and the calls of the three checkers' own bodies that it
-    made, by name."""
-    codes = {checker.__wrapped__.__code__ for checker in GRAPH_CHECKERS}
+def _body_calls(run, functions=tuple(checker.__wrapped__ for checker in GRAPH_CHECKERS)):
+    """``run()``, and the calls of ``functions`` that it made, by name: by
+    default those of the three checkers' own bodies."""
+    codes = {function.__code__ for function in functions}
     calls = []
 
     def profile(frame, event, arg):
@@ -434,6 +445,25 @@ def test_a_signature_loaded_afresh_for_each_configuration_shares_one_verdict(fix
     assert len(inputs) == 1 and inputs[0] is g
     verdicts = [key for key in g._parts if type(key) is tuple and key[0] is bigtg.variability._verdict]
     assert len(verdicts) == 1
+
+
+def test_controls_in_another_order_share_the_family_verdict(fixtures_dir):
+    """The verdict is kept per set of control names, whatever their order:
+    the printer graph reconfigured under its signature and then under one
+    with the same controls reversed runs one ``conformance``, at the
+    second reconfiguration, and the variant made under the reversed
+    signature is born with the verdict."""
+    g = fileio.load_instance_graph(str(fixtures_dir / "printer.ig.json"))
+    sig = fileio.load_signature(str(fixtures_dir / "printer.sig.json"))
+    reversed_sig = Signature(sig.controls[::-1], sig.arities)
+    assert reversed_sig.names != sig.names
+    first, second, third = enumerate_configs()[-3:]
+    runs = [(first, sig), (second, sig), (third, reversed_sig)]
+    variants, calls = _body_calls(lambda: [apply_deltas(g, *run) for run in runs], (conformance,))
+    assert calls == ["conformance"]
+    derived = derive_type_graph(annotate_150(extend_for_signature(reversed_sig)), third)
+    reports, calls = _body_calls(lambda: [checker(variants[-1], derived) for checker in GRAPH_CHECKERS])
+    assert calls == [] and all(report.ok for report in reports)
 
 
 def test_an_input_that_breaks_only_the_arity_rule_decides_its_variants(g1, sig1):
