@@ -13,8 +13,10 @@ through the class (``__reduce__``), so what a value keeps beside its
 fields (an index, a kept report) never travels with it.
 ``replace`` copies a value with some fields changed, ``cls._fields``
 names the fields, and ``cls._adopt`` builds a value from fresh field
-values without copying or checking them. ``check_each`` and the ``is_*``
-predicates are the one type check that each ``__post_init__`` runs.
+values without copying or checking them. ``check_each`` with the type
+sets and ``is_int`` is the one type check that each
+``__post_init__`` runs, and ``check_keys`` and ``check_within`` the one
+test that a graph's maps are total on its elements.
 
 The methods are closures over the field names: no source text is
 generated and compiled per class, and nothing here imports ``inspect``,
@@ -146,15 +148,42 @@ def frozen(cls):
 
 
 def check_each(owner: object, field: str, fits, what: str, *columns) -> None:
-    """Raise ``TypeError`` when ``fits`` refuses a value of one of
-    ``columns`` (collections, each read again to name its offender): the
-    message names the class of ``owner``, the ``field`` and the first
-    refusing column's smallest refused value by ``repr``, so it does not
-    depend on the order of a set or dict."""
+    """Raise ``TypeError`` when a value of one of ``columns`` (collections,
+    each read again to name its offender) does not fit. ``fits`` is a
+    predicate, or a set of types (:data:`STR`, :data:`SCALAR`) of which
+    each value's type must be one exactly, tested in one C-level pass; so
+    a subclass, such as a ``bool`` for an ``int`` or a subclass of ``str``,
+    does not fit. The message names the class of ``owner``, the ``field``
+    and the first refusing column's smallest refused value by ``repr``, so
+    it does not depend on the order of a set or dict."""
+    exact = isinstance(fits, frozenset)
     for values in columns:
-        if not all(map(fits, values)):
-            bad = min(filterfalse(fits, values), key=repr)
+        if not (fits.issuperset(map(type, values)) if exact else all(map(fits, values))):
+            refused = (lambda v: type(v) not in fits) if exact else (lambda v: not fits(v))
+            bad = min(filter(refused, values), key=repr)
             raise TypeError(f"{type(owner).__qualname__}.{field} holds {bad!r}, which is not {what}")
+
+
+def check_within(owner: object, field: str, within: frozenset, what: str, values, of: str = "") -> None:
+    """Raise ``ValueError`` unless each of ``values`` (a collection, read
+    again to name its offender) is in ``within``, by one C-level
+    ``issuperset``: the message names the class of ``owner``, the
+    ``field`` and the smallest value not in ``within`` by ``repr``, after
+    ``of``."""
+    if not within.issuperset(values):
+        bad = min(filterfalse(within.__contains__, values), key=repr)
+        raise ValueError(f"{type(owner).__qualname__}.{field} holds {of}{bad!r}, which is not {what}")
+
+
+def check_keys(owner: object, field: str, mapping: dict, elements: frozenset, what: str) -> None:
+    """Raise ``ValueError`` unless the keys of ``mapping`` are exactly
+    ``elements``, by one C-level comparison: a key that is no element is
+    named first (:func:`check_within`), then the smallest element by
+    ``repr`` that has no entry."""
+    if mapping.keys() != elements:
+        check_within(owner, field, elements, what, mapping.keys())
+        bad = min(elements - mapping.keys(), key=repr)
+        raise ValueError(f"{type(owner).__qualname__}.{field} lacks {bad!r}, which is {what}")
 
 
 def as_dict(value) -> dict:
@@ -167,20 +196,18 @@ def as_dict(value) -> dict:
         raise TypeError(str(exc)) from None
 
 
-#: ``isinstance(v, str)`` as a one-argument function that ``map`` calls
-#: without a Python frame.
-is_str = str.__instancecheck__
+#: The type of an id or a type name, for :func:`check_each`: exactly
+#: ``str``, as the readers give it.
+STR = frozenset({str})
+
+#: The types of an attribute value or a place, for :func:`check_each`:
+#: exactly ``int`` or ``str`` (a ``bool`` is no ``int``).
+SCALAR = frozenset({int, str})
 
 
 def is_int(value: object) -> bool:
     """Whether ``value`` is exactly an ``int`` (a ``bool`` is not)."""
     return type(value) is int
-
-
-def is_scalar(value: object) -> bool:
-    """Whether ``value`` is exactly an ``int`` or a ``str``: an attribute
-    value, or a place."""
-    return type(value) is int or type(value) is str
 
 
 def replace(obj, /, **changes):

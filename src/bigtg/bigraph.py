@@ -17,7 +17,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
 from itertools import chain, compress, repeat
 
-from ._value import as_dict, check_each, field, frozen, is_int, is_scalar, is_str
+from ._value import SCALAR, STR, as_dict, check_each, field, frozen, is_int
 
 #: Node-type names of the base metamodel. Control names must not collide
 #: with these: the control-compatible extension unions controls into the
@@ -52,7 +52,7 @@ class Control:
     name: str
 
     def __post_init__(self) -> None:
-        check_each(self, "name", is_str, "a str", (self.name,))
+        check_each(self, "name", STR, "a str", (self.name,))
 
 
 @frozen
@@ -61,7 +61,7 @@ class Signature:
 
     Construction copies ``controls`` to a tuple and ``arities`` to a dict,
     and raises ``TypeError`` unless each control is a :class:`Control`,
-    each arity is keyed by a ``str`` and each arity is a non-negative
+    each arity is keyed by exactly a ``str`` and each arity is a non-negative
     ``int`` (a ``bool`` is not); duplicate and reserved names are
     :func:`make_signature`'s to refuse."""
 
@@ -71,7 +71,7 @@ class Signature:
     def __post_init__(self) -> None:
         controls, arities = tuple(self.controls), as_dict(self.arities)
         check_each(self, "controls", Control.__instancecheck__, "a Control", controls)
-        check_each(self, "arities", is_str, "a str", arities)
+        check_each(self, "arities", STR, "a str", arities)
         check_each(self, "arities", is_arity, "a non-negative int", arities.values())
         object.__setattr__(self, "controls", controls)
         object.__setattr__(self, "arities", arities)
@@ -128,7 +128,7 @@ class Interface:
         if self.width < 0:
             raise ValueError("interface width must be non-negative")
         names = frozenset(self.names)
-        check_each(self, "names", is_str, "a str", names)
+        check_each(self, "names", STR, "a str", names)
         object.__setattr__(self, "names", names)
 
 
@@ -146,7 +146,7 @@ Point = str | Port
 def _is_point(key: object) -> bool:
     """Whether ``key`` is a link key: a ``str``, or a :class:`Port` of a
     ``str`` and an ``int``."""
-    return is_str(key) or (type(key) is Port and is_str(key[0]) and is_int(key[1]))
+    return type(key) is str or (type(key) is Port and type(key[0]) is str and type(key[1]) is int)
 
 
 @frozen
@@ -161,7 +161,7 @@ class Bigraph:
     Construction copies each set and map, makes each plain tuple that
     keys ``link`` a :class:`Port`, and raises ``TypeError`` unless the
     signature is a :class:`Signature`, the interfaces are
-    :class:`Interface` values, ids and controls are ``str``, each place
+    :class:`Interface` values, ids and controls are exactly ``str``, each place
     (a key or value of ``prnt``) is an ``int`` or a ``str`` but no
     ``bool``, and each link key is a ``str`` or a ``Port`` of a ``str``
     and an ``int``. A node without a control, a control the signature
@@ -185,12 +185,12 @@ class Bigraph:
         if not all(map(_is_point, link)):
             link = {(Port(*k) if type(k) is tuple else k): v for k, v in link.items()}
         check_each(self, "signature", Signature.__instancecheck__, "a Signature", (self.signature,))
-        check_each(self, "nodes", is_str, "a str", nodes)
-        check_each(self, "edges", is_str, "a str", edges)
-        check_each(self, "ctrl", is_str, "a str", ctrl, ctrl.values())
-        check_each(self, "prnt", is_scalar, "an int or a str", prnt, prnt.values())
+        check_each(self, "nodes", STR, "a str", nodes)
+        check_each(self, "edges", STR, "a str", edges)
+        check_each(self, "ctrl", STR, "a str", ctrl, ctrl.values())
+        check_each(self, "prnt", SCALAR, "an int or a str", prnt, prnt.values())
         check_each(self, "link", _is_point, "a str or a Port of a str and an int", link)
-        check_each(self, "link", is_str, "a str", link.values())
+        check_each(self, "link", STR, "a str", link.values())
         check_each(self, "inner", Interface.__instancecheck__, "an Interface", (self.inner,))
         check_each(self, "outer", Interface.__instancecheck__, "an Interface", (self.outer,))
         for name, value in zip(("nodes", "edges", "ctrl", "prnt", "link"), (nodes, edges, ctrl, prnt, link)):

@@ -562,9 +562,7 @@ def _compile(expr: Expr, env_types: Mapping[str, tuple], tg: TypeGraph) -> tuple
         ot, obj = _expect("obj", f"navigation {edge!r} over a non-object", expr.obj, env_types, tg)
         if edge not in tg.edge_types:
             raise TypeCheckError(f"unknown edge type {edge!r}")
-        source, target = tg.graph.src.get(edge), tg.graph.tgt.get(edge)
-        if source not in tg.node_types or target not in tg.node_types:
-            raise TypeCheckError(f"edge type {edge!r} lacks a node type as src or tgt")
+        source, target = tg.graph.src[edge], tg.graph.tgt[edge]
         if not conforms(tg, ot[1], source):
             raise TypeCheckError(f"edge type {edge!r} not applicable to {ot[1]!r}")
         single = getattr(tg.mult.get(edge), "ub", None) == 1
@@ -573,12 +571,8 @@ def _compile(expr: Expr, env_types: Mapping[str, tuple], tg: TypeGraph) -> tuple
             start = obj(env, g, trace)
             if start == _EMPTY:
                 return _EMPTY
-            edges, tgt = g.edge_view.by_source(edge).get(start, _EMPTY), g.graph.tgt
-            ends = {tgt.get(e) for e in edges}
-            if None in ends:
-                lacking = min(e for e in edges if tgt.get(e) is None)
-                raise EvaluationError(f"navigation {edge!r} from {start} follows edge {lacking} without a tgt")
-            targets = tuple(sorted(ends))
+            edges = g.edge_view.by_source(edge).get(start, _EMPTY)
+            targets = tuple(sorted(set(map(g.graph.tgt.__getitem__, edges))))
             trace.append(f"{start}.{edge} = {_render(targets)}")
             if not single:
                 return targets
@@ -701,9 +695,8 @@ def typecheck(doc: ConstraintDoc, tg: TypeGraph) -> tuple[Run, ...]:
     """Compile every invariant of ``doc`` against ``tg`` and return one
     evaluator per invariant, in document order; each is called as
     ``run({"self": node}, g, trace)``. Raise :class:`TypeCheckError` at
-    the first invariant that does not fit ``tg``, including a navigation
-    along an edge type that lacks a node type as ``src`` or ``tgt``, or
-    one deeper than ``MAX_DEPTH`` levels (a document built in code)."""
+    the first invariant that does not fit ``tg``, including one deeper
+    than ``MAX_DEPTH`` levels (a document built in code)."""
     runs: list[Run] = []
     for inv in doc.invariants:
         reason = _too_deep(inv)
@@ -746,9 +739,8 @@ def evaluate(doc: ConstraintDoc, g: InstanceGraph, tg: TypeGraph) -> CheckResult
     (or a subtype), in sorted node order. Failed checks keep their
     navigation trace. Raises ``TypeCheckError`` if ``doc`` does not fit
     ``tg``, before anything is evaluated, and ``EvaluationError`` on an
-    undefined case, such as a navigation along an edge without a ``tgt``:
-    the first of the start node's edges of that type, in sorted order,
-    that has none. An edge that no navigation reaches raises nothing.
+    undefined case, such as a single-valued navigation that hits more than
+    one target.
 
     Cost: the context instances are read from the nodes of each node type
     in ``g.edge_view``. Each navigated edge type groups its edges by

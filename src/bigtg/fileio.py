@@ -443,10 +443,10 @@ def dumps_canonical(value: object) -> str:
     """Canonical envelope text for any supported value: the join of the
     chunks that :func:`save` writes, printed by the kind's writer straight
     from the value. Raises ``ValueError`` for what the format cannot
-    write, naming the smallest offender: ``edge <e> has no src`` (or
-    ``tgt``) and ``attribute <a> of <n> has no node`` in an instance graph,
-    ``edge type <e> has no src`` (or ``tgt``, ``mult``) in a type graph,
-    and ``control <c> has no arity`` in a signature, a bigraph's too."""
+    write and the constructors accept, naming the smallest offender:
+    ``edge type <e> has no mult`` in a type graph, and ``control <c> has
+    no arity`` in a signature, a bigraph's too. An edge without an end
+    and an attribute of no node are refused where a graph is built."""
     return "".join(_chunks(value))
 
 

@@ -220,9 +220,10 @@ def decode(g: InstanceGraph, sig: Signature) -> tuple[Bigraph, ElementMap]:
     Only defined for the canonical variant: strongly typed controls,
     explicit roots/sites/ports, and complete gap-free index attributes.
     A graph that fails :func:`conformance` raises :class:`NotCanonical`
-    with the findings; among them ``attr-owner`` for an attribute whose
-    owner is not a node, which the rebuild would drop, and ``arity`` for
-    a node that does not own as many ports as its control's arity. The
+    with the findings; among them ``arity`` for a node that does not own
+    as many ports as its control's arity. Every attribute is owned by a
+    node and every edge has both ends (the constructor refuses any
+    other), so the rebuild drops nothing. The
     checkers keep their reports on ``g`` (:func:`keeps_report`), so after
     a caller's own ``conformance(g, extend_for_signature(sig), sig)``,
     or the four checks it runs, for this ``sig`` or an equal one, the
@@ -267,7 +268,7 @@ def decode(g: InstanceGraph, sig: Signature) -> tuple[Bigraph, ElementMap]:
         keys[kind] = _index_range(kind, indexed, kind)  # type: ignore[assignment]
     # Ports: owner via the ownership edge, index per owner gap-free.
     owned = g.edge_view.by_type.get("bNode", ())
-    owner_of = dict(zip(map(g.graph.src.get, owned), map(g.graph.tgt.get, owned)))
+    owner_of = dict(zip(map(g.graph.src.__getitem__, owned), map(g.graph.tgt.__getitem__, owned)))
     ports_by_owner: dict[str, list[tuple[str, object]]] = {}
     for gid in gids[K_PORT]:
         ports_by_owner.setdefault(owner_of[gid], []).append((gid, g.attrs.get((gid, "index"))))

@@ -30,8 +30,7 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
     of nesting and linking with the paired directed edges, and the
     consistency of root, site and port index attributes. Defects in the
     map itself (non-bijectivity, dangling images) are reported too rather
-    than assumed away. Edges with a missing end are skipped
-    (``check_typing`` reports them). A bigraph with a node that has no
+    than assumed away. A bigraph with a node that has no
     control, or a control that its signature does not declare, has no
     elements to align: its :func:`validate_bigraph` findings come back.
 
@@ -88,7 +87,6 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
     for (edge_type, _, triples), what in ((nesting, "nesting"), (linking, "linking")):
         code = f"sound-{what}"
         of_type = g.edge_view.by_type.get(edge_type, ())
-        of_type = list(compress(of_type, map(and_, map(src.__contains__, of_type), map(tgt.__contains__, of_type))))
         graph_pairs = set(zip(map(src.__getitem__, of_type), map(tgt.__getitem__, of_type)))
         triples = list(triples)
         children = list(map(itemgetter(1), triples))
@@ -141,8 +139,8 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
     # owner compete for the same index values. A port node is a candidate
     # when it has one ownership edge, to its holder.
     owned = g.edge_view.by_type.get("bNode", ())
-    owned_by = list(map(src.get, owned))
-    counter, holder = Counter(owned_by), dict(zip(owned_by, map(tgt.get, owned)))
+    owned_by = list(map(src.__getitem__, owned))
+    counter, holder = Counter(owned_by), dict(zip(owned_by, map(tgt.__getitem__, owned)))
     ports = of_type.get("BPort", [])
     counts = list(map(counter.get, ports, repeat(0)))
     for n, count in sorted(compress(zip(ports, counts), map(ne, counts, repeat(1)))):
@@ -165,8 +163,7 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
         node_gids = list(map(mapped.get, zip(repeat(K_NODE), b.nodes)))
         flagged = []
         for n in suspects:
-            h = holder[n]
-            for v in compress(b.nodes, map(eq, node_gids, repeat(h))) if h else ():
+            for v in compress(b.nodes, map(eq, node_gids, repeat(holder[n]))):
                 slots = [(mapped.get((K_PORT, Port(v, i))), f"port ({v},{i})") for i in range(sig.arity(ctrl[v]))]
                 flagged.extend(index_findings("sound-port-index", n, slots, (v,)))
         findings.extend(map(itemgetter(1), sorted(flagged, key=itemgetter(0))))

@@ -5,10 +5,14 @@ types and edge types, refined by an inheritance hierarchy with abstract
 types, containment edge types, opposite edge-type pairs, multiplicities
 and attribute declarations. Instance graphs carry a typing morphism into
 a type graph; the ``check_*`` functions report every way the morphism or
-the structural rules can fail. ``check_type_graph``, which checks a type
-graph itself, lives in :mod:`bigtg.wellformed` and is imported on first
-access of ``typedgraph.check_type_graph`` (PEP 562), so a caller that
-checks only instance graphs does not compile it.
+the structural rules can fail. Only a graph constructs: ``src`` and
+``tgt`` are total functions into the nodes, and the typing is total, as
+in typed graphs (Ehrig et al., *Fundamentals of Algebraic Graph
+Transformation*, 2006); so no layer meets a missing end or type.
+``check_type_graph``, which checks a type graph itself, lives in
+:mod:`bigtg.wellformed` and is imported on first access of
+``typedgraph.check_type_graph`` (PEP 562), so a caller that checks only
+instance graphs does not compile it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from functools import cached_property, wraps
 from itertools import chain, compress, repeat
 from operator import is_not, itemgetter
 
-from ._value import as_dict, check_each, field, frozen, is_int, is_scalar, is_str
+from ._value import SCALAR, STR, as_dict, check_each, check_keys, check_within, field, frozen, is_int
 from .report import Finding, ValidationReport, report_from
 
 TYPE_CHECKING = False  # read as true by static type checkers only
@@ -35,7 +39,14 @@ class UnknownType(ValueError):
 
 @frozen
 class Graph:
-    """A directed unlabelled graph with opaque node and edge identifiers."""
+    """A directed unlabelled graph with opaque node and edge identifiers:
+    ``src`` and ``tgt`` are total functions from the edges to the nodes.
+
+    Construction copies each field and raises ``TypeError`` unless ids
+    are exactly ``str``, and ``ValueError`` unless the keys of ``src`` and
+    of ``tgt`` are the edges and each end is a node, as the readers give
+    them: a structure with a missing or unknown end is no graph. A
+    :class:`TypeGraph`'s graph is one too, of node and edge types."""
 
     nodes: frozenset[str] = frozenset()
     edges: frozenset[str] = frozenset()
@@ -44,10 +55,14 @@ class Graph:
 
     def __post_init__(self) -> None:
         nodes, edges, src, tgt = frozenset(self.nodes), frozenset(self.edges), as_dict(self.src), as_dict(self.tgt)
-        check_each(self, "nodes", is_str, "a str", nodes)
-        check_each(self, "edges", is_str, "a str", edges)
-        check_each(self, "src", is_str, "a str", src, src.values())
-        check_each(self, "tgt", is_str, "a str", tgt, tgt.values())
+        check_each(self, "nodes", STR, "a str", nodes)
+        check_each(self, "edges", STR, "a str", edges)
+        check_each(self, "src", STR, "a str", src, src.values())
+        check_each(self, "tgt", STR, "a str", tgt, tgt.values())
+        check_keys(self, "src", src, edges, "an edge")
+        check_keys(self, "tgt", tgt, edges, "an edge")
+        check_within(self, "src", nodes, "a node", src.values())
+        check_within(self, "tgt", nodes, "a node", tgt.values())
         for name, value in zip(("nodes", "edges", "src", "tgt"), (nodes, edges, src, tgt)):
             object.__setattr__(self, name, value)
 
@@ -73,7 +88,7 @@ class Multiplicity:
 
 def _is_pair(value: object) -> bool:
     """Whether ``value`` is a tuple of two ``str``."""
-    return type(value) is tuple and len(value) == 2 and is_str(value[0]) and is_str(value[1])
+    return type(value) is tuple and len(value) == 2 and type(value[0]) is str and type(value[1]) is str
 
 
 def symmetric_pairs(pairs: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
@@ -112,12 +127,12 @@ class TypeGraph:
         mult, attr_decls = as_dict(self.mult), {t: as_dict(a) for t, a in as_dict(self.attr_decls).items()}
         check_each(self, "graph", Graph.__instancecheck__, "a Graph", (self.graph,))
         check_each(self, "inherits", _is_pair, "a pair of str", inherits)
-        check_each(self, "abstracts", is_str, "a str", abstracts)
-        check_each(self, "containments", is_str, "a str", containments)
+        check_each(self, "abstracts", STR, "a str", abstracts)
+        check_each(self, "containments", STR, "a str", containments)
         check_each(self, "opposites", _is_pair, "a pair of str", opposites)
-        check_each(self, "mult", is_str, "a str", mult)
+        check_each(self, "mult", STR, "a str", mult)
         check_each(self, "mult", Multiplicity.__instancecheck__, "a Multiplicity", mult.values())
-        check_each(self, "attr_decls", is_str, "a str", attr_decls, *attr_decls.values(), *map(dict.values, attr_decls.values()))
+        check_each(self, "attr_decls", STR, "a str", attr_decls, *attr_decls.values(), *map(dict.values, attr_decls.values()))
         names = ("inherits", "abstracts", "containments", "opposites", "mult", "attr_decls")
         for name, value in zip(names, (inherits, abstracts, containments, opposites, mult, attr_decls)):
             object.__setattr__(self, name, value)
@@ -160,29 +175,28 @@ class TypeGraph:
 class EdgeView:
     """The edges of an instance graph in one fixed order (the iteration
     order of ``g.graph.edges``) with their ``src``, ``tgt`` and type
-    columns, where a missing end or type is ``None``, and the edges and
-    their sources grouped by edge type, each group in that order; and the
-    nodes grouped by node type (an untyped node under ``None``), each
-    group in the iteration order of ``g.graph.nodes``. Built in C-level
-    passes. The edges of one edge type grouped by source, which
-    constraint navigation reads, are built the first time that edge type
-    is asked for (:meth:`by_source`) and kept."""
+    columns, and the edges and their sources grouped by edge type, each
+    group in that order; and the nodes grouped by node type, each group in
+    the iteration order of ``g.graph.nodes``. Built in C-level passes.
+    The edges of one edge type grouped by source, which constraint
+    navigation reads, are built the first time that edge type is asked
+    for (:meth:`by_source`) and kept."""
 
     __slots__ = ("edges", "src", "tgt", "type", "by_type", "sources", "by_node_type", "_by_source")
 
     def __init__(self, g: InstanceGraph) -> None:
         self.edges = edges = tuple(g.graph.edges)
-        self.src = list(map(g.graph.src.get, edges))
-        self.tgt = list(map(g.graph.tgt.get, edges))
-        self.type = list(map(g.edge_types.get, edges))
+        self.src = list(map(g.graph.src.__getitem__, edges))
+        self.tgt = list(map(g.graph.tgt.__getitem__, edges))
+        self.type = list(map(g.edge_types.__getitem__, edges))
         self.by_type = _grouped(self.type, edges)
         self.sources = _grouped(self.type, self.src)
-        self.by_node_type = _grouped(list(map(g.node_types.get, g.graph.nodes)), g.graph.nodes)
-        self._by_source: dict[Hashable, dict[Hashable, list[str]]] = {}
+        self.by_node_type = _grouped(list(map(g.node_types.__getitem__, g.graph.nodes)), g.graph.nodes)
+        self._by_source: dict[str, dict[str, list[str]]] = {}
 
-    def by_source(self, edge_type: Hashable) -> dict[Hashable, list[str]]:
+    def by_source(self, edge_type: str) -> dict[str, list[str]]:
         """The edges of ``edge_type`` grouped by their source, each group
-        in the view's order; a missing ``src`` is keyed as ``None``."""
+        in the view's order."""
         groups = self._by_source.get(edge_type)
         if groups is None:
             sources = self.sources.get(edge_type, [])
@@ -219,11 +233,13 @@ class InstanceGraph:
     A variant shares the dicts it did not change with its input.
 
     Construction copies each dict and raises ``TypeError`` unless
-    ``graph`` is a :class:`Graph`, ids and types are ``str``, each
+    ``graph`` is a :class:`Graph`, ids and types are exactly ``str``, each
     attribute is keyed by a tuple of two ``str`` (its owner and its name)
-    and each attribute value is exactly an ``int`` or a ``str``, as the
-    readers give them. A missing type or end, an owner that is not a
-    node, and an id the graph lacks are findings of the checkers.
+    and each attribute value is exactly an ``int`` or a ``str``; and
+    ``ValueError`` unless the typing is total (the keys of ``node_types``
+    are the nodes and those of ``edge_types`` the edges) and each
+    attribute's owner is a node, as the readers give them. A type that the
+    type graph lacks is a finding of the checkers.
     """
 
     graph: Graph
@@ -234,10 +250,14 @@ class InstanceGraph:
     def __post_init__(self) -> None:
         node_types, edge_types, attrs = as_dict(self.node_types), as_dict(self.edge_types), as_dict(self.attrs)
         check_each(self, "graph", Graph.__instancecheck__, "a Graph", (self.graph,))
-        check_each(self, "node_types", is_str, "a str", node_types, node_types.values())
-        check_each(self, "edge_types", is_str, "a str", edge_types, edge_types.values())
+        check_each(self, "node_types", STR, "a str", node_types, node_types.values())
+        check_each(self, "edge_types", STR, "a str", edge_types, edge_types.values())
         check_each(self, "attrs", _is_pair, "a pair of str", attrs)
-        check_each(self, "attrs", is_scalar, "an int or a str", attrs.values())
+        check_each(self, "attrs", SCALAR, "an int or a str", attrs.values())
+        nodes = self.graph.nodes
+        check_keys(self, "node_types", node_types, nodes, "a node")
+        check_keys(self, "edge_types", edge_types, self.graph.edges, "an edge")
+        check_within(self, "attrs", nodes, "a node", set(map(itemgetter(0), attrs)), "an attribute of ")
         object.__setattr__(self, "node_types", node_types)
         object.__setattr__(self, "edge_types", edge_types)
         object.__setattr__(self, "attrs", attrs)
@@ -276,7 +296,7 @@ def incoming(g: InstanceGraph, n: str, edge_type: str) -> list[str]:
     edges of that type in ``g.edge_view``. Kept for the tests and the
     tracer (see :func:`node_attrs`)."""
     tgt = g.graph.tgt
-    return sorted(e for e in g.edge_view.by_type.get(edge_type, ()) if tgt.get(e) == n)
+    return sorted(e for e in g.edge_view.by_type.get(edge_type, ()) if tgt[e] == n)
 
 
 def _parents(tg: TypeGraph) -> dict[str, list[str]]:
@@ -374,13 +394,11 @@ def walk_suspects(
 
 @keeps_report
 def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
-    """Check the typing morphism: totality, abstractness, endpoint
-    compatibility under subtyping, and attribute conformance. An edge
-    whose type lacks a node type as ``src`` or ``tgt`` (which
-    ``check_type_graph`` reports as ``tg-edge-ends``) is reported as
-    ``typing-type-ends``, and that end of the edge is not checked. An
-    attribute whose owner is not a node is reported as ``attr-owner``,
-    and its value is not checked.
+    """Check the typing morphism, which the constructor makes total:
+    known types, abstractness, endpoint compatibility under subtyping, and
+    attribute conformance. An end or an owner typed by a type that ``tg``
+    lacks is reported on its node, and not checked again on the edge or
+    the attribute.
 
     Cost: C-level passes gather whole columns into sets: the node types
     and the edge ends (from ``g.edge_view``), the distinct ``(edge type, end
@@ -397,21 +415,15 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     nodes, nt = g.graph.nodes, g.node_types
 
     def check_node(n: str) -> list[Finding]:
-        t = nt.get(n)
-        if t is None:
-            return [Finding("typing-total", n, "node has no type")]
+        t = nt[n]
         if t not in tg.node_types:
             return [Finding("typing-unknown-type", n, f"node typed by unknown type {t!r}")]
         if t in tg.abstracts:
             return [Finding("typing-abstract", n, f"abstract type {t!r} instantiated")]
         return []
 
-    # The declared src and tgt of each edge type, None where no node type;
-    # conformance is decided once per (end type, declared type) pair.
-    decls = {
-        te: tuple(t if t in tg.node_types else None for t in (tg.graph.src.get(te), tg.graph.tgt.get(te)))
-        for te in tg.edge_types
-    }
+    # Conformance is decided once per (end type, declared type) pair.
+    decls = (tg.graph.src, tg.graph.tgt)
     conforming: dict[tuple[str, str], bool] = {}
 
     def conforms_to(t_end: str, decl: str) -> bool:
@@ -420,47 +432,23 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
             ok = conforming[t_end, decl] = conforms(tg, t_end, decl)
         return ok
 
-    # The edge types that check_edge passes: known, with both ends declared.
-    full = {te: ends for te, ends in decls.items() if te is not None and None not in ends}
-
-    def end_fits(te: str | None, t_end: str | None, side: int) -> bool:
+    def end_fits(te: str, t_end: str, side: int) -> bool:
         """Whether ``check_edge`` passes the type and one end of an edge of
         type ``te`` whose end (src for side 0, tgt for 1) is a node of type
         ``t_end``."""
-        ends = full.get(te)
-        return ends is not None and (t_end is None or t_end not in tg.node_types or conforms_to(t_end, ends[side]))
+        decl = decls[side].get(te)
+        return decl is not None and (t_end not in tg.node_types or conforms_to(t_end, decl))
 
     def check_edge(e: str) -> list[Finding]:
-        findings: list[Finding] = []
-        for role, mapping in (("src", g.graph.src), ("tgt", g.graph.tgt)):
-            end = mapping.get(e)
-            if end is None:
-                findings.append(Finding("typing-edge-ends", f"{role}[{e}]", "edge has no " + role))
-            elif end not in nodes:
-                findings.append(Finding("typing-edge-ends", f"{role}[{e}]", f"edge {role} {end!r} is not a node"))
-        te = g.edge_types.get(e)
-        if te is None:
-            return findings + [Finding("typing-total", e, "edge has no type")]
+        te = g.edge_types[e]
         if te not in tg.edge_types:
-            return findings + [Finding("typing-unknown-type", e, f"edge typed by unknown type {te!r}")]
-        decl_src, decl_tgt = decls[te]
-        if decl_src is None or decl_tgt is None:
-            findings.append(Finding("typing-type-ends", e, f"edge type {te!r} lacks a node type as src or tgt"))
-        for role, end, decl in (
-            ("source", g.graph.src.get(e), decl_src),
-            ("target", g.graph.tgt.get(e), decl_tgt),
-        ):
-            t_end = nt.get(end) if end is not None else None
-            if decl is None or t_end is None or t_end not in tg.node_types:
-                continue  # reported on the edge above, or on the node
-            if not conforms_to(t_end, decl):
-                findings.append(
-                    Finding(
-                        "typing-" + ("source" if role == "source" else "target"),
-                        e,
-                        f"{role} type {t_end!r} incompatible with {te!r} (expects {decl!r})",
-                    )
-                )
+            return [Finding("typing-unknown-type", e, f"edge typed by unknown type {te!r}")]
+        findings: list[Finding] = []
+        for role, end, decl in (("source", g.graph.src[e], decls[0][te]), ("target", g.graph.tgt[e], decls[1][te])):
+            t_end = nt[end]
+            if t_end in tg.node_types and not conforms_to(t_end, decl):  # else reported on the node
+                message = f"{role} type {t_end!r} incompatible with {te!r} (expects {decl!r})"
+                findings.append(Finding("typing-" + role, e, message))
         return findings
 
     attr_decls: dict[str, dict[str, str]] = {}
@@ -471,20 +459,18 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
             decls = attr_decls[t] = declared_attrs(tg, t)
         return decls
 
-    def attr_fits(t: str | None, a: str, cls: type) -> bool:
+    def attr_fits(t: str, a: str, cls: type) -> bool:
         """Whether ``check_attr`` passes an attribute ``a`` of class
         ``cls`` on a node of type ``t``."""
-        if t is None or t not in tg.node_types:
+        if t not in tg.node_types:
             return True
         decls = declared(t)
         return a in decls and _misfit(decls[a], cls) is None
 
     def check_attr(item: tuple[tuple[str, str], int | str]) -> list[Finding]:
         (n, a), v = item
-        if n not in nodes:
-            return [Finding("attr-owner", f"{n}.{a}", f"attribute owner {n!r} is not a node")]
-        t = nt.get(n)
-        if t is None or t not in tg.node_types:
+        t = nt[n]
+        if t not in tg.node_types:
             return []
         decls = declared(t)
         if a not in decls:
@@ -496,35 +482,20 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
 
     findings: list[Finding] = []
     kinds = view.by_node_type.keys()
-    if None in kinds or not kinds <= tg.node_types or not kinds.isdisjoint(tg.abstracts):
-        findings += walk_suspects(nodes, map(nt.get, nodes), check_node)
-    # When every node has a type, as many typing entries as nodes leave
-    # none for an unknown node; so for edges below.
-    if None in kinds or len(nt) != len(nodes):
-        findings += [Finding("typing-domain", n, "typing entry for unknown node") for n in sorted(nt.keys() - nodes)]
+    if not kinds <= tg.node_types or not kinds.isdisjoint(tg.abstracts):
+        findings += walk_suspects(nodes, map(nt.__getitem__, nodes), check_node)
 
-    # A missing end reads None, which is no node.
-    edges, srcs, tgts, types = view.edges, view.src, view.tgt, view.type
-    src_types, tgt_types = list(map(nt.get, srcs)), list(map(nt.get, tgts))
-    if (
-        not nodes.issuperset(srcs)
-        or not nodes.issuperset(tgts)
-        or not all(end_fits(te, t, 0) for te, t in set(zip(types, src_types)))
-        or not all(end_fits(te, t, 1) for te, t in set(zip(types, tgt_types)))
+    edges, types = view.edges, view.type
+    src_types, tgt_types = list(map(nt.__getitem__, view.src)), list(map(nt.__getitem__, view.tgt))
+    if not all(end_fits(te, t, 0) for te, t in set(zip(types, src_types))) or not all(
+        end_fits(te, t, 1) for te, t in set(zip(types, tgt_types))
     ):
-        is_node = nodes.__contains__
-        edge_keys = zip(types, src_types, tgt_types, map(is_node, srcs), map(is_node, tgts))
-        findings += walk_suspects(edges, edge_keys, check_edge)
-    if None in view.by_type or len(g.edge_types) != len(edges):
-        findings += [
-            Finding("typing-domain", e, "typing entry for unknown edge") for e in sorted(g.edge_types.keys() - edges)
-        ]
+        findings += walk_suspects(edges, zip(types, src_types, tgt_types), check_edge)
 
     owners, names = list(map(itemgetter(0), g.attrs)), list(map(itemgetter(1), g.attrs))
-    owner_types, classes = list(map(nt.get, owners)), list(map(type, g.attrs.values()))
-    if not nodes.issuperset(owners) or not all(attr_fits(*shape) for shape in set(zip(owner_types, names, classes))):
-        attr_keys = zip(owner_types, map(nodes.__contains__, owners), names, classes)
-        findings += walk_suspects(g.attrs.items(), attr_keys, check_attr)
+    owner_types, classes = list(map(nt.__getitem__, owners)), list(map(type, g.attrs.values()))
+    if not all(attr_fits(*shape) for shape in set(zip(owner_types, names, classes))):
+        findings += walk_suspects(g.attrs.items(), zip(owner_types, names, classes), check_attr)
     return report_from(findings)
 
 
@@ -585,8 +556,7 @@ def _reaches_cycle(up: dict[str, str]) -> bool:
 @keeps_report
 def check_validity(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     """Containment acyclicity, unique containers, and opposite-edge
-    consistency. Meant for graphs that pass ``check_typing``; edges with a
-    missing end are skipped here (``check_typing`` reports them).
+    consistency. Meant for graphs that pass ``check_typing``.
 
     Cost: C-level passes over the columns of ``g.edge_view`` map each
     contained node to its container and gather the ``(type, src, tgt)``
@@ -610,18 +580,16 @@ def check_validity(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
         succ: dict[str, list[str]] = {}
         containers_of: dict[str, list[str]] = {}
         for e in sorted(compress(view.edges, contains)):
-            s, t = src.get(e), tgt.get(e)
-            if s is not None and t is not None:
-                succ.setdefault(s, []).append(t)
-                containers_of.setdefault(t, []).append(s)
+            s, t = src[e], tgt[e]
+            succ.setdefault(s, []).append(t)
+            containers_of.setdefault(t, []).append(s)
         for cycle in _cycles(succ):
             flag("containment-cycle", cycle[0], "containment cycle through " + ", ".join(sorted(set(cycle))))
-        for n in sorted(n for n, containers in containers_of.items() if len(containers) > 1 and n in g.graph.nodes):
+        for n in sorted(n for n, containers in containers_of.items() if len(containers) > 1):
             flag("multi-container", n, "node has more than one container: " + ", ".join(sorted(containers_of[n])))
 
     # Opposite consistency: for both directions of each pair, the number
-    # of t1 edges a->b must equal the number of t2 edges b->a. Keys with a
-    # missing end are counted but never reported.
+    # of t1 edges a->b must equal the number of t2 edges b->a.
     opposite = tg._opposite
     types, srcs, tgts = view.type, view.src, view.tgt
     if not opposite.keys() >= view.by_type.keys():
@@ -634,7 +602,7 @@ def check_validity(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
         return report_from(findings)
     counts = Counter(zip(types, srcs, tgts))
     seen: set[tuple[str, str, str]] = set()
-    for te, s, t in sorted(key for key in counts if key[1] is not None and key[2] is not None):
+    for te, s, t in sorted(counts):
         rev = (opposite.get(te), t, s)
         key = min((te, s, t), rev)  # process each unordered pair once
         if key in seen:
@@ -702,7 +670,7 @@ def _bound_findings(
             counted[te] = Counter(view.sources.get(te, ()))
     findings: list[Finding] = []
     for n in sorted(g.graph.nodes) if failing else ():
-        t = g.node_types.get(n)
+        t = g.node_types[n]
         for te, types, m in failing:
             count = counted[te][n]
             if t in types and not (m.lb <= count and (m.ub is None or count <= m.ub)):
@@ -713,18 +681,17 @@ def _bound_findings(
 @keeps_report
 def check_multiplicities(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     """Per-source-node bounds on outgoing edges of each applicable type.
-    Edge types without a multiplicity, or without a node
-    type as ``src``, are skipped (``check_type_graph`` reports them). The report is kept on
-    ``g`` (:func:`keeps_report`).
+    Edge types without a multiplicity are skipped (``check_type_graph``
+    reports them). The report is kept on ``g`` (:func:`keeps_report`).
 
     Cost: each edge type bounded other than ``[0,*]`` applies to the node
     types of ``g.edge_view`` that conform to its ``src``; the bounds are
     tested, and only the failing ones walked, by :func:`_bound_findings`."""
-    kinds = {t for t in g.edge_view.by_node_type if t is not None and t in tg.node_types}
+    kinds = tg.node_types.intersection(g.edge_view.by_node_type)
     bounds = []
     for te in sorted(tg.edge_types):
-        m, decl = tg.mult.get(te), tg.graph.src.get(te)
-        if m is not None and decl in tg.node_types and (m.lb > 0 or m.ub is not None):
+        m, decl = tg.mult.get(te), tg.graph.src[te]
+        if m is not None and (m.lb > 0 or m.ub is not None):
             bounds.append((te, {t for t in kinds if conforms(tg, t, decl)}, m))
     return report_from(_bound_findings(g, bounds, _mult_finding))
 

@@ -168,9 +168,9 @@ def annotate_150(tg_sigma: TypeGraph) -> AnnotatedTypeGraph:
 def derive_type_graph(atg: AnnotatedTypeGraph, cfg: FeatureConfig) -> TypeGraph:
     """Resolve the variability: keep unannotated elements and those whose
     presence condition evaluates to true, dropping anything dangling. An
-    edge type is kept when every end it has is a kept node type; a missing
-    end or bound is carried over as missing (``check_type_graph`` reports
-    it), unless a bound override is in force.
+    edge type is kept when both its ends are kept node types; a missing
+    bound is carried over as missing (``check_type_graph`` reports it),
+    unless a bound override is in force.
 
     Each derived type graph is kept on ``atg``, one per ``cfg.selected``,
     so every call for equal selections returns one object, whose dicts
@@ -196,7 +196,7 @@ def derive_type_graph(atg: AnnotatedTypeGraph, cfg: FeatureConfig) -> TypeGraph:
     edges = {
         e
         for e in base.graph.edges
-        if keep(("edge", e)) and all(ends[e] in nodes for ends in (src, tgt) if e in ends)
+        if keep(("edge", e)) and src[e] in nodes and tgt[e] in nodes
     }
     inherits = {
         (sub, sup)
@@ -221,8 +221,8 @@ def derive_type_graph(atg: AnnotatedTypeGraph, cfg: FeatureConfig) -> TypeGraph:
         graph=Graph(
             nodes=frozenset(nodes),
             edges=frozenset(edges),
-            src={e: src[e] for e in edges if e in src},
-            tgt={e: tgt[e] for e in edges if e in tgt},
+            src={e: src[e] for e in edges},
+            tgt={e: tgt[e] for e in edges},
         ),
         inherits=frozenset(inherits),
         abstracts=base.abstracts & nodes,
@@ -280,27 +280,26 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
     ``check_multiplicities`` against its derived type graph are empty
     (:func:`bigtg.typedgraph.keeps_report`), which the type safety of
     delta-oriented product lines warrants (Bettini, Damiani & Schaefer
-    2013). The first reconfiguration runs no check.
+    2013). The first reconfiguration only marks ``g`` as reconfigured
+    (:func:`_reconfigured`): it runs no check and makes no family.
 
     When no step changes anything, ``g`` itself is returned; when nothing
     is deleted, the edges, their ends and their types are kept as they
     are. Applying the same configuration twice is a no-op the second
     time, so already-configured graphs pass through unchanged. Raises
-    ``NotCanonical`` on a graph with an edge that lacks a ``src`` or
-    ``tgt``, naming the smallest such edge, and on a port without exactly
-    one ownership edge or one link edge.
+    ``NotCanonical`` on a port without exactly one ownership edge or one
+    link edge. A graph's ``src`` and ``tgt`` are total, so every edge has
+    both ends to rewire or drop.
     """
     rep = validate_config(cfg)
     if not rep.ok:
         raise InvalidConfig(rep)
-    family = (_lacking, ()) in g._parts  # reconfigured before: its variants are a family
+    family = (_reconfigured, ()) in g._parts  # reconfigured before: its variants are a family
     if family:
         from .writers import Family
 
         _kept(g, Family)
-    lacking = _kept(g, _lacking)
-    if lacking:
-        raise NotCanonical(lacking)
+    _kept(g, _reconfigured)
     verdict = _verdict(g, sig) if family and isinstance(sig, Signature) else None
     sel = cfg.selected
     types, attrs, controls = g.node_types, g.attrs, frozenset()
@@ -412,6 +411,13 @@ def _kept(g: InstanceGraph, make: Callable[..., Any], *key: Hashable) -> Any:
         return part
 
 
+def _reconfigured(g: InstanceGraph) -> bool:
+    """The mark of a graph that :func:`apply_deltas` has reconfigured
+    before, kept on it, so that the graphs it makes of ``g`` from then on
+    are a family."""
+    return True
+
+
 def _merged(dicts: Iterable[dict[str, str]]) -> dict[str, str]:
     """One dict of the entries of ``dicts``, whose keys are disjoint."""
     merged: dict[str, str] = {}
@@ -426,33 +432,20 @@ def _without(d: Mapping[Any, Any], keys: Iterable[Any]) -> dict[Any, Any]:
     return d
 
 
-def _lacking(g: InstanceGraph) -> str | None:
-    """Why ``g`` is not canonical when the smallest edge that lacks a
-    ``src`` or ``tgt`` exists."""
-    edges, src, tgt = g.graph.edges, g.graph.src, g.graph.tgt
-    if src.keys() >= edges and tgt.keys() >= edges:
-        return None
-    e = min(edges - (src.keys() & tgt.keys()))
-    return f"edge {e} has no {'tgt' if e in src else 'src'}"
-
-
 def _retyped(g: InstanceGraph, controls: frozenset[str]) -> tuple[dict[str, str], dict[tuple[str, str], str]]:
     """Each node typed by one of ``controls`` mapped to ``BNode``, and its
     ``control`` attribute, in the order of ``g.node_types``."""
-    nodes = g.graph.nodes
-    retyped = {n: t for n, t in g.node_types.items() if n in nodes and t in controls}
+    retyped = {n: t for n, t in g.node_types.items() if t in controls}
     return dict.fromkeys(retyped, "BNode"), dict(zip(zip(retyped, repeat("control")), retyped.values()))
 
 
 def _group(g: InstanceGraph, node_type: str) -> tuple[frozenset[str], frozenset[tuple[str, str]], set[tuple[str, str]]]:
     """The nodes of ``node_type``, the keys of ``g.attrs`` they own, and
-    the ``index`` keys of ``g.attrs`` whose owner ``g.node_types`` types
-    so, whether a node or not."""
+    the ``index`` keys among those."""
     types, attrs = g.node_types, g.attrs
-    typed = frozenset(compress(types, map(eq, types.values(), repeat(node_type))))
-    nodes = typed & g.graph.nodes
+    nodes = frozenset(compress(types, map(eq, types.values(), repeat(node_type))))
     keys = frozenset(compress(attrs, map(nodes.__contains__, map(itemgetter(0), attrs))))
-    return nodes, keys, attrs.keys() & set(zip(typed, repeat("index")))
+    return nodes, keys, attrs.keys() & set(zip(nodes, repeat("index")))
 
 
 def _touching(g: InstanceGraph) -> dict[int, list[str]]:
@@ -464,21 +457,17 @@ def _touching(g: InstanceGraph) -> dict[int, list[str]]:
     src, tgt, bit = g.graph.src, g.graph.tgt, bits.get
     # src's order (the file's) reads the dicts in turn, and the kept dicts
     # and the variants built from them inherit it; the hash order of the
-    # edge set scatters every later read. Every edge has a src (_lacking).
-    edges = list(filter(g.graph.edges.__contains__, src))
+    # edge set scatters every later read. The keys of src are the edges.
+    edges = list(src)
     return _grouped([bit(src[e], 0) | bit(tgt[e], 0) for e in edges], edges)
 
 
 def _ends(g: InstanceGraph, touched: int) -> tuple[dict[str, str], dict[str, str], dict[str, str]]:
     """The ``src``, ``tgt`` and type of each edge that touches the groups
-    in the mask ``touched`` (:func:`_touching`); an edge without a type
-    has none here."""
-    edges, types = _kept(g, _touching)[touched], g.edge_types
-    return (
-        dict(zip(edges, map(g.graph.src.__getitem__, edges))),
-        dict(zip(edges, map(g.graph.tgt.__getitem__, edges))),
-        dict(compress(zip(edges, map(types.get, edges)), map(types.__contains__, edges))),
-    )
+    in the mask ``touched`` (:func:`_touching`)."""
+    edges = _kept(g, _touching)[touched]
+    columns = (g.graph.src, g.graph.tgt, g.edge_types)
+    return tuple(dict(zip(edges, map(column.__getitem__, edges))) for column in columns)
 
 
 def _rewired(g: InstanceGraph, gone: int) -> tuple[str | None, tuple[list[str], ...]]:
@@ -533,33 +522,39 @@ def _rewired(g: InstanceGraph, gone: int) -> tuple[str | None, tuple[list[str], 
     )
 
 
-# What a piece of the steps changes or drops, as the writer prints it
-# (:class:`bigtg.writers.Family`): built from the kept parts of ``g``.
+# What a piece of the steps changes, as the writer prints it
+# (:class:`bigtg.writers.Family`): the printers' columns of its edges and
+# of its nodes, each sorted by id, built from the kept parts of ``g``.
+
+#: The columns of no entries: ids and three more.
+_NONE = ((), (), (), ())
 
 
-def _retyped_entries(g: InstanceGraph, controls: frozenset[str]) -> InstanceGraph:
+def _retyped_entries(g: InstanceGraph, controls: frozenset[str]) -> tuple[tuple, tuple]:
     """The nodes that weak typing under ``controls`` retypes, as step 1
-    leaves them."""
+    leaves them: each id and type, and their attributes' sorted keys and
+    values."""
     retyped, control_attrs = _kept(g, _retyped, controls)
     owned = compress(g.attrs.items(), map(retyped.__contains__, map(itemgetter(0), g.attrs)))
-    return InstanceGraph(Graph(frozenset(retyped)), retyped, attrs={**dict(owned), **control_attrs})
+    attrs = dict(sorted({**dict(owned), **control_attrs}.items()))
+    nodes = sorted(retyped)
+    return _NONE, (nodes, list(map(retyped.__getitem__, nodes)), list(attrs), list(attrs.values()))
 
 
-def _indexless_entries(g: InstanceGraph, node_type: str) -> InstanceGraph:
+def _indexless_entries(g: InstanceGraph, node_type: str) -> tuple[tuple, tuple]:
     """The nodes of ``node_type`` that own an ``index`` attribute, as step
     2 leaves them when the group stays without its index feature."""
-    nodes, keys, index = _kept(g, _group, node_type)
-    owners = frozenset(map(itemgetter(0), index)) & nodes
-    attrs = {key: g.attrs[key] for key in keys - index if key[0] in owners}
-    return InstanceGraph(Graph(owners), dict.fromkeys(owners, node_type), attrs=attrs)
+    _, keys, index = _kept(g, _group, node_type)
+    owners = set(map(itemgetter(0), index))
+    held = sorted(key for key in keys - index if key[0] in owners)
+    return _NONE, (sorted(owners), [node_type] * len(owners), held, list(map(g.attrs.__getitem__, held)))
 
 
-def _moved_entries(g: InstanceGraph, gone: int) -> InstanceGraph:
+def _moved_entries(g: InstanceGraph, gone: int) -> tuple[tuple, tuple]:
     """The edges that the port rewiring moves and keeps when the groups in
-    the mask ``gone`` go with the ports, with their new ends."""
-    moved, src, tgt, types = _kept(g, _rewired, gone)[1]
-    graph = Graph(edges=frozenset(moved), src=dict(zip(moved, src)), tgt=dict(zip(moved, tgt)))
-    return InstanceGraph(graph, edge_types=dict(zip(moved, types)))
+    the mask ``gone`` go with the ports: each id, new ends and type."""
+    rows = sorted(zip(*_kept(g, _rewired, gone)[1]))
+    return (tuple(map(list, zip(*rows))) or _NONE), _NONE
 
 
 def _dropped(g: InstanceGraph, cut: int) -> tuple[set[str], frozenset[str]]:

@@ -76,16 +76,16 @@ def _batched(count: int, entries: Callable[[slice], Iterable[str]], pad: str, br
 
 #: The text of each value of these exact types, as ``json`` prints it
 #: (``bool`` is an ``int`` to ``int.__repr__``, but not to ``json``).
-_LITERAL = {True: "true", False: "false", None: "null"}.__getitem__
-_SCALAR = {str: encode_basestring_ascii, int: int.__repr__, bool: _LITERAL, type(None): _LITERAL}
+_SCALAR = {str: encode_basestring_ascii, int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__}
 
 
 def _leaves(values: list) -> list[str]:
     """The text of each value of a column, which the constructors let hold
-    strings, plain integers and ``None`` (a missing type): one C-level pass
-    over a column of strings or of integers, and one pass that picks the
-    printer of each value's type over a column of them mixed (weakly typed
-    attribute values: ``control`` strings beside ``index`` ints)."""
+    exactly ``str`` and ``int`` values: one C-level pass over a column of
+    strings or of integers, and one pass that picks the printer of each
+    value's type over a column of them mixed (weakly typed attribute
+    values: ``control`` strings beside ``index`` ints, and a bigraph's
+    places)."""
     try:
         return list(map(encode_basestring_ascii, values))
     except TypeError:
@@ -93,7 +93,7 @@ def _leaves(values: list) -> list[str]:
     try:
         return list(map(int.__repr__, values))
     except TypeError:
-        return [_SCALAR.get(type(v), encode_basestring_ascii)(v) for v in values]
+        return [_SCALAR[type(v)](v) for v in values]
 
 
 def _canonical_json(value: Any, pad: str = "\n") -> str:
@@ -215,9 +215,9 @@ def _typegraph(tg: TypeGraph) -> str:
         {"abstract": t in tg.abstracts, "attrs": dict(tg.attr_decls.get(t, {})), "name": t} for t in sorted(tg.graph.nodes)
     ]
     edges = sorted(tg.graph.edges)
-    src, tgt = (list(map(ends.get, edges)) for ends in (tg.graph.src, tg.graph.tgt))
+    src, tgt = (list(map(ends.__getitem__, edges)) for ends in (tg.graph.src, tg.graph.tgt))
     mult = list(map(tg.mult.get, edges))
-    _refuse_missing("edge type", edges, src=src, tgt=tgt, mult=mult)
+    _refuse_missing("edge type", edges, mult=mult)
     edge_entries = [
         {"containment": e in tg.containments, "mult": _mult_payload(m), "name": e, "src": s, "tgt": t}
         for e, s, t, m in zip(edges, src, tgt, mult)
@@ -254,21 +254,14 @@ def _node_texts(ids: list, types: list, held: list, values: list) -> Iterable[st
     return map(_NODE.__mod__, zip(map(attrs.get, ids, repeat("{}")), _leaves(ids), _leaves(types)))
 
 
-def _plain(g: InstanceGraph) -> bool:
-    """Whether every attribute of ``g`` is owned by a node, as in what the
-    readers give, so that each entry prints alike whatever it is printed
-    beside."""
-    return set(map(itemgetter(0), g.attrs)) <= g.graph.nodes
-
-
 class Family:
     """What the saves of one graph's variants share, each printed once:
     the graph's sorted edge and node ids and each entry's text by its
     place there (``ids`` and ``texts``, ``(edges, nodes)`` pairs, set at
-    the first save, or empty when the graph is not :func:`_plain`); the
-    places and texts of the entries that each piece of a configuration
-    changes; and, per set of dropped groups, a mask of the entries that
-    stay. Only the graph that made it holds it, in ``_parts``."""
+    the first save); the places and texts of the entries that each piece
+    of a configuration changes; and, per set of dropped groups, a mask of
+    the entries that stay. Only the graph that made it holds it, in
+    ``_parts``."""
 
     __slots__ = ("ids", "texts", "_changed", "_stays")
 
@@ -277,16 +270,14 @@ class Family:
         self._changed: dict[tuple, tuple[list, ...]] = {}  # places and texts of edges, then of nodes
         self._stays: dict[tuple, tuple[bytes, bytes]] = {}
 
-    def selected(self, g: InstanceGraph, dropped: tuple | None, changes: tuple[tuple, ...]) -> tuple[list[str], ...] | None:
+    def selected(self, g: InstanceGraph, dropped: tuple | None, changes: tuple[tuple, ...]) -> tuple[list[str], ...]:
         """The edge and node texts of the variant of ``g`` that the record
-        describes (:class:`bigtg.variability._Origin`), or None when ``g``
-        is not plain: the texts of ``g`` with each changed entry's laid
-        over them, compressed to the entries that stay."""
+        describes (:class:`bigtg.variability._Origin`): the texts of ``g``
+        with each changed entry's laid over them, compressed to the
+        entries that stay."""
         if self.texts is None:
-            self.ids = (sorted(g.graph.edges), sorted(g.graph.nodes)) if _plain(g) else ()
-            self.texts = tuple(map(list, _entries(g, *self.ids))) if self.ids else ()
-        if not self.texts:
-            return None
+            self.ids = (sorted(g.graph.edges), sorted(g.graph.nodes))
+            self.texts = tuple(map(list, _entries(g, *self.ids)))
         edges, nodes = self.texts
         if changes:
             edges, nodes = edges.copy(), nodes.copy()
@@ -302,24 +293,26 @@ class Family:
         return list(compress(edges, stays[0])), list(compress(nodes, stays[1]))
 
     def _piece(self, g: InstanceGraph, change: tuple) -> tuple[list, ...]:
-        """The places and texts of what ``change`` changes, printed once; one
-        equal to a piece before (edges moved alike under another cut) shares it."""
+        """The places and texts of what ``change`` changes, printed once from
+        the columns its builder gives (ids first, each sorted); one equal to
+        a piece before (edges moved alike under another cut) shares it."""
         piece = self._changed.get(change)
         if piece is None:
-            h = change[0](g, *change[1:])
-            ids = (sorted(h.graph.edges), sorted(h.graph.nodes))
+            edge_columns, node_columns = change[0](g, *change[1:])
+            ids = (edge_columns[0], node_columns[0])
             places = (list(map(bisect_left, repeat(whole), part)) for whole, part in zip(self.ids, ids))
-            piece = tuple(chain(*zip(places, map(list, _entries(h, *ids)))))
+            texts = (list(_edge_texts(*edge_columns)), list(_node_texts(*node_columns)))
+            piece = tuple(chain(*zip(places, texts)))
             piece = self._changed[change] = next((p for p in self._changed.values() if p == piece), piece)
         return piece
 
 
 def _entries(g: InstanceGraph, edges: list[str], nodes: list[str]) -> tuple[Iterable[str], Iterable[str]]:
-    """The texts of the entries of ``edges`` and ``nodes`` (sorted) of a
-    graph whose edges all have ends, printed in one pass per column."""
+    """The texts of the entries of ``edges`` and ``nodes`` (sorted) of
+    ``g``, printed in one pass per column."""
     keys = sorted(g.attrs)
-    src, tgt, types = (list(map(column.get, edges)) for column in (g.graph.src, g.graph.tgt, g.edge_types))
-    node_types, values = list(map(g.node_types.get, nodes)), list(map(g.attrs.get, keys))
+    src, tgt, types = (list(map(column.__getitem__, edges)) for column in (g.graph.src, g.graph.tgt, g.edge_types))
+    node_types, values = list(map(g.node_types.__getitem__, nodes)), list(map(g.attrs.__getitem__, keys))
     return _edge_texts(edges, src, tgt, types), _node_texts(nodes, node_types, keys, values)
 
 
@@ -331,30 +324,25 @@ def instancegraph_chunks(g: InstanceGraph) -> Iterator[str]:
     origin = vars(g).get("_origin")
     owner = None if origin is None else origin.input()
     family = None if owner is None else owner._parts.get((Family, ()))
-    selected = None if family is None else family.selected(owner, *origin.delta)
-    if selected is not None:
-        edges, nodes = selected
+    if family is not None:
+        edges, nodes = family.selected(owner, *origin.delta)
         edge_entries, node_entries = edges.__getitem__, nodes.__getitem__
     else:
         edges = sorted(g.graph.edges)
-        src, tgt = list(map(g.graph.src.get, edges)), list(map(g.graph.tgt.get, edges))
-        _refuse_missing("edge", edges, src=src, tgt=tgt)
-        orphans = set(map(itemgetter(0), g.attrs)) - g.graph.nodes
-        if orphans:
-            n, a = min(key for key in g.attrs if key[0] in orphans)
-            raise ValueError(f"attribute {a} of {n} has no node")
+        src, tgt = list(map(g.graph.src.__getitem__, edges)), list(map(g.graph.tgt.__getitem__, edges))
         nodes = sorted(g.graph.nodes)
         keys = sorted(g.attrs)
         owners = list(map(itemgetter(0), keys))
 
         def edge_entries(part: slice) -> Iterable[str]:
-            return _edge_texts(edges[part], src[part], tgt[part], list(map(g.edge_types.get, edges[part])))
+            return _edge_texts(edges[part], src[part], tgt[part], list(map(g.edge_types.__getitem__, edges[part])))
 
         def node_entries(part: slice) -> Iterable[str]:
             batch = nodes[part]
             # The attributes of the batch's nodes, which lead ``keys`` as the nodes lead ``nodes``.
             held = keys[bisect_left(owners, batch[0]) : bisect_right(owners, batch[-1])]
-            return _node_texts(batch, list(map(g.node_types.get, batch)), held, list(map(g.attrs.get, held)))
+            types, values = list(map(g.node_types.__getitem__, batch)), list(map(g.attrs.__getitem__, held))
+            return _node_texts(batch, types, held, values)
 
     yield '{\n    "edges": '
     yield from _batched(len(edges), edge_entries, _P4)

@@ -136,11 +136,6 @@ def add_edge(g: InstanceGraph, eid: str, etype: str, src: str, tgt: str) -> Inst
     )
 
 
-def drop_tgt(g: InstanceGraph, eid: str) -> InstanceGraph:
-    tgt = {e: t for e, t in g.graph.tgt.items() if e != eid}
-    return replace(g, graph=Graph(nodes=g.graph.nodes, edges=g.graph.edges, src=g.graph.src, tgt=tgt))
-
-
 def retarget_edge(
     g: InstanceGraph, eid: str, src: str | None = None, tgt: str | None = None
 ) -> InstanceGraph:
@@ -161,16 +156,16 @@ def edges_of_type(g: InstanceGraph, etype: str) -> list[str]:
 
 EDGE_TYPES = ("bPrnt", "bChld", "bLink", "bPoints", "bPorts", "bNode", "bogus")
 NODE_TYPES = ("BPort", "BNode", "BRoot", "BSite", "Ghost")
-EDITS = (
-    "drop-edge", "retype-edge", "untype-edge", "retarget", "unset-end",
-    "set-attr", "drop-attr", "port-owned-by-port", "retype-node", "untype-node",
-)
+EDITS = ("drop-edge", "retype-edge", "retarget", "set-attr", "drop-attr", "port-owned-by-port", "retype-node")
 
 
 @st.composite
 def mutated_encodings(draw):
     """An encoded random bigraph after a few arbitrary edits, with the
-    bigraph."""
+    bigraph. Each edit keeps a graph: an edge's ends and an attribute's
+    owner stay among the nodes, and every node and edge keeps a type,
+    since the constructors refuse anything else
+    (``tests/test_construction.py``)."""
     b = random_bigraph(random.Random(draw(st.integers(0, 1_000_000))))
     g, _ = encode(b)
     nodes, edges = set(g.graph.nodes), set(g.graph.edges)
@@ -178,7 +173,7 @@ def mutated_encodings(draw):
     ntypes, etypes, attrs = dict(g.node_types), dict(g.edge_types), dict(g.attrs)
     for _ in range(draw(st.integers(0, 4))):
         kind = draw(st.sampled_from(EDITS))
-        node_ids = sorted(nodes) + ["ghost"]
+        node_ids = sorted(nodes)
         e = draw(st.sampled_from(sorted(edges))) if edges else None
         end = draw(st.sampled_from((src, tgt)))
         if kind == "drop-edge" and e:
@@ -187,13 +182,9 @@ def mutated_encodings(draw):
                 mapping.pop(e, None)
         elif kind == "retype-edge" and e:
             etypes[e] = draw(st.sampled_from(EDGE_TYPES))
-        elif kind == "untype-edge" and e:
-            etypes.pop(e, None)
         elif kind == "retarget" and e:
             end[e] = draw(st.sampled_from(node_ids))
-        elif kind == "unset-end" and e:
-            end.pop(e, None)
-        elif kind == "set-attr":
+        elif kind == "set-attr" and node_ids:
             key = (draw(st.sampled_from(node_ids)), draw(st.sampled_from(("index", "control", "x"))))
             attrs[key] = draw(st.one_of(st.integers(-1, 3), st.sampled_from(("a", "Printer"))))
         elif kind == "drop-attr" and attrs:
@@ -208,8 +199,6 @@ def mutated_encodings(draw):
                     src[x], tgt[x], etypes[x] = p, q, "bNode"
         elif kind == "retype-node" and nodes:
             ntypes[draw(st.sampled_from(sorted(nodes)))] = draw(st.sampled_from(NODE_TYPES))
-        elif kind == "untype-node" and ntypes:
-            del ntypes[draw(st.sampled_from(sorted(ntypes)))]
     mutated = InstanceGraph(
         graph=Graph(nodes=frozenset(nodes), edges=frozenset(edges), src=src, tgt=tgt),
         node_types=ntypes,
@@ -226,9 +215,10 @@ BOUNDS = tuple(Multiplicity(lb, ub) for lb, ub in ((0, None), (0, 0), (0, 1), (1
 @st.composite
 def type_graph_variants(draw, sig: Signature | None = None, tg: TypeGraph | None = None):
     """The signature's type graph, or one of its 54 configurations, or
-    else ``tg``, with up to three edge types edited: an end dropped or
-    made unknown, an extra (possibly one-sided) opposite, containment
-    toggled, or the multiplicity changed or dropped."""
+    else ``tg``, with up to three edge types edited: an end moved to
+    another node type, an extra (possibly one-sided) opposite, containment
+    toggled, or the multiplicity changed or dropped. An end stays a node
+    type, as its graph requires."""
     if tg is None:
         tg = extend_for_signature(sig)
         cfg = draw(st.sampled_from((None, *CONFIGS)))
@@ -239,12 +229,9 @@ def type_graph_variants(draw, sig: Signature | None = None, tg: TypeGraph | None
     edge_types = sorted(tg.edge_types)
     for _ in range(draw(st.integers(0, 3))):
         e = draw(st.sampled_from(edge_types))
-        kind = draw(st.sampled_from(("drop-end", "ghost-end", "opposite", "containment", "mult", "drop-mult")))
-        ends = draw(st.sampled_from((src, tgt)))
-        if kind == "drop-end":
-            ends.pop(e, None)
-        elif kind == "ghost-end":
-            ends[e] = "Ghost"
+        kind = draw(st.sampled_from(("move-end", "opposite", "containment", "mult", "drop-mult")))
+        if kind == "move-end":
+            draw(st.sampled_from((src, tgt)))[e] = draw(st.sampled_from(sorted(tg.node_types)))
         elif kind == "opposite":
             opposites.add((e, draw(st.sampled_from(edge_types))))
         elif kind == "containment":

@@ -44,7 +44,6 @@ from bigtg.typedgraph import (
 
 from helpers import (
     add_edge,
-    drop_tgt,
     mutated_encodings,
     ref_out_degree,
     retarget_edge,
@@ -124,15 +123,6 @@ FAILING_TESTS = {
         None,
         ["error multi-container n:v6 node has more than one container: n:v4, n:v5"],
     ),
-    "missing-end": (
-        lambda g: drop_tgt(g, "bPorts:n:v1:p:v1:1"),
-        None,
-        None,
-        [
-            "error typing-edge-ends tgt[bPorts:n:v1:p:v1:1] edge has no tgt",
-            "error opposite-inconsistent bNode[p:v1:1->n:v1] 1 'bNode' edge(s) but 0 opposite 'bPorts' edge(s)",
-        ],
-    ),
     "abstract-node-type": (
         lambda g: retype_node(g, "n:v6", "BPlace"),
         None,
@@ -200,6 +190,14 @@ def test_each_failing_column_test_gives_the_walks_findings(edit, g1, tg_sigma1, 
     got = reports(g, tg, sig)
     assert got == ref_reports(g, tg, sig)
     assert [f.line() for r in got for f in r.findings] == lines
+
+
+def test_a_missing_end_is_refused_before_any_column_test(g1):
+    """An edge without a ``tgt`` fails no column test: its graph is
+    refused where it is built."""
+    tgt = {e: t for e, t in g1.graph.tgt.items() if e != "bPorts:n:v1:p:v1:1"}
+    with pytest.raises(ValueError, match="^Graph.tgt lacks 'bPorts:n:v1:p:v1:1', which is an edge$"):
+        replace(g1.graph, tgt=tgt)
 
 
 def test_each_end_is_checked_against_its_own_declared_type(tg_sigma1, sig1):

@@ -10,13 +10,13 @@ were before shape keys and counted opposites, when each walked every
 element in sorted order; ``opposite_of`` and ``_opposite_groups`` are
 copies of the helpers ``ref_check_validity`` called, which the library
 no longer has. The checkers must give the same findings in the
-same order as each reference on edited encodings that also carry typing
-entries and attributes for elements outside the graph and ``bool``
-attribute values, against the signature's type graph, the type graphs of
-all 54 configurations, and type graphs whose edge types have broken ends,
-opposites, containments or multiplicities. The references predate the
-``attr-owner`` rule (an attribute whose owner is not a node), so
-``with_attr_owners`` adds its findings to theirs explicitly.
+same order as each reference on edited encodings that also carry
+attributes of either value class, declared or not, against the
+signature's type graph, the type graphs of all 54 configurations, and
+type graphs whose edge types have moved ends, edited opposites,
+containments or multiplicities. Typing entries, edge ends and attributes of elements
+outside the graph are refused at construction
+(``tests/test_construction.py``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bigtg import extend_for_signature
+from bigtg import extend_for_signature, replace
 from bigtg.bigraph import Signature
 from bigtg.mapping import check_arity_rule
 from bigtg.report import Finding, ValidationReport, report_from
@@ -44,77 +44,46 @@ from bigtg.typedgraph import (
     declared_attrs,
 )
 
-from helpers import EDGE_TYPES, NODE_TYPES, mutated_encodings, ref_outgoing, type_graph_variants
-
-STRAY_IDS = ("ghost", "stray:1", "stray:2")
-
+from helpers import mutated_encodings, ref_outgoing, type_graph_variants
 
 @st.composite
-def encodings_with_strays(draw):
+def encodings_with_attributes(draw):
     """An edited encoding, with the bigraph, after a few more edits:
-    typing entries for nodes and edges that are not in the graph, edge
-    ends on such nodes, and attributes (some of the wrong value type, some
-    of no declared type) on nodes that may not be in it."""
+    attributes, some of the wrong value type, some of no declared type."""
     g, b = draw(mutated_encodings())
-    src, tgt = dict(g.graph.src), dict(g.graph.tgt)
-    node_types, edge_types, attrs = dict(g.node_types), dict(g.edge_types), dict(g.attrs)
-    owners = sorted(g.graph.nodes) + list(STRAY_IDS)
-    types = sorted({*node_types.values(), *NODE_TYPES})
-    for _ in range(draw(st.integers(0, 4))):
-        kind = draw(st.sampled_from(("node-type", "stray-end", "edge-type", "attr")))
-        if kind == "node-type":
-            node_types[draw(st.sampled_from(STRAY_IDS))] = draw(st.sampled_from(types))
-        elif kind == "stray-end" and g.graph.edges:
-            edge = draw(st.sampled_from(sorted(g.graph.edges)))
-            draw(st.sampled_from((src, tgt)))[edge] = draw(st.sampled_from(STRAY_IDS))
-        elif kind == "edge-type":
-            edge_types[draw(st.sampled_from(STRAY_IDS))] = draw(st.sampled_from(EDGE_TYPES))
-        else:
-            key = (draw(st.sampled_from(owners)), draw(st.sampled_from(("index", "control", "x"))))
-            attrs[key] = draw(st.one_of(st.integers(-1, 2), st.sampled_from(("a", "1"))))
-    graph = Graph(nodes=g.graph.nodes, edges=g.graph.edges, src=src, tgt=tgt)
-    return InstanceGraph(graph=graph, node_types=node_types, edge_types=edge_types, attrs=attrs), b
+    attrs = dict(g.attrs)
+    for _ in range(draw(st.integers(0, 4)) if g.graph.nodes else 0):
+        key = (draw(st.sampled_from(sorted(g.graph.nodes))), draw(st.sampled_from(("index", "control", "x"))))
+        attrs[key] = draw(st.one_of(st.integers(-1, 2), st.sampled_from(("a", "1"))))
+    return replace(g, attrs=attrs), b
 
 
-@given(encodings_with_strays(), st.data())
+@given(encodings_with_attributes(), st.data())
 @settings(max_examples=250, deadline=None)
 def test_checker_tables_keep_findings_and_order(case, data):
     g, b = case
     sig = b.signature
     for tg in (extend_for_signature(sig), data.draw(type_graph_variants(sig))):
-        assert check_typing(g, tg).findings == with_attr_owners(g, ref_check_typing(g, tg).findings)
-        assert check_typing(g, tg).findings == with_attr_owners(g, memo_check_typing(g, tg).findings)
+        assert check_typing(g, tg).findings == ref_check_typing(g, tg).findings
+        assert check_typing(g, tg).findings == memo_check_typing(g, tg).findings
         assert check_validity(g, tg).findings == ref_check_validity(g, tg).findings
         assert check_multiplicities(g, tg).findings == ref_check_multiplicities(g, tg).findings
         assert check_arity_rule(g, tg, sig).findings == ref_check_arity_rule(g, tg, sig).findings
 
 
-def test_ends_on_typed_strays_are_flagged_beside_clean_edges():
-    """An edge whose src is a typing entry but not a node shares its end
-    types with the clean edges of its type; only the end check tells it
-    apart. Ten such edges, each among nine clean ones of its shape, make
-    a walk that skips them all vanishingly unlikely."""
-    owners = [f"T{i}" for i in range(10)]
-    tg = TypeGraph(
-        graph=Graph(nodes={"P", "T", *owners}, edges={"own"}, src={"own": "P"}, tgt={"own": "T"}),
-        inherits={(t, "T") for t in owners},
-        mult={"own": Multiplicity(0)},
-    )
+def test_ends_on_typed_strays_are_refused_beside_clean_edges():
+    """Ten edges whose src is a typing entry but not a node, each among
+    nine clean ones of its shape: the graph is refused at its first such
+    end, before any typing entry is read."""
     edges = {f"own:{i}:{j}": (f"p{i}:{j}", f"t{i}") for i in range(10) for j in range(10)}
     src = {e: "ghost" if e.endswith(":0") else s for e, (s, _) in edges.items()}
-    g = InstanceGraph(
-        graph=Graph(
+    with pytest.raises(ValueError, match="^Graph.src holds 'ghost', which is not a node$"):
+        Graph(
             nodes={*(s for s, _ in edges.values()), *(f"t{i}" for i in range(10))},
             edges=set(edges),
             src=src,
             tgt={e: t for e, (_, t) in edges.items()},
-        ),
-        node_types={"ghost": "P", **{s: "P" for s, _ in edges.values()}, **{f"t{i}": f"T{i}" for i in range(10)}},
-        edge_types=dict.fromkeys(edges, "own"),
-    )
-    findings = check_typing(g, tg).findings
-    assert findings == ref_check_typing(g, tg).findings
-    assert [f.location for f in findings] == ["ghost", *(f"src[own:{i}:0]" for i in range(10))]
+        )
 
 
 def test_bool_values_of_int_attributes_are_refused_at_construction():
@@ -159,16 +128,16 @@ CONTAINMENT_NODES = ("a", "b", "c", "d", "e")
 
 @st.composite
 def containment_graphs(draw):
-    """A small graph of nesting and port edges, some without an end or
-    with an end that is not a node."""
-    ends = st.sampled_from((*CONTAINMENT_NODES, "ghost", None))
-    edges = draw(st.lists(st.tuples(ends, ends, st.sampled_from(("bChld", "bPorts", "bPrnt", None))), max_size=12))
+    """A small graph of nesting, port and link edges between untyped-alike
+    nodes (each typed ``BNode``)."""
+    ends = st.sampled_from(CONTAINMENT_NODES)
+    edges = draw(st.lists(st.tuples(ends, ends, st.sampled_from(("bChld", "bPorts", "bPrnt", "bLink"))), max_size=12))
     ids = [f"x{i}" for i in range(len(edges))]
-    src = {e: s for e, (s, _, _) in zip(ids, edges) if s is not None}
-    tgt = {e: t for e, (_, t, _) in zip(ids, edges) if t is not None}
-    types = {e: ty for e, (_, _, ty) in zip(ids, edges) if ty is not None}
+    src = {e: s for e, (s, _, _) in zip(ids, edges)}
+    tgt = {e: t for e, (_, t, _) in zip(ids, edges)}
+    types = {e: ty for e, (_, _, ty) in zip(ids, edges)}
     graph = Graph(nodes=frozenset(CONTAINMENT_NODES), edges=frozenset(ids), src=src, tgt=tgt)
-    return InstanceGraph(graph=graph, edge_types=types)
+    return InstanceGraph(graph=graph, node_types=dict.fromkeys(CONTAINMENT_NODES, "BNode"), edge_types=types)
 
 
 @given(containment_graphs())
@@ -193,23 +162,6 @@ def test_containment_findings_match_networkx(g):
     assert all(any(cycle & c for cycle in through) for c in cyclic)
     multi = {f.location for f in findings if f.code == "multi-container"}
     assert multi == {n for n in g.graph.nodes if contains.in_degree(n) > 1}
-
-
-def with_attr_owners(g: InstanceGraph, findings: tuple[Finding, ...]) -> tuple[Finding, ...]:
-    """A reference's ``check_typing`` findings plus the one rule that the
-    references predate: an attribute whose owner is not a node gets one
-    ``attr-owner`` finding, in place of any finding on its value, among
-    the attribute findings in sorted attribute order. (The references
-    give at most one finding per attribute, at ``<n>.<a>``.)"""
-    head = [f for f in findings if not f.code.startswith("attr-")]
-    on_value = {f.location: f for f in findings if f.code.startswith("attr-")}
-    tail = [
-        Finding("attr-owner", f"{n}.{a}", f"attribute owner {n!r} is not a node")
-        if n not in g.graph.nodes
-        else on_value.get(f"{n}.{a}")
-        for n, a in sorted(g.attrs)
-    ]
-    return tuple(head + [f for f in tail if f is not None])
 
 
 # The rules as first written, one lookup per element and pair.

@@ -1,8 +1,7 @@
 """What ``decode`` could not rebuild faithfully: a signature arity that
 is not a non-negative integer, which the signature refuses at
-construction, and an attribute whose owner is not a node, which
-``check_typing`` reports as ``attr-owner`` so that ``conformance``
-refuses it."""
+construction, and an attribute whose owner is not a node, or a typing
+entry for no node, which the instance graph refuses at construction."""
 
 from __future__ import annotations
 
@@ -15,9 +14,7 @@ from bigtg import (
     InstanceGraph,
     Interface,
     Signature,
-    TypeGraph,
     check_arity_rule,
-    check_typing,
     conformance,
     decode,
     encode,
@@ -25,7 +22,6 @@ from bigtg import (
     make_signature,
     replace,
 )
-from bigtg.mapping import NotCanonical
 
 @pytest.fixture(scope="module")
 def two_ports():
@@ -68,39 +64,30 @@ def test_a_control_without_an_arity_is_not_counted(two_ports):
     assert check_arity_rule(two_ports, extend_for_signature(sig), sig).ok
 
 
-# --- attr-owner -------------------------------------------------------------
-
-TG = TypeGraph(graph=Graph(nodes={"N"}), attr_decls={"N": {"index": "int"}})
+# --- attributes and typing entries of no node ----------------------------
 
 
-def test_an_attribute_of_no_node_is_flagged(g1, sig1):
-    g = replace(g1, attrs={**g1.attrs, ("ghost", "index"): 0})
-    want = ["error attr-owner ghost.index attribute owner 'ghost' is not a node"]
-    assert [f.line() for f in check_typing(g, extend_for_signature(sig1)).findings] == want
-    with pytest.raises(NotCanonical) as raised:
-        decode(g, sig1)
-    assert [f.line() for f in raised.value.report.findings] == want
+def test_an_attribute_of_no_node_is_refused_at_construction(g1):
+    with pytest.raises(ValueError) as refused:
+        replace(g1, attrs={**g1.attrs, ("ghost", "index"): 0})
+    assert str(refused.value) == "InstanceGraph.attrs holds an attribute of 'ghost', which is not a node"
 
 
 @pytest.mark.parametrize("orphan_first", [True, False])
-def test_an_orphan_does_not_share_the_shape_of_an_untyped_nodes_attribute(orphan_first):
-    """Neither owner has a type, and both values are ints of one name: only
-    whether the owner is a node tells the two shapes apart, whichever of
-    the two a shape would stand for."""
+def test_an_orphan_attribute_is_refused_whichever_entry_comes_first(orphan_first):
+    """Beside a typed node's attribute of the same name and value class,
+    the orphan is named, whichever entry the dict holds first; beside an
+    untyped node, the missing type is named first."""
     entries = [(("ghost", "index"), 1), (("n", "index"), 2)]
     attrs = dict(entries if orphan_first else entries[::-1])
-    g = InstanceGraph(graph=Graph(nodes={"n"}), attrs=attrs)
-    assert [(f.code, f.location) for f in check_typing(g, TG).findings] == [
-        ("typing-total", "n"),
-        ("attr-owner", "ghost.index"),
-    ]
+    with pytest.raises(ValueError, match="^InstanceGraph.attrs holds an attribute of 'ghost', which is not a node$"):
+        InstanceGraph(graph=Graph(nodes={"n"}), node_types={"n": "N"}, attrs=attrs)
+    with pytest.raises(ValueError, match="^InstanceGraph.node_types lacks 'n', which is a node$"):
+        InstanceGraph(graph=Graph(nodes={"n"}), attrs=attrs)
 
 
-def test_a_typed_strays_attribute_is_only_an_owner_finding():
-    """A typing entry for a node that is not in the graph does not make its
-    attributes checkable: the value of the wrong type is not reported."""
-    g = InstanceGraph(graph=Graph(nodes={"n"}), node_types={"n": "N", "ghost": "N"}, attrs={("ghost", "index"): "x"})
-    assert [(f.code, f.location) for f in check_typing(g, TG).findings] == [
-        ("typing-domain", "ghost"),
-        ("attr-owner", "ghost.index"),
-    ]
+def test_a_typing_entry_for_a_stray_is_refused():
+    """A typing entry for a node that is not in the graph is named before
+    the stray's attribute."""
+    with pytest.raises(ValueError, match="^InstanceGraph.node_types holds 'ghost', which is not a node$"):
+        InstanceGraph(graph=Graph(nodes={"n"}), node_types={"n": "N", "ghost": "N"}, attrs={("ghost", "index"): "x"})

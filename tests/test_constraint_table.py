@@ -59,7 +59,7 @@ from bigtg.constraints import (
 from bigtg.generators import random_bigraph
 from bigtg.typedgraph import all_super, conforms
 
-from helpers import add_edge, drop_tgt, mutated_encodings, outcome, ref_outgoing
+from helpers import add_edge, mutated_encodings, outcome, ref_outgoing
 
 _INT = ("int",)
 _BOOL = ("bool",)
@@ -361,18 +361,15 @@ PRINTER_SIG = make_signature(
 @st.composite
 def instance_graphs(draw):
     """A type graph and an instance graph over it: a clean random encoding
-    over the printer signature, the same with one edge's ``tgt`` dropped
-    or a second ``bPrnt`` edge, or an edited encoding from
-    ``mutated_encodings`` over a random signature."""
-    kind = draw(st.sampled_from(("clean", "no-tgt", "second-parent", "edited")))
+    over the printer signature, the same with a second ``bPrnt`` edge, or
+    an edited encoding from ``mutated_encodings`` over a random
+    signature."""
+    kind = draw(st.sampled_from(("clean", "second-parent", "edited")))
     event(f"graph: {kind}")
     if kind == "edited":
         g, b = draw(mutated_encodings())
         return extend_for_signature(b.signature), g
     g, _ = encode(random_bigraph(random.Random(draw(st.integers(0, 1_000_000))), sig=PRINTER_SIG, max_nodes=15))
-    edges = sorted(g.graph.edges)
-    if kind == "no-tgt" and edges:
-        g = drop_tgt(g, draw(st.sampled_from(edges)))
     children = sorted(n for n in g.graph.nodes if ref_outgoing(g, n, "bPrnt"))
     if kind == "second-parent" and children:
         child, parent = draw(st.sampled_from(children)), draw(st.sampled_from(sorted(g.graph.nodes)))

@@ -52,7 +52,6 @@ from helpers import (
     retarget_edge,
 )
 from test_checker_tables import ref_check_arity_rule, ref_check_multiplicities
-from test_mapping_table import ref_check_soundness, ref_decode
 
 
 # The reconfiguration deltas as they were before ``apply_deltas`` became
@@ -328,13 +327,12 @@ def test_kept_parts_do_not_keep_their_graph_alive(g1, sig1):
 
 
 def test_node_attrs_keep_the_order_of_attrs():
-    g = InstanceGraph(graph=Graph(nodes=frozenset({"n"})), attrs={("n", "z"): 1, ("m", "b"): 2, ("n", "a"): 3})
+    g = InstanceGraph(
+        graph=Graph(nodes=frozenset({"n", "m"})),
+        node_types={"n": "BNode", "m": "BNode"},
+        attrs={("n", "z"): 1, ("m", "b"): 2, ("n", "a"): 3},
+    )
     assert list(node_attrs(g, "n").items()) == list(ref_node_attrs(g, "n").items()) == [("z", 1), ("a", 3)]
-
-
-def _without_tgt(g: InstanceGraph, eid: str) -> InstanceGraph:
-    tgt = {e: t for e, t in g.graph.tgt.items() if e != eid}
-    return replace(g, graph=replace(g.graph, tgt=tgt))
 
 
 def _owned_by_later_port(g):
@@ -353,12 +351,6 @@ def _owned_by_later_port(g):
         (
             lambda g: replace(g, edge_types={**g.edge_types, "bLink:p:v0:0:e:e0": "bPoints"}),
             ("NotCanonical", "port p:v0:0 has 0 link edges; cannot rewire"),
-        ),
-        # An edge without a target is refused before any delta runs, even
-        # though it would be deleted with the port it leaves.
-        (
-            lambda g: _without_tgt(add_edge(g, "x", "bogus", "p:v3:0", "n:v3"), "x"),
-            ("NotCanonical", "edge x has no tgt"),
         ),
     ],
 )
@@ -387,15 +379,21 @@ def test_a_moved_edge_goes_when_its_other_end_goes(g1, sig1, edge, ends):
         assert edge not in got.graph.edges
 
 
-def test_ends_and_types_of_no_edge_go_with_a_deletion(g1, sig1):
-    # Keys of src, tgt and edge_types that are no edge, here at a port.
-    stray = {"src": "n:v0", "tgt": "p:v0:0"}
-    graph = replace(g1.graph, **{end: {**getattr(g1.graph, end), "stray": v} for end, v in stray.items()})
-    g = replace(g1, graph=graph, edge_types={**g1.edge_types, "stray": "bLink"})
-    for cfg in enumerate_configs():
-        got = outcome(apply_deltas, g, cfg, sig1)
-        assert got == outcome(ref_apply_deltas, g, cfg, sig1)
-        assert "stray" not in got.graph.edges
+def test_an_edge_without_a_target_beside_a_port_is_refused_at_construction(g1):
+    """Even an edge that would be deleted with the port it leaves makes no
+    graph without its target, so no delta runs on it."""
+    g = add_edge(g1, "x", "bogus", "p:v3:0", "n:v3")
+    with pytest.raises(ValueError, match="^Graph.tgt lacks 'x', which is an edge$"):
+        replace(g.graph, tgt={e: t for e, t in g.graph.tgt.items() if e != "x"})
+
+
+def test_ends_and_types_of_no_edge_are_refused_at_construction(g1):
+    """Keys of ``src``, ``tgt`` and ``edge_types`` that are no edge, here
+    at a port."""
+    with pytest.raises(ValueError, match="^Graph.src holds 'stray', which is not an edge$"):
+        replace(g1.graph, src={**g1.graph.src, "stray": "n:v0"}, tgt={**g1.graph.tgt, "stray": "p:v0:0"})
+    with pytest.raises(ValueError, match="^InstanceGraph.edge_types holds 'stray', which is not an edge$"):
+        replace(g1, edge_types={**g1.edge_types, "stray": "bLink"})
 
 
 @pytest.mark.parametrize("owner, explicit", [("r:0", "ER"), ("s:0", "ES")])
@@ -433,9 +431,10 @@ def test_out_degree_and_typed_edges_match_brute_force(case):
         picked = view.by_type.get(te, [])
         assert picked == [e for e in g.graph.edges if types.get(e) == te]
     # The nodes of each node type, also with the two smallest nodes
-    # untyped, and for types that no node has.
+    # retyped by a type that no other node has, and for types that no
+    # node has.
     nodes = sorted(g.graph.nodes)
-    retyped = {n: t for n, t in g.node_types.items() if n not in nodes[:2]}
+    retyped = {n: "Ghost" if n in nodes[:2] else t for n, t in g.node_types.items()}
     for h in (g, replace(g, node_types=retyped)):
         groups = h.edge_view.by_node_type
         kinds = {h.node_types.get(n) for n in h.graph.nodes}
@@ -468,35 +467,21 @@ def test_checkers_decode_and_deltas_build_no_adjacency_index(case):
 PORTS_ONLY = FeatureConfig(frozenset({"ST", "ER", "RI", "ES", "SI"}))
 
 
-def _untyped_beside_ports(g: InstanceGraph) -> list[InstanceGraph]:
-    """Untyped edges out of a port, with its ownership edge kept, untyped,
-    or dropped."""
-    port = min(n for n in g.graph.nodes if g.node_types[n] == "BPort")
-    (own,) = [e for e in g.graph.edges if g.graph.src[e] == port and g.edge_types[e] == "bNode"]
-    owner = g.graph.tgt[own]
-    stray = add_edge(g, "stray", "bNode", port, owner)
-    stray = replace(stray, edge_types={e: t for e, t in stray.edge_types.items() if e != "stray"})
-    untyped_own = replace(g, edge_types={e: t for e, t in g.edge_types.items() if e != own})
-    return [stray, untyped_own, drop_edge(stray, own)]
-
-
-def test_an_untyped_edge_beside_a_port_is_never_ownership(b1, g1, emap1, sig1):
-    implicit = [cfg for cfg in enumerate_configs() if "EP" not in cfg.selected]
-    owners = []
-    for g in _untyped_beside_ports(g1):
-        assert outcome(decode, g, sig1) == outcome(ref_decode, g, sig1)
-        assert check_soundness(b1, g, emap1) == ref_check_soundness(b1, g, emap1)
-        assert outcome(apply_deltas, g, PORTS_ONLY, sig1) == outcome(ref_implicit_ports, ref_unset_index(g, "BPort"), sig1)
-        for cfg in implicit:
-            assert outcome(apply_deltas, g, cfg, sig1) == outcome(ref_apply_deltas, g, cfg, sig1)
-        owners.append([f.message for f in check_soundness(b1, g, emap1).findings if f.code == "sound-port-index"])
-    # Beside a typed ownership edge the untyped one changes nothing; alone,
-    # it leaves the port with no ownership edge.
-    assert owners[0] == []
-    assert owners[1] == owners[2] == ["port node has 0 ownership edges"]
+def test_an_untyped_edge_beside_a_port_is_refused(b1, g1, emap1, sig1):
+    """An edge out of a port without a type, beside the port's ownership
+    edge or as that edge, makes no instance graph; with its ownership edge
+    dropped, the port has none to rewire."""
     port = min(n for n in g1.graph.nodes if g1.node_types[n] == "BPort")
-    assert isinstance(apply_deltas(_untyped_beside_ports(g1)[0], PORTS_ONLY, sig1), InstanceGraph)
-    assert outcome(apply_deltas, _untyped_beside_ports(g1)[2], PORTS_ONLY, sig1) == (
+    (own,) = [e for e in g1.graph.edges if g1.graph.src[e] == port and g1.edge_types[e] == "bNode"]
+    stray = add_edge(g1, "stray", "bNode", port, g1.graph.tgt[own])
+    for g, untyped in ((stray, "stray"), (g1, own)):
+        with pytest.raises(ValueError, match=f"^InstanceGraph.edge_types lacks '{untyped}', which is an edge$"):
+            replace(g, edge_types={e: t for e, t in g.edge_types.items() if e != untyped})
+    unowned = drop_edge(g1, own)
+    assert [f.message for f in check_soundness(b1, unowned, emap1).findings if f.code == "sound-port-index"] == [
+        "port node has 0 ownership edges"
+    ]
+    assert outcome(apply_deltas, unowned, PORTS_ONLY, sig1) == (
         "NotCanonical",
         f"port {port} has 0 ownership edges; cannot rewire",
     )

@@ -237,21 +237,19 @@ def test_a_save_that_fails_partway_leaves_nothing_behind(fixtures_dir, tmp_path,
 
 
 @pytest.mark.parametrize("fault", ["no src", "no tgt", "no node"])
-def test_a_refusal_past_the_first_batch_makes_no_file(fault, monkeypatch):
-    """The writer refuses before ``save`` opens any file."""
+def test_a_graph_the_writer_could_not_print_is_refused_before_any_file(fault, monkeypatch):
+    """An edge past the first batch without an end, or an attribute of no
+    node, is refused where the graph is built, so ``save`` opens no file."""
     opened = _opened(monkeypatch)
     g = _chain(2 * writers._BATCH)
     last = max(g.graph.edges)
     if fault == "no node":
-        g = replace(g, attrs={**g.attrs, ("zz", "index"): 0})
-        message = "attribute index of zz has no node"
+        with pytest.raises(ValueError, match="^InstanceGraph.attrs holds an attribute of 'zz', which is not a node$"):
+            replace(g, attrs={**g.attrs, ("zz", "index"): 0})
     else:
         end = fault.split()[1]
-        ends = {"src": dict(g.graph.src), "tgt": dict(g.graph.tgt)}
-        del ends[end][last]
-        g = replace(g, graph=replace(g.graph, **ends))
-        message = f"edge {last} has {fault}"
-    assert_refused(g, message)
+        with pytest.raises(ValueError, match=f"^Graph.{end} lacks '{last}', which is an edge$"):
+            replace(g.graph, **{end: {e: n for e, n in getattr(g.graph, end).items() if e != last}})
     assert opened == []
 
 

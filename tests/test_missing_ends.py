@@ -1,107 +1,102 @@
-"""The layers on encodings whose edges lack an end, and on type graphs
-whose edge types lack one (or, for saving, a multiplicity).
+"""Structures whose edges lack an end, and type graphs whose edge types
+lack one: only a graph constructs, so no layer meets either.
 
-Such an edge is a typing defect (``check_typing`` reports it as
-``typing-edge-ends``), and such an edge type a type-graph defect
-(``tg-edge-ends``); the other layers must still answer with findings or
-their declared exception, never a ``KeyError``. Constraint navigation
-raises ``EvaluationError`` only for an edge without a ``tgt`` (or with
-a ``tgt`` of ``None``) that it reaches, naming the smallest such edge of
-the start node, and
-``derive_type_graph`` carries a missing end or bound over to the
-variant, where ``check_type_graph`` reports it.
+A typed graph's ``src`` and ``tgt`` are total functions into its nodes
+(Ehrig et al., *Fundamentals of Algebraic Graph Transformation*, 2006).
+``Graph`` raises ``ValueError`` for an edge that lacks an end, naming the
+smallest such edge by ``repr``, and for an end that is no node; a
+``TypeGraph``'s graph is a ``Graph`` too. The instance-graph reader
+refuses the same documents with a ``SchemaError``. A missing bound is
+still a type-graph finding (``tg-mult``): ``derive_type_graph`` carries
+it over to the variant, and the writers refuse it.
 """
 
 from __future__ import annotations
 
+import json
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bigtg import (
-    EvaluationError,
     Graph,
-    InstanceGraph,
-    TypeCheckError,
-    ValidationReport,
     annotate_150,
-    check_soundness,
     check_type_graph,
-    check_typing,
     derive_type_graph,
-    encode,
-    evaluate,
     extend_for_signature,
+    fileio,
     make_signature,
-    parse_constraints,
     replace,
-    typecheck,
 )
+from bigtg.fileio import SchemaError
 from bigtg.variability import eval_formula
 
-from helpers import CONFIGS, add_edge, assert_refused, drop_tgt, mutated_encodings, outcome
-from test_constraint_table import ref_evaluate
+from helpers import CONFIGS, add_edge, assert_refused, mutated_encodings
 
-#: Navigations along every edge type of the base metamodel.
-BASE_CONSTRAINTS = parse_constraints(
-    """
-context BNode
-  inv up: self.bPrnt.oclIsTypeOf(BRoot) or self.bPrnt.oclIsTypeOf(BNode)
-  inv down: self.bChld->forAll(c | c.bPrnt.oclIsTypeOf(BNode))
-  inv ports: self.bPorts->forAll(p | p.bNode.oclIsTypeOf(BNode) and p.bLink.bPoints->size() >= 1)
-context BPort
-  inv linked: self.bLink.bPoints->exists(q | q.oclIsTypeOf(BPort))
-context BLink
-  inv points: self.bPoints->forAll(q | q.bLink.oclIsTypeOf(BEdge) or q.bLink.oclIsTypeOf(BOuterName))
-"""
-)
+
+def refusal(nodes, edges, src: dict, tgt: dict) -> str:
+    """The ``ValueError`` message of ``Graph(nodes, edges, src, tgt)`` for
+    fields of the right types: first an entry of ``src`` or ``tgt`` for no
+    edge, or an edge without one, then an end that is no node; each the
+    smallest by ``repr``."""
+    for role, ends in (("src", src), ("tgt", tgt)):
+        if ends.keys() - edges:
+            return f"Graph.{role} holds {min(ends.keys() - edges, key=repr)!r}, which is not an edge"
+        if edges - ends.keys():
+            return f"Graph.{role} lacks {min(edges - ends.keys(), key=repr)!r}, which is an edge"
+    for role, ends in (("src", src), ("tgt", tgt)):
+        if not set(ends.values()) <= nodes:
+            return f"Graph.{role} holds {min(set(ends.values()) - nodes, key=repr)!r}, which is not a node"
+    raise AssertionError("a graph")
+
+
+def assert_refused_at_construction(nodes, edges, src: dict, tgt: dict) -> None:
+    with pytest.raises(ValueError) as refused:
+        Graph(nodes, edges, src, tgt)
+    assert str(refused.value) == refusal(frozenset(nodes), frozenset(edges), src, tgt)
 
 
 @st.composite
 def encodings_lacking_ends(draw):
-    """An edited encoding with at least one edge stripped of its src or
-    tgt, with the bigraph it encodes."""
-    g, b = draw(mutated_encodings())
+    """The fields of an edited encoding's graph with at least one edge
+    stripped of its src or tgt."""
+    g, _ = draw(mutated_encodings())
     edges = sorted(g.graph.edges)
     assume(edges)
     src, tgt = dict(g.graph.src), dict(g.graph.tgt)
     for e in draw(st.lists(st.sampled_from(edges), min_size=1, max_size=4)):
         draw(st.sampled_from((src, tgt))).pop(e, None)
-    graph = Graph(nodes=g.graph.nodes, edges=g.graph.edges, src=src, tgt=tgt)
-    lacking = InstanceGraph(graph=graph, node_types=g.node_types, edge_types=g.edge_types, attrs=g.attrs)
-    return lacking, b
+    return g.graph.nodes, g.graph.edges, src, tgt
 
 
 @given(encodings_lacking_ends())
 @settings(max_examples=150, deadline=None)
-def test_soundness_and_evaluate_are_total_on_missing_ends(case):
-    g, b = case
-    tg = extend_for_signature(b.signature)
-    assert "typing-edge-ends" in {f.code for f in check_typing(g, tg).findings}
-    _, emap = encode(b)
-    assert isinstance(check_soundness(b, g, emap), ValidationReport)
-    try:
-        evaluate(BASE_CONSTRAINTS, g, tg)
-    except EvaluationError:
-        pass
+def test_an_encoding_lacking_an_end_is_refused_naming_the_smallest_edge(fields):
+    assert_refused_at_construction(*fields)
 
 
-@given(encodings_lacking_ends())
+@st.composite
+def encodings_with_unknown_ends(draw):
+    """The fields of an edited encoding's graph with 1 to 4 ends set to an
+    id that is no node: ``ghost``, an edge's id, or a node's with a
+    suffix."""
+    g, _ = draw(mutated_encodings())
+    edges = sorted(g.graph.edges)
+    assume(edges)
+    src, tgt = dict(g.graph.src), dict(g.graph.tgt)
+    strays = ["ghost", *edges[:2], *(n + "'" for n in sorted(g.graph.nodes)[:2])]
+    for e in draw(st.lists(st.sampled_from(edges), min_size=1, max_size=4)):
+        draw(st.sampled_from((src, tgt)))[e] = draw(st.sampled_from(strays))
+    return g.graph.nodes, g.graph.edges, src, tgt
+
+
+@given(encodings_with_unknown_ends())
 @settings(max_examples=150, deadline=None)
-def test_evaluate_matches_reference_on_missing_ends(case):
-    """The verdicts, traces and ``EvaluationError`` text, against a
-    reference that finds each start node's edges by scanning them all."""
-    g, b = case
-    tg = extend_for_signature(b.signature)
-    assert outcome(evaluate, BASE_CONSTRAINTS, g, tg) == outcome(ref_evaluate, BASE_CONSTRAINTS, g, tg)
-
-
-#: Navigates ``bChld`` from rooms only; a room that holds a site fails.
-ROOM_CHILDREN = parse_constraints(
-    "context Room inv kids:"
-    " self.bChld->forAll(c | c.oclIsTypeOf(Printer) or c.oclIsTypeOf(Computer) or c.oclIsTypeOf(User))"
-)
+def test_an_end_that_is_no_node_is_refused(fields):
+    nodes, edges, src, tgt = fields
+    assume(not (set(src.values()) | set(tgt.values())) <= nodes)
+    assert_refused_at_construction(*fields)
 
 
 @pytest.mark.parametrize(
@@ -113,45 +108,41 @@ ROOM_CHILDREN = parse_constraints(
         ("bChld:r:0:n:v0", "bChld:r:0:n:v3"),
     ],
 )
-def test_an_edge_without_a_tgt_that_nothing_reaches_gives_verdicts(g1, tg_sigma1, lacking):
-    g = g1
-    for e in lacking:
-        g = drop_tgt(g, e)
-    result = evaluate(ROOM_CHILDREN, g, tg_sigma1)
-    assert result == evaluate(ROOM_CHILDREN, g1, tg_sigma1)
-    assert [(c.node, c.passed) for c in result.checks] == [("n:v0", False), ("n:v4", True)]
+def test_an_edge_without_a_tgt_that_nothing_reaches_is_refused(g1, lacking):
+    """Whether or not any navigation would reach it, an edge without a
+    ``tgt`` makes no graph."""
+    tgt = {e: t for e, t in g1.graph.tgt.items() if e not in lacking}
+    with pytest.raises(ValueError) as refused:
+        replace(g1.graph, tgt=tgt)
+    assert str(refused.value) == f"Graph.tgt lacks {min(lacking, key=repr)!r}, which is an edge"
 
 
-def test_a_reached_edge_without_a_tgt_is_named_by_the_smallest_id(g1, tg_sigma1):
+def test_an_edge_without_a_tgt_is_refused_naming_the_smallest_id(g1):
     """Room ``n:v0`` has three ``bChld`` edges; without their targets, the
-    error names the smallest of them, whatever order the graph holds."""
-    g = g1
-    for e in ("bChld:n:v0:s:1", "bChld:n:v0:n:v2", "bChld:n:v0:n:v1"):
-        g = drop_tgt(g, e)
-    with pytest.raises(EvaluationError) as exc:
-        evaluate(ROOM_CHILDREN, g, tg_sigma1)
-    assert str(exc.value) == "navigation 'bChld' from n:v0 follows edge bChld:n:v0:n:v1 without a tgt"
+    refusal names the smallest of them, whatever order the graph holds."""
+    lacking = ("bChld:n:v0:s:1", "bChld:n:v0:n:v2", "bChld:n:v0:n:v1")
+    with pytest.raises(ValueError) as refused:
+        replace(g1.graph, tgt={e: t for e, t in g1.graph.tgt.items() if e not in lacking})
+    assert str(refused.value) == "Graph.tgt lacks 'bChld:n:v0:n:v1', which is an edge"
     # With only the last of them lacking its target, that one is named.
-    with pytest.raises(EvaluationError) as exc:
-        evaluate(ROOM_CHILDREN, drop_tgt(g1, "bChld:n:v0:s:1"), tg_sigma1)
-    assert str(exc.value) == "navigation 'bChld' from n:v0 follows edge bChld:n:v0:s:1 without a tgt"
+    with pytest.raises(ValueError) as refused:
+        replace(g1.graph, tgt={e: t for e, t in g1.graph.tgt.items() if e != "bChld:n:v0:s:1"})
+    assert str(refused.value) == "Graph.tgt lacks 'bChld:n:v0:s:1', which is an edge"
 
 
-def test_the_smaller_id_is_named_when_the_graph_holds_the_larger_first(g1, tg_sigma1):
+def test_a_refusal_names_the_smaller_id_when_the_graph_holds_the_larger_first(g1):
     """Of twenty more ``bChld`` edges of room ``n:v0``, two lose their
     targets: a larger id that the graph's edge set iterates before a
-    smaller one. ``drop_tgt`` keeps that edge set, so its order holds."""
+    smaller one. The refusal names the smaller."""
     g = g1
     extra = [f"bChld:n:v0:x{i:02}" for i in range(20)]
     for e in extra:
         g = add_edge(g, e, "bChld", "n:v0", "n:v1")
     order = [e for e in g.graph.edges if e in extra]
     larger, smaller = next((a, b) for i, a in enumerate(order) for b in order[i + 1 :] if a > b)
-    g = drop_tgt(drop_tgt(g, larger), smaller)
-    assert [e for e in g.edge_view.edges if e in (larger, smaller)] == [larger, smaller]
-    with pytest.raises(EvaluationError) as exc:
-        evaluate(ROOM_CHILDREN, g, tg_sigma1)
-    assert str(exc.value) == f"navigation 'bChld' from n:v0 follows edge {smaller} without a tgt"
+    with pytest.raises(ValueError) as refused:
+        replace(g.graph, tgt={e: t for e, t in g.graph.tgt.items() if e not in (larger, smaller)})
+    assert str(refused.value) == f"Graph.tgt lacks {smaller!r}, which is an edge"
 
 
 @pytest.mark.parametrize(
@@ -170,110 +161,95 @@ def test_a_tgt_of_none_is_refused_at_construction(g1, edge, start):
         replace(g1.graph, tgt={**g1.graph.tgt, edge: None})
 
 
-@given(encodings_lacking_ends())
-@settings(max_examples=60, deadline=None)
-def test_save_refuses_an_edge_without_an_end(case):
-    g, _ = case
-    lacking = min(e for e in g.graph.edges if g.graph.src.get(e) is None or g.graph.tgt.get(e) is None)
-    assert_refused(g, f"edge {lacking} has no {'src' if g.graph.src.get(lacking) is None else 'tgt'}")
+def test_an_edge_without_an_end_never_reaches_a_writer(tmp_path, g1):
+    """A document whose first edge lacks its ``src`` or ``tgt`` is refused
+    by the reader, and the same graph built in code by the constructor, so
+    the writers have no such edge to print."""
+    first = min(g1.graph.edges)
+    for role in ("src", "tgt"):
+        doc = json.loads(fileio.dumps_canonical(g1))
+        del doc["payload"]["edges"][0][role]
+        path = tmp_path / f"lacking-{role}.ig.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SchemaError) as read:
+            fileio.load_document(str(path))
+        assert (read.value.path, read.value.message) == ("/payload/edges/0", f"missing field {role!r}")
+        with pytest.raises(ValueError, match=f"^Graph.{role} lacks '{first}', which is an edge$"):
+            replace(g1.graph, **{role: {e: n for e, n in getattr(g1.graph, role).items() if e != first}})
 
 
 @st.composite
 def type_graphs_lacking_ends(draw):
-    """The signature's type graph with 1 to 3 edge-type ends deleted or
-    set to a name that is no node type, with the edge types so broken."""
-    g, b = draw(mutated_encodings())
+    """The fields of a signature's type graph's graph with 1 to 3
+    edge-type ends deleted or set to a name that is no node type."""
+    _, b = draw(mutated_encodings())
     tg = extend_for_signature(b.signature)
     src, tgt = dict(tg.graph.src), dict(tg.graph.tgt)
-    broken = set()
     for e in draw(st.lists(st.sampled_from(sorted(tg.edge_types)), min_size=1, max_size=3)):
         ends = draw(st.sampled_from((src, tgt)))
         if draw(st.booleans()):
             ends.pop(e, None)
         else:
             ends[e] = "Ghost"
-        broken.add(e)
-    graph = Graph(nodes=tg.graph.nodes, edges=tg.graph.edges, src=src, tgt=tgt)
-    return g, replace(tg, graph=graph), broken
+    return tg.graph.nodes, tg.graph.edges, src, tgt
 
 
 @given(type_graphs_lacking_ends())
 @settings(max_examples=100, deadline=None)
-def test_typecheck_names_an_edge_type_without_an_end(case):
-    g, tg, broken = case
-    with pytest.raises(TypeCheckError) as exc:
-        typecheck(BASE_CONSTRAINTS, tg)
-    assert any(f"edge type {e!r} lacks a node type as src or tgt" == str(exc.value) for e in broken)
-    with pytest.raises(TypeCheckError):
-        evaluate(BASE_CONSTRAINTS, g, tg)
+def test_a_type_graph_whose_edge_type_lacks_an_end_is_refused(fields):
+    assert_refused_at_construction(*fields)
+
+
+@pytest.mark.parametrize("part", ["src", "tgt"])
+def test_a_link_type_that_lacks_an_end_is_refused(part):
+    tg = extend_for_signature(make_signature([("A", 1)]))
+    ends = {e: t for e, t in getattr(tg.graph, part).items() if e != "bLink"}
+    with pytest.raises(ValueError, match=f"^Graph.{part} lacks 'bLink', which is an edge$"):
+        replace(tg.graph, **{part: ends})
 
 
 @st.composite
-def type_graphs_lacking_parts(draw):
-    """A signature's type graph with the ``src``, ``tgt`` or multiplicity
-    of 1 to 3 edge types deleted."""
+def type_graphs_lacking_bounds(draw):
+    """A signature's type graph with the multiplicity of 1 to 3 edge types
+    deleted, and the bounds it keeps."""
     _, b = draw(mutated_encodings())
     tg = extend_for_signature(b.signature)
-    parts = {"src": dict(tg.graph.src), "tgt": dict(tg.graph.tgt), "mult": dict(tg.mult)}
+    mult = dict(tg.mult)
     for e in draw(st.lists(st.sampled_from(sorted(tg.edge_types)), min_size=1, max_size=3)):
-        parts[draw(st.sampled_from(sorted(parts)))].pop(e, None)
-    graph = Graph(nodes=tg.graph.nodes, edges=tg.graph.edges, src=parts["src"], tgt=parts["tgt"])
-    return replace(tg, graph=graph, mult=parts["mult"]), parts
+        mult.pop(e, None)
+    return replace(tg, mult=mult), mult
 
 
-@given(type_graphs_lacking_parts())
+@given(type_graphs_lacking_bounds())
 @settings(max_examples=60, deadline=None)
-def test_save_refuses_an_edge_type_without_an_end_or_multiplicity(case):
-    tg, parts = case
-    lacking = min(e for e in tg.edge_types if any(e not in part for part in parts.values()))
-    missing = next(name for name in ("src", "tgt", "mult") if lacking not in parts[name])
-    assert_refused(tg, f"edge type {lacking} has no {missing}")
+def test_save_refuses_an_edge_type_without_a_multiplicity(case):
+    tg, mult = case
+    assert_refused(tg, f"edge type {min(tg.edge_types - mult.keys())} has no mult")
 
 
-@given(type_graphs_lacking_parts())
+@given(type_graphs_lacking_bounds())
 @settings(max_examples=40, deadline=None)
-def test_derive_type_graph_carries_missing_parts_over(case):
-    """Every configuration derives a type graph that keeps an edge type
-    whose present ends are kept, and reports exactly its missing ends as
-    ``tg-edge-ends`` and its missing bounds, unless the ``bLink`` override
-    is in force, as ``tg-mult``."""
-    tg, parts = case
+def test_derive_type_graph_carries_a_missing_bound_over(case):
+    """Every configuration derives a type graph that keeps the edge types
+    whose ends are kept, and reports exactly its missing bounds, unless
+    the ``bLink`` override is in force, as ``tg-mult``."""
+    tg, mult = case
     atg = annotate_150(tg)
     for cfg in CONFIGS:
         derived = derive_type_graph(atg, cfg)
-        kept = {
-            e
-            for e in tg.edge_types
-            if all(part[e] in derived.node_types for part in (parts["src"], parts["tgt"]) if e in part)
-        }
+        kept = {e for e in tg.edge_types if {tg.graph.src[e], tg.graph.tgt[e]} <= derived.node_types}
         assert derived.edge_types == kept
-        findings = check_type_graph(derived).findings
-        ends = {f.location for f in findings if f.code == "tg-edge-ends"}
-        assert ends == {f"{role}[{e}]" for e in kept for role in ("src", "tgt") if e not in parts[role]}
         overridden = {e for e, (cond, _) in atg.mult_overrides.items() if eval_formula(cond, cfg.selected)}
-        bounds = {f.location for f in findings if f.code == "tg-mult"}
-        assert bounds == {e for e in kept if e not in parts["mult"] and e not in overridden}
+        bounds = {f.location for f in check_type_graph(derived).findings if f.code == "tg-mult"}
+        assert bounds == {e for e in kept if e not in mult and e not in overridden}
 
 
-@pytest.mark.parametrize(
-    "part, want",
-    [
-        ("src", [("tg-edge-ends", "src[bLink]"), ("tg-opposite-ends", "(bLink,bPoints)")]),
-        ("tgt", [("tg-edge-ends", "tgt[bLink]"), ("tg-opposite-ends", "(bLink,bPoints)")]),
-        ("mult", [("tg-mult", "bLink")]),
-    ],
-)
-def test_derive_type_graph_keeps_a_link_type_that_lacks_a_part(part, want):
-    """``bLink`` without its ``src``, ``tgt`` or bound: each configuration
-    keeps it, and the variant has the same defect; without explicit ports
-    the override bound stands in for a missing one."""
+def test_derive_type_graph_keeps_a_link_type_that_lacks_a_bound():
+    """``bLink`` without its bound: each configuration keeps it, and the
+    variant has the same defect; without explicit ports the override
+    bound stands in for the missing one."""
     tg = extend_for_signature(make_signature([("A", 1)]))
-    if part == "mult":
-        tg = replace(tg, mult={e: m for e, m in tg.mult.items() if e != "bLink"})
-    else:
-        ends = {e: t for e, t in getattr(tg.graph, part).items() if e != "bLink"}
-        tg = replace(tg, graph=replace(tg.graph, **{part: ends}))
-    atg = annotate_150(tg)
+    atg = annotate_150(replace(tg, mult={e: m for e, m in tg.mult.items() if e != "bLink"}))
     for cfg in CONFIGS:
         findings = [(f.code, f.location) for f in check_type_graph(derive_type_graph(atg, cfg)).findings]
-        assert findings == (want if part != "mult" or "EP" in cfg.selected else [])
+        assert findings == ([("tg-mult", "bLink")] if "EP" in cfg.selected else [])

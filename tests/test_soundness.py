@@ -21,10 +21,6 @@ def add_node(g, nid: str, node_type: str, index: int | None = None):
     return replace(g, graph=graph, node_types={**g.node_types, nid: node_type}, attrs=attrs)
 
 
-def drop_src(g, eid: str):
-    return replace(g, graph=replace(g.graph, src={e: s for e, s in g.graph.src.items() if e != eid}))
-
-
 def remap(emap: ElementMap, drop=(), **changes) -> ElementMap:
     """``emap`` without the elements in ``drop`` and with ``changes``,
     keyed ``kind__key``, mapped to new images."""
@@ -53,12 +49,6 @@ CASES = {
         m,
     ),
     "unmapped-endpoints": lambda g, m: (g, remap(m, node__v4="n:gone")),
-    # The graph's one nesting edge without a source ends where the
-    # unmapped child's nesting would: the pairs (None, n:v5) must not match.
-    "unmapped-child-of-a-sourceless-edge": lambda g, m: (
-        drop_src(g, "bPrnt:n:v6:n:v5"),
-        remap(m, drop={("node", "v6")}),
-    ),
     "sound-root-index": lambda g, m: (add_node(set_attr(g, "r:0", "index", 1), "r:extra", "BRoot", 0), m),
     "sound-site-index": lambda g, m: (set_attr(g, "s:0", "index", 1), m),
     # s:1 is the image of sites 0 and 1 and carries the later index.
@@ -130,11 +120,6 @@ EXPECTED = {
         "error sound-nesting bPrnt[n:v4->r:0] 'bPrnt' edge has no bigraph nesting (graph->bigraph)",
         "error sound-nesting bPrnt[n:v5->n:v4] 'bPrnt' edge has no bigraph nesting (graph->bigraph)",
     ],
-    "unmapped-child-of-a-sourceless-edge": [
-        "error map-domain ('node', 'v6') bigraph element is not mapped",
-        "error map-surjective n:v6 graph node is not the image of any element",
-        "error sound-nesting ('node', 'v6') nesting endpoints are not mapped into the graph",
-    ],
     "sound-root-index": [
         "error map-surjective r:extra graph node is not the image of any element",
         "error sound-root-index r:0 root 0 carries index attribute 1",
@@ -176,6 +161,14 @@ EXPECTED = {
 def test_soundness_findings_pinned(case, b1, g1, emap1):
     g, emap = CASES[case](g1, emap1)
     assert [f.line() for f in check_soundness(b1, g, emap).findings] == EXPECTED[case]
+
+
+def test_a_sourceless_nesting_edge_is_refused_at_construction(g1):
+    """The nesting edge of ``n:v6`` without its source makes no graph, so
+    no alignment meets a nesting pair with a missing end."""
+    src = {e: s for e, s in g1.graph.src.items() if e != "bPrnt:n:v6:n:v5"}
+    with pytest.raises(ValueError, match="^Graph.src lacks 'bPrnt:n:v6:n:v5', which is an edge$"):
+        replace(g1.graph, src=src)
 
 
 @st.composite

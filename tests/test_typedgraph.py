@@ -16,7 +16,6 @@ from bigtg import (
     Multiplicity,
     TypeGraph,
     Finding,
-    NotCanonical,
     UnknownType,
     all_sub,
     base_type_graph,
@@ -24,18 +23,13 @@ from bigtg import (
     check_type_graph,
     check_typing,
     check_validity,
-    conformance,
-    decode,
     encode,
-    extend_for_signature,
     replace,
 )
 from bigtg import fileio
 from bigtg.constraints import evaluate, parse_constraints, typecheck
 from bigtg.generators import random_bigraph
 from bigtg.typedgraph import all_super, symmetric_pairs
-
-from helpers import edges_of_type
 
 
 def test_the_constructors_copy_what_they_are_given():
@@ -111,29 +105,23 @@ def test_typing_rejects_bad_attribute_value(tg_sigma1):
     assert "attr-undeclared" in check_typing(g2, tg_sigma1).codes()
 
 
-def test_typing_flags_dangling_edge_ends_in_edge_order(tg_sigma1):
-    g = InstanceGraph(
-        graph=Graph(
-            nodes=frozenset({"n", "r"}),
-            edges=frozenset({"e1", "e2", "e3"}),
-            src={"e2": "n", "e3": "n"},
-            tgt={"e1": "r", "e2": "ghost", "e3": "r"},
-        ),
-        node_types={"n": "Room", "r": "BRoot"},
-        edge_types={"e1": "bPrnt", "e3": "bPrnt"},
-        attrs={("r", "index"): 0},
-    )
-    assert [f.line() for f in check_typing(g, tg_sigma1).findings] == [
-        "error typing-edge-ends src[e1] edge has no src",
-        "error typing-edge-ends tgt[e2] edge tgt 'ghost' is not a node",
-        "error typing-total e2 edge has no type",
-    ]
+def test_dangling_edge_ends_are_refused_in_field_order():
+    """An edge without a ``src`` is named before an end that is no node,
+    and the graph is refused before any typing is read."""
+    ends = {"nodes": frozenset({"n", "r"}), "edges": frozenset({"e1", "e2", "e3"})}
+    with pytest.raises(ValueError, match="^Graph.src lacks 'e1', which is an edge$"):
+        Graph(**ends, src={"e2": "n", "e3": "n"}, tgt={"e1": "r", "e2": "ghost", "e3": "r"})
+    with pytest.raises(ValueError, match="^Graph.tgt holds 'ghost', which is not a node$"):
+        Graph(**ends, src={"e1": "n", "e2": "n", "e3": "n"}, tgt={"e1": "r", "e2": "ghost", "e3": "r"})
+    graph = Graph(**ends, src={"e1": "n", "e2": "n", "e3": "n"}, tgt={"e1": "r", "e2": "r", "e3": "r"})
+    with pytest.raises(ValueError, match="^InstanceGraph.edge_types lacks 'e2', which is an edge$"):
+        InstanceGraph(graph=graph, node_types={"n": "Room", "r": "BRoot"}, edge_types={"e1": "bPrnt", "e3": "bPrnt"})
 
 
 @pytest.mark.parametrize("probe", ["no src", "unknown src"])
 @given(st.integers(min_value=0, max_value=100_000), st.data())
 @settings(max_examples=30, deadline=None)
-def test_dangling_edge_end_is_a_finding_not_a_key_error(probe, seed, data):
+def test_a_dangling_edge_end_is_refused_at_construction(probe, seed, data):
     b = random_bigraph(random.Random(seed))
     g, _ = encode(b)
     if not g.graph.edges:
@@ -142,15 +130,13 @@ def test_dangling_edge_end_is_a_finding_not_a_key_error(probe, seed, data):
     src = dict(g.graph.src)
     if probe == "no src":
         del src[e]
-        expected = Finding("typing-edge-ends", f"src[{e}]", "edge has no src")
+        expected = f"Graph.src lacks {e!r}, which is an edge"
     else:
         src[e] = "ghost"
-        expected = Finding("typing-edge-ends", f"src[{e}]", "edge src 'ghost' is not a node")
-    g = replace(g, graph=replace(g.graph, src=src))
-    tg = extend_for_signature(b.signature)
-    assert expected in conformance(g, tg, b.signature).findings
-    with pytest.raises(NotCanonical):
-        decode(g, b.signature)
+        expected = "Graph.src holds 'ghost', which is not a node"
+    with pytest.raises(ValueError) as refused:
+        replace(g.graph, src=src)
+    assert str(refused.value) == expected
 
 
 def test_validity_printer_example(g1, tg_sigma1):
@@ -324,13 +310,18 @@ def test_check_type_graph_accepts_base():
 
 def test_check_type_graph_rejects_defects():
     tg = TypeGraph(
-        graph=Graph(nodes=frozenset({"A"}), edges=frozenset({"e"}), src={"e": "A"}, tgt={}),
+        graph=Graph(nodes=frozenset({"A"}), edges=frozenset({"e"}), src={"e": "A"}, tgt={"e": "A"}),
         inherits=frozenset({("A", "A")}),
         abstracts=frozenset({"Z"}),
         opposites=symmetric_pairs([("e", "e")]),
     )
     rep = check_type_graph(tg)
-    assert {"tg-edge-ends", "tg-inherits-cycle", "tg-abstracts", "tg-opposites", "tg-mult"} <= rep.codes()
+    assert {"tg-inherits-cycle", "tg-abstracts", "tg-opposites", "tg-mult"} <= rep.codes()
+
+
+def test_an_edge_type_without_a_tgt_is_refused_by_its_graph():
+    with pytest.raises(ValueError, match="^Graph.tgt lacks 'e', which is an edge$"):
+        Graph(nodes=frozenset({"A"}), edges=frozenset({"e"}), src={"e": "A"}, tgt={})
 
 
 def test_check_type_graph_cycle_findings_pinned():
@@ -347,17 +338,16 @@ def test_check_type_graph_cycle_findings_pinned():
 
 
 @pytest.mark.parametrize("bad_src", [None, "Ghost"])
-def test_edge_type_without_node_type_end_is_a_typing_finding(g1, tg_sigma1, bad_src):
+def test_an_edge_type_without_a_node_type_end_is_refused(tg_sigma1, bad_src):
     src = {te: s for te, s in tg_sigma1.graph.src.items() if te != "bLink"}
     if bad_src is not None:
         src["bLink"] = bad_src
-    tg = replace(tg_sigma1, graph=replace(tg_sigma1.graph, src=src))
-    lines = [f.line() for f in check_typing(g1, tg).findings]
-    assert lines == [
-        f"error typing-type-ends {e} edge type 'bLink' lacks a node type as src or tgt"
-        for e in sorted(edges_of_type(g1, "bLink"))
-    ]
-    assert check_multiplicities(g1, tg).ok
+    message = (
+        "Graph.src lacks 'bLink', which is an edge" if bad_src is None else "Graph.src holds 'Ghost', which is not a node"
+    )
+    with pytest.raises(ValueError) as refused:
+        replace(tg_sigma1.graph, src=src)
+    assert str(refused.value) == message
 
 
 _TYPES = ("A", "B", "C")
@@ -365,9 +355,10 @@ _ETYPES = ("e", "f", "g")
 
 
 @st.composite
-def type_graphs_with_broken_ends(draw):
-    """A type graph whose edge types may lack an end or name an unknown
-    node type, and an instance graph typed over it."""
+def type_graphs_with_any_ends(draw):
+    """The fields of a type graph's graph whose edge types may lack an end
+    or name an unknown node type, and a function that builds the type
+    graph and an instance graph typed over it."""
     nodes = draw(st.sets(st.sampled_from(_TYPES), min_size=1))
     edges = draw(st.sets(st.sampled_from(_ETYPES)))
     end = st.sampled_from(sorted(nodes) + ["Ghost", None])
@@ -377,38 +368,44 @@ def type_graphs_with_broken_ends(draw):
             value = draw(end)
             if value is not None:
                 ends[te] = value
-    tg = TypeGraph(
-        graph=Graph(nodes=nodes, edges=edges, src=src, tgt=tgt),
-        inherits=draw(st.sets(st.tuples(st.sampled_from(sorted(nodes)), st.sampled_from(sorted(nodes))))),
-        mult={te: Multiplicity(draw(st.integers(0, 1)), draw(st.sampled_from((None, 2)))) for te in sorted(edges)},
-    )
+    inherits = draw(st.sets(st.tuples(st.sampled_from(sorted(nodes)), st.sampled_from(sorted(nodes)))))
+    mult = {te: Multiplicity(draw(st.integers(0, 1)), draw(st.sampled_from((None, 2)))) for te in sorted(edges)}
     ids = [f"n{i}" for i in range(draw(st.integers(1, 4)))]
     kinds = st.sampled_from(_TYPES + ("Ghost",))
     g_edges = {f"x{i}": (draw(st.sampled_from(ids)), draw(st.sampled_from(ids)), draw(st.sampled_from(_ETYPES)))
                for i in range(draw(st.integers(0, 6)))}
-    g = InstanceGraph(
-        graph=Graph(
-            nodes=ids,
-            edges=g_edges,
-            src={x: s for x, (s, _, _) in g_edges.items()},
-            tgt={x: t for x, (_, t, _) in g_edges.items()},
-        ),
-        node_types={n: draw(kinds) for n in ids},
-        edge_types={x: te for x, (_, _, te) in g_edges.items()},
-    )
-    return g, tg
+    node_types = {n: draw(kinds) for n in ids}
+
+    def build():
+        tg = TypeGraph(graph=Graph(nodes=nodes, edges=edges, src=src, tgt=tgt), inherits=inherits, mult=mult)
+        g = InstanceGraph(
+            graph=Graph(
+                nodes=ids,
+                edges=g_edges,
+                src={x: s for x, (s, _, _) in g_edges.items()},
+                tgt={x: t for x, (_, t, _) in g_edges.items()},
+            ),
+            node_types=node_types,
+            edge_types={x: te for x, (_, _, te) in g_edges.items()},
+        )
+        return g, tg
+
+    return (nodes, edges, src, tgt), build
 
 
-@given(type_graphs_with_broken_ends())
+@given(type_graphs_with_any_ends())
 @settings(max_examples=200, deadline=None)
-def test_typing_and_multiplicities_total_on_broken_edge_types(case):
-    g, tg = case
-    typing = check_typing(g, tg)
-    check_multiplicities(g, tg)
-    broken = {te for te in tg.edge_types if tg.graph.src.get(te) not in tg.node_types
-              or tg.graph.tgt.get(te) not in tg.node_types}
-    flagged = {f.location for f in typing.findings if f.code == "typing-type-ends"}
-    assert flagged == {x for x, te in g.edge_types.items() if te in broken}
+def test_typing_and_multiplicities_are_total_where_edge_types_construct(case):
+    """A type graph whose edge types lack an end, or name one that is no
+    node type, is refused; every other one gives findings only."""
+    (nodes, edges, src, tgt), build = case
+    if src.keys() == edges == tgt.keys() and nodes.issuperset(src.values()) and nodes.issuperset(tgt.values()):
+        g, tg = build()
+        check_typing(g, tg)
+        check_multiplicities(g, tg)
+    else:
+        with pytest.raises(ValueError, match="^Graph.(src|tgt) "):
+            build()
 
 
 # An edge type without a bound: each entry point that reads the bounds

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 import pytest
@@ -32,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bigtg import _value, bigraph, constraints, mapping, replace, report, typedgraph, variability
-from bigtg._value import as_dict, check_each, is_int, is_scalar, is_str
+from bigtg._value import SCALAR, STR, as_dict, check_each, check_keys, check_within, is_int
 from bigtg.bigraph import Control, Interface, Port, Signature, _is_point, is_arity
 from bigtg.typedgraph import Graph, Multiplicity, _is_pair
 
@@ -69,7 +70,7 @@ class ref_Control:
     name: str
 
     def __post_init__(self) -> None:
-        check_each(self, "name", is_str, "a str", (self.name,))
+        check_each(self, "name", STR, "a str", (self.name,))
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ class ref_Signature:
     def __post_init__(self) -> None:
         controls, arities = tuple(self.controls), as_dict(self.arities)
         check_each(self, "controls", Control.__instancecheck__, "a Control", controls)
-        check_each(self, "arities", is_str, "a str", arities)
+        check_each(self, "arities", STR, "a str", arities)
         check_each(self, "arities", is_arity, "a non-negative int", arities.values())
         object.__setattr__(self, "controls", controls)
         object.__setattr__(self, "arities", arities)
@@ -100,7 +101,7 @@ class ref_Interface:
         if self.width < 0:
             raise ValueError("interface width must be non-negative")
         names = frozenset(self.names)
-        check_each(self, "names", is_str, "a str", names)
+        check_each(self, "names", STR, "a str", names)
         object.__setattr__(self, "names", names)
 
 
@@ -130,12 +131,12 @@ class ref_Bigraph:
         if not all(map(_is_point, link)):
             link = {(Port(*k) if type(k) is tuple else k): v for k, v in link.items()}
         check_each(self, "signature", Signature.__instancecheck__, "a Signature", (self.signature,))
-        check_each(self, "nodes", is_str, "a str", nodes)
-        check_each(self, "edges", is_str, "a str", edges)
-        check_each(self, "ctrl", is_str, "a str", ctrl, ctrl.values())
-        check_each(self, "prnt", is_scalar, "an int or a str", prnt, prnt.values())
+        check_each(self, "nodes", STR, "a str", nodes)
+        check_each(self, "edges", STR, "a str", edges)
+        check_each(self, "ctrl", STR, "a str", ctrl, ctrl.values())
+        check_each(self, "prnt", SCALAR, "an int or a str", prnt, prnt.values())
         check_each(self, "link", _is_point, "a str or a Port of a str and an int", link)
-        check_each(self, "link", is_str, "a str", link.values())
+        check_each(self, "link", STR, "a str", link.values())
         check_each(self, "inner", Interface.__instancecheck__, "an Interface", (self.inner,))
         check_each(self, "outer", Interface.__instancecheck__, "an Interface", (self.outer,))
         for name, value in zip(("nodes", "edges", "ctrl", "prnt", "link"), (nodes, edges, ctrl, prnt, link)):
@@ -157,10 +158,14 @@ class ref_Graph:
 
     def __post_init__(self) -> None:
         nodes, edges, src, tgt = frozenset(self.nodes), frozenset(self.edges), as_dict(self.src), as_dict(self.tgt)
-        check_each(self, "nodes", is_str, "a str", nodes)
-        check_each(self, "edges", is_str, "a str", edges)
-        check_each(self, "src", is_str, "a str", src, src.values())
-        check_each(self, "tgt", is_str, "a str", tgt, tgt.values())
+        check_each(self, "nodes", STR, "a str", nodes)
+        check_each(self, "edges", STR, "a str", edges)
+        check_each(self, "src", STR, "a str", src, src.values())
+        check_each(self, "tgt", STR, "a str", tgt, tgt.values())
+        check_keys(self, "src", src, edges, "an edge")
+        check_keys(self, "tgt", tgt, edges, "an edge")
+        check_within(self, "src", nodes, "a node", src.values())
+        check_within(self, "tgt", nodes, "a node", tgt.values())
         for name, value in zip(("nodes", "edges", "src", "tgt"), (nodes, edges, src, tgt)):
             object.__setattr__(self, name, value)
 
@@ -201,12 +206,12 @@ class ref_TypeGraph:
         mult, attr_decls = as_dict(self.mult), {t: as_dict(a) for t, a in as_dict(self.attr_decls).items()}
         check_each(self, "graph", Graph.__instancecheck__, "a Graph", (self.graph,))
         check_each(self, "inherits", _is_pair, "a pair of str", inherits)
-        check_each(self, "abstracts", is_str, "a str", abstracts)
-        check_each(self, "containments", is_str, "a str", containments)
+        check_each(self, "abstracts", STR, "a str", abstracts)
+        check_each(self, "containments", STR, "a str", containments)
         check_each(self, "opposites", _is_pair, "a pair of str", opposites)
-        check_each(self, "mult", is_str, "a str", mult)
+        check_each(self, "mult", STR, "a str", mult)
         check_each(self, "mult", Multiplicity.__instancecheck__, "a Multiplicity", mult.values())
-        check_each(self, "attr_decls", is_str, "a str", attr_decls, *attr_decls.values(), *map(dict.values, attr_decls.values()))
+        check_each(self, "attr_decls", STR, "a str", attr_decls, *attr_decls.values(), *map(dict.values, attr_decls.values()))
         names = ("inherits", "abstracts", "containments", "opposites", "mult", "attr_decls")
         for name, value in zip(names, (inherits, abstracts, containments, opposites, mult, attr_decls)):
             object.__setattr__(self, name, value)
@@ -230,10 +235,14 @@ class ref_InstanceGraph:
     def __post_init__(self) -> None:
         node_types, edge_types, attrs = as_dict(self.node_types), as_dict(self.edge_types), as_dict(self.attrs)
         check_each(self, "graph", Graph.__instancecheck__, "a Graph", (self.graph,))
-        check_each(self, "node_types", is_str, "a str", node_types, node_types.values())
-        check_each(self, "edge_types", is_str, "a str", edge_types, edge_types.values())
+        check_each(self, "node_types", STR, "a str", node_types, node_types.values())
+        check_each(self, "edge_types", STR, "a str", edge_types, edge_types.values())
         check_each(self, "attrs", _is_pair, "a pair of str", attrs)
-        check_each(self, "attrs", is_scalar, "an int or a str", attrs.values())
+        check_each(self, "attrs", SCALAR, "an int or a str", attrs.values())
+        nodes = self.graph.nodes
+        check_keys(self, "node_types", node_types, nodes, "a node")
+        check_keys(self, "edge_types", edge_types, self.graph.edges, "an edge")
+        check_within(self, "attrs", nodes, "a node", set(map(itemgetter(0), attrs)), "an attribute of ")
         object.__setattr__(self, "node_types", node_types)
         object.__setattr__(self, "edge_types", edge_types)
         object.__setattr__(self, "attrs", attrs)
@@ -607,7 +616,9 @@ def test_port_agrees_with_its_named_tuple(node, index, node2, index2):
 
 
 def test_cached_indexes_survive_freezing():
-    g = typedgraph.InstanceGraph(typedgraph.Graph({"a", "b"}, {"e"}, {"e": "a"}, {"e": "b"}), edge_types={"e": "t"})
+    g = typedgraph.InstanceGraph(
+        typedgraph.Graph({"a", "b"}, {"e"}, {"e": "a"}, {"e": "b"}), node_types={"a": "A", "b": "B"}, edge_types={"e": "t"}
+    )
     assert g.edge_view is g.edge_view and g.edge_view.by_type == {"t": ["e"]}
     assert g.edge_view.by_source("t") is g.edge_view.by_source("t") and g.edge_view.by_source("t") == {"a": ["e"]}
     tg = typedgraph.TypeGraph(typedgraph.Graph({"A", "B"}), inherits={("B", "A")})

@@ -43,7 +43,7 @@ from bigtg import (
 from bigtg.generators import random_bigraph, random_signature
 from bigtg.variability import FeatureConfig
 
-from helpers import assert_refused, mutated_encodings, outcome, ref_node_attrs
+from helpers import mutated_encodings, outcome, ref_node_attrs
 from test_index import encodings
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -134,15 +134,8 @@ def ref_dumps(kind, payload, value):
 
 
 def assert_instance_graph_written_as_before(g):
-    """Byte-identical to the reference, or the same refusal; an attribute of
-    an id that is no node, which the reference dropped, is refused."""
-    expected = outcome(ref_dumps, fileio.KIND_INSTANCEGRAPH, ref_instancegraph_payload, g)
-    kept = {key: v for key, v in g.attrs.items() if key[0] in g.graph.nodes}
-    if len(kept) < len(g.attrs) and isinstance(expected, str):
-        n, a = min(g.attrs.keys() - kept.keys())
-        assert outcome(fileio.dumps_canonical, g) == ("ValueError", f"attribute {a} of {n} has no node")
-        g = replace(g, attrs=kept)
-    assert outcome(fileio.dumps_canonical, g) == expected
+    """Byte-identical to the reference."""
+    assert fileio.dumps_canonical(g) == ref_dumps(fileio.KIND_INSTANCEGRAPH, ref_instancegraph_payload, g)
 
 
 def assert_bigraph_written_as_before(b):
@@ -154,8 +147,7 @@ def assert_bigraph_written_as_before(b):
 
 
 class Tagged(str):
-    """A ``str`` subclass, which the plain-string column pass leaves to the
-    general printer."""
+    """A ``str`` subclass, which the constructors refuse."""
 
 
 #: Characters that ``json`` escapes, and text beyond ASCII.
@@ -168,8 +160,8 @@ LEAVES = st.one_of(st.integers(-(2**70), 2**70), IDS)
 @st.composite
 def awkward_encodings(draw):
     """An edited encoding whose ids may carry escaped or non-ASCII text,
-    with extra attributes of either value type, and ``Tagged`` and escaped
-    types. Values of other types are refused at construction
+    with extra attributes of either value type, and escaped types. Values
+    of other types are refused at construction
     (``test_values_of_other_types_are_refused_at_construction``)."""
     g, _ = draw(mutated_encodings())
     suffix = draw(st.sampled_from(("",) + AWKWARD))
@@ -180,17 +172,17 @@ def awkward_encodings(draw):
 
     nodes = sorted(g.graph.nodes)
     attrs = {(rn(n), a): v for (n, a), v in g.attrs.items()}
-    node_ids = list(map(rn, nodes)) + ["ghost"]
-    for _ in range(draw(st.integers(0, 6))):
+    node_ids = list(map(rn, nodes))
+    for _ in range(draw(st.integers(0, 6)) if node_ids else 0):
         attrs[(draw(st.sampled_from(node_ids)), draw(IDS))] = draw(LEAVES)
     node_types = {rn(n): t for n, t in g.node_types.items()}
     for n in draw(st.sets(st.sampled_from(nodes))) if nodes else ():
-        node_types[rn(n)] = draw(st.sampled_from((Tagged("BNode"), "Ty\"peé")))
+        node_types[rn(n)] = draw(st.sampled_from(("BNode", "Ty\"peé")))
     edge_types = {rn(e): t for e, t in g.edge_types.items()}
     for e in draw(st.sets(st.sampled_from(sorted(g.graph.edges)))) if g.graph.edges else ():
-        edge_types[rn(e)] = draw(st.sampled_from((Tagged("bLink"), "bL\\ink")))
+        edge_types[rn(e)] = draw(st.sampled_from(("bLink", "bL\\ink")))
     graph = Graph(
-        nodes=frozenset(node_ids[:-1]),
+        nodes=frozenset(node_ids),
         edges=frozenset(map(rn, g.graph.edges)),
         src={rn(e): rn(s) for e, s in g.graph.src.items()},
         tgt={rn(e): rn(t) for e, t in g.graph.tgt.items()},
@@ -239,18 +231,25 @@ def test_mixed_scalar_attribute_values_are_written_as_json_writes_them(g):
     "g",
     [
         InstanceGraph(graph=Graph()),
-        InstanceGraph(graph=Graph(nodes=frozenset({"a", "b"})), node_types={"a": "BRoot"}, attrs={("a", "index"): 0}),
-        InstanceGraph(graph=Graph(nodes=frozenset({"a"}), edges=frozenset({"e", "f"}), src={"f": "a"}, tgt={"f": "a"})),
+        InstanceGraph(
+            graph=Graph(nodes=frozenset({"a", "b"})), node_types={"a": "BRoot", "b": "BNode"}, attrs={("a", "index"): 0}
+        ),
         InstanceGraph(
             graph=Graph(nodes=frozenset({"n"})),
             node_types={"n": "BNode"},
             attrs={("n", "z"): "last", ("n", "a"): 10, ("n", "m"): -(2**70), ("n", "b"): "", ("n", "c"): "\U0001f600"},
         ),
     ],
-    ids=["empty", "edgeless", "endless-edge", "several-attributes"],
+    ids=["empty", "edgeless", "several-attributes"],
 )
 def test_pinned_instance_graphs(g):
     assert_instance_graph_written_as_before(g)
+
+
+def test_an_endless_edge_is_refused_where_it_is_built():
+    """An edge without a ``src`` or ``tgt`` never reaches the writer."""
+    with pytest.raises(ValueError, match="^Graph.src lacks 'e', which is an edge$"):
+        Graph(nodes=frozenset({"a"}), edges=frozenset({"e", "f"}), src={"f": "a"}, tgt={"f": "a"})
 
 
 @pytest.mark.parametrize(
@@ -269,12 +268,13 @@ def test_values_of_other_types_are_refused_at_construction(attrs, message):
     assert str(refused.value) == message
 
 
-def test_an_attribute_of_no_node_is_refused():
-    g = InstanceGraph(
-        graph=Graph(nodes=frozenset({"n"})),
-        attrs={("n", "index"): 0, ("ghost", "x"): 1, ("ghost", "index"): 3, ("zz", "a"): 2},
-    )
-    assert_refused(g, "attribute index of ghost has no node")
+def test_a_writer_never_meets_an_attribute_of_no_node():
+    with pytest.raises(ValueError, match="^InstanceGraph.attrs holds an attribute of 'ghost', which is not a node$"):
+        InstanceGraph(
+            graph=Graph(nodes=frozenset({"n"})),
+            node_types={"n": "BNode"},
+            attrs={("n", "index"): 0, ("ghost", "x"): 1, ("ghost", "index"): 3, ("zz", "a"): 2},
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +362,9 @@ def test_values_of_many_batches_are_written_as_before():
 @settings(max_examples=25, deadline=None)
 def test_a_family_prints_each_variant_as_a_fresh_copy_of_it(case, rnd, batch):
     """All 54 configurations of one graph, twice, in a shuffled order: each
-    variant prints as ``replace(variant)``, which has no family, or is
-    refused with the same ``ValueError`` (an attribute of no node), and
-    each configuration gives the outcome it gives a fresh copy of the
-    graph, value or ``NotCanonical`` reason."""
+    variant prints as ``replace(variant)``, which has no family, and each
+    configuration gives the outcome it gives a fresh copy of the graph,
+    value or ``NotCanonical`` reason."""
     g, sig = case
     runs = enumerate_configs() * 2
     rnd.shuffle(runs)
@@ -380,20 +379,14 @@ def test_a_family_prints_each_variant_as_a_fresh_copy_of_it(case, rnd, batch):
 @st.composite
 def broken_encodings(draw):
     """An edited encoding (``mutated_encodings``) with, each drawn or not,
-    an attribute of no node (typed by a group or not), an ``index`` on a
-    node of a control, an untyped node and a retyped node."""
+    an ``index`` or another attribute on a node of a control, and a
+    retyped node."""
     g, b = draw(mutated_encodings())
     nodes, names = sorted(g.graph.nodes), b.signature.names
     types, attrs = dict(g.node_types), dict(g.attrs)
-    if draw(st.booleans()):
-        attrs["ghost", draw(st.sampled_from(("index", "x")))] = 1
-        if draw(st.booleans()):
-            types["ghost"] = draw(st.sampled_from(("BRoot", "BPort")))
-    controlled = [n for n in nodes if types.get(n) in names]
+    controlled = [n for n in nodes if types[n] in names]
     if controlled and draw(st.booleans()):
-        attrs[draw(st.sampled_from(controlled)), "index"] = draw(st.integers(0, 3))
-    if nodes and draw(st.booleans()):
-        types.pop(draw(st.sampled_from(nodes)), None)
+        attrs[draw(st.sampled_from(controlled)), draw(st.sampled_from(("index", "x")))] = draw(st.integers(0, 3))
     if nodes and draw(st.booleans()):
         types[draw(st.sampled_from(nodes))] = draw(st.sampled_from((*names, "BRoot", "BSite", "BPort", "BNode")))
     return replace(g, node_types=types, attrs=attrs), b.signature
@@ -404,9 +397,7 @@ def broken_encodings(draw):
 def test_a_family_selects_what_a_fresh_copy_prints_from_broken_encodings(case, rnd, batch):
     """All 54 configurations of a broken encoding, twice, in a shuffled
     order, in batches of 1, 3 and 512 entries: each variant prints as
-    ``replace(variant)``, which has no family, or both are refused with
-    the same ``ValueError``. Where the input's entries are not plain, its
-    variants print as a fresh copy does."""
+    ``replace(variant)``, which has no family."""
     g, sig = case
     runs = enumerate_configs() * 2
     rnd.shuffle(runs)
@@ -470,7 +461,7 @@ def test_a_graph_whose_record_apply_deltas_did_not_make_prints_its_own_entries()
     kin += [_kin(types, ends, {("n", name): 1}) for name in ("1", "", "index ")]
     kin += [_kin(types, ends, {("m", "index"): 1}), _kin(types, ends, {("n", "index"): 1, ("n", "control"): "Job"})]
     wider = Graph(frozenset({"n", "m", "o"}), frozenset({"e", "d"}), {"e": "n", "d": "o"}, {"e": "m", "d": "m"})
-    kin.append(InstanceGraph(wider, types, {"e": "bLink", "d": "bLink"}))
+    kin.append(InstanceGraph(wider, {**types, "o": "BNode"}, {"e": "bLink", "d": "bLink"}))
     owner, sig = kin[0], Signature((Control("Job"),), {"Job": 0})
     for features in ({"ST", "EP", "PI"}, {"ST", "EP"}):  # each returns the owner itself, recorded
         assert apply_deltas(owner, FeatureConfig(frozenset(features)), sig) is owner
