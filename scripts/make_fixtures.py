@@ -5,9 +5,11 @@ Builds the office printing example (two connected rooms, a printer wired
 to a spool and a computer, a user holding a job and identified by an
 outer name), its signature, type graph and canonical encoding, the
 constraint document, feature configurations, a small good/bad corpus
-for exercising the validate and check subcommands, and the printer
-model's ``{"WT"}`` variant with its derived type graph, which ``bigtg
-configure`` must reproduce, and prints the path of each file it writes. ``corpus/bad.check.err``,
+for exercising the validate and check subcommands, with what ``bigtg
+validate --sig printer.sig.json`` prints for ``corpus/bad-index.ig.json``
+(``corpus/bad-index.validate.err``), and the printer model's ``{"WT"}``
+variant with its derived type graph, which ``bigtg configure`` must
+reproduce, and prints the path of each file it writes. ``corpus/bad.check.err``,
 ``corpus/bad-syntax.check.err`` and ``corpus/bad-ports.validate.err`` are
 not written here: the first two pin what ``bigtg check`` prints for
 ``corpus/bad.bgc`` and ``corpus/bad-syntax.bgc`` on the printer model, the
@@ -72,6 +74,11 @@ context Spool
   inv holdsJobs:
     self.bChld->size() >= 1 and self.bChld-> implies true
 """
+
+
+#: What ``bigtg validate --sig printer.sig.json`` prints for
+#: ``corpus/bad-index.ig.json``: the one canonical rule that it breaks.
+BAD_INDEX_ERR = "error canonical-index p:v1:1 port has no 'index'\n"
 
 
 def printer_signature():
@@ -195,6 +202,11 @@ def main() -> None:
     unowned = {"bNode:p:v1:1:n:v1", "bPorts:n:v1:p:v1:1"}
     unlinked = {"bLink:p:v3:0:e:e1", "bPoints:e:e1:p:v3:0"}
     write(without_edges(g1, unowned | unlinked), corpus / "bad-ports.ig.json")
+    # The printer's second port loses its index: every checker passes, but
+    # not the canonical rules, so ``bigtg decode`` refuses it too.
+    unindexed = {key: value for key, value in g1.attrs.items() if key != ("p:v1:1", "index")}
+    write(replace(g1, attrs=unindexed), corpus / "bad-index.ig.json")
+    write(BAD_INDEX_ERR, corpus / "bad-index.validate.err")
     write(FeatureConfig(frozenset({"ST", "WT", "RI"})), corpus / "bad.cfg.json")
     # Weak typing with every group implicit runs every reconfiguration
     # step; ``bigtg configure`` must write these two files byte for byte.

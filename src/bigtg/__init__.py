@@ -22,7 +22,7 @@ _PUBLIC = {
         "CheckResult", "ConstraintDoc", "ConstraintSyntaxError", "EvaluationError", "Invariant",
         "TypeCheckError", "evaluate", "format_constraints", "parse_constraints", "typecheck",
     ),
-    "mapping": ("ElementMap", "InvalidBigraph", "UntypedControl", "decode", "encode"),
+    "mapping": ("ElementMap", "InvalidBigraph", "decode", "encode"),
     "metamodel": ("NotCanonical", "base_type_graph", "check_arity_rule", "conformance", "extend_for_signature"),
     "report": ("Finding", "ValidationReport"),
     "soundness": ("check_soundness",),

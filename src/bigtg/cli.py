@@ -70,19 +70,15 @@ def cmd_encode(args: SimpleNamespace) -> int:
 
 
 def cmd_decode(args: SimpleNamespace) -> int:
-    from .mapping import UntypedControl, decode
+    from .mapping import decode
 
     g = fileio.load_instance_graph(args.instancegraph)
     sig = fileio.load_signature(args.sig)
     try:
         b, _ = decode(g, sig)
     except NotCanonical as exc:
-        if exc.report.findings:
-            _emit(exc.report.findings)
+        _emit(exc.report.findings)
         _emit_error("not-canonical", args.instancegraph, str(exc))
-        return EXIT_INVALID
-    except UntypedControl as exc:
-        _emit_error("untyped-control", args.instancegraph, str(exc))
         return EXIT_INVALID
     fileio.save(b, args.output)
     return EXIT_OK

@@ -62,10 +62,6 @@ class InvalidBigraph(Exception):
         self.report = report
 
 
-class UntypedControl(Exception):
-    """A node is typed by the generic node type instead of a control."""
-
-
 @frozen
 class ElementMap:
     """Bijection between the elements of a bigraph and instance-graph nodes."""
@@ -196,48 +192,19 @@ def _strip_prefix(kind: str, gid: str) -> str:
     return gid[len(prefix) :] if gid.startswith(prefix) else gid
 
 
-def _index_range(
-    kind: str, nodes_with_index: list[tuple[str, object]], count_label: str
-) -> dict[int, str]:
-    """Map indices 0..n-1 to graph nodes, rejecting gaps and duplicates.
-    Each index is an integer: ``attr-type`` has refused any other value."""
-    by_index: dict[int, str] = {}
-    for gid, idx in nodes_with_index:
-        if idx is None:
-            raise NotCanonical(f"{kind} {gid} has no index attribute")
-        if idx in by_index:
-            raise NotCanonical(f"duplicate {kind} index {idx}")
-        by_index[idx] = gid
-    for i in range(len(by_index)):
-        if i not in by_index:
-            raise NotCanonical(f"{count_label} indices are not the gap-free range 0..{len(by_index) - 1}")
-    return by_index
-
-
 def decode(g: InstanceGraph, sig: Signature) -> tuple[Bigraph, ElementMap]:
     """Rebuild the bigraph that a canonical instance graph encodes.
 
-    Only defined for the canonical variant: strongly typed controls,
-    explicit roots/sites/ports, and complete gap-free index attributes.
-    A graph that fails :func:`conformance` raises :class:`NotCanonical`
-    with the findings; among them ``arity`` for a node that does not own
-    as many ports as its control's arity. Every attribute is owned by a
-    node and every edge has both ends (the constructor refuses any
-    other), so the rebuild drops nothing. The
-    checkers keep their reports on ``g`` (:func:`keeps_report`), so after
-    a caller's own ``conformance(g, extend_for_signature(sig), sig)``,
-    or the four checks it runs, for this ``sig`` or an equal one, the
-    check here returns the four kept reports, and ``decode`` pays only
-    for the rebuild. The rebuild then raises :class:`UntypedControl` for
-    a node typed ``BNode``, and :class:`NotCanonical` for two ids of
-    one kind that collide once their prefix is stripped, a root, site or
-    port index that is missing, duplicated or outside a gap-free range, a
-    root with a parent, a site as a parent, or a node or site without a
-    parent. Conformance implies the rest: each index is an integer
-    (``attr-type``), each port has one ownership edge (``bNode`` is
-    ``[1,1]``) to a node typed by a control (its target conforms to
-    ``BNode``, and a node typed ``BNode`` itself has raised), and each link
-    edge runs from a port or inner name to an edge or outer name.
+    A graph that fails ``conformance(g, extend_for_signature(sig), sig)``
+    raises :class:`NotCanonical` with the findings, the canonical rules'
+    ``untyped-control``, ``canonical-parent`` and ``canonical-index``
+    among them; after the caller's own checks only those rules run again
+    (:func:`keeps_report`). The rebuild assumes a conforming graph (typed
+    nodes, integer indices, one owner per port, parent and link edges
+    between the kinds they relate), so it checks only ids: two of one kind
+    that collide once their prefix is stripped raise :class:`NotCanonical`.
+    Every attribute is owned by a node and every edge has both ends, so it
+    drops nothing.
     """
     rep = conformance(g, extend_for_signature(sig), sig)
     if not rep.ok:
@@ -245,59 +212,32 @@ def decode(g: InstanceGraph, sig: Signature) -> tuple[Bigraph, ElementMap]:
 
     kind_of_type = dict.fromkeys(sig.names, K_NODE)
     kind_of_type.update((node_type, kind) for kind, (_, node_type) in _KINDS.items() if node_type)
-    of_type = g.edge_view.by_node_type
-    if "BNode" in of_type:
-        raise UntypedControl(f"node {min(of_type['BNode'])} is typed 'BNode' instead of a control type")
+    view = g.edge_view
     gids: dict[str, list[str]] = {kind: [] for kind in _KINDS}
-    for t, nodes in of_type.items():
+    for t, nodes in view.by_node_type.items():
         gids[kind_of_type[t]] += nodes
-    for nodes in gids.values():
-        nodes.sort()
 
     # The bigraph key of each graph node, per kind.
     keys: dict[str, dict[object, str]] = {}
     for kind in (K_NODE, K_EDGE, K_INNER, K_OUTER):
         recovered = keys[kind] = {}
-        for gid in gids[kind]:
+        for gid in sorted(gids[kind]):
             key = _strip_prefix(kind, gid)
             if key in recovered:
                 raise NotCanonical(f"{kind} identifiers {recovered[key]!r} and {gid!r} collide as {key!r}")
             recovered[key] = gid
     for kind in (K_ROOT, K_SITE):
-        indexed = [(gid, g.attrs.get((gid, "index"))) for gid in gids[kind]]
-        keys[kind] = _index_range(kind, indexed, kind)  # type: ignore[assignment]
-    # Ports: owner via the ownership edge, index per owner gap-free.
-    owned = g.edge_view.by_type.get("bNode", ())
-    owner_of = dict(zip(map(g.graph.src.__getitem__, owned), map(g.graph.tgt.__getitem__, owned)))
-    ports_by_owner: dict[str, list[tuple[str, object]]] = {}
-    for gid in gids[K_PORT]:
-        ports_by_owner.setdefault(owner_of[gid], []).append((gid, g.attrs.get((gid, "index"))))
-    ports = keys[K_PORT] = {}
-    for owner, entries in sorted(ports_by_owner.items()):
-        node = _strip_prefix(K_NODE, owner)
-        for i, gid in _index_range(K_PORT, entries, f"port (node {node})").items():
-            ports[Port(node, i)] = gid
+        keys[kind] = {g.attrs[gid, "index"]: gid for gid in gids[kind]}
+    src, tgt = g.graph.src.__getitem__, g.graph.tgt.__getitem__
+    owner_of = dict(zip(view.sources.get("bNode", ()), map(tgt, view.by_type.get("bNode", ()))))
+    keys[K_PORT] = {Port(_strip_prefix(K_NODE, owner_of[gid]), g.attrs[gid, "index"]): gid for gid in gids[K_PORT]}
     fwd = {(kind, key): gid for kind, recovered in keys.items() for key, gid in recovered.items()}
-    el_of = {gid: el for el, gid in fwd.items()}
-
-    prnt: dict[object, object] = {}
-    link: dict[object, object] = {}
-    rebuilt = {"bPrnt": prnt, "bLink": link}
-    for e in sorted(g.graph.edges):
-        into = rebuilt.get(g.edge_types[e])
-        if into is None:
-            continue
-        (child_kind, child), (parent_kind, parent) = el_of[g.graph.src[e]], el_of[g.graph.tgt[e]]
-        if child_kind == K_ROOT:
-            raise NotCanonical(f"root {g.graph.src[e]} has a parent")
-        if parent_kind == K_SITE:
-            raise NotCanonical(f"parent edge {e} connects non-place nodes")
-        into[child] = parent
-    for kind, places in ((K_NODE, sorted(keys[K_NODE])), (K_SITE, keys[K_SITE])):
-        for key in places:
-            if key not in prnt:
-                raise NotCanonical(f"{kind} {key} has no parent")
-
+    # Each parent and link edge, as its source's key mapped to its target's.
+    key_of = {gid: key for (_, key), gid in fwd.items()}.__getitem__
+    prnt, link = (
+        dict(zip(map(key_of, map(src, edges)), map(key_of, map(tgt, edges))))
+        for edges in map(view.by_type.get, ("bPrnt", "bLink"), repeat(()))
+    )
     b = Bigraph._adopt(
         sig,
         frozenset(keys[K_NODE]),

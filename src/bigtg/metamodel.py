@@ -2,15 +2,20 @@
 
 Provides the base type graph modeling bigraph anatomy, its
 control-compatible extension for a signature, the arity well-formedness
-rule, and :func:`conformance`, which runs every checker of an instance
-graph. This is all of the bridge that ``bigtg validate``, ``check``,
-``metamodel`` and ``configure`` run; :mod:`bigtg.mapping` adds
-``encode`` and ``decode`` on top and re-exports every name here.
+rule, the canonical rules, and :func:`conformance`, which runs every
+checker of an instance graph and so alone decides what decodes. This is
+all of the bridge that ``bigtg validate``, ``check``, ``metamodel`` and
+``configure`` run; :mod:`bigtg.mapping` adds ``encode`` and ``decode`` on
+top and re-exports every name here.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable
 from functools import lru_cache
+from itertools import chain, compress, repeat
+from operator import is_
 
 from .bigraph import BASE_NODE_TYPE_NAMES, ReservedControlName, Signature
 from .report import Finding, ValidationReport, report_from
@@ -20,9 +25,11 @@ from .typedgraph import (
     Multiplicity,
     TypeGraph,
     _bound_findings,
+    _grouped,
     check_multiplicities,
     check_typing,
     check_validity,
+    declared_attrs,
     keeps_report,
     symmetric_pairs,
 )
@@ -149,9 +156,62 @@ def _arity_finding(n: str, t: str, te: str, m: Multiplicity, count: int) -> Find
     return Finding("arity", n, f"node of control {t!r} has {count} outgoing 'bPorts' edge(s), arity is {m.lb}")
 
 
+def _canonical_rules(g: InstanceGraph, tg: TypeGraph, sig: Signature) -> ValidationReport:
+    """The rules of a canonical encoding beyond conformance to ``tg``, in
+    this order, each only where ``tg`` declares what it reads: no node is
+    typed ``BNode`` when the controls are node types (``untyped-control``);
+    no root has a parent and every node and site has one when there is a
+    ``BRoot``, and no site is a parent (``canonical-parent``; a graph that
+    passes typing has sites only where ``tg`` has ``BSite``); the roots, the sites and each owner's ports
+    carry ``index`` values that form the range ``0..n-1``, for each of
+    their types that declares ``index`` (``canonical-index``, on each
+    member without one, then on each owner, or type, whose indices are not
+    that range). Only :func:`conformance` calls it, on a graph that passes
+    the other checks, so each index is an integer and each port has one
+    owner. Whole-column set tests decide; only a failing one walks."""
+    view, findings = g.edge_view, []
+    of_type = view.by_node_type
+
+    def flag(code: str, nodes: Iterable[str], message: str) -> None:
+        findings.extend(Finding(code, n, message) for n in sorted(nodes))
+
+    if "BNode" in of_type and tg.node_types.issuperset(sig.names):
+        flag("untyped-control", of_type["BNode"], "node typed 'BNode' instead of a control type")
+    if "BRoot" in tg.node_types:
+        children = set(view.sources.get("bPrnt", ()))
+        places = set(chain.from_iterable(map(of_type.get, {*sig.names, "BNode", "BSite"}, repeat(()))))
+        flag("canonical-parent", children.intersection(of_type.get("BRoot", ())), "root has a parent")
+        flag("canonical-parent", places - children, "node or site has no parent")
+    parents = set(map(g.graph.tgt.__getitem__, view.by_type.get("bPrnt", ())))
+    flag("canonical-parent", parents.intersection(of_type.get("BSite", ())), "site is a parent")
+
+    owner_of = dict(zip(view.sources.get("bNode", ()), map(g.graph.tgt.__getitem__, view.by_type.get("bNode", ()))))
+    for t, what in (("BRoot", "root"), ("BSite", "site"), ("BPort", "port")):
+        if t not in tg.node_types or "index" not in declared_attrs(tg, t):
+            continue
+        members = of_type.get(t, [])
+        owners = list(map(owner_of.get, members, repeat(t)))
+        indices = list(map(g.attrs.get, zip(members, repeat("index"))))
+        count = Counter(owners)
+        below = map(range.__contains__, map(range, map(count.__getitem__, owners)), indices)
+        if None not in indices and len(set(zip(owners, indices))) == len(indices) and all(below):
+            continue
+        flag("canonical-index", compress(members, map(is_, indices, repeat(None))), f"{what} has no 'index'")
+        for owner, got in sorted(_grouped(owners, indices).items()):
+            if None not in got and sorted(got) != list(range(len(got))):  # type: ignore[type-var]
+                message = f"{what} indices {sorted(got)} are not the gap-free range 0..{len(got) - 1}"
+                findings.append(Finding("canonical-index", owner, message))
+    return report_from(findings)
+
+
 def conformance(g: InstanceGraph, tg: TypeGraph, sig: Signature | None = None) -> ValidationReport:
     """Conformance of ``g`` to ``tg``: the typing morphism, validity and
-    multiplicities, then the arity rule when a signature is given, with
-    the findings in that order."""
+    multiplicities, then, given a signature, the arity rule and, if all of
+    those pass, the canonical rules (:func:`_canonical_rules`), findings in
+    that order. Against ``extend_for_signature(sig)`` it holds exactly when
+    :func:`bigtg.mapping.decode` rebuilds, unless ids collide there."""
     rep = check_typing(g, tg).merged(check_validity(g, tg), check_multiplicities(g, tg))
-    return rep if sig is None else rep.merged(check_arity_rule(g, tg, sig))
+    if sig is None:
+        return rep
+    rep = rep.merged(check_arity_rule(g, tg, sig))
+    return rep if rep.findings else _canonical_rules(g, tg, sig)

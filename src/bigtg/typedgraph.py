@@ -219,11 +219,11 @@ class InstanceGraph:
     It keeps two things beside its fields: ``edge_view``, built on first
     use (the edge columns, the edges and sources of each edge type, the
     nodes of each node type, and the edges of each navigated edge type
-    grouped by source), which the four checkers, soundness, ``decode``
-    and ``evaluate`` read; and ``_parts``, the last report of each checker
-    wrapped by :func:`keeps_report` (``check_typing``, ``check_validity``,
-    ``check_multiplicities`` and the arity rule) with the arguments it
-    was checked against (``decode`` after ``conformance``), what
+    grouped by source), which the checkers and the canonical rules,
+    soundness, ``decode``'s rebuild and ``evaluate`` read; and ``_parts``,
+    the last report of each checker wrapped by :func:`keeps_report`
+    (``check_typing``, ``check_validity``, ``check_multiplicities`` and
+    the arity rule, but not the canonical rules) with its arguments, what
     :func:`bigtg.variability.apply_deltas` reads, and what the graphs it
     returns share. So neither the dicts of ``g`` nor those arguments may
     be mutated after the first query, check or reconfiguration; build a
@@ -353,11 +353,11 @@ def keeps_report(checker: Callable[..., ValidationReport]) -> Callable[..., Vali
     refuse values that are equal but print apart (``1 == True``), so equal
     arguments are checked alike. ``extend_for_signature(sig)`` returns one
     type graph per set of control names, which the slot keeps alive, so
-    ``decode(g, sig)`` after the caller's own checks is a hit, found by
-    identity. Reconfiguration
-    fills the slots of the graphs it returns with their family's verdict
-    (:func:`bigtg.variability.apply_deltas`). The wrapper keeps the
-    checker's name, and the checker itself as ``__wrapped__``.
+    the checks in ``decode(g, sig)`` after the caller's own are hits, found
+    by identity. Reconfiguration fills the slots of the graphs it returns
+    with their family's verdict (:func:`bigtg.variability.apply_deltas`).
+    The wrapper keeps the checker's name, and the checker itself as
+    ``__wrapped__``.
     """
 
     @wraps(checker)

@@ -266,6 +266,20 @@ def test_validate_prints_the_pinned_port_findings(fixtures_dir, capsys):
     assert [line.split()[1] for line in err.splitlines()] == ["mult-underflow", "mult-underflow", "arity"]
 
 
+def test_a_port_without_an_index_is_refused_by_validate_and_decode(fixtures_dir, tmp_path, capsys):
+    """A port without an index passes every checker but the canonical
+    rules: ``validate --sig`` prints the pinned finding, and ``decode``
+    prints it before its ``not-canonical`` line and writes nothing; each
+    exits 1, as CI pins them for the installed console script."""
+    ig, sig = fx(fixtures_dir, "corpus/bad-index.ig.json"), fx(fixtures_dir, "printer.sig.json")
+    pinned = (fixtures_dir / "corpus" / "bad-index.validate.err").read_text(encoding="utf-8")
+    assert run(capsys, "validate", ig, "--sig", sig) == (1, "", pinned)
+    out = tmp_path / "out.bg.json"
+    code, _, err = run(capsys, "decode", ig, "--sig", sig, "-o", str(out))
+    assert (code, err) == (1, f"{pinned}error not-canonical {ig} instance graph fails canonical checks\n")
+    assert not out.exists()
+
+
 # The 54 configurations in print order: typing slowest, then roots,
 # sites and ports, each through none, explicit, and explicit and indexed.
 CONFIG_LINES = """

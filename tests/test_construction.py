@@ -38,7 +38,6 @@ from bigtg import (
     ReservedControlName,
     Signature,
     TypeGraph,
-    UntypedControl,
     apply_deltas,
     check_multiplicities,
     check_soundness,
@@ -212,7 +211,7 @@ def test_a_value_either_is_refused_at_construction_or_gives_only_findings(
         _raises_only(ValueError, lambda: fileio.dumps_canonical(value))
         sig = value.signature
         _raises_only(ReservedControlName, lambda: conformance(g1, extend_for_signature(sig), sig))
-        _raises_only((NotCanonical, UntypedControl, ReservedControlName), lambda: decode(g1, sig))
+        _raises_only((NotCanonical, ReservedControlName), lambda: decode(g1, sig))
         for cfg in enumerate_configs():
             _raises_only(NotCanonical, lambda: apply_deltas(replace(g1), cfg, sig))
     elif kind == "graph":
@@ -220,7 +219,7 @@ def test_a_value_either_is_refused_at_construction_or_gives_only_findings(
             check(value, tg_sigma1)
         conformance(value, tg_sigma1, sig1)
         check_soundness(b1, value, emap1)
-        _raises_only((NotCanonical, UntypedControl), lambda: decode(value, sig1))
+        _raises_only(NotCanonical, lambda: decode(value, sig1))
         for cfg in enumerate_configs():
             _raises_only(NotCanonical, lambda: apply_deltas(value, cfg, sig1))
         _raises_only(EvaluationError, lambda: evaluate(office_doc, value, tg_sigma1))
@@ -421,7 +420,7 @@ def test_every_graph_the_package_adopts_passes_the_constructor(case):
         assert_constructs(value)
     try:
         decoded = decode(g, sig)
-    except (NotCanonical, UntypedControl):
+    except NotCanonical:
         decoded = ()
     for value in decoded:
         assert_constructs(value)

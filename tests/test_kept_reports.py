@@ -9,12 +9,12 @@ objects (a type graph built anew, loaded from a file or copied, a
 signature loaded anew), another type graph or another signature; values
 that are equal by ``==`` but print apart (``1 == True``) are refused at
 construction. And ``decode`` after those four checks must run none of
-their bodies. ``extend_for_signature`` keeps one type graph per set of
-control names in a bounded table, ``annotate_150`` and
-``derive_type_graph`` keep what they build on their argument, and the
-writer keeps a type graph's text on it: each kept value equals, and
-prints as, one built anew, and findings against it are those against one
-built anew.
+their bodies, only the canonical rules, which keep no report.
+``extend_for_signature`` keeps one type graph per set of control names
+in a bounded table, ``annotate_150`` and ``derive_type_graph`` keep what
+they build on their argument, and the writer keeps a type graph's text
+on it: each kept value equals, and prints as, one built anew, and
+findings against it are those against one built anew.
 """
 
 from __future__ import annotations
@@ -301,28 +301,51 @@ def checker_bodies(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def canonical_runs(monkeypatch, checker_bodies):
+    """Counts the runs of the canonical rules, which keep no report. Each
+    run ends in one ``report_from`` of ``metamodel`` too, so a count in
+    ``checker_bodies`` beyond these runs is a checker body that ran."""
+    runs = []
+    rules = bigtg.metamodel._canonical_rules
+
+    def counted(*args):
+        runs.append(args)
+        return rules(*args)
+
+    monkeypatch.setattr(bigtg.metamodel, "_canonical_rules", counted)
+    return runs
+
+
 def _four_checks(g, tg, sig):
     return [check(g, tg) for check in GRAPH_CHECKERS] + [check_arity_rule(g, tg, sig)]
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_decode_after_the_four_checks_runs_no_checker(seed, checker_bodies):
+def test_decode_after_the_four_checks_runs_no_checker(seed, checker_bodies, canonical_runs):
+    """None of the four checker bodies runs again in ``decode``: only the
+    canonical rules run, once."""
     b = random_bigraph(random.Random(seed))
     g, emap = encode(b)
     reports = _four_checks(g, extend_for_signature(b.signature), b.signature)
     assert all(r.ok for r in reports)
-    assert checker_bodies == {"typedgraph": 3, "metamodel": 1}
-    before = dict(checker_bodies)
+    assert checker_bodies == {"typedgraph": 3, "metamodel": 1} and not canonical_runs
     assert decode(g, b.signature) == (b, emap)
-    assert checker_bodies == before
+    assert checker_bodies == {"typedgraph": 3, "metamodel": 2}
+    assert canonical_runs == [(g, extend_for_signature(b.signature), b.signature)]
 
 
-def test_decode_after_conformance_runs_no_checker(g1, sig1, checker_bodies):
+def test_decode_after_conformance_runs_no_checker(g1, sig1, checker_bodies, canonical_runs):
+    """After the caller's ``conformance``, which ran the canonical rules
+    once, ``decode`` runs no checker body again, and the canonical rules
+    once more."""
     g = replace(g1)  # a graph of its own, checked here first
     assert conformance(g, extend_for_signature(sig1), sig1).ok
     before = dict(checker_bodies)
+    assert len(canonical_runs) == 1
     decode(g, sig1)
-    assert checker_bodies == before
+    assert checker_bodies == {"typedgraph": before["typedgraph"], "metamodel": before["metamodel"] + 1}
+    assert len(canonical_runs) == 2
 
 
 def test_decode_of_a_failing_graph_reuses_the_kept_findings(g1, sig1, checker_bodies):

@@ -13,7 +13,6 @@ from bigtg import (
     InvalidBigraph,
     NotCanonical,
     Signature,
-    UntypedControl,
     base_type_graph,
     check_arity_rule,
     check_multiplicities,
@@ -27,13 +26,24 @@ from bigtg import (
     extend_for_signature,
     make_signature,
     ports_of,
+    replace,
     validate_bigraph,
 )
 from bigtg.generators import random_bigraph
 from bigtg import typedgraph
+from bigtg.metamodel import _canonical_rules
 from bigtg.typedgraph import Multiplicity
 
-from helpers import arbitrary_bigraphs, drop_edge, drop_node, edges_of_type, retype_node, set_attr
+from helpers import (
+    add_edge,
+    arbitrary_bigraphs,
+    drop_edge,
+    drop_node,
+    edges_of_type,
+    retarget_edge,
+    retype_node,
+    set_attr,
+)
 
 
 def test_base_type_graph_shape():
@@ -198,8 +208,11 @@ def test_decode_rejects_index_gap(g1, sig1):
 
 
 def test_decode_rejects_generic_node_type(g1, sig1):
-    with pytest.raises(UntypedControl):
+    with pytest.raises(NotCanonical) as err:
         decode(retype_node(g1, "n:v6", "BNode"), sig1)
+    assert [f.line() for f in err.value.report.findings] == [
+        "error untyped-control n:v6 node typed 'BNode' instead of a control type"
+    ]
 
 
 def test_decode_rejects_failed_checkers(g1, sig1):
@@ -214,7 +227,73 @@ def test_decode_rejects_missing_indices(g1, sig1):
     index_free = apply_deltas(g1, FeatureConfig(frozenset({"ST", "ER", "ES", "EP"})), sig1)
     with pytest.raises(NotCanonical) as err:
         decode(index_free, sig1)
-    assert "index" in str(err.value)
+    findings = err.value.report.findings
+    assert {f.code for f in findings} == {"canonical-index"}
+    assert {f.location for f in findings} == {n for n, t in g1.node_types.items() if t in ("BRoot", "BSite", "BPort")}
+
+
+def _two_roots():
+    """A node under each of two roots, and the encoding with root 1 made a
+    child of the node under root 0: no cycle, every multiplicity kept."""
+    sig = make_signature([("K", 0)])
+    b = Bigraph(sig, frozenset({"a", "b"}), ctrl={"a": "K", "b": "K"}, prnt={"a": 0, "b": 1}, outer=Interface(2))
+    g, _ = encode(b)
+    return add_edge(add_edge(g, "adopt", "bPrnt", "r:1", "n:a"), "adopted", "bChld", "n:a", "r:1"), sig
+
+
+def _moved_pair(g, child, parent, new_parent):
+    """``g`` with the nesting pair of ``child`` and ``parent`` moved to
+    ``new_parent``."""
+    g = retarget_edge(g, f"bPrnt:{child}:{parent}", tgt=new_parent)
+    return retarget_edge(g, f"bChld:{parent}:{child}", src=new_parent)
+
+
+def _dropped_pair(g, child, parent):
+    return drop_edge(drop_edge(g, f"bPrnt:{child}:{parent}"), f"bChld:{parent}:{child}")
+
+
+def _without_index(g, n):
+    return replace(g, attrs={key: v for key, v in g.attrs.items() if key != (n, "index")})
+
+
+#: One edit of the printer encoding per canonical rule, each leaving the
+#: four checkers satisfied, and the one finding it gives.
+CANONICAL_CASES = {
+    "untyped": (
+        lambda g: retype_node(g, "n:v6", "BNode"),
+        "untyped-control n:v6 node typed 'BNode' instead of a control type",
+    ),
+    "root-parent": (None, "canonical-parent r:1 root has a parent"),
+    "node-orphan": (lambda g: _dropped_pair(g, "n:v6", "n:v5"), "canonical-parent n:v6 node or site has no parent"),
+    "site-orphan": (lambda g: _dropped_pair(g, "s:0", "n:v3"), "canonical-parent s:0 node or site has no parent"),
+    "site-parent": (lambda g: _moved_pair(g, "n:v6", "n:v5", "s:0"), "canonical-parent s:0 site is a parent"),
+    "no-index": (lambda g: _without_index(g, "p:v1:1"), "canonical-index p:v1:1 port has no 'index'"),
+    "port-repeat": (
+        lambda g: set_attr(g, "p:v1:1", "index", 0),
+        "canonical-index n:v1 port indices [0, 0] are not the gap-free range 0..1",
+    ),
+    "site-gap": (
+        lambda g: set_attr(g, "s:1", "index", 2),
+        "canonical-index BSite site indices [0, 2] are not the gap-free range 0..1",
+    ),
+    "root-shift": (
+        lambda g: set_attr(g, "r:0", "index", 1),
+        "canonical-index BRoot root indices [1] are not the gap-free range 0..0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CANONICAL_CASES))
+def test_each_canonical_rule_gives_its_one_finding_and_decode_refuses_it(case, g1, sig1):
+    edit, line = CANONICAL_CASES[case]
+    g, sig = _two_roots() if edit is None else (edit(g1), sig1)
+    tg = extend_for_signature(sig)
+    assert not any(check.__wrapped__(g, tg).findings for check in (check_typing, check_validity, check_multiplicities))
+    assert check_arity_rule.__wrapped__(g, tg, sig).ok
+    assert [f.line() for f in conformance(g, tg, sig).findings] == ["error " + line]
+    with pytest.raises(NotCanonical) as err:
+        decode(g, sig)
+    assert err.value.report == conformance(g, tg, sig)
 
 
 def test_soundness_printer(b1, g1, emap1):
@@ -304,6 +383,8 @@ def test_single_element_mutations_are_caught(data):
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_conformance_is_the_four_checkers_in_order(data):
+    """The four checkers' findings in order, and then, only when they are
+    empty, the canonical rules' (a bumped index is caught there alone)."""
     b = random_bigraph(random.Random(data.draw(st.integers(0, 100_000))))
     g, _ = encode(b)
     if not g.graph.nodes:
@@ -316,7 +397,9 @@ def test_conformance_is_the_four_checkers_in_order(data):
         + check_multiplicities(mutated, tg).findings
     )
     assert conformance(mutated, tg).findings == without_sig
-    assert conformance(mutated, tg, sig).findings == without_sig + check_arity_rule(mutated, tg, sig).findings
+    with_sig = without_sig + check_arity_rule(mutated, tg, sig).findings
+    canonical = () if with_sig else _canonical_rules(mutated, tg, sig).findings
+    assert conformance(mutated, tg, sig).findings == with_sig + canonical
 
 
 @given(arbitrary_bigraphs())

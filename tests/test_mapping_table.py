@@ -11,11 +11,17 @@ same exception type and message, on clean, edited and near-canonical
 encodings; and ``check_soundness`` the same findings in the same order on
 edited encodings under edited element maps. The bigraphs have no ``bool``
 site or port index, which the references turned into ids of no node.
+
+On edited and near-canonical encodings, an instance graph conforms to
+its signature's metamodel exactly when ``decode`` returns (unless two ids
+of one kind collide once their prefix is stripped), and what it returns
+encodes back to the graph up to renaming of ids.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +32,6 @@ from bigtg.generators import random_bigraph, random_signature
 from bigtg.mapping import (
     InvalidBigraph,
     NotCanonical,
-    UntypedControl,
     check_soundness,
     conformance,
     decode,
@@ -35,7 +40,7 @@ from bigtg.mapping import (
 )
 from bigtg.report import Finding, ValidationReport, report_from
 
-from helpers import drop_edge, mutated_encodings, outcome, ref_node_attrs, ref_outgoing
+from helpers import add_edge, drop_edge, mutated_encodings, outcome, ref_node_attrs, ref_outgoing
 
 # Element kinds of a bigraph; the tags realize the disjointness that the
 # index/name substitutions provide on paper.
@@ -171,6 +176,12 @@ def ref_encode(b: Bigraph) -> tuple[InstanceGraph, ElementMap]:
         attrs=attrs,
     )
     return g, ElementMap(fwd)
+
+
+class UntypedControl(Exception):
+    """The exception that ``ref_decode`` raised for a node typed ``BNode``.
+    The package no longer has it: ``conformance`` reports such a node
+    (``untyped-control``) before ``ref_decode`` reaches its rebuild."""
 
 
 def _strip_prefix(kind: str, gid: str) -> str:
@@ -494,12 +505,14 @@ def rename(g: InstanceGraph, old: str, new: str) -> InstanceGraph:
 
 @st.composite
 def near_canonical(draw):
-    """A clean encoding after edits that mostly keep it conforming, so
-    that ``decode`` reaches its rebuild checks: index values set or
-    dropped, a nesting or link pair of opposite edges moved to other ends
-    (a root as the child, a site as the parent) or dropped, a node renamed so that its id collides with another of its kind once
-    the prefixes are stripped, and a node retyped ``BNode`` or another
-    control."""
+    """A clean encoding after edits that mostly keep the four checkers
+    satisfied, so that the canonical rules and ``decode``'s rebuild are
+    reached: index values set or dropped, a nesting or link pair of
+    opposite edges moved to other ends (a root as the child, a site as the
+    parent) or dropped, a root made the child of a node by a new nesting
+    pair, a node renamed so that its id collides with another of its kind
+    once the prefixes are stripped, and a node retyped ``BNode`` or
+    another control."""
     b = random_bigraph(random.Random(draw(st.integers(0, 1_000_000))), max_sites=draw(st.integers(0, 12)))
     g, _ = encode(b)
     for _ in range(draw(st.integers(1, 3))):
@@ -509,7 +522,8 @@ def near_canonical(draw):
         by_type: dict[str, list[str]] = {}
         for n in nodes:
             by_type.setdefault(g.node_types.get(n, "?"), []).append(n)
-        kind = draw(st.sampled_from(("index", "drop-index", "reparent", "reparent", "relink", "orphan", "collide", "retype")))
+        kinds = ("index", "drop-index", "reparent", "reparent", "relink", "orphan", "adopt", "collide", "retype")
+        kind = draw(st.sampled_from(kinds))
         if kind in ("index", "drop-index"):
             indexed = sorted(n for n in nodes if (n, "index") in g.attrs)
             if not indexed:
@@ -549,6 +563,13 @@ def near_canonical(draw):
             src, tgt = dict(g.graph.src), dict(g.graph.tgt)
             src[e], tgt[e], src[o], tgt[o] = child, parent, parent, child
             g = replace(g, graph=replace(g.graph, src=src, tgt=tgt))
+        elif kind == "adopt":
+            roots = by_type.get("BRoot", [])
+            controls = sorted(n for n in nodes if b.signature.has_control(g.node_types[n]))
+            if not roots or not controls:
+                continue
+            root, node = draw(st.sampled_from(roots)), draw(st.sampled_from(controls))
+            g = add_edge(add_edge(g, f"adopt:{root}", "bPrnt", root, node), f"adopted:{root}", "bChld", node, root)
         elif kind == "collide":
             group = draw(st.sampled_from(sorted(by_type)))
             if len(by_type[group]) < 2:
@@ -619,6 +640,53 @@ def test_decode_of_edited_encodings_matches_reference(case):
 def test_decode_of_near_canonical_encodings_matches_reference(case):
     g, b = case
     assert outcome(decode, g, b.signature) == outcome(ref_decode, g, b.signature)
+
+
+def assert_same_up_to_renaming(g: InstanceGraph, emap: ElementMap, h: InstanceGraph, hmap: ElementMap) -> None:
+    """``h`` is ``g`` with each node renamed to the node that ``hmap`` gives
+    the element that ``emap`` maps to it: the same node types, attributes,
+    and edges, each by its type and its renamed ends."""
+    renamed = {gid: hmap.forward[el] for el, gid in emap.forward.items()}
+    assert renamed.keys() == g.graph.nodes and set(renamed.values()) == h.graph.nodes
+    assert {renamed[n]: t for n, t in g.node_types.items()} == h.node_types
+    assert {(renamed[n], a): v for (n, a), v in g.attrs.items()} == h.attrs
+
+    def edges(x: InstanceGraph, name) -> Counter:
+        return Counter((x.edge_types[e], name(x.graph.src[e]), name(x.graph.tgt[e])) for e in x.graph.edges)
+
+    assert edges(g, renamed.__getitem__) == edges(h, str)
+
+
+def assert_conforms_exactly_when_it_decodes(g: InstanceGraph, sig: Signature, collisions: bool) -> None:
+    """``conformance(g, extend_for_signature(sig), sig)`` holds exactly when
+    ``decode`` returns, and then ``encode`` gives ``g`` back up to renaming.
+    With ``collisions``, a graph that conforms may still raise: only when
+    two ids of one kind collide once their prefix is stripped."""
+    report = conformance(g, extend_for_signature(sig), sig)
+    try:
+        b, emap = decode(g, sig)
+    except NotCanonical as exc:
+        if report.ok:
+            assert collisions and " collide as " in str(exc) and exc.report.ok
+        else:
+            assert exc.report == report
+        return
+    assert report.ok
+    assert_same_up_to_renaming(g, emap, *encode(b))
+
+
+@given(mutated_encodings())
+@settings(max_examples=300, deadline=None)
+def test_an_edited_encoding_conforms_exactly_when_it_decodes(case):
+    g, b = case
+    assert_conforms_exactly_when_it_decodes(g, b.signature, collisions=False)
+
+
+@given(near_canonical())
+@settings(max_examples=300, deadline=None)
+def test_a_near_canonical_encoding_conforms_exactly_when_it_decodes_or_ids_collide(case):
+    g, b = case
+    assert_conforms_exactly_when_it_decodes(g, b.signature, collisions=True)
 
 
 @given(st.integers(0, 1_000_000))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import json
 import random
 import re
 import sys
@@ -40,7 +41,9 @@ from bigtg.generators import random_bigraph
 from bigtg.typedgraph import Multiplicity, node_attrs
 from bigtg.variability import _GROUPS, FEATURE_LEAVES
 
-from helpers import arbitrary_bigraphs, type_graph_variants
+from conftest import FIXTURES
+from helpers import CONFIGS, arbitrary_bigraphs, type_graph_variants
+from test_construction import _office
 from test_index import encodings
 from test_kept_reports import GRAPH_CHECKERS, signature_variants
 
@@ -610,3 +613,37 @@ def test_each_reconfiguration_step_preserves_conformance(step, case):
         stepped = replace(apply_deltas(before, after, sig))
         report = conformance(stepped, derive_type_graph(atg, after))
         assert report.ok, (sorted(config.selected), [f.line() for f in report.findings])
+
+
+def _four_checkers_findings(g, tg, sig):
+    """What ``conformance(g, tg, sig)`` gave before it ran the canonical
+    rules: the findings of the four checkers' unkept bodies, in order."""
+    reports = [check.__wrapped__(g, tg) for check in GRAPH_CHECKERS] + [check_arity_rule.__wrapped__(g, tg, sig)]
+    return tuple(f for report in reports for f in report.findings)
+
+
+@pytest.mark.parametrize("model", ["printer", "office"])
+def test_the_canonical_rules_add_no_finding_to_any_variant(model, g1, sig1, tmp_path):
+    """Each of the 54 variants of the printer model, and of a 1,491-node
+    office model, gives under its derived type graph and the signature
+    the findings of the four checkers alone: the canonical rules apply
+    only where the derived type graph declares what they read (typing by
+    controls, roots, sites, and each ``index``)."""
+    g = g1
+    if model == "office":
+        office = _office()
+        sig_doc = json.loads((FIXTURES / "printer.sig.json").read_text(encoding="utf-8"))
+        path = tmp_path / "office.ig.json"
+        encoding = office.office_model(11, 90, 380, 30, sig_doc).encoding
+        path.write_text(json.dumps(office.envelope("instancegraph", encoding)), encoding="utf-8")
+        g = fileio.load_instance_graph(str(path))
+        assert len(g.graph.nodes) == 1491
+    atg = annotate_150(extend_for_signature(sig1))
+    verdicts = []
+    for cfg in CONFIGS:
+        variant, tg = replace(apply_deltas(g, cfg, sig1)), derive_type_graph(atg, cfg)
+        findings = conformance(variant, tg, sig1).findings
+        assert findings == _four_checkers_findings(variant, tg, sig1), cfg.ordered()
+        verdicts.append(not findings)
+    # Both outcomes occur: without explicit ports, strong typing breaks the arity rule.
+    assert 0 < sum(verdicts) < len(CONFIGS)
