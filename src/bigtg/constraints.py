@@ -14,6 +14,7 @@ import operator
 import re
 import sys
 from collections.abc import Callable, Mapping
+from itertools import chain
 
 from ._value import frozen
 from .typedgraph import InstanceGraph, TypeGraph, all_sub, conforms
@@ -743,15 +744,16 @@ def evaluate(doc: ConstraintDoc, g: InstanceGraph, tg: TypeGraph) -> CheckResult
     one target.
 
     Cost: the context instances are read from the nodes of each node type
-    in ``g.edge_view``. Each navigated edge type groups its edges by
-    source once (``g.edge_view.by_source``), so a navigation reads one
-    group and sorts its targets."""
+    in ``g.edge_view`` that conforms to the context type, which the type
+    graph's subtype table gives (``tg._conforming``). Each navigated edge
+    type groups its edges by source once (``g.edge_view.by_source``), so a
+    navigation reads one group and sorts its targets."""
     runs = typecheck(doc, tg)
     by_type = g.edge_view.by_node_type
-    kinds = [t for t in by_type if t in tg.node_types]
     checks: list[InvariantCheck] = []
     for inv, run in zip(doc.invariants, runs):
-        for n in sorted(n for t in kinds if conforms(tg, t, inv.context_type) for n in by_type[t]):
+        kinds = tg._conforming(inv.context_type).intersection(by_type)
+        for n in sorted(chain.from_iterable(map(by_type.__getitem__, kinds))):
             trace: list[str] = []
             passed = bool(run({"self": n}, g, trace))
             checks.append(InvariantCheck(inv.name, inv.context_type, n, passed, () if passed else tuple(trace)))

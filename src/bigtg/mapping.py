@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from itertools import repeat
+from operator import itemgetter
 
 from ._value import field, frozen
 from .bigraph import Bigraph, Interface, Port, _ports
@@ -70,15 +71,6 @@ class ElementMap:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "forward", dict(self.forward))
-
-
-def element_id(kind: str, key: object) -> str:
-    """Deterministic instance-graph node id for a bigraph element."""
-    prefix = _KINDS[kind][0]
-    if kind == K_PORT:
-        node, index = key  # type: ignore[misc]
-        return f"{prefix}{node}:{index}"
-    return prefix + str(key)
 
 
 def elements_of(b: Bigraph) -> set[Element]:
@@ -150,34 +142,46 @@ def encode(b: Bigraph) -> tuple[InstanceGraph, ElementMap]:
     if not rep.ok:
         raise InvalidBigraph(rep)
 
+    # Each element's id is its kind's prefix and its key as text, a port's
+    # ``node:index``: one column per kind.
     fwd: dict[Element, str] = {}
     ntypes: dict[str, str] = {}
     attrs: dict[tuple[str, str], int | str] = {}
-    for el in elements_of(b):
-        kind, key = el
-        gid = fwd[el] = element_id(kind, key)
-        ntypes[gid] = _KINDS[kind][1] or b.ctrl[key]  # type: ignore[index]
-        if kind in (K_SITE, K_ROOT):
-            attrs[(gid, "index")] = key  # type: ignore[assignment]
-        elif kind == K_PORT:
-            attrs[(gid, "index")] = key.index  # type: ignore[attr-defined]
+    nodes, sites, roots = list(b.nodes), range(b.inner.width), range(b.outer.width)
+    ports = list(_ports(nodes, map(b.signature.arities.__getitem__, map(b.ctrl.__getitem__, nodes))))
+    columns = (
+        (K_NODE, nodes, nodes, ()),
+        (K_EDGE, b.edges, b.edges, ()),
+        (K_PORT, ports, [f"{v}:{i}" for v, i in ports], map(itemgetter(1), ports)),
+        (K_SITE, sites, map(str, sites), sites),
+        (K_ROOT, roots, map(str, roots), roots),
+        (K_INNER, b.inner.names, b.inner.names, ()),
+        (K_OUTER, b.outer.names, b.outer.names, ()),
+    )
+    for kind, keys, texts, indices in columns:
+        prefix, node_type = _KINDS[kind]
+        gids = [prefix + text for text in texts]
+        fwd.update(zip(zip(repeat(kind), keys), gids))
+        ntypes.update(zip(gids, repeat(node_type) if node_type else map(b.ctrl.__getitem__, keys)))
+        attrs.update(zip(zip(gids, repeat("index")), indices))
 
-    def edges() -> Iterator[tuple[str, str, str, str]]:
-        for edge_type, opposite, triples in _relations(b):
-            for _, child, parent in triples:
-                s, t = fwd[child], fwd[parent]
-                for ty, a, z in ((edge_type, s, t), (opposite, t, s)):
-                    yield f"{ty}:{a}:{z}", ty, a, z
-
+    # Each relation's pairs of edges, child to parent and back, each with
+    # the id ``type:src:tgt``. A plain loop: on CPython 3.11, filling the
+    # three dicts from zipped columns measured slower.
     src: dict[str, str] = {}
     tgt: dict[str, str] = {}
     etypes: dict[str, str] = {}
-    count = 0
-    for count, (eid, ty, a, z) in enumerate(edges(), 1):
-        src[eid], tgt[eid], etypes[eid] = a, z, ty
-    if len(etypes) != count:
+    ids: list[str] = []
+    for edge_type, opposite, triples in _relations(b):
+        for _, child, parent in triples:
+            s, t = fwd[child], fwd[parent]
+            forward, back = f"{edge_type}:{s}:{t}", f"{opposite}:{t}:{s}"
+            src[forward], tgt[forward], etypes[forward] = s, t, edge_type
+            src[back], tgt[back], etypes[back] = t, s, opposite
+            ids += forward, back
+    if len(etypes) != len(ids):
         seen: set[str] = set()
-        for eid, *_ in edges():
+        for eid in ids:
             if eid in seen:
                 finding = Finding("edge-id-collision", eid, f"two relations are both edge {eid}")
                 raise InvalidBigraph(report_from([finding]))
@@ -185,11 +189,6 @@ def encode(b: Bigraph) -> tuple[InstanceGraph, ElementMap]:
 
     g = InstanceGraph._adopt(Graph._adopt(frozenset(fwd.values()), frozenset(etypes), src, tgt), ntypes, etypes, attrs)
     return g, ElementMap._adopt(fwd)
-
-
-def _strip_prefix(kind: str, gid: str) -> str:
-    prefix = _KINDS[kind][0]
-    return gid[len(prefix) :] if gid.startswith(prefix) else gid
 
 
 def decode(g: InstanceGraph, sig: Signature) -> tuple[Bigraph, ElementMap]:
@@ -217,32 +216,42 @@ def decode(g: InstanceGraph, sig: Signature) -> tuple[Bigraph, ElementMap]:
     for t, nodes in view.by_node_type.items():
         gids[kind_of_type[t]] += nodes
 
-    # The bigraph key of each graph node, per kind.
+    # The bigraph key of each graph node, per kind: its id without its
+    # kind's prefix, or a place's index, or a port's owner's key and index.
     keys: dict[str, dict[object, str]] = {}
     for kind in (K_NODE, K_EDGE, K_INNER, K_OUTER):
-        recovered = keys[kind] = {}
-        for gid in sorted(gids[kind]):
-            key = _strip_prefix(kind, gid)
-            if key in recovered:
-                raise NotCanonical(f"{kind} identifiers {recovered[key]!r} and {gid!r} collide as {key!r}")
-            recovered[key] = gid
+        prefix, of_kind = _KINDS[kind][0], gids[kind]
+        recovered = keys[kind] = dict(zip(map(str.removeprefix, of_kind, repeat(prefix)), of_kind))
+        if len(recovered) < len(of_kind):
+            first: dict[str, str] = {}
+            for gid in sorted(of_kind):
+                key = gid.removeprefix(prefix)
+                if key in first:
+                    raise NotCanonical(f"{kind} identifiers {first[key]!r} and {gid!r} collide as {key!r}")
+                first[key] = gid
+    index_of = g.attrs.__getitem__
     for kind in (K_ROOT, K_SITE):
-        keys[kind] = {g.attrs[gid, "index"]: gid for gid in gids[kind]}
-    src, tgt = g.graph.src.__getitem__, g.graph.tgt.__getitem__
+        keys[kind] = dict(zip(map(index_of, zip(gids[kind], repeat("index"))), gids[kind]))
+    tgt = g.graph.tgt.__getitem__
     owner_of = dict(zip(view.sources.get("bNode", ()), map(tgt, view.by_type.get("bNode", ()))))
-    keys[K_PORT] = {Port(_strip_prefix(K_NODE, owner_of[gid]), g.attrs[gid, "index"]): gid for gid in gids[K_PORT]}
-    fwd = {(kind, key): gid for kind, recovered in keys.items() for key, gid in recovered.items()}
+    ports = gids[K_PORT]
+    holders = map(str.removeprefix, map(owner_of.__getitem__, ports), repeat(_KINDS[K_NODE][0]))
+    port_keys = map(tuple.__new__, repeat(Port), zip(holders, map(index_of, zip(ports, repeat("index")))))
+    keys[K_PORT] = dict(zip(port_keys, ports))
+    fwd: dict[Element, str] = {}
+    for kind, recovered in keys.items():
+        fwd.update(zip(zip(repeat(kind), recovered), recovered.values()))
     # Each parent and link edge, as its source's key mapped to its target's.
-    key_of = {gid: key for (_, key), gid in fwd.items()}.__getitem__
+    key_of = dict(zip(fwd.values(), map(itemgetter(1), fwd))).__getitem__
     prnt, link = (
-        dict(zip(map(key_of, map(src, edges)), map(key_of, map(tgt, edges))))
-        for edges in map(view.by_type.get, ("bPrnt", "bLink"), repeat(()))
+        dict(zip(map(key_of, view.sources.get(te, ())), map(key_of, map(tgt, view.by_type.get(te, ())))))
+        for te in ("bPrnt", "bLink")
     )
     b = Bigraph._adopt(
         sig,
         frozenset(keys[K_NODE]),
         frozenset(keys[K_EDGE]),
-        {v: g.node_types[gid] for v, gid in keys[K_NODE].items()},
+        dict(zip(keys[K_NODE], map(g.node_types.__getitem__, keys[K_NODE].values()))),
         prnt,
         link,
         Interface._adopt(len(keys[K_SITE]), frozenset(keys[K_INNER])),

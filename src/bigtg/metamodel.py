@@ -29,7 +29,6 @@ from .typedgraph import (
     check_multiplicities,
     check_typing,
     check_validity,
-    declared_attrs,
     keeps_report,
     symmetric_pairs,
 )
@@ -143,12 +142,13 @@ def check_arity_rule(g: InstanceGraph, tg: TypeGraph, sig: Signature) -> Validat
 
     Cost: the arity is one more multiplicity: the controls that share an
     arity ``a`` share one ``[a,a]`` bound on ``bPorts``, which
-    :func:`_bound_findings` tests, and walks only when it fails."""
+    :func:`_bound_findings` tests, and walks only when it fails; each is
+    built unchecked, from an arity that ``Signature`` has checked."""
     controls: dict[int, set[str]] = {}
     for c in sig.names:
         if c in tg.node_types and c in sig.arities:
             controls.setdefault(sig.arities[c], set()).add(c)
-    bounds = [("bPorts", of_arity, Multiplicity(a, a)) for a, of_arity in controls.items()]
+    bounds = [("bPorts", of_arity, Multiplicity._adopt(a, a)) for a, of_arity in controls.items()]
     return report_from(_bound_findings(g, bounds, _arity_finding))
 
 
@@ -187,7 +187,7 @@ def _canonical_rules(g: InstanceGraph, tg: TypeGraph, sig: Signature) -> Validat
 
     owner_of = dict(zip(view.sources.get("bNode", ()), map(g.graph.tgt.__getitem__, view.by_type.get("bNode", ()))))
     for t, what in (("BRoot", "root"), ("BSite", "site"), ("BPort", "port")):
-        if t not in tg.node_types or "index" not in declared_attrs(tg, t):
+        if t not in tg.node_types or "index" not in tg._attrs[t]:
             continue
         members = of_type.get(t, [])
         owners = list(map(owner_of.get, members, repeat(t)))

@@ -45,8 +45,9 @@ class Graph:
     Construction copies each field and raises ``TypeError`` unless ids
     are exactly ``str``, and ``ValueError`` unless the keys of ``src`` and
     of ``tgt`` are the edges and each end is a node, as the readers give
-    them: a structure with a missing or unknown end is no graph. A
-    :class:`TypeGraph`'s graph is one too, of node and edge types."""
+    them: a structure with a missing or unknown end is no graph. ``tgt``
+    is copied in the key order of ``src``. A :class:`TypeGraph`'s graph is
+    one too, of node and edge types."""
 
     nodes: frozenset[str] = frozenset()
     edges: frozenset[str] = frozenset()
@@ -63,6 +64,7 @@ class Graph:
         check_keys(self, "tgt", tgt, edges, "an edge")
         check_within(self, "src", nodes, "a node", src.values())
         check_within(self, "tgt", nodes, "a node", tgt.values())
+        tgt = dict(zip(src, map(tgt.__getitem__, src)))
         for name, value in zip(("nodes", "edges", "src", "tgt"), (nodes, edges, src, tgt)):
             object.__setattr__(self, name, value)
 
@@ -108,9 +110,11 @@ class TypeGraph:
     Equal arguments share one type graph: ``extend_for_signature`` keeps
     one per set of control names, and ``annotate_150``,
     ``derive_type_graph`` and the writer keep what they build or print on
-    it. So its dicts may not be mutated; build a new value (through the
-    constructor or ``bigtg.replace``) instead. A copy or a pickle is
-    rebuilt from the fields and keeps none of this."""
+    it. It also keeps one table, built on first use, for each question a
+    checker asks of it alone (``_supertypes`` to ``_opposite``). So its
+    dicts may not be mutated; build a new value (through the constructor
+    or ``bigtg.replace``) instead. A copy or a pickle is rebuilt from the
+    fields and keeps none of this."""
 
     graph: Graph
     inherits: frozenset[tuple[str, str]] = frozenset()
@@ -147,20 +151,35 @@ class TypeGraph:
 
     @cached_property
     def _supertypes(self) -> dict[str, frozenset[str]]:
-        """Transitive supertypes of every type with a declared supertype,
-        computed once; a type on an inheritance cycle is among its own."""
-        parents = _parents(self)
-        closure: dict[str, frozenset[str]] = {}
-        for t in parents:
-            out: set[str] = set()
-            frontier = [t]
-            while frontier:
-                for sup in parents.get(frontier.pop(), ()):
-                    if sup not in out:
-                        out.add(sup)
-                        frontier.append(sup)
-            closure[t] = frozenset(out)
-        return closure
+        """Each type's transitive supertypes; a type on a cycle is among its own."""
+        return _closure(_parents(self.inherits))
+
+    @cached_property
+    def _subtypes(self) -> dict[str, frozenset[str]]:
+        """Each type's transitive subtypes; a type on a cycle is among its own."""
+        return _closure(_parents((sup, sub) for sub, sup in self.inherits))
+
+    def _conforming(self, t: str) -> frozenset[str]:
+        """The node types that conform to the node type ``t``."""
+        return self.graph.nodes.intersection(self._subtypes.get(t, ())).union((t,))
+
+    @cached_property
+    def _ends(self) -> tuple[frozenset[tuple[str, str]], ...]:
+        """Per end, sources first, the ``(edge type, node type)`` pairs whose node type conforms."""
+        ends = (self.graph.src, self.graph.tgt)
+        return tuple(frozenset((te, t) for te, decl in end.items() for t in self._conforming(decl)) for end in ends)
+
+    @cached_property
+    def _attrs(self) -> dict[str, dict[str, str]]:
+        """Each node type's merged attribute declarations: its supertypes' in sorted order, then its own."""
+        decls, sups, nodes = self.attr_decls, self._supertypes, self.graph.nodes
+        return {t: {a: d for s in (*sorted(sups.get(t, ())), t) for a, d in decls.get(s, {}).items()} for t in nodes}
+
+    @cached_property
+    def _bounds(self) -> list[tuple[str, frozenset[str], Multiplicity]]:
+        """Each edge type bounded other than ``[0,*]``, sorted, with the node types conforming to its source."""
+        bounded = [(te, m) for te, m in sorted(self.mult.items()) if te in self.graph.edges and (m.lb or m.ub is not None)]
+        return [(te, self._conforming(self.graph.src[te]), m) for te, m in bounded]
 
     @cached_property
     def _opposite(self) -> dict[str, str]:
@@ -173,11 +192,12 @@ class TypeGraph:
 
 
 class EdgeView:
-    """The edges of an instance graph in one fixed order (the iteration
-    order of ``g.graph.edges``) with their ``src``, ``tgt`` and type
-    columns, and the edges and their sources grouped by edge type, each
-    group in that order; and the nodes grouped by node type, each group in
-    the iteration order of ``g.graph.nodes``. Built in C-level passes.
+    """The edges of an instance graph in the graph's own order, the key
+    order that ``g.graph.src``, ``g.graph.tgt`` and ``g.edge_types`` share,
+    with their ``src``, ``tgt`` and type columns read as those dicts'
+    values; the edges and their sources grouped by edge type, each group
+    in that order; and the nodes grouped by node type, each group in the
+    iteration order of ``g.graph.nodes``. Built in C-level passes.
     The edges of one edge type grouped by source, which constraint
     navigation reads, are built the first time that edge type is asked
     for (:meth:`by_source`) and kept."""
@@ -185,10 +205,10 @@ class EdgeView:
     __slots__ = ("edges", "src", "tgt", "type", "by_type", "sources", "by_node_type", "_by_source")
 
     def __init__(self, g: InstanceGraph) -> None:
-        self.edges = edges = tuple(g.graph.edges)
-        self.src = list(map(g.graph.src.__getitem__, edges))
-        self.tgt = list(map(g.graph.tgt.__getitem__, edges))
-        self.type = list(map(g.edge_types.__getitem__, edges))
+        self.edges = edges = tuple(g.graph.src)
+        self.src = list(g.graph.src.values())
+        self.tgt = list(g.graph.tgt.values())
+        self.type = list(g.edge_types.values())
         self.by_type = _grouped(self.type, edges)
         self.sources = _grouped(self.type, self.src)
         self.by_node_type = _grouped(list(map(g.node_types.__getitem__, g.graph.nodes)), g.graph.nodes)
@@ -238,8 +258,9 @@ class InstanceGraph:
     and each attribute value is exactly an ``int`` or a ``str``; and
     ``ValueError`` unless the typing is total (the keys of ``node_types``
     are the nodes and those of ``edge_types`` the edges) and each
-    attribute's owner is a node, as the readers give them. A type that the
-    type graph lacks is a finding of the checkers.
+    attribute's owner is a node, as the readers give them. ``edge_types``
+    is copied in the key order of ``graph.src``, which ``edge_view`` reads.
+    A type that the type graph lacks is a finding of the checkers.
     """
 
     graph: Graph
@@ -258,6 +279,7 @@ class InstanceGraph:
         check_keys(self, "node_types", node_types, nodes, "a node")
         check_keys(self, "edge_types", edge_types, self.graph.edges, "an edge")
         check_within(self, "attrs", nodes, "a node", set(map(itemgetter(0), attrs)), "an attribute of ")
+        edge_types = dict(zip(self.graph.src, map(edge_types.__getitem__, self.graph.src)))
         object.__setattr__(self, "node_types", node_types)
         object.__setattr__(self, "edge_types", edge_types)
         object.__setattr__(self, "attrs", attrs)
@@ -299,12 +321,26 @@ def incoming(g: InstanceGraph, n: str, edge_type: str) -> list[str]:
     return sorted(e for e in g.edge_view.by_type.get(edge_type, ()) if tgt[e] == n)
 
 
-def _parents(tg: TypeGraph) -> dict[str, list[str]]:
+def _parents(inherits: Iterable[tuple[str, str]]) -> dict[str, list[str]]:
     """Direct supertypes of every type that has one, sorted."""
     parents: dict[str, set[str]] = {}
-    for sub, sup in tg.inherits:
+    for sub, sup in inherits:
         parents.setdefault(sub, set()).add(sup)
     return {t: sorted(sups) for t, sups in parents.items()}
+
+
+def _closure(step: Mapping[str, list[str]]) -> dict[str, frozenset[str]]:
+    """What each key of ``step`` reaches in one or more steps; a key on a cycle reaches itself."""
+    closure: dict[str, frozenset[str]] = {}
+    for t in step:
+        out: set[str] = set()
+        frontier = [t]
+        while frontier:
+            new = set(step.get(frontier.pop(), ())) - out
+            frontier += new
+            out |= new
+        closure[t] = frozenset(out)
+    return closure
 
 
 def _require(tg: TypeGraph, t: str) -> None:
@@ -316,7 +352,7 @@ def all_sub(tg: TypeGraph, t: str) -> set[str]:
     """All transitive subtypes of ``t``; ``t`` itself is among them only
     when it lies on an inheritance cycle."""
     _require(tg, t)
-    return {sub for sub, sups in tg._supertypes.items() if t in sups}
+    return set(tg._subtypes.get(t, ()))
 
 
 def all_super(tg: TypeGraph, t: str) -> set[str]:
@@ -331,16 +367,14 @@ def conforms(tg: TypeGraph, t: str, target: str) -> bool:
     if t == target:
         return True
     _require(tg, target)
-    return target in tg._supertypes.get(t, ())
+    return t in tg._subtypes.get(target, ())
 
 
 def declared_attrs(tg: TypeGraph, t: str) -> dict[str, str]:
-    """Attribute declarations of ``t`` merged with those it inherits."""
-    merged: dict[str, str] = {}
-    for sup in sorted(all_super(tg, t)):
-        merged.update(tg.attr_decls.get(sup, {}))
-    merged.update(tg.attr_decls.get(t, {}))
-    return merged
+    """Attribute declarations of ``t`` merged with those it inherits: a
+    copy of its entry in the type graph's table."""
+    _require(tg, t)
+    return dict(tg._attrs[t])
 
 
 def keeps_report(checker: Callable[..., ValidationReport]) -> Callable[..., ValidationReport]:
@@ -382,8 +416,8 @@ def walk_suspects(
     ``elements`` (iterated again in that order), and must
     determine whether ``check`` flags the element.
     ``check`` runs on one element of each distinct key, and then on every
-    element of the keys it flagged. ``check_typing`` walks only the
-    elements whose whole-column test failed.
+    element of the keys it flagged. ``check_typing`` walks the attributes,
+    and the nodes or edges only when their whole-column test failed.
     """
     keys = list(keys)
     bad = {key for key, el in dict(zip(keys, elements)).items() if check(el)}
@@ -400,79 +434,47 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     lacks is reported on its node, and not checked again on the edge or
     the attribute.
 
-    Cost: C-level passes gather whole columns into sets: the node types
-    and the edge ends (from ``g.edge_view``), the distinct ``(edge type, end
-    type)`` pairs of each end, and the distinct ``(owner type, attribute,
-    value class)`` triples. A clean graph passes subset tests on those
-    sets, which ask :func:`conforms` once per distinct ``(end type,
-    declared type)`` pair and :func:`declared_attrs` once per owner type.
-    Only the nodes, edges or attributes whose test fails are walked: the
-    rules run once per distinct shape key of an element, and only the
+    Cost: C-level passes gather whole columns: the node types (from
+    ``g.edge_view``), and for each end the ``(edge type, end type)`` pair
+    of every edge. A clean graph passes one subset test per column against
+    the type graph's tables: its node types and abstract types, and the
+    pairs whose end conforms (``tg._ends``), one set per end. Only the
+    nodes or edges whose test fails are walked, and the attributes are
+    walked against each owner type's merged declarations (``tg._attrs``):
+    the rules run once per distinct shape key of an element, and only the
     elements of a failing key are sorted and checked (see
     :func:`walk_suspects`). The report is kept on ``g``
     (:func:`keeps_report`)."""
-    view = g.edge_view
-    nodes, nt = g.graph.nodes, g.node_types
+    view, nt, known = g.edge_view, g.node_types, tg.node_types
+    ends, declared = tg._ends, tg._attrs
 
     def check_node(n: str) -> list[Finding]:
         t = nt[n]
-        if t not in tg.node_types:
+        if t not in known:
             return [Finding("typing-unknown-type", n, f"node typed by unknown type {t!r}")]
         if t in tg.abstracts:
             return [Finding("typing-abstract", n, f"abstract type {t!r} instantiated")]
         return []
-
-    # Conformance is decided once per (end type, declared type) pair.
-    decls = (tg.graph.src, tg.graph.tgt)
-    conforming: dict[tuple[str, str], bool] = {}
-
-    def conforms_to(t_end: str, decl: str) -> bool:
-        ok = conforming.get((t_end, decl))
-        if ok is None:
-            ok = conforming[t_end, decl] = conforms(tg, t_end, decl)
-        return ok
-
-    def end_fits(te: str, t_end: str, side: int) -> bool:
-        """Whether ``check_edge`` passes the type and one end of an edge of
-        type ``te`` whose end (src for side 0, tgt for 1) is a node of type
-        ``t_end``."""
-        decl = decls[side].get(te)
-        return decl is not None and (t_end not in tg.node_types or conforms_to(t_end, decl))
 
     def check_edge(e: str) -> list[Finding]:
         te = g.edge_types[e]
         if te not in tg.edge_types:
             return [Finding("typing-unknown-type", e, f"edge typed by unknown type {te!r}")]
         findings: list[Finding] = []
-        for role, end, decl in (("source", g.graph.src[e], decls[0][te]), ("target", g.graph.tgt[e], decls[1][te])):
+        sides = (("source", g.graph.src[e], tg.graph.src, ends[0]), ("target", g.graph.tgt[e], tg.graph.tgt, ends[1]))
+        for role, end, decls, fits in sides:
             t_end = nt[end]
-            if t_end in tg.node_types and not conforms_to(t_end, decl):  # else reported on the node
-                message = f"{role} type {t_end!r} incompatible with {te!r} (expects {decl!r})"
+            if t_end in known and (te, t_end) not in fits:  # else reported on the node
+                message = f"{role} type {t_end!r} incompatible with {te!r} (expects {decls[te]!r})"
                 findings.append(Finding("typing-" + role, e, message))
         return findings
-
-    attr_decls: dict[str, dict[str, str]] = {}
-
-    def declared(t: str) -> dict[str, str]:
-        decls = attr_decls.get(t)
-        if decls is None:
-            decls = attr_decls[t] = declared_attrs(tg, t)
-        return decls
-
-    def attr_fits(t: str, a: str, cls: type) -> bool:
-        """Whether ``check_attr`` passes an attribute ``a`` of class
-        ``cls`` on a node of type ``t``."""
-        if t not in tg.node_types:
-            return True
-        decls = declared(t)
-        return a in decls and _misfit(decls[a], cls) is None
 
     def check_attr(item: tuple[tuple[str, str], int | str]) -> list[Finding]:
         (n, a), v = item
         t = nt[n]
-        if t not in tg.node_types:
+        decls = declared.get(t)
+        if decls is None:  # an unknown type, reported on the node
             return []
-        decls = declared(t)
         if a not in decls:
             return [Finding("attr-undeclared", f"{n}.{a}", f"attribute {a!r} not declared for type {t!r}")]
         misfit = _misfit(decls[a], type(v))
@@ -481,21 +483,18 @@ def check_typing(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
         return []
 
     findings: list[Finding] = []
-    kinds = view.by_node_type.keys()
-    if not kinds <= tg.node_types or not kinds.isdisjoint(tg.abstracts):
+    kinds, nodes = view.by_node_type.keys(), g.graph.nodes
+    if not kinds <= known or not kinds.isdisjoint(tg.abstracts):
         findings += walk_suspects(nodes, map(nt.__getitem__, nodes), check_node)
 
-    edges, types = view.edges, view.type
+    types = view.type
     src_types, tgt_types = list(map(nt.__getitem__, view.src)), list(map(nt.__getitem__, view.tgt))
-    if not all(end_fits(te, t, 0) for te, t in set(zip(types, src_types))) or not all(
-        end_fits(te, t, 1) for te, t in set(zip(types, tgt_types))
-    ):
-        findings += walk_suspects(edges, zip(types, src_types, tgt_types), check_edge)
+    if not ends[0].issuperset(zip(types, src_types)) or not ends[1].issuperset(zip(types, tgt_types)):
+        findings += walk_suspects(view.edges, zip(types, src_types, tgt_types), check_edge)
 
-    owners, names = list(map(itemgetter(0), g.attrs)), list(map(itemgetter(1), g.attrs))
-    owner_types, classes = list(map(nt.__getitem__, owners)), list(map(type, g.attrs.values()))
-    if not all(attr_fits(*shape) for shape in set(zip(owner_types, names, classes))):
-        findings += walk_suspects(g.attrs.items(), zip(owner_types, names, classes), check_attr)
+    owner_types = map(nt.__getitem__, map(itemgetter(0), g.attrs))
+    shapes = zip(owner_types, map(itemgetter(1), g.attrs), map(type, g.attrs.values()))
+    findings += walk_suspects(g.attrs.items(), shapes, check_attr)
     return report_from(findings)
 
 
@@ -684,16 +683,10 @@ def check_multiplicities(g: InstanceGraph, tg: TypeGraph) -> ValidationReport:
     Edge types without a multiplicity are skipped (``check_type_graph``
     reports them). The report is kept on ``g`` (:func:`keeps_report`).
 
-    Cost: each edge type bounded other than ``[0,*]`` applies to the node
-    types of ``g.edge_view`` that conform to its ``src``; the bounds are
-    tested, and only the failing ones walked, by :func:`_bound_findings`."""
-    kinds = tg.node_types.intersection(g.edge_view.by_node_type)
-    bounds = []
-    for te in sorted(tg.edge_types):
-        m, decl = tg.mult.get(te), tg.graph.src[te]
-        if m is not None and (m.lb > 0 or m.ub is not None):
-            bounds.append((te, {t for t in kinds if conforms(tg, t, decl)}, m))
-    return report_from(_bound_findings(g, bounds, _mult_finding))
+    Cost: the bounds are a table of ``tg`` (``tg._bounds``); they are
+    tested on ``g.edge_view``, and only the failing ones walked, by
+    :func:`_bound_findings`."""
+    return report_from(_bound_findings(g, tg._bounds, _mult_finding))
 
 
 def _mult_finding(n: str, t: str, te: str, m: Multiplicity, count: int) -> Finding:

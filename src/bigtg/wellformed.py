@@ -159,7 +159,7 @@ def check_type_graph(tg: TypeGraph) -> ValidationReport:
     for sub, sup in sorted(tg.inherits):
         if sub not in tg.node_types or sup not in tg.node_types:
             flag("tg-inherits-ref", f"({sub},{sup})", "inheritance references unknown node type")
-    for cycle in _cycles(_parents(tg)):
+    for cycle in _cycles(_parents(tg.inherits)):
         flag("tg-inherits-cycle", cycle[0], "inheritance cycle through " + cycle[0])
 
     for t in sorted(tg.abstracts - tg.node_types):

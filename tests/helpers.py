@@ -20,6 +20,7 @@ from bigtg import (
     Port,
     Signature,
     TypeGraph,
+    UnknownType,
     annotate_150,
     derive_type_graph,
     encode,
@@ -82,6 +83,59 @@ def ref_node_attrs(g: InstanceGraph, n: str) -> dict:
 def ref_out_degree(g: InstanceGraph, n: str, edge_type: str) -> int:
     """The number of edges of ``edge_type`` whose ``src`` is ``n``."""
     return sum(1 for e in g.graph.edges if g.graph.src.get(e) == n and g.edge_types.get(e) == edge_type)
+
+
+# Copies of the type-graph queries as they were before the type graph kept
+# a table per question: each recomputes the subtype closure on every call.
+
+
+def ref_supertypes(tg: TypeGraph) -> dict[str, frozenset[str]]:
+    """Transitive supertypes of every type with a declared supertype; a
+    type on an inheritance cycle is among its own."""
+    parents: dict[str, set[str]] = {}
+    for sub, sup in tg.inherits:
+        parents.setdefault(sub, set()).add(sup)
+    closure: dict[str, frozenset[str]] = {}
+    for t in parents:
+        out: set[str] = set()
+        frontier = [t]
+        while frontier:
+            for sup in parents.get(frontier.pop(), ()):
+                if sup not in out:
+                    out.add(sup)
+                    frontier.append(sup)
+        closure[t] = frozenset(out)
+    return closure
+
+
+def _ref_require(tg: TypeGraph, t: str) -> None:
+    if t not in tg.node_types:
+        raise UnknownType(f"unknown node type {t!r}")
+
+
+def ref_all_sub(tg: TypeGraph, t: str) -> set[str]:
+    _ref_require(tg, t)
+    return {sub for sub, sups in ref_supertypes(tg).items() if t in sups}
+
+
+def ref_all_super(tg: TypeGraph, t: str) -> set[str]:
+    _ref_require(tg, t)
+    return set(ref_supertypes(tg).get(t, ()))
+
+
+def ref_conforms(tg: TypeGraph, t: str, target: str) -> bool:
+    if t == target:
+        return True
+    _ref_require(tg, target)
+    return target in ref_supertypes(tg).get(t, ())
+
+
+def ref_declared_attrs(tg: TypeGraph, t: str) -> dict[str, str]:
+    merged: dict[str, str] = {}
+    for sup in sorted(ref_all_super(tg, t)):
+        merged.update(tg.attr_decls.get(sup, {}))
+    merged.update(tg.attr_decls.get(t, {}))
+    return merged
 
 
 def drop_edge(g: InstanceGraph, eid: str) -> InstanceGraph:
@@ -213,12 +267,16 @@ BOUNDS = tuple(Multiplicity(lb, ub) for lb, ub in ((0, None), (0, 0), (0, 1), (1
 
 
 @st.composite
-def type_graph_variants(draw, sig: Signature | None = None, tg: TypeGraph | None = None):
+def type_graph_variants(draw, sig: Signature | None = None, tg: TypeGraph | None = None, hierarchy: bool = False):
     """The signature's type graph, or one of its 54 configurations, or
     else ``tg``, with up to three edge types edited: an end moved to
     another node type, an extra (possibly one-sided) opposite, containment
     toggled, or the multiplicity changed or dropped. An end stays a node
-    type, as its graph requires."""
+    type, as its graph requires. With ``hierarchy``, up to four more edits
+    of the node types follow: an inheritance pair added (so a type may get
+    several supertypes, or lie on a cycle, or inherit from a type that is
+    no node type) or dropped, abstractness toggled, or an attribute
+    declared."""
     if tg is None:
         tg = extend_for_signature(sig)
         cfg = draw(st.sampled_from((None, *CONFIGS)))
@@ -241,7 +299,24 @@ def type_graph_variants(draw, sig: Signature | None = None, tg: TypeGraph | None
         else:
             mult.pop(e, None)
     graph = Graph(nodes=tg.graph.nodes, edges=tg.graph.edges, src=src, tgt=tgt)
-    return replace(tg, graph=graph, opposites=opposites, containments=containments, mult=mult)
+    tg = replace(tg, graph=graph, opposites=opposites, containments=containments, mult=mult)
+    if not hierarchy:
+        return tg
+    inherits, abstracts = set(tg.inherits), set(tg.abstracts)
+    attr_decls = {t: dict(decls) for t, decls in tg.attr_decls.items()}
+    types = sorted(tg.node_types)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("inherit", "uninherit", "abstract", "attr")))
+        t = draw(st.sampled_from(types))
+        if kind == "inherit":
+            inherits.add((t, draw(st.sampled_from((*types, "Ghost")))))
+        elif kind == "uninherit" and inherits:
+            inherits.discard(draw(st.sampled_from(sorted(inherits))))
+        elif kind == "abstract":
+            abstracts ^= {t}
+        elif kind == "attr":
+            attr_decls.setdefault(t, {})[draw(st.sampled_from(("index", "x")))] = draw(st.sampled_from(("int", "string")))
+    return replace(tg, inherits=inherits, abstracts=abstracts, attr_decls=attr_decls)
 
 
 #: Link names that inner and outer interfaces draw from, so that an inner

@@ -63,7 +63,8 @@ def encodings_with_attributes(draw):
 def test_checker_tables_keep_findings_and_order(case, data):
     g, b = case
     sig = b.signature
-    for tg in (extend_for_signature(sig), data.draw(type_graph_variants(sig))):
+    variants = (data.draw(type_graph_variants(sig)), data.draw(type_graph_variants(sig, hierarchy=True)))
+    for tg in (extend_for_signature(sig), *variants):
         assert check_typing(g, tg).findings == ref_check_typing(g, tg).findings
         assert check_typing(g, tg).findings == memo_check_typing(g, tg).findings
         assert check_validity(g, tg).findings == ref_check_validity(g, tg).findings

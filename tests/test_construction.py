@@ -204,6 +204,8 @@ def test_a_value_either_is_refused_at_construction_or_gives_only_findings(
     value = _built(edits[data.draw(st.sampled_from(sorted(edits)), label="edit")])
     if value is None:
         return
+    assert_one_order(value)
+    assert_one_order(getattr(value, "graph", None))
     if kind == "bigraph":
         validate_bigraph(value)
         check_soundness(value, g1, emap1)
@@ -366,12 +368,26 @@ def _office():
 DOCUMENTS = sorted(p.name for p in FIXTURES.glob("*.json")) + sorted(f"corpus/{p.name}" for p in FIXTURES.glob("corpus/*.json"))
 
 
+def assert_one_order(value) -> None:
+    """A graph's ``src`` and ``tgt``, and an instance graph's
+    ``edge_types`` with them, share one key order, which its edge view
+    reads."""
+    if isinstance(value, InstanceGraph):
+        assert list(value.graph.src) == list(value.edge_types) == list(value.edge_view.edges)
+        value = value.graph
+    if isinstance(value, Graph):
+        assert list(value.src) == list(value.tgt)
+
+
 def assert_constructs(value) -> None:
     """``value``, and each value of a value class among its fields (a
     graph's ``Graph``, a bigraph's interfaces), is what the constructor
-    builds from its fields: the constructors' checks pass on it."""
+    builds from its fields: the constructors' checks pass on it, and it
+    and the rebuilt value keep one key order (:func:`assert_one_order`)."""
     rebuilt = replace(value)
     assert type(rebuilt) is type(value) and rebuilt == value
+    assert_one_order(value)
+    assert_one_order(rebuilt)
     for name in value._fields:
         held = getattr(value, name)
         if "_adopt" in vars(type(held)):
@@ -410,10 +426,16 @@ def test_every_graph_the_package_adopts_passes_the_constructor(case):
     on an edited encoding in all 54 configurations, on a bigraph's own
     encoding and on what decodes, is what the constructors build from its
     fields. The readers are held to the same on the fixtures and on
-    office models above."""
+    office models above. The constructors give ``tgt`` and ``edge_types``
+    the key order of ``src``, whatever order they are handed."""
     g, b = case
     sig = b.signature
     encoded, emap = encode(b)
+    graph = encoded.graph
+    shuffled = Graph(graph.nodes, graph.edges, graph.src, dict(reversed(graph.tgt.items())))
+    rebuilt = InstanceGraph(shuffled, encoded.node_types, dict(reversed(encoded.edge_types.items())), encoded.attrs)
+    assert_one_order(rebuilt)
+    assert list(rebuilt.graph.src) == list(graph.src) and rebuilt == encoded
     for value in (encoded, emap):
         assert_constructs(value)
     for value in decode(encoded, sig):

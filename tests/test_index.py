@@ -427,9 +427,12 @@ def test_out_degree_and_typed_edges_match_brute_force(case):
             assert counts[n] == ref_out_degree(g, n, te)
             assert sorted(groups.get(n, ())) == ref_outgoing(g, n, te)
         assert sum(map(len, groups.values())) == sum(counts.values())
+    # Each edge type's edges in the graph's own order: the key order that
+    # ``src``, ``tgt`` and ``edge_types`` share.
+    assert list(g.graph.src) == list(g.graph.tgt) == list(types) == list(view.edges)
     for te in EDGE_TYPES:
         picked = view.by_type.get(te, [])
-        assert picked == [e for e in g.graph.edges if types.get(e) == te]
+        assert picked == [e for e in g.graph.src if types.get(e) == te]
     # The nodes of each node type, also with the two smallest nodes
     # retyped by a type that no other node has, and for types that no
     # node has.

@@ -22,6 +22,9 @@ from bigtg import (
     InstanceGraph,
     annotate_150,
     apply_deltas,
+    check_multiplicities,
+    check_typing,
+    check_validity,
     conformance,
     derive_type_graph,
     encode,
@@ -43,7 +46,7 @@ def test_a_copy_or_a_pickle_is_rebuilt_from_the_fields(fixtures_dir):
     a derived type graph with its text kept each survive ``copy``,
     ``deepcopy`` and ``pickle`` as an equal value with the same canonical
     text; what each kept beside its fields (its view, parts, record,
-    derivations or text) does not travel."""
+    derivations, text or type-graph tables) does not travel."""
     g = fileio.load_instance_graph(str(fixtures_dir / "printer.ig.json"))
     sig = fileio.load_signature(str(fixtures_dir / "printer.sig.json"))
     b = fileio.load_bigraph(str(fixtures_dir / "printer.bg.json"))
@@ -55,6 +58,10 @@ def test_a_copy_or_a_pickle_is_rebuilt_from_the_fields(fixtures_dir):
     derived = derive_type_graph(annotate_150(tg), configs[-1])
     fileio.dumps_canonical(derived)
     assert {"_origin", "_parts"} <= vars(variant).keys() and "_150" in vars(tg) and "_text" in vars(derived)
+    # The variant was born with its verdict, so the checkers' bodies run here.
+    assert all(checker.__wrapped__(variant, derived).ok for checker in (check_typing, check_validity, check_multiplicities))
+    tables = {"_supertypes", "_subtypes", "_opposite", "_ends", "_attrs", "_bounds"}
+    assert tables <= vars(tg).keys() and tables <= vars(derived).keys()
     for value in (g, variant, b, sig, tg, derived):
         text = fileio.dumps_canonical(value)
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):

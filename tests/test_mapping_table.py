@@ -4,9 +4,10 @@ they were when each wrote the mapping out on its own.
 
 The references below are those copies, renamed with a ``ref_`` prefix,
 and the helpers they call, under their own names. ``encode`` must give
-an equal graph and element map, the same attribute order and
-byte-identical canonical text on random bigraphs (and the same
-``InvalidBigraph`` on broken ones); ``decode`` the same result, or the
+an equal graph and element map and byte-identical canonical text on
+random bigraphs (and the same ``InvalidBigraph`` on broken ones), with
+its entries written kind by kind in the table's order of kinds and its
+edges in one key order; ``decode`` the same result, or the
 same exception type and message, on clean, edited and near-canonical
 encodings; and ``check_soundness`` the same findings in the same order on
 edited encodings under edited element maps. The bigraphs have no ``bool``
@@ -622,7 +623,12 @@ def test_encode_matches_reference(b):
     got, want = outcome(encode, b), outcome(ref_encode, b)
     assert got == want
     if isinstance(want[0], InstanceGraph):
-        assert list(got[0].attrs) == list(want[0].attrs)
+        # One column per element kind, in the order of ``_ID_PREFIX``
+        # (the reference wrote the elements of a set in its order).
+        rank = {prefix: i for i, prefix in enumerate(_ID_PREFIX.values())}
+        for ids in (list(got[0].node_types), [n for n, _ in got[0].attrs]):
+            assert [rank[gid[:2]] for gid in ids] == sorted(rank[gid[:2]] for gid in ids)
+        assert list(got[0].graph.src) == list(got[0].graph.tgt) == list(got[0].edge_types)
         assert fileio.dumps_canonical(got[0]) == fileio.dumps_canonical(want[0])
     else:
         assert want[0] == "InvalidBigraph"

@@ -29,7 +29,9 @@ from bigtg import (
 from bigtg import fileio
 from bigtg.constraints import evaluate, parse_constraints, typecheck
 from bigtg.generators import random_bigraph
-from bigtg.typedgraph import all_super, symmetric_pairs
+from bigtg.typedgraph import all_super, conforms, declared_attrs, symmetric_pairs
+
+from helpers import outcome, ref_all_sub, ref_all_super, ref_conforms, ref_declared_attrs, type_graph_variants
 
 
 def test_the_constructors_copy_what_they_are_given():
@@ -62,6 +64,37 @@ def test_all_sub_unknown_type():
 
 def test_type_on_inheritance_cycle_is_its_own_supertype():
     assert all_super(TypeGraph(Graph(frozenset("AB")), inherits={("A", "B"), ("B", "A")}), "A") == {"A", "B"}
+
+
+#: The tables that a type graph keeps, each built on first use.
+TABLES = ("_supertypes", "_subtypes", "_opposite", "_ends", "_attrs", "_bounds")
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_each_type_graph_table_holds_what_the_queries_answered(sig1, data):
+    """On type graphs with inheritance cycles, abstract types, several
+    supertypes and a supertype that is no node type, each table a type
+    graph keeps equals the one a ``replace`` copy builds anew and holds
+    what the reference queries (``helpers.ref_*``, the queries as they
+    were before the tables) answer; ``conforms``, ``all_sub``,
+    ``all_super`` and ``declared_attrs`` answer as those do, or raise the
+    same ``UnknownType``."""
+    tg = data.draw(type_graph_variants(sig1, hierarchy=True))
+    copy = replace(tg)
+    for name in TABLES:
+        assert getattr(tg, name) == getattr(copy, name), name
+    types, src = sorted(tg.node_types), tg.graph.src
+    for ends, pairs in zip((src, tg.graph.tgt), tg._ends):
+        assert pairs == {(te, t) for te, decl in ends.items() for t in types if ref_conforms(tg, t, decl)}
+    assert tg._attrs == {t: ref_declared_attrs(tg, t) for t in types}
+    bounded = [(te, m) for te, m in sorted(tg.mult.items()) if m.lb > 0 or m.ub is not None]
+    assert tg._bounds == [(te, {t for t in types if ref_conforms(tg, t, src[te])}, m) for te, m in bounded]
+    for t in (*types, "Ghost"):
+        for query, ref in ((all_sub, ref_all_sub), (all_super, ref_all_super), (declared_attrs, ref_declared_attrs)):
+            assert outcome(query, tg, t) == outcome(ref, tg, t)
+        for target in (*types, "Ghost"):
+            assert outcome(conforms, tg, t, target) == outcome(ref_conforms, tg, t, target)
 
 
 def test_typing_printer_example(g1, tg_sigma1):
