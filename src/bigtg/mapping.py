@@ -233,7 +233,7 @@ def decode(g: InstanceGraph, sig: Signature) -> tuple[Bigraph, ElementMap]:
     for kind in (K_ROOT, K_SITE):
         keys[kind] = dict(zip(map(index_of, zip(gids[kind], repeat("index"))), gids[kind]))
     tgt = g.graph.tgt.__getitem__
-    owner_of = dict(zip(view.sources.get("bNode", ()), map(tgt, view.by_type.get("bNode", ()))))
+    owner_of = view.target_of("bNode")
     ports = gids[K_PORT]
     holders = map(str.removeprefix, map(owner_of.__getitem__, ports), repeat(_KINDS[K_NODE][0]))
     port_keys = map(tuple.__new__, repeat(Port), zip(holders, map(index_of, zip(ports, repeat("index")))))

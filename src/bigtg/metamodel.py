@@ -185,7 +185,7 @@ def _canonical_rules(g: InstanceGraph, tg: TypeGraph, sig: Signature) -> Validat
     parents = set(map(g.graph.tgt.__getitem__, view.by_type.get("bPrnt", ())))
     flag("canonical-parent", parents.intersection(of_type.get("BSite", ())), "site is a parent")
 
-    owner_of = dict(zip(view.sources.get("bNode", ()), map(g.graph.tgt.__getitem__, view.by_type.get("bNode", ()))))
+    owner_of = view.target_of("bNode")
     for t, what in (("BRoot", "root"), ("BSite", "site"), ("BPort", "port")):
         if t not in tg.node_types or "index" not in tg._attrs[t]:
             continue

@@ -138,9 +138,7 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
     # Port indices are scoped per owning node: only the ports of the same
     # owner compete for the same index values. A port node is a candidate
     # when it has one ownership edge, to its holder.
-    owned = g.edge_view.by_type.get("bNode", ())
-    owned_by = list(map(src.__getitem__, owned))
-    counter, holder = Counter(owned_by), dict(zip(owned_by, map(tgt.__getitem__, owned)))
+    counter, holder = Counter(g.edge_view.sources.get("bNode", ())), g.edge_view.target_of("bNode")
     ports = of_type.get("BPort", [])
     counts = list(map(counter.get, ports, repeat(0)))
     for n, count in sorted(compress(zip(ports, counts), map(ne, counts, repeat(1)))):

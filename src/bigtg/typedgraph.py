@@ -199,12 +199,15 @@ class EdgeView:
     in that order; and the nodes grouped by node type, each group in the
     iteration order of ``g.graph.nodes``. Built in C-level passes.
     The edges of one edge type grouped by source, which constraint
-    navigation reads, are built the first time that edge type is asked
-    for (:meth:`by_source`) and kept."""
+    navigation reads (:meth:`by_source`), and each source's target, which
+    the canonical rules, soundness and ``decode``'s rebuild read of
+    ``bNode`` (:meth:`target_of`), are built the first time that edge
+    type is asked for and kept."""
 
-    __slots__ = ("edges", "src", "tgt", "type", "by_type", "sources", "by_node_type", "_by_source")
+    __slots__ = ("edges", "src", "tgt", "type", "by_type", "sources", "by_node_type", "_by_source", "_target_of", "_tgt")
 
     def __init__(self, g: InstanceGraph) -> None:
+        self._tgt = g.graph.tgt
         self.edges = edges = tuple(g.graph.src)
         self.src = list(g.graph.src.values())
         self.tgt = list(g.graph.tgt.values())
@@ -213,6 +216,7 @@ class EdgeView:
         self.sources = _grouped(self.type, self.src)
         self.by_node_type = _grouped(list(map(g.node_types.__getitem__, g.graph.nodes)), g.graph.nodes)
         self._by_source: dict[str, dict[str, list[str]]] = {}
+        self._target_of: dict[str, dict[str, str]] = {}
 
     def by_source(self, edge_type: str) -> dict[str, list[str]]:
         """The edges of ``edge_type`` grouped by their source, each group
@@ -222,6 +226,16 @@ class EdgeView:
             sources = self.sources.get(edge_type, [])
             groups = self._by_source[edge_type] = _grouped(sources, self.by_type.get(edge_type, ()))
         return groups
+
+    def target_of(self, edge_type: str) -> dict[str, str]:
+        """Each source of an edge of ``edge_type`` mapped to the target of
+        its last such edge in the view's order (a port's owner, for
+        ``bNode``); built the first time it is asked for and kept."""
+        targets = self._target_of.get(edge_type)
+        if targets is None:
+            ends = map(self._tgt.__getitem__, self.by_type.get(edge_type, ()))
+            targets = self._target_of[edge_type] = dict(zip(self.sources.get(edge_type, ()), ends))
+        return targets
 
 
 def _grouped(keys: list[Hashable], values: Iterable[Any]) -> dict[Hashable, list[Any]]:
@@ -251,6 +265,16 @@ class InstanceGraph:
     Neither travels with a copy or a pickle, which rebuilds the value
     from its fields.
     A variant shares the dicts it did not change with its input.
+
+    A graph is in one of three states. The constructor copies and checks
+    its fields; ``_adopt`` takes fresh ones as they are (the readers,
+    ``encode``, ``decode``); and a graph that ``_lazy`` makes (a variant
+    that :func:`bigtg.variability.apply_deltas` returns) is unbuilt: it
+    holds a build and no field until the first read of one, which
+    :meth:`__getattr__` answers by setting all four. Equality, hashing,
+    ``repr``, copies, pickles, ``replace``, ``edge_view``, the checkers
+    and the writers read fields by ordinary lookup, so each builds it;
+    reading its kept reports, its record or ``_parts`` does not.
 
     Construction copies each dict and raises ``TypeError`` unless
     ``graph`` is a :class:`Graph`, ids and types are exactly ``str``, each
@@ -283,6 +307,27 @@ class InstanceGraph:
         object.__setattr__(self, "node_types", node_types)
         object.__setattr__(self, "edge_types", edge_types)
         object.__setattr__(self, "attrs", attrs)
+
+    @classmethod
+    def _lazy(cls, build: Callable[[], tuple[Graph, dict, dict, dict]]) -> InstanceGraph:
+        """An unbuilt graph, whose fields are ``build()``, taken as ``_adopt``
+        takes them, on the first read of one (:meth:`__getattr__`). For a
+        builder in this package whose graph may never be read."""
+        self = object.__new__(cls)
+        vars(self)["_build"] = build
+        return self
+
+    def __getattr__(self, name: str) -> Any:
+        """Reached only when normal lookup fails. On an unbuilt graph
+        (:meth:`_lazy`), a field's first read sets every field and drops
+        the build; any other name is missing as on any object."""
+        build = vars(self).get("_build")
+        if build is None or name not in self._fields:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}", name=name, obj=self)
+        for field_name, value in zip(self._fields, build(), strict=True):
+            object.__setattr__(self, field_name, value)
+        del vars(self)["_build"]
+        return vars(self)[name]
 
     @cached_property
     def edge_view(self) -> EdgeView:

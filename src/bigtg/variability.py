@@ -9,15 +9,18 @@ Instance graphs are reconfigured from parts of the canonical encoding,
 read off the same table and kept on it, which every configuration of
 that encoding shares; so is the verdict of the encoding's own checks,
 which each variant made from the second reconfiguration on is born with:
-the kept reports of its checks against its derived type graph.
+the kept reports of its checks against its derived type graph. A variant
+is built from those parts when one of its fields is first read, so a
+product-line loop whose checks and saves answer from the family pays per
+configuration only for what can raise and for the variant's record.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
-from collections.abc import Callable, Hashable, Iterable, Mapping
-from itertools import compress, repeat
+from collections.abc import Callable, Collection, Hashable, Iterable, Mapping
+from itertools import chain, compress, repeat
 from operator import eq, itemgetter
 from weakref import ref
 
@@ -255,17 +258,26 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
     type, the edges by the groups they touch with their ends and types,
     the retyping for each set of controls, and the port rewiring, with
     its ``NotCanonical`` reason, for each set of deleted roots and sites.
-    Each configuration then takes C-level set unions and dict merges of
-    the parts it keeps, and dict copies with the dropped keys deleted:
-    no Python-level pass over the nodes, edges or attributes. The steps
-    build no edge view of ``g`` (its check below does). The new graph's
-    edge set and edge dicts hold the same entries as before, in another
-    iteration order; it takes those dicts without a copy, and shares with
-    ``g`` the ones that no step changes. Each graph returned, ``g`` itself included, records
-    what the steps did unless it has a record (``_origin``, an
-    :class:`_Origin`): ``g``, by weak reference, and the pieces the steps
-    changed (the retyping for a set of controls, a group's lost
-    ``index``, a port rewiring) and the groups they dropped.
+    A call decides at once only what can raise or what the record and the
+    verdict below need: the configuration's validity, the rewiring's
+    ``NotCanonical`` reason, the groups dropped and the pieces changed,
+    and the family's verdict; each is a lookup once its part is kept. The
+    new graph is returned unbuilt (``InstanceGraph._lazy``): the first
+    read of one of its fields builds it, by C-level set unions and dict
+    merges of the parts it keeps and dict copies with the dropped keys
+    deleted, with no Python-level pass over the nodes, edges or
+    attributes. The build holds those parts and the dicts of ``g``, never
+    ``g`` itself, so a variant outlives its input; and a family's variant
+    whose checks and save answer from the family, as below, is never
+    built. The steps build no edge view of ``g`` (its check below does).
+    The new graph's edge set and edge dicts hold the same entries as
+    before, in another iteration order; it takes those dicts without a
+    copy, and shares with ``g`` the ones that no step changes. Each graph
+    returned, ``g`` itself included, records what the steps did unless it
+    has a record (``_origin``, an :class:`_Origin`): ``g``, by weak
+    reference, and the pieces the steps changed (the retyping for a set of
+    controls, a group's lost ``index``, a port rewiring) and the groups
+    they dropped.
 
     From the second reconfiguration of ``g`` on, the graphs returned are
     a family. ``g._parts`` then holds a :class:`bigtg.writers.Family`,
@@ -287,9 +299,9 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
     is deleted, the edges, their ends and their types are kept as they
     are. Applying the same configuration twice is a no-op the second
     time, so already-configured graphs pass through unchanged. Raises
-    ``NotCanonical`` on a port without exactly one ownership edge or one
-    link edge. A graph's ``src`` and ``tgt`` are total, so every edge has
-    both ends to rewire or drop.
+    ``NotCanonical``, from the call itself, on a port without exactly one
+    ownership edge or one link edge. A graph's ``src`` and ``tgt`` are
+    total, so every edge has both ends to rewire or drop.
     """
     rep = validate_config(cfg)
     if not rep.ok:
@@ -302,49 +314,56 @@ def apply_deltas(g: InstanceGraph, cfg: FeatureConfig, sig: Signature) -> Instan
     _kept(g, _reconfigured)
     verdict = _verdict(g, sig) if family and isinstance(sig, Signature) else None
     sel = cfg.selected
-    types, attrs, controls = g.node_types, g.attrs, frozenset()
+    controls, retyped, control_attrs = frozenset(), {}, {}
     changes: list[tuple[Callable[..., InstanceGraph], Hashable]] = []
     if "WT" in sel:
         controls = frozenset(sig.names)
         retyped, control_attrs = _kept(g, _retyped, controls)
         if retyped:
-            types, attrs = {**types, **retyped}, {**attrs, **control_attrs}
             changes.append((_retyped_entries, controls))
-    gone_keys: set[tuple[str, str]] = set()
+    gone: list[Collection[tuple[str, str]]] = []  # the attribute keys that go
     dropped: dict[str, frozenset[str]] = {}
     for node_type, explicit, indexed in _GROUPS:
-        if indexed in sel:
+        if indexed in sel or node_type in controls:  # a control's nodes were all retyped BNode in step 1
             continue
         nodes, keys, index = _kept(g, _group, node_type)
-        if node_type in controls:  # every node of the type was retyped BNode in step 1
-            gone_keys.update(index.difference(keys))
-            continue
-        gone_keys.update(index)
         if explicit not in sel:
-            gone_keys.update(keys)
+            gone.append(keys)  # index keys included
             dropped[node_type] = nodes
         elif index:
+            gone.append(index)
             changes.append((_indexless_entries, node_type))
-    if gone_keys:
-        attrs = _without(attrs, gone_keys)
-    doomed = frozenset().union(*dropped.values())
-    if not doomed:
-        h = g if types is g.node_types and attrs is g.attrs else InstanceGraph._adopt(g.graph, types, g.edge_types, attrs)
-        return _recorded(h, g, cfg, verdict, None, changes)
+    # The new graph's build runs at its first read and holds parts and
+    # dicts of g, never g itself, which the graph may outlive.
+    graph, types, edge_types, attrs = g.graph, g.node_types, g.edge_types, g.attrs
+    if not any(dropped.values()):
+        if not retyped and not any(gone):
+            return _recorded(g, g, cfg, verdict, None, changes)
+
+        def build() -> tuple[Graph, dict, dict, dict]:
+            return graph, _without(types, (), retyped), edge_types, _without(attrs, gone, control_attrs)
+
+        return _recorded(InstanceGraph._lazy(build), g, cfg, verdict, None, changes)
     cut = sum(map(_BIT.__getitem__, dropped))
     kept = [_kept(g, _ends, touched) for touched in _kept(g, _touching) if not touched & cut]
-    src, tgt, edge_types = (_merged(map(itemgetter(i), kept)) for i in range(3))
+    rewired: tuple[list[str], ...] = ()
     if dropped.get("BPort"):
         reason, rewired = _kept(g, _rewired, cut & ~_BIT["BPort"])
         if reason:
             raise NotCanonical(reason)
-        moved, *columns = rewired
-        for ends, column in zip((src, tgt, edge_types), columns):
-            ends.update(zip(moved, column))
         changes.append((_moved_entries, cut & ~_BIT["BPort"]))
-    graph = Graph._adopt(g.graph.nodes - doomed, frozenset(src), src, tgt)
-    h = InstanceGraph._adopt(graph, _without(types, doomed), edge_types, attrs)
-    return _recorded(h, g, cfg, verdict, (_dropped, cut), changes)
+
+    def build() -> tuple[Graph, dict, dict, dict]:
+        src, tgt, edge_types = (_merged(map(itemgetter(i), kept)) for i in range(3))
+        if rewired:
+            moved, *columns = rewired
+            for ends, column in zip((src, tgt, edge_types), columns):
+                ends.update(zip(moved, column))
+        doomed = frozenset().union(*dropped.values())
+        cut_graph = Graph._adopt(graph.nodes - doomed, frozenset(src), src, tgt)
+        return cut_graph, _without(types, (doomed,), retyped), edge_types, _without(attrs, gone, control_attrs)
+
+    return _recorded(InstanceGraph._lazy(build), g, cfg, verdict, (_dropped, cut), changes)
 
 
 def _recorded(
@@ -425,10 +444,14 @@ def _merged(dicts: Iterable[dict[str, str]]) -> dict[str, str]:
     return merged
 
 
-def _without(d: Mapping[Any, Any], keys: Iterable[Any]) -> dict[Any, Any]:
-    """A copy of ``d`` in its order, without ``keys``."""
-    d = dict(d)
-    deque(map(d.pop, keys, repeat(None)), 0)
+def _without(d: Mapping[Any, Any], gone: Iterable[Collection[Any]], update: Mapping[Any, Any]) -> Mapping[Any, Any]:
+    """A copy of ``d`` in its order, updated by ``update``, without the
+    keys in the collections ``gone``; ``d`` itself when there is nothing
+    to update or delete."""
+    if not update and not any(gone):
+        return d
+    d = {**d, **update}
+    deque(map(d.pop, chain.from_iterable(gone), repeat(None)), 0)
     return d
 
 

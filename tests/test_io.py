@@ -46,7 +46,9 @@ def test_a_copy_or_a_pickle_is_rebuilt_from_the_fields(fixtures_dir):
     a derived type graph with its text kept each survive ``copy``,
     ``deepcopy`` and ``pickle`` as an equal value with the same canonical
     text; what each kept beside its fields (its view, parts, record,
-    derivations, text or type-graph tables) does not travel."""
+    derivations, text or type-graph tables) does not travel. A variant
+    that was never built is built by the copy, which carries neither its
+    build nor its record."""
     g = fileio.load_instance_graph(str(fixtures_dir / "printer.ig.json"))
     sig = fileio.load_signature(str(fixtures_dir / "printer.sig.json"))
     b = fileio.load_bigraph(str(fixtures_dir / "printer.bg.json"))
@@ -68,6 +70,15 @@ def test_a_copy_or_a_pickle_is_rebuilt_from_the_fields(fixtures_dir):
             assert type(twin) is type(value) and twin == value and twin is not value
             assert vars(twin).keys() == set(type(value)._fields)
             assert fileio.dumps_canonical(twin) == text
+    # The family's text of another variant, which its save selects unbuilt.
+    text = fileio.dumps_canonical(apply_deltas(g, configs[-2], sig))
+    for twin_of in (copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))):
+        unbuilt = apply_deltas(g, configs[-2], sig)
+        assert {"_build", "_origin"} <= vars(unbuilt).keys() and not vars(unbuilt).keys() & set(InstanceGraph._fields)
+        twin = twin_of(unbuilt)
+        assert type(twin) is InstanceGraph and twin == unbuilt and twin is not unbuilt
+        assert vars(twin).keys() == set(InstanceGraph._fields)
+        assert fileio.dumps_canonical(twin) == text
 
 
 @pytest.mark.parametrize(
