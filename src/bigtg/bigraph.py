@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping
+from functools import cached_property
 from itertools import chain, compress, repeat
 
 from ._value import SCALAR, STR, as_dict, check_each, field, frozen, is_int
@@ -63,7 +64,8 @@ class Signature:
     and raises ``TypeError`` unless each control is a :class:`Control`,
     each arity is keyed by exactly a ``str`` and each arity is a non-negative
     ``int`` (a ``bool`` is not); duplicate and reserved names are
-    :func:`make_signature`'s to refuse."""
+    :func:`make_signature`'s to refuse. ``names`` is built on first read
+    and kept; a copy or a pickle is rebuilt from the fields without it."""
 
     controls: tuple[Control, ...] = ()
     arities: Mapping[str, int] = field(default_factory=dict)
@@ -76,7 +78,7 @@ class Signature:
         object.__setattr__(self, "controls", controls)
         object.__setattr__(self, "arities", arities)
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.controls)
 

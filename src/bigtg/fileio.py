@@ -419,6 +419,10 @@ _KINDS: dict[str, tuple[str, str, Callable[[Any], object], str]] = {
     KIND_FEATURECONFIG: ("variability", "FeatureConfig", _read_featureconfig, "featureconfig_chunks"),
 }
 
+#: Each saved value's class, its kind and its writer's name, filled on
+#: that class's first save; a subclass finds its writer by ``isinstance``.
+_WRITER_OF: dict[type, tuple[str, str]] = {}
+
 _HEAD = '{\n  "formatVersion": "%s",\n  "kind": "%s",\n  "payload": '
 
 
@@ -429,14 +433,19 @@ def _chunks(value: object) -> Iterator[str]:
     entries (see :mod:`bigtg.writers`)."""
     from . import writers
 
-    for kind, (module, cls, _, write) in _KINDS.items():
-        if isinstance(value, getattr(import_module(f".{module}", __package__), cls)):
-            payload = getattr(writers, write)(value)
-            yield _HEAD % (FORMAT_VERSION, kind) + next(payload)
-            yield from payload
-            yield "\n}\n"
-            return
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    found = _WRITER_OF.get(type(value))
+    if found is None:
+        for kind, (module, cls, _, write) in _KINDS.items():
+            if isinstance(value, getattr(import_module(f".{module}", __package__), cls)):
+                found = _WRITER_OF[type(value)] = kind, write
+                break
+        else:
+            raise TypeError(f"cannot serialize {type(value).__name__}")
+    kind, write = found
+    payload = getattr(writers, write)(value)
+    yield _HEAD % (FORMAT_VERSION, kind) + next(payload)
+    yield from payload
+    yield "\n}\n"
 
 
 def dumps_canonical(value: object) -> str:

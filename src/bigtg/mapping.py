@@ -12,9 +12,10 @@ aligns a bigraph with its encoding element by element against it.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from itertools import repeat
 from operator import itemgetter
+from weakref import ref
 
 from ._value import field, frozen
 from .bigraph import Bigraph, Interface, Port, _ports
@@ -65,9 +66,22 @@ class InvalidBigraph(Exception):
 
 @frozen
 class ElementMap:
-    """Bijection between the elements of a bigraph and instance-graph nodes."""
+    """Bijection between the elements of a bigraph and instance-graph nodes.
+
+    A map that :func:`encode` returns also keeps, beside its field, what
+    ``check_soundness`` reads of the bigraph it encoded: a weak reference
+    to that bigraph, the elements it mapped and the triples of
+    :func:`_relations`. They depend on the bigraph alone, and
+    ``check_soundness`` reads them only for that very object; so that
+    bigraph's dicts may not be mutated after ``encode`` (a bigraph is
+    treated as immutable anyway). Every other map keeps none: one built
+    by the constructor, ``replace`` or ``decode``, and a copy or a
+    pickle, which is rebuilt from the field."""
 
     forward: Mapping[Element, str] = field(default_factory=dict)
+
+    #: ``(weak reference to b, elements of b, _relations(b))``, or None.
+    _tables = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "forward", dict(self.forward))
@@ -88,22 +102,22 @@ def elements_of(b: Bigraph) -> set[Element]:
     return out
 
 
-def _relations(b: Bigraph) -> tuple[tuple[str, str, Iterator[tuple[object, Element, Element]]], ...]:
+def _relations(b: Bigraph) -> tuple[tuple[str, str, list[tuple[object, Element, Element]]], ...]:
     """Nesting, linking and port ownership, each as its edge type from
-    child to parent, the opposite edge type, and, lazily, its
+    child to parent, the opposite edge type, and the list of its
     ``(bigraph key, child element, parent element)`` triples.
 
     Sites and roots are the integer places. Every port of a valid bigraph
     is linked, so the ports are the link map's ``Port`` keys."""
-    nesting = (
+    nesting = [
         (c, (K_SITE, c) if isinstance(c, int) else (K_NODE, c), (K_ROOT, p) if isinstance(p, int) else (K_NODE, p))
         for c, p in b.prnt.items()
-    )
-    linking = (
+    ]
+    linking = [
         (x, (K_PORT, x) if isinstance(x, Port) else (K_INNER, x), (K_EDGE, y) if y in b.edges else (K_OUTER, y))
         for x, y in b.link.items()
-    )
-    ownership = ((x, (K_PORT, x), (K_NODE, x.node)) for x in b.link if isinstance(x, Port))
+    ]
+    ownership = [(x, (K_PORT, x), (K_NODE, x.node)) for x in b.link if isinstance(x, Port)]
     return ("bPrnt", "bChld", nesting), ("bLink", "bPoints", linking), ("bNode", "bPorts", ownership)
 
 
@@ -133,6 +147,11 @@ def encode(b: Bigraph) -> tuple[InstanceGraph, ElementMap]:
     outer name without any point (``idle-link``), so that every
     graph returned conforms, or if ids that contain ``:`` give two edges
     one id.
+
+    The map keeps what ``check_soundness`` reads of ``b`` (see
+    :class:`ElementMap`): the elements it mapped and the relation triples
+    that the edges were written from, with a weak reference to ``b``, so
+    it keeps no bigraph alive. Its copies keep none of it.
     """
     from .bigraph import validate_bigraph  # here, so that decode does not compile it
 
@@ -172,7 +191,8 @@ def encode(b: Bigraph) -> tuple[InstanceGraph, ElementMap]:
     tgt: dict[str, str] = {}
     etypes: dict[str, str] = {}
     ids: list[str] = []
-    for edge_type, opposite, triples in _relations(b):
+    relations = _relations(b)
+    for edge_type, opposite, triples in relations:
         for _, child, parent in triples:
             s, t = fwd[child], fwd[parent]
             forward, back = f"{edge_type}:{s}:{t}", f"{opposite}:{t}:{s}"
@@ -188,7 +208,9 @@ def encode(b: Bigraph) -> tuple[InstanceGraph, ElementMap]:
             seen.add(eid)
 
     g = InstanceGraph._adopt(Graph._adopt(frozenset(fwd.values()), frozenset(etypes), src, tgt), ntypes, etypes, attrs)
-    return g, ElementMap._adopt(fwd)
+    emap = ElementMap._adopt(fwd)
+    object.__setattr__(emap, "_tables", (ref(b), frozenset(fwd), relations))
+    return g, emap
 
 
 def decode(g: InstanceGraph, sig: Signature) -> tuple[Bigraph, ElementMap]:

@@ -168,7 +168,9 @@ def _canonical_rules(g: InstanceGraph, tg: TypeGraph, sig: Signature) -> Validat
     member without one, then on each owner, or type, whose indices are not
     that range). Only :func:`conformance` calls it, on a graph that passes
     the other checks, so each index is an integer and each port has one
-    owner. Whole-column set tests decide; only a failing one walks."""
+    owner. Whole-column tests decide: the roots, or the sites, pass when
+    their indices sorted are ``0..n-1``, and only the ports' owners are
+    counted, or a group's that fails, which alone is walked."""
     view, findings = g.edge_view, []
     of_type = view.by_node_type
 
@@ -190,12 +192,16 @@ def _canonical_rules(g: InstanceGraph, tg: TypeGraph, sig: Signature) -> Validat
         if t not in tg.node_types or "index" not in tg._attrs[t]:
             continue
         members = of_type.get(t, [])
-        owners = list(map(owner_of.get, members, repeat(t)))
         indices = list(map(g.attrs.get, zip(members, repeat("index"))))
-        count = Counter(owners)
-        below = map(range.__contains__, map(range, map(count.__getitem__, owners)), indices)
-        if None not in indices and len(set(zip(owners, indices))) == len(indices) and all(below):
+        # A root or a site has one owner, its type: its group passes when
+        # its indices sorted are the range.
+        if t != "BPort" and None not in indices and sorted(indices) == list(range(len(indices))):
             continue
+        owners = list(map(owner_of.get, members, repeat(t)))
+        if t == "BPort" and None not in indices and len(set(zip(owners, indices))) == len(indices):
+            count = Counter(owners)
+            if all(map(range.__contains__, map(range, map(count.__getitem__, owners)), indices)):
+                continue
         flag("canonical-index", compress(members, map(is_, indices, repeat(None))), f"{what} has no 'index'")
         for owner, got in sorted(_grouped(owners, indices).items()):
             if None not in got and sorted(got) != list(range(len(got))):  # type: ignore[type-var]

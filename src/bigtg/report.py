@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from ._value import frozen
+
+_findings = attrgetter("findings")
 
 
 @frozen
@@ -32,6 +36,10 @@ class ValidationReport:
         return {f.code for f in self.findings}
 
     def merged(self, *others: "ValidationReport") -> "ValidationReport":
+        """The findings of this report, then of each of ``others``; this
+        very report when it and each of ``others`` are empty."""
+        if not self.findings and not any(map(_findings, others)):
+            return self
         out = list(self.findings)
         for other in others:
             out.extend(other.findings)
@@ -41,5 +49,11 @@ class ValidationReport:
         return len(self.findings)
 
 
+#: The one report that :func:`report_from` gives for no findings.
+_EMPTY = ValidationReport()
+
+
 def report_from(findings: list[Finding]) -> ValidationReport:
-    return ValidationReport(tuple(findings))
+    """A report of ``findings``, in order. No findings give one shared
+    empty report, so a check that passes builds none."""
+    return ValidationReport(tuple(findings)) if findings else _EMPTY

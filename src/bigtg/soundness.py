@@ -36,12 +36,21 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
 
     Cost: C-level passes compare whole columns: the map's keys with the
     bigraph's elements (set differences), its images with the graph's
-    nodes (a ``Counter``), each element's wanted type with its image's
-    type, the wanted nesting and linking pairs with the graph's, and each
-    root, site and port node's ``index`` with its slot. Only the entries
-    that differ are sorted and walked, so an exact encoding costs those
-    passes, :func:`elements_of` and a pass over the edges of each of
-    nesting, linking and port ownership (their groups in ``g.edge_view``).
+    nodes (a set, and a ``Counter`` only when two elements share one),
+    each element's wanted type with its image's type, the wanted nesting
+    and linking pairs with the graph's, and each root, site and port
+    node's ``index`` with its slot. Port ownership is decided by the
+    sizes of ``target_of("bNode")`` and of its sources, and counted only
+    when a source has two edges or a port has none. Only the entries that
+    differ are sorted and walked. The elements of ``b`` and its relation
+    triples are those that :func:`bigtg.mapping.encode` kept on ``emap``
+    when ``b`` is the very object it encoded, and are computed again
+    (:func:`elements_of`, ``_relations``) for any other map or bigraph,
+    an equal one too; they depend on ``b`` alone, so the findings do not
+    depend on which. So an exact encoding checked with ``encode``'s own
+    map and bigraph costs those passes and a pass over the edges of each
+    of nesting, linking and port ownership (their groups in
+    ``g.edge_view``).
     """
     ctrl, sig = b.ctrl, b.signature
     if not all(map(sig.has_control, map(ctrl.get, b.nodes))):
@@ -51,7 +60,11 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
     def flag(code: str, location: str, message: str) -> None:
         findings.append(Finding(code, location, message))
 
-    expected = elements_of(b)
+    tables = emap._tables
+    if tables is not None and tables[0]() is b:
+        _, expected, relations = tables
+    else:
+        expected, relations = elements_of(b), _relations(b)
     fwd = dict(emap.forward)
     nodes, node_types, attrs = g.graph.nodes, g.node_types, g.attrs
     for el in sorted(expected.difference(fwd), key=str):
@@ -59,8 +72,12 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
     strays = fwd.keys() - expected
     for el in sorted(strays, key=str):
         flag("map-domain", str(el), "map entry for a non-element")
-    images = Counter(fwd.values())
-    shared = sorted(compress(images, map(lt, repeat(1), images.values())))
+    images = set(fwd.values())
+    if len(images) == len(fwd):
+        shared = []
+    else:
+        counts = Counter(fwd.values())
+        shared = sorted(compress(counts, map(lt, repeat(1), counts.values())))
     for gid in shared:
         flag("map-injective", gid, "two elements map to the same graph node")
     on_graph = list(map(nodes.__contains__, fwd.values()))
@@ -83,12 +100,11 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
         flag("sound-typing", gid, f"{kind} element typed {got!r}, expected {want!r}")
 
     src, tgt = g.graph.src, g.graph.tgt
-    nesting, linking, ownership = _relations(b)
+    nesting, linking, ownership = relations
     for (edge_type, _, triples), what in ((nesting, "nesting"), (linking, "linking")):
         code = f"sound-{what}"
         of_type = g.edge_view.by_type.get(edge_type, ())
         graph_pairs = set(zip(map(src.__getitem__, of_type), map(tgt.__getitem__, of_type)))
-        triples = list(triples)
         children = list(map(itemgetter(1), triples))
         pairs = list(zip(map(mapped.get, children), map(mapped.get, map(itemgetter(2), triples))))
         # Graph pairs hold no None, so equal sets leave no end unmapped.
@@ -137,17 +153,23 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
 
     # Port indices are scoped per owning node: only the ports of the same
     # owner compete for the same index values. A port node is a candidate
-    # when it has one ownership edge, to its holder.
-    counter, holder = Counter(g.edge_view.sources.get("bNode", ())), g.edge_view.target_of("bNode")
+    # when it has one ownership edge, to its holder; every port node has
+    # one when no source has two and each port node is a source.
+    sources, holder = g.edge_view.sources.get("bNode", ()), g.edge_view.target_of("bNode")
     ports = of_type.get("BPort", [])
-    counts = list(map(counter.get, ports, repeat(0)))
-    for n, count in sorted(compress(zip(ports, counts), map(ne, counts, repeat(1)))):
-        flag("sound-port-index", n, f"port node has {count} ownership edges")
+    if len(sources) == len(holder) and holder.keys() >= set(ports):
+        candidates = ports
+    else:
+        counter = Counter(sources)
+        counts = list(map(counter.get, ports, repeat(0)))
+        for n, count in sorted(compress(zip(ports, counts), map(ne, counts, repeat(1)))):
+            flag("sound-port-index", n, f"port node has {count} ownership edges")
+        candidates = list(compress(ports, map(eq, counts, repeat(1))))
     # A candidate is clean when it is the image of a linked port (v, i)
     # (the table's ownership relation), its holder is the image of v and
     # its index is i, and neither it nor that image is the image of two
     # elements. Any other candidate is walked.
-    owning = list(ownership[2])
+    owning = ownership[2]
     gids = list(map(mapped.get, map(itemgetter(1), owning)))
     owners = list(map(mapped.get, map(itemgetter(2), owning)))
     in_slot = map(
@@ -156,7 +178,7 @@ def check_soundness(b: Bigraph, g: InstanceGraph, emap: ElementMap) -> Validatio
         map(eq, map(attrs.get, zip(gids, repeat("index"))), map(itemgetter(1), map(itemgetter(0), owning))),
     )
     fine = set(compress(gids, in_slot)).difference(twice).difference(compress(gids, map(twice.__contains__, owners)))
-    suspects = list(filterfalse(fine.__contains__, compress(ports, map(eq, counts, repeat(1)))))
+    suspects = list(filterfalse(fine.__contains__, candidates))
     if suspects:
         node_gids = list(map(mapped.get, zip(repeat(K_NODE), b.nodes)))
         flagged = []

@@ -7,6 +7,9 @@ from __future__ import annotations
 import os
 import random
 import tempfile
+from collections import Counter
+from itertools import chain, compress, repeat
+from operator import is_
 
 import pytest
 from hypothesis import strategies as st
@@ -31,6 +34,8 @@ from bigtg import (
     replace,
 )
 from bigtg.generators import random_bigraph
+from bigtg.report import Finding, ValidationReport, report_from
+from bigtg.typedgraph import _grouped
 
 
 def outcome(fn, *args):
@@ -136,6 +141,44 @@ def ref_declared_attrs(tg: TypeGraph, t: str) -> dict[str, str]:
         merged.update(tg.attr_decls.get(sup, {}))
     merged.update(tg.attr_decls.get(t, {}))
     return merged
+
+
+def ref_canonical_rules(g: InstanceGraph, tg: TypeGraph, sig: Signature) -> ValidationReport:
+    """The canonical rules as they were before the roots and the sites
+    passed by their sorted indices: every group's owners are counted."""
+    view, findings = g.edge_view, []
+    of_type = view.by_node_type
+
+    def flag(code, nodes, message):
+        findings.extend(Finding(code, n, message) for n in sorted(nodes))
+
+    if "BNode" in of_type and tg.node_types.issuperset(sig.names):
+        flag("untyped-control", of_type["BNode"], "node typed 'BNode' instead of a control type")
+    if "BRoot" in tg.node_types:
+        children = set(view.sources.get("bPrnt", ()))
+        places = set(chain.from_iterable(map(of_type.get, {*sig.names, "BNode", "BSite"}, repeat(()))))
+        flag("canonical-parent", children.intersection(of_type.get("BRoot", ())), "root has a parent")
+        flag("canonical-parent", places - children, "node or site has no parent")
+    parents = set(map(g.graph.tgt.__getitem__, view.by_type.get("bPrnt", ())))
+    flag("canonical-parent", parents.intersection(of_type.get("BSite", ())), "site is a parent")
+
+    owner_of = view.target_of("bNode")
+    for t, what in (("BRoot", "root"), ("BSite", "site"), ("BPort", "port")):
+        if t not in tg.node_types or "index" not in tg._attrs[t]:
+            continue
+        members = of_type.get(t, [])
+        owners = list(map(owner_of.get, members, repeat(t)))
+        indices = list(map(g.attrs.get, zip(members, repeat("index"))))
+        count = Counter(owners)
+        below = map(range.__contains__, map(range, map(count.__getitem__, owners)), indices)
+        if None not in indices and len(set(zip(owners, indices))) == len(indices) and all(below):
+            continue
+        flag("canonical-index", compress(members, map(is_, indices, repeat(None))), f"{what} has no 'index'")
+        for owner, got in sorted(_grouped(owners, indices).items()):
+            if None not in got and sorted(got) != list(range(len(got))):
+                message = f"{what} indices {sorted(got)} are not the gap-free range 0..{len(got) - 1}"
+                findings.append(Finding("canonical-index", owner, message))
+    return report_from(findings)
 
 
 def drop_edge(g: InstanceGraph, eid: str) -> InstanceGraph:
